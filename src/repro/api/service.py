@@ -490,6 +490,11 @@ class GraphCacheService:
                 metrics.answer_size = answer.cardinality()
             finally:
                 lock.release_read()
+                # The matchers memoised a plan on the caller's object
+                # (steps 2 and 4 are its only users; admission copies
+                # the graph).  It must not outlive the query: callers
+                # keep, reuse and mutate their query objects.
+                query.forget_derived()
 
             # (5) Feed back to the Cache Manager: benefit credits +
             # admission — write-side.  Skipped wholesale if the dataset
@@ -557,12 +562,17 @@ class GraphCacheService:
         the plan instead of being reconciled.
         """
         self._check_open()
-        with self.cache.lock.read():
-            features = GraphFeatures.of(query)
-            hits = self.discovery.discover(query, self.cache.index, features)
-            cs_m = self.store.ids_bitset()
-            outcome = prune_candidate_set(self.query_type, cs_m, hits,
-                                          self.store.max_id + 1, live_ids=cs_m)
+        try:
+            with self.cache.lock.read():
+                features = GraphFeatures.of(query)
+                hits = self.discovery.discover(query, self.cache.index,
+                                               features)
+                cs_m = self.store.ids_bitset()
+                outcome = prune_candidate_set(self.query_type, cs_m, hits,
+                                              self.store.max_id + 1,
+                                              live_ids=cs_m)
+        finally:
+            query.forget_derived()  # as the pipeline: the caller owns it
         # Zero-effect applications (e.g. a hit whose CGvalid bits all
         # faded) are real discoveries but contributed nothing — they stay
         # visible in the hit lists, not as formula steps.

@@ -5,13 +5,16 @@ dataset replica with the scale's change plan replayed identically.  The
 paper's figures slice the same run grid different ways (Figure 4: query
 time; Figure 5: sub-iso tests; Figure 6: time breakdown), so the harness
 memoizes runs — each (workload, matcher, model) cell executes once per
-process no matter how many figures touch it.
+process no matter how many figures touch it.  The three models of one
+(workload, matcher) row run in lockstep (:meth:`ExperimentHarness.run`).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.api import GCConfig, GraphCacheService
@@ -44,6 +47,8 @@ TYPE_A_CATEGORIES = ("ZZ", "ZU", "UU")
 TYPE_B_CATEGORIES = ("0%", "20%", "50%")
 ALL_WORKLOADS = TYPE_A_CATEGORIES + TYPE_B_CATEGORIES
 MATCHER_NAMES = ("vf2", "vf2+", "graphql")  # the paper's three Method M
+#: the cells of one (workload, matcher) row, measured together
+ROW_MODELS = ("base", "EVI", "CON")
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,71 @@ class RunResult:
         return self.total_method_tests / self.queries
 
 
+class _Cell:
+    """One (workload, matcher, model) run in progress: its own dataset
+    replica, change plan and runner, and the totals of a
+    :class:`RunResult`."""
+
+    def __init__(self, harness: "ExperimentHarness", workload_name: str,
+                 matcher_name: str, model: str) -> None:
+        s = harness.scale
+        self.key = (workload_name, matcher_name, model)
+        self.store = GraphStore.from_graphs(harness.graphs)
+        self.plan = ChangePlan.generate(
+            harness.graphs,
+            num_queries=len(harness.workload(workload_name).queries),
+            num_batches=s.num_batches, ops_per_batch=s.ops_per_batch,
+            seed=s.plan_seed,
+        )
+        if model == "base":
+            # The baseline gets the same Mverifier worker count and
+            # backend as the cached cells, so speedup() never attributes
+            # verifier parallelism to caching.
+            self.runner = MethodMRunner(self.store,
+                                        make_matcher(matcher_name),
+                                        workers=s.workers,
+                                        backend=s.worker_backend)
+        else:
+            self.runner = GraphCacheService(
+                self.store, s.cache_config(model, matcher_name)
+            )
+        self.query = self.overhead = self.consistency = self.purge = 0.0
+        self.tests = self.internal = 0
+        self.signature = 0
+
+    def step(self, i: int, graph, measured: bool) -> None:
+        self.plan.apply_due(self.store, i)
+        result = self.runner.execute(graph)
+        self.signature = hash((self.signature, result.answer_ids))
+        if not measured:
+            return
+        m = result.metrics
+        self.query += m.query_seconds
+        self.overhead += m.overhead_seconds
+        self.consistency += m.consistency_seconds
+        self.purge += m.purge_seconds
+        self.tests += m.method_tests
+        self.internal += m.internal_tests
+
+    def result(self, queries: int) -> RunResult:
+        workload_name, matcher_name, model = self.key
+        return RunResult(
+            workload=workload_name,
+            matcher=matcher_name,
+            model=model,
+            queries=queries,
+            total_query_seconds=self.query,
+            total_overhead_seconds=self.overhead,
+            total_consistency_seconds=self.consistency,
+            total_purge_seconds=self.purge,
+            total_method_tests=self.tests,
+            total_internal_tests=self.internal,
+            summary=(self.runner.summary()
+                     if isinstance(self.runner, GraphCacheService) else {}),
+            answer_signature=self.signature,
+        )
+
+
 class ExperimentHarness:
     """Builds the dataset/workloads once and memoizes runs."""
 
@@ -231,80 +301,60 @@ class ExperimentHarness:
     # ------------------------------------------------------------------
     def run(self, workload_name: str, matcher_name: str,
             model: str) -> RunResult:
-        """Execute one cell of the run grid (memoized).
+        """One cell of the run grid (memoized).
 
         ``model``: ``"base"`` (bare Method M), ``"EVI"`` or ``"CON"``.
-        Every cell replays the identical change plan against a fresh
-        dataset replica, so answers are comparable across cells.
+        Every cell replays the identical change plan against its own
+        fresh dataset replica, so answers are comparable across cells.
+
+        A cell's time is only ever read against the other two of its
+        (workload, matcher) row — a speedup over the bare method, CON
+        against EVI — so the row is measured together, in lockstep:
+        query *i* passes through all three runners before query *i+1*.
+        Measured one cell after the other, a phase of the host's speed
+        (1.5x, seconds long) lands on one side of a ratio; in lockstep
+        it slows all three alike.  (vf2+ at smoke scale, the lead of
+        mean CON over mean EVI across the six workloads: +1% to +21% in
+        twelve passes cell after cell, +6% to +11% in eight passes as
+        the rows are measured now.)  The price is three dataset
+        replicas alive at once instead of one.
         """
         key = (workload_name, matcher_name, model)
-        if key in self._runs:
-            return self._runs[key]
+        if key not in self._runs:
+            row = ROW_MODELS if model in ROW_MODELS else (model,)
+            self._run_row(workload_name, matcher_name, row)
+        return self._runs[key]
 
+    def _run_row(self, workload_name: str, matcher_name: str,
+                 models: tuple[str, ...]) -> None:
         s = self.scale
         workload = self.workload(workload_name)
-        store = GraphStore.from_graphs(self.graphs)
-        plan = ChangePlan.generate(
-            self.graphs, num_queries=len(workload.queries),
-            num_batches=s.num_batches, ops_per_batch=s.ops_per_batch,
-            seed=s.plan_seed,
-        )
-        if model == "base":
-            # The baseline gets the same Mverifier worker count and
-            # backend as the cached cells, so speedup() never attributes
-            # verifier parallelism to caching.
-            runner = MethodMRunner(store, make_matcher(matcher_name),
-                                   workers=s.workers,
-                                   backend=s.worker_backend)
-        else:
-            runner = GraphCacheService(
-                store, s.cache_config(model, matcher_name)
-            )
-
         # The paper warms the cache for one window before measuring
         # (§7.1); the same number of head queries is excluded from the
         # baseline's totals so speedup ratios stay apples-to-apples.
         # Answer signatures still cover *every* query (correctness is
         # checked on the whole stream, warm-up included).
         warmup = min(s.warmup_queries, max(len(workload.queries) - 1, 0))
-        total_query = total_overhead = total_consistency = 0.0
-        total_purge = 0.0
-        total_tests = total_internal = 0
-        signature = 0
-        try:
+        with ExitStack() as stack:
+            cells = []
+            for model in models:
+                cell = _Cell(self, workload_name, matcher_name, model)
+                stack.callback(cell.runner.close)  # the worker pool, if any
+                cells.append(cell)
+            # A full collection walks every container alive — three
+            # dataset replicas, the workloads, all memoised results —
+            # and its pause lands in whichever runner's stopwatch is
+            # open.  Setting aside what is alive now keeps collections
+            # during the row down to what the row itself allocates.
+            gc.collect()
+            gc.freeze()
+            stack.callback(gc.unfreeze)
             for i, query in enumerate(workload.queries):
-                plan.apply_due(store, i)
-                result = runner.execute(query.graph)
-                signature = hash((signature, result.answer_ids))
-                if i < warmup:
-                    continue
-                m = result.metrics
-                total_query += m.query_seconds
-                total_overhead += m.overhead_seconds
-                total_consistency += m.consistency_seconds
-                total_purge += m.purge_seconds
-                total_tests += m.method_tests
-                total_internal += m.internal_tests
-            summary = (runner.summary()
-                       if isinstance(runner, GraphCacheService) else {})
-        finally:
-            runner.close()  # releases the Mverifier worker pool, if any
-        run_result = RunResult(
-            workload=workload_name,
-            matcher=matcher_name,
-            model=model,
-            queries=len(workload.queries) - warmup,
-            total_query_seconds=total_query,
-            total_overhead_seconds=total_overhead,
-            total_consistency_seconds=total_consistency,
-            total_purge_seconds=total_purge,
-            total_method_tests=total_tests,
-            total_internal_tests=total_internal,
-            summary=summary,
-            answer_signature=signature,
-        )
-        self._runs[key] = run_result
-        return run_result
+                for cell in cells:
+                    cell.step(i, query.graph, measured=i >= warmup)
+            for cell in cells:
+                self._runs[cell.key] = cell.result(
+                    len(workload.queries) - warmup)
 
     # ------------------------------------------------------------------
     def run_concurrent(self, workload_name: str, matcher_name: str,

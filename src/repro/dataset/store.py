@@ -38,8 +38,6 @@ class GraphStore:
         self.log = log if log is not None else UpdateLog()
         self._live_vertices = 0          # Σ|V| over live graphs
         self._ids_cache: BitSet | None = None  # invalidated by ADD/DEL
-        #: graph id → (graph.version, features) — see :meth:`features`
-        self._features_cache: dict[int, tuple[int, GraphFeatures]] = {}
 
     # ------------------------------------------------------------------
     # Bulk construction
@@ -75,7 +73,6 @@ class GraphStore:
         self._live_vertices -= self._graphs[graph_id].num_vertices
         del self._graphs[graph_id]
         self._ids_cache = None
-        self._features_cache.pop(graph_id, None)
         self.log.append(OpType.DEL, graph_id)
 
     def add_edge(self, graph_id: int, u: int, v: int) -> None:
@@ -100,10 +97,10 @@ class GraphStore:
     def features(self, graph_id: int) -> GraphFeatures:
         """Monotone features of a live graph, memoized once per graph.
 
-        Staleness is detected through :attr:`LabeledGraph.version` — a
-        UA/UR edge mutation bumps the graph's version, so the next call
-        recomputes; DEL drops the memo with the graph.  Features are
-        immutable, so sharing one instance across readers is safe.
+        The memo is the graph's own (:meth:`LabeledGraph.derived`): a
+        UA/UR edge mutation drops it, so the next call recomputes; DEL
+        drops it with the graph.  Features are immutable, so sharing one
+        instance across readers is safe.
 
         This is the accessor for dataset-side tooling (workload
         generators, benchmarks, ad-hoc analysis over a store).  The
@@ -112,14 +109,7 @@ class GraphStore:
         change the ``method_tests`` counts the paper's Figure 5
         reports, trading reproduction fidelity for speed.
         """
-        self._require(graph_id)
-        graph = self._graphs[graph_id]
-        memo = self._features_cache.get(graph_id)
-        if memo is not None and memo[0] == graph.version:
-            return memo[1]
-        feats = GraphFeatures.of(graph)
-        self._features_cache[graph_id] = (graph.version, feats)
-        return feats
+        return self.get(graph_id).derived("features", GraphFeatures.of)
 
     def __contains__(self, graph_id: int) -> bool:
         return graph_id in self._graphs

@@ -13,19 +13,22 @@ Design notes
   dependencies on the hot path.
 * The type is mutable because the paper's dataset evolves in place
   (UA adds an edge to a stored graph, UR removes one).  Mutations bump a
-  ``version`` counter so caches of derived data (features, canonical
-  codes) can detect staleness.
+  ``version`` counter and drop the graph's one memo of derived data
+  (:meth:`LabeledGraph.derived`: label counts, matcher plans,
+  features), so nothing computed from an older structure survives them.
 * Labels are arbitrary hashable objects; the AIDS-like generator uses
   small strings (atom symbols).
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
+from typing import Any, TypeVar
 
 __all__ = ["LabeledGraph"]
 
 Label = Hashable
+T = TypeVar("T")
 
 
 class LabeledGraph:
@@ -40,13 +43,16 @@ class LabeledGraph:
     True
     """
 
-    __slots__ = ("_labels", "_adjacency", "_num_edges", "version")
+    __slots__ = ("_labels", "_adjacency", "_num_edges", "version", "_memo")
 
     def __init__(self) -> None:
         self._labels: list[Label] = []
         self._adjacency: list[set[int]] = []
         self._num_edges = 0
         self.version = 0
+        #: derived data by key, valid for the current structure only —
+        #: see :meth:`derived`; ``None`` while nothing is memoised
+        self._memo: dict[Hashable, Any] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -63,7 +69,8 @@ class LabeledGraph:
         return g
 
     def copy(self) -> "LabeledGraph":
-        """Deep copy (labels are shared; they are immutable by contract)."""
+        """Deep copy (labels are shared; they are immutable by contract).
+        The copy starts without derived data: a memo is never shared."""
         g = LabeledGraph()
         g._labels = list(self._labels)
         g._adjacency = [set(neigh) for neigh in self._adjacency]
@@ -129,6 +136,7 @@ class LabeledGraph:
         self._labels.append(label)
         self._adjacency.append(set())
         self.version += 1
+        self._memo = None
         return len(self._labels) - 1
 
     def set_label(self, v: int, label: Label) -> None:
@@ -136,6 +144,7 @@ class LabeledGraph:
         self._check_vertex(v)
         self._labels[v] = label
         self.version += 1
+        self._memo = None
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert undirected edge ``{u, v}`` (the paper's UA operation)."""
@@ -149,6 +158,7 @@ class LabeledGraph:
         self._adjacency[v].add(u)
         self._num_edges += 1
         self.version += 1
+        self._memo = None
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete undirected edge ``{u, v}`` (the paper's UR operation)."""
@@ -160,6 +170,7 @@ class LabeledGraph:
         self._adjacency[v].discard(u)
         self._num_edges -= 1
         self.version += 1
+        self._memo = None
 
     def non_edges(self) -> Iterator[tuple[int, int]]:
         """Vertex pairs ``u < v`` not currently joined by an edge.
@@ -182,6 +193,35 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
+    def derived(self, key: Hashable,
+                build: Callable[["LabeledGraph"], T]) -> T:
+        """``build(self)``, computed once per key and graph *version*.
+
+        The one invalidation mechanism for everything computed from a
+        graph's structure (the matchers' label counts and plans,
+        :meth:`repro.dataset.store.GraphStore.features`): every mutator
+        drops the whole memo, so a value is never older than the
+        structure it was built from.  Values must be treated as
+        immutable once built — concurrent readers may build and publish
+        the same value twice (the last single-reference store wins),
+        which is harmless only because either copy is as good as the
+        other (``docs/concurrency.md``).
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build(self)
+            return value
+
+    def forget_derived(self) -> None:
+        """Drop everything :meth:`derived` memoised (mutators do this
+        themselves; the query pipeline calls it so that a caller-owned
+        query object leaves as it came)."""
+        self._memo = None
+
     def is_connected(self) -> bool:
         """True for the empty graph and any single-component graph."""
         n = len(self._labels)

@@ -24,27 +24,9 @@ import itertools
 from collections.abc import Iterator
 
 from repro.graphs.graph import LabeledGraph
+from repro.matching.plans import connectivity_order, vertices_by_label
 
 __all__ = ["enumerate_embeddings", "count_embeddings"]
-
-
-def _order_by_connectivity(query: LabeledGraph) -> list[int]:
-    """Connectivity-first order (BFS per component, ascending ids)."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in query.vertices():
-        if start in seen:
-            continue
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            u = frontier.pop(0)
-            order.append(u)
-            for v in sorted(query.neighbors(u)):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-    return order
 
 
 def enumerate_embeddings(query: LabeledGraph, host: LabeledGraph,
@@ -71,10 +53,8 @@ def enumerate_embeddings(query: LabeledGraph, host: LabeledGraph,
             or query.num_edges > host.num_edges):
         return
 
-    order = _order_by_connectivity(query)
-    by_label: dict[object, list[int]] = {}
-    for v in host.vertices():
-        by_label.setdefault(host.label(v), []).append(v)
+    order = connectivity_order(query)
+    by_label = vertices_by_label(host)
 
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -90,7 +70,7 @@ def enumerate_embeddings(query: LabeledGraph, host: LabeledGraph,
         if mapped_neighbors:
             candidates = sorted(host.neighbors(mapping[mapped_neighbors[0]]))
         else:
-            candidates = by_label.get(qlabel, [])
+            candidates = by_label.get(qlabel, ())
         for cand in candidates:
             if cand in used:
                 continue

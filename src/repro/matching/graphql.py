@@ -20,12 +20,50 @@ implemented here:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Hashable
 
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
+from repro.matching.plans import neighbor_lists, vertices_by_label
 
 __all__ = ["GraphQLMatcher"]
+
+Label = Hashable
+
+
+def _profile(graph: LabeledGraph, v: int, radius: int) -> dict[Label, int]:
+    """Label multiset of the radius-``radius`` neighborhood around ``v``
+    (excluding ``v`` itself)."""
+    labels, adjacency = graph._labels, graph._adjacency
+    seen = {v}
+    frontier = [v]
+    profile: dict[Label, int] = {}
+    for _ in range(radius):
+        nxt: list[int] = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    lab = labels[w]
+                    profile[lab] = profile.get(lab, 0) + 1
+                    nxt.append(w)
+        frontier = nxt
+    return profile
+
+
+class _Plan:
+    """The pattern side of every GraphQL test of one graph version and
+    one profile radius (:mod:`repro.matching.plans`): per vertex its
+    label, degree, profile items and neighbours, the latter in the
+    adjacency set's iteration order."""
+
+    __slots__ = ("labels", "neighbors", "profiles")
+
+    def __init__(self, query: LabeledGraph, radius: int) -> None:
+        self.labels = tuple(query._labels)
+        self.neighbors = neighbor_lists(query)
+        self.profiles = [tuple(_profile(query, u, radius).items())
+                         for u in range(len(self.labels))]
 
 
 class GraphQLMatcher(SubgraphMatcher):
@@ -48,44 +86,32 @@ class GraphQLMatcher(SubgraphMatcher):
     # ------------------------------------------------------------------
     # Phase 1: local pruning
     # ------------------------------------------------------------------
-    def _profile(self, graph: LabeledGraph, v: int) -> Counter:
-        """Label multiset of the radius-``r`` neighborhood around ``v``
-        (excluding ``v`` itself)."""
-        if self.profile_radius == 0:
-            return Counter()
-        seen = {v}
-        frontier = [v]
-        profile: Counter = Counter()
-        for _ in range(self.profile_radius):
-            nxt: list[int] = []
-            for u in frontier:
-                for w in graph.neighbors(u):
-                    if w not in seen:
-                        seen.add(w)
-                        profile[graph.label(w)] += 1
-                        nxt.append(w)
-            frontier = nxt
-        return profile
+    def _plan(self, query: LabeledGraph) -> _Plan:
+        radius = self.profile_radius
+        return query.derived(("graphql", radius),
+                             lambda graph: _Plan(graph, radius))
 
-    def _initial_candidates(self, query: LabeledGraph,
+    def _initial_candidates(self, plan: _Plan,
                             host: LabeledGraph) -> list[set[int]]:
-        by_label: dict[object, list[int]] = {}
-        for v in host.vertices():
-            by_label.setdefault(host.label(v), []).append(v)
-        host_profiles: dict[int, Counter] = {}
+        by_label = vertices_by_label(host)
+        host_adjacency = host._adjacency
+        host_profiles: dict[int, dict[Label, int]] = {}
         out: list[set[int]] = []
-        for u in query.vertices():
-            qprof = self._profile(query, u)
-            qdeg = query.degree(u)
+        for u, qlabel in enumerate(plan.labels):
+            qprof = plan.profiles[u]
+            qdeg = len(plan.neighbors[u])
             cands: set[int] = set()
-            for v in by_label.get(query.label(u), []):
-                if host.degree(v) < qdeg:
+            for v in by_label.get(qlabel, ()):
+                if len(host_adjacency[v]) < qdeg:
                     continue
                 prof = host_profiles.get(v)
                 if prof is None:
-                    prof = self._profile(host, v)
+                    prof = _profile(host, v, self.profile_radius)
                     host_profiles[v] = prof
-                if all(prof.get(lab, 0) >= cnt for lab, cnt in qprof.items()):
+                for lab, cnt in qprof:
+                    if prof.get(lab, 0) < cnt:
+                        break
+                else:
                     cands.add(v)
             out.append(cands)
         return out
@@ -94,7 +120,8 @@ class GraphQLMatcher(SubgraphMatcher):
     # Phase 2: global refinement (pseudo subgraph isomorphism)
     # ------------------------------------------------------------------
     @staticmethod
-    def _has_semi_matching(query_neighbors: list[int], host_neighbors: list[int],
+    def _has_semi_matching(query_neighbors: tuple[int, ...],
+                           host_neighbors: list[int],
                            candidates: list[set[int]]) -> bool:
         """Can every query neighbor be matched to a *distinct* host neighbor
         it is compatible with?  Standard augmenting-path bipartite matching
@@ -116,19 +143,19 @@ class GraphQLMatcher(SubgraphMatcher):
                 return False
         return True
 
-    def _refine(self, query: LabeledGraph, host: LabeledGraph,
+    def _refine(self, plan: _Plan, host: LabeledGraph,
                 candidates: list[set[int]]) -> bool:
         """Iterate the pseudo-iso test; returns False if any candidate set
         empties (no embedding can exist)."""
+        host_adjacency = host._adjacency
         for _ in range(self.refinement_rounds):
             changed = False
-            for u in query.vertices():
-                q_neigh = list(query.neighbors(u))
+            for u, q_neigh in enumerate(plan.neighbors):
                 if not q_neigh:
                     continue
                 dead: list[int] = []
                 for v in candidates[u]:
-                    h_neigh = list(host.neighbors(v))
+                    h_neigh = list(host_adjacency[v])
                     if not self._has_semi_matching(q_neigh, h_neigh, candidates):
                         dead.append(v)
                 if dead:
@@ -152,46 +179,61 @@ class GraphQLMatcher(SubgraphMatcher):
 
     def _search(self, query: LabeledGraph,
                 host: LabeledGraph) -> dict[int, int] | None:
-        candidates = self._initial_candidates(query, host)
+        plan = self._plan(query)
+        candidates = self._initial_candidates(plan, host)
         if any(not c for c in candidates):
             return None
-        if not self._refine(query, host, candidates):
+        if not self._refine(plan, host, candidates):
             return None
 
-        n = query.num_vertices
+        neighbors = plan.neighbors
+        n = len(neighbors)
+        host_adjacency = host._adjacency
         mapping: dict[int, int] = {}
         used: set[int] = set()
+        states = 0
 
         def live_count(u: int) -> int:
             """Candidates of u consistent with the current partial map."""
-            mapped_neighbors = [x for x in query.neighbors(u) if x in mapping]
+            images = [host_adjacency[mapping[x]]
+                      for x in neighbors[u] if x in mapping]
             count = 0
             for v in candidates[u]:
                 if v in used:
                     continue
-                if all(host.has_edge(mapping[x], v) for x in mapped_neighbors):
+                for image in images:
+                    if v not in image:
+                        break
+                else:
                     count += 1
             return count
 
+        def selection_key(u: int) -> tuple[int, int]:
+            for nb in neighbors[u]:
+                if nb in mapping:
+                    return (0, live_count(u))
+            return (1, live_count(u))
+
         def extend() -> bool:
+            nonlocal states
             if len(mapping) == n:
                 return True
-            self.stats.states += 1
+            states += 1
             # Least-candidates-first among unmapped query vertices, with a
             # connectivity bonus: prefer vertices adjacent to the mapping.
-            unmapped = [u for u in query.vertices() if u not in mapping]
-            u = min(
-                unmapped,
-                key=lambda x: (
-                    0 if any(nb in mapping for nb in query.neighbors(x)) else 1,
-                    live_count(x),
-                ),
-            )
-            mapped_neighbors = [x for x in query.neighbors(u) if x in mapping]
+            u = min([x for x in range(n) if x not in mapping],
+                    key=selection_key)
+            images = [host_adjacency[mapping[x]]
+                      for x in neighbors[u] if x in mapping]
             for v in candidates[u]:
                 if v in used:
                     continue
-                if not all(host.has_edge(mapping[x], v) for x in mapped_neighbors):
+                adjacent = True
+                for image in images:
+                    if v not in image:
+                        adjacent = False
+                        break
+                if not adjacent:
                     continue
                 mapping[u] = v
                 used.add(v)
@@ -201,4 +243,6 @@ class GraphQLMatcher(SubgraphMatcher):
                 used.discard(v)
             return False
 
-        return dict(mapping) if extend() else None
+        found = extend()
+        self.stats.states += states
+        return mapping if found else None

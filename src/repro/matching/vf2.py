@@ -20,10 +20,36 @@ literature, and it is the baseline "Method M" of the paper.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
+
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
+from repro.matching.plans import (
+    connectivity_order,
+    neighbor_lists,
+    vertices_by_label,
+)
 
 __all__ = ["VF2Matcher"]
+
+#: One depth of the static order: the pattern vertex, its label and
+#: degree, and its neighbours mapped at shallower depths (in the
+#: adjacency set's iteration order).
+_Step = tuple[int, Hashable, int, tuple[int, ...]]
+
+
+def _compile(query: LabeledGraph) -> tuple[_Step, ...]:
+    """The pattern side of every VF2 test of one graph version
+    (:mod:`repro.matching.plans`): the order is static, hence so are the
+    already-mapped neighbours of each depth's vertex."""
+    neighbors = neighbor_lists(query)
+    placed: set[int] = set()
+    steps: list[_Step] = []
+    for u in connectivity_order(query):
+        steps.append((u, query._labels[u], len(neighbors[u]),
+                      tuple(n for n in neighbors[u] if n in placed)))
+        placed.add(u)
+    return tuple(steps)
 
 
 class VF2Matcher(SubgraphMatcher):
@@ -32,68 +58,49 @@ class VF2Matcher(SubgraphMatcher):
     name = "vf2"
 
     def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        return self._search(query, host, record=False) is not None
+        return self._search(query, host) is not None
 
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
-        return self._search(query, host, record=True)
+        return self._search(query, host)
 
     # ------------------------------------------------------------------
-    def _order(self, query: LabeledGraph) -> list[int]:
-        """BFS order per component from the lowest vertex id (vanilla VF2
-        explores terminal pairs by minimal id; a BFS order reproduces the
-        connectivity-first behaviour with a static order)."""
-        order: list[int] = []
-        seen: set[int] = set()
-        for start in query.vertices():
-            if start in seen:
-                continue
-            seen.add(start)
-            frontier = [start]
-            while frontier:
-                u = frontier.pop(0)
-                order.append(u)
-                for v in sorted(query.neighbors(u)):
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-        return order
-
-    def _search(self, query: LabeledGraph, host: LabeledGraph,
-                record: bool) -> dict[int, int] | None:
-        order = self._order(query)
+    def _search(self, query: LabeledGraph,
+                host: LabeledGraph) -> dict[int, int] | None:
+        steps = query.derived("vf2", _compile)
+        # Host vertices pre-split by label, so the root of every branch
+        # does not scan all of them.
+        by_label = vertices_by_label(host)
+        host_labels = host._labels
+        host_adjacency = host._adjacency
         mapping: dict[int, int] = {}
         used: set[int] = set()
-        # Pre-split host vertices by label to avoid scanning all of them
-        # at the root of every branch.
-        by_label: dict[object, list[int]] = {}
-        for v in host.vertices():
-            by_label.setdefault(host.label(v), []).append(v)
+        depth_reached = len(steps)
+        states = 0
 
         def extend(depth: int) -> bool:
-            if depth == len(order):
+            nonlocal states
+            if depth == depth_reached:
                 return True
-            self.stats.states += 1
-            u = order[depth]
-            mapped_neighbors = [n for n in query.neighbors(u) if n in mapping]
-            if mapped_neighbors:
+            states += 1
+            u, qlabel, qdeg, mapped = steps[depth]
+            if mapped:
                 # Candidates must be unmapped host neighbors of every image.
-                anchor = mapping[mapped_neighbors[0]]
-                candidates = host.neighbors(anchor)
+                images = [host_adjacency[mapping[n]] for n in mapped]
+                candidates = images[0]
             else:
-                candidates = by_label.get(query.label(u), [])
-            qdeg = query.degree(u)
-            qlabel = query.label(u)
+                images = ()
+                candidates = by_label.get(qlabel, ())
             for cand in candidates:
                 if cand in used:
                     continue
-                if host.label(cand) != qlabel:
+                if host_labels[cand] != qlabel:
                     continue
-                if host.degree(cand) < qdeg:
+                if len(host_adjacency[cand]) < qdeg:
                     continue
                 ok = True
-                for n in mapped_neighbors:
-                    if not host.has_edge(mapping[n], cand):
+                for image in images:
+                    if cand not in image:
                         ok = False
                         break
                 if not ok:
@@ -106,6 +113,6 @@ class VF2Matcher(SubgraphMatcher):
                 used.discard(cand)
             return False
 
-        if extend(0):
-            return dict(mapping) if record else mapping
-        return None
+        found = extend(0)
+        self.stats.states += states
+        return mapping if found else None

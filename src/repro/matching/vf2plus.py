@@ -14,16 +14,97 @@ iGraph comparisons ([7, 8] in the paper):
   candidate (host profiles are memoized within one test).
 * **Lookahead**: a candidate's unmapped-neighbor count must cover the
   query vertex's unmapped-neighbor count (safe for monomorphism).
+
+Compile once, test many
+-----------------------
+One query meets hundreds of hosts and one host meets every query, so
+nothing that depends on a single graph is computed per test
+(:mod:`repro.matching.plans`).  The host contributes its label counts;
+the pattern contributes a :class:`_Plan` — required label counts,
+labels, neighbour lists, neighbour-label profiles — and, per *ranking*
+of its labels by host frequency, the variable order compiled into one
+step per depth.  The order only ever compares host counts with each
+other, so two hosts that rank the pattern's labels alike (ties sharing a
+rank) get the same order, and with a static order the already-mapped
+neighbours of each depth's vertex are static too.  What is left per
+test is the depth-0 check (a few dict probes), the ranking, and the
+search itself, which reads the host's label and adjacency lists
+directly.  Host profiles stay lazy and per test: persisted for every
+dataset graph they would cost more memory than the plans.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Hashable
 
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
+from repro.matching.plans import label_counts, neighbor_lists
 
 __all__ = ["VF2PlusMatcher"]
+
+Label = Hashable
+#: One depth of a compiled order: the pattern vertex, its label and
+#: degree, its neighbours mapped at shallower depths (in the adjacency
+#: set's iteration order), how many are not, and its profile's items.
+_Step = tuple[int, Label, int, tuple[int, ...], int,
+              tuple[tuple[Label, int], ...]]
+
+
+class _Plan:
+    """The pattern side of every VF2+ test of one graph version."""
+
+    __slots__ = ("required", "labels", "neighbors", "profiles", "orders")
+
+    def __init__(self, query: LabeledGraph) -> None:
+        #: (label, vertices needed) — the depth-0 check, and the labels
+        #: whose host ranking selects the order
+        self.required = tuple(label_counts(query).items())
+        self.labels = tuple(query._labels)
+        self.neighbors = neighbor_lists(query)
+        self.profiles = []
+        for neigh in self.neighbors:
+            profile: dict[Label, int] = {}
+            for n in neigh:
+                lab = self.labels[n]
+                profile[lab] = profile.get(lab, 0) + 1
+            self.profiles.append(tuple(profile.items()))
+        #: host ranking of ``required``'s labels → compiled steps; grows
+        #: by idempotent single stores (see the module docstring), to
+        #: one entry per weak ordering of the distinct labels at most
+        self.orders: dict[tuple[int, ...], tuple[_Step, ...]] = {}
+
+    def variable_order(self, host_counts: dict[Label, int]) -> list[int]:
+        """Rarest-label-first, high-degree-first, connectivity-first."""
+        labels, neighbors = self.labels, self.neighbors
+
+        def rarity_key(v: int) -> tuple[int, int, int]:
+            return (host_counts.get(labels[v], 0), -len(neighbors[v]), v)
+
+        remaining = set(range(len(labels)))
+        order: list[int] = []
+        frontier: set[int] = set()
+        while remaining:
+            pool = frontier if frontier else remaining
+            nxt = min(pool, key=rarity_key)
+            order.append(nxt)
+            remaining.discard(nxt)
+            frontier.discard(nxt)
+            for n in neighbors[nxt]:
+                if n in remaining:
+                    frontier.add(n)
+        return order
+
+    def compile(self, host_counts: dict[Label, int]) -> tuple[_Step, ...]:
+        placed: set[int] = set()
+        steps: list[_Step] = []
+        for u in self.variable_order(host_counts):
+            neigh = self.neighbors[u]
+            mapped = tuple(n for n in neigh if n in placed)
+            steps.append((u, self.labels[u], len(neigh), mapped,
+                          len(neigh) - len(mapped), self.profiles[u]))
+            placed.add(u)
+        return tuple(steps)
 
 
 class VF2PlusMatcher(SubgraphMatcher):
@@ -39,88 +120,76 @@ class VF2PlusMatcher(SubgraphMatcher):
         return self._search(query, host)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _variable_order(query: LabeledGraph,
-                        host_label_counts: Counter) -> list[int]:
-        """Rarest-label-first, high-degree-first, connectivity-first."""
-        def rarity_key(v: int) -> tuple[int, int, int]:
-            return (host_label_counts.get(query.label(v), 0),
-                    -query.degree(v), v)
-
-        remaining = set(query.vertices())
-        order: list[int] = []
-        frontier: set[int] = set()
-        while remaining:
-            pool = frontier if frontier else remaining
-            nxt = min(pool, key=rarity_key)
-            order.append(nxt)
-            remaining.discard(nxt)
-            frontier.discard(nxt)
-            for n in query.neighbors(nxt):
-                if n in remaining:
-                    frontier.add(n)
-        return order
-
     def _search(self, query: LabeledGraph,
                 host: LabeledGraph) -> dict[int, int] | None:
-        host_label_counts = Counter(host.labels)
+        host_counts = label_counts(host)
+        plan = query.derived("vf2+", _Plan)
         # Depth-0 fail-fast: some query label missing or under-supplied.
-        query_label_counts = Counter(query.labels)
-        for lab, need in query_label_counts.items():
-            if host_label_counts.get(lab, 0) < need:
+        supplied = []
+        for lab, need in plan.required:
+            have = host_counts.get(lab, 0)
+            if have < need:
                 return None
+            supplied.append(have)
+        levels = sorted(set(supplied))
+        ranking = tuple([levels.index(have) for have in supplied])
+        steps = plan.orders.get(ranking)
+        if steps is None:
+            steps = plan.orders[ranking] = plan.compile(host_counts)
 
-        order = self._variable_order(query, host_label_counts)
-        query_profiles = {
-            u: Counter(query.neighbor_labels(u)) for u in query.vertices()
-        }
-        host_profiles: dict[int, Counter] = {}
+        host_labels = host._labels
+        host_adjacency = host._adjacency
+        host_profiles: dict[int, dict[Label, int]] = {}
         mapping: dict[int, int] = {}
         used: set[int] = set()
-
-        def profile_ok(u: int, cand: int) -> bool:
-            prof = host_profiles.get(cand)
-            if prof is None:
-                prof = Counter(host.neighbor_labels(cand))
-                host_profiles[cand] = prof
-            qprof = query_profiles[u]
-            return all(prof.get(lab, 0) >= cnt for lab, cnt in qprof.items())
+        depth_reached = len(steps)
+        states = 0
 
         def extend(depth: int) -> bool:
-            if depth == len(order):
+            nonlocal states
+            if depth == depth_reached:
                 return True
-            self.stats.states += 1
-            u = order[depth]
-            qlabel = query.label(u)
-            qdeg = query.degree(u)
-            mapped_neighbors = [n for n in query.neighbors(u) if n in mapping]
-            u_unmapped = sum(
-                1 for n in query.neighbors(u) if n not in mapping
-            )
-            if mapped_neighbors:
-                anchor = min((mapping[n] for n in mapped_neighbors),
-                             key=host.degree)
-                pool = host.neighbors(anchor)
+            states += 1
+            u, qlabel, qdeg, mapped, u_unmapped, qprofile = steps[depth]
+            if mapped:
+                # Scan the neighbourhood of the lowest-degree image
+                # (first one on ties); the others are checked per
+                # candidate.
+                images = [host_adjacency[mapping[n]] for n in mapped]
+                pool = min(images, key=len)
             else:
-                pool = host.vertices()
+                images = ()
+                pool = range(len(host_labels))
             for cand in pool:
                 if cand in used:
                     continue
-                if host.label(cand) != qlabel:
+                if host_labels[cand] != qlabel:
                     continue
-                if host.degree(cand) < qdeg:
+                cand_neighbors = host_adjacency[cand]
+                if len(cand_neighbors) < qdeg:
                     continue
                 adjacent = True
-                for n in mapped_neighbors:
-                    if not host.has_edge(mapping[n], cand):
+                for image in images:
+                    if cand not in image:
                         adjacent = False
                         break
                 if not adjacent:
                     continue
-                if sum(1 for n in host.neighbors(cand)
-                       if n not in used) < u_unmapped:
+                if u_unmapped and len(cand_neighbors - used) < u_unmapped:
                     continue
-                if not profile_ok(u, cand):
+                profile = host_profiles.get(cand)
+                if profile is None:
+                    profile = {}
+                    for n in cand_neighbors:
+                        lab = host_labels[n]
+                        profile[lab] = profile.get(lab, 0) + 1
+                    host_profiles[cand] = profile
+                dominated = True
+                for lab, count in qprofile:
+                    if profile.get(lab, 0) < count:
+                        dominated = False
+                        break
+                if not dominated:
                     continue
                 mapping[u] = cand
                 used.add(cand)
@@ -130,4 +199,6 @@ class VF2PlusMatcher(SubgraphMatcher):
                 used.discard(cand)
             return False
 
-        return dict(mapping) if extend(0) else None
+        found = extend(0)
+        self.stats.states += states
+        return mapping if found else None

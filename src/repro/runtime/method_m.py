@@ -10,7 +10,7 @@ baseline candidate set is the entire live dataset.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.cache.entry import QueryType
@@ -35,6 +35,29 @@ def estimate_test_cost(query: LabeledGraph, host: LabeledGraph) -> float:
     return float(query.num_vertices * host.num_vertices)
 
 
+def _verify_ids(is_sub: Callable[[LabeledGraph, LabeledGraph], bool],
+                store: GraphStore, query: LabeledGraph,
+                ids: Iterable[int], size: int,
+                subgraph_semantics: bool) -> tuple[BitSet, int]:
+    """The Mverifier loop: one ``is_sub`` call per live id in ``ids``;
+    returns (answer bits over ``size`` ids, tests performed).  Ids of
+    deleted graphs are skipped."""
+    answer = BitSet(size)
+    tests = 0
+    for gid in ids:
+        if gid not in store:
+            continue
+        host = store.get(gid)
+        tests += 1
+        if subgraph_semantics:
+            hit = is_sub(query, host)
+        else:
+            hit = is_sub(host, query)
+        if hit:
+            answer.set(gid)
+    return answer, tests
+
+
 class MethodM:
     """Mverifier bound to a dataset: runs sub-iso tests over candidates."""
 
@@ -50,23 +73,9 @@ class MethodM:
         (GC+ never produces them — candidate sets are intersections with
         the live id set — but user code may).
         """
-        answer = BitSet(candidate_ids.size)
-        tests = 0
-        store = self.store
-        is_sub = self.matcher.is_subgraph_isomorphic
-        subgraph_semantics = query_type is QueryType.SUBGRAPH
-        for gid in candidate_ids:
-            if gid not in store:
-                continue
-            host = store.get(gid)
-            tests += 1
-            if subgraph_semantics:
-                hit = is_sub(query, host)
-            else:
-                hit = is_sub(host, query)
-            if hit:
-                answer.set(gid)
-        return answer, tests
+        return _verify_ids(self.matcher.is_subgraph_isomorphic, self.store,
+                           query, candidate_ids, candidate_ids.size,
+                           query_type is QueryType.SUBGRAPH)
 
     def close(self) -> None:
         """Release verifier resources (no-op for the sequential path)."""
@@ -142,9 +151,10 @@ class ParallelMethodM(MethodM):
         matchers = self._worker_matchers()  # this calling thread's clones
         subgraph_semantics = query_type is QueryType.SUBGRAPH
         futures = [
-            self._pool().submit(self._verify_chunk, matchers[i], query,
-                                chunk, candidate_ids.size,
-                                subgraph_semantics)
+            self._pool().submit(_verify_ids,
+                                matchers[i].is_subgraph_isomorphic,
+                                self.store, query, chunk,
+                                candidate_ids.size, subgraph_semantics)
             for i, chunk in enumerate(chunks)
         ]
         answer = BitSet(candidate_ids.size)
@@ -154,26 +164,6 @@ class ParallelMethodM(MethodM):
             answer = answer | chunk_answer
             tests += chunk_tests
         self._fold_clone_stats(matchers)
-        return answer, tests
-
-    def _verify_chunk(self, matcher: SubgraphMatcher, query: LabeledGraph,
-                      ids: Sequence[int], size: int,
-                      subgraph_semantics: bool) -> tuple[BitSet, int]:
-        answer = BitSet(size)
-        tests = 0
-        store = self.store
-        is_sub = matcher.is_subgraph_isomorphic
-        for gid in ids:
-            if gid not in store:
-                continue
-            host = store.get(gid)
-            tests += 1
-            if subgraph_semantics:
-                hit = is_sub(query, host)
-            else:
-                hit = is_sub(host, query)
-            if hit:
-                answer.set(gid)
         return answer, tests
 
     def _pool(self) -> ThreadPoolExecutor:
@@ -508,10 +498,16 @@ class MethodMRunner:
         from repro.util.timing import Stopwatch
 
         sw = Stopwatch()
-        with sw:
-            candidates = self.store.ids_bitset()
-            answer, tests = self.method_m.verify(query, candidates,
-                                                 self.query_type)
+        try:
+            with sw:
+                candidates = self.store.ids_bitset()
+                answer, tests = self.method_m.verify(query, candidates,
+                                                     self.query_type)
+        finally:
+            # As the service's pipeline: the matcher's plan does not
+            # outlive the query on the caller's object, so harness cells
+            # that share workload objects start equal.
+            query.forget_derived()
         metrics = QueryMetrics(
             method_tests=tests,
             candidate_size=candidates.cardinality(),

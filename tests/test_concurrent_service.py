@@ -19,6 +19,7 @@ Three tiers of scrutiny:
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -415,6 +416,48 @@ class TestOracleRuns:
         assert outcome.answer_multiset() == oracle.answer_multiset()
         assert outcome.answers == oracle.answers
         assert outcome.applied_ops > 0, "the trace must mutate the dataset"
+
+    def test_shared_graph_memos_keep_sequential_test_counts(self):
+        """The acceptance trace again, for what the read phase shares
+        *besides* the cache: 8 sessions test the same dataset graphs
+        against the same cached entries at once, each publishing label
+        counts and matcher plans on them that the others then read,
+        while mutation batches drop them in between.  With admission
+        switched off after a sequential warm-up the cached population is
+        fixed, so the sub-iso test counts — not only the answers — are
+        schedule-independent and must be the one-session run's."""
+        graphs, queries, plan = _trace(
+            120, 500, dataset_seed=2017, workload_seed=424242,
+            plan_seed=77, num_batches=6,
+        )
+        counted = ("queries", "method_tests", "internal_tests",
+                   "tests_saved", "cache_hits")
+
+        def one_run(threads: int):
+            service = GraphCacheService(
+                GraphStore.from_graphs(graphs),
+                GCConfig(lock_mode="rw", max_sessions=8),
+            )
+            interval = sys.getswitchinterval()
+            try:
+                for query in queries[:60]:
+                    service.execute(query)
+                service.caching_enabled = False
+                before = service.counters()
+                sys.setswitchinterval(1e-5)  # many more interleavings
+                outcome = ConcurrentDriver(service, threads).run(queries,
+                                                                 plan)
+                after = service.counters()
+            finally:
+                sys.setswitchinterval(interval)
+                service.close()
+            assert outcome.applied_ops > 0
+            return outcome.answers, {name: after[name] - before[name]
+                                     for name in counted}
+
+        answers, counts = one_run(8)
+        assert counts["cache_hits"] > 0 and counts["internal_tests"] > 0
+        assert (answers, counts) == one_run(1)
 
     def test_driver_is_repeatable(self):
         """Same trace, two driver runs on fresh services: identical

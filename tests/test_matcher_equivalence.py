@@ -1,0 +1,275 @@
+"""The plan / memo split changed no test: production kernels ≡ reference.
+
+``tests/reference_matchers.py`` keeps the three bundled kernels as they
+were before :mod:`repro.matching.plans` — every test rebuilding label
+counts, profiles and the variable order from the two graphs.  The
+production kernels compute the one-graph part once per graph *version*
+and must be indistinguishable from them: the same decision, the same
+embedding and the same ``MatcherStats`` (the paper's Figure 5 counts
+tests; the ledger also pins search states), with Ullmann — which shares
+none of the code — as the independent oracle.
+
+The second half is what a memo can get wrong and a fresh computation
+cannot: answering from an older structure.  Every ``LabeledGraph``
+mutator must drop the memo, ``copy()`` must share none of it, dataset
+mutations between two queries must change the service's answers exactly
+as a matcher-free oracle says, and a query object must leave the
+pipeline as it came — the caller owns it.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.api import GCConfig, GraphCacheService
+from repro.bench.harness import MATCHER_NAMES
+from repro.cache.entry import QueryType
+from repro.dataset.store import GraphStore
+from repro.graphs.graph import LabeledGraph
+from repro.matching import make_matcher
+from repro.matching.ullmann import UllmannMatcher
+from repro.runtime.method_m import MethodMRunner
+from tests.conftest import brute_force_answer, labeled_graphs
+from tests.reference_matchers import REFERENCE_MATCHERS
+
+KERNELS = sorted(REFERENCE_MATCHERS)
+
+
+def graph(labels: str, edges=()) -> LabeledGraph:
+    return LabeledGraph.from_edges(labels, edges)
+
+
+def path(labels: str) -> LabeledGraph:
+    return graph(labels, [(i, i + 1) for i in range(len(labels) - 1)])
+
+
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+
+def assert_indistinguishable(name: str, population) -> None:
+    """Every ordered pair of ``population`` (a graph against itself
+    included), twice over: in the second round every graph already
+    carries what the first round memoised on it, as pattern and host."""
+    reference = REFERENCE_MATCHERS[name]()
+    production = make_matcher(name)
+    oracle = UllmannMatcher()
+    for _ in range(2):
+        for query in population:
+            for host in population:
+                expected = oracle.is_subgraph_isomorphic(query, host)
+                assert reference.is_subgraph_isomorphic(query, host) == expected
+                assert production.is_subgraph_isomorphic(query, host) == expected
+                assert (production.find_embedding(query, host)
+                        == reference.find_embedding(query, host))
+                assert production.stats == reference.stats, (query, host)
+
+
+# ----------------------------------------------------------------------
+# Reference equivalence
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", KERNELS)
+def test_corner_cases_match_reference(name):
+    assert_indistinguishable(name, [
+        graph("a"), graph("b"),                     # single vertices
+        graph("ab"), graph("aab"),                  # edgeless, disconnected
+        path("ab"), path("aba"), path("abab"),
+        graph("abz", [(0, 1)]),                     # 'z' is in no other graph
+        graph("aaa", TRIANGLE), graph("aab", TRIANGLE),
+        graph("aaab", TRIANGLE),                    # triangle + isolated vertex
+        graph("abab", [(0, 1), (2, 3)]),            # two components
+        graph("aaaa", [(0, 1), (0, 2), (0, 3)]),    # star: degree pruning
+        graph("aaaa", [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    ])
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@given(population=st.lists(
+    st.one_of(labeled_graphs(max_vertices=6, alphabet="abcd"),
+              labeled_graphs(max_vertices=9, alphabet="abc")),
+    min_size=2, max_size=4))
+def test_random_pairs_match_reference(name, population):
+    """Sizes overlap (equal sizes, pattern larger than host), edge
+    probability starts at 0 (disconnected patterns) and one alphabet has
+    a label the other lacks."""
+    assert_indistinguishable(name, population)
+
+
+# ----------------------------------------------------------------------
+# Staleness: the memo never outlives the structure it was built from
+# ----------------------------------------------------------------------
+def _memo_probe(g: LabeledGraph) -> object:
+    return g.derived("probe", lambda _: object())
+
+
+class TestMemoInvalidation:
+    @pytest.mark.parametrize("mutate", [
+        lambda g: g.add_vertex("a"),
+        lambda g: g.set_label(0, "b"),
+        lambda g: g.add_edge(0, 2),
+        lambda g: g.remove_edge(0, 1),
+    ], ids=["add_vertex", "set_label", "add_edge", "remove_edge"])
+    def test_every_mutator_drops_the_memo(self, mutate):
+        g = path("aaa")
+        first = _memo_probe(g)
+        assert _memo_probe(g) is first
+        mutate(g)
+        assert g._memo is None
+        assert _memo_probe(g) is not first
+
+    def test_failed_mutation_keeps_the_memo(self):
+        g = path("aaa")
+        first = _memo_probe(g)
+        with pytest.raises(ValueError):
+            g.add_edge(0, 1)  # already present: structure unchanged
+        assert _memo_probe(g) is first
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_next_test_sees_the_new_host(self, name):
+        m = make_matcher(name)
+        host = path("aaa")
+        triangle = graph("aaa", TRIANGLE)
+        assert not m.is_subgraph_isomorphic(triangle, host)
+        host.add_edge(0, 2)
+        assert m.is_subgraph_isomorphic(triangle, host)
+        host.remove_edge(0, 1)
+        assert not m.is_subgraph_isomorphic(triangle, host)
+        assert not m.is_subgraph_isomorphic(path("ab"), host)
+        host.set_label(1, "b")
+        assert m.is_subgraph_isomorphic(path("ab"), host)
+        assert not m.is_subgraph_isomorphic(graph("c"), host)
+        host.add_vertex("c")
+        assert m.is_subgraph_isomorphic(graph("c"), host)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_next_test_sees_the_new_pattern(self, name):
+        m = make_matcher(name)
+        host = graph("aab", TRIANGLE)
+        pattern = path("aa")
+        assert m.is_subgraph_isomorphic(pattern, host)
+        pattern.add_vertex("a")          # needs a third 'a'
+        assert not m.is_subgraph_isomorphic(pattern, host)
+        pattern.set_label(2, "b")
+        assert m.is_subgraph_isomorphic(pattern, host)
+        pattern.add_edge(1, 2)
+        pattern.add_edge(0, 2)
+        assert m.is_subgraph_isomorphic(pattern, host)   # the triangle itself
+        pattern.set_label(2, "a")
+        assert not m.is_subgraph_isomorphic(pattern, host)
+        pattern.remove_edge(0, 2)
+        pattern.set_label(1, "b")        # a-b-a path: one 'b', two 'a's
+        assert m.is_subgraph_isomorphic(pattern, host)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_copy_shares_nothing_mutable(self, name):
+        m = make_matcher(name)
+        original = path("aaa")
+        triangle = graph("aaa", TRIANGLE)
+        assert not m.is_subgraph_isomorphic(triangle, original)
+        assert m.is_subgraph_isomorphic(original, triangle)
+        memo = dict(original._memo)      # as host and as pattern
+        assert memo
+
+        clone = original.copy()
+        assert clone._memo is None
+        clone.add_edge(0, 2)
+        clone.add_vertex("z")
+        assert m.is_subgraph_isomorphic(triangle, clone)
+        assert not m.is_subgraph_isomorphic(clone, triangle)
+        # ... and the source neither changed nor lost what it had built
+        assert original._memo == memo
+        assert all(original._memo[key] is memo[key] for key in memo)
+        assert not m.is_subgraph_isomorphic(triangle, original)
+        original.set_label(0, "b")
+        assert clone.label(0) == "a"
+        assert m.is_subgraph_isomorphic(triangle, clone)
+
+
+# ----------------------------------------------------------------------
+# Through the service: dataset mutations and caller-owned queries
+# ----------------------------------------------------------------------
+DATASET = [path("abc"), graph("abc", TRIANGLE), path("abca"),
+           graph("aabc", [(0, 1), (1, 2), (2, 3)]), path("cb")]
+
+
+def _service(matcher: str, model: str = "CON") -> GraphCacheService:
+    return GraphCacheService(GraphStore.from_graphs(DATASET),
+                             GCConfig(matcher=matcher, model=model))
+
+
+@pytest.mark.parametrize("model", ["CON", "EVI"])
+@pytest.mark.parametrize("matcher", MATCHER_NAMES)
+def test_store_mutations_between_queries_follow_the_oracle(matcher, model):
+    """UA / UR / DEL land on graphs that already carry host-side memos
+    (and, for the cached queries, on entries whose ``CGvalid`` vouches
+    for them): every later answer is the matcher-free oracle's."""
+    service = _service(matcher, model)
+    store = service.store
+    queries = [graph("abc", TRIANGLE), path("abc"), path("ca")]
+
+    def check() -> list[frozenset[int]]:
+        answers = []
+        for query in queries:
+            got = frozenset(service.execute(query).answer)
+            assert got == brute_force_answer(store, query,
+                                             QueryType.SUBGRAPH)
+            answers.append(got)
+        return answers
+
+    try:
+        before = check()
+        assert before == check()             # now served from the cache
+        store.add_edge(0, 0, 2)              # path a-b-c closes to a triangle
+        store.remove_edge(1, 0, 1)           # the triangle opens to a path
+        after = check()
+        assert after[0] == (before[0] - {1}) | {0}
+        assert after[1] == before[1] - {1}   # a-b is the edge that went
+        store.delete_graph(2)
+        assert check()[2] == after[2] - {2}
+    finally:
+        service.close()
+
+
+class TestCallerOwnsTheQuery:
+    """``execute`` / ``explain`` / the bare runner memoise plans on the
+    query while they test it, and leave none behind."""
+
+    @pytest.mark.parametrize("matcher", MATCHER_NAMES)
+    def test_pipeline_leaves_no_derived_data(self, matcher):
+        service = _service(matcher)
+        session = service.session()
+        try:
+            for run in (service.execute, service.explain, session.execute,
+                        lambda q: service.execute_many([q, q])):
+                query = path("abc")
+                run(query)
+                assert query._memo is None
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("matcher", MATCHER_NAMES)
+    def test_bare_runner_leaves_no_derived_data(self, matcher):
+        runner = MethodMRunner(GraphStore.from_graphs(DATASET),
+                               make_matcher(matcher))
+        query = path("abc")
+        assert set(runner.execute(query).answer) == {0, 1, 2, 3}
+        assert query._memo is None
+
+    def test_later_mutation_of_the_query_changes_nothing_cached(self):
+        service = _service("vf2+")
+        try:
+            query = path("abc")
+            first = service.execute(query)
+            assert set(first.answer) == {0, 1, 2, 3}
+            # The caller recycles its object into a different pattern.
+            query.add_edge(0, 2)
+            query.set_label(0, "c")
+            assert set(service.execute(query).answer) == set()
+            # The entry admitted for a-b-c still is a-b-c: a fresh
+            # object of that shape is an exact hit with the old answer.
+            again = service.execute(path("abc"))
+            assert again.answer == first.answer
+            assert again.metrics.exact_hit_valid
+            assert again.metrics.method_tests == 0
+        finally:
+            service.close()
