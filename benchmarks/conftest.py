@@ -4,18 +4,20 @@ All bench modules share one :class:`ExperimentHarness` so the run grid
 (workload × matcher × model) is executed at most once per pytest session
 regardless of how many figures slice it.  Rendered tables are collected
 and printed in the terminal summary (visible even with output capture),
-and written to ``benchmarks/results/``.
+and written to the directory :func:`results_dir` picks: the tracked
+``benchmarks/results/`` only when ``GCPLUS_BENCH_RECORD=1`` says this
+run is meant to be committed, the ignored ``benchmarks/.out/`` otherwise
+— an ordinary tier-1 run must leave ``git status`` clean.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.bench.harness import ExperimentHarness, current_scale
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 _TABLES: list[str] = []
 
@@ -26,13 +28,22 @@ def harness() -> ExperimentHarness:
 
 
 @pytest.fixture(scope="session")
-def report_table():
+def results_dir() -> Path:
+    """Where this run's tables and ``BENCH_*.json`` files go — the one
+    place that decides between recording and scratch output."""
+    recording = os.environ.get("GCPLUS_BENCH_RECORD") == "1"
+    directory = Path(__file__).parent / ("results" if recording else ".out")
+    directory.mkdir(exist_ok=True)
+    return directory
+
+
+@pytest.fixture(scope="session")
+def report_table(results_dir):
     """Register a rendered table for the terminal summary + results dir."""
-    RESULTS_DIR.mkdir(exist_ok=True)
 
     def _register(name: str, table: str) -> None:
         _TABLES.append(table)
-        (RESULTS_DIR / f"{name}.txt").write_text(table, encoding="utf-8")
+        (results_dir / f"{name}.txt").write_text(table, encoding="utf-8")
 
     return _register
 

@@ -5,8 +5,8 @@ seeded 500-query Type B workload over an AIDS-like dataset with change
 batches interleaved at epoch barriers, served by 1 vs 8 worker threads
 sharing one GC+ cache through :class:`ConcurrentDriver`.
 
-Two things are measured and persisted to
-``benchmarks/results/BENCH_concurrent.json``:
+Two things are measured and persisted to ``BENCH_concurrent.json`` in
+the ``results_dir`` of ``conftest.py``:
 
 * **correctness** — the 8-thread answer multiset must equal the
   1-thread driver's on the identical trace (asserted here *and*, per
@@ -33,11 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 from repro.bench.harness import BenchScale, ExperimentHarness
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_concurrent.json"
 
 #: Emulated per-request service time outside the GC+ pipeline (6 ms —
 #: a modest parse+network budget; threads overlap it).
@@ -64,7 +62,7 @@ CONCURRENT_SCALE = BenchScale(
 WORKLOAD, MATCHER, MODEL = "20%", "vf2+", "CON"
 
 
-def test_concurrent_throughput_scales(report_table):
+def test_concurrent_throughput_scales(report_table, results_dir):
     harness = ExperimentHarness(CONCURRENT_SCALE)
 
     # Service-shaped cells (threads overlap the per-request delay).
@@ -125,9 +123,9 @@ def test_concurrent_throughput_scales(report_table):
             "speedup_gate_active": cores >= PROCESS_WORKERS,
         },
     }
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
-                            encoding="utf-8")
+    (results_dir / "BENCH_concurrent.json").write_text(
+        json.dumps(payload, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8")
 
     rows = [
         {"cell": "service 1 thread", **base.to_row()},

@@ -13,16 +13,15 @@ directions, and
 * times both implementations, asserting the bucketed index beats the
   scan by ≥ 5× at 1000 cached entries.
 
-The measurements land in ``benchmarks/results/BENCH_index.json`` (the
-CI perf-smoke job uploads it as an artifact) so the index's scaling
-trajectory is tracked over time.
+The measurements land in ``BENCH_index.json`` in the ``results_dir`` of
+``conftest.py`` (the CI perf-smoke job records and uploads it as an
+artifact) so the index's scaling trajectory is tracked over time.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.query_index import QueryIndex
@@ -31,7 +30,6 @@ from repro.graphs.features import GraphFeatures
 from repro.util.bitset import BitSet
 from repro.workloads.typea import generate_type_a
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_index.json"
 
 ENTRY_COUNTS = (250, 1000)
 NUM_PROBES = 50
@@ -90,7 +88,7 @@ def _time_index(index, probe_features, repeats: int = 3):
     return pools, best
 
 
-def test_bucketed_index_scaling(report_table):
+def test_bucketed_index_scaling(report_table, results_dir):
     rows = []
     for count in ENTRY_COUNTS:
         cached, probes = _build_population(count)
@@ -124,8 +122,7 @@ def test_bucketed_index_scaling(report_table):
             "speedup": round(speedup, 2),
         })
 
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text(
+    (results_dir / "BENCH_index.json").write_text(
         json.dumps({"benchmark": "discovery_index_scaling",
                     "min_speedup_at_1k": MIN_SPEEDUP_AT_1K,
                     "rows": rows}, indent=2, allow_nan=False),

@@ -6,7 +6,7 @@ QPS with the paper's Zipf(α=1.4) query mix plus a mutation fraction —
 the serving shape GC+ is built for: a skewed query stream interleaved
 with dataset updates that force consistency maintenance.
 
-Measured into ``benchmarks/results/BENCH_serve.json``:
+Measured into ``BENCH_serve.json`` (``results_dir`` of ``conftest.py``):
 
 * **sustained (achieved) QPS** vs offered — open-loop pacing means a
   saturated server shows up as achieved < offered, not as hidden
@@ -24,7 +24,6 @@ here is a *floor* on the sidecar's real capacity, not a ceiling.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.api import GCConfig, GraphCacheService
 from repro.dataset.store import GraphStore
@@ -33,7 +32,6 @@ from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.server import CacheServer
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_serve.json"
 
 OFFERED_QPS = 150.0
 DURATION_SECONDS = 4.0
@@ -41,7 +39,7 @@ MUTATION_FRACTION = 0.05
 WORKERS = 4
 
 
-def test_sustained_load(report_table, tmp_path):
+def test_sustained_load(report_table, results_dir, tmp_path):
     graphs = generate_aids_like(num_graphs=120, mean_vertices=8.0,
                                 std_vertices=3.0, max_vertices=14,
                                 seed=2017)
@@ -96,9 +94,9 @@ def test_sustained_load(report_table, tmp_path):
             "drain_seconds": drain.drain_seconds,
         },
     }
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
-                            encoding="utf-8")
+    (results_dir / "BENCH_serve.json").write_text(
+        json.dumps(payload, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8")
 
     from repro.bench.reporting import render_table
     report_table("BENCH_serve", render_table(

@@ -6,7 +6,8 @@ must serve the *rest* of the stream.  A cold restart relearns the
 popular queries from nothing; a warm start restores the snapshot and
 keeps hitting immediately.
 
-Measured into ``benchmarks/results/BENCH_warmstart.json``:
+Measured into ``BENCH_warmstart.json`` (``results_dir`` of
+``conftest.py``):
 
 * **correctness** — the warm tail's answers are bit-identical to the
   cold tail's (a snapshot may never change an answer);
@@ -20,14 +21,12 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from repro.api import GCConfig, GraphCacheService
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
-RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_warmstart.json"
 
 NUM_QUERIES = 300
 WARM_PREFIX = 200          # queries served before the simulated restart
@@ -73,7 +72,7 @@ def _report(rows, first_n):
     }
 
 
-def test_warm_start_beats_cold(report_table, tmp_path):
+def test_warm_start_beats_cold(report_table, results_dir, tmp_path):
     graphs = generate_aids_like(num_graphs=150, mean_vertices=8.0,
                                 std_vertices=3.0, max_vertices=14,
                                 seed=2017)
@@ -113,9 +112,9 @@ def test_warm_start_beats_cold(report_table, tmp_path):
         "cold": cold_report,
         "warm": warm_report,
     }
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
-                            encoding="utf-8")
+    (results_dir / "BENCH_warmstart.json").write_text(
+        json.dumps(payload, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8")
 
     from repro.bench.reporting import render_table
     key = f"hit_rate_first_{window}"

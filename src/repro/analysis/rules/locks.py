@@ -3,8 +3,9 @@
 ``docs/concurrency.md`` fixes three conventions that nothing at runtime
 enforces:
 
-* **write-side methods** (`CacheManager.admit` / ``credit`` / ``clear``
-  / ``ensure_consistency`` / ``restore_state`` / ``snapshot_state``)
+* **write-side methods** (`CacheManager.admit` / ``credit`` /
+  ``credit_all`` / ``clear`` / ``ensure_consistency`` /
+  ``restore_state`` / ``snapshot_state``)
   take the write lock themselves — calling one from inside a read hold
   is a read→write upgrade in disguise and deadlocks a real
   :class:`~repro.util.rwlock.RWLock` (GC101);
@@ -49,8 +50,8 @@ __all__ = ["WriteCallUnderReadLock", "ReadToWriteUpgrade", "HookUnderLock"]
 
 #: CacheManager operations that self-acquire the write lock.
 WRITE_SIDE_METHODS = frozenset({
-    "admit", "credit", "ensure_consistency", "restore_state",
-    "snapshot_state",
+    "admit", "credit", "credit_all", "ensure_consistency",
+    "restore_state", "snapshot_state",
 })
 
 #: ``clear`` is write-side too, but the bare name is ubiquitous

@@ -21,7 +21,7 @@ class CacheEventKind(enum.Enum):
 
     ADMISSION = "admission"    # an executed query entered the window
     PROMOTION = "promotion"    # a full window batch merged into the cache
-    EVICTION = "eviction"      # the replacement policy removed entries
+    EVICTION = "eviction"      # removed by the policy or dropped by a renewal
     PURGE = "purge"            # the whole cache+window was cleared (EVI)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -11,7 +11,9 @@ The full per-query flow of the paper (Figure 1, §4) lives here:
    test-free answers and a reduced candidate set;
 4. Mverifier (Method M) sub-iso tests the reduced candidate set;
 5. the executed query, its answer, and per-entry benefit statistics are
-   fed back to the Cache Manager (window admission, replacement).
+   fed back to the Cache Manager (window admission, replacement — or,
+   when a resident isomorphic twin's ``CGvalid`` has faded, renewal of
+   that twin in place).
 
 On top of the per-query engine the service adds the session surface the
 old ``GraphCachePlus`` constructor lacked:
@@ -369,7 +371,9 @@ class GraphCacheService:
         return self._register(CacheEventKind.PROMOTION, hook)
 
     def on_eviction(self, hook: EventHook) -> EventHook:
-        """Call ``hook(event)`` when the replacement policy evicts."""
+        """Call ``hook(event)`` when entries leave the cache or window:
+        the replacement policy's victims, or the faded copies dropped
+        when a re-executed query renewed their twin."""
         return self._register(CacheEventKind.EVICTION, hook)
 
     def on_purge(self, hook: EventHook) -> EventHook:
@@ -412,9 +416,10 @@ class GraphCacheService:
           shared **read** lock: the dataset and every cache entry are
           frozen while any query is mid-read-phase, so the answer is
           computed against one consistent dataset state;
-        * step 5 (crediting + admission) re-acquires the **write** lock.
-          If the dataset log moved in the unavoidable gap between the
-          read and write phases, the admission is *skipped*
+        * step 5 (crediting + admission, or renewal of a faded exact
+          twin) re-acquires the **write** lock.  If the dataset log
+          moved in the unavoidable gap between the read and write
+          phases, the step is *skipped*
           (``metrics.admission_skipped``): the computed answer belongs
           to a superseded dataset state, and caching is an optimisation
           GC+ may always decline — answers are never affected.
@@ -508,7 +513,8 @@ class GraphCacheService:
                         )
                         if self.caching_enabled:
                             self.cache.admit(query, answer, self.store,
-                                             query_index, features=features)
+                                             query_index, features=features,
+                                             twins=hits.exact)
                     else:
                         metrics.admission_skipped = True
             metrics.admission_seconds = admission_sw.elapsed
@@ -543,12 +549,7 @@ class GraphCacheService:
         time, so the per-graph spread washes out.
         """
         cost_per_test = query.num_vertices * self.store.mean_vertices
-        for entry_id, saved in contributions.items():
-            count = saved.cardinality()
-            if count == 0:
-                continue
-            self.cache.credit(entry_id, count, count * cost_per_test,
-                              query_index)
+        self.cache.credit_all(contributions, cost_per_test, query_index)
 
     # ------------------------------------------------------------------
     # Explain
@@ -813,14 +814,16 @@ class GraphCacheService:
 
         Merges the :class:`StatisticsMonitor` tallies (queries, cache
         hits/misses, skipped admissions, sub-iso test totals) with the
-        cache manager's lifetime admission/eviction/purge counts.  None
-        of these ever decrease — purges and ``clear()`` reset windowed
-        statistics, never these — so the serving layer can expose them
-        verbatim as Prometheus counters (``repro.serve.metrics``).
+        cache manager's lifetime admission/renewal/eviction/purge
+        counts.  None of these ever decrease — purges and ``clear()``
+        reset windowed statistics, never these — so the serving layer
+        can expose them verbatim as Prometheus counters
+        (``repro.serve.metrics``).
         """
         counters = self.monitor.counters()
         counters["admissions"] = self.cache.admissions
         counters["evictions"] = self.cache.evictions
+        counters["renewals"] = self.cache.renewals
         counters["purges"] = self.cache.purges
         return counters
 

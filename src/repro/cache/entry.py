@@ -7,6 +7,18 @@ will not repeat processing previous queries. Therefore, to deal with
 dataset changes, GC+ employs a BitSet indicator ``CGvalid`` per cached
 query, with each bit identifying the up-to-date validity of the query's
 relation towards a dataset graph."*
+
+The invariant everything downstream relies on is therefore about the
+*pair* of indicators, not about ``answer`` alone: **a set ``valid`` bit
+means the recorded ``answer`` bit holds against the current dataset.**
+GC+ itself never re-processes a cached query, but two write-side paths
+refresh an entry with results that were paid for elsewhere, and both
+preserve the invariant: retrospective revalidation
+(:mod:`repro.cache.revalidation`, opt-in) re-tests single graphs and
+sets both bits, and renewal (:meth:`CacheManager.admit
+<repro.cache.manager.CacheManager.admit>`) replaces both indicators
+wholesale when the user re-issues the query and it has just been
+executed against the live dataset.
 """
 
 from __future__ import annotations
@@ -45,11 +57,14 @@ class CacheEntry:
 
     * ``answer`` — bit *i* set iff dataset graph *i* satisfied the query
       at execution time (``g ⊆ G_i`` for subgraph semantics, ``G_i ⊆ g``
-      for supergraph semantics).  **Never mutated after creation.**
+      for supergraph semantics).  Frozen against dataset changes — only
+      ``valid`` fades; rewritten solely under the cache's write lock,
+      together with ``valid``, by a fresh execution's result (renewal:
+      the object is replaced) or a retrospective re-test (one bit).
     * ``valid`` — the ``CGvalid`` indicator: bit *i* set iff the recorded
       relation toward graph *i* is still guaranteed for the up-to-date
       dataset.  Initialised to the ids of all dataset graphs live at
-      execution time; refreshed by the Cache Validator.
+      execution time (again on renewal); faded by the Cache Validator.
     * ``features`` — monotone features for the query index.  Callers
       that already computed the query's features (the service does, for
       hit discovery) pass them in; otherwise they are derived here.

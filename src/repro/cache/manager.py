@@ -9,7 +9,9 @@ Responsibilities (paper §4):
   past the reflected-up-to cursor, either purge (EVI) or analyze +
   validate (CON);
 * perform admission control and replacement when the window promotes a
-  batch;
+  batch — or, when a re-executed query finds a resident isomorphic twin
+  whose ``CGvalid`` has faded, renew that twin in place instead of
+  admitting another copy (``docs/config-fidelity.md``, "Renewal");
 * keep per-entry benefit statistics for the replacement policies.
 
 Concurrency
@@ -17,10 +19,10 @@ Concurrency
 The manager owns the cache subsystem's reader-writer lock
 (:attr:`CacheManager.lock`): hit discovery over :attr:`index`, pruning
 and Mverification are read-side; :meth:`ensure_consistency`,
-:meth:`admit` (and the promotion/eviction it may trigger),
-:meth:`credit` and :meth:`clear` are write-side and take the lock
-themselves, so they are safe to call while queries are in flight on
-other threads.  Single-session services install a
+:meth:`admit` (and the renewal or promotion/eviction it may trigger),
+:meth:`credit` / :meth:`credit_all` and :meth:`clear` are write-side and
+take the lock themselves, so they are safe to call while queries are in
+flight on other threads.  Single-session services install a
 :class:`~repro.util.rwlock.NullRWLock`, which makes every acquisition a
 no-op — the sequential path pays nothing.  See ``docs/concurrency.md``
 for the per-pipeline-step boundary map.
@@ -28,6 +30,7 @@ for the per-pipeline-step boundary map.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -106,11 +109,13 @@ class CacheManager:
         #: a real :class:`RWLock` (``lock_mode="auto"``/``"rw"``).
         self.lock = lock if lock is not None else NullRWLock()
         # Instrumentation for Figure 6's overhead breakdown and the
-        # serving layer's ops counters.  All three are cumulative and
+        # serving layer's ops counters.  All four are cumulative and
         # monotone over the manager's lifetime: :meth:`clear` increments
-        # ``purges`` but never resets any of them.
+        # ``purges`` but never resets any of them.  ``evictions`` counts
+        # the policy's victims and the faded copies a renewal drops.
         self.evictions = 0
         self.admissions = 0
+        self.renewals = 0
         self.purges = 0
         #: Optional callback receiving :class:`repro.api.events.CacheEvent`
         #: records; set by the service layer, ignored when ``None``.
@@ -234,8 +239,10 @@ class CacheManager:
     # ------------------------------------------------------------------
     def admit(self, query: LabeledGraph, answer: BitSet,
               store: GraphStore, query_index: int,
-              features: GraphFeatures | None = None) -> CacheEntry:
-        """Create an entry for an executed query and admit it.
+              features: GraphFeatures | None = None,
+              twins: Sequence[CacheEntry] = ()) -> CacheEntry:
+        """Cache an executed query's fresh answer: renew a faded twin,
+        or else create an entry and admit it.
 
         ``answer`` is snapshot semantics (frozen); ``CGvalid`` starts as
         the set of all currently live dataset ids — the entry "holds
@@ -244,16 +251,32 @@ class CacheManager:
         computed the query's monotone features (the service does, for
         hit discovery) avoid a recomputation here.
 
+        ``twins`` are the entries hit discovery certified isomorphic to
+        ``query``.  They were collected in the caller's read phase, so
+        residency and validity are re-checked here: a twin evicted since
+        is ignored, one another session renewed is simply fully valid.
+        If a resident twin's ``CGvalid`` no longer covers the live ids
+        the fresh answer is written into it (:meth:`_renew`) and no new
+        entry is created; with no faded twin — always, without churn and
+        under EVI — the query is admitted as a new entry, next to any
+        fully valid twins.
+
         Write-side: runs under the manager's write lock (reentrant for
         a caller already holding it).
         """
         with self.lock.write():
+            live = store.ids_bitset()
+            faded = [twin for twin in twins
+                     if twin.entry_id in self.statistics
+                     and not twin.fully_valid(live)]
+            if faded:
+                return self._renew(faded, answer, live, query_index)
             entry = CacheEntry(
                 entry_id=self._next_entry_id,
                 query=query,
                 query_type=self.query_type,
                 answer=answer.copy(),
-                valid=store.ids_bitset(),
+                valid=live,
                 created_at=query_index,
                 features=features,
             )
@@ -270,6 +293,39 @@ class CacheManager:
             # evicted).
             self._emit("ADMISSION", (entry.entry_id,), query_index)
             return entry
+
+    def _renew(self, faded: list[CacheEntry], answer: BitSet, live: BitSet,
+               query_index: int) -> CacheEntry:
+        """Write a re-executed query's fresh result into its lowest-id
+        faded twin and drop the other faded twins.
+
+        Exact because isomorphic queries have equal answers: where the
+        survivor's bit was still valid the two answers agree, where it
+        was not the fresh one is now known, so *valid bit ⇒ the recorded
+        relation holds against the current dataset* is preserved and the
+        dropped copies could never again contribute anything the
+        survivor does not.  The survivor keeps its id, ``created_at``,
+        cache/window position and accrued statistics and absorbs the
+        dropped copies'; the indicators are *replaced*, never edited, so
+        a reader can never observe a half-written one.  Residency of the
+        survivor does not change (no event); each dropped copy is an
+        eviction (counted, and emitted so hooks mirroring residency stay
+        right).
+        """
+        survivor, *copies = sorted(faded, key=lambda twin: twin.entry_id)
+        survivor.answer = answer.copy()
+        survivor.valid = live
+        dropped = tuple(copy.entry_id for copy in copies)
+        for entry_id in dropped:
+            if self._cache.pop(entry_id, None) is None:
+                self.window.remove(entry_id)
+            self.index.remove(entry_id)
+            self.statistics.absorb(survivor.entry_id, entry_id)
+        self.statistics.get(survivor.entry_id).last_used = query_index
+        self.evictions += len(dropped)
+        self.renewals += 1
+        self._emit("EVICTION", dropped)
+        return survivor
 
     def _promote(self, batch: list[CacheEntry]) -> None:
         """Merge a full window batch into the cache and evict down to
@@ -297,6 +353,18 @@ class CacheManager:
             if entry_id in self.statistics:
                 self.statistics.credit(entry_id, tests_saved, cost_saved,
                                        query_index)
+
+    def credit_all(self, contributions: Mapping[int, BitSet],
+                   cost_per_test: float, query_index: int) -> None:
+        """Credit every entry that contributed to one query — the ids it
+        saved, at ``cost_per_test`` each — under one write-lock hold."""
+        with self.lock.write():
+            for entry_id, saved in contributions.items():
+                count = saved.cardinality()
+                if count and entry_id in self.statistics:
+                    self.statistics.credit(entry_id, count,
+                                           count * cost_per_test,
+                                           query_index)
 
     # ------------------------------------------------------------------
     # Snapshot capture / restore (the persistence subsystem's substrate;

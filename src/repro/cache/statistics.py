@@ -45,12 +45,14 @@ class EntryStats:
 
 
 class StatisticsManager:
-    """Keyed by ``entry_id``; survives entries moving window → cache but
-    is dropped on eviction (a re-admitted identical query starts fresh,
-    as in GC).
+    """Keyed by ``entry_id``; survives entries moving window → cache and
+    being renewed in place, and is dropped on policy eviction (a query
+    re-admitted after its entry was evicted starts fresh, as in GC).
+    The counters of a faded copy that a renewal drops are not lost: they
+    are folded into the surviving twin (:meth:`absorb`).
 
     Carries no lock of its own: every mutation (``register``/``credit``/
-    ``forget``/``clear``) reaches it through write-side
+    ``absorb``/``forget``/``clear``) reaches it through write-side
     :class:`~repro.cache.manager.CacheManager` operations, and the
     read-side consumers (the replacement policies' scoring) run inside
     those same write-locked eviction rounds — so the manager's
@@ -92,6 +94,16 @@ class StatisticsManager:
         if tests_saved > 0:
             stats.hits += 1
             stats.last_used = query_index
+
+    def absorb(self, survivor_id: int, dropped_id: int) -> None:
+        """Fold a dropped isomorphic copy's accrued R / C / hits into the
+        surviving twin and stop tracking the copy (renewal — the benefit
+        was earned by the one query both entries cache)."""
+        dropped = self._stats.pop(dropped_id)
+        stats = self._stats[survivor_id]
+        stats.tests_saved += dropped.tests_saved
+        stats.cost_saved += dropped.cost_saved
+        stats.hits += dropped.hits
 
     def get(self, entry_id: int) -> EntryStats:
         return self._stats[entry_id]

@@ -38,6 +38,12 @@ class WindowManager:
             return batch
         return None
 
+    def remove(self, entry_id: int) -> None:
+        """Drop one resident (a faded copy a renewal superseded); the
+        rest keep their FIFO order.  Unknown ids are ignored."""
+        self._entries = [entry for entry in self._entries
+                         if entry.entry_id != entry_id]
+
     def entries(self) -> list[CacheEntry]:
         return list(self._entries)
 

@@ -217,6 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "exact-hit queries": s["queries_with_exact_hit"],
             "containing hits": s["total_containing_hits"],
             "contained hits": s["total_contained_hits"],
+            "renewals": service.cache.renewals,
             **overhead_breakdown_row(s),
             **_hd_rounds_cell(s),
         }]
@@ -290,6 +291,7 @@ def _run_concurrent(args: argparse.Namespace, service: GraphCacheService,
         "zero-test queries": s["zero_test_queries"],
         "exact-hit queries": s["queries_with_exact_hit"],
         "admissions skipped": s["admissions_skipped"],
+        "renewals": service.cache.renewals,
         **overhead_breakdown_row(s),
         **_hd_rounds_cell(s),
     }]))

@@ -6,8 +6,8 @@ value`` sample lines, so a client library would be pure dependency
 weight.  Three sources feed one scrape:
 
 * the service's monotonic :meth:`~repro.api.GraphCacheService.counters`
-  (queries, cache hits/misses, admissions/evictions/purges, skipped
-  admissions, sub-iso test totals) → ``*_total`` counters;
+  (queries, cache hits/misses, admissions/renewals/evictions/purges,
+  skipped admissions, sub-iso test totals) → ``*_total`` counters;
 * point-in-time service state (cache/window occupancy, open sessions,
   HD's PIN/PINC regime rounds) → gauges;
 * the server's own :class:`ServerStats` (per-path/status request
@@ -46,7 +46,11 @@ _COUNTER_SPECS = (
     ("admissions", "gcplus_admissions_total",
      "Executed queries admitted into the window"),
     ("evictions", "gcplus_evictions_total",
-     "Entries removed by the replacement policy"),
+     "Entries removed by the replacement policy or dropped as the faded "
+     "copy of a renewed twin"),
+    ("renewals", "gcplus_renewals_total",
+     "Re-executed queries whose fresh answer renewed a faded cached twin "
+     "instead of being admitted as a copy"),
     ("purges", "gcplus_purges_total",
      "Whole-cache purges (EVI consistency or manual clear)"),
     ("admissions_skipped", "gcplus_admissions_skipped_total",

@@ -349,6 +349,87 @@ class TestInterleavings:
         assert_quiescent_invariants(service)
         service.close()
 
+    def _faded_twin_then_gap(self, in_the_gap, **overrides):
+        """One cached CO entry faded by a UA, then a repeat of CO whose
+        read→write gap runs ``in_the_gap(service)`` — another client's
+        work landing just before this query's admission."""
+        service = small_service(**overrides)
+        service.execute(path("CO"))
+        service.add_edge(1, 0, 2)   # C-C-N gains C–N: CO's negative fades
+        armed = {"on": False}
+
+        class GapLock(RWLock):
+            def acquire_write(self) -> None:
+                if armed["on"]:
+                    armed["on"] = False
+                    in_the_gap(service)
+                super().acquire_write()
+
+        service.refresh()
+        (twin,) = service.cache.all_entries()
+        assert not twin.fully_valid(service.store.ids_bitset())
+        service.cache.lock = GapLock()
+        armed["on"] = True
+        result = service.execute(path("CO"))
+        assert result.metrics.exact_hits == 1
+        assert result.answer_ids == {0, 2, 4}
+        return service, twin, result
+
+    def test_twin_evicted_in_the_gap_falls_back_to_admission(self):
+        """The twins were collected under the read lock; one evicted
+        before the write phase is ignored, and the query is admitted as
+        a new entry instead of renewing a non-resident."""
+        evicted: list = []
+
+        def evict_the_twin(service):
+            # Capacity 1, window 1, LRU: the other client's admission
+            # promotes at once and trims the older entry — the twin.
+            service.on_eviction(lambda e: evicted.extend(e.entry_ids))
+            service.execute(path("CN"))
+
+        service, twin, result = self._faded_twin_then_gap(
+            evict_the_twin, cache_capacity=1, window_capacity=1,
+            policy="lru")
+        assert twin.entry_id in evicted
+        assert not result.metrics.admission_skipped
+        assert service.cache.renewals == 0
+        assert service.cache.admissions == 3
+        # The non-resident twin was left alone.
+        assert not twin.fully_valid(service.store.ids_bitset())
+        assert twin.entry_id not in service.cache.statistics
+        assert_quiescent_invariants(service)
+        service.close()
+
+    def test_twin_renewed_by_another_session_in_the_gap(self):
+        """Two sessions repeat the same faded query at once: the first
+        to reach the write phase renews the twin, the second finds it
+        fully valid and admits a copy — one renewal, never two."""
+        service, twin, result = self._faded_twin_then_gap(
+            lambda service: service.execute(path("CO")))
+        assert not result.metrics.admission_skipped
+        assert service.cache.renewals == 1
+        assert service.cache.admissions == 2
+        assert twin.fully_valid(service.store.ids_bitset())
+        assert_quiescent_invariants(service)
+        service.close()
+
+    def test_moved_log_in_the_gap_still_skips_the_renewal(self):
+        """The gap rule comes first: an answer computed against a
+        superseded dataset state must not be written into the twin."""
+        service, twin, result = self._faded_twin_then_gap(
+            lambda service: service.store.add_graph(path("CCO")))
+        assert result.metrics.admission_skipped
+        assert service.cache.renewals == 0
+        assert service.cache.admissions == 1
+        assert not twin.valid.get(1)            # still faded, untouched
+        # The next repeat reconciles, then renews against the new state.
+        follow_up = service.execute(path("CO"))
+        assert follow_up.answer_ids == {0, 2, 4, 5}
+        assert service.cache.renewals == 1
+        assert twin.fully_valid(service.store.ids_bitset())
+        assert_quiescent_invariants(service)
+        service.close()
+
 
 # ----------------------------------------------------------------------
 # Whole-trace oracle runs
@@ -416,6 +497,36 @@ class TestOracleRuns:
         assert outcome.answer_multiset() == oracle.answer_multiset()
         assert outcome.answers == oracle.answers
         assert outcome.applied_ops > 0, "the trace must mutate the dataset"
+
+    def test_renewals_under_8_sessions_match_sequential_replay(self):
+        """A churned stream (a mutation batch every ten queries) served
+        by 8 sessions under a short switch interval: repeats renew
+        faded twins concurrently — read-phase twin lists go stale,
+        copies are dropped under other sessions' feet — and every
+        per-index answer still equals the sequential replay's."""
+        graphs, queries, plan = _trace(
+            120, 400, dataset_seed=2017, workload_seed=1919,
+            plan_seed=38, num_batches=40,
+        )
+        oracle = sequential_replay(graphs, queries, plan, GCConfig())
+        service = GraphCacheService(
+            GraphStore.from_graphs(graphs),
+            GCConfig(lock_mode="rw", max_sessions=8),
+        )
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            outcome = ConcurrentDriver(service, 8).run(queries, plan)
+            assert_quiescent_invariants(service)
+            counters = service.counters()
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert outcome.answers == oracle.answers
+        assert outcome.applied_ops > 0
+        assert counters["renewals"] > 0, "the trace must exercise renewal"
+        assert (counters["admissions"] + counters["renewals"]
+                + counters["admissions_skipped"]) == counters["queries"]
 
     def test_shared_graph_memos_keep_sequential_test_counts(self):
         """The acceptance trace again, for what the read phase shares

@@ -120,21 +120,50 @@ class TestRevalidator:
 
 
 class TestEngineIntegration:
-    def test_retro_restores_zero_test_hits(self, store):
+    def test_repeat_is_renewed_for_free(self, store):
+        """A re-issued query re-earns its entry's validity by itself:
+        the repeat pays for the touched graph and admission writes the
+        fresh result into the faded twin, so the retro round that
+        follows finds nothing to spend its budget on."""
         engine = GraphCachePlus(store, VF2PlusMatcher(),
                                 model=CacheModel.CON, retro_budget=10)
         engine.execute(path("CO"))
         store.add_edge(2, 0, 2)  # UA on the NNN graph (not an answer):
         # Algorithm 2 must invalidate that bit (a negative relation can
         # flip under edge addition).
-        # First repeat pays for the touched graph, but the retro round
-        # (after it) re-earns validity...
         mid = engine.execute(path("CO"))
-        # ...so the next repeat is a fully-valid exact hit again.
+        assert mid.metrics.method_tests == 1
         final = engine.execute(path("CO"))
         assert final.metrics.method_tests == 0
         assert mid.answer_ids == final.answer_ids
-        assert engine.monitor.total_retro_tests > 0
+        assert engine.cache.renewals == 1
+        assert engine.monitor.total_retro_tests == 0
+
+    def test_retro_still_pays_where_the_query_is_not_reissued(self):
+        """Where retro still earns its keep: the faded entry's own query
+        does not come back (so nothing renews it), yet a *different*
+        query that it filters profits from the re-earned bit."""
+        def run(retro_budget: int):
+            engine = GraphCachePlus(
+                GraphStore.from_graphs([path("CCO"), path("CO"),
+                                        path("NNN")]),
+                VF2PlusMatcher(), model=CacheModel.CON,
+                retro_budget=retro_budget)
+            engine.execute(path("CO"))
+            engine.store.add_edge(2, 0, 2)   # fades CO's bit toward G2
+            engine.execute(path("NN"))       # unrelated; its retro round
+            # re-tests CO against G2 off the critical path...
+            larger = engine.execute(path("CCO"))  # ...so CO ⊄ G2 prunes
+            # G2 from CCO's candidates again
+            assert engine.cache.renewals == 0
+            return larger, engine.monitor.total_retro_tests
+
+        with_retro, retro_tests = run(retro_budget=10)
+        without, none = run(retro_budget=0)
+        assert with_retro.answer_ids == without.answer_ids == {0}
+        assert retro_tests > 0 and none == 0
+        assert with_retro.metrics.method_tests \
+            < without.metrics.method_tests
 
     def test_retro_tests_are_not_method_tests(self, store):
         engine = GraphCachePlus(store, VF2PlusMatcher(),
