@@ -20,19 +20,11 @@ the ``results_dir`` of ``conftest.py``:
   matcher or a free-threaded build would extend it to the CPU section
   with no driver changes).  A zero-delay pair of cells is also recorded
   so the GIL reality stays visible in the artifact rather than hidden.
-
-A third, zero-delay **process-backend** cell runs the same trace with
-``workers=8, worker_backend="process"`` — Mverify fanned out across
-worker processes instead of threads, the backend that actually breaks
-the GIL bound.  Its answers must always match the sequential reference;
-the ≥ 3× throughput gate only arms on hosts with at least that many
-cores (``cpu_count`` is stored in the artifact alongside the cell).
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 from repro.bench.harness import BenchScale, ExperimentHarness
 
@@ -42,13 +34,6 @@ from repro.bench.harness import BenchScale, ExperimentHarness
 IO_DELAY_S = 0.006
 THREADS = 8
 MIN_SPEEDUP = 2.0
-#: Mverifier worker processes for the CPU-bound process-backend cell.
-PROCESS_WORKERS = 8
-#: Required process-backend speedup over the sequential baseline — only
-#: asserted when the machine actually has the cores to show it (the
-#: answer-identity check runs unconditionally; ``cpu_count`` is recorded
-#: in the artifact so a 1-core CI cell is never mistaken for a regression).
-MIN_PROCESS_SPEEDUP = 3.0
 
 #: The acceptance trace: 500 Type B queries, small graphs so the
 #: GIL-serialised CPU section stays well under the request budget.
@@ -82,21 +67,6 @@ def test_concurrent_throughput_scales(report_table, results_dir):
         "answer multiset drifted between thread counts (cpu-bound cells)"
     )
 
-    # Process-backend cell: same CPU-bound trace, one driver session,
-    # but Mverify fanned out across PROCESS_WORKERS worker processes —
-    # the backend that breaks the GIL bound the cell above documents.
-    cpu_process = harness.run_concurrent(
-        WORKLOAD, MATCHER, MODEL, 1,
-        workers=PROCESS_WORKERS, worker_backend="process",
-    )
-    assert (cpu_base.answer_multiset()
-            == cpu_process.answer_multiset()), (
-        "process-backend answers drifted from the sequential reference"
-    )
-    process_speedup = (cpu_process.throughput_qps
-                       / max(cpu_base.throughput_qps, 1e-12))
-    cores = os.cpu_count() or 1
-
     payload = {
         "scale": CONCURRENT_SCALE.name,
         "workload": WORKLOAD,
@@ -115,13 +85,6 @@ def test_concurrent_throughput_scales(report_table, results_dir):
                 cpu_concurrent.throughput_qps
                 / max(cpu_base.throughput_qps, 1e-12), 3),
         },
-        "cpu_bound_process_backend": {
-            "workers": PROCESS_WORKERS,
-            "cpu_count": cores,
-            f"{PROCESS_WORKERS}_processes": cpu_process.to_row(),
-            "throughput_speedup": round(process_speedup, 3),
-            "speedup_gate_active": cores >= PROCESS_WORKERS,
-        },
     }
     (results_dir / "BENCH_concurrent.json").write_text(
         json.dumps(payload, indent=2, allow_nan=False) + "\n",
@@ -132,8 +95,6 @@ def test_concurrent_throughput_scales(report_table, results_dir):
         {"cell": f"service {THREADS} threads", **concurrent.to_row()},
         {"cell": "cpu-bound 1 thread", **cpu_base.to_row()},
         {"cell": f"cpu-bound {THREADS} threads", **cpu_concurrent.to_row()},
-        {"cell": f"cpu-bound {PROCESS_WORKERS} processes",
-         **cpu_process.to_row()},
     ]
     from repro.bench.reporting import render_table
     report_table(
@@ -150,9 +111,3 @@ def test_concurrent_throughput_scales(report_table, results_dir):
         f"{THREADS}-thread service throughput only {speedup:.2f}x the "
         f"1-thread driver (need >= {MIN_SPEEDUP}x)"
     )
-    if cores >= PROCESS_WORKERS:
-        assert process_speedup >= MIN_PROCESS_SPEEDUP, (
-            f"{PROCESS_WORKERS}-process Mverify throughput only "
-            f"{process_speedup:.2f}x sequential on a {cores}-core host "
-            f"(need >= {MIN_PROCESS_SPEEDUP}x)"
-        )

@@ -21,8 +21,7 @@ Quickstart (the service-layer API)::
 
 ``GraphCacheService`` also offers ``execute_many`` (one consistency pass
 per batch), ``explain`` (read-only query plans), cache event hooks and a
-dataset mutation API; see :mod:`repro.api`.  The old ``GraphCachePlus``
-constructor still works but is deprecated.
+dataset mutation API; see :mod:`repro.api`.
 
 See ``examples/`` for realistic scenarios and ``benchmarks/`` for the
 paper's experiments.
@@ -57,8 +56,8 @@ from repro.persist import (
     SnapshotFormatError,
     SnapshotMismatchError,
 )
-from repro.runtime.engine import GraphCachePlus, QueryResult
 from repro.runtime.method_m import MethodMRunner
+from repro.runtime.monitor import QueryResult
 from repro.util.bitset import BitSet
 
 __version__ = "1.0.0"
@@ -70,7 +69,6 @@ __all__ = [
     "PlanStep",
     "CacheEvent",
     "CacheEventKind",
-    "GraphCachePlus",
     "QueryResult",
     "MethodMRunner",
     "GraphStore",

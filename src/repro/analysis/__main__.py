@@ -6,7 +6,7 @@ warning`` promotes warnings to gate failures; ``--json`` writes the
 machine-readable report CI uploads as an artifact.
 
 ``--changed-only`` keeps the *analysis* project-wide (cross-file rules
-like GC301/GC310 and the interprocedural lock-state pass stay sound)
+like GC301 and the interprocedural lock-state pass stay sound)
 but reports only findings in files git considers changed — worktree,
 index, untracked, and (with ``--diff-base REF``) the merge-base diff
 against ``REF``.  If git is unavailable the run falls back to the full

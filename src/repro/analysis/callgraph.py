@@ -14,10 +14,10 @@ codebase:
 * parameter annotation — ``def __init__(self, store: GraphStore)``
   followed by ``self.store = store``;
 * return annotation of a project factory —
-  ``self.method_m = make_method_m(...)`` with
-  ``def make_method_m(...) -> MethodM``.
+  ``self.cache = CacheManager.from_config(...)`` with
+  ``def from_config(...) -> "CacheManager"``.
 
-Unresolvable calls (dynamic callables like ``self.epoch_listener(...)``,
+Unresolvable calls (dynamic callables like ``self.event_listener(...)``,
 values threaded through untyped returns) simply produce no edge.  Rules
 built on the graph must treat a missing edge as "unknown", not "safe" —
 the lock-state analysis does this by keeping must-information empty
@@ -565,9 +565,9 @@ def build_project_graph(modules: list[ParsedModule]) -> ProjectGraph:
     graph._build_module_index(modules)
     graph._collect_defs(modules)
     graph._resolve_bases()
-    # Locals and attribute types feed each other (``pool =
-    # WorkerPool(...)`` then ``self._pool = pool``; ``x = self.attr``
-    # the other way) — two rounds reach the common cases' fixpoint.
+    # Locals and attribute types feed each other (``lock = RWLock()``
+    # then ``self.lock = lock``; ``x = self.attr`` the other way) — two
+    # rounds reach the common cases' fixpoint.
     for _ in range(2):
         for qualname in sorted(graph.functions):
             graph._infer_locals(graph.functions[qualname])

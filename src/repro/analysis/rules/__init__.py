@@ -8,10 +8,7 @@ everywhere at once.
 from __future__ import annotations
 
 from repro.analysis.core import Rule
-from repro.analysis.rules.api_surface import (
-    DeprecatedFacadeCallSites,
-    DunderAllIntegrity,
-)
+from repro.analysis.rules.api_surface import DunderAllIntegrity
 from repro.analysis.rules.concurrency import (
     BlockingCallUnderLock,
     LockOrderCycle,
@@ -29,7 +26,6 @@ from repro.analysis.rules.locks import (
     ReadToWriteUpgrade,
     WriteCallUnderReadLock,
 )
-from repro.analysis.rules.protocol import WorkerProtocolDrift
 
 __all__ = ["default_rules"]
 
@@ -47,8 +43,6 @@ def default_rules() -> list[Rule]:
         UnseededRandomness(),
         HashOrderDependence(),
         SnapshotCodecDrift(),
-        WorkerProtocolDrift(),
         BroadExcept(),
         DunderAllIntegrity(),
-        DeprecatedFacadeCallSites(),
     ]

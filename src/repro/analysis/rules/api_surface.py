@@ -1,14 +1,9 @@
-"""API-surface rules: honest ``__all__`` and a frozen deprecation.
+"""API-surface rule: an honest ``__all__``.
 
 GC501 keeps every module's declared public surface real: each name in
 ``__all__`` must be defined or imported in the module, and each public
 top-level ``def``/``class`` must appear in ``__all__`` (modules without
 an ``__all__`` are out of scope — they have not declared a surface).
-
-GC502 freezes the deprecated ``GraphCachePlus`` facade: the shim stays
-importable for old callers, but no *new* production call sites may
-appear — references are only legal in the modules that define and
-re-export it.
 """
 
 from __future__ import annotations
@@ -18,16 +13,7 @@ from collections.abc import Iterator
 
 from repro.analysis.core import Finding, ModuleRule, ParsedModule, Severity
 
-__all__ = ["DunderAllIntegrity", "DeprecatedFacadeCallSites"]
-
-#: Modules allowed to reference GraphCachePlus: its definition and the
-#: package re-exports that keep old imports working.
-DEPRECATED_FACADE = "GraphCachePlus"
-FACADE_ALLOWED_SUFFIXES = (
-    "repro/runtime/engine.py",
-    "repro/runtime/__init__.py",
-    "repro/__init__.py",
-)
+__all__ = ["DunderAllIntegrity"]
 
 
 def _module_all(tree: ast.Module) -> tuple[list[str], int] | None:
@@ -119,33 +105,3 @@ class DunderAllIntegrity(ModuleRule):
                 )
             seen.add(name)
 
-
-class DeprecatedFacadeCallSites(ModuleRule):
-    rule_id = "GC502"
-    slug = "deprecated-facade"
-    severity = Severity.ERROR
-    description = ("new reference to the deprecated GraphCachePlus "
-                   "facade")
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        if any(module.relpath.endswith(suffix)
-               for suffix in FACADE_ALLOWED_SUFFIXES):
-            return
-        for node in ast.walk(module.tree):
-            name = None
-            if isinstance(node, ast.Name) and node.id == DEPRECATED_FACADE:
-                name = node.id
-            elif (isinstance(node, ast.Attribute)
-                    and node.attr == DEPRECATED_FACADE):
-                name = node.attr
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                if any(alias.name.split(".")[-1] == DEPRECATED_FACADE
-                       for alias in node.names):
-                    name = DEPRECATED_FACADE
-            if name is not None:
-                yield self.finding(
-                    module, node.lineno,
-                    f"{DEPRECATED_FACADE} is deprecated and frozen: no "
-                    f"new call sites — build on "
-                    f"repro.api.GraphCacheService instead",
-                )

@@ -2,9 +2,9 @@
 
 Three pieces compose the surface callers should program against:
 
-* :class:`GCConfig` — frozen, validated configuration (replaces the
-  loose-kwarg constructors; ``from_dict``/``to_dict`` for CLI and bench
-  wiring, ``replace`` for overrides);
+* :class:`GCConfig` — frozen, validated configuration
+  (``from_dict``/``to_dict`` for CLI and bench wiring, ``replace`` for
+  overrides);
 * :class:`GraphCacheService` — the session facade: ``execute``,
   batch-amortised ``execute_many``, read-only ``explain``, event hooks,
   dataset mutation passthroughs, and — via
@@ -13,9 +13,6 @@ Three pieces compose the surface callers should program against:
   reader-writer lock (see ``docs/concurrency.md``);
 * :class:`QueryPlan` / :class:`PlanStep` — structured explain receipts;
   :class:`CacheEvent` / :class:`CacheEventKind` — hook payloads.
-
-The legacy :class:`repro.GraphCachePlus` constructor remains as a thin
-deprecated shim over :class:`GraphCacheService`.
 """
 
 from repro.api.config import GCConfig

@@ -1,8 +1,7 @@
 """Typed, validated configuration for the GC+ service layer.
 
-:class:`GCConfig` replaces the kwarg sprawl previously spread across
-``GraphCachePlus.__init__``, ``CacheManager.__init__`` and the bench
-harness with one frozen dataclass that
+:class:`GCConfig` gathers what ``CacheManager.__init__``, the service
+and the bench harness need into one frozen dataclass that
 
 * validates every field eagerly (capacities positive, ``retro_budget``
   non-negative, policy/matcher names checked against the registries with
@@ -33,15 +32,10 @@ from repro.cache.replacement import POLICIES
 from repro.matching import MATCHERS
 
 __all__ = ["GCConfig", "DEFAULT_CACHE_CAPACITY", "DEFAULT_WINDOW_CAPACITY",
-           "LOCK_MODES", "WORKER_BACKENDS"]
+           "LOCK_MODES"]
 
 #: Valid ``GCConfig.lock_mode`` values (see the field's doc).
 LOCK_MODES = frozenset({"auto", "none", "rw"})
-
-#: Valid ``GCConfig.worker_backend`` values.  Mirrors
-#: ``repro.runtime.method_m.WORKER_BACKENDS`` — importing it here would
-#: cycle through ``repro.runtime`` → ``engine`` → ``api.service``.
-WORKER_BACKENDS = frozenset({"thread", "process"})
 
 
 def _coerce_model(value: CacheModel | str) -> CacheModel:
@@ -103,28 +97,12 @@ class GCConfig:
     policy: str = "hd"
     caching_enabled: bool = True
     retro_budget: int = 0
-    #: Mverifier worker threads.  1 (the default) is the sequential
-    #: reference path; >1 chunks the candidate set across a thread pool
-    #: (answers and test counts are identical — see
-    #: :class:`repro.runtime.method_m.ParallelMethodM` for the GIL
-    #: tradeoff).  Pure performance knob; never affects reproduction
-    #: fidelity.
-    workers: int = 1
-    #: Mverifier pool flavour when ``workers > 1``: ``"thread"`` (the
-    #: default — shared-memory chunking, GIL-bound for the pure-Python
-    #: matchers) or ``"process"`` (persistent worker processes holding
-    #: codec-seeded dataset replicas advanced by incremental deltas —
-    #: see :class:`repro.runtime.method_m.ProcessMethodM`).  Like
-    #: ``workers``, a pure performance knob: answers and test counts are
-    #: bit-identical across backends, so it is excluded from the
-    #: snapshot fingerprint.
-    worker_backend: str = "thread"
     #: Cache-subsystem locking: ``"none"`` (no locks — single-session
     #: only), ``"rw"`` (reader-writer lock from construction), or
     #: ``"auto"`` (the default: lock-free until the first
     #: ``GraphCacheService.session()`` call upgrades to the RW lock at
-    #: that quiescent point).  Like ``workers``, a pure
-    #: performance/serving knob: answers are identical in every mode.
+    #: that quiescent point).  A pure performance/serving knob: answers
+    #: are identical in every mode.
     lock_mode: str = "auto"
     #: Maximum concurrently *open* sessions sharing one service's cache
     #: (the root service does not count).  Bounds the worker fan-out a
@@ -132,8 +110,8 @@ class GCConfig:
     max_sessions: int = 8
     #: Default snapshot file for :meth:`GraphCacheService.save` /
     #: ``load`` and the target of autosaves.  ``None`` (the default)
-    #: leaves persistence entirely manual.  Like ``workers``, a pure
-    #: serving knob: snapshots never change any answer.
+    #: leaves persistence entirely manual.  A pure serving knob:
+    #: snapshots never change any answer.
     snapshot_path: str | None = None
     #: Autosave the cache to ``snapshot_path`` every N admissions
     #: (0 — the default — disables).  Saves are hook-driven: they run
@@ -174,14 +152,6 @@ class GCConfig:
                 f"{sorted(LOCK_MODES)}"
             )
         object.__setattr__(self, "lock_mode", self.lock_mode.lower())
-        if (not isinstance(self.worker_backend, str)
-                or self.worker_backend.lower() not in WORKER_BACKENDS):
-            raise ValueError(
-                f"unknown worker_backend {self.worker_backend!r}; choose "
-                f"from {sorted(WORKER_BACKENDS)}"
-            )
-        object.__setattr__(self, "worker_backend",
-                           self.worker_backend.lower())
         if self.snapshot_path is not None:
             if isinstance(self.snapshot_path, os.PathLike):
                 object.__setattr__(self, "snapshot_path",
@@ -192,7 +162,7 @@ class GCConfig:
                     f"got {self.snapshot_path!r}"
                 )
         for name in ("cache_capacity", "window_capacity", "retro_budget",
-                     "workers", "max_sessions", "autosave_every"):
+                     "max_sessions", "autosave_every"):
             _require_int(name, getattr(self, name))
         if self.cache_capacity <= 0:
             raise ValueError(
@@ -206,11 +176,6 @@ class GCConfig:
             raise ValueError(
                 f"retro_budget must be >= 0, got {self.retro_budget} "
                 f"(0 disables retrospective revalidation)"
-            )
-        if self.workers < 1:
-            raise ValueError(
-                f"workers must be >= 1, got {self.workers} "
-                f"(1 is the sequential Mverifier)"
             )
         if self.max_sessions < 1:
             raise ValueError(
@@ -264,8 +229,6 @@ class GCConfig:
             "policy": self.policy,
             "caching_enabled": self.caching_enabled,
             "retro_budget": self.retro_budget,
-            "workers": self.workers,
-            "worker_backend": self.worker_backend,
             "lock_mode": self.lock_mode,
             "max_sessions": self.max_sessions,
             "snapshot_path": self.snapshot_path,

@@ -15,8 +15,7 @@ The full per-query flow of the paper (Figure 1, §4) lives here:
    when a resident isomorphic twin's ``CGvalid`` has faded, renewal of
    that twin in place).
 
-On top of the per-query engine the service adds the session surface the
-old ``GraphCachePlus`` constructor lacked:
+On top of the per-query engine the service adds the session surface:
 
 * construction from one validated :class:`~repro.api.config.GCConfig`;
 * ``execute_many(queries)`` — one consistency pass amortised over a
@@ -64,7 +63,7 @@ from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 from repro.matching import MATCHERS, make_matcher
 from repro.matching.base import SubgraphMatcher
-from repro.runtime.method_m import make_method_m
+from repro.runtime.method_m import MethodM
 from repro.runtime.monitor import QueryMetrics, QueryResult, StatisticsMonitor
 from repro.runtime.processors import HitDiscovery
 from repro.runtime.pruner import prune_candidate_set
@@ -111,22 +110,9 @@ class GraphCacheService:
             # matcher, so config.to_dict() reconstructs this system (a
             # custom instance not in the registry can't be named).
             config = self._sync_name(config, "matcher", matcher)
-        # ``workers=1`` (the default) is the sequential reference
-        # Mverifier; >1 chunks candidates across a thread pool
-        # (``worker_backend="thread"``) or persistent worker processes
-        # ("process").  Either way answers and test counts are
-        # identical, so both are pure-performance knobs.
-        self.method_m = make_method_m(matcher, store, config.workers,
-                                      backend=config.worker_backend)
+        self.method_m = MethodM(matcher, store)
         self.query_type = config.query_type
         self.cache = CacheManager.from_config(config)
-        # The process backend keeps per-worker dataset replicas; let the
-        # cache's reconcile epochs push change-plan deltas to them at
-        # quiescent points (verify still re-checks the log cursor, so
-        # this hook is a batching optimisation, not a correctness need).
-        sync = getattr(self.method_m, "sync_replicas", None)
-        if sync is not None:
-            self.cache.epoch_listener = sync
         if internal_verifier is None and config.internal_verifier:
             internal_verifier = make_matcher(config.internal_verifier)
         elif internal_verifier is not None:
@@ -226,9 +212,8 @@ class GraphCacheService:
         self.close()
 
     def close(self) -> None:
-        """End the session: detach hooks, release the Mverifier worker
-        pool (if any), close any open shared-cache sessions; further
-        queries raise.
+        """End the session: detach hooks, close any open shared-cache
+        sessions; further queries raise.
 
         Idempotent — a second (or concurrent) call is a no-op, so the
         serving drain path, ``__exit__`` and user code can all call it
@@ -249,13 +234,11 @@ class GraphCacheService:
         # threads); new saves after this point still work — see save().
         with self._save_lock:
             pass
-        self.method_m.close()
         # Detach under the write lock: a concurrent query thread reads
-        # these listeners while emitting, and must see either the live
+        # this listener while emitting, and must see either the live
         # hook or None — never a torn in-between.
         with self.cache.lock.write():
             self.cache.event_listener = None
-            self.cache.epoch_listener = None
         for hooks in self._hooks.values():
             hooks.clear()
 
@@ -685,7 +668,7 @@ class GraphCacheService:
 
         Unlike queries, saving is allowed on a **closed** service: the
         capture is a read-only observation of state that outlives
-        :meth:`close` (which only detaches hooks and worker pools).
+        :meth:`close` (which only detaches hooks).
         This is what makes a shutdown racing a deferred autosave safe —
         the autosave completes instead of crashing the closing thread's
         hook flush — and what lets the drain path snapshot *after* it

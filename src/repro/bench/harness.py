@@ -71,12 +71,6 @@ class BenchScale:
     ops_per_batch: int
     cache_capacity: int = 100
     window_capacity: int = 20
-    #: Mverifier worker threads (pure performance knob; answers and test
-    #: counts are identical for any value — see GCConfig.workers).
-    workers: int = 1
-    #: Mverifier pool flavour (``"thread"``/``"process"``); like
-    #: ``workers``, bit-identical answers either way.
-    worker_backend: str = "thread"
     #: Queries excluded from measurement at the head of the stream; the
     #: paper allows "one Window (i.e., 20 queries)" of warm-up (§7.1).
     warmup_queries: int = 20
@@ -93,8 +87,6 @@ class BenchScale:
             matcher=matcher,
             cache_capacity=self.cache_capacity,
             window_capacity=self.window_capacity,
-            workers=self.workers,
-            worker_backend=self.worker_backend,
         )
 
 
@@ -188,13 +180,8 @@ class _Cell:
             seed=s.plan_seed,
         )
         if model == "base":
-            # The baseline gets the same Mverifier worker count and
-            # backend as the cached cells, so speedup() never attributes
-            # verifier parallelism to caching.
             self.runner = MethodMRunner(self.store,
-                                        make_matcher(matcher_name),
-                                        workers=s.workers,
-                                        backend=s.worker_backend)
+                                        make_matcher(matcher_name))
         else:
             self.runner = GraphCacheService(
                 self.store, s.cache_config(model, matcher_name)
@@ -339,7 +326,7 @@ class ExperimentHarness:
             cells = []
             for model in models:
                 cell = _Cell(self, workload_name, matcher_name, model)
-                stack.callback(cell.runner.close)  # the worker pool, if any
+                stack.callback(cell.runner.close)
                 cells.append(cell)
             # A full collection walks every container alive — three
             # dataset replicas, the workloads, all memoised results —
@@ -359,25 +346,16 @@ class ExperimentHarness:
     # ------------------------------------------------------------------
     def run_concurrent(self, workload_name: str, matcher_name: str,
                        model: str, threads: int,
-                       io_delay: float = 0.0,
-                       workers: int | None = None,
-                       worker_backend: str | None = None,
-                       ) -> ConcurrentRunResult:
+                       io_delay: float = 0.0) -> ConcurrentRunResult:
         """One concurrent-serving cell: the workload's queries replayed
         by ``threads`` sessions over one shared cache, the scale's
         change plan applied at epoch barriers (memoized per cell).
-
-        ``workers`` / ``worker_backend`` override the scale's Mverifier
-        pool for this cell — how the CPU-bound grid contrasts
-        ``threads=8`` session fan-out against ``workers=8`` process
-        fan-out on the same trace.
 
         Every cell replays the identical (query, mutation) trace, so
         answer multisets are comparable across thread counts — which
         :meth:`concurrent_speedup` asserts.
         """
-        key = (workload_name, matcher_name, model, threads, io_delay,
-               workers, worker_backend)
+        key = (workload_name, matcher_name, model, threads, io_delay)
         if key in self._concurrent_runs:
             return self._concurrent_runs[key]
         s = self.scale
@@ -391,10 +369,6 @@ class ExperimentHarness:
         config = s.cache_config(model, matcher_name).replace(
             lock_mode="rw", max_sessions=max(threads, 1),
         )
-        if workers is not None:
-            config = config.replace(workers=workers)
-        if worker_backend is not None:
-            config = config.replace(worker_backend=worker_backend)
         service = GraphCacheService(store, config)
         try:
             driver = ConcurrentDriver(service, threads, io_delay=io_delay)

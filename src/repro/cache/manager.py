@@ -120,12 +120,6 @@ class CacheManager:
         #: Optional callback receiving :class:`repro.api.events.CacheEvent`
         #: records; set by the service layer, ignored when ``None``.
         self.event_listener: Callable[[CacheEvent], None] | None = None
-        #: Optional callback invoked with the store at the end of each
-        #: reconcile epoch, while the write lock is still held — a
-        #: quiescent point with no verification in flight.  The service
-        #: layer points it at ``ProcessMethodM.sync_replicas`` so worker
-        #: replicas advance by change-plan epochs; ignored when ``None``.
-        self.epoch_listener: Callable[[GraphStore], None] | None = None
 
     @classmethod
     def from_config(cls, config: GCConfig) -> "CacheManager":
@@ -183,7 +177,6 @@ class CacheManager:
             with sw:
                 self.validator.purge_evi(self.clear)
                 self._log_cursor = store.log.last_seq
-            self._notify_epoch(store)
             return ConsistencyReport(True, True, 0, 0.0, 0.0,
                                      purge_seconds=sw.elapsed)
 
@@ -194,7 +187,6 @@ class CacheManager:
         validate_sw = Stopwatch()
         with validate_sw:
             self.validator.validate_con(entries, counters, store.max_id)
-        self._notify_epoch(store)
         return ConsistencyReport(
             dataset_changed=True,
             purged=False,
@@ -202,15 +194,6 @@ class CacheManager:
             analyze_seconds=analyze_sw.elapsed,
             validate_seconds=validate_sw.elapsed,
         )
-
-    def _notify_epoch(self, store: GraphStore) -> None:
-        # Deliberately still under the write lock: readers (and thus
-        # parallel verifies) are excluded, so the listener sees the
-        # exact post-reconcile store state and nothing races the delta.
-        # Excluded from the timed Stopwatch regions above so Figure 6's
-        # overhead breakdown keeps measuring the protocol itself.
-        if self.epoch_listener is not None:
-            self.epoch_listener(store)
 
     def pending_log_records(self, store: GraphStore) -> int:
         """Dataset log records not yet reflected into the cache — zero

@@ -50,6 +50,7 @@ from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs import io as graph_io
+from repro.graphs.graph import LabeledGraph
 from repro.matching import MATCHERS, make_matcher
 from repro.persist import SnapshotError, load_snapshot
 from repro.runtime.method_m import MethodMRunner
@@ -57,6 +58,20 @@ from repro.workloads.typea import TypeACategory, generate_type_a
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
 __all__ = ["main", "build_parser"]
+
+
+class _GraphFileError(Exception):
+    """A ``t/v/e`` file named on the command line could not be loaded."""
+
+
+def _load_graphs(flag: str, path: Path) -> list[LabeledGraph]:
+    """The graphs of the ``t/v/e`` file given as ``flag``; a missing,
+    unreadable or malformed file ends the command in :func:`main` with
+    one line and exit 2, as snapshot-file errors do."""
+    try:
+        return [g for _, g in graph_io.load_file(path)]
+    except (OSError, ValueError) as exc:   # ValueError: malformed records
+        raise _GraphFileError(f"{flag}: cannot load {path}: {exc}") from None
 
 
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
@@ -76,7 +91,7 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_workload(args: argparse.Namespace) -> int:
-    graphs = [g for _, g in graph_io.load_file(args.dataset)]
+    graphs = _load_graphs("--dataset", args.dataset)
     kind = args.kind.upper()
     if kind in {c.name for c in TypeACategory}:
         workload = generate_type_a(graphs, args.num_queries, kind,
@@ -102,8 +117,8 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    graphs = [g for _, g in graph_io.load_file(args.dataset)]
-    queries = [g for _, g in graph_io.load_file(args.workload)]
+    graphs = _load_graphs("--dataset", args.dataset)
+    queries = _load_graphs("--workload", args.workload)
     if not queries:
         print("workload is empty", file=sys.stderr)
         return 2
@@ -118,13 +133,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.model.lower() == "none":
             config = GCConfig.from_dict({
                 "query_type": args.query_type, "matcher": args.matcher,
-                "workers": args.workers,
-                "worker_backend": args.worker_backend,
             })
             runner = MethodMRunner(store, make_matcher(config.matcher),
-                                   query_type=config.query_type,
-                                   workers=config.workers,
-                                   backend=config.worker_backend)
+                                   query_type=config.query_type)
         else:
             config = GCConfig.from_dict({
                 "model": args.model,
@@ -134,8 +145,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "cache_capacity": args.cache_capacity,
                 "window_capacity": args.window_capacity,
                 "retro_budget": args.retro_budget,
-                "workers": args.workers,
-                "worker_backend": args.worker_backend,
                 # The session cap must fit the worker fan-out; lock_mode
                 # "auto" upgrades to the RW lock on the first session().
                 "max_sessions": max(args.concurrency,
@@ -198,7 +207,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if _save_snapshot_cli(service, args.save_snapshot) != 0:
                 return 2
     finally:
-        runner.close()  # releases the Mverifier worker pool, if any
+        runner.close()
 
     rows = [{
         "queries": len(queries),
@@ -311,8 +320,8 @@ def _snapshot_config(args: argparse.Namespace) -> GCConfig:
 
 def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     """Warm a cache by executing a workload, then persist its state."""
-    graphs = [g for _, g in graph_io.load_file(args.dataset)]
-    queries = [g for _, g in graph_io.load_file(args.workload)]
+    graphs = _load_graphs("--dataset", args.dataset)
+    queries = _load_graphs("--workload", args.workload)
     if not queries:
         print("workload is empty", file=sys.stderr)
         return 2
@@ -373,7 +382,7 @@ def _cmd_snapshot_load(args: argparse.Namespace) -> int:
     # already-decoded snapshot is restored directly (not re-read from
     # the path), so the table above and the reconciliation below always
     # describe the same snapshot even if the file is being rewritten.
-    graphs = [g for _, g in graph_io.load_file(args.dataset)]
+    graphs = _load_graphs("--dataset", args.dataset)
     store = GraphStore.from_graphs(graphs)
     try:
         config = GCConfig.from_dict(snapshot.fingerprint)
@@ -413,7 +422,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.server import CacheServer
 
-    graphs = [g for _, g in graph_io.load_file(args.dataset)]
+    graphs = _load_graphs("--dataset", args.dataset)
     try:
         config = GCConfig.from_dict({
             "model": args.model,
@@ -422,8 +431,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "policy": args.policy,
             "cache_capacity": args.cache_capacity,
             "window_capacity": args.window_capacity,
-            "workers": args.workers,
-            "worker_backend": args.worker_backend,
             "lock_mode": "rw",
             "max_sessions": args.max_sessions,
             "snapshot_path": (str(args.snapshot_path)
@@ -516,16 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-capacity", type=int, default=100)
     run.add_argument("--window-capacity", type=int, default=20)
     run.add_argument("--retro-budget", type=int, default=0)
-    run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="Mverifier worker threads (1 = sequential "
-                          "reference path; answers are identical either "
-                          "way)")
-    run.add_argument("--worker-backend", choices=("thread", "process"),
-                     default="thread",
-                     help="Mverifier pool flavour for --workers > 1: "
-                          "'thread' (GIL-bound for pure-Python matchers) "
-                          "or 'process' (replica-holding worker "
-                          "processes; answers are identical either way)")
     run.add_argument("--concurrency", type=int, default=1, metavar="N",
                      help="serve the workload from N worker threads "
                           "sharing one cache (needs a cache model; "
@@ -594,12 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--policy", default="hd")
     serve.add_argument("--cache-capacity", type=int, default=100)
     serve.add_argument("--window-capacity", type=int, default=20)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="Mverifier worker threads per pipeline")
-    serve.add_argument("--worker-backend", choices=("thread", "process"),
-                       default="thread",
-                       help="Mverifier pool flavour for --workers > 1 "
-                            "(see 'run --worker-backend')")
     serve.add_argument("--max-sessions", type=int, default=8,
                        help="concurrent request pipelines (the session "
                             "pool size)")
@@ -625,7 +616,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _GraphFileError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -138,7 +138,7 @@ class GraphStore:
         """Average vertex count over live graphs (0.0 when empty).
 
         Maintained incrementally; feeds the O(1) per-query cost-credit
-        estimate (see :func:`repro.runtime.method_m.estimate_test_cost`).
+        estimate (``GraphCacheService._credit_contributions``).
         """
         return self._live_vertices / len(self._graphs) if self._graphs else 0.0
 

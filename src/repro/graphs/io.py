@@ -40,6 +40,21 @@ def loads(text: str) -> list[tuple[int, LabeledGraph]]:
     return list(_parse(text.splitlines()))
 
 
+def _ids(fields: list[str], count: int, lineno: int) -> list[int]:
+    """The first ``count`` fields of a record as integer ids."""
+    if len(fields) < count:
+        raise ValueError(
+            f"line {lineno}: record needs {count} id field(s), "
+            f"got {len(fields)}"
+        )
+    try:
+        return [int(token) for token in fields[:count]]
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: non-integer id in {fields[:count]}"
+        ) from None
+
+
 def _parse(lines: Iterable[str]) -> Iterator[tuple[int, LabeledGraph]]:
     current: LabeledGraph | None = None
     current_id: int | None = None
@@ -55,24 +70,24 @@ def _parse(lines: Iterable[str]) -> Iterator[tuple[int, LabeledGraph]]:
                 assert current_id is not None
                 yield current_id, current
             # Accept both "t # 5" and "t 5".
-            id_token = parts[2] if len(parts) > 2 and parts[1] == "#" else parts[1]
-            if id_token == "-1":  # conventional end-of-file sentinel
+            fields = parts[2:] if parts[1:2] == ["#"] else parts[1:]
+            (current_id,) = _ids(fields, 1, lineno)
+            if current_id == -1:  # conventional end-of-file sentinel
                 current = None
                 current_id = None
                 continue
             current = LabeledGraph()
-            current_id = int(id_token)
             vertex_map = {}
         elif tag == "v":
             if current is None:
                 raise ValueError(f"line {lineno}: vertex before graph header")
-            declared = int(parts[1])
+            (declared,) = _ids(parts[1:], 1, lineno)
             label = " ".join(parts[2:]) if len(parts) > 2 else ""
             vertex_map[declared] = current.add_vertex(label)
         elif tag == "e":
             if current is None:
                 raise ValueError(f"line {lineno}: edge before graph header")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _ids(parts[1:], 2, lineno)
             try:
                 current.add_edge(vertex_map[u], vertex_map[v])
             except KeyError as exc:

@@ -35,9 +35,7 @@ from repro.persist.snapshot import (
     config_fingerprint,
     dataset_fingerprint,
     decode_snapshot,
-    decode_store,
     encode_snapshot,
-    encode_store,
     load_snapshot,
     save_snapshot,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "dataset_fingerprint",
     "encode_snapshot",
     "decode_snapshot",
-    "encode_store",
-    "decode_store",
     "save_snapshot",
     "load_snapshot",
 ]

@@ -70,8 +70,6 @@ __all__ = [
     "Snapshot",
     "config_fingerprint",
     "dataset_fingerprint",
-    "encode_store",
-    "decode_store",
     "encode_snapshot",
     "decode_snapshot",
     "save_snapshot",
@@ -83,7 +81,7 @@ SNAPSHOT_VERSION = 1
 
 #: The :class:`~repro.api.config.GCConfig` fields that determine whether
 #: a snapshot's state is *meaningful* for a service: cache semantics and
-#: capacities.  Pure performance knobs (``workers``, ``lock_mode``,
+#: capacities.  Pure performance knobs (``lock_mode``,
 #: ``max_sessions``) and the persistence wiring itself
 #: (``snapshot_path``, ``autosave_every``) are deliberately excluded —
 #: restoring a cache into a differently-parallelised service is sound.
@@ -124,31 +122,6 @@ def config_fingerprint(config: GCConfig) -> dict[str, Any]:
     """
     as_dict = config.to_dict()
     return {name: as_dict[name] for name in FINGERPRINT_FIELDS}
-
-
-def encode_store(store: GraphStore) -> str:
-    """Deterministic ``t/v/e`` encoding of every live dataset graph.
-
-    Graphs are emitted in ascending-id order, so two stores holding the
-    same graphs under the same ids encode byte-identically.  This is the
-    replica-seeding payload of the process Mverifier backend
-    (:class:`repro.runtime.method_m.ProcessMethodM`): each worker process
-    rebuilds its read-only :class:`GraphStore` replica from this text via
-    :func:`decode_store`, reusing exactly the graph codec snapshots embed
-    (:mod:`repro.graphs.io`) — one codec, one drift surface.
-    """
-    return graph_io.dumps((gid, store.get(gid)) for gid in sorted(store.ids()))
-
-
-def decode_store(text: str) -> dict[int, LabeledGraph]:
-    """Inverse of :func:`encode_store`: live graphs keyed by dataset id.
-
-    Vertex ids in :class:`LabeledGraph` are dense (``0..n-1``), so the
-    codec's declared-vertex remapping is the identity and UA/UR edge
-    deltas recorded against the parent's graphs replay verbatim on the
-    decoded replicas.
-    """
-    return dict(graph_io.loads(text))
 
 
 def dataset_fingerprint(store: GraphStore) -> dict[str, Any]:

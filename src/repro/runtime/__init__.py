@@ -10,20 +10,18 @@
 * :mod:`repro.runtime.pruner` — the Candidate Set Pruner implementing
   formulas (1)–(5) and the §6.3 optimal cases;
 * :mod:`repro.runtime.monitor` — the Statistics Monitor (per-query
-  metrics and aggregates, incl. Figure 6's overhead breakdown);
-* :class:`repro.runtime.engine.GraphCachePlus` — the deprecated facade
-  over :class:`repro.api.service.GraphCacheService`, where the full
-  per-query pipeline now lives.
+  metrics and aggregates, incl. Figure 6's overhead breakdown).
+
+The per-query pipeline that composes them lives in
+:class:`repro.api.service.GraphCacheService`.
 """
 
-from repro.runtime.engine import GraphCachePlus, QueryResult
 from repro.runtime.method_m import MethodM, MethodMRunner
-from repro.runtime.monitor import QueryMetrics, StatisticsMonitor
+from repro.runtime.monitor import QueryMetrics, QueryResult, StatisticsMonitor
 from repro.runtime.processors import DiscoveryResult, HitDiscovery
 from repro.runtime.pruner import PruneOutcome, prune_candidate_set
 
 __all__ = [
-    "GraphCachePlus",
     "QueryResult",
     "MethodM",
     "MethodMRunner",

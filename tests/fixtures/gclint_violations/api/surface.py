@@ -1,10 +1,7 @@
-"""Seeded API-surface violations: a phantom export (GC501) and a new
-call site on the deprecated facade (GC502)."""
-
-from repro.runtime.engine import GraphCachePlus
+"""Seeded API-surface violation: a phantom export (GC501)."""
 
 __all__ = ["build_service", "ServiceBuilder"]
 
 
 def build_service(store, matcher):
-    return GraphCachePlus(store, matcher)
+    return (store, matcher)

@@ -1,11 +1,10 @@
-"""Seeded determinism violations in a worker/IPC-shaped module (never
+"""Seeded determinism violations under a ``runtime/`` path (never
 imported).
 
-The real ``repro/runtime/worker_pool.py`` must stay deterministic: a
-wall-clock read or an unseeded RNG inside the worker loop would make
-replica deltas and chunk dispatch diverge between runs (and between the
-parent and its replicas).  This fixture mirrors that module's path
-segment so the ``runtime`` scoping of GC201/GC202 is pinned by tests.
+``repro/runtime`` must stay deterministic: a wall-clock read or an
+unseeded RNG there would make answers and test counts diverge between
+runs.  This fixture sits under the same path segment so the ``runtime``
+scoping of GC201/GC202 is pinned by tests.
 """
 
 import random
@@ -13,56 +12,12 @@ import time
 
 
 def stamp_delta(ops):
-    # GC201: wall-clock read in a core runtime path — replica deltas
-    # must be a pure function of the log slice, never of time.
+    # GC201: wall-clock read in a core runtime path — a delta must be
+    # a pure function of the log slice, never of time.
     return (time.time(), ops)
 
 
-def pick_worker(chunks):
-    # GC202: unseeded global RNG deciding dispatch — chunk assignment
-    # must be deterministic for bit-identical fold-back.
+def pick_chunk(chunks):
+    # GC202: unseeded global RNG deciding which chunk runs next — the
+    # order of work must be deterministic for bit-identical replays.
     return int(random.random() * len(chunks))
-
-
-class DriftPool:
-    """Parent side of a drifted pipe protocol (GC310 seeds)."""
-
-    def __init__(self, conns):
-        self._conns = conns
-
-    def dispatch(self, payload):
-        for conn in self._conns:
-            conn.send(("work", payload))
-
-    def broadcast_stats(self):
-        for conn in self._conns:
-            # GC310: worker_loop has no dispatch arm for "stats".
-            conn.send(("stats", 0))
-
-    def collect(self):
-        out = []
-        for conn in self._conns:
-            reply = conn.recv()
-            if reply[0] == "result":
-                # GC310: reads element 2, but the worker sends
-                # ("result", value) with arity 2 — index 2 is past it.
-                out.append((reply[1], reply[2]))
-            elif reply[0] == "err":
-                raise RuntimeError(reply[1])
-        return out
-
-    def close(self):
-        for conn in self._conns:
-            conn.send(("close",))
-
-
-def worker_loop(conn):
-    while True:
-        msg = conn.recv()
-        cmd = msg[0]
-        if cmd == "close":
-            return
-        if cmd == "work":
-            conn.send(("result", msg[1] + 1))
-        else:
-            conn.send(("err", f"unknown command {cmd!r}"))

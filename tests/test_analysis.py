@@ -68,16 +68,14 @@ class TestSeededViolations:
         ("GC102", "cache/manager.py"),    # read→write upgrade
         ("GC103", "cache/manager.py"),    # hook emission under lock
         ("GC202", "cache/manager.py"),    # random.random() in cache/
-        ("GC201", "runtime/worker_pool.py"),  # wall clock in worker/IPC path
-        ("GC202", "runtime/worker_pool.py"),  # unseeded RNG in dispatch
+        ("GC201", "runtime/worker_pool.py"),  # wall clock under runtime/
+        ("GC202", "runtime/worker_pool.py"),  # unseeded RNG under runtime/
         ("GC301", "persist/state.py"),    # codec-drift field
         ("GC401", "persist/writer.py"),   # swallowed broad except
         ("GC501", "api/surface.py"),      # phantom __all__ export
-        ("GC502", "api/surface.py"),      # new deprecated-facade call site
         ("GC110", "cache/ordering.py"),   # lock-order cycle + interproc upgrade
         ("GC111", "cache/blocking.py"),   # blocking I/O under a write hold
         ("GC120", "cache/raceable.py"),   # unguarded shared-state mutation
-        ("GC310", "runtime/worker_pool.py"),  # IPC tag/arity drift
     ])
     def test_each_seeded_violation_is_caught(self, fixture_report,
                                              rule_id, path_part):
@@ -337,7 +335,7 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in ("GC101", "GC102", "GC103", "GC110", "GC111",
                         "GC120", "GC201", "GC202", "GC203", "GC301",
-                        "GC310", "GC401", "GC501", "GC502"):
+                        "GC401", "GC501"):
             assert rule_id in out
 
     def test_list_rules_reports_severity(self, capsys):

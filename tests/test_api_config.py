@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -98,8 +100,9 @@ class TestDerivation:
             config.replace(retro_budget=-1)
 
     def test_replace_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="cache_capacity"):
-            GCConfig().replace(cache_cap=7)
+        for unknown in ("cache_cap", "workers", "worker_backend"):
+            with pytest.raises(ValueError, match="cache_capacity"):
+                GCConfig().replace(**{unknown: 7})
 
     def test_round_trip(self):
         config = GCConfig(model="EVI", query_type="supergraph",
@@ -114,5 +117,21 @@ class TestDerivation:
         json.dumps(GCConfig().to_dict())  # must not raise
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="valid fields"):
-            GCConfig.from_dict({"capacity": 10})
+        for unknown in ("capacity", "workers", "worker_backend"):
+            with pytest.raises(ValueError, match="valid fields"):
+                GCConfig.from_dict({unknown: 10})
+
+
+def test_fidelity_doc_classifies_every_field():
+    """``docs/config-fidelity.md`` has a table row for every field (or
+    names it in the ``matcher`` paragraph), and no row for a field that
+    does not exist."""
+    text = (Path(__file__).resolve().parents[1] / "docs"
+            / "config-fidelity.md").read_text(encoding="utf-8")
+    rows = set(re.findall(r"^\| `(\w+)` \|", text, flags=re.MULTILINE))
+    (paragraph,) = re.findall(r"^`matcher` sits in between.*?\n\n", text,
+                              flags=re.MULTILINE | re.DOTALL)
+    fields = {f.name for f in dataclasses.fields(GCConfig)}
+    assert rows <= fields
+    assert fields - rows == {"matcher", "internal_verifier"}
+    assert "`internal_verifier`" in paragraph

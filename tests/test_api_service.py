@@ -358,48 +358,6 @@ class TestPurgeTiming:
         assert metrics.validate_seconds >= 0.0
 
 
-class TestDeprecatedShim:
-    def test_constructor_warns(self, store):
-        from repro.runtime.engine import GraphCachePlus
-
-        with pytest.warns(DeprecationWarning, match="GraphCacheService"):
-            GraphCachePlus(store, VF2PlusMatcher())
-
-    def test_shim_delegates_to_service(self, store):
-        from repro.runtime.engine import GraphCachePlus
-
-        with pytest.warns(DeprecationWarning):
-            engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                    window_capacity=3, cache_capacity=5)
-        result = engine.execute(path("CO"))
-        assert sorted(result.answer_ids) == [0, 1, 2, 3]
-        assert engine.monitor.summary()["queries"] == 1
-        assert engine.cache.window_size == 1
-        assert engine.service.queries_executed == 1
-        assert isinstance(engine.service, GraphCacheService)
-        assert "queries=1" in repr(engine)
-
-    def test_shim_validates_like_the_service(self, store):
-        from repro.runtime.engine import GraphCachePlus
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="retro_budget"):
-                GraphCachePlus(store, VF2PlusMatcher(), retro_budget=-1)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="replacement policy"):
-                GraphCachePlus(store, VF2PlusMatcher(), policy="mru")
-
-    def test_shim_attribute_writes_land_on_service(self, store):
-        from repro.runtime.engine import GraphCachePlus
-
-        with pytest.warns(DeprecationWarning):
-            engine = GraphCachePlus(store, VF2PlusMatcher())
-        engine.caching_enabled = False
-        assert engine.service.caching_enabled is False
-        engine.execute(path("CO"))
-        assert engine.cache.window_size == 0
-
-
 class TestCloseLifecycle:
     """close() is idempotent and safe against in-flight autosaves."""
 

@@ -185,3 +185,29 @@ class TestSnapshotErrorPaths:
         ])
         assert code == 2
         self.assert_one_line_error(capsys, "warm-start failed")
+
+    @pytest.mark.parametrize("broken", ["missing", "malformed"])
+    @pytest.mark.parametrize("command", [
+        "run", "serve", "gen-workload", "snapshot save", "snapshot load"])
+    def test_unloadable_graph_file(self, command, broken, snapshot_file,
+                                   tve, tmp_path, capsys):
+        """Every subcommand that reads a ``t/v/e`` file reports a
+        missing or malformed one as snapshot-file errors are reported."""
+        bad = tmp_path / "bad.tve"
+        if broken == "malformed":
+            bad.write_text("t # 0\nv 0 C\ne 0\n", encoding="utf-8")
+        workload = str(tve("wl4.tve", ["CO"]))
+        argv = {
+            "run": ["run", "--dataset", str(bad), "--workload", workload],
+            "serve": ["serve", "--dataset", str(bad), "--port", "0"],
+            "gen-workload": ["gen-workload", "--dataset", str(bad),
+                             "--out", str(tmp_path / "out.tve")],
+            "snapshot save": ["snapshot", "save", "--dataset", str(bad),
+                              "--workload", workload,
+                              "--out", str(tmp_path / "out.snap.jsonl")],
+            "snapshot load": ["snapshot", "load", "--dataset", str(bad),
+                              "--path", str(snapshot_file)],
+        }[command]
+        assert main(argv) == 2
+        self.assert_one_line_error(capsys,
+                                   f"--dataset: cannot load {bad}")

@@ -15,13 +15,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import GraphCacheService
 from repro.cache.entry import QueryType
 from repro.cache.models import CacheModel
 from repro.dataset.store import GraphStore
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
-from repro.runtime.engine import GraphCachePlus
 from tests.conftest import brute_force_answer
 
 ALPHABET = "abc"
@@ -56,8 +56,8 @@ def run_interleaving(seed: int, model: CacheModel, query_type: QueryType,
     pool = [random_labeled_graph(rng.randint(2, 7), 0.4, ALPHABET, rng)
             for _ in range(10)]
     store = GraphStore.from_graphs(pool)
-    engine = GraphCachePlus(
-        store, VF2PlusMatcher(), model=model, query_type=query_type,
+    engine = GraphCacheService(
+        store, matcher=VF2PlusMatcher(), model=model, query_type=query_type,
         cache_capacity=cache_capacity, window_capacity=window_capacity,
         policy=policy,
     )
@@ -127,9 +127,9 @@ def test_models_agree_with_each_other():
                                          ALPHABET, rng)
                     for _ in range(8)]
             store = GraphStore.from_graphs(pool)
-            engine = GraphCachePlus(store, VF2PlusMatcher(), model=model,
-                                    query_type=query_type,
-                                    cache_capacity=4, window_capacity=2)
+            engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                       model=model, query_type=query_type,
+                                       cache_capacity=4, window_capacity=2)
             collected = []
             for _ in range(60):
                 if rng.random() < 0.3:
@@ -151,9 +151,9 @@ def test_con_validity_is_sound_but_not_complete():
     pool = [random_labeled_graph(rng.randint(2, 6), 0.4, ALPHABET, rng)
             for _ in range(8)]
     store = GraphStore.from_graphs(pool)
-    engine = GraphCachePlus(store, VF2PlusMatcher(),
-                            model=CacheModel.CON, cache_capacity=6,
-                            window_capacity=2)
+    engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                               model=CacheModel.CON, cache_capacity=6,
+                               window_capacity=2)
     oracle = VF2Matcher()
     for step in range(80):
         if rng.random() < 0.4:

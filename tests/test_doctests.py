@@ -15,7 +15,6 @@ import repro.api.service
 import repro.dataset.store
 import repro.graphs.graph
 import repro.matching.enumeration
-import repro.runtime.engine
 import repro.util.bitset
 import repro.util.timing
 import repro.util.zipf
@@ -26,7 +25,6 @@ MODULES = [
     repro.util.timing,
     repro.graphs.graph,
     repro.dataset.store,
-    repro.runtime.engine,
     repro.api.config,
     repro.api.service,
     repro.matching.enumeration,

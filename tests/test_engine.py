@@ -1,15 +1,15 @@
-"""GraphCachePlus end-to-end behaviour on small, fully understood inputs."""
+"""GraphCacheService end-to-end behaviour on small, fully understood inputs."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import GraphCacheService
 from repro.cache.entry import QueryType
 from repro.cache.models import CacheModel
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
-from repro.runtime.engine import GraphCachePlus
 from tests.conftest import brute_force_answer
 
 
@@ -31,9 +31,9 @@ def store() -> GraphStore:
 
 
 @pytest.fixture
-def engine(store) -> GraphCachePlus:
-    return GraphCachePlus(store, VF2PlusMatcher(), window_capacity=3,
-                          cache_capacity=5)
+def engine(store) -> GraphCacheService:
+    return GraphCacheService(store, matcher=VF2PlusMatcher(),
+                             window_capacity=3, cache_capacity=5)
 
 
 class TestBasicExecution:
@@ -117,8 +117,8 @@ class TestBasicExecution:
 
 class TestCachingDisabled:
     def test_no_admission(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                caching_enabled=False)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   caching_enabled=False)
         engine.execute(path("CO"))
         result = engine.execute(path("CO"))
         assert result.metrics.method_tests == 5
@@ -128,8 +128,8 @@ class TestCachingDisabled:
 
 class TestDynamicBehaviour:
     def test_con_serves_correct_answers_after_ur(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                model=CacheModel.CON)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   model=CacheModel.CON)
         engine.execute(path("CCO"))
         store.remove_edge(0, 1, 2)  # G0 loses C-O edge
         result = engine.execute(path("CCO"))
@@ -142,8 +142,8 @@ class TestDynamicBehaviour:
     def test_ur_on_non_answer_graph_keeps_full_validity(self, store):
         """Algorithm 2's UR-exclusive case: g ⊄ G4 survives edge removal,
         so the cached entry stays fully valid and the repeat is free."""
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                model=CacheModel.CON)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   model=CacheModel.CON)
         engine.execute(path("CO"))
         store.remove_edge(4, 0, 1)  # UR on the NNN graph (not an answer)
         result = engine.execute(path("CO"))
@@ -151,8 +151,8 @@ class TestDynamicBehaviour:
         assert sorted(result.answer_ids) == [0, 1, 2, 3]
 
     def test_ua_on_non_answer_graph_invalidates_it_only(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                model=CacheModel.CON)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   model=CacheModel.CON)
         engine.execute(path("CO"))
         store.add_edge(4, 0, 2)  # UA on the NNN graph (not an answer)
         result = engine.execute(path("CO"))
@@ -161,8 +161,8 @@ class TestDynamicBehaviour:
         assert sorted(result.answer_ids) == [0, 1, 2, 3]
 
     def test_evi_restarts_after_change(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                model=CacheModel.EVI)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   model=CacheModel.EVI)
         engine.execute(path("CO"))
         store.add_graph(path("CO"))
         result = engine.execute(path("CO"))
@@ -170,8 +170,8 @@ class TestDynamicBehaviour:
         assert sorted(result.answer_ids) == [0, 1, 2, 3, 5]
 
     def test_ua_only_preserves_positive_answers(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                model=CacheModel.CON)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   model=CacheModel.CON)
         engine.execute(path("CO"))  # answers {0, 1, 2, 3}
         store.add_edge(0, 0, 2)     # UA on an answer graph
         result = engine.execute(path("CO"))
@@ -182,8 +182,8 @@ class TestDynamicBehaviour:
         assert sorted(result.answer_ids) == [0, 1, 2, 3]
 
     def test_add_makes_exact_hit_partial(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                model=CacheModel.CON)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   model=CacheModel.CON)
         engine.execute(path("CO"))
         new_id = store.add_graph(path("OC"))
         result = engine.execute(path("CO"))
@@ -192,8 +192,8 @@ class TestDynamicBehaviour:
         assert new_id in result.answer_ids
 
     def test_supergraph_query_type(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                query_type=QueryType.SUPERGRAPH)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   query_type=QueryType.SUPERGRAPH)
         q = path("CCCO")
         result = engine.execute(q)
         assert result.answer_ids == frozenset(

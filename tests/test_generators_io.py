@@ -119,6 +119,13 @@ class TestIO:
     def test_unknown_record_rejected(self):
         with pytest.raises(ValueError):
             io.loads("t # 0\nx nonsense\n")
+        # Short records and non-integer ids name their line as well.
+        for text, line in [("t\n", 1), ("t #\n", 1), ("t x\n", 1),
+                           ("t # 0\nv\n", 2), ("t # 0\nv x\n", 2),
+                           ("t # 0\nv 0 C\ne 0\n", 3),
+                           ("t # 0\nv 0 C\nv 1 C\ne 0 y\n", 4)]:
+            with pytest.raises(ValueError, match=f"line {line}:"):
+                io.loads(text)
 
     def test_edge_to_unknown_vertex_rejected(self):
         with pytest.raises(ValueError):

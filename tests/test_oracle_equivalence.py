@@ -8,10 +8,7 @@ grid on seeded random workloads with interleaved dataset mutations:
 * workload families: Type A (random-walk extracts) and Type B
   (answer-pool mixes with no-answer shares);
 * all three Method M matchers (vf2, vf2+, graphql);
-* both cache models (CON, EVI);
-* Mverifier (workers, backend) ∈ {(1, thread), (4, thread),
-  (4, process)} — both the thread-chunked path and the replica-holding
-  process pool must be bit-identical to the sequential reference.
+* both cache models (CON, EVI).
 
 Every cell replays the identical (query, mutation) trace against a
 fresh dataset replica; the oracle is a bare :class:`MethodMRunner`
@@ -87,17 +84,13 @@ def oracle(dataset, workloads):
 @pytest.mark.parametrize("workload_name", ["typeA", "typeB"])
 @pytest.mark.parametrize("matcher", MATCHER_NAMES)
 @pytest.mark.parametrize("model", ["CON", "EVI"])
-@pytest.mark.parametrize("workers,worker_backend",
-                         [(1, "thread"), (4, "thread"), (4, "process")])
 def test_gc_answers_equal_direct_matcher(dataset, workloads, oracle,
-                                         workload_name, matcher, model,
-                                         workers, worker_backend):
+                                         workload_name, matcher, model):
     queries = workloads[workload_name]
     store = GraphStore.from_graphs(dataset)
     plan = _plan(dataset)
     service = GraphCacheService(store, GCConfig(
-        model=model, matcher=matcher, workers=workers,
-        worker_backend=worker_backend,
+        model=model, matcher=matcher,
         cache_capacity=6, window_capacity=3,
     ))
     try:
@@ -106,8 +99,7 @@ def test_gc_answers_equal_direct_matcher(dataset, workloads, oracle,
             answer = frozenset(service.execute(query).answer)
             assert answer == oracle[workload_name][index], (
                 f"answer drift at query {index} for "
-                f"({workload_name}, {matcher}, {model}, "
-                f"workers={workers}, backend={worker_backend})"
+                f"({workload_name}, {matcher}, {model})"
             )
     finally:
         service.close()

@@ -11,6 +11,8 @@ purges), window FIFO preservation, and hook-driven autosaving.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import GCConfig, GraphCacheService
@@ -20,6 +22,7 @@ from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.persist import (
+    FINGERPRINT_FIELDS,
     CacheState,
     SnapshotFormatError,
     SnapshotMismatchError,
@@ -192,6 +195,17 @@ class TestCodec:
         with pytest.raises(SnapshotFormatError, match="duplicate"):
             decode_snapshot("\n".join(lines + [lines[-1]]) + "\n")
 
+    def test_rejects_truncated_query_record(self, trace, tmp_path):
+        """A short ``e`` record in an entry's embedded query is a format
+        error, not an ``IndexError``."""
+        lines = self.seed_snapshot_text(trace, tmp_path).splitlines()
+        record = json.loads(lines[1])
+        record["query"] = "t # 0\nv 0 C\ne 0\n"
+        lines[1] = json.dumps(record)
+        with pytest.raises(SnapshotFormatError,
+                           match="bad query graph: line 3"):
+            decode_snapshot("\n".join(lines) + "\n")
+
     def test_rejects_empty_and_non_json(self):
         with pytest.raises(SnapshotFormatError, match="empty"):
             decode_snapshot("")
@@ -221,15 +235,21 @@ class TestFingerprintRejection:
             other.load(path)
 
     def test_performance_knobs_do_not_reject(self, trace, tmp_path):
-        """workers / lock_mode / max_sessions / persistence wiring are
-        not semantics: a snapshot moves freely across them."""
+        """lock_mode / max_sessions / persistence wiring are not
+        semantics: a snapshot moves freely across them, and the
+        fingerprint is exactly the semantic fields."""
+        assert FINGERPRINT_FIELDS == (
+            "model", "query_type", "matcher", "internal_verifier",
+            "cache_capacity", "window_capacity", "policy",
+            "caching_enabled", "retro_budget",
+        )
         graphs, queries, _ = trace
         path = tmp_path / "perf.snap.jsonl"
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                CONFIG) as service:
             run_span(service, queries, None, 0, 8)
             service.save(path)
-        relaxed = CONFIG.replace(workers=2, lock_mode="rw", max_sessions=2,
+        relaxed = CONFIG.replace(lock_mode="rw", max_sessions=2,
                                  snapshot_path=str(path), autosave_every=5)
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                relaxed) as other:

@@ -34,7 +34,7 @@ def test_all_names_resolve():
     "repro.cache.models", "repro.cache.query_index",
     "repro.cache.replacement", "repro.cache.statistics",
     "repro.cache.validator", "repro.cache.window",
-    "repro.runtime", "repro.runtime.engine", "repro.runtime.method_m",
+    "repro.runtime", "repro.runtime.method_m",
     "repro.runtime.monitor", "repro.runtime.processors",
     "repro.runtime.pruner",
     "repro.workloads", "repro.workloads.base", "repro.workloads.typea",
@@ -57,18 +57,6 @@ def test_readme_quickstart_works():
     store = GraphStore.from_graphs([triangle])
     with GraphCacheService(store, GCConfig(model="CON")) as service:
         result = service.execute(LabeledGraph.from_edges("CO", [(0, 1)]))
-    assert sorted(result.answer_ids) == [0]
-
-
-def test_legacy_quickstart_still_works():
-    """The pre-service-layer snippet keeps running (deprecated shim)."""
-    from repro import GraphCachePlus, GraphStore, LabeledGraph, VF2PlusMatcher
-
-    triangle = LabeledGraph.from_edges("CCO", [(0, 1), (1, 2), (0, 2)])
-    store = GraphStore.from_graphs([triangle])
-    with pytest.warns(DeprecationWarning):
-        gc = GraphCachePlus(store, VF2PlusMatcher())
-    result = gc.execute(LabeledGraph.from_edges("CO", [(0, 1)]))
     assert sorted(result.answer_ids) == [0]
 
 

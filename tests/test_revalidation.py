@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import GraphCacheService
 from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.manager import CacheManager
 from repro.cache.models import CacheModel
@@ -18,7 +19,6 @@ from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2 import VF2Matcher
 from repro.matching.vf2plus import VF2PlusMatcher
-from repro.runtime.engine import GraphCachePlus
 from repro.util.bitset import BitSet
 from tests.conftest import brute_force_answer
 from tests.test_consistency import run_interleaving
@@ -125,8 +125,8 @@ class TestEngineIntegration:
         the repeat pays for the touched graph and admission writes the
         fresh result into the faded twin, so the retro round that
         follows finds nothing to spend its budget on."""
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                model=CacheModel.CON, retro_budget=10)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   model=CacheModel.CON, retro_budget=10)
         engine.execute(path("CO"))
         store.add_edge(2, 0, 2)  # UA on the NNN graph (not an answer):
         # Algorithm 2 must invalidate that bit (a negative relation can
@@ -144,10 +144,10 @@ class TestEngineIntegration:
         does not come back (so nothing renews it), yet a *different*
         query that it filters profits from the re-earned bit."""
         def run(retro_budget: int):
-            engine = GraphCachePlus(
+            engine = GraphCacheService(
                 GraphStore.from_graphs([path("CCO"), path("CO"),
                                         path("NNN")]),
-                VF2PlusMatcher(), model=CacheModel.CON,
+                matcher=VF2PlusMatcher(), model=CacheModel.CON,
                 retro_budget=retro_budget)
             engine.execute(path("CO"))
             engine.store.add_edge(2, 0, 2)   # fades CO's bit toward G2
@@ -166,8 +166,8 @@ class TestEngineIntegration:
             < without.metrics.method_tests
 
     def test_retro_tests_are_not_method_tests(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher(),
-                                model=CacheModel.CON, retro_budget=5)
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                                   model=CacheModel.CON, retro_budget=5)
         engine.execute(path("CO"))
         store.remove_edge(0, 0, 1)
         result = engine.execute(path("CO"))
@@ -175,7 +175,7 @@ class TestEngineIntegration:
         assert result.metrics.overhead_seconds >= result.metrics.retro_seconds
 
     def test_disabled_by_default(self, store):
-        engine = GraphCachePlus(store, VF2PlusMatcher())
+        engine = GraphCacheService(store, matcher=VF2PlusMatcher())
         assert engine.revalidator is None
         engine.execute(path("CO"))
         assert engine.monitor.total_retro_tests == 0
@@ -192,9 +192,9 @@ def test_consistency_holds_with_revalidation(seed):
     pool = [random_labeled_graph(rng.randint(2, 6), 0.4, ALPHABET, rng)
             for _ in range(8)]
     store = GraphStore.from_graphs(pool)
-    engine = GraphCachePlus(store, VF2PlusMatcher(),
-                            model=CacheModel.CON, cache_capacity=5,
-                            window_capacity=2, retro_budget=4)
+    engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
+                               model=CacheModel.CON, cache_capacity=5,
+                               window_capacity=2, retro_budget=4)
     for _ in range(50):
         if rng.random() < 0.35:
             random_change(store, pool, rng)

@@ -9,7 +9,7 @@ from repro.cache.query_index import QueryIndex
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2 import VF2Matcher
-from repro.runtime.method_m import MethodM, MethodMRunner, estimate_test_cost
+from repro.runtime.method_m import MethodM, MethodMRunner
 from repro.runtime.processors import HitDiscovery
 from repro.runtime.pruner import prune_candidate_set
 from repro.util.bitset import BitSet
@@ -82,9 +82,6 @@ class TestMethodM:
         assert result.metrics.method_tests == 4
         assert result.metrics.candidate_size == 4
         assert result.metrics.verify_seconds > 0.0
-
-    def test_estimate_test_cost(self):
-        assert estimate_test_cost(path("CO"), path("CCO")) == 6.0
 
 
 class TestHitDiscovery:
