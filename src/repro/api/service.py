@@ -6,7 +6,9 @@ The full per-query flow of the paper (Figure 1, §4) lives here:
    cache last reflected it; if so the Cache Validator runs (EVI purge,
    or CON log analysis + validity refresh);
 2. the GC+sub / GC+super processors discover containment relations
-   between the query and cached queries;
+   between the query and cached queries (an arrival identical to a
+   resident cached query runs this step and the next two *as* that
+   resident — on its graph, features, signature and compiled plans);
 3. the Candidate Set Pruner applies formulas (1)-(5), producing
    test-free answers and a reduced candidate set;
 4. Mverifier (Method M) sub-iso tests the reduced candidate set;
@@ -437,14 +439,26 @@ class GraphCacheService:
                 metrics.candidate_size = cs_m.cardinality()
                 universe = self.store.max_id + 1
 
-                # (2) Hit discovery (GC+sub / GC+super processors).  The
-                # query's features are computed exactly once here and
-                # flow to discovery and (below) to cache admission.
+                # (2) Hit discovery (GC+sub / GC+super processors).  An
+                # arrival identical to a resident query runs *as* that
+                # resident from here to the end of step 4: its graph
+                # (whose memo holds the matchers' compiled plans), its
+                # features, its packed signature — compiled once per
+                # distinct query, not once per arrival.  Same graph, so
+                # same candidates, tests and answer; the resident itself
+                # is still tested like any candidate.  Otherwise the
+                # features are computed exactly once here and flow to
+                # discovery and (below) to cache admission.
                 discovery_sw = Stopwatch()
                 with discovery_sw:
-                    features = GraphFeatures.of(query)
-                    hits = self.discovery.discover(query, self.cache.index,
-                                                   features)
+                    resident = self.cache.index.identical_resident(query)
+                    if resident is None:
+                        run, features = query, GraphFeatures.of(query)
+                    else:
+                        run, features = resident.query, resident.features
+                        metrics.interned = True
+                    hits = self.discovery.discover(run, self.cache.index,
+                                                   features, resident)
                 metrics.discovery_seconds = discovery_sw.elapsed
                 metrics.containing_hits = len(hits.containing)
                 metrics.contained_hits = len(hits.contained)
@@ -468,7 +482,7 @@ class GraphCacheService:
                 verify_sw = Stopwatch()
                 with verify_sw:
                     verified, tests = self.method_m.verify(
-                        query, outcome.candidates, self.query_type
+                        run, outcome.candidates, self.query_type
                     )
                     answer = verified | outcome.answer_free
                 metrics.verify_seconds = verify_sw.elapsed
@@ -478,10 +492,11 @@ class GraphCacheService:
                 metrics.answer_size = answer.cardinality()
             finally:
                 lock.release_read()
-                # The matchers memoised a plan on the caller's object
-                # (steps 2 and 4 are its only users; admission copies
-                # the graph).  It must not outlive the query: callers
-                # keep, reuse and mutate their query objects.
+                # Unless the query ran as a resident, the matchers
+                # memoised a plan on the caller's object (steps 2 and 4
+                # are its only users; admission copies the graph).  It
+                # must not outlive the query: callers keep, reuse and
+                # mutate their query objects.
                 query.forget_derived()
 
             # (5) Feed back to the Cache Manager: benefit credits +
@@ -497,7 +512,8 @@ class GraphCacheService:
                         if self.caching_enabled:
                             self.cache.admit(query, answer, self.store,
                                              query_index, features=features,
-                                             twins=hits.exact)
+                                             twins=hits.exact,
+                                             same_as=resident)
                     else:
                         metrics.admission_skipped = True
             metrics.admission_seconds = admission_sw.elapsed

@@ -4,7 +4,7 @@
   memoization (many figures share the same underlying runs);
 * :mod:`repro.bench.experiments` — one function per paper figure
   (Figures 4, 5, 6), the §7.2 hit-anatomy insight, and the ablations
-  DESIGN.md calls out;
+  (replacement policy, cache size, churn, retrospective budget);
 * :mod:`repro.bench.reporting` — fixed-width/markdown tables with the
   paper's reference numbers side by side;
 * :mod:`repro.bench.concurrent` — the :class:`ConcurrentDriver` that
@@ -17,7 +17,7 @@ Scale is controlled by the ``GCPLUS_BENCH_SCALE`` environment variable
 :data:`repro.bench.harness.SCALES`.  Pure-Python sub-iso is orders of
 magnitude slower than the paper's Java testbed, so default scales shrink
 the dataset/workload while preserving the cache:dataset:churn ratios
-(DESIGN.md §1).
+(README, "Benchmarks").
 
 Run everything from the command line::
 

@@ -248,7 +248,7 @@ def hit_anatomy(harness: ExperimentHarness,
 
 
 # ----------------------------------------------------------------------
-# Ablations (design choices DESIGN.md calls out)
+# Ablations
 # ----------------------------------------------------------------------
 def ablation_policies(harness: ExperimentHarness, workload: str = "ZZ",
                       matcher: str = "vf2+",

@@ -24,7 +24,7 @@ executed against the live dataset.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
@@ -68,6 +68,12 @@ class CacheEntry:
     * ``features`` — monotone features for the query index.  Callers
       that already computed the query's features (the service does, for
       hit discovery) pass them in; otherwise they are derived here.
+    * ``query`` — the entry's own copy of the caller's graph, or, given
+      ``same_as`` (a cached entry holding exactly that query), that
+      entry's graph object and features, shared.  Sharing is safe
+      because a cached graph is **immutable**: nothing mutates
+      ``entry.query`` after construction, which is also what lets the
+      matchers' plans on its memo live as long as the graph.
     """
 
     entry_id: int
@@ -79,11 +85,15 @@ class CacheEntry:
     features: GraphFeatures | None = None
     num_vertices: int = field(init=False)
     num_edges: int = field(init=False)
+    same_as: InitVar["CacheEntry | None"] = None
 
-    def __post_init__(self) -> None:
-        self.query = self.query.copy()  # decouple from caller mutation
-        if self.features is None:
-            self.features = GraphFeatures.of(self.query)
+    def __post_init__(self, same_as: "CacheEntry | None") -> None:
+        if same_as is not None:
+            self.query, self.features = same_as.query, same_as.features
+        else:
+            self.query = self.query.copy()  # decouple from caller mutation
+            if self.features is None:
+                self.features = GraphFeatures.of(self.query)
         self.num_vertices = self.query.num_vertices
         self.num_edges = self.query.num_edges
 

@@ -223,7 +223,8 @@ class CacheManager:
     def admit(self, query: LabeledGraph, answer: BitSet,
               store: GraphStore, query_index: int,
               features: GraphFeatures | None = None,
-              twins: Sequence[CacheEntry] = ()) -> CacheEntry:
+              twins: Sequence[CacheEntry] = (),
+              same_as: CacheEntry | None = None) -> CacheEntry:
         """Cache an executed query's fresh answer: renew a faded twin,
         or else create an entry and admit it.
 
@@ -244,6 +245,14 @@ class CacheManager:
         under EVI — the query is admitted as a new entry, next to any
         fully valid twins.
 
+        ``same_as`` is the entry the caller found to hold exactly this
+        query (:meth:`QueryIndex.identical_resident`): the new entry
+        shares that entry's graph and features instead of copying
+        ``query`` — one graph, one set of compiled plans per distinct
+        cached query, however many copies the window admits.  Cached
+        graphs are immutable, so this holds even if ``same_as`` was
+        evicted since the read phase.
+
         Write-side: runs under the manager's write lock (reentrant for
         a caller already holding it).
         """
@@ -262,6 +271,7 @@ class CacheManager:
                 valid=live,
                 created_at=query_index,
                 features=features,
+                same_as=same_as,
             )
             self._next_entry_id += 1
             self.statistics.register(entry.entry_id, query_index)

@@ -46,6 +46,19 @@ incrementally on admit/evict/purge:
   cached queries the norm, so each lookup pays one dominance test per
   *distinct* signature rather than per entry.
 
+Next to the feature structure the index keeps one exact map, from the
+**structural key** of every resident query (its labels and degrees in
+vertex order) to the entries of that key, among which graph equality —
+same labels, same edges, same vertex numbering: identity, not
+isomorphism — picks the one an arrival is identical to.  That is the
+common case under the paper's repeating workloads, and everything that
+depends on one graph alone — its features, its packed signature, the
+matchers' compiled plans on its memo — already sits on that resident;
+:meth:`QueryIndex.identical_resident` finds it with one dict probe and
+one comparison, so the pipeline can run the arrival *as* the resident,
+and a new entry of that structure shares the resident's graph instead
+of copying it.
+
 The signature test is *exactly* equivalent to
 :meth:`GraphFeatures.may_be_subgraph_of` (for the degree component:
 positional dominance of descending degree sequences ⟺ for every ``d``,
@@ -59,6 +72,7 @@ from __future__ import annotations
 
 from repro.cache.entry import CacheEntry
 from repro.graphs.features import GraphFeatures
+from repro.graphs.graph import LabeledGraph
 
 __all__ = ["QueryIndex"]
 
@@ -130,15 +144,29 @@ def _feature_fields(features: GraphFeatures):
             yield ("d", label, d), remaining
 
 
+def _structural_key(graph: LabeledGraph) -> tuple:
+    """What ``graph`` is filed under in the structural map: its labels
+    and degrees in vertex order.  Identical graphs have equal keys;
+    graph equality (same labels, same edges, same numbering — an
+    isomorphic relabelling is another graph) then decides among the few
+    entries sharing one.  Labels go by ``repr``, the way
+    :class:`GraphFeatures` keys them, so that graphs of one key *and*
+    equal under ``==`` have equal features: ``1``, ``1.0`` and ``True``
+    hash and compare equal, their features do not."""
+    return (tuple(map(repr, graph._labels)),
+            tuple(map(len, graph._adjacency)))
+
+
 class QueryIndex:
     """Containment-direction prefilter over the cache + window entries.
 
     The index carries no lock of its own: the owning
     :class:`~repro.cache.manager.CacheManager`'s reader-writer lock
     guards it — :meth:`candidate_supergraphs` / :meth:`candidate_subgraphs`
-    are read-side (and never mutate index state when maintained through
-    the manager, which refreshes guard caches at admission time), while
-    :meth:`add` / :meth:`remove` / :meth:`clear` are write-side.
+    / :meth:`identical_resident` are read-side (and never mutate index
+    state when maintained through the manager, which refreshes guard
+    caches at admission time), while :meth:`add` / :meth:`remove` /
+    :meth:`clear` are write-side.
     """
 
     def __init__(self) -> None:
@@ -167,6 +195,9 @@ class QueryIndex:
         #: entries whose feature counts overflow the packed fields
         #: (gigantic graphs) — served through the unpacked feature check
         self._oversized: dict[int, CacheEntry] = {}
+        #: :func:`_structural_key` → entries of that key, by id (oldest
+        #: first); no key is kept for an empty population
+        self._identical: dict[tuple, dict[int, CacheEntry]] = {}
 
     # ------------------------------------------------------------------
     # Signature packing
@@ -244,18 +275,27 @@ class QueryIndex:
             # state wholesale so no stale references can linger.
             self.remove(entry.entry_id)
         self._entries[entry.entry_id] = entry
-        try:
-            sig, guards = self._pack_entry(entry.features)
-        except _FieldOverflow:
+        twin = self._file_identical(entry)
+        if twin is not None:
+            # Equal graphs of one key have equal features: file the
+            # entry where its twin is, without packing the signature.
+            group = self._sigs.get(twin.entry_id)
+        else:
+            try:
+                sig, guards = self._pack_entry(entry.features)
+            except _FieldOverflow:
+                group = None
+            else:
+                bucket = self._buckets.setdefault(
+                    (entry.num_vertices, entry.num_edges), {}
+                )
+                group = bucket.get(sig)
+                if group is None:
+                    group = [sig, guards, sig | self._all_guards, {}]
+                    bucket[sig] = group
+        if group is None:
             self._oversized[entry.entry_id] = entry
         else:
-            bucket = self._buckets.setdefault(
-                (entry.num_vertices, entry.num_edges), {}
-            )
-            group = bucket.get(sig)
-            if group is None:
-                group = [sig, guards, sig | self._all_guards, {}]
-                bucket[sig] = group
             group[3][entry.entry_id] = entry
             self._sigs[entry.entry_id] = group
         for label in entry.features.label_counts:
@@ -267,6 +307,29 @@ class QueryIndex:
             # refresh in the lookups remains as a fallback for code
             # driving a bare index.
             self._refresh_guards()
+
+    @staticmethod
+    def _holding(same_key: dict[int, CacheEntry],
+                 graph: LabeledGraph) -> CacheEntry | None:
+        """The oldest of one key's entries whose query equals ``graph``."""
+        for entry in same_key.values():
+            if entry.query == graph:
+                return entry
+        return None
+
+    def _file_identical(self, entry: CacheEntry) -> CacheEntry | None:
+        """Enter ``entry`` in the structural map; returns the oldest
+        resident entry holding the same query, if any.  The key is
+        memoised on the entry's graph — immutable once cached, and one
+        object for all the entries that share it."""
+        key = entry.query.derived("structural_key", _structural_key)
+        same_key = self._identical.get(key)
+        if same_key is None:
+            self._identical[key] = {entry.entry_id: entry}
+            return None
+        twin = self._holding(same_key, entry.query)
+        same_key[entry.entry_id] = entry
+        return twin
 
     def remove(self, entry_id: int) -> None:
         entry = self._entries.pop(entry_id, None)
@@ -290,6 +353,12 @@ class QueryIndex:
                 posting.discard(entry_id)
                 if not posting:
                     del self._postings[label]
+        key = entry.query.derived("structural_key", _structural_key)
+        same_key = self._identical.get(key)
+        if same_key is not None:
+            same_key.pop(entry_id, None)
+            if not same_key:
+                del self._identical[key]
 
     def clear(self) -> None:
         self._entries.clear()
@@ -297,6 +366,7 @@ class QueryIndex:
         self._postings.clear()
         self._sigs.clear()
         self._oversized.clear()
+        self._identical.clear()
         # The field registry survives purges deliberately: offsets are
         # append-only so signatures can never be misread, and the label
         # universe of a workload is small and recurring.
@@ -317,9 +387,37 @@ class QueryIndex:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def candidate_supergraphs(self, features: GraphFeatures) -> list[CacheEntry]:
+    def identical_resident(self, query: LabeledGraph) -> CacheEntry | None:
+        """The oldest resident entry whose query *is* ``query`` — same
+        labels, same edges, same vertex numbering — or ``None``.
+
+        Read-side, and ``query`` is only read.  What it returns stands
+        in for the arrival wherever one graph alone matters: the
+        entry's graph (with the memo the matchers filled), its features
+        and, through ``same_as`` on the two lookups below, its packed
+        signature.
+        """
+        same_key = self._identical.get(_structural_key(query))
+        return self._holding(same_key, query) if same_key else None
+
+    def _packed(self, features: GraphFeatures,
+                same_as: CacheEntry | None) -> tuple[int, int, bool]:
+        """:meth:`_pack_query`, or — when the query is resident entry
+        ``same_as``'s — the signature that entry's group already holds
+        (every field of a resident is registered: equal, and complete)."""
+        if same_as is not None:
+            group = self._sigs.get(same_as.entry_id)
+            if group is not None:
+                return group[0], group[1], True
+        # No twin, or an oversized one (for which this raises).
+        return self._pack_query(features)
+
+    def candidate_supergraphs(self, features: GraphFeatures,
+                              same_as: CacheEntry | None = None,
+                              ) -> list[CacheEntry]:
         """Entries whose query might *contain* the new query
-        (``g ⊆ g'`` candidates — the GC+sub processor's pool)."""
+        (``g ⊆ g'`` candidates — the GC+sub processor's pool).
+        ``same_as``: see :meth:`identical_resident`."""
         if not self._entries:
             return []
         # Posting-list short-circuit: a query label no surviving entry
@@ -333,7 +431,7 @@ class QueryIndex:
         if self._guards_dirty:
             self._refresh_guards()
         try:
-            q_sig, q_guards, complete = self._pack_query(features)
+            q_sig, q_guards, complete = self._packed(features, same_as)
         except _FieldOverflow:
             # A gigantic query: nothing packable can contain it, so only
             # the (equally gigantic) overflow population needs checking.
@@ -363,13 +461,16 @@ class QueryIndex:
         out.sort()  # ids are unique: entries are never compared
         return [entry for _, entry in out]
 
-    def candidate_subgraphs(self, features: GraphFeatures) -> list[CacheEntry]:
+    def candidate_subgraphs(self, features: GraphFeatures,
+                            same_as: CacheEntry | None = None,
+                            ) -> list[CacheEntry]:
         """Entries whose query might be *contained in* the new query
-        (``g'' ⊆ g`` candidates — the GC+super processor's pool)."""
+        (``g'' ⊆ g`` candidates — the GC+super processor's pool).
+        ``same_as``: see :meth:`identical_resident`."""
         if not self._entries:
             return []
         try:
-            q_sig, _, _ = self._pack_query(features)
+            q_sig, _, _ = self._packed(features, same_as)
         except _FieldOverflow:
             # A gigantic query may contain anything: unpacked full scan.
             return self._scan(
@@ -395,10 +496,10 @@ class QueryIndex:
     # Self-check (used by the churn tests; cheap enough for debugging)
     # ------------------------------------------------------------------
     def audit(self) -> None:
-        """Assert buckets, postings, groups and signatures exactly
-        mirror the entry population: no stale ids survive
-        eviction/purge, no empty bucket/group/posting is retained,
-        every entry is findable."""
+        """Assert buckets, postings, groups, signatures and the
+        structural map exactly mirror the entry population: no stale ids
+        survive eviction/purge, no empty bucket/group/posting/key is
+        retained, every entry is findable."""
         bucketed: dict[int, CacheEntry] = {}
         for (bv, be), bucket in self._buckets.items():
             assert bucket, f"empty bucket {(bv, be)} retained"
@@ -465,3 +566,20 @@ class QueryIndex:
             assert self._sigs[entry_id][1] == guards, (
                 f"stale guard mask for entry {entry_id}"
             )
+        expected_identical: dict[tuple, dict[int, CacheEntry]] = {}
+        for entry_id, entry in self._entries.items():
+            expected_identical.setdefault(
+                _structural_key(entry.query), {})[entry_id] = entry
+        assert self._identical == expected_identical, (
+            "structural map drifted from the entry population (or a "
+            "cached query was mutated)"
+        )
+        for same_key in self._identical.values():
+            for entry_id, entry in same_key.items():
+                oldest = self._holding(same_key, entry.query)
+                assert self._sigs.get(entry_id) is \
+                    self._sigs.get(oldest.entry_id), (
+                        f"identical entries {oldest.entry_id} and "
+                        f"{entry_id} are filed under different signature "
+                        f"groups"
+                    )

@@ -84,16 +84,50 @@ class CacheValidator:
 
     def validate_con(self, entries: list[CacheEntry],
                      counters: ChangeCounters, max_graph_id: int) -> None:
-        """CON: refresh every entry's indicator against the counters."""
+        """CON: refresh every entry's indicator against the counters.
+
+        Algorithm 2 as mask algebra.  The counters become two id masks
+        once per pass — the touched ids that break a recorded positive
+        (all but the safe case's) and those that break a negative — and
+        an entry loses ``valid & ((answer & breaks_positive) |
+        (~answer & breaks_negative))``: exactly the bits
+        :func:`refresh_validity` turns off one id at a time (it stays
+        as the per-entry reference; a property test holds the two
+        equal).  The loop reads the indicators' packed integers
+        directly, as the matchers read a graph's adjacency lists: with
+        a hundred entries per pass the accessor calls were most of it.
+        """
         self.validations += 1
+        size = max_graph_id + 1
         if counters.is_empty() and all(
-            entry.valid.size >= max_graph_id + 1 for entry in entries
+            entry.valid.size >= size for entry in entries
         ):
             return
+        # Touched ids with some operation other than UA / other than UR.
+        # Subgraph semantics: g ⊆ G_i survives UA-only changes to G_i,
+        # g ⊄ G_i survives UR-only ones; supergraph semantics swap.
+        not_ua_only = not_ur_only = 0
+        for gid in counters.total:
+            if not counters.ua_exclusive(gid):
+                not_ua_only |= 1 << gid
+            if not counters.ur_exclusive(gid):
+                not_ur_only |= 1 << gid
+        turned_off = 0
         for entry in entries:
-            self.bits_invalidated += refresh_validity(
-                entry, counters, max_graph_id
-            )
+            valid = entry.valid
+            if size > valid._size:
+                valid.extend(size)  # new graphs: unknown relation
+            if entry.query_type is QueryType.SUBGRAPH:
+                breaks_positive, breaks_negative = not_ua_only, not_ur_only
+            else:
+                breaks_positive, breaks_negative = not_ur_only, not_ua_only
+            answer, bits = entry.answer._bits, valid._bits
+            off = bits & ((answer & breaks_positive)
+                          | (~answer & breaks_negative))
+            if off:
+                valid.clear_mask(off)
+                turned_off += off.bit_count()
+        self.bits_invalidated += turned_off
 
     def purge_evi(self, clear_all: Callable[[], None]) -> None:
         """EVI: clear everything via the manager-provided callback."""

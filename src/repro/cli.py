@@ -227,6 +227,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "containing hits": s["total_containing_hits"],
             "contained hits": s["total_contained_hits"],
             "renewals": service.cache.renewals,
+            "interned": s["interned_queries"],
             **overhead_breakdown_row(s),
             **_hd_rounds_cell(s),
         }]
@@ -301,6 +302,7 @@ def _run_concurrent(args: argparse.Namespace, service: GraphCacheService,
         "exact-hit queries": s["queries_with_exact_hit"],
         "admissions skipped": s["admissions_skipped"],
         "renewals": service.cache.renewals,
+        "interned": s["interned_queries"],
         **overhead_breakdown_row(s),
         **_hd_rounds_cell(s),
     }]))

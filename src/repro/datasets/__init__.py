@@ -4,7 +4,8 @@ The paper evaluates on the NCI AIDS antiviral screen dataset (40,000
 molecule graphs).  The dataset itself is not redistributable here, so
 :mod:`repro.datasets.aids` provides a seeded synthetic generator matched
 to the published statistics (and a loader for the real file, should a
-user supply one) — see DESIGN.md §1 for the substitution argument.
+user supply one) — that module's docstring says which statistics the
+cache's behaviour depends on and how the generator preserves them.
 """
 
 from repro.datasets.aids import (

@@ -64,7 +64,7 @@ class AidsLikeConfig:
     """Knobs for the synthetic generator.
 
     Paper-scale defaults; benchmarks pass smaller ``num_graphs`` /
-    ``mean_vertices`` to fit pure-Python budgets (DESIGN.md §1).
+    ``mean_vertices`` to fit pure-Python budgets (README, "Benchmarks").
     """
 
     num_graphs: int = 40_000

@@ -59,6 +59,9 @@ class QueryMetrics:
     internal_tests: int = 0
     exact_hit_valid: bool = False
     empty_shortcut: bool = False
+    #: The query was identical to a resident cached query and ran as it
+    #: (that entry's graph, features, signature and compiled plans).
+    interned: bool = False
     #: Concurrent serving only: the dataset mutated between this query's
     #: read phase and its admission, so the (stale) entry was declined.
     admission_skipped: bool = False
@@ -121,6 +124,7 @@ class StatisticsMonitor:
     queries_with_exact_hit: int = 0
     queries_with_valid_exact_hit: int = 0
     queries_with_empty_shortcut: int = 0
+    interned_queries: int = 0
     admissions_skipped: int = 0
     total_containing_hits: int = 0
     total_contained_hits: int = 0
@@ -162,6 +166,8 @@ class StatisticsMonitor:
             self.queries_with_valid_exact_hit += 1
         if metrics.empty_shortcut:
             self.queries_with_empty_shortcut += 1
+        if metrics.interned:
+            self.interned_queries += 1
         if metrics.admission_skipped:
             self.admissions_skipped += 1
         self.total_containing_hits += metrics.containing_hits
@@ -217,6 +223,7 @@ class StatisticsMonitor:
                 "zero_test_queries": self.zero_test_queries,
                 "exact_hit_queries": self.queries_with_exact_hit,
                 "empty_shortcut_queries": self.queries_with_empty_shortcut,
+                "interned_queries": self.interned_queries,
             }
 
     def summary(self) -> dict[str, float]:
@@ -240,6 +247,7 @@ class StatisticsMonitor:
             "queries_with_exact_hit": self.queries_with_exact_hit,
             "queries_with_valid_exact_hit": self.queries_with_valid_exact_hit,
             "queries_with_empty_shortcut": self.queries_with_empty_shortcut,
+            "interned_queries": self.interned_queries,
             "admissions_skipped": self.admissions_skipped,
             "total_containing_hits": self.total_containing_hits,
             "total_contained_hits": self.total_contained_hits,

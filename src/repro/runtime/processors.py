@@ -17,8 +17,7 @@ machinery work, visible in the monitor as ``internal_tests``.
 
 The reference system runs the two processors concurrently on a thread
 pool; this reproduction runs them sequentially — the work performed and
-the discovered hit sets are identical, only wall-clock overlap differs
-(documented in DESIGN.md).
+the discovered hit sets are identical, only wall-clock overlap differs.
 """
 
 from __future__ import annotations
@@ -64,8 +63,16 @@ class HitDiscovery:
         self.verifier = verifier if verifier is not None else VF2PlusMatcher()
 
     def discover(self, query: LabeledGraph, index: QueryIndex,
-                 features: GraphFeatures | None = None) -> DiscoveryResult:
+                 features: GraphFeatures | None = None,
+                 same_as: CacheEntry | None = None) -> DiscoveryResult:
         """Find all cached queries related to ``query`` by containment.
+
+        ``same_as`` — the resident entry whose graph ``query`` is, when
+        the caller runs an arrival as its identical resident
+        (:meth:`QueryIndex.identical_resident`): the index then reads
+        that entry's packed signature instead of packing the features
+        again.  The entry is still a candidate like any other — it is
+        tested, certified exact and counted.
 
         Equal-sized candidates are verified once: an injective embedding
         between graphs of equal vertex/edge counts is an isomorphism, so
@@ -78,7 +85,7 @@ class HitDiscovery:
         seen_exact: set[int] = set()
 
         # GC+sub processor: g ⊆ g' candidates.
-        for entry in index.candidate_supergraphs(feats):
+        for entry in index.candidate_supergraphs(feats, same_as):
             result.internal_tests += 1
             if self.verifier.is_subgraph_isomorphic(query, entry.query):
                 result.containing.append(entry)
@@ -88,7 +95,7 @@ class HitDiscovery:
                     seen_exact.add(entry.entry_id)
 
         # GC+super processor: g'' ⊆ g candidates.
-        for entry in index.candidate_subgraphs(feats):
+        for entry in index.candidate_subgraphs(feats, same_as):
             if entry.entry_id in seen_exact:
                 continue  # already certified isomorphic above
             result.internal_tests += 1

@@ -100,48 +100,61 @@ def prune_candidate_set(query_type: QueryType, cs_m: BitSet,
         answer_entries = discovery.contained
         filter_entries = discovery.containing
 
-    outcome = PruneOutcome(
-        answer_free=BitSet(universe_size),
-        candidates=cs_m.copy(),
-    )
+    # The formulas run on the indicators' packed integers, read directly
+    # (a query with thirty hits applies them sixty times), and a BitSet
+    # is built only for what the outcome stores.  Logical sizes are
+    # carried along as the BitSet operators would have left them (the
+    # wider operand's).
+    cs_bits, cs_size = cs_m._bits, cs_m._size
 
     # Formula (1): test-free positives from answer-giving entries.  Each
     # donation is intersected with CS_M: CGvalid bits of dead graphs are
     # cleared by validation, so the intersection is a no-op in normal
     # operation — it is kept as defence in depth (Lemma 1 relies on
     # donations being valid *current* dataset graphs).
-    per_entry_donation = outcome.donations
+    donations: dict[int, BitSet] = {}
+    free_bits, free_size = 0, universe_size
     for entry in answer_entries:
-        donation = entry.valid_answer() & cs_m
-        per_entry_donation[entry.entry_id] = donation
-        outcome.answer_free = outcome.answer_free | donation
+        valid, answer = entry.valid, entry.answer
+        donated = valid._bits & answer._bits & cs_bits
+        size = max(valid._size, answer._size, cs_size)
+        donations[entry.entry_id] = BitSet.from_int(donated, size)
+        free_bits |= donated
+        free_size = max(free_size, size)
 
     # Formula (2): donated graphs need no sub-iso test.
-    after_donation = outcome.candidates.and_not(outcome.answer_free)
+    after_donation = cs_bits & ~free_bits
 
     # Formulas (4)+(5): each filtering entry bounds the candidate set to
-    # the graphs that could possibly answer the query.
-    reduced = after_donation
-    per_entry_filtered = outcome.filtered
+    # the graphs that could possibly answer the query —
+    # ``¬CGvalid ∪ Answer`` within the id universe.
+    filtered: dict[int, BitSet] = {}
+    reduced_bits, reduced_size = after_donation, cs_size
+    universe = (1 << universe_size) - 1
     for entry in filter_entries:
-        allowed = entry.possible_answer(universe_size)
-        removed = after_donation.and_not(allowed)
-        per_entry_filtered[entry.entry_id] = removed
-        reduced = reduced & allowed
-    outcome.candidates = reduced
+        answer = entry.answer
+        allowed = (~entry.valid._bits & universe) | answer._bits
+        filtered[entry.entry_id] = BitSet.from_int(after_donation & ~allowed,
+                                                   cs_size)
+        reduced_bits &= allowed
+        reduced_size = max(reduced_size, universe_size, answer._size)
 
     # Independent per-entry contributions (feeds PIN's R): an answer
     # entry alleviates the tests of its donated graphs; a filter entry
     # alleviates the tests of the graphs *it alone* would have removed.
-    for entry_id, donation in per_entry_donation.items():
-        outcome.contributions[entry_id] = donation
-    for entry_id, removed in per_entry_filtered.items():
-        if entry_id in outcome.contributions:
-            outcome.contributions[entry_id] = (
-                outcome.contributions[entry_id] | removed
-            )
-        else:
-            outcome.contributions[entry_id] = removed
+    contributions = dict(donations)
+    for entry_id, removed in filtered.items():
+        donation = contributions.get(entry_id)
+        contributions[entry_id] = (removed if donation is None
+                                   else donation | removed)
+
+    outcome = PruneOutcome(
+        answer_free=BitSet.from_int(free_bits, free_size),
+        candidates=BitSet.from_int(reduced_bits, reduced_size),
+        contributions=contributions,
+        donations=donations,
+        filtered=filtered,
+    )
 
     # §6.3 optimal-case detection (reporting only; the formulas above
     # already produce the optimal candidate sets).

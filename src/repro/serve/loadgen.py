@@ -236,16 +236,19 @@ class _Worker(threading.Thread):
         path = "/query" if plan["kind"] == "query" else "/mutate"
         if body.get("op") == "delete_graph":
             with self._added_lock:
-                if not self._added_ids:
-                    # No add completed yet — degrade to an add.
-                    return self._send(conn, {
-                        "kind": "mutate",
-                        "body": {"op": "add_graph",
-                                 "graph": plan.get("fallback_graph")
-                                 or _TINY_GRAPH},
-                    })
-                body["graph_id"] = self._added_ids.pop(
-                    body.pop("added_index") % len(self._added_ids))
+                if self._added_ids:
+                    body["graph_id"] = self._added_ids.pop(
+                        body.pop("added_index") % len(self._added_ids))
+            if "graph_id" not in body:
+                # No add completed yet — degrade to an add.  Outside the
+                # lock: the add records its id under it, and the lock is
+                # not reentrant.
+                return self._send(conn, {
+                    "kind": "mutate",
+                    "body": {"op": "add_graph",
+                             "graph": plan.get("fallback_graph")
+                             or _TINY_GRAPH},
+                })
         started = time.perf_counter()
         ok, hit, payload = self._roundtrip(conn, path, body)
         elapsed = time.perf_counter() - started

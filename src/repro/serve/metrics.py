@@ -67,6 +67,9 @@ _COUNTER_SPECS = (
      "Queries that found an exact-match cached entry"),
     ("empty_shortcut_queries", "gcplus_empty_shortcut_queries_total",
      "Queries short-circuited by the empty-answer optimal case"),
+    ("interned_queries", "gcplus_interned_queries_total",
+     "Queries identical to a resident cached query that ran as it, on "
+     "its graph, features and compiled plans"),
 )
 
 

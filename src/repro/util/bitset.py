@@ -99,6 +99,17 @@ class BitSet:
         out._bits = bits
         return out
 
+    @classmethod
+    def from_int(cls, bits: int, size: int) -> "BitSet":
+        """The bitset whose set bits are the one bits of the
+        non-negative integer ``bits`` (bit *i* ⟺ index *i*), over
+        ``size`` logical bits.  Unchecked: for code that chained bulk
+        operations on other bitsets' integers and allocates once, for
+        the result (:mod:`repro.runtime.pruner`)."""
+        out = cls(size)
+        out._bits = bits
+        return out
+
     def to_hex(self) -> str:
         """Compact lowercase-hex encoding of the set bits (no prefix).
 
@@ -147,6 +158,12 @@ class BitSet:
     def clear(self) -> None:
         """Unset every bit (logical size is retained)."""
         self._bits = 0
+
+    def clear_mask(self, bits: int) -> None:
+        """Unset, in place, every index whose bit is one in the integer
+        ``bits`` (as computed by the Cache Validator's mask algebra; like
+        clearing single bits, it never changes the logical size)."""
+        self._bits &= ~bits
 
     def extend(self, new_size: int) -> None:
         """Grow the logical size; new bits are False (Algorithm 2, line 5).

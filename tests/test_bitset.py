@@ -243,6 +243,19 @@ def test_complement_matches_set_complement(xs, universe):
     assert set(got) == set(range(universe)) - xs
 
 
+@given(index_sets, index_sets, st.integers(0, 60))
+def test_integer_masks_match_set_difference(xs, ys, slack):
+    """``from_int`` / ``clear_mask``: the packed-integer side door of
+    the pruner and the validator."""
+    size = max(xs, default=-1) + 1 + slack
+    packed = sum(1 << i for i in xs)
+    b = BitSet.from_int(packed, size)
+    assert (set(b), b.size) == (xs, size)
+    assert b == BitSet.from_indices(xs)
+    b.clear_mask(sum(1 << i for i in ys))
+    assert (set(b), b.size) == (xs - ys, size)
+
+
 @given(index_sets)
 def test_iteration_sorted_and_cardinality(xs):
     b = BitSet.from_indices(xs)

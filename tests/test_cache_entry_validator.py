@@ -6,6 +6,7 @@ Includes a line-by-line replay of the paper's Figure 2 running example.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.validator import CacheValidator, refresh_validity
@@ -223,6 +224,38 @@ class TestCacheValidator:
         e = entry(answer=set(), valid={0}, size=1)
         validator.validate_con([e], counters_from((OpType.ADD, 3)), 3)
         assert e.valid.size == 4
+
+    @given(
+        indicators=st.lists(
+            st.tuples(st.sets(st.integers(0, 11)), st.sets(st.integers(0, 11)),
+                      st.integers(0, 12), st.sampled_from(list(QueryType))),
+            max_size=6),
+        ops=st.lists(st.tuples(st.sampled_from(list(OpType)),
+                               st.integers(0, 13)), max_size=10),
+        max_graph_id=st.integers(0, 14),
+    )
+    def test_validate_con_equals_refresh_validity(self, indicators, ops,
+                                                  max_graph_id):
+        """The pass's mask algebra against Algorithm 2 entry by entry,
+        id by id: same bits, same logical sizes, same turned-off count —
+        indicators shorter and longer than the id space, both semantics,
+        ids touched by every mix of operations."""
+        def population():
+            return [entry({i for i in answer if i < size},
+                          {i for i in valid if i < size}, size, query_type, n)
+                    for n, (answer, valid, size, query_type)
+                    in enumerate(indicators)]
+
+        counters = counters_from(*ops)
+        expected, got = population(), population()
+        turned_off = sum(refresh_validity(e, counters, max_graph_id)
+                         for e in expected)
+        validator = CacheValidator()
+        validator.validate_con(got, counters, max_graph_id)
+        assert [(e.valid, e.valid.size, e.answer) for e in got] \
+            == [(e.valid, e.valid.size, e.answer) for e in expected]
+        assert validator.bits_invalidated == turned_off
+        assert validator.validations == 1
 
     def test_purge_evi(self):
         validator = CacheValidator()

@@ -66,6 +66,7 @@ class TestRun:
         out = capsys.readouterr().out
         assert "sub-iso tests" in out
         assert "cache anatomy" in out
+        assert "renewals" in out and "interned" in out
 
     def test_run_bare(self, dataset_file, workload_file, capsys):
         code = main([

@@ -224,9 +224,9 @@ def _sync_discovery(service: GraphCacheService, barrier: threading.Barrier):
     simultaneously before racing onward to admission."""
     original = service.discovery.discover
 
-    def discover(query, index, features=None):
+    def discover(*args):
         barrier.wait(timeout=10)
-        return original(query, index, features)
+        return original(*args)
 
     service.discovery.discover = discover
     return original
@@ -284,10 +284,10 @@ class TestInterleavings:
         gate = threading.Event()
         original = service.discovery.discover
 
-        def held_discover(query, index, features=None):
+        def held_discover(*args):
             entered.set()
             assert gate.wait(timeout=10)
-            return original(query, index, features)
+            return original(*args)
 
         service.discovery.discover = held_discover
         purge_done = threading.Event()
@@ -430,6 +430,47 @@ class TestInterleavings:
         assert_quiescent_invariants(service)
         service.close()
 
+    def test_identical_twin_evicted_in_the_gap_still_lends_its_graph(self):
+        """A repeat runs as its resident twin; another client's
+        admission evicts that twin between the repeat's read phase and
+        its own admission.  Cached graphs are immutable, so the new
+        entry still shares the evicted one's graph — and is filed in
+        the index from scratch, its twin's signature group being gone."""
+        # Window 2, capacity 1, LRU: the other client's admission fills
+        # the window, both promote, and the older one — the twin — goes.
+        service = small_service(cache_capacity=1, window_capacity=2,
+                                policy="lru")
+        service.execute(path("CO"))
+        (twin,) = service.cache.all_entries()
+        evicted: list = []
+        service.on_eviction(lambda e: evicted.extend(e.entry_ids))
+        armed = {"on": False}
+
+        class GapLock(RWLock):
+            def acquire_write(self) -> None:
+                if armed["on"]:
+                    armed["on"] = False
+                    service.execute(path("CN"))
+                super().acquire_write()
+
+        service.cache.lock = GapLock()
+        armed["on"] = True
+        result = service.execute(path("CO"))
+        assert result.metrics.interned and result.metrics.exact_hits == 1
+        assert result.answer_ids == {0, 2, 4}
+        assert twin.entry_id in evicted
+        assert not result.metrics.admission_skipped
+        index = service.cache.index
+        entry = index.identical_resident(path("CO"))
+        assert entry is not twin and entry.query is twin.query
+        assert twin.entry_id not in service.cache.statistics
+        assert_quiescent_invariants(service)
+        follow_up = service.execute(path("CO"))
+        assert follow_up.metrics.interned
+        assert follow_up.metrics.method_tests == 0
+        assert_quiescent_invariants(service)
+        service.close()
+
 
 # ----------------------------------------------------------------------
 # Whole-trace oracle runs
@@ -527,6 +568,41 @@ class TestOracleRuns:
         assert counters["renewals"] > 0, "the trace must exercise renewal"
         assert (counters["admissions"] + counters["renewals"]
                 + counters["admissions_skipped"]) == counters["queries"]
+
+    def test_interning_under_8_sessions_matches_sequential_replay(self):
+        """The churned trace again, every arrival a new object (as over
+        HTTP): 8 sessions resolve arrivals against the structural map
+        while admissions, evictions and renewals rewrite it, run them
+        on residents' graphs — reading and filling one memo as pattern
+        and as host at once — and share those graphs between entries.
+        Per-index answers equal the sequential replay's."""
+        graphs, queries, plan = _trace(
+            120, 400, dataset_seed=2017, workload_seed=1919,
+            plan_seed=38, num_batches=40,
+        )
+        queries = [LabeledGraph.from_edges(q.labels, sorted(q.edges()))
+                   for q in queries]
+        oracle = sequential_replay(graphs, queries, plan, GCConfig())
+        service = GraphCacheService(
+            GraphStore.from_graphs(graphs),
+            GCConfig(lock_mode="rw", max_sessions=8),
+        )
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            outcome = ConcurrentDriver(service, 8).run(queries, plan)
+            assert_quiescent_invariants(service)
+            counters = service.counters()
+            entries = service.cache.all_entries()
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert outcome.answers == oracle.answers
+        assert outcome.applied_ops > 0
+        assert counters["interned_queries"] > 0
+        assert len({id(e.query) for e in entries}) < len(entries), (
+            "the trace must leave entries that share a graph")
+        assert all(q._memo is None for q in queries)
 
     def test_shared_graph_memos_keep_sequential_test_counts(self):
         """The acceptance trace again, for what the read phase shares

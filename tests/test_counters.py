@@ -20,7 +20,7 @@ from repro.runtime.monitor import StatisticsMonitor
 COUNTER_KEYS = (
     "queries", "cache_hits", "cache_misses", "admissions", "evictions",
     "purges", "admissions_skipped", "method_tests", "internal_tests",
-    "tests_saved",
+    "tests_saved", "interned_queries",
 )
 
 
@@ -63,6 +63,8 @@ class TestServiceCounters:
             assert counters["cache_misses"] >= 1
             assert (counters["cache_hits"]
                     + counters["cache_misses"]) == counters["queries"]
+            # ... and run as it: identical to a resident query.
+            assert counters["interned_queries"] == 2
 
     def test_purge_does_not_reset_history(self):
         with make_service() as service:

@@ -1,0 +1,79 @@
+"""gcbench's exact counts, as a test.
+
+A performance PR has to show that it moved time and nothing else: same
+answers, same sub-iso tests, same cache trajectory.  gcbench's streams
+are pure functions of ``(spec, seed)`` and every count below is a pure
+function of the stream, so they are pinned here — one replay of each
+in-process workload at full size, seed 1 — instead of being compared by
+hand against a scratch checkout of the parent in every write-up.
+(``http_hit`` sends ``hit_bound``'s stream through the serve layer; the
+traced benchmark run cross-checks the two.)
+
+A change that *means* to move a count (a new pruning rule, another
+admission policy) updates the pin in the same diff and says why;
+anything else that trips this has changed behaviour by accident.
+``perf/workloads.py`` is imported read-only, from its file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import GraphCacheService, GraphStore
+
+_PATH = Path(__file__).resolve().parent.parent / "perf" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("gcbench_workloads", _PATH)
+workloads = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = workloads     # its dataclasses look themselves up
+_SPEC.loader.exec_module(workloads)
+
+#: Per workload: ``service.counters()`` after warm-up + measured stream,
+#: ``(tests, states, found)`` of the Method-M matcher and of discovery's
+#: internal verifier, and the head of the SHA-256 over every answer.
+PINNED = {
+    "verify_bound": (
+        dict(queries=620, method_tests=118308, internal_tests=14897,
+             tests_saved=253692, admissions=620, evictions=520, renewals=0,
+             exact_hit_queries=71, zero_test_queries=71,
+             interned_queries=39),
+        (118308, 185833, 7730), (14897, 72671, 8165), "fc2c926fccde8fa5"),
+    "hit_bound": (
+        dict(queries=400, method_tests=12006, internal_tests=16955,
+             tests_saved=107994, admissions=400, evictions=300, renewals=0,
+             exact_hit_queries=333, zero_test_queries=333,
+             interned_queries=331),
+        (12006, 10955, 447), (16955, 127545, 10076), "eca869433b38ed0c"),
+    "churn_con": (
+        dict(queries=700, method_tests=43963, internal_tests=3865,
+             tests_saved=300344, admissions=247, evictions=155, renewals=453,
+             exact_hit_queries=615, zero_test_queries=164,
+             interned_queries=612),
+        (43963, 38226, 1450), (3865, 27803, 2170), "c0bad7047a4ef720"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_stream_counts_are_the_pinned_ones(name):
+    spec = next(s for s in workloads.SPECS if s.name == name)
+    counters, method, internal, answers = PINNED[name]
+    inputs = workloads.build_inputs(spec, seed=1)
+    digest = hashlib.sha256()
+    with GraphCacheService(GraphStore.from_graphs(inputs.graphs),
+                           workloads.CONFIG) as service:
+        for position, query in enumerate(inputs.stream):
+            if inputs.plan is not None:
+                service.apply(inputs.plan, position)
+            answer = service.execute(query).answer
+            digest.update(repr(tuple(sorted(answer))).encode())
+        got = service.counters()
+        stats = [(s.tests, s.states, s.found) for s in
+                 (service.matcher.stats, service.discovery.verifier.stats)]
+        service.cache.index.audit()
+    assert {key: got[key] for key in counters} == counters
+    assert stats == [method, internal]
+    assert digest.hexdigest()[:16] == answers

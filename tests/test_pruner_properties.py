@@ -17,18 +17,21 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.entry import QueryType
+from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.manager import CacheManager
 from repro.cache.models import CacheModel
 from repro.dataset.store import GraphStore
 from repro.graphs.generators import random_labeled_graph
 from repro.matching.vf2plus import VF2PlusMatcher
 from repro.runtime.method_m import MethodM
-from repro.runtime.processors import HitDiscovery
+from repro.runtime.processors import DiscoveryResult, HitDiscovery
 from repro.runtime.pruner import prune_candidate_set
+from repro.util.bitset import BitSet
 from tests.conftest import brute_force_subiso
+from tests.reference_pruner import reference_prune_candidate_set
 from tests.test_consistency import ALPHABET, random_change
 
 
@@ -122,3 +125,69 @@ def test_validity_bits_always_reflect_truth(seed):
                 f"valid bit {gid} contradicts ground truth: recorded "
                 f"{recorded}, actual {holds}"
             )
+
+
+# ----------------------------------------------------------------------
+# The pruner on integers == the pruner on BitSet operators
+# ----------------------------------------------------------------------
+def outcome_fields(outcome):
+    """Every field, with the logical sizes ``BitSet.__eq__`` ignores
+    (they reach snapshots through the answers admitted from them)."""
+    def sized(bits: BitSet):
+        return bits, bits.size
+
+    def sized_map(per_entry: dict[int, BitSet]):
+        return [(entry_id, *sized(bits)) for entry_id, bits in per_entry.items()]
+
+    return (sized(outcome.answer_free), sized(outcome.candidates),
+            sized_map(outcome.contributions), sized_map(outcome.donations),
+            sized_map(outcome.filtered), outcome.exact_hit,
+            outcome.empty_shortcut)
+
+
+@pytest.mark.parametrize("query_type", list(QueryType))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pruner_equals_reference_on_real_hits(query_type, seed):
+    store, cache, query = build_scenario(seed)
+    hits = HitDiscovery().discover(query, cache.index)
+    args = (query_type, store.ids_bitset(), hits, store.max_id + 1)
+    assert outcome_fields(prune_candidate_set(*args)) \
+        == outcome_fields(reference_prune_candidate_set(*args))
+
+
+_indicator = st.tuples(st.sets(st.integers(0, 9)), st.integers(0, 3))
+
+
+@given(
+    indicators=st.lists(st.tuples(_indicator, _indicator), max_size=5),
+    roles=st.lists(st.sampled_from(["containing", "contained", "exact"]),
+                   min_size=5, max_size=5),
+    candidates=_indicator, live=st.none() | _indicator,
+    universe_size=st.integers(0, 12),
+    query_type=st.sampled_from(list(QueryType)),
+)
+def test_pruner_equals_reference_on_arbitrary_indicators(
+        indicators, roles, candidates, live, universe_size, query_type):
+    """Hit lists no discovery would produce — indicators shorter and
+    longer than the id universe, candidate sets narrower than the live
+    ids — where only the formulas themselves are left to agree."""
+    def bits(indicator) -> BitSet:
+        ids, slack = indicator
+        return BitSet.from_indices(ids, size=max(ids, default=-1) + 1 + slack)
+
+    graph = random_labeled_graph(2, 1.0, ALPHABET, random.Random(0))
+    hits = DiscoveryResult()
+    for entry_id, ((answer, valid), role) in enumerate(zip(indicators, roles)):
+        entry = CacheEntry(entry_id, graph, query_type, bits(answer),
+                           bits(valid), created_at=0)
+        if role != "contained":
+            hits.containing.append(entry)
+        if role != "containing":
+            hits.contained.append(entry)
+        if role == "exact":
+            hits.exact.append(entry)
+    args = (query_type, bits(candidates), hits, universe_size,
+            bits(live) if live is not None else None)
+    assert outcome_fields(prune_candidate_set(*args)) \
+        == outcome_fields(reference_prune_candidate_set(*args))

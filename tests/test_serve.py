@@ -210,6 +210,11 @@ class TestMetricsEndpoint:
         assert samples["gcplus_admissions_total"] == counters["admissions"]
         assert samples["gcplus_evictions_total"] == counters["evictions"]
         assert samples["gcplus_purges_total"] == counters["purges"]
+        # The five repeats arrive as new objects off the wire and still
+        # run as their resident twins.
+        assert (samples["gcplus_interned_queries_total"]
+                == counters["interned_queries"] == summary["interned_queries"])
+        assert counters["interned_queries"] >= 5
         assert (samples["gcplus_admissions_skipped_total"]
                 == summary["admissions_skipped"])
         assert (samples["gcplus_method_tests_total"]
@@ -420,3 +425,23 @@ class TestLoadgen:
         assert payload["requests"] == 30
         # The server saw exactly the run's queries.
         assert service.counters()["queries"] == report.queries
+
+    def test_delete_before_any_add_degrades_to_an_add(self, served):
+        """A delete that arrives before any add of the run has completed
+        (the adding worker is still waiting for its response) is sent as
+        an add — and comes back: it used to recurse while holding the
+        non-reentrant id lock and hang both workers."""
+        from repro.serve.loadgen import _Recorder, _Worker
+
+        server, _, _ = served
+        recorder, added_ids = _Recorder(), []
+        plans = [{"kind": "mutate",
+                  "body": {"op": "delete_graph", "added_index": 0}}]
+        worker = _Worker("127.0.0.1", server.port, plans, [0.0], 0, 1,
+                         time.monotonic(), recorder, added_ids,
+                         threading.Lock(), 10.0)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(added_ids) == 1
+        assert (recorder.mutations, recorder.errors) == (1, 0)
