@@ -87,7 +87,14 @@ def enumerate_embeddings(query: LabeledGraph, host: LabeledGraph,
             del mapping[u]
             used.discard(cand)
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    finally:
+        # Exhausted or abandoned (close() raises GeneratorExit here):
+        # break the extend <-> closure-cell cycle, so that nothing of
+        # this enumeration is left to the cyclic collector ("Leave
+        # nothing for the collector" in repro.matching.vf2plus).
+        del extend
 
 
 def count_embeddings(query: LabeledGraph, host: LabeledGraph,

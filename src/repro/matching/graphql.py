@@ -16,6 +16,12 @@ implemented here:
 3. **Search-order optimization**: the search picks, at each depth, the
    unmapped query vertex with the fewest live candidates
    (least-candidates-first dynamic ordering).
+
+Neither the refinement nor the search leaves a reference cycle behind a
+test ("Leave nothing for the collector" in
+:mod:`repro.matching.vf2plus`): the augmenting step is a module-level
+function, and the search's self-recursive closure drops its
+self-reference when it ends.
 """
 
 from __future__ import annotations
@@ -64,6 +70,25 @@ class _Plan:
         self.neighbors = neighbor_lists(query)
         self.profiles = [tuple(_profile(query, u, radius).items())
                          for u in range(len(self.labels))]
+
+
+def _augment(qn: int, visited: set[int], host_neighbors: list[int],
+             candidates: list[set[int]], match_of: dict[int, int]) -> bool:
+    """One augmenting-path step of :meth:`GraphQLMatcher._has_semi_matching`.
+
+    A module-level function taking its state as arguments, not a closure
+    over it: a nested function that calls itself is a reference cycle,
+    and this one runs once per (pattern vertex, candidate) pair."""
+    for h in host_neighbors:
+        if h in visited or h not in candidates[qn]:
+            continue
+        visited.add(h)
+        if h not in match_of or _augment(match_of[h], visited,
+                                         host_neighbors, candidates,
+                                         match_of):
+            match_of[h] = qn
+            return True
+    return False
 
 
 class GraphQLMatcher(SubgraphMatcher):
@@ -127,19 +152,8 @@ class GraphQLMatcher(SubgraphMatcher):
         it is compatible with?  Standard augmenting-path bipartite matching
         over the compatibility relation ``h ∈ candidates[qn]``."""
         match_of: dict[int, int] = {}  # host neighbor -> query neighbor
-
-        def augment(qn: int, visited: set[int]) -> bool:
-            for h in host_neighbors:
-                if h in visited or h not in candidates[qn]:
-                    continue
-                visited.add(h)
-                if h not in match_of or augment(match_of[h], visited):
-                    match_of[h] = qn
-                    return True
-            return False
-
         for qn in query_neighbors:
-            if not augment(qn, set()):
+            if not _augment(qn, set(), host_neighbors, candidates, match_of):
                 return False
         return True
 
@@ -243,6 +257,12 @@ class GraphQLMatcher(SubgraphMatcher):
                 used.discard(v)
             return False
 
-        found = extend()
+        try:
+            found = extend()
+        finally:
+            # Break the extend <-> closure-cell cycle, so that nothing of
+            # this search (selection_key and live_count hang off it) is
+            # left to the cyclic collector.
+            del extend
         self.stats.states += states
         return mapping if found else None

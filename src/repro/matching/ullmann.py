@@ -5,6 +5,9 @@ baseline SI algorithm; included as an independent implementation used by
 the test suite as a correctness oracle (four algorithms agreeing on random
 inputs is strong evidence none of them is wrong) and available to users
 who want a fourth Method M.
+
+Like the other kernels it leaves no reference cycle behind a test
+("Leave nothing for the collector" in :mod:`repro.matching.vf2plus`).
 """
 
 from __future__ import annotations
@@ -89,4 +92,9 @@ class UllmannMatcher(SubgraphMatcher):
                 used.discard(v)
             return False
 
-        return dict(mapping) if assign(0) else None
+        try:
+            return dict(mapping) if assign(0) else None
+        finally:
+            # Break the assign <-> closure-cell cycle, so that nothing of
+            # this search is left to the cyclic collector.
+            del assign

@@ -16,6 +16,10 @@ The induced-isomorphism terminal-set cardinality rules of the original
 VF2 are deliberately omitted: they can prune valid monomorphisms.  This
 mirrors how VF2 is commonly adapted for subgraph *queries* in the FTV
 literature, and it is the baseline "Method M" of the paper.
+
+The self-recursive closure drops its self-reference when the search
+ends, so a test leaves no reference cycle behind ("Leave nothing for the
+collector" in :mod:`repro.matching.vf2plus`).
 """
 
 from __future__ import annotations
@@ -113,6 +117,11 @@ class VF2Matcher(SubgraphMatcher):
                 used.discard(cand)
             return False
 
-        found = extend(0)
+        try:
+            found = extend(0)
+        finally:
+            # Break the extend <-> closure-cell cycle, so that nothing of
+            # this search is left to the cyclic collector.
+            del extend
         self.stats.states += states
         return mapping if found else None

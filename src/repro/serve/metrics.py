@@ -3,7 +3,7 @@
 Hand-rendered exposition format (version 0.0.4) — the whole grammar the
 sidecar needs is ``# HELP`` / ``# TYPE`` comments and ``name{labels}
 value`` sample lines, so a client library would be pure dependency
-weight.  Three sources feed one scrape:
+weight.  Four sources feed one scrape:
 
 * the service's monotonic :meth:`~repro.api.GraphCacheService.counters`
   (queries, cache hits/misses, admissions/renewals/evictions/purges,
@@ -12,7 +12,14 @@ weight.  Three sources feed one scrape:
   HD's PIN/PINC regime rounds) → gauges;
 * the server's own :class:`ServerStats` (per-path/status request
   counts, a bounded query-latency reservoir) → an HTTP request counter
-  and a ``gcplus_query_latency_seconds`` summary with p50/p95/p99.
+  and a ``gcplus_query_latency_seconds`` summary with p50/p95/p99;
+* the interpreter's own ``gc.get_stats()``, read at scrape time (no
+  per-query cost) → ``gcplus_gc_*_total`` counters per generation.  The
+  pipeline is written to leave the cyclic collector nothing to free
+  (``repro.matching.vf2plus``, "Leave nothing for the collector"), and
+  a collection has no span: ``rate(gcplus_gc_collected_objects_total)``
+  above zero on a live sidecar is how a reintroduced reference cycle
+  shows from outside.
 
 Counter semantics are load-bearing: everything exported as ``counter``
 never decreases over the process lifetime (purges reset *windowed*
@@ -22,6 +29,7 @@ statistics, never these — see ``StatisticsMonitor.counters``), so
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
 from collections import deque
@@ -169,6 +177,22 @@ def render_prometheus(service, server_stats: ServerStats | None = None,
                 '{regime="pin"}')
         _sample(lines, "gcplus_hd_rounds", policy.pinc_rounds,
                 '{regime="pinc"}')
+
+    generations = gc.get_stats()
+    for key, name, help_text in (
+            ("collections", "gcplus_gc_collections_total",
+             "Runs of the cyclic garbage collector, by generation"),
+            ("collected", "gcplus_gc_collected_objects_total",
+             "Unreachable objects the cyclic collector freed, by the "
+             "generation collected; the query pipeline leaves none")):
+        _header(lines, name, "counter", help_text)
+        for generation, stats in enumerate(generations):
+            _sample(lines, name, stats[key],
+                    f'{{generation="{generation}"}}')
+    _header(lines, "gcplus_gc_uncollectable_objects_total", "counter",
+            "Unreachable objects the cyclic collector could not free")
+    _sample(lines, "gcplus_gc_uncollectable_objects_total",
+            sum(stats["uncollectable"] for stats in generations))
 
     if ready is not None:
         _header(lines, "gcplus_ready", "gauge",

@@ -57,12 +57,19 @@ from repro.serve.wire import (
     require,
 )
 
-__all__ = ["CacheServer", "DrainReport", "SESSION_WAIT_SECONDS"]
+__all__ = ["CacheServer", "DrainReport", "MAX_BODY_BYTES",
+           "SESSION_WAIT_SECONDS"]
 
 #: How long a request waits for a pool session before giving up with a
 #: 503 — long enough to ride out a burst, short enough that a wedged
 #: pipeline surfaces as backpressure instead of a silent pile-up.
 SESSION_WAIT_SECONDS = 10.0
+
+#: The largest request body read off a socket; a longer one is refused
+#: with 413 before a byte of it is read.  Three orders of magnitude above
+#: any graph the wire codec is meant for, and a bound on what one
+#: connection thread can be made to buffer.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _JSON = "application/json"
 _PROM = "text/plain; version=0.0.4; charset=utf-8"
@@ -87,6 +94,68 @@ class _Response(Exception):
         self.payload = payload
 
 
+def _content_length(raw: str | None) -> int:
+    """The body length a request declares, checked before the body is
+    read: ``rfile.read`` trusts it, so ``-1`` would wait for EOF and a
+    huge value for bytes that never come."""
+    if raw is None:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        raise _Response(400, {
+            "error": f"Content-Length must be a non-negative integer, "
+                     f"got {raw[:40]!r}"})
+    digits = raw.lstrip("0") or "0"
+    # Compared by digit count first: int() refuses very long strings.
+    if (len(digits) > len(str(MAX_BODY_BYTES))
+            or int(digits) > MAX_BODY_BYTES):
+        raise _Response(413, {
+            "error": f"request body of {digits[:40]} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit"})
+    return int(digits)
+
+
+class _Scope:
+    """One request's hold on a pool session."""
+
+    __slots__ = ("_server", "_handle")
+
+    def __init__(self, server: "CacheServer") -> None:
+        self._server = server
+
+    def __enter__(self) -> ServiceSession:
+        server = self._server
+        try:
+            self._handle = server._pool.get(timeout=SESSION_WAIT_SECONDS)
+        except queue.Empty:
+            raise _Response(503, {
+                "error": f"no session available within "
+                         f"{SESSION_WAIT_SECONDS:.0f}s "
+                         f"({server._pool_size} in pool)"
+            }) from None
+        return self._handle
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._server._pool.put(self._handle)
+
+
+class _Flight:
+    """One request counted as in flight, for :meth:`CacheServer.drain`."""
+
+    __slots__ = ("_server",)
+
+    def __init__(self, server: "CacheServer") -> None:
+        self._server = server
+
+    def __enter__(self) -> None:
+        with self._server._flight_cond:
+            self._server._in_flight += 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._server._flight_cond:
+            self._server._in_flight -= 1
+            self._server._flight_cond.notify_all()
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Thin I/O shell: reads the body, delegates to the app, writes the
     response.  All routing/validation lives on :class:`CacheServer` so
@@ -109,10 +178,17 @@ class _Handler(BaseHTTPRequestHandler):
         app: "CacheServer" = self.server.app  # type: ignore[attr-defined]
         path = urlsplit(self.path).path
         started = time.perf_counter()
+        refused = False
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = _content_length(self.headers.get("Content-Length"))
             body = self.rfile.read(length) if length else b""
             status, payload, content_type = app.handle(method, path, body)
+        except _Response as early:
+            # The body stays unread: this connection cannot carry
+            # another request.
+            refused = True
+            status, payload, content_type = app._json(early.status,
+                                                      early.payload)
         # A handler bug must become a one-line 500, never a traceback
         # leaked onto the wire.
         # gclint: allow[broad-except] documented HTTP wire boundary
@@ -127,8 +203,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(payload)))
-            if app.draining:
-                # Persuade keep-alive clients off a dying server.
+            if refused or app.draining:
+                # Persuade keep-alive clients off a dying server (or a
+                # connection with an unread body in it).
                 self.send_header("Connection", "close")
                 self.close_connection = True
             self.end_headers()
@@ -297,7 +374,7 @@ class CacheServer:
                 if not self.ready:
                     return self._json(503, {"error": "draining"})
                 payload = self._parse_json(body)
-                with self._flight():
+                with _Flight(self):
                     return self._json(*self._serve(path, payload))
             return self._json(404, {"error": f"unknown path {path!r}"})
         except _Response as early:
@@ -306,7 +383,7 @@ class CacheServer:
             return self._json(400, {"error": str(exc)})
 
     def _serve(self, path: str, payload: Any) -> tuple[int, dict[str, Any]]:
-        with self._session() as session:
+        with _Scope(self) as session:
             if path == "/query":
                 query = graph_from_wire(require(payload, "graph", dict))
                 return 200, result_to_wire(session.execute(query))
@@ -363,43 +440,6 @@ class CacheServer:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _session(self):
-        """Check a session out of the pool for one request."""
-        server = self
-
-        class _Scope:
-            def __enter__(self) -> ServiceSession:
-                try:
-                    self._handle = server._pool.get(
-                        timeout=SESSION_WAIT_SECONDS)
-                except queue.Empty:
-                    raise _Response(503, {
-                        "error": f"no session available within "
-                                 f"{SESSION_WAIT_SECONDS:.0f}s "
-                                 f"({server._pool_size} in pool)"
-                    }) from None
-                return self._handle
-
-            def __exit__(self, exc_type, exc, tb) -> None:
-                server._pool.put(self._handle)
-
-        return _Scope()
-
-    def _flight(self):
-        server = self
-
-        class _Flight:
-            def __enter__(self):
-                with server._flight_cond:
-                    server._in_flight += 1
-
-            def __exit__(self, exc_type, exc, tb):
-                with server._flight_cond:
-                    server._in_flight -= 1
-                    server._flight_cond.notify_all()
-
-        return _Flight()
-
     @staticmethod
     def _parse_json(body: bytes) -> Any:
         if not body:

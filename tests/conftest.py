@@ -7,7 +7,12 @@ property-based tests compare two unrelated code paths.
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from types import FunctionType
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -82,6 +87,62 @@ def brute_force_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
         and a.num_edges == b.num_edges
         and brute_force_subiso(a, b)
     )
+
+
+# ----------------------------------------------------------------------
+# The zero-garbage guard
+# ----------------------------------------------------------------------
+def _is_this_repositorys(obj: object) -> bool:
+    module = (obj.__module__ if isinstance(obj, FunctionType)
+              else type(obj).__module__)
+    head = module.partition(".")[0] if isinstance(module, str) else ""
+    return head in ("repro", "tests") or head.startswith("test_")
+
+
+@contextmanager
+def no_cyclic_garbage():
+    """Run the block with the collector off; fail if it left a cycle.
+
+    ``gc.collect()``, ``gc.disable()``, the block, and a second
+    ``gc.collect()`` that must find nothing.  The second one runs under
+    ``gc.DEBUG_SAVEALL`` so that a failure says *what* was found: the
+    unreachable objects counted by type, and the ``__qualname__`` of
+    every unreachable function (a leaking closure names itself).
+
+    Under a trace function (``pytest --cov``, a debugger) the tracer's
+    own allocations happen inside the block; should they include a
+    cycle, it is not the program's.  Only then, the count keeps just
+    the objects that are this repository's by name — instances of its
+    types, functions defined in its modules.  A leaked closure is such a
+    function and is still caught; an anonymous cycle of builtins is
+    caught only without a tracer.
+    """
+    was_enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    if sys.gettrace() is not None:
+        garbage = [obj for obj in garbage if _is_this_repositorys(obj)]
+        found = len(garbage)
+    types = Counter(type(obj).__name__ for obj in garbage)
+    functions = Counter(obj.__qualname__ for obj in garbage
+                        if isinstance(obj, FunctionType))
+    del garbage
+    gc.collect()    # what DEBUG_SAVEALL kept alive goes now
+    assert found == 0, (
+        f"{found} unreachable objects left for the cyclic collector: "
+        f"{dict(types.most_common())}; unreachable functions: "
+        f"{dict(functions.most_common())}")
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,12 @@ subprocess SIGTERM drill of ``python -m repro serve``.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -26,7 +28,7 @@ from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs import io as graph_io
 from repro.persist import load_snapshot
-from repro.serve.server import CacheServer
+from repro.serve.server import MAX_BODY_BYTES, CacheServer
 from repro.serve.wire import graph_to_wire
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
@@ -226,6 +228,99 @@ class TestMetricsEndpoint:
         assert samples["gcplus_query_latency_seconds_count"] == 25
         assert samples['gcplus_query_latency_seconds{quantile="0.5"}'] > 0
         assert samples['gcplus_query_latency_seconds{quantile="0.95"}'] > 0
+
+
+    def test_collector_counters(self, served):
+        """``gc.get_stats()`` at scrape time, as monotone counters."""
+        server, _, graphs = served
+
+        def scrape():
+            status, text = request(server, "GET", "/metrics")
+            assert status == 200
+            return text, parse_prometheus(text)
+
+        text, before = scrape()
+        for name in ("gcplus_gc_collections_total",
+                     "gcplus_gc_collected_objects_total",
+                     "gcplus_gc_uncollectable_objects_total"):
+            assert f"# TYPE {name} counter" in text
+        for query in make_queries(graphs, n=10):
+            request(server, "POST", "/query", {"graph": graph_to_wire(query)})
+        garbage = []
+        garbage.append(garbage)         # one cycle, for the collector
+        del garbage
+        freed = gc.collect()
+        assert freed >= 1
+        _, after = scrape()
+        oldest = 'gcplus_gc_collections_total{generation="2"}'
+        assert after[oldest] >= before[oldest] + 1
+        collected = 'gcplus_gc_collected_objects_total{generation="2"}'
+        assert after[collected] >= before[collected] + freed
+        for generation in "012":
+            for stem in ("collections", "collected_objects"):
+                name = f'gcplus_gc_{stem}_total{{generation="{generation}"}}'
+                assert after[name] >= before[name] >= 0
+        assert (after["gcplus_gc_uncollectable_objects_total"]
+                >= before["gcplus_gc_uncollectable_objects_total"] >= 0)
+
+
+def raw_exchange(server, head: bytes, body: bytes = b""):
+    """Send bytes as they are; returns (status, headers, JSON payload)
+    and whether the server closed the connection afterwards."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10) as sock:
+        sock.sendall(head + body)
+        reader = sock.makefile("rb")
+        status = int(reader.readline().split()[1])
+        headers = {}
+        for line in iter(reader.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        payload = json.loads(reader.read(int(headers["content-length"])))
+        sock.settimeout(0.5)
+        try:
+            closed = sock.recv(1) == b""
+        except TimeoutError:
+            closed = False              # kept alive: nothing more to read
+    return status, headers, payload, closed
+
+
+class TestContentLength:
+    """The declared length is validated before a byte of the body is
+    read: a bad one used to hang the connection thread (``-1`` reads to
+    EOF) or come back as a 500."""
+
+    @staticmethod
+    def head(length: str) -> bytes:
+        return (f"POST /query HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode("latin-1")
+
+    @pytest.mark.parametrize("length, expected", [
+        ("-1", 400), ("abc", 400), ("99999999999", 413),
+        (str(MAX_BODY_BYTES + 1), 413), ("9" * 5000, 413), ("\xb2", 400),
+    ])
+    def test_bad_length_is_refused_unread(self, served, length, expected):
+        server, service, _ = served
+        # No body follows: an answer proves that none was waited for.
+        status, headers, payload, closed = raw_exchange(
+            server, self.head(length))
+        assert status == expected
+        assert "error" in payload
+        assert headers["connection"] == "close" and closed
+        assert server.stats.request_count("/query", expected) == 1
+        assert service.counters()["queries"] == 0
+        # The listener is unharmed.
+        assert request(server, "GET", "/healthz")[0] == 200
+
+    def test_body_at_the_cap_is_served(self, served):
+        server, service, graphs = served
+        body = json.dumps({"graph": graph_to_wire(graphs[0])}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status, headers, payload, closed = raw_exchange(
+            server, self.head(str(len(body))), body)
+        assert status == 200 and 0 in payload["answer_ids"]
+        assert "connection" not in headers and not closed
 
 
 class TestDrain:
