@@ -3,9 +3,9 @@
 :class:`GCConfig` gathers what ``CacheManager.__init__``, the service
 and the bench harness need into one frozen dataclass that
 
-* validates every field eagerly (capacities positive, ``retro_budget``
-  non-negative, policy/matcher names checked against the registries with
-  the valid choices spelled out in the error message);
+* validates every field eagerly (capacities positive, policy/matcher
+  names checked against the registries with the valid choices spelled
+  out in the error message);
 * coerces strings for enum-valued fields (``model="con"``,
   ``query_type="subgraph"``) so CLI flags and JSON configs wire straight
   through;
@@ -35,7 +35,7 @@ __all__ = ["GCConfig", "DEFAULT_CACHE_CAPACITY", "DEFAULT_WINDOW_CAPACITY",
            "LOCK_MODES"]
 
 #: Valid ``GCConfig.lock_mode`` values (see the field's doc).
-LOCK_MODES = frozenset({"auto", "none", "rw"})
+LOCK_MODES = frozenset({"auto", "rw"})
 
 
 def _coerce_model(value: CacheModel | str) -> CacheModel:
@@ -91,15 +91,12 @@ class GCConfig:
     model: CacheModel = CacheModel.CON
     query_type: QueryType = QueryType.SUBGRAPH
     matcher: str = "vf2+"
-    internal_verifier: str | None = None
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
     window_capacity: int = DEFAULT_WINDOW_CAPACITY
     policy: str = "hd"
     caching_enabled: bool = True
-    retro_budget: int = 0
-    #: Cache-subsystem locking: ``"none"`` (no locks — single-session
-    #: only), ``"rw"`` (reader-writer lock from construction), or
-    #: ``"auto"`` (the default: lock-free until the first
+    #: Cache-subsystem locking: ``"rw"`` (reader-writer lock from
+    #: construction) or ``"auto"`` (the default: lock-free until the first
     #: ``GraphCacheService.session()`` call upgrades to the RW lock at
     #: that quiescent point).  A pure performance/serving knob: answers
     #: are identical in every mode.
@@ -130,15 +127,6 @@ class GCConfig:
                 f"{sorted(MATCHERS)}"
             )
         object.__setattr__(self, "matcher", self.matcher.lower())
-        if self.internal_verifier is not None:
-            if (not isinstance(self.internal_verifier, str)
-                    or self.internal_verifier.lower() not in MATCHERS):
-                raise ValueError(
-                    f"unknown internal verifier {self.internal_verifier!r}; "
-                    f"choose from {sorted(MATCHERS)}"
-                )
-            object.__setattr__(self, "internal_verifier",
-                               self.internal_verifier.lower())
         if not isinstance(self.policy, str) or self.policy.lower() not in POLICIES:
             raise ValueError(
                 f"unknown replacement policy {self.policy!r}; choose from "
@@ -161,8 +149,8 @@ class GCConfig:
                     f"snapshot_path must be a non-empty path or None, "
                     f"got {self.snapshot_path!r}"
                 )
-        for name in ("cache_capacity", "window_capacity", "retro_budget",
-                     "max_sessions", "autosave_every"):
+        for name in ("cache_capacity", "window_capacity", "max_sessions",
+                     "autosave_every"):
             _require_int(name, getattr(self, name))
         if self.cache_capacity <= 0:
             raise ValueError(
@@ -171,11 +159,6 @@ class GCConfig:
         if self.window_capacity <= 0:
             raise ValueError(
                 f"window_capacity must be positive, got {self.window_capacity}"
-            )
-        if self.retro_budget < 0:
-            raise ValueError(
-                f"retro_budget must be >= 0, got {self.retro_budget} "
-                f"(0 disables retrospective revalidation)"
             )
         if self.max_sessions < 1:
             raise ValueError(
@@ -223,12 +206,10 @@ class GCConfig:
             "model": self.model.name,
             "query_type": self.query_type.value,
             "matcher": self.matcher,
-            "internal_verifier": self.internal_verifier,
             "cache_capacity": self.cache_capacity,
             "window_capacity": self.window_capacity,
             "policy": self.policy,
             "caching_enabled": self.caching_enabled,
-            "retro_budget": self.retro_budget,
             "lock_mode": self.lock_mode,
             "max_sessions": self.max_sessions,
             "snapshot_path": self.snapshot_path,

@@ -98,9 +98,10 @@ class GraphCacheService:
                  internal_verifier: SubgraphMatcher | None = None,
                  **overrides: object) -> None:
         """``config`` defaults to ``GCConfig()``; keyword ``overrides``
-        are applied on top via :meth:`GCConfig.replace`.  ``matcher`` and
-        ``internal_verifier`` accept ready instances and take precedence
-        over the corresponding config names."""
+        are applied on top via :meth:`GCConfig.replace`.  ``matcher``
+        accepts a ready instance and takes precedence over the config's
+        matcher name; ``internal_verifier`` substitutes the matcher hit
+        discovery tests queries against each other with."""
         config = config if config is not None else GCConfig()
         if overrides:
             config = config.replace(**overrides)
@@ -111,28 +112,16 @@ class GraphCacheService:
             # Keep the config honest about the session's effective
             # matcher, so config.to_dict() reconstructs this system (a
             # custom instance not in the registry can't be named).
-            config = self._sync_name(config, "matcher", matcher)
+            name = getattr(matcher, "name", None)
+            if name in MATCHERS and config.matcher != name:
+                config = config.replace(matcher=name)
         self.method_m = MethodM(matcher, store)
         self.query_type = config.query_type
         self.cache = CacheManager.from_config(config)
-        if internal_verifier is None and config.internal_verifier:
-            internal_verifier = make_matcher(config.internal_verifier)
-        elif internal_verifier is not None:
-            config = self._sync_name(config, "internal_verifier",
-                                     internal_verifier)
         self.config = config
         self.discovery = HitDiscovery(internal_verifier)
         self.monitor = StatisticsMonitor()
         self.caching_enabled = config.caching_enabled
-        # Retrospective revalidation (§8 future work; beyond-paper
-        # extension, off by default).  ``retro_budget`` bounds the
-        # off-critical-path sub-iso tests spent per query on re-earning
-        # lost CGvalid bits for high-benefit entries.
-        self.revalidator = None
-        if config.retro_budget > 0:
-            from repro.cache.revalidation import RetrospectiveRevalidator
-
-            self.revalidator = RetrospectiveRevalidator(config.retro_budget)
         self._query_counter = 0
         self._closed = False
         # close() must be idempotent and race-free: the serving drain
@@ -194,14 +183,6 @@ class GraphCacheService:
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    @staticmethod
-    def _sync_name(config: GCConfig, field: str,
-                   instance: SubgraphMatcher) -> GCConfig:
-        name = getattr(instance, "name", None)
-        if name in MATCHERS and getattr(config, field) != name:
-            return config.replace(**{field: name})
-        return config
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -266,18 +247,12 @@ class GraphCacheService:
         Under ``lock_mode="auto"`` the first call swaps the no-op lock
         for a real :class:`~repro.util.rwlock.RWLock`; open sessions
         **before** issuing concurrent queries so the swap happens at a
-        quiescent point.  ``lock_mode="none"`` refuses sessions outright.
-        At most ``GCConfig.max_sessions`` sessions may be open at once;
-        closing one (it is a context manager) frees its slot.
+        quiescent point.  At most ``GCConfig.max_sessions`` sessions may
+        be open at once; closing one (it is a context manager) frees its
+        slot.
         """
         self._check_open()
         with self._session_guard:
-            if self.config.lock_mode == "none":
-                raise RuntimeError(
-                    "lock_mode='none' is single-session only; construct "
-                    "the service with lock_mode='auto' or 'rw' to share "
-                    "its cache across sessions"
-                )
             if isinstance(self.cache.lock, NullRWLock):
                 # lock_mode="auto": upgrade at this (quiescent) point.
                 self.cache.lock = RWLock()
@@ -374,14 +349,14 @@ class GraphCacheService:
         return self._execute_pipeline(query)
 
     def execute_many(self, queries: Iterable[LabeledGraph]) -> list[QueryResult]:
-        """Answer a batch of queries with **one** consistency pass.
+        """Answer ``queries`` in order: ``[execute(q) for q in queries]``.
 
-        The full ``ensure_consistency`` protocol runs on the first query
-        and its timings land on that result's metrics; later queries pay
-        only an O(1) staleness guard.  Should the dataset mutate
-        *mid-batch* anyway (a generator side effect, an event hook, raw
-        store access), the guard notices and the protocol runs again —
-        batching never trades away answer correctness.
+        Nothing is amortised over the batch that :meth:`execute` does
+        not amortise already: every query starts with the same O(1)
+        staleness guard, and the consistency protocol runs — charged to
+        that query's metrics — only when the dataset log has moved,
+        including mid-batch (a generator side effect, an event hook, raw
+        store access).
         """
         self._check_open()
         return [self._execute_pipeline(query) for query in queries]
@@ -517,18 +492,6 @@ class GraphCacheService:
                     else:
                         metrics.admission_skipped = True
             metrics.admission_seconds = admission_sw.elapsed
-
-            # (6, extension) Retrospective revalidation, off the
-            # critical path.  Mutates entry validity bits → write-side.
-            if self.revalidator is not None and self.caching_enabled:
-                retro_sw = Stopwatch()
-                with retro_sw:
-                    with lock.write():
-                        retro = self.revalidator.run_round(
-                            self.cache, self.store, self.method_m.matcher
-                        )
-                metrics.retro_seconds = retro_sw.elapsed
-                metrics.retro_tests = retro.tests_spent
 
             self.monitor.record(metrics)
             if session_monitor is not None:

@@ -4,7 +4,7 @@
   memoization (many figures share the same underlying runs);
 * :mod:`repro.bench.experiments` — one function per paper figure
   (Figures 4, 5, 6), the §7.2 hit-anatomy insight, and the ablations
-  (replacement policy, cache size, churn, retrospective budget);
+  (replacement policy, cache size, churn);
 * :mod:`repro.bench.reporting` — fixed-width/markdown tables with the
   paper's reference numbers side by side;
 * :mod:`repro.bench.concurrent` — the :class:`ConcurrentDriver` that

@@ -28,7 +28,6 @@ FIGURES = {
     "policies": experiments.ablation_policies,
     "cache-size": experiments.ablation_cache_size,
     "churn": experiments.ablation_churn,
-    "retro": experiments.ablation_retro,
     "supergraph": experiments.supergraph_workload,
 }
 

@@ -30,7 +30,6 @@ __all__ = [
     "ablation_policies",
     "ablation_cache_size",
     "ablation_churn",
-    "ablation_retro",
     "supergraph_workload",
 ]
 
@@ -345,58 +344,6 @@ def ablation_churn(harness: ExperimentHarness, workload: str = "ZZ",
     return rows, render_table(
         f"Ablation — churn intensity (EVI vs CON, {workload}, {matcher})",
         rows,
-    )
-
-
-def ablation_retro(harness: ExperimentHarness, workload: str = "ZZ",
-                   matcher: str = "vf2+",
-                   budgets: tuple[int, ...] = (0, 5, 20, 80)):
-    """Retrospective revalidation (§8 future work, beyond-paper).
-
-    Re-earning lost CGvalid bits costs off-critical-path sub-iso tests
-    ("retro tests") but restores zero-test exact hits; the table reports
-    both sides so the trade-off is visible.  Budget 0 is plain CON.
-    """
-    from repro.api import GraphCacheService
-    from repro.dataset.change_plan import ChangePlan
-    from repro.dataset.store import GraphStore
-
-    s = harness.scale
-    wl = harness.workload(workload)
-    base = harness.run(workload, matcher, "base")
-    rows = []
-    for budget in budgets:
-        store = GraphStore.from_graphs(harness.graphs)
-        plan = ChangePlan.generate(
-            harness.graphs, num_queries=len(wl.queries),
-            num_batches=s.num_batches, ops_per_batch=s.ops_per_batch,
-            seed=s.plan_seed,
-        )
-        engine = GraphCacheService(
-            store, s.cache_config("CON", matcher).replace(retro_budget=budget)
-        )
-        warmup = min(s.warmup_queries, max(len(wl.queries) - 1, 0))
-        qtime = 0.0
-        tests = retro = 0
-        for i, query in enumerate(wl.queries):
-            plan.apply_due(store, i)
-            result = engine.execute(query.graph)
-            if i < warmup:
-                continue
-            qtime += result.metrics.query_seconds
-            tests += result.metrics.method_tests
-            retro += result.metrics.retro_tests
-        rows.append({
-            "retro budget": budget,
-            "test speedup": base.total_method_tests / max(tests, 1),
-            "time speedup": base.total_query_seconds / max(qtime, 1e-12),
-            "retro tests spent": retro,
-            "net test speedup": (base.total_method_tests
-                                 / max(tests + retro, 1)),
-        })
-    return rows, render_table(
-        f"Ablation — retrospective revalidation (CON, {workload}, "
-        f"{matcher})", rows
     )
 
 

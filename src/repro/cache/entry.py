@@ -11,14 +11,14 @@ relation towards a dataset graph."*
 The invariant everything downstream relies on is therefore about the
 *pair* of indicators, not about ``answer`` alone: **a set ``valid`` bit
 means the recorded ``answer`` bit holds against the current dataset.**
-GC+ itself never re-processes a cached query, but two write-side paths
-refresh an entry with results that were paid for elsewhere, and both
-preserve the invariant: retrospective revalidation
-(:mod:`repro.cache.revalidation`, opt-in) re-tests single graphs and
-sets both bits, and renewal (:meth:`CacheManager.admit
-<repro.cache.manager.CacheManager.admit>`) replaces both indicators
-wholesale when the user re-issues the query and it has just been
-executed against the live dataset.
+GC+ itself never re-processes a cached query: the Cache Validator only
+ever turns ``valid`` bits *off*.  The one write-side path that re-earns
+them is renewal (:meth:`CacheManager.admit
+<repro.cache.manager.CacheManager.admit>`): when the user re-issues the
+query and it has just been executed against the live dataset, both
+indicators are **replaced** wholesale, never edited bit by bit — the
+result was paid for on the critical path anyway, and a replaced pair
+preserves the invariant by construction.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class CacheEntry:
       for supergraph semantics).  Frozen against dataset changes — only
       ``valid`` fades; rewritten solely under the cache's write lock,
       together with ``valid``, by a fresh execution's result (renewal:
-      the object is replaced) or a retrospective re-test (one bit).
+      the object is replaced).
     * ``valid`` — the ``CGvalid`` indicator: bit *i* set iff the recorded
       relation toward graph *i* is still guaranteed for the up-to-date
       dataset.  Initialised to the ids of all dataset graphs live at

@@ -11,7 +11,8 @@ Responsibilities (paper §4):
 * perform admission control and replacement when the window promotes a
   batch — or, when a re-executed query finds a resident isomorphic twin
   whose ``CGvalid`` has faded, renew that twin in place instead of
-  admitting another copy (``docs/config-fidelity.md``, "Renewal");
+  admitting another copy (``docs/config-fidelity.md``, "Renewal") — the
+  only path that ever turns a ``CGvalid`` bit back on;
 * keep per-entry benefit statistics for the replacement policies.
 
 Concurrency

@@ -131,28 +131,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         if args.model.lower() == "none":
-            config = GCConfig.from_dict({
-                "query_type": args.query_type, "matcher": args.matcher,
-            })
+            config = GCConfig(query_type=args.query_type,
+                              matcher=args.matcher)
             runner = MethodMRunner(store, make_matcher(config.matcher),
                                    query_type=config.query_type)
         else:
-            config = GCConfig.from_dict({
-                "model": args.model,
-                "query_type": args.query_type,
-                "matcher": args.matcher,
-                "policy": args.policy,
-                "cache_capacity": args.cache_capacity,
-                "window_capacity": args.window_capacity,
-                "retro_budget": args.retro_budget,
+            config = _snapshot_config(
+                args,
                 # The session cap must fit the worker fan-out; lock_mode
                 # "auto" upgrades to the RW lock on the first session().
-                "max_sessions": max(args.concurrency,
-                                    GCConfig().max_sessions),
-                "snapshot_path": (str(args.save_snapshot)
-                                  if args.save_snapshot else None),
-                "autosave_every": args.autosave_every,
-            })
+                max_sessions=max(args.concurrency, GCConfig().max_sessions),
+                snapshot_path=args.save_snapshot,
+                autosave_every=args.autosave_every,
+            )
             runner = GraphCacheService(store, config)
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -309,7 +300,23 @@ def _run_concurrent(args: argparse.Namespace, service: GraphCacheService,
     return 0
 
 
-def _snapshot_config(args: argparse.Namespace) -> GCConfig:
+def _add_cache_flags(parser: argparse.ArgumentParser,
+                     model_help: str = "CON or EVI") -> None:
+    """The flags `run`, `snapshot save` and `serve` share: what
+    :func:`_snapshot_config` turns into a :class:`GCConfig`."""
+    parser.add_argument("--model", default="CON", help=model_help)
+    parser.add_argument("--matcher", default="vf2+",
+                        help=f"one of {sorted(MATCHERS)}")
+    parser.add_argument("--query-type", default="subgraph",
+                        help="subgraph or supergraph")
+    parser.add_argument("--policy", default="hd")
+    parser.add_argument("--cache-capacity", type=int, default=100)
+    parser.add_argument("--window-capacity", type=int, default=20)
+
+
+def _snapshot_config(args: argparse.Namespace, **more: object) -> GCConfig:
+    """The :class:`GCConfig` the :func:`_add_cache_flags` flags name,
+    plus the command's own fields (``more``)."""
     return GCConfig.from_dict({
         "model": args.model,
         "query_type": args.query_type,
@@ -317,6 +324,7 @@ def _snapshot_config(args: argparse.Namespace) -> GCConfig:
         "policy": args.policy,
         "cache_capacity": args.cache_capacity,
         "window_capacity": args.window_capacity,
+        **more,
     })
 
 
@@ -426,19 +434,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     graphs = _load_graphs("--dataset", args.dataset)
     try:
-        config = GCConfig.from_dict({
-            "model": args.model,
-            "query_type": args.query_type,
-            "matcher": args.matcher,
-            "policy": args.policy,
-            "cache_capacity": args.cache_capacity,
-            "window_capacity": args.window_capacity,
-            "lock_mode": "rw",
-            "max_sessions": args.max_sessions,
-            "snapshot_path": (str(args.snapshot_path)
-                              if args.snapshot_path else None),
-            "autosave_every": args.autosave_every,
-        })
+        config = _snapshot_config(
+            args, lock_mode="rw", max_sessions=args.max_sessions,
+            snapshot_path=args.snapshot_path,
+            autosave_every=args.autosave_every,
+        )
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -515,16 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a workload file")
     run.add_argument("--dataset", type=Path, required=True)
     run.add_argument("--workload", type=Path, required=True)
-    run.add_argument("--model", default="CON",
-                     help="CON, EVI or none (bare Method M)")
-    run.add_argument("--matcher", default="vf2+",
-                     help=f"one of {sorted(MATCHERS)}")
-    run.add_argument("--query-type", default="subgraph",
-                     help="subgraph or supergraph")
-    run.add_argument("--policy", default="hd")
-    run.add_argument("--cache-capacity", type=int, default=100)
-    run.add_argument("--window-capacity", type=int, default=20)
-    run.add_argument("--retro-budget", type=int, default=0)
+    _add_cache_flags(run, model_help="CON, EVI or none (bare Method M)")
     run.add_argument("--concurrency", type=int, default=1, metavar="N",
                      help="serve the workload from N worker threads "
                           "sharing one cache (needs a cache model; "
@@ -560,13 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_save.add_argument("--dataset", type=Path, required=True)
     snap_save.add_argument("--workload", type=Path, required=True)
     snap_save.add_argument("--out", type=Path, required=True)
-    snap_save.add_argument("--model", default="CON", help="CON or EVI")
-    snap_save.add_argument("--matcher", default="vf2+",
-                           help=f"one of {sorted(MATCHERS)}")
-    snap_save.add_argument("--query-type", default="subgraph")
-    snap_save.add_argument("--policy", default="hd")
-    snap_save.add_argument("--cache-capacity", type=int, default=100)
-    snap_save.add_argument("--window-capacity", type=int, default=20)
+    _add_cache_flags(snap_save)
     snap_save.set_defaults(func=_cmd_snapshot)
     snap_load = snap_sub.add_parser(
         "load", help="inspect a snapshot; with --dataset, restore it "
@@ -586,13 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH",
                        help="write the bound port here once serving "
                             "(for scripts using --port 0)")
-    serve.add_argument("--model", default="CON", help="CON or EVI")
-    serve.add_argument("--matcher", default="vf2+",
-                       help=f"one of {sorted(MATCHERS)}")
-    serve.add_argument("--query-type", default="subgraph")
-    serve.add_argument("--policy", default="hd")
-    serve.add_argument("--cache-capacity", type=int, default=100)
-    serve.add_argument("--window-capacity", type=int, default=20)
+    _add_cache_flags(serve)
     serve.add_argument("--max-sessions", type=int, default=8,
                        help="concurrent request pipelines (the session "
                             "pool size)")

@@ -64,6 +64,7 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "FINGERPRINT_FIELDS",
+    "RETIRED_FINGERPRINT_FIELDS",
     "SnapshotError",
     "SnapshotFormatError",
     "SnapshotMismatchError",
@@ -89,13 +90,18 @@ FINGERPRINT_FIELDS = (
     "model",
     "query_type",
     "matcher",
-    "internal_verifier",
     "cache_capacity",
     "window_capacity",
     "policy",
     "caching_enabled",
-    "retro_budget",
 )
+
+#: Fingerprint keys of config fields that no longer exist.  The decoder
+#: drops them at any value, so snapshots written while they did still
+#: restore: neither field changed what a set ``CGvalid`` bit means
+#: (``docs/persistence.md``, "Retired keys").  Any other unknown key
+#: still fails the restore with :class:`SnapshotMismatchError`.
+RETIRED_FINGERPRINT_FIELDS = ("internal_verifier", "retro_budget")
 
 
 class SnapshotError(Exception):
@@ -297,6 +303,8 @@ def decode_snapshot(text: str) -> Snapshot:
         )
     try:
         fingerprint = dict(header["fingerprint"])
+        for retired in RETIRED_FINGERPRINT_FIELDS:
+            fingerprint.pop(retired, None)
         raw_dataset = header.get("dataset")
         dataset = dict(raw_dataset) if raw_dataset is not None else None
         query_counter = int(header["query_counter"])

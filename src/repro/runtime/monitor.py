@@ -48,9 +48,6 @@ class QueryMetrics:
     validate_seconds: float = 0.0   # Algorithm 2 (CON only)
     purge_seconds: float = 0.0      # EVI indiscriminate purge
     admission_seconds: float = 0.0  # window + cache update, replacement
-    # Retrospective revalidation (beyond-paper extension, opt-in).
-    retro_seconds: float = 0.0
-    retro_tests: int = 0
 
     # Hit anatomy (§7.2).
     containing_hits: int = 0
@@ -72,9 +69,7 @@ class QueryMetrics:
 
     @property
     def overhead_seconds(self) -> float:
-        return (self.analyze_seconds + self.validate_seconds
-                + self.purge_seconds + self.admission_seconds
-                + self.retro_seconds)
+        return self.consistency_seconds + self.admission_seconds
 
     @property
     def consistency_seconds(self) -> float:
@@ -118,7 +113,6 @@ class StatisticsMonitor:
     queries: int = 0
     total_method_tests: int = 0
     total_internal_tests: int = 0
-    total_retro_tests: int = 0
     total_tests_saved: int = 0
     zero_test_queries: int = 0
     queries_with_exact_hit: int = 0
@@ -156,7 +150,6 @@ class StatisticsMonitor:
         self.tests_saved.add(metrics.tests_saved)
         self.total_method_tests += metrics.method_tests
         self.total_internal_tests += metrics.internal_tests
-        self.total_retro_tests += metrics.retro_tests
         self.total_tests_saved += metrics.tests_saved
         if metrics.method_tests == 0:
             self.zero_test_queries += 1
@@ -241,7 +234,6 @@ class StatisticsMonitor:
             "avg_method_tests": self.avg_method_tests,
             "total_method_tests": self.total_method_tests,
             "total_internal_tests": self.total_internal_tests,
-            "total_retro_tests": self.total_retro_tests,
             "total_tests_saved": self.total_tests_saved,
             "zero_test_queries": self.zero_test_queries,
             "queries_with_exact_hit": self.queries_with_exact_hit,

@@ -238,11 +238,6 @@ class CacheServer:
 
     def __init__(self, service: GraphCacheService, host: str = "127.0.0.1",
                  port: int = 0, drain_timeout: float = 30.0) -> None:
-        if service.config.lock_mode == "none":
-            raise ValueError(
-                "serving requires shared-cache sessions; construct the "
-                "service with lock_mode='auto' or 'rw'"
-            )
         self.service = service
         self.stats = ServerStats()
         self.drain_timeout = drain_timeout
@@ -446,7 +441,10 @@ class CacheServer:
             raise WireError("request body must be a JSON object")
         try:
             return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
+            # RecursionError: brackets nested deeper than the decoder's
+            # stack — undecodable like any other malformed body.
             raise WireError(f"malformed JSON body: {exc}") from exc
 
     @staticmethod

@@ -16,8 +16,8 @@ Two implementations share one interface:
   upgrading a read hold to a write hold — raise :class:`RuntimeError`
   instead of hanging.
 * :class:`NullRWLock` — the zero-cost no-op used by single-session
-  services (``GCConfig.lock_mode`` ``"none"``, and ``"auto"`` until the
-  first :meth:`~repro.api.service.GraphCacheService.session` call), so
+  services (``GCConfig.lock_mode`` ``"auto"`` until the first
+  :meth:`~repro.api.service.GraphCacheService.session` call), so
   the sequential reproduction path pays nothing for the concurrency
   layer.
 """

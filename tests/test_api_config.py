@@ -11,6 +11,8 @@ import pytest
 from repro.api import GCConfig
 from repro.cache.entry import QueryType
 from repro.cache.models import CacheModel
+from repro.persist import FINGERPRINT_FIELDS
+from repro.persist.snapshot import RETIRED_FINGERPRINT_FIELDS
 
 
 class TestDefaults:
@@ -23,7 +25,7 @@ class TestDefaults:
         assert config.policy == "hd"
         assert config.matcher == "vf2+"
         assert config.caching_enabled
-        assert config.retro_budget == 0
+        assert len(dataclasses.fields(config)) == 11
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -67,14 +69,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="vf2"):
             GCConfig(matcher="boost")
 
-    def test_unknown_internal_verifier(self):
-        with pytest.raises(ValueError, match="internal verifier"):
-            GCConfig(internal_verifier="boost")
-
-    @pytest.mark.parametrize("budget", [-1, -100])
-    def test_negative_retro_budget(self, budget):
-        with pytest.raises(ValueError, match="retro_budget"):
-            GCConfig(retro_budget=budget)
+    def test_unknown_lock_mode_lists_the_two_choices(self):
+        with pytest.raises(ValueError, match=r"\['auto', 'rw'\]"):
+            GCConfig(lock_mode="none")
 
     @pytest.mark.parametrize("field", ["cache_capacity", "window_capacity"])
     @pytest.mark.parametrize("value", [0, -3])
@@ -82,8 +79,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             GCConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["cache_capacity", "window_capacity",
-                                       "retro_budget"])
+    @pytest.mark.parametrize("field", ["cache_capacity", "window_capacity"])
     @pytest.mark.parametrize("value", ["100", 2.5, True, None])
     def test_non_int_numerics_rejected_with_value_error(self, field, value):
         """JSON configs with stringified numbers must get the helpful
@@ -96,8 +92,8 @@ class TestDerivation:
     def test_replace_revalidates(self):
         config = GCConfig()
         assert config.replace(cache_capacity=7).cache_capacity == 7
-        with pytest.raises(ValueError, match="retro_budget"):
-            config.replace(retro_budget=-1)
+        with pytest.raises(ValueError, match="window_capacity"):
+            config.replace(window_capacity=0)
 
     def test_replace_rejects_unknown_fields(self):
         for unknown in ("cache_cap", "workers", "worker_backend"):
@@ -108,7 +104,7 @@ class TestDerivation:
         config = GCConfig(model="EVI", query_type="supergraph",
                           matcher="graphql", policy="pinc",
                           cache_capacity=3, window_capacity=2,
-                          retro_budget=4, internal_verifier="ullmann")
+                          lock_mode="rw", max_sessions=3)
         assert GCConfig.from_dict(config.to_dict()) == config
 
     def test_to_dict_is_plain(self):
@@ -117,21 +113,33 @@ class TestDerivation:
         json.dumps(GCConfig().to_dict())  # must not raise
 
     def test_from_dict_rejects_unknown_keys(self):
-        for unknown in ("capacity", "workers", "worker_backend"):
+        for unknown in ("capacity", "workers", "worker_backend",
+                        *RETIRED_FINGERPRINT_FIELDS):
             with pytest.raises(ValueError, match="valid fields"):
                 GCConfig.from_dict({unknown: 10})
 
 
 def test_fidelity_doc_classifies_every_field():
-    """``docs/config-fidelity.md`` has a table row for every field (or
-    names it in the ``matcher`` paragraph), and no row for a field that
-    does not exist."""
+    """``docs/config-fidelity.md`` names every field in exactly one of
+    its two tables (``matcher``: the paragraph between them) and has no
+    row for a field that does not exist; what a snapshot fingerprints
+    is classified as fidelity; and a retired field is mentioned under
+    the "Retired" heading only."""
     text = (Path(__file__).resolve().parents[1] / "docs"
             / "config-fidelity.md").read_text(encoding="utf-8")
-    rows = set(re.findall(r"^\| `(\w+)` \|", text, flags=re.MULTILINE))
+    sections = dict(re.findall(r"^## (.*?)\n(.*?)(?=^## |\Z)", text,
+                               flags=re.MULTILINE | re.DOTALL))
+    fidelity, performance = (
+        re.findall(r"^\| `(\w+)` \|", sections[heading], flags=re.MULTILINE)
+        for heading in ("Fields that affect reproduction fidelity",
+                        "Pure performance and deployment fields "
+                        "(never change any result)"))
     (paragraph,) = re.findall(r"^`matcher` sits in between.*?\n\n", text,
                               flags=re.MULTILINE | re.DOTALL)
-    fields = {f.name for f in dataclasses.fields(GCConfig)}
-    assert rows <= fields
-    assert fields - rows == {"matcher", "internal_verifier"}
-    assert "`internal_verifier`" in paragraph
+    assert paragraph in sections["Fields that affect reproduction fidelity"]
+    assert sorted(fidelity + performance + ["matcher"]) == sorted(
+        f.name for f in dataclasses.fields(GCConfig))
+    assert set(FINGERPRINT_FIELDS) <= set(fidelity) | {"matcher"}
+    retired = sections["Retired: retrospective revalidation"]
+    for name in RETIRED_FINGERPRINT_FIELDS:
+        assert 0 < retired.count(name) == text.count(name), name

@@ -39,5 +39,5 @@ def test_markdown_output_files(tmp_path, capsys):
 def test_figure_registry_complete():
     assert set(bench_main.FIGURES) == {
         "fig4", "fig5", "fig6", "hits", "policies", "cache-size",
-        "churn", "retro", "supergraph",
+        "churn", "supergraph",
     }

@@ -76,15 +76,25 @@ class TestRun:
         assert code == 0
         assert "cache anatomy" not in capsys.readouterr().out
 
-    def test_run_supergraph_with_retro(self, dataset_file, workload_file,
-                                       capsys):
+    def test_run_supergraph(self, dataset_file, workload_file, capsys):
         code = main([
             "run", "--dataset", str(dataset_file),
             "--workload", str(workload_file), "--model", "CON",
-            "--query-type", "supergraph", "--retro-budget", "5",
-            "--change-batches", "1",
+            "--query-type", "supergraph", "--change-batches", "1",
         ])
         assert code == 0
+
+    def test_retro_budget_is_a_usage_error(self, dataset_file,
+                                           workload_file, capsys):
+        """The flag went with the mechanism (docs/config-fidelity.md,
+        "Retired"): argparse's own usage error, exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--dataset", str(dataset_file),
+                "--workload", str(workload_file), "--retro-budget", "5",
+            ])
+        assert exc.value.code == 2
+        assert "--retro-budget" in capsys.readouterr().err
 
     def test_empty_workload_rejected(self, dataset_file, tmp_path,
                                      capsys):

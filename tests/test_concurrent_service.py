@@ -184,12 +184,6 @@ class TestSessions:
             pass  # slot freed
         service.close()
 
-    def test_lock_mode_none_refuses_sessions(self):
-        service = small_service(lock_mode="none")
-        with pytest.raises(RuntimeError, match="lock_mode"):
-            service.session()
-        service.close()
-
     def test_auto_mode_upgrades_lock_on_first_session(self):
         service = small_service(lock_mode="auto")
         assert isinstance(service.cache.lock, NullRWLock)

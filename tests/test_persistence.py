@@ -234,14 +234,43 @@ class TestFingerprintRejection:
         with other, pytest.raises(SnapshotMismatchError, match=field):
             other.load(path)
 
+    @pytest.mark.parametrize("extra,restores", [
+        ({"internal_verifier": None, "retro_budget": 5}, True),
+        ({"internal_verifier": "ullmann"}, True),
+        ({"bogus": 1}, False),
+    ])
+    def test_only_retired_header_keys_are_ignored(self, trace, tmp_path,
+                                                  extra, restores):
+        """A file written while ``internal_verifier`` / ``retro_budget``
+        existed still restores, whatever their value; any other key this
+        service does not know is a mismatch."""
+        graphs, queries, _ = trace
+        path = tmp_path / "old.snap.jsonl"
+        with GraphCacheService(GraphStore.from_graphs(graphs),
+                               CONFIG) as service:
+            run_span(service, queries, None, 0, 8)
+            service.save(path)
+        header, _, entries = path.read_text(encoding="utf-8").partition("\n")
+        header = json.loads(header)
+        header["fingerprint"].update(extra)
+        path.write_text(json.dumps(header) + "\n" + entries,
+                        encoding="utf-8")
+        with GraphCacheService(GraphStore.from_graphs(graphs),
+                               CONFIG) as other:
+            if restores:
+                other.load(path)
+                assert other.cache.cache_size + other.cache.window_size == 8
+            else:
+                with pytest.raises(SnapshotMismatchError, match="bogus"):
+                    other.load(path)
+
     def test_performance_knobs_do_not_reject(self, trace, tmp_path):
         """lock_mode / max_sessions / persistence wiring are not
         semantics: a snapshot moves freely across them, and the
         fingerprint is exactly the semantic fields."""
         assert FINGERPRINT_FIELDS == (
-            "model", "query_type", "matcher", "internal_verifier",
-            "cache_capacity", "window_capacity", "policy",
-            "caching_enabled", "retro_budget",
+            "model", "query_type", "matcher", "cache_capacity",
+            "window_capacity", "policy", "caching_enabled",
         )
         graphs, queries, _ = trace
         path = tmp_path / "perf.snap.jsonl"

@@ -320,6 +320,42 @@ class TestServiceRenewal:
         counters = identical[0]
         assert counters["renewals"] == 1 and counters["admissions"] == 2
 
+    def test_repeat_is_renewed_for_free(self):
+        """A re-issued query re-earns its entry's validity by itself:
+        the repeat pays for the touched graph on its own critical path
+        and admission writes the fresh result into the faded twin."""
+        with service_over(path("CCO"), path("CO"), path("NNN")) as service:
+            service.execute(path("CO"))
+            # UA on the NNN graph (not an answer): Algorithm 2 must fade
+            # that bit (a negative relation can flip under edge addition).
+            service.add_edge(2, 0, 2)
+            mid = service.execute(path("CO"))
+            assert mid.metrics.method_tests == 1
+            final = service.execute(path("CO"))
+            assert final.metrics.method_tests == 0
+            assert mid.answer_ids == final.answer_ids
+            assert service.cache.renewals == 1
+
+    def test_an_entry_whose_query_does_not_come_back_stays_faded(self):
+        """Renewal is the only way a bit comes back: a faded entry whose
+        own query is not re-issued keeps its hole, and a *different*
+        query it filters pays for the touched graph itself.  (The case
+        the retired budgeted re-test round was for — see
+        docs/config-fidelity.md, "Retired".)"""
+        with service_over(path("CCO"), path("CO"), path("NNN")) as service:
+            service.execute(path("CO"))
+            service.add_edge(2, 0, 2)        # fades CO's bit toward G2
+            service.execute(path("NN"))      # unrelated
+            (faded,) = [e for e in service.cache.all_entries()
+                        if e.query.labels == path("CO").labels]
+            assert not faded.valid.get(2)
+            larger = service.execute(path("CCO"))
+            # A valid CO ⊄ G2 would prune G2 from CCO's candidates; the
+            # unknown relation cannot, so G2 is tested beside G0 and G1.
+            assert larger.answer_ids == {0}
+            assert larger.metrics.method_tests == 3
+            assert service.cache.renewals == 0
+
 
 # ----------------------------------------------------------------------
 # (c) Property: random repeated / relabelled streams under churn
@@ -441,3 +477,12 @@ def test_snapshot_round_trips_a_renewed_entry_and_a_thinned_window(tmp_path):
     assert state == want[1]             # same ids: next_entry_id survived
     # The restored process admitted only the tail's new queries.
     assert admissions == want[2] - 4
+
+
+def test_interleaving_helper_importable():
+    """``tests/test_consistency.py``'s oracle loop, which section (c)
+    builds on, stays importable and runs from here."""
+    from repro.cache.models import CacheModel
+    from tests.test_consistency import run_interleaving
+
+    run_interleaving(1, CacheModel.CON, QueryType.SUBGRAPH, steps=10)

@@ -159,18 +159,29 @@ class TestEndpoints:
         assert status == 200 and payload["ready"] is True
 
     def test_error_mapping(self, served):
-        server, _, _ = served
-        # Malformed JSON → 400 with a reason, not a traceback.
+        server, _, graphs = served
+        # Malformed JSON → 400 with a reason, not a traceback, over the
+        # socket and through the socket-free seam alike.  The second
+        # body nests deeper than the JSON decoder's stack: json.loads
+        # raises RecursionError, not JSONDecodeError.
+        nested = b'{"graph": ' + b"[" * 200000 + b"]" * 200000 + b"}"
         conn = http.client.HTTPConnection("127.0.0.1", server.port,
                                           timeout=10)
         try:
-            conn.request("POST", "/query", body=b"{not json",
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            assert response.status == 400
-            assert "malformed JSON" in json.loads(response.read())["error"]
+            for body in (b"{not json", nested):
+                status, payload, _ = server.handle("POST", "/query", body)
+                assert status == 400
+                assert "malformed JSON" in json.loads(payload)["error"]
+                conn.request("POST", "/query", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 400
+                assert "malformed JSON" in json.loads(response.read())["error"]
         finally:
             conn.close()
+        # ...and the server is none the worse for it.
+        assert request(server, "POST", "/query",
+                       {"graph": graph_to_wire(graphs[0])})[0] == 200
         assert request(server, "GET", "/nope")[0] == 404
         assert request(server, "GET", "/query")[0] == 405
         status, payload = request(server, "POST", "/mutate",
