@@ -38,20 +38,16 @@ class MatcherStats:
         return MatcherStats(self.tests, self.states, self.found)
 
 
-def _sizes_fit(query: LabeledGraph, host: LabeledGraph) -> bool:
-    """The only guard shared by every matcher: O(1) size feasibility.
-
-    Anything stronger (label multisets, degree profiles) is left to the
-    individual algorithms — that differentiation *is* the difference
-    between vanilla VF2 and VF2+/GraphQL, and the paper's per-method
-    speedups depend on it.
-    """
-    return (query.num_vertices <= host.num_vertices
-            and query.num_edges <= host.num_edges)
-
-
 class SubgraphMatcher(abc.ABC):
-    """Abstract sub-iso decision algorithm with work accounting."""
+    """Abstract sub-iso decision algorithm with work accounting.
+
+    The prologue every matcher shares is O(1) size feasibility, read from
+    the graphs' slots (it runs once per counted test).  Anything stronger
+    (label multisets, degree profiles) is left to the individual
+    algorithms — that differentiation *is* the difference between
+    vanilla VF2 and VF2+/GraphQL, and the paper's per-method speedups
+    depend on it.
+    """
 
     #: short identifier used in benchmark tables (overridden per class)
     name: str = "abstract"
@@ -62,15 +58,17 @@ class SubgraphMatcher(abc.ABC):
     def is_subgraph_isomorphic(self, query: LabeledGraph,
                                host: LabeledGraph) -> bool:
         """Decide ``query ⊆ host`` (non-induced, label-preserving)."""
-        self.stats.tests += 1
-        if query.num_vertices == 0:
-            self.stats.found += 1
+        stats = self.stats
+        stats.tests += 1
+        size = len(query._labels)
+        if size == 0:
+            stats.found += 1
             return True
-        if not _sizes_fit(query, host):
+        if size > len(host._labels) or query._num_edges > host._num_edges:
             return False
         result = self._decide(query, host)
         if result:
-            self.stats.found += 1
+            stats.found += 1
         return result
 
     def find_embedding(self, query: LabeledGraph,
@@ -80,15 +78,17 @@ class SubgraphMatcher(abc.ABC):
         Not used on the GC+ hot path (the decision suffices) but exposed
         for examples, debugging, and the matching-problem use case.
         """
-        self.stats.tests += 1
-        if query.num_vertices == 0:
-            self.stats.found += 1
+        stats = self.stats
+        stats.tests += 1
+        size = len(query._labels)
+        if size == 0:
+            stats.found += 1
             return {}
-        if not _sizes_fit(query, host):
+        if size > len(host._labels) or query._num_edges > host._num_edges:
             return None
         mapping = self._embed(query, host)
         if mapping is not None:
-            self.stats.found += 1
+            stats.found += 1
         return mapping
 
     @abc.abstractmethod

@@ -44,8 +44,8 @@ def _group_by_label(graph: LabeledGraph) -> dict[Label, list[int]]:
 
 def vertices_by_label(graph: LabeledGraph) -> dict[Label, list[int]]:
     """Label → ascending vertex ids (do not mutate): where the kernels
-    that start from a label's vertices (VF2, GraphQL, enumeration) find
-    their root candidates."""
+    that start from a label's vertices (VF2, VF2+, GraphQL, enumeration)
+    find their root candidates."""
     return graph.derived("vertices_by_label", _group_by_label)
 
 

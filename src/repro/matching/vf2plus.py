@@ -15,13 +15,39 @@ iGraph comparisons ([7, 8] in the paper):
 * **Lookahead**: a candidate's unmapped-neighbor count must cover the
   query vertex's unmapped-neighbor count (safe for monomorphism).
 
+Where the candidates come from
+------------------------------
+A depth's candidates are the host vertices that can extend the mapping,
+in a fixed order, and the search spends its time walking them, so each
+walk does no more than the order needs:
+
+* **Root pool**: a vertex with no mapped neighbour (depth 0, and the
+  first vertex of every further component) draws from the host's
+  vertices of its label (:func:`~repro.matching.plans.vertices_by_label`),
+  ascending — the same candidates in the same order as a scan of every
+  host vertex that skips the other labels.
+* **Anchor rule**: with exactly one mapped neighbour, the candidates are
+  the neighbours of that neighbour's image, iterated directly; adjacency
+  to the anchor holds by construction and is not probed.  With two or
+  more, the lowest-degree image (the first on ties) is iterated and
+  every candidate is probed against all images.
+* **Lookahead bound**: ``used`` holds one host vertex per depth, so a
+  candidate with at least ``depth + unmapped`` neighbours has
+  ``unmapped`` unused ones; only below that bound is the exact count
+  (a set difference) built.
+
+Every check still runs on the same candidates in the same order, so
+decisions, embeddings and ``MatcherStats`` equal the per-test reference
+(``tests/reference_matchers.py``).
+
 Compile once, test many
 -----------------------
 One query meets hundreds of hosts and one host meets every query, so
 nothing that depends on a single graph is computed per test
-(:mod:`repro.matching.plans`).  The host contributes its label counts;
-the pattern contributes a :class:`_Plan` — required label counts,
-labels, neighbour lists, neighbour-label profiles — and, per *ranking*
+(:mod:`repro.matching.plans`).  The host contributes its label counts
+and its label → vertices lists; the pattern contributes a
+:class:`_Plan` — required label counts, labels, neighbour lists,
+neighbour-label profiles — and, per *ranking*
 of its labels by host frequency, the variable order compiled into one
 step per depth.  The order only ever compares host counts with each
 other, so two hosts that rank the pattern's labels alike (ties sharing a
@@ -61,7 +87,11 @@ from collections.abc import Hashable
 
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
-from repro.matching.plans import label_counts, neighbor_lists
+from repro.matching.plans import (
+    label_counts,
+    neighbor_lists,
+    vertices_by_label,
+)
 
 __all__ = ["VF2PlusMatcher"]
 
@@ -159,6 +189,7 @@ class VF2PlusMatcher(SubgraphMatcher):
         if steps is None:
             steps = plan.orders[ranking] = plan.compile(host_counts)
 
+        by_label = vertices_by_label(host)
         host_labels = host._labels
         host_adjacency = host._adjacency
         host_profiles: dict[int, dict[Label, int]] = {}
@@ -173,7 +204,12 @@ class VF2PlusMatcher(SubgraphMatcher):
                 return True
             states += 1
             u, qlabel, qdeg, mapped, u_unmapped, qprofile = steps[depth]
-            if mapped:
+            if len(mapped) == 1:
+                # One anchor: its image's neighbours are the candidates,
+                # adjacent to it by construction.
+                pool = host_adjacency[mapping[mapped[0]]]
+                images = ()
+            elif mapped:
                 # Scan the neighbourhood of the lowest-degree image
                 # (first one on ties); the others are checked per
                 # candidate.
@@ -181,7 +217,10 @@ class VF2PlusMatcher(SubgraphMatcher):
                 pool = min(images, key=len)
             else:
                 images = ()
-                pool = range(len(host_labels))
+                pool = by_label[qlabel]
+            # len(used) == depth: a candidate with this many neighbours
+            # has u_unmapped unused ones without counting them.
+            enough = depth + u_unmapped
             for cand in pool:
                 if cand in used:
                     continue
@@ -190,14 +229,16 @@ class VF2PlusMatcher(SubgraphMatcher):
                 cand_neighbors = host_adjacency[cand]
                 if len(cand_neighbors) < qdeg:
                     continue
-                adjacent = True
-                for image in images:
-                    if cand not in image:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                if u_unmapped and len(cand_neighbors - used) < u_unmapped:
+                if images:
+                    adjacent = True
+                    for image in images:
+                        if cand not in image:
+                            adjacent = False
+                            break
+                    if not adjacent:
+                        continue
+                if (u_unmapped and len(cand_neighbors) < enough
+                        and len(cand_neighbors - used) < u_unmapped):
                     continue
                 profile = host_profiles.get(cand)
                 if profile is None:

@@ -19,6 +19,8 @@ pipeline as it came — the caller owns it.
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,10 +28,13 @@ from repro.api import GCConfig, GraphCacheService
 from repro.bench.harness import MATCHER_NAMES
 from repro.cache.entry import QueryType
 from repro.dataset.store import GraphStore
+from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.matching import make_matcher
 from repro.matching.ullmann import UllmannMatcher
 from repro.runtime.method_m import MethodMRunner
+from repro.workloads.base import DEFAULT_QUERY_SIZES
+from repro.workloads.typea import bfs_extract, generate_type_a
 from tests.conftest import brute_force_answer, labeled_graphs
 from tests.reference_matchers import REFERENCE_MATCHERS
 
@@ -93,6 +98,133 @@ def test_random_pairs_match_reference(name, population):
     probability starts at 0 (disconnected patterns) and one alphabet has
     a label the other lacks."""
     assert_indistinguishable(name, population)
+
+
+# ----------------------------------------------------------------------
+# gcbench's shapes: the sizes the strategies above never reach
+# ----------------------------------------------------------------------
+def ring(labels: str) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % len(labels)) for i in range(len(labels))]
+
+
+#: A path walked from its rare end: each C step has one unmapped
+#: neighbour, and from depth 2 on a degree-2 candidate is under VF2+'s
+#: allocation-free lookahead bound (degree - depth < 1), so the exact
+#: count of its unused neighbours decides.
+LOOKAHEAD_PATTERN = path("NCCCC")
+#: ... and that count passes at every step: the path runs round the ring.
+LOOKAHEAD_PASSES = graph("NCCCCC", ring("NCCCCC"))
+#: ... and here it fails as well (N on a C triangle, a fourth C apart): at
+#: depth 3 the last triangle vertex has no unused neighbour left.
+LOOKAHEAD_FAILS = graph("NCCCC", [(0, 1), (1, 2), (2, 3), (3, 1)])
+
+SEARCH_CORNERS = [
+    # Whatever the order, the last ring vertex placed has two mapped
+    # neighbours: candidates are probed against more than one image.
+    graph("CCCCCC", ring("CCCCCC")),
+    graph("CCCCCCO", ring("CCCCCC") + [(0, 6)]),
+    # Two components: the second root is drawn at depth > 0, from a
+    # label whose vertices the first component already uses.
+    graph("CCOCC", [(0, 1), (1, 2), (3, 4)]),
+    LOOKAHEAD_PATTERN, LOOKAHEAD_PASSES, LOOKAHEAD_FAILS,
+]
+
+
+@pytest.fixture(scope="module")
+def gcbench_shapes() -> list[LabeledGraph]:
+    """AIDS-like graphs of 4-60 vertices, as gcbench's datasets, BFS
+    patterns of 4-20 edges cut from them, as its Type A queries, and the
+    search corners above."""
+    hosts = generate_aids_like(num_graphs=12, mean_vertices=36.0,
+                               std_vertices=16.0, max_vertices=60, seed=23)
+    patterns = [bfs_extract(host, (5 * i) % host.num_vertices,
+                            DEFAULT_QUERY_SIZES[i % len(DEFAULT_QUERY_SIZES)])
+                for i, host in enumerate(hosts)]
+    return (hosts + [p for p in patterns if p is not None]
+            + SEARCH_CORNERS)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_gcbench_shapes_match_reference(name, gcbench_shapes):
+    assert max(g.num_vertices for g in gcbench_shapes) == 60
+    assert len(gcbench_shapes) >= 12 + 10 + len(SEARCH_CORNERS)
+    assert_indistinguishable(name, gcbench_shapes)
+
+
+def _exact_lookahead_counts(pattern: LabeledGraph,
+                            host: LabeledGraph) -> tuple[bool, list[int]]:
+    """VF2+'s decision, and the size of every exact lookahead count it
+    built (``neighbours - used``) on a copy of ``host``."""
+    counts: list[int] = []
+
+    class Neighbours(set):
+        def __sub__(self, other):
+            rest = set(self).difference(other)
+            counts.append(len(rest))
+            return rest
+
+    recording = host.copy()
+    recording._adjacency = [Neighbours(n) for n in recording._adjacency]
+    return make_matcher("vf2+").is_subgraph_isomorphic(pattern,
+                                                        recording), counts
+
+
+def test_lookahead_corners_reach_the_exact_count():
+    """The corners do what they are named after: the exact count runs
+    only where the bound cannot settle it, and (with one unmapped
+    neighbour to cover) passes on one host and fails on the other."""
+    found, counts = _exact_lookahead_counts(LOOKAHEAD_PATTERN,
+                                            LOOKAHEAD_PASSES)
+    assert found and counts and min(counts) >= 1
+    found, counts = _exact_lookahead_counts(LOOKAHEAD_PATTERN,
+                                            LOOKAHEAD_FAILS)
+    assert not found and 0 in counts
+
+
+# ----------------------------------------------------------------------
+# Memory: what a dataset graph keeps when it is the pattern
+# ----------------------------------------------------------------------
+def _weak_orderings(n: int) -> int:
+    """Ordered Bell (Fubini) number: the rankings of ``n`` labels by
+    host supply, ties sharing a rank."""
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(comb(m, k) * counts[m - k]
+                          for k in range(1, m + 1)))
+    return counts[n]
+
+
+def test_supergraph_plans_keep_one_order_per_label_ranking():
+    """Under supergraph semantics every dataset graph is a VF2+ pattern
+    and keeps its plan for as long as it lives, so what a plan memoises
+    must be bounded by the pattern alone: one compiled order per ranking
+    of its labels, never anything per host.  No gcbench workload runs
+    supergraph queries, so this is where a per-host cache would show
+    (``docs/config-fidelity.md``: one keyed per host label supply grew
+    to 27 065 entries next to 1 013 orders)."""
+    sources = generate_aids_like(num_graphs=40, mean_vertices=18.0,
+                                 std_vertices=6.0, max_vertices=30, seed=7)
+    fragments = generate_type_a(sources, 150, "UU", sizes=(3, 4, 5, 6),
+                                seed=11)
+    runner = MethodMRunner(
+        GraphStore.from_graphs(q.graph for q in fragments.queries),
+        make_matcher("vf2+"), QueryType.SUPERGRAPH)
+    for query in sources:
+        runner.execute(query)
+
+    plans = [graph._memo["vf2+"] for _, graph in runner.store.items()
+             if graph._memo and "vf2+" in graph._memo]
+    assert len(plans) == 150
+    for _, graph in runner.store.items():
+        assert set(graph._memo) <= {"label_counts", "vf2+"}
+    for plan in plans:
+        distinct = len(plan.required)
+        assert len(plan.orders) <= _weak_orderings(distinct)
+        for ranking in plan.orders:
+            assert len(ranking) == distinct
+            assert set(ranking) == set(range(max(ranking) + 1))
+    # The hosts did rank the labels differently: the bound was tested.
+    assert max(len(plan.orders) for plan in plans) > 1
 
 
 # ----------------------------------------------------------------------
