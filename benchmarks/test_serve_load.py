@@ -53,9 +53,9 @@ def test_sustained_load(report_table, results_dir, tmp_path):
     store = GraphStore.from_graphs(graphs)
     service = GraphCacheService(store, GCConfig(
         model="CON", matcher="vf2+", lock_mode="rw",
-        max_sessions=WORKERS, snapshot_path=str(snapshot_path),
+        max_sessions=WORKERS,
     ))
-    server = CacheServer(service).start()
+    server = CacheServer(service, snapshot_path=snapshot_path).start()
     try:
         report = run_loadgen("127.0.0.1", server.port, queries,
                              LoadgenConfig(

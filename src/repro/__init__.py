@@ -20,8 +20,10 @@ Quickstart (the service-layer API)::
         print(sorted(result.answer_ids))   # -> [0]
 
 ``GraphCacheService`` also offers ``execute_many`` (one consistency pass
-per batch), ``explain`` (read-only query plans), cache event hooks and a
-dataset mutation API; see :mod:`repro.api`.
+per batch), ``explain`` (the plan ``execute`` would run, read-only),
+cache event hooks, the dataset mutations (``apply``, ``add_graph``, ...),
+snapshot ``save`` / ``load`` / ``autosave`` and shared-cache sessions;
+see :mod:`repro.api`.
 
 See ``examples/`` for realistic scenarios and ``benchmarks/`` for the
 paper's experiments.
@@ -45,7 +47,6 @@ from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 from repro.matching import (
     GraphQLMatcher,
-    UllmannMatcher,
     VF2Matcher,
     VF2PlusMatcher,
     make_matcher,
@@ -86,7 +87,6 @@ __all__ = [
     "VF2Matcher",
     "VF2PlusMatcher",
     "GraphQLMatcher",
-    "UllmannMatcher",
     "make_matcher",
     "Snapshot",
     "SnapshotError",

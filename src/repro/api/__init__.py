@@ -7,10 +7,10 @@ Three pieces compose the surface callers should program against:
   overrides);
 * :class:`GraphCacheService` — the session facade: ``execute``,
   batch-amortised ``execute_many``, read-only ``explain``, event hooks,
-  dataset mutation passthroughs, and — via
+  dataset mutations, snapshots, and — via
   :meth:`GraphCacheService.session` — up to ``GCConfig.max_sessions``
-  concurrent :class:`ServiceSession` handles sharing one cache behind a
-  reader-writer lock (see ``docs/concurrency.md``);
+  concurrent :class:`ServiceSession` query handles sharing one cache
+  behind a reader-writer lock (see ``docs/concurrency.md``);
 * :class:`QueryPlan` / :class:`PlanStep` — structured explain receipts;
   :class:`CacheEvent` / :class:`CacheEventKind` — hook payloads.
 """

@@ -17,10 +17,10 @@ and the bench harness need into one frozen dataclass that
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
+from enum import Enum
+from typing import Any, TypeVar
 
 from repro.cache.entry import QueryType
 from repro.cache.manager import (
@@ -37,19 +37,21 @@ __all__ = ["GCConfig", "DEFAULT_CACHE_CAPACITY", "DEFAULT_WINDOW_CAPACITY",
 #: Valid ``GCConfig.lock_mode`` values (see the field's doc).
 LOCK_MODES = frozenset({"auto", "rw"})
 
+_E = TypeVar("_E", bound=Enum)
 
-def _coerce_model(value: CacheModel | str) -> CacheModel:
-    if isinstance(value, CacheModel):
+
+def _coerce(kind: type[_E], value: _E | str, what: str,
+            choices: list[str]) -> _E:
+    """``value`` as a member of ``kind``; a string may name one in any
+    case."""
+    if isinstance(value, kind):
         return value
     if isinstance(value, str):
         try:
-            return CacheModel[value.upper()]
+            return kind[value.upper()]
         except KeyError:
             pass
-    raise ValueError(
-        f"unknown cache model {value!r}; choose from "
-        f"{sorted(m.name for m in CacheModel)}"
-    )
+    raise ValueError(f"unknown {what} {value!r}; choose from {choices}")
 
 
 def _require_int(name: str, value: object) -> int:
@@ -60,20 +62,6 @@ def _require_int(name: str, value: object) -> int:
             f"({type(value).__name__})"
         )
     return value
-
-
-def _coerce_query_type(value: QueryType | str) -> QueryType:
-    if isinstance(value, QueryType):
-        return value
-    if isinstance(value, str):
-        try:
-            return QueryType[value.upper()]
-        except KeyError:
-            pass
-    raise ValueError(
-        f"unknown query type {value!r}; choose from "
-        f"{sorted(t.name.lower() for t in QueryType)}"
-    )
 
 
 @dataclass(frozen=True)
@@ -105,22 +93,14 @@ class GCConfig:
     #: (the root service does not count).  Bounds the worker fan-out a
     #: serving deployment can put behind one cache.
     max_sessions: int = 8
-    #: Default snapshot file for :meth:`GraphCacheService.save` /
-    #: ``load`` and the target of autosaves.  ``None`` (the default)
-    #: leaves persistence entirely manual.  A pure serving knob:
-    #: snapshots never change any answer.
-    snapshot_path: str | None = None
-    #: Autosave the cache to ``snapshot_path`` every N admissions
-    #: (0 — the default — disables).  Saves are hook-driven: they run
-    #: from the service's deferred-event machinery *after* every cache
-    #: lock is released, so autosaving never blocks in-flight queries
-    #: beyond the snapshot capture itself.  Requires ``snapshot_path``.
-    autosave_every: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "model", _coerce_model(self.model))
-        object.__setattr__(self, "query_type",
-                           _coerce_query_type(self.query_type))
+        object.__setattr__(self, "model", _coerce(
+            CacheModel, self.model, "cache model",
+            sorted(m.name for m in CacheModel)))
+        object.__setattr__(self, "query_type", _coerce(
+            QueryType, self.query_type, "query type",
+            sorted(t.name.lower() for t in QueryType)))
         if not isinstance(self.matcher, str) or self.matcher.lower() not in MATCHERS:
             raise ValueError(
                 f"unknown matcher {self.matcher!r}; choose from "
@@ -140,17 +120,7 @@ class GCConfig:
                 f"{sorted(LOCK_MODES)}"
             )
         object.__setattr__(self, "lock_mode", self.lock_mode.lower())
-        if self.snapshot_path is not None:
-            if isinstance(self.snapshot_path, os.PathLike):
-                object.__setattr__(self, "snapshot_path",
-                                   os.fspath(self.snapshot_path))
-            if not isinstance(self.snapshot_path, str) or not self.snapshot_path:
-                raise ValueError(
-                    f"snapshot_path must be a non-empty path or None, "
-                    f"got {self.snapshot_path!r}"
-                )
-        for name in ("cache_capacity", "window_capacity", "max_sessions",
-                     "autosave_every"):
+        for name in ("cache_capacity", "window_capacity", "max_sessions"):
             _require_int(name, getattr(self, name))
         if self.cache_capacity <= 0:
             raise ValueError(
@@ -163,16 +133,6 @@ class GCConfig:
         if self.max_sessions < 1:
             raise ValueError(
                 f"max_sessions must be >= 1, got {self.max_sessions}"
-            )
-        if self.autosave_every < 0:
-            raise ValueError(
-                f"autosave_every must be >= 0, got {self.autosave_every} "
-                f"(0 disables autosaving)"
-            )
-        if self.autosave_every > 0 and self.snapshot_path is None:
-            raise ValueError(
-                "autosave_every requires snapshot_path: set the file the "
-                "periodic snapshots should be written to"
             )
 
     # ------------------------------------------------------------------
@@ -212,6 +172,4 @@ class GCConfig:
             "caching_enabled": self.caching_enabled,
             "lock_mode": self.lock_mode,
             "max_sessions": self.max_sessions,
-            "snapshot_path": self.snapshot_path,
-            "autosave_every": self.autosave_every,
         }

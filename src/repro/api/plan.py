@@ -1,7 +1,7 @@
 """Explain plans — what the cache *would* do for a query, and why.
 
-:meth:`~repro.api.service.GraphCacheService.explain` runs hit discovery
-and the pruning formulas (1)-(5) read-only and returns a
+:meth:`~repro.api.service.GraphCacheService.explain` runs the pipeline's
+own hit discovery and pruning formulas (1)-(5) read-only and returns a
 :class:`QueryPlan`: the containment hits found, the per-entry formula
 applications (donations and filters), the test-free answers, and the
 reduced candidate set the Method-M verifier would receive.  Nothing is
@@ -11,7 +11,7 @@ cache decided" from "what the matcher executed".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["PlanStep", "QueryPlan"]
 
@@ -52,7 +52,6 @@ class QueryPlan:
     exact_hit: bool = False        # §6.3 optimal case 1
     empty_shortcut: bool = False   # §6.3 optimal case 2
     pending_log_records: int = 0   # dataset changes not yet validated
-    notes: tuple[str, ...] = field(default=())
 
     @property
     def tests_saved(self) -> int:
@@ -89,5 +88,4 @@ class QueryPlan:
                 f"warning: {self.pending_log_records} dataset change(s) "
                 f"pending validation — execute() would reconcile them first"
             )
-        lines.extend(self.notes)
         return "\n".join(lines)

@@ -22,12 +22,13 @@ On top of the per-query engine the service adds the session surface:
 * construction from one validated :class:`~repro.api.config.GCConfig`;
 * ``execute_many(queries)`` — one consistency pass amortised over a
   whole batch (``ensure_consistency`` used to run per query);
-* ``explain(query)`` — a read-only :class:`~repro.api.plan.QueryPlan`;
+* ``explain(query)`` — read-only, steps 2-3 as ``execute`` runs them;
 * event hooks (``on_admission`` / ``on_eviction`` / ``on_purge`` /
   ``on_promotion``) so ops code stops reaching into private fields;
 * a mutation API (``apply``, ``add_graph``, ...) so callers never juggle
   the :class:`GraphStore` and the cache separately;
-* context-manager semantics for session scoping;
+* ``save`` / ``load`` / ``autosave`` snapshots, and context-manager
+  semantics for session scoping;
 * **concurrent serving**: :meth:`GraphCacheService.session` hands out
   up to ``GCConfig.max_sessions`` lightweight :class:`ServiceSession`
   handles that share one cache, one dataset and one reader-writer lock,
@@ -42,6 +43,7 @@ On top of the per-query engine the service adds the session surface:
 from __future__ import annotations
 
 import threading
+import warnings
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from pathlib import Path
@@ -49,6 +51,7 @@ from pathlib import Path
 from repro.api.config import GCConfig
 from repro.api.events import CacheEvent, CacheEventKind
 from repro.api.plan import PlanStep, QueryPlan
+from repro.cache.entry import CacheEntry
 from repro.cache.manager import CacheManager, ConsistencyReport
 from repro.cache.replacement import HybridPolicy
 from repro.persist import (
@@ -67,8 +70,8 @@ from repro.matching import MATCHERS, make_matcher
 from repro.matching.base import SubgraphMatcher
 from repro.runtime.method_m import MethodM
 from repro.runtime.monitor import QueryMetrics, QueryResult, StatisticsMonitor
-from repro.runtime.processors import HitDiscovery
-from repro.runtime.pruner import prune_candidate_set
+from repro.runtime.processors import DiscoveryResult, HitDiscovery
+from repro.runtime.pruner import PruneOutcome, prune_candidate_set
 from repro.util.bitset import BitSet
 from repro.util.rwlock import NullRWLock, RWLock
 from repro.util.timing import Stopwatch
@@ -145,40 +148,45 @@ class GraphCacheService:
         # back into the service (execute, purge, mutations) without
         # deadlocking or running under the cache's write lock.
         self._events_local = threading.local()
-        # --- Hook-driven autosave --------------------------------------
-        # Registered as an ordinary admission hook, so it inherits the
-        # deferral guarantee above: the save's snapshot capture runs
-        # only after every cache lock from the triggering pipeline has
-        # been released.
+        # --- Hook-driven autosave: (target, every), every 0 = off ------
+        self._autosave = (Path(), 0)
         self._autosave_admissions = 0
-        # Guards the admission tally (hooks run on each session's
-        # thread, so the increment-and-test must be atomic)...
+        # Guards both (hooks run on each session's thread, so the
+        # increment-and-test must be atomic)...
         self._autosave_lock = threading.Lock()
         # ...while this one serialises whole save() calls, so two
         # sessions' saves to one path cannot interleave.
         self._save_lock = threading.Lock()
-        if config.autosave_every > 0:
+
+    def autosave(self, path: str | Path, every: int) -> None:
+        """Save to ``path`` every ``every`` admissions (a later call
+        retargets).  The save is an admission hook, so it runs only
+        after every cache lock of the triggering query is released."""
+        if not isinstance(every, int) or isinstance(every, bool) or every < 1:
+            raise ValueError(
+                f"autosave every must be a positive integer, got {every!r}")
+        with self._autosave_lock:
+            armed = self._autosave[1] > 0
+            self._autosave = (Path(path), every)
+        if not armed:
             self._register(CacheEventKind.ADMISSION, self._autosave_hook)
 
     def _autosave_hook(self, event: CacheEvent) -> None:
         with self._autosave_lock:
+            target, every = self._autosave
             self._autosave_admissions += 1
-            if self._autosave_admissions < self.config.autosave_every:
+            if self._autosave_admissions < every:
                 return
             self._autosave_admissions = 0
-        # The save itself runs outside the tally lock: only the thread
-        # that crossed the threshold reaches here.  Persistence is a
-        # serving knob, never a correctness one, so an I/O failure
-        # (disk full, directory gone) must not crash the query that
-        # happened to trigger the autosave — warn and keep serving; the
-        # next threshold crossing retries.
+        # Outside the tally lock: only the thread that crossed the
+        # threshold gets here.  An I/O failure (disk full, directory
+        # gone) must not fail the query that triggered the save — warn
+        # and keep serving; the next threshold crossing retries.
         try:
-            self.save()
+            self.save(target)
         except OSError as exc:
-            import warnings
-
             warnings.warn(
-                f"autosave to {self.config.snapshot_path!r} failed "
+                f"autosave to {str(target)!r} failed "
                 f"({exc}); continuing without a snapshot",
                 RuntimeWarning,
                 stacklevel=2,
@@ -409,49 +417,9 @@ class GraphCacheService:
                 lock.release_read()
             try:
                 log_seq = self.store.log.last_seq
-
-                cs_m = self.store.ids_bitset()
-                metrics.candidate_size = cs_m.cardinality()
-                universe = self.store.max_id + 1
-
-                # (2) Hit discovery (GC+sub / GC+super processors).  An
-                # arrival identical to a resident query runs *as* that
-                # resident from here to the end of step 4: its graph
-                # (whose memo holds the matchers' compiled plans), its
-                # features, its packed signature — compiled once per
-                # distinct query, not once per arrival.  Same graph, so
-                # same candidates, tests and answer; the resident itself
-                # is still tested like any candidate.  Otherwise the
-                # features are computed exactly once here and flow to
-                # discovery and (below) to cache admission.
-                discovery_sw = Stopwatch()
-                with discovery_sw:
-                    resident = self.cache.index.identical_resident(query)
-                    if resident is None:
-                        run, features = query, GraphFeatures.of(query)
-                    else:
-                        run, features = resident.query, resident.features
-                        metrics.interned = True
-                    hits = self.discovery.discover(run, self.cache.index,
-                                                   features, resident)
-                metrics.discovery_seconds = discovery_sw.elapsed
-                metrics.containing_hits = len(hits.containing)
-                metrics.contained_hits = len(hits.contained)
-                metrics.exact_hits = len(hits.exact)
-                metrics.internal_tests = hits.internal_tests
-
-                # (3) Candidate set pruning (formulas (1)-(5)).  For an
-                # SI Method M, CS_M is the whole live dataset, which is
-                # exactly the id set the §6.3 optimal-case checks must
-                # test validity against.
-                prune_sw = Stopwatch()
-                with prune_sw:
-                    outcome = prune_candidate_set(self.query_type, cs_m,
-                                                  hits, universe,
-                                                  live_ids=cs_m)
-                metrics.prune_seconds = prune_sw.elapsed
-                metrics.exact_hit_valid = outcome.exact_hit
-                metrics.empty_shortcut = outcome.empty_shortcut
+                # (2)-(3) Hit discovery and candidate set pruning.
+                run, features, resident, hits, outcome = \
+                    self._discover_and_prune(query, metrics)
 
                 # (4) Method-M verification of the reduced candidate set.
                 verify_sw = Stopwatch()
@@ -498,6 +466,53 @@ class GraphCacheService:
                 session_monitor.record(metrics)
             return QueryResult(answer=answer, metrics=metrics)
 
+    def _discover_and_prune(self, query: LabeledGraph, metrics: QueryMetrics,
+                            ) -> tuple[LabeledGraph, GraphFeatures,
+                                       CacheEntry | None, DiscoveryResult,
+                                       PruneOutcome]:
+        """Pipeline steps 2-3 under the caller's read hold, filling their
+        ``metrics``; returns ``(run, features, resident, hits, outcome)``
+        — ``run`` / ``features`` are what steps 4-5 use."""
+        cs_m = self.store.ids_bitset()
+        metrics.candidate_size = cs_m.cardinality()
+        universe = self.store.max_id + 1
+
+        # (2) Hit discovery (GC+sub / GC+super processors).  An arrival
+        # identical to a resident query runs *as* that resident from
+        # here to the end of step 4: its graph (whose memo holds the
+        # matchers' compiled plans), its features, its packed signature
+        # — compiled once per distinct query, not once per arrival.  Same
+        # graph, so same candidates, tests and answer; the resident is
+        # still tested like any candidate.  Otherwise the features are
+        # computed exactly once here, for discovery and admission.
+        discovery_sw = Stopwatch()
+        with discovery_sw:
+            resident = self.cache.index.identical_resident(query)
+            if resident is None:
+                run, features = query, GraphFeatures.of(query)
+            else:
+                run, features = resident.query, resident.features
+                metrics.interned = True
+            hits = self.discovery.discover(run, self.cache.index, features,
+                                           resident)
+        metrics.discovery_seconds = discovery_sw.elapsed
+        metrics.containing_hits = len(hits.containing)
+        metrics.contained_hits = len(hits.contained)
+        metrics.exact_hits = len(hits.exact)
+        metrics.internal_tests = hits.internal_tests
+
+        # (3) Candidate set pruning (formulas (1)-(5)).  For an SI Method
+        # M, CS_M is the whole live dataset, which is exactly the id set
+        # the §6.3 optimal-case checks must test validity against.
+        prune_sw = Stopwatch()
+        with prune_sw:
+            outcome = prune_candidate_set(self.query_type, cs_m, hits,
+                                          universe, live_ids=cs_m)
+        metrics.prune_seconds = prune_sw.elapsed
+        metrics.exact_hit_valid = outcome.exact_hit
+        metrics.empty_shortcut = outcome.empty_shortcut
+        return run, features, resident, hits, outcome
+
     def _credit_contributions(self, query: LabeledGraph,
                               contributions: dict[int, BitSet],
                               query_index: int) -> None:
@@ -513,27 +528,20 @@ class GraphCacheService:
         cost_per_test = query.num_vertices * self.store.mean_vertices
         self.cache.credit_all(contributions, cost_per_test, query_index)
 
-    # ------------------------------------------------------------------
-    # Explain
-    # ------------------------------------------------------------------
     def explain(self, query: LabeledGraph) -> QueryPlan:
         """What the cache would do for ``query`` — without doing it.
 
-        Runs hit discovery and the pruning formulas read-only: no
-        consistency pass, no admission, no benefit crediting, no monitor
-        record.  Pending (unvalidated) dataset changes are reported on
-        the plan instead of being reconciled.
+        Runs the pipeline's own steps 2-3 (interning included) under the
+        read lock: no consistency pass, no admission, no benefit
+        crediting, no monitor record.  Pending (unvalidated) dataset
+        changes are reported on the plan instead of being reconciled.
         """
         self._check_open()
+        metrics = QueryMetrics()   # read for the plan, recorded nowhere
         try:
             with self.cache.lock.read():
-                features = GraphFeatures.of(query)
-                hits = self.discovery.discover(query, self.cache.index,
-                                               features)
-                cs_m = self.store.ids_bitset()
-                outcome = prune_candidate_set(self.query_type, cs_m, hits,
-                                              self.store.max_id + 1,
-                                              live_ids=cs_m)
+                _, _, _, hits, outcome = self._discover_and_prune(query,
+                                                                  metrics)
         finally:
             query.forget_derived()  # as the pipeline: the caller owns it
         # Zero-effect applications (e.g. a hit whose CGvalid bits all
@@ -551,7 +559,7 @@ class GraphCacheService:
         return QueryPlan(
             query_vertices=query.num_vertices,
             query_edges=query.num_edges,
-            candidate_size=cs_m.cardinality(),
+            candidate_size=metrics.candidate_size,
             containing_hits=tuple(e.entry_id for e in hits.containing),
             contained_hits=tuple(e.entry_id for e in hits.contained),
             exact_hits=tuple(e.entry_id for e in hits.exact),
@@ -625,22 +633,11 @@ class GraphCacheService:
     # ------------------------------------------------------------------
     # Snapshot persistence (see docs/persistence.md)
     # ------------------------------------------------------------------
-    def _snapshot_target(self, path: str | Path | None) -> Path:
-        if path is not None:
-            return Path(path)
-        if self.config.snapshot_path is not None:
-            return Path(self.config.snapshot_path)
-        raise ValueError(
-            "no snapshot path: pass one explicitly or set "
-            "GCConfig.snapshot_path"
-        )
+    def save(self, path: str | Path) -> Path:
+        """Persist the full cache state to a snapshot file at ``path``.
 
-    def save(self, path: str | Path | None = None) -> Path:
-        """Persist the full cache state to a snapshot file.
-
-        ``path`` defaults to ``GCConfig.snapshot_path``.  The capture
-        runs under the cache's write lock (safe while sessions are
-        serving on other threads — they queue behind it exactly as
+        The capture runs under the cache's write lock (safe while sessions
+        are serving on other threads — they queue behind it exactly as
         behind a dataset mutation); the write itself is atomic
         (temp file + ``os.replace``), so readers and crashed autosaves
         can never observe a torn snapshot.  Returns the path written.
@@ -653,7 +650,6 @@ class GraphCacheService:
         hook flush — and what lets the drain path snapshot *after* it
         stopped accepting sessions.
         """
-        target = self._snapshot_target(path)
         with self._save_lock:
             # One write-lock hold (snapshot_state's acquisition is
             # reentrant) covers both the cache capture and the dataset
@@ -676,13 +672,11 @@ class GraphCacheService:
                 state=state,
                 dataset=dataset,
             )
-            return save_snapshot(target, snapshot)
+            return save_snapshot(path, snapshot)
 
-    def load(self, path: str | Path | None = None) -> ConsistencyReport:
-        """Warm-start: replace the cache state with a snapshot's.
-
-        ``path`` defaults to ``GCConfig.snapshot_path``.  The snapshot's
-        config fingerprint must match this service's
+    def load(self, path: str | Path) -> ConsistencyReport:
+        """Warm-start: replace the cache state with the snapshot's at
+        ``path``.  Its config fingerprint must match this service's
         (:class:`~repro.persist.SnapshotMismatchError` otherwise — a
         cache state is only meaningful under the semantics and
         capacities that produced it), and its dataset-log cursor must
@@ -701,7 +695,7 @@ class GraphCacheService:
         monotone across the restart.
         """
         self._check_open()
-        return self.restore(load_snapshot(self._snapshot_target(path)))
+        return self.restore(load_snapshot(path))
 
     def restore(self, snapshot: Snapshot) -> ConsistencyReport:
         """Restore from an already-decoded :class:`~repro.persist.Snapshot`
@@ -823,6 +817,9 @@ class ServiceSession:
     private :class:`StatisticsMonitor`, so per-worker latency/hit
     anatomy can be reported next to the service-wide aggregate.
 
+    A session only executes queries; everything else (explain plans,
+    mutations, persistence, hooks) goes through :attr:`service`.
+
     Sessions are context managers; closing one frees its
     ``max_sessions`` slot.  Closing the parent service closes every
     session.
@@ -846,9 +843,6 @@ class ServiceSession:
         self.monitor = StatisticsMonitor()
         self._closed = False
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def __enter__(self) -> "ServiceSession":
         self._check_open()
         return self
@@ -870,9 +864,6 @@ class ServiceSession:
             raise RuntimeError("ServiceSession is closed")
         self._parent._check_open()
 
-    # ------------------------------------------------------------------
-    # Query execution (shared pipeline, per-session metrics)
-    # ------------------------------------------------------------------
     def execute(self, query: LabeledGraph) -> QueryResult:
         """Answer one query through the shared cache."""
         self._check_open()
@@ -883,46 +874,10 @@ class ServiceSession:
         """Answer a batch of queries through the shared cache."""
         return [self.execute(query) for query in queries]
 
-    def explain(self, query: LabeledGraph) -> QueryPlan:
-        """Read-only :class:`QueryPlan` against the shared cache."""
-        self._check_open()
-        return self._parent.explain(query)
-
-    # ------------------------------------------------------------------
-    # Mutations (delegate to the parent, which takes the write lock)
-    # ------------------------------------------------------------------
-    def apply(self, plan: ChangePlan, query_index: int) -> list[AppliedOp]:
-        self._check_open()
-        return self._parent.apply(plan, query_index)
-
-    def add_graph(self, graph: LabeledGraph) -> int:
-        self._check_open()
-        return self._parent.add_graph(graph)
-
-    def delete_graph(self, graph_id: int) -> None:
-        self._check_open()
-        self._parent.delete_graph(graph_id)
-
-    def add_edge(self, graph_id: int, u: int, v: int) -> None:
-        self._check_open()
-        self._parent.add_edge(graph_id, u, v)
-
-    def remove_edge(self, graph_id: int, u: int, v: int) -> None:
-        self._check_open()
-        self._parent.remove_edge(graph_id, u, v)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def service(self) -> GraphCacheService:
         """The shared parent service."""
         return self._parent
-
-    @property
-    def queries_executed(self) -> int:
-        """Queries answered through *this* session."""
-        return self.monitor.queries
 
     def summary(self) -> dict[str, float]:
         """This session's private monitor aggregate (the parent's

@@ -326,7 +326,8 @@ class ExperimentHarness:
             cells = []
             for model in models:
                 cell = _Cell(self, workload_name, matcher_name, model)
-                stack.callback(cell.runner.close)
+                if isinstance(cell.runner, GraphCacheService):
+                    stack.callback(cell.runner.close)
                 cells.append(cell)
             # A full collection walks every container alive — three
             # dataset replicas, the workloads, all memoised results —

@@ -141,10 +141,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 # The session cap must fit the worker fan-out; lock_mode
                 # "auto" upgrades to the RW lock on the first session().
                 max_sessions=max(args.concurrency, GCConfig().max_sessions),
-                snapshot_path=args.save_snapshot,
-                autosave_every=args.autosave_every,
             )
             runner = GraphCacheService(store, config)
+            _arm_autosave(runner, args.save_snapshot, args.autosave_every,
+                          "--save-snapshot")
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -164,7 +164,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if service is None and (args.warm_start or args.save_snapshot):
         print("--warm-start/--save-snapshot need a cache model (CON or EVI)",
               file=sys.stderr)
-        runner.close()
         return 2
     if args.warm_start:
         if _warm_start(service, args.warm_start) != 0:
@@ -198,7 +197,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if _save_snapshot_cli(service, args.save_snapshot) != 0:
                 return 2
     finally:
-        runner.close()
+        if service is not None:
+            service.close()
 
     rows = [{
         "queries": len(queries),
@@ -312,6 +312,17 @@ def _add_cache_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--policy", default="hd")
     parser.add_argument("--cache-capacity", type=int, default=100)
     parser.add_argument("--window-capacity", type=int, default=20)
+
+
+def _arm_autosave(service: GraphCacheService, path: Path | None,
+                  every: int, path_flag: str) -> None:
+    """``--autosave-every`` (0: off); a usage error is a ValueError."""
+    if not every:
+        return
+    if path is None:
+        raise ValueError(f"--autosave-every requires {path_flag}: the file "
+                         f"the periodic snapshots are written to")
+    service.autosave(path, every)
 
 
 def _snapshot_config(args: argparse.Namespace, **more: object) -> GCConfig:
@@ -435,21 +446,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     graphs = _load_graphs("--dataset", args.dataset)
     try:
         config = _snapshot_config(
-            args, lock_mode="rw", max_sessions=args.max_sessions,
-            snapshot_path=args.snapshot_path,
-            autosave_every=args.autosave_every,
-        )
+            args, lock_mode="rw", max_sessions=args.max_sessions)
+        service = GraphCacheService(GraphStore.from_graphs(graphs), config)
+        _arm_autosave(service, args.snapshot_path, args.autosave_every,
+                      "--snapshot-path")
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    store = GraphStore.from_graphs(graphs)
-    service = GraphCacheService(store, config)
     if args.warm_start:
         if _warm_start(service, args.warm_start) != 0:
             service.close()
             return 2
     server = CacheServer(service, host=args.host, port=args.port,
-                         drain_timeout=args.drain_timeout)
+                         drain_timeout=args.drain_timeout,
+                         snapshot_path=args.snapshot_path)
     server.start()
     print(f"serving GC+ on {server.address} "
           f"(model={config.model.name}, matcher={config.matcher}, "

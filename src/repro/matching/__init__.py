@@ -11,8 +11,8 @@ The paper evaluates GC+ over three well-established SI methods (§7.1):
   refinement, and least-candidates-first search;
   :mod:`repro.matching.graphql`.
 
-An additional Ullmann matcher (:mod:`repro.matching.ullmann`) serves as an
-independent correctness oracle in tests.
+These three are the whole registry; the test suite keeps its oracles (an
+Ullmann matcher, an embedding enumerator, the pre-plan kernels) itself.
 
 All matchers decide *non-induced* subgraph isomorphism of labeled
 undirected graphs — the decision problem; GC+ only needs Y/N per dataset
@@ -21,9 +21,7 @@ report deterministic work metrics alongside wall-clock time.
 """
 
 from repro.matching.base import MatcherStats, SubgraphMatcher
-from repro.matching.enumeration import count_embeddings, enumerate_embeddings
 from repro.matching.graphql import GraphQLMatcher
-from repro.matching.ullmann import UllmannMatcher
 from repro.matching.vf2 import VF2Matcher
 from repro.matching.vf2plus import VF2PlusMatcher
 
@@ -31,7 +29,6 @@ MATCHERS = {
     "vf2": VF2Matcher,
     "vf2+": VF2PlusMatcher,
     "graphql": GraphQLMatcher,
-    "ullmann": UllmannMatcher,
 }
 
 
@@ -48,12 +45,9 @@ def make_matcher(name: str) -> SubgraphMatcher:
 __all__ = [
     "SubgraphMatcher",
     "MatcherStats",
-    "enumerate_embeddings",
-    "count_embeddings",
     "VF2Matcher",
     "VF2PlusMatcher",
     "GraphQLMatcher",
-    "UllmannMatcher",
     "MATCHERS",
     "make_matcher",
 ]

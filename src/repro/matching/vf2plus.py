@@ -72,8 +72,8 @@ collector: about 1 900 unreachable objects and two gen-0 collections
 per query on ``verify_bound``, 6-10% of every gcbench stream, charged to
 whichever layer allocated next.  ``_search`` now empties that one cell
 when the recursion returns or raises, so the last reference to
-everything else goes with the frame.  The other kernels and
-:mod:`~repro.matching.enumeration` do the same, and
+everything else goes with the frame.  The other kernels (and the
+test suite's Ullmann oracle and embedding enumerator) do the same, and
 ``tests/test_no_cyclic_garbage.py`` pins the result from the kernels up
 to ``CacheServer.handle``: with the collector off, the code runs and
 ``gc.collect()`` finds nothing; ``tests/test_gcbench_counts.py`` pins it

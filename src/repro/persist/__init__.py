@@ -18,8 +18,8 @@ Layers:
   config fingerprint that gates restores.
 
 Entry points for users are
-:meth:`repro.api.service.GraphCacheService.save` / ``load``, the
-``GCConfig.snapshot_path`` / ``autosave_every`` fields, and the CLI's
+:meth:`repro.api.service.GraphCacheService.save` / ``load`` /
+``autosave``, ``CacheServer(..., snapshot_path=...)``, and the CLI's
 ``snapshot save/load`` and ``run --warm-start``.  See
 ``docs/persistence.md``.
 """

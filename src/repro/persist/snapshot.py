@@ -83,9 +83,8 @@ SNAPSHOT_VERSION = 1
 #: The :class:`~repro.api.config.GCConfig` fields that determine whether
 #: a snapshot's state is *meaningful* for a service: cache semantics and
 #: capacities.  Pure performance knobs (``lock_mode``,
-#: ``max_sessions``) and the persistence wiring itself
-#: (``snapshot_path``, ``autosave_every``) are deliberately excluded —
-#: restoring a cache into a differently-parallelised service is sound.
+#: ``max_sessions``) are deliberately excluded — restoring a cache into
+#: a differently-parallelised service is sound.
 FINGERPRINT_FIELDS = (
     "model",
     "query_type",

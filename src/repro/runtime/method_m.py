@@ -99,6 +99,3 @@ class MethodMRunner:
             verify_seconds=sw.elapsed,
         )
         return QueryResult(answer=answer, metrics=metrics)
-
-    def close(self) -> None:
-        """Nothing to release; the surface shared with the service."""

@@ -2,12 +2,12 @@
 
 A stdlib :class:`~http.server.ThreadingHTTPServer` wrapped around one
 shared :class:`~repro.api.GraphCacheService`.  Connection threads are
-cheap and unbounded; *query execution* is bounded by a pool of
+cheap and unbounded; *request work* is bounded by a pool of
 ``GCConfig.max_sessions`` :class:`~repro.api.ServiceSession` handles —
-each request checks a session out, runs the full Figure-1 pipeline
-under the PR 3 reader-writer locking discipline, and returns it.  The
+each POST checks a session out, runs (queries through the session,
+explain plans and mutations through the service), and returns it.  The
 session pool is therefore the sidecar's concurrency limiter: at most
-``max_sessions`` pipelines are in flight at once, exactly the
+``max_sessions`` requests are in flight at once, exactly the
 deployment shape ``docs/concurrency.md`` reasons about.
 
 Endpoints (wire format in :mod:`repro.serve.wire`, full reference in
@@ -26,8 +26,8 @@ Endpoints (wire format in :mod:`repro.serve.wire`, full reference in
 Graceful drain (:meth:`CacheServer.drain`): flip to not-ready (new work
 is refused with 503 and ``Connection: close``), stop the accept loop,
 wait for in-flight requests to finish (bounded by ``drain_timeout``),
-close the session pool, autosave a snapshot via :mod:`repro.persist`
-when the service has a ``snapshot_path``, and close the service.  The
+close the session pool, save a snapshot via :mod:`repro.persist` when
+the server has a ``snapshot_path``, and close the service.  The
 ``serve`` CLI wires SIGTERM/SIGINT to exactly this sequence, so a
 ``kill`` never loses the cache a process spent hours earning.
 """
@@ -40,6 +40,7 @@ import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -181,7 +182,12 @@ class _Handler(BaseHTTPRequestHandler):
         refused = False
         try:
             length = _content_length(self.headers.get("Content-Length"))
-            body = self.rfile.read(length) if length else b""
+            try:
+                body = self.rfile.read(length) if length else b""
+            except TimeoutError:    # the reader is unusable from here on
+                raise _Response(408, {
+                    "error": f"request body incomplete after "
+                             f"{self.timeout}s"}) from None
             status, payload, content_type = app.handle(method, path, body)
         except _Response as early:
             # The body stays unread: this connection cannot carry
@@ -233,14 +239,16 @@ class CacheServer:
     ``port=0`` binds an ephemeral port (read it back from
     :attr:`port` — tests and the CLI's ``--port-file`` rely on this).
     Usable as a context manager: ``__enter__`` starts, ``__exit__``
-    drains.
+    drains, saving the cache to ``snapshot_path`` when one is given.
     """
 
     def __init__(self, service: GraphCacheService, host: str = "127.0.0.1",
-                 port: int = 0, drain_timeout: float = 30.0) -> None:
+                 port: int = 0, drain_timeout: float = 30.0,
+                 snapshot_path: str | Path | None = None) -> None:
         self.service = service
         self.stats = ServerStats()
         self.drain_timeout = drain_timeout
+        self.snapshot_path = snapshot_path
         self._host = host
         self._requested_port = port
         self._httpd: _HTTPServer | None = None
@@ -328,9 +336,9 @@ class CacheServer:
                     break
             snapshot_path: str | None = None
             snapshot_error: str | None = None
-            if self.service.config.snapshot_path is not None:
+            if self.snapshot_path is not None:
                 try:
-                    snapshot_path = str(self.service.save())
+                    snapshot_path = str(self.service.save(self.snapshot_path))
                 except (SnapshotError, OSError) as exc:
                     snapshot_error = str(exc)
             self.service.close()
@@ -389,11 +397,10 @@ class CacheServer:
                                          for r in session.execute_many(graphs)]}
             if path == "/explain":
                 query = graph_from_wire(require(payload, "graph", dict))
-                return 200, plan_to_wire(session.explain(query))
-            return 200, self._mutate(session, payload)
+                return 200, plan_to_wire(self.service.explain(query))
+            return 200, self._mutate(payload)
 
-    def _mutate(self, session: ServiceSession,
-                payload: Any) -> dict[str, Any]:
+    def _mutate(self, payload: Any) -> dict[str, Any]:
         """One dataset mutation → the :class:`AppliedOp` it resolved to.
 
         The op vocabulary is the paper's: ``add_graph`` (ADD),
@@ -405,21 +412,21 @@ class CacheServer:
         try:
             if op == "add_graph":
                 graph = graph_from_wire(require(payload, "graph", dict))
-                graph_id = session.add_graph(graph)
+                graph_id = self.service.add_graph(graph)
                 applied = AppliedOp(OpType.ADD, graph_id)
             elif op == "delete_graph":
                 graph_id = require(payload, "graph_id", int)
-                session.delete_graph(graph_id)
+                self.service.delete_graph(graph_id)
                 applied = AppliedOp(OpType.DEL, graph_id)
             elif op in ("add_edge", "remove_edge"):
                 graph_id = require(payload, "graph_id", int)
                 u = require(payload, "u", int)
                 v = require(payload, "v", int)
                 if op == "add_edge":
-                    session.add_edge(graph_id, u, v)
+                    self.service.add_edge(graph_id, u, v)
                     applied = AppliedOp(OpType.UA, graph_id, (u, v))
                 else:
-                    session.remove_edge(graph_id, u, v)
+                    self.service.remove_edge(graph_id, u, v)
                     applied = AppliedOp(OpType.UR, graph_id, (u, v))
             else:
                 raise WireError(

@@ -3,11 +3,10 @@
 The paper distinguishes (§2) the **decision** problem (is the query
 contained in each dataset graph? — what GC+ accelerates) from the
 **matching** problem (locate *all* occurrences of the query within a
-graph).  The decision form is all the cache needs, but a downstream user
-of the library frequently wants the occurrences themselves once the
-answer set is known — e.g. to highlight the matched atoms of a screening
-hit.  This module provides enumeration on top of the same search
-machinery, with well-defined symmetry semantics:
+graph).  The decision form is all the cache needs, so nothing in
+``src/`` enumerates; this test-side enumerator counts occurrences for
+the tests that need more than a yes/no, on top of the same plan helpers
+as the kernels, with well-defined symmetry semantics:
 
 * :func:`enumerate_embeddings` yields every injective, label-preserving,
   non-induced embedding ``{query vertex → host vertex}``; isomorphic

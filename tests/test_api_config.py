@@ -25,7 +25,7 @@ class TestDefaults:
         assert config.policy == "hd"
         assert config.matcher == "vf2+"
         assert config.caching_enabled
-        assert len(dataclasses.fields(config)) == 11
+        assert len(dataclasses.fields(config)) == 9
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -66,8 +66,12 @@ class TestValidation:
             assert name in message
 
     def test_unknown_matcher_lists_valid_ones(self):
-        with pytest.raises(ValueError, match="vf2"):
-            GCConfig(matcher="boost")
+        # ``ullmann`` is a test-suite oracle, not one of the paper's
+        # three Method Ms: no config name selects it.
+        for unknown in ("boost", "ullmann"):
+            with pytest.raises(ValueError,
+                               match=r"\['graphql', 'vf2', 'vf2\+'\]"):
+                GCConfig(matcher=unknown)
 
     def test_unknown_lock_mode_lists_the_two_choices(self):
         with pytest.raises(ValueError, match=r"\['auto', 'rw'\]"):
@@ -96,7 +100,8 @@ class TestDerivation:
             config.replace(window_capacity=0)
 
     def test_replace_rejects_unknown_fields(self):
-        for unknown in ("cache_cap", "workers", "worker_backend"):
+        for unknown in ("cache_cap", "workers", "worker_backend",
+                        "snapshot_path", "autosave_every"):
             with pytest.raises(ValueError, match="cache_capacity"):
                 GCConfig().replace(**{unknown: 7})
 
@@ -114,6 +119,7 @@ class TestDerivation:
 
     def test_from_dict_rejects_unknown_keys(self):
         for unknown in ("capacity", "workers", "worker_backend",
+                        "snapshot_path", "autosave_every",
                         *RETIRED_FINGERPRINT_FIELDS):
             with pytest.raises(ValueError, match="valid fields"):
                 GCConfig.from_dict({unknown: 10})

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
     CacheEvent,
@@ -14,9 +17,14 @@ from repro.api import (
 from repro.cache.entry import QueryType
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
+from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
 from tests.conftest import brute_force_answer
+from tests.test_consistency import ALPHABET, random_change
+from tests.test_interning import rebuilt
+from tests.test_renewal import describe, relabelled
+from tests.ullmann import UllmannMatcher
 
 
 def path(labels: str) -> LabeledGraph:
@@ -78,7 +86,7 @@ class TestSession:
 
     def test_matcher_instance_wins_over_config_name(self, store):
         matcher = VF2PlusMatcher()
-        service = GraphCacheService(store, GCConfig(matcher="ullmann"),
+        service = GraphCacheService(store, GCConfig(matcher="graphql"),
                                     matcher=matcher)
         assert service.matcher is matcher
         # the config reflects the effective matcher, so to_dict()
@@ -88,6 +96,13 @@ class TestSession:
                                     GCConfig.from_dict(
                                         service.config.to_dict()))
         assert rebuilt.matcher.name == "vf2+"
+        # An instance the registry cannot name still runs; the config
+        # keeps the name it was given.
+        oracle = UllmannMatcher()
+        custom = GraphCacheService(store, GCConfig(matcher="graphql"),
+                                   matcher=oracle)
+        assert custom.matcher is oracle
+        assert custom.config.matcher == "graphql"
 
     def test_repr(self, service):
         service.execute(path("CO"))
@@ -240,6 +255,85 @@ class TestExplain:
         result = service.execute(path("CO"))
         assert result.metrics.method_tests == 1  # only the new graph
         assert service.explain(path("CO")).pending_log_records == 0
+
+    def test_an_identical_arrival_is_planned_as_the_resident(
+            self, service, monkeypatch):
+        """As ``execute`` runs it: discovery sees the resident's graph."""
+        service.execute(path("CCO"))
+        (entry,) = service.cache.all_entries()
+        searched = []
+        discover = service.discovery.discover
+        monkeypatch.setattr(
+            service.discovery, "discover",
+            lambda run, *rest: searched.append(run) or discover(run, *rest))
+        query = path("CCO")
+        plan = service.explain(query)
+        assert [run is entry.query for run in searched] == [True]
+        assert plan.exact_hit and plan.exact_hits == (entry.entry_id,)
+        assert query._memo is None
+
+
+def explain_then_execute(seed: int, config: GCConfig) -> int:
+    """One seeded stream — repeats, relabelled twins, fresh queries,
+    ADD/DEL/UA/UR in between — where every query is explained right
+    before it executes, against the cache as it stands (``refresh()``
+    first, so ``execute`` runs no consistency pass of its own).  The
+    plan must be the one that runs, and explaining must change nothing.
+    Returns how many of the queries ran interned."""
+    rng = random.Random(seed)
+    graphs = [random_labeled_graph(rng.randint(2, 7), 0.4, ALPHABET, rng)
+              for _ in range(8)]
+    pool = [random_labeled_graph(rng.randint(1, 5), 0.5, ALPHABET, rng)
+            for _ in range(4)]
+    store = GraphStore.from_graphs(graphs)
+    interned = 0
+    with GraphCacheService(store, config) as service:
+        for step in range(40):
+            kind = rng.random()
+            if kind < 0.25:
+                random_change(store, graphs, rng)
+                continue
+            if kind < 0.65:
+                query = rebuilt(rng.choice(pool))
+            elif kind < 0.85:
+                query = relabelled(rng.choice(pool), rng)
+            else:
+                query = random_labeled_graph(rng.randint(1, 5), 0.5,
+                                             ALPHABET, rng)
+            service.refresh()
+            before = (service.counters(), repr(service.summary()),
+                      describe(service))
+            plan = service.explain(query)
+            assert query._memo is None
+            assert (service.counters(), repr(service.summary()),
+                    describe(service)) == before, f"seed={seed} step={step}"
+
+            m = service.execute(query).metrics
+            assert (plan.candidate_size, len(plan.containing_hits),
+                    len(plan.contained_hits), len(plan.exact_hits),
+                    plan.internal_tests, len(plan.reduced_candidates),
+                    plan.tests_saved, plan.exact_hit, plan.empty_shortcut,
+                    plan.pending_log_records) == (
+                m.candidate_size, m.containing_hits, m.contained_hits,
+                m.exact_hits, m.internal_tests, m.pruned_candidate_size,
+                m.tests_saved, m.exact_hit_valid, m.empty_shortcut,
+                0), f"seed={seed} step={step}"
+            interned += m.interned
+    return interned
+
+
+@pytest.mark.parametrize("query_type", ["subgraph", "supergraph"])
+@pytest.mark.parametrize("model", ["CON", "EVI"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_explain_is_the_plan_execute_runs(model, query_type, seed):
+    explain_then_execute(seed, GCConfig(model=model, query_type=query_type,
+                                        cache_capacity=6, window_capacity=3))
+
+
+def test_the_explained_streams_do_intern():
+    config = GCConfig(cache_capacity=6, window_capacity=3)
+    assert sum(explain_then_execute(seed, config) for seed in range(5)) > 10
 
 
 class TestHooks:
@@ -413,8 +507,8 @@ class TestCloseLifecycle:
 
         monkeypatch.setattr(service_module, "save_snapshot", blocking_save)
         snap = tmp_path / "auto.snap.jsonl"
-        service = GraphCacheService(store, GCConfig(
-            snapshot_path=str(snap), autosave_every=1))
+        service = GraphCacheService(store)
+        service.autosave(snap, 1)
         # One admission (window insert) trips the autosave hook, which
         # runs on this thread's event flush; do it from a helper thread
         # so the main thread can close() mid-save.

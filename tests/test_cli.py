@@ -160,6 +160,39 @@ class TestSnapshotErrorPaths:
         assert code == 2
         self.assert_one_line_error(capsys, "cannot load snapshot")
 
+    def test_restore_with_an_unregistered_matcher(self, snapshot_file, tve,
+                                                  capsys):
+        """A snapshot whose fingerprint names a matcher the registry no
+        longer has (``ullmann`` was one once) cannot name a config."""
+        import json
+
+        header, _, entries = snapshot_file.read_text(
+            encoding="utf-8").partition("\n")
+        header = json.loads(header)
+        header["fingerprint"]["matcher"] = "ullmann"
+        snapshot_file.write_text(json.dumps(header) + "\n" + entries,
+                                 encoding="utf-8")
+        dataset = tve("a4.tve", ["CCO", "CCC", "CNO", "COO"])
+        code = main(["snapshot", "load", "--path", str(snapshot_file),
+                     "--dataset", str(dataset)])
+        assert code == 2
+        self.assert_one_line_error(capsys, "unknown matcher 'ullmann'")
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--autosave-every", "2"], "requires --save-snapshot"),
+        (["--autosave-every", "-1", "--save-snapshot", "s.jsonl"],
+         "must be a positive integer"),
+    ])
+    def test_autosave_flag_errors(self, tve, tmp_path, monkeypatch, capsys,
+                                  flags, fragment):
+        monkeypatch.chdir(tmp_path)
+        dataset = tve("a5.tve", ["CCO", "CCC"])
+        workload = tve("wl5.tve", ["CO"])
+        code = main(["run", "--dataset", str(dataset),
+                     "--workload", str(workload), *flags])
+        assert code == 2
+        self.assert_one_line_error(capsys, fragment)
+
     def test_restore_against_foreign_dataset(self, snapshot_file, tve,
                                              capsys):
         other = tve("b.tve", ["NNN", "NNO", "ONO", "OOO"])

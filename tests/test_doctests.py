@@ -14,10 +14,10 @@ import repro.api.config
 import repro.api.service
 import repro.dataset.store
 import repro.graphs.graph
-import repro.matching.enumeration
 import repro.util.bitset
 import repro.util.timing
 import repro.util.zipf
+import tests.enumeration
 
 MODULES = [
     repro.util.bitset,
@@ -27,7 +27,7 @@ MODULES = [
     repro.dataset.store,
     repro.api.config,
     repro.api.service,
-    repro.matching.enumeration,
+    tests.enumeration,
 ]
 
 

@@ -11,6 +11,7 @@ from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
 from repro.runtime.method_m import MethodMRunner
+from tests.ullmann import UllmannMatcher
 
 
 def path(labels: str) -> LabeledGraph:
@@ -147,16 +148,16 @@ class TestMatcherSwaps:
     def test_any_matcher_as_method_m(self, name):
         from repro.matching import make_matcher
 
+        matcher = (UllmannMatcher() if name == "ullmann"
+                   else make_matcher(name))
         store = GraphStore.from_graphs([path("CCO"), path("NN")])
-        engine = GraphCacheService(store, matcher=make_matcher(name))
+        engine = GraphCacheService(store, matcher=matcher)
         assert sorted(engine.execute(path("CO")).answer_ids) == [0]
 
     def test_custom_internal_verifier(self):
-        from repro.matching import make_matcher
-
         store = GraphStore.from_graphs([path("CCO")])
         engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
-                                   internal_verifier=make_matcher("ullmann"))
+                                   internal_verifier=UllmannMatcher())
         engine.execute(path("CO"))
         result = engine.execute(path("CO"))
         assert result.metrics.method_tests == 0

@@ -31,12 +31,12 @@ from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.matching import make_matcher
-from repro.matching.ullmann import UllmannMatcher
 from repro.runtime.method_m import MethodMRunner
 from repro.workloads.base import DEFAULT_QUERY_SIZES
 from repro.workloads.typea import bfs_extract, generate_type_a
 from tests.conftest import brute_force_answer, labeled_graphs
 from tests.reference_matchers import REFERENCE_MATCHERS
+from tests.ullmann import UllmannMatcher
 
 KERNELS = sorted(REFERENCE_MATCHERS)
 

@@ -1,9 +1,10 @@
 """Sub-iso matcher tests — all four algorithms against a shared oracle.
 
-Four independent implementations (VF2, VF2+, GraphQL, Ullmann) are each
-tested against the conftest brute-force oracle on fixed corner cases and
-under hypothesis; their mutual agreement is itself an assertion (the
-paper's Figure 5 relies on every Method M producing identical answers).
+Four independent implementations (VF2, VF2+, GraphQL — the registry —
+and the test suite's Ullmann oracle) are each tested against the
+conftest brute-force oracle on fixed corner cases and under hypothesis;
+their mutual agreement is itself an assertion (the paper's Figure 5
+relies on every Method M producing identical answers).
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from repro.matching import MATCHERS, make_matcher
 from repro.matching.base import verify_embedding
 from repro.matching.graphql import GraphQLMatcher
 from tests.conftest import brute_force_subiso, labeled_graphs
+from tests.ullmann import UllmannMatcher
 
-ALL = sorted(MATCHERS)
+FACTORIES = {**MATCHERS, "ullmann": UllmannMatcher}
+ALL = sorted(FACTORIES)
 
 
 @pytest.fixture(params=ALL)
 def matcher(request):
-    return make_matcher(request.param)
+    return FACTORIES[request.param]()
 
 
 def path(labels: str) -> LabeledGraph:
@@ -150,15 +153,17 @@ class TestVerifyEmbedding:
 
 class TestFactory:
     def test_known_names(self):
-        for name in ALL:
+        assert sorted(MATCHERS) == ["graphql", "vf2", "vf2+"]
+        for name in MATCHERS:
             assert make_matcher(name).name == name
 
     def test_case_insensitive(self):
         assert make_matcher("VF2").name == "vf2"
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_matcher("nauty")
+        for name in ("nauty", "ullmann"):
+            with pytest.raises(ValueError):
+                make_matcher(name)
 
 
 class TestGraphQLKnobs:
@@ -189,7 +194,7 @@ class TestGraphQLKnobs:
 @given(query=labeled_graphs(max_vertices=5),
        host=labeled_graphs(max_vertices=8))
 def test_matches_oracle(name, query, host):
-    m = make_matcher(name)
+    m = FACTORIES[name]()
     assert m.is_subgraph_isomorphic(query, host) == brute_force_subiso(
         query, host
     )
@@ -199,7 +204,7 @@ def test_matches_oracle(name, query, host):
 @given(query=labeled_graphs(max_vertices=5),
        host=labeled_graphs(max_vertices=8))
 def test_embeddings_are_valid(name, query, host):
-    m = make_matcher(name)
+    m = FACTORIES[name]()
     emb = m.find_embedding(query, host)
     if emb is None:
         assert not brute_force_subiso(query, host)
@@ -211,7 +216,7 @@ def test_embeddings_are_valid(name, query, host):
        host=labeled_graphs(max_vertices=7))
 def test_all_matchers_agree(query, host):
     votes = {
-        name: make_matcher(name).is_subgraph_isomorphic(query, host)
-        for name in ALL
+        name: factory().is_subgraph_isomorphic(query, host)
+        for name, factory in FACTORIES.items()
     }
     assert len(set(votes.values())) == 1, f"matchers disagree: {votes}"

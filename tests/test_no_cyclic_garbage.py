@@ -29,15 +29,17 @@ from repro.dataset.change_plan import ChangePlan
 from repro.dataset.log import OpType
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
-from repro.matching import make_matcher
-from repro.matching.enumeration import count_embeddings, enumerate_embeddings
+from repro.matching import MATCHERS
 from repro.serve.server import CacheServer
 from repro.serve.wire import graph_to_wire
 from repro.workloads.typea import generate_type_a
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 from tests.conftest import no_cyclic_garbage
+from tests.enumeration import count_embeddings, enumerate_embeddings
+from tests.ullmann import UllmannMatcher
 
-KERNELS = ("vf2", "vf2+", "graphql", "ullmann")
+#: The bundled kernels and the test suite's Ullmann oracle.
+KERNELS = {**MATCHERS, "ullmann": UllmannMatcher}
 STREAM = 60
 
 
@@ -101,7 +103,7 @@ def _stubbed_host() -> LabeledGraph:
 @pytest.mark.parametrize("name", KERNELS)
 class TestKernels:
     def test_decision_hit_and_miss(self, name):
-        matcher = make_matcher(name)
+        matcher = KERNELS[name]()
         with no_cyclic_garbage():
             assert matcher.is_subgraph_isomorphic(HIT, HOST)
             after_hit = matcher.stats.states
@@ -111,14 +113,14 @@ class TestKernels:
         assert 0 < after_hit < matcher.stats.states
 
     def test_find_embedding(self, name):
-        matcher = make_matcher(name)
+        matcher = KERNELS[name]()
         with no_cyclic_garbage():
             embedding = matcher.find_embedding(HIT, HOST)
             assert matcher.find_embedding(MISS, MISS_HOST) is None
         assert embedding is not None and len(embedding) == HIT.num_vertices
 
     def test_search_that_raises(self, name):
-        matcher = make_matcher(name)
+        matcher = KERNELS[name]()
         host = _stubbed_host()
         raised_in = []
         with no_cyclic_garbage():
@@ -216,22 +218,27 @@ def test_execute_stream_with_churn(population, patterns, matcher, model,
 
 
 def test_two_sessions_and_explain(population, patterns):
+    """Two sessions execute; plans and mutations go through the service,
+    and ``explain`` — the pipeline's own steps 2-3 — both for a query
+    not yet seen and for one just admitted (which it interns)."""
     service = GraphCacheService(
         GraphStore.from_graphs(population),
         GCConfig(model="CON", lock_mode="rw", max_sessions=2,
                  cache_capacity=12, window_capacity=4))
+    exact = 0
     try:
         with service.session() as one, service.session() as two:
             with no_cyclic_garbage():
                 for position, query in enumerate(patterns):
                     session = two if position % 2 else one
                     if position % 10 == 5:
-                        session.add_edge(*_free_edge(service, position))
+                        service.add_edge(*_free_edge(service, position))
                     session.execute(query)
                     if position % 7 == 0:
-                        one.explain(patterns[(position + 1) % STREAM])
-                        service.explain(query)
+                        service.explain(patterns[(position + 1) % STREAM])
+                        exact += bool(service.explain(query).exact_hits)
         assert service.counters()["queries"] == STREAM
+        assert exact
     finally:
         service.close()
 
@@ -250,7 +257,7 @@ def _free_edge(service, position: int) -> tuple[int, int, int]:
 
 def test_method_m_runner(population, patterns):
     runner = MethodMRunner(GraphStore.from_graphs(population),
-                           make_matcher("vf2+"))
+                           MATCHERS["vf2+"]())
     with no_cyclic_garbage():
         answers = [runner.execute(query).answer for query in patterns]
     assert any(answers)

@@ -66,12 +66,9 @@ def _oracle_answers(dataset, queries) -> list[frozenset[int]]:
     plan = _plan(dataset)
     runner = MethodMRunner(store, make_matcher("vf2+"))
     answers = []
-    try:
-        for index, query in enumerate(queries):
-            plan.apply_due(store, index)
-            answers.append(frozenset(runner.execute(query).answer))
-    finally:
-        runner.close()
+    for index, query in enumerate(queries):
+        plan.apply_due(store, index)
+        answers.append(frozenset(runner.execute(query).answer))
     return answers
 
 

@@ -265,9 +265,9 @@ class TestFingerprintRejection:
                     other.load(path)
 
     def test_performance_knobs_do_not_reject(self, trace, tmp_path):
-        """lock_mode / max_sessions / persistence wiring are not
-        semantics: a snapshot moves freely across them, and the
-        fingerprint is exactly the semantic fields."""
+        """lock_mode / max_sessions are not semantics: a snapshot moves
+        freely across them, and the fingerprint is exactly the semantic
+        fields."""
         assert FINGERPRINT_FIELDS == (
             "model", "query_type", "matcher", "cache_capacity",
             "window_capacity", "policy", "caching_enabled",
@@ -278,8 +278,7 @@ class TestFingerprintRejection:
                                CONFIG) as service:
             run_span(service, queries, None, 0, 8)
             service.save(path)
-        relaxed = CONFIG.replace(lock_mode="rw", max_sessions=2,
-                                 snapshot_path=str(path), autosave_every=5)
+        relaxed = CONFIG.replace(lock_mode="rw", max_sessions=2)
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                relaxed) as other:
             other.load(path)
@@ -444,9 +443,9 @@ class TestAutosave:
                                                       tmp_path):
         graphs, queries, _ = trace
         path = tmp_path / "auto.snap.jsonl"
-        config = CONFIG.replace(snapshot_path=str(path), autosave_every=4)
         with GraphCacheService(GraphStore.from_graphs(graphs),
-                               config) as service:
+                               CONFIG) as service:
+            service.autosave(path, 4)
             run_span(service, queries, None, 0, 3)
             assert not path.exists(), "autosave fired before N admissions"
             run_span(service, queries, None, 3, 4)
@@ -457,8 +456,8 @@ class TestAutosave:
             assert load_snapshot(path).query_counter == 8
         # The autosaved file warm-starts a fresh service.
         with GraphCacheService(GraphStore.from_graphs(graphs),
-                               config) as revived:
-            revived.load()
+                               CONFIG) as revived:
+            revived.load(path)
             assert revived.queries_executed == 8
 
     def test_autosave_failure_does_not_crash_serving(self, trace,
@@ -469,28 +468,35 @@ class TestAutosave:
         graphs, queries, _ = trace
         doomed = tmp_path / "gone" / "auto.snap.jsonl"
         doomed.parent.mkdir()
-        config = CONFIG.replace(snapshot_path=str(doomed),
-                                autosave_every=2)
         with GraphCacheService(GraphStore.from_graphs(graphs),
-                               config) as service:
+                               CONFIG) as service:
+            service.autosave(doomed, 2)
             doomed.parent.rmdir()
             with pytest.warns(RuntimeWarning, match="autosave"):
                 rows = run_span(service, queries, None, 0, 4)
             assert len(rows) == 4, "queries failed alongside the autosave"
             assert not doomed.exists()
 
-    def test_autosave_requires_snapshot_path(self):
-        with pytest.raises(ValueError, match="snapshot_path"):
-            GCConfig(autosave_every=5)
-        with pytest.raises(ValueError, match="autosave_every"):
-            GCConfig(snapshot_path="x.jsonl", autosave_every=-1)
+    def test_autosave_requires_snapshot_path(self, trace, tmp_path):
+        """The target is an argument of ``autosave`` (no config field can
+        carry one: ``test_api_config``) and the period a positive count."""
+        graphs, _, _ = trace
+        with GraphCacheService(GraphStore.from_graphs(graphs),
+                               CONFIG) as service:
+            with pytest.raises(TypeError):
+                service.autosave(every=5)
+            for every in (0, -1, True, 2.5):
+                with pytest.raises(ValueError, match="every"):
+                    service.autosave(tmp_path / "x.jsonl", every)
 
     def test_save_without_any_path_raises(self, trace):
         graphs, _, _ = trace
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                CONFIG) as service:
-            with pytest.raises(ValueError, match="snapshot path"):
+            with pytest.raises(TypeError):
                 service.save()
+            with pytest.raises(TypeError):
+                service.load()
 
     def test_load_missing_file_raises_oserror(self, trace, tmp_path):
         graphs, _, _ = trace

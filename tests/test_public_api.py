@@ -27,7 +27,6 @@ def test_all_names_resolve():
     "repro.graphs.canonical", "repro.graphs.generators", "repro.graphs.io",
     "repro.matching", "repro.matching.base", "repro.matching.vf2",
     "repro.matching.vf2plus", "repro.matching.graphql",
-    "repro.matching.ullmann",
     "repro.dataset", "repro.dataset.store", "repro.dataset.log",
     "repro.dataset.log_analyzer", "repro.dataset.change_plan",
     "repro.cache", "repro.cache.entry", "repro.cache.manager",

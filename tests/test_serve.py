@@ -324,6 +324,25 @@ class TestContentLength:
         # The listener is unharmed.
         assert request(server, "GET", "/healthz")[0] == 200
 
+    def test_stalled_body_is_a_408(self, served, monkeypatch, capfd):
+        """A body shorter than its Content-Length used to come back as a
+        500 on a connection left open, and the connection thread then
+        died on its next read with a traceback on stderr."""
+        import repro.serve.server as server_module
+
+        server, service, _ = served
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.5)
+        status, headers, payload, closed = raw_exchange(
+            server, self.head("100"), b'{"gr')
+        assert status == 408
+        assert "request body incomplete" in payload["error"]
+        assert headers["connection"] == "close" and closed
+        assert server.stats.request_count("/query", 408) == 1
+        assert service.counters()["queries"] == 0
+        assert capfd.readouterr().err == ""
+        # A fresh connection is served as usual.
+        assert request(server, "GET", "/healthz")[0] == 200
+
     def test_body_at_the_cap_is_served(self, served):
         server, service, graphs = served
         body = json.dumps({"graph": graph_to_wire(graphs[0])}).encode()
@@ -340,10 +359,9 @@ class TestDrain:
         queries = make_queries(graphs, n=25)
         snap = tmp_path / "drain.snap.jsonl"
         store = GraphStore.from_graphs(graphs)
-        config = GCConfig(model="CON", lock_mode="rw", max_sessions=4,
-                          snapshot_path=str(snap))
+        config = GCConfig(model="CON", lock_mode="rw", max_sessions=4)
         service = GraphCacheService(store, config)
-        server = CacheServer(service).start()
+        server = CacheServer(service, snapshot_path=snap).start()
         for query in queries:
             request(server, "POST", "/query", {"graph": graph_to_wire(query)})
         entries_before = (service.cache.cache_size
@@ -399,11 +417,10 @@ class TestWarmStartOverHTTP:
         graphs = make_graphs()
         queries = make_queries(graphs, n=30)
         snap = tmp_path / "warm.snap.jsonl"
-        config = GCConfig(model="CON", lock_mode="rw", max_sessions=4,
-                          snapshot_path=str(snap))
+        config = GCConfig(model="CON", lock_mode="rw", max_sessions=4)
 
         service1 = GraphCacheService(GraphStore.from_graphs(graphs), config)
-        server1 = CacheServer(service1).start()
+        server1 = CacheServer(service1, snapshot_path=snap).start()
         for query in queries:
             request(server1, "POST", "/query",
                     {"graph": graph_to_wire(query)})

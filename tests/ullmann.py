@@ -1,12 +1,14 @@
 """Ullmann's algorithm — boolean candidate-matrix refinement.
 
 Not one of the paper's three Method-M verifiers, but the canonical
-baseline SI algorithm; included as an independent implementation used by
-the test suite as a correctness oracle (four algorithms agreeing on random
-inputs is strong evidence none of them is wrong) and available to users
-who want a fourth Method M.
+baseline SI algorithm, kept beside ``tests/reference_matchers.py`` as an
+independent correctness oracle: it shares no code with the three bundled
+kernels, so four algorithms agreeing on random inputs is strong evidence
+none of them is wrong.  It plugs into the service as a ready instance
+(``GraphCacheService(store, matcher=UllmannMatcher())``); no config name
+selects it.
 
-Like the other kernels it leaves no reference cycle behind a test
+Like the bundled kernels it leaves no reference cycle behind a test
 ("Leave nothing for the collector" in :mod:`repro.matching.vf2plus`).
 """
 
