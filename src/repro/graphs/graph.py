@@ -60,12 +60,26 @@ class LabeledGraph:
     @classmethod
     def from_edges(cls, labels: Iterable[Label],
                    edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
-        """Build a graph from a label list and an edge list."""
+        """Build a graph from a label list and an edge list.
+
+        One pass that fills the label list and adjacency sets directly,
+        to the graph (and the set insertion order) that
+        :meth:`add_vertex` and :meth:`add_edge` build one call at a time.
+        """
         g = cls()
-        for lab in labels:
-            g.add_vertex(lab)
+        g._labels = list(labels)
+        n = len(g._labels)
+        adjacency = g._adjacency = [set() for _ in range(n)]
+        m = 0
         for u, v in edges:
-            g.add_edge(u, v)
+            if 0 <= u < n and 0 <= v < n and u != v and v not in adjacency[u]:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+                m += 1
+            else:
+                g.add_edge(u, v)    # raises what a call-at-a-time build does
+        g._num_edges = m
+        g.version = n + m
         return g
 
     def copy(self) -> "LabeledGraph":

@@ -3,9 +3,10 @@
 The ROADMAP's north star is a deployable, observable GC+ service; this
 package is the network-facing front end every prior layer stopped short
 of.  It is deliberately thin-dependency: the server is a stdlib
-:class:`http.server.ThreadingHTTPServer`, the wire format is plain JSON,
-and the metrics endpoint emits the Prometheus text exposition format by
-hand — nothing to install, nothing to pin.
+:class:`socketserver.ThreadingTCPServer` that reads HTTP/1.1 itself (one
+read of the head, one write per response), the wire format is plain
+JSON, and the metrics endpoint emits the Prometheus text exposition
+format by hand — nothing to install, nothing to pin.
 
 Layers:
 

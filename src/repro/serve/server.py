@@ -1,7 +1,9 @@
 """:class:`CacheServer` — the GC+ sidecar process.
 
-A stdlib :class:`~http.server.ThreadingHTTPServer` wrapped around one
-shared :class:`~repro.api.GraphCacheService`.  Connection threads are
+A stdlib :class:`socketserver.ThreadingTCPServer` with a small HTTP/1.1
+reader of its own (:class:`_Handler`: one read of the head, one write
+per response), wrapped around one shared
+:class:`~repro.api.GraphCacheService`.  Connection threads are
 cheap and unbounded; *request work* is bounded by a pool of
 ``GCConfig.max_sessions`` :class:`~repro.api.ServiceSession` handles —
 each POST checks a session out, runs (queries through the session,
@@ -36,10 +38,12 @@ from __future__ import annotations
 
 import json
 import queue
+import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from pathlib import Path
 from typing import Any
 from urllib.parse import urlsplit
@@ -58,8 +62,8 @@ from repro.serve.wire import (
     require,
 )
 
-__all__ = ["CacheServer", "DrainReport", "MAX_BODY_BYTES",
-           "SESSION_WAIT_SECONDS"]
+__all__ = ["CacheServer", "DrainReport", "MAX_BODY_BYTES", "MAX_HEADERS",
+           "MAX_LINE_BYTES", "SESSION_WAIT_SECONDS"]
 
 #: How long a request waits for a pool session before giving up with a
 #: 503 — long enough to ride out a burst, short enough that a wedged
@@ -72,8 +76,24 @@ SESSION_WAIT_SECONDS = 10.0
 #: connection thread can be made to buffer.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: The longest request line or header line read, line ending included;
+#: a longer one is refused with 414 or 431 (``http.server``'s limits).
+MAX_LINE_BYTES = 65536
+
+#: The most header lines a request may carry before it is refused with
+#: 431.
+MAX_HEADERS = 100
+
 _JSON = "application/json"
 _PROM = "text/plain; version=0.0.4; charset=utf-8"
+
+#: The request headers the server acts on; every other one is read past.
+_ACTED_ON = frozenset((b"content-length", b"connection",
+                       b"transfer-encoding", b"expect"))
+_STATUS_LINES = {status.value: b"HTTP/1.1 %d %s\r\n" % (
+    status.value, status.phrase.encode("latin-1")) for status in HTTPStatus}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_BLANK_LINES = (b"\r\n", b"\n")
 
 
 @dataclass(frozen=True)
@@ -157,80 +177,171 @@ class _Flight:
             self._server._flight_cond.notify_all()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin I/O shell: reads the body, delegates to the app, writes the
-    response.  All routing/validation lives on :class:`CacheServer` so
-    it is unit-testable without sockets."""
+class _Handler(socketserver.StreamRequestHandler):
+    """The HTTP/1.1 shell of one connection: reads a request head and
+    its body, delegates to the app, answers in one write, and repeats
+    while the connection stays open.  All routing/validation lives on
+    :class:`CacheServer` so it is unit-testable without sockets.
 
-    protocol_version = "HTTP/1.1"   # keep-alive for the load generator
+    Only the headers in ``_ACTED_ON`` are kept.  A request the shell
+    refuses (a malformed head, any ``Transfer-Encoding``, a bad
+    ``Content-Length``, a method other than GET/POST) is answered in
+    JSON, counted like any other response, and ends the connection:
+    the rest of it stays unread.  Otherwise the connection is kept
+    alive — under HTTP/1.1 unless the client sends ``Connection:
+    close``, under HTTP/1.0 only with ``Connection: keep-alive`` — until
+    the server drains.
+    """
+
     timeout = 30                    # reap idle keep-alive connections
-    # Headers and body go out as separate writes; with Nagle on, the
-    # second write stalls behind the client's delayed ACK (~40ms added
-    # to every response on loopback).  TCP_NODELAY removes it.
+    # A 100 Continue and its final response are two writes; with Nagle
+    # on, the second stalls behind the client's delayed ACK (~40 ms on
+    # loopback).  TCP_NODELAY removes it.
     disable_nagle_algorithm = True
 
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
-        app: "CacheServer" = self.server.app  # type: ignore[attr-defined]
-        path = urlsplit(self.path).path
-        started = time.perf_counter()
-        refused = False
-        try:
-            length = _content_length(self.headers.get("Content-Length"))
+    def handle(self) -> None:
+        server: _Server = self.server  # type: ignore[assignment]
+        while True:
             try:
-                body = self.rfile.read(length) if length else b""
-            except TimeoutError:    # the reader is unusable from here on
-                raise _Response(408, {
-                    "error": f"request body incomplete after "
-                             f"{self.timeout}s"}) from None
-            status, payload, content_type = app.handle(method, path, body)
+                line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            except OSError:         # idle past `timeout`, or reset
+                return
+            if not line:            # closed by the client
+                return
+            if line in _BLANK_LINES:
+                continue            # RFC 9112 §2.2: ignored before a request
+            if not self._exchange(server, line):
+                return
+
+    def _exchange(self, server: _Server, line: bytes) -> bool:
+        """Answer the request ``line`` starts; True iff the connection
+        can carry another one."""
+        app = server.app
+        started = time.perf_counter()
+        # The path a request is counted under until its line is parsed.
+        self.command, self.path = "", "-"
+        try:
+            keep_alive, body = self._read_request(line)
         except _Response as early:
-            # The body stays unread: this connection cannot carry
-            # another request.
-            refused = True
+            keep_alive = False
             status, payload, content_type = app._json(early.status,
                                                       early.payload)
-        # A handler bug must become a one-line 500, never a traceback
-        # leaked onto the wire.
-        # gclint: allow[broad-except] documented HTTP wire boundary
-        except Exception as exc:
-            status, content_type = 500, _JSON
-            payload = json.dumps({"error": f"internal error: {exc}"}
-                                 ).encode("utf-8")
-        app.stats.observe_request(path, status)
-        if path == "/query" and method == "POST":
+        except OSError:     # a reset, or a head that stalled: nobody to answer
+            return False
+        else:
+            try:
+                status, payload, content_type = app.handle(
+                    self.command, self.path, body)
+            # A handler bug must become a one-line 500, never a
+            # traceback leaked onto the wire.
+            # gclint: allow[broad-except] documented HTTP wire boundary
+            except Exception as exc:
+                status, content_type = 500, _JSON
+                payload = json.dumps({"error": f"internal error: {exc}"}
+                                     ).encode("utf-8")
+        app.stats.observe_request(self.path, status)
+        if self.path == "/query" and self.command == "POST":
             app.stats.observe_query_latency(time.perf_counter() - started)
+        if app.draining:
+            keep_alive = False      # persuade clients off a dying server
+        head = b"%s%sContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n" % (
+            _STATUS_LINES[status], server.date_line(),
+            content_type.encode("latin-1"), len(payload),
+            b"" if keep_alive else b"Connection: close\r\n")
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            if refused or app.draining:
-                # Persuade keep-alive clients off a dying server (or a
-                # connection with an unread body in it).
-                self.send_header("Connection", "close")
-                self.close_connection = True
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            self.close_connection = True
+            self.wfile.write(head + payload)
+        except OSError:             # the client is gone
+            return False
+        return keep_alive
 
-    def log_message(self, format: str, *args) -> None:
-        """Per-request stderr logging off; /metrics is the observability
-        surface."""
+    def _read_request(self, line: bytes) -> tuple[bool, bytes]:
+        """Read the request whose request line is ``line`` up to the end
+        of its body: sets :attr:`command` and :attr:`path` and returns
+        ``(keep_alive, body)``.  A refusal raises :class:`_Response`."""
+        if len(line) > MAX_LINE_BYTES:
+            raise _Response(414, {
+                "error": f"request line longer than {MAX_LINE_BYTES} "
+                         f"bytes"})
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            raise _Response(400, {
+                "error": f"malformed request line "
+                         f"{line[:80].decode('latin-1')!r}"})
+        method, target, version = words
+        self.command, self.path = method, urlsplit(target).path
+        fields: dict[bytes, bytes] = {}
+        for _ in range(MAX_HEADERS + 1):
+            field_line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(field_line) > MAX_LINE_BYTES:
+                raise _Response(431, {
+                    "error": f"header line longer than {MAX_LINE_BYTES} "
+                             f"bytes"})
+            if not field_line or field_line in _BLANK_LINES:
+                break
+            raw_name, _, value = field_line.partition(b":")
+            name = raw_name.strip().lower()
+            if name not in _ACTED_ON:
+                continue
+            if len(name) != len(raw_name):
+                # RFC 9112 §5.1: another parser may read this field
+                # (or a folded line) differently.
+                raise _Response(400, {
+                    "error": f"whitespace around header name "
+                             f"{raw_name.decode('latin-1')!r}"})
+            # A repeated field is one list (RFC 9110 §5.3), so two
+            # Content-Lengths make one that is not a number.
+            value = value.strip()
+            fields[name] = (fields[name] + b", " + value
+                            if name in fields else value)
+        else:
+            raise _Response(431, {
+                "error": f"more than {MAX_HEADERS} header lines"})
+        if method not in ("GET", "POST"):
+            raise _Response(501, {
+                "error": f"method {method!r} not implemented; the "
+                         f"endpoints take GET or POST"})
+        if b"transfer-encoding" in fields:
+            raise _Response(411, {
+                "error": "Transfer-Encoding is not accepted; send the "
+                         "body with a Content-Length"})
+        raw_length = fields.get(b"content-length")
+        length = _content_length(
+            None if raw_length is None else raw_length.decode("latin-1"))
+        connection = fields.get(b"connection")
+        options = ({option.strip()
+                    for option in connection.lower().split(b",")}
+                   if connection else ())
+        keep_alive = (b"close" not in options if version == "HTTP/1.1"
+                      else b"keep-alive" in options)
+        if (length and version == "HTTP/1.1"
+                and fields.get(b"expect", b"").lower() == b"100-continue"):
+            self.wfile.write(_CONTINUE)
+        try:
+            body = self.rfile.read(length) if length else b""
+        except TimeoutError:        # the reader is unusable from here on
+            raise _Response(408, {
+                "error": f"request body incomplete after "
+                         f"{self.timeout}s"}) from None
+        return keep_alive, body
 
 
-class _HTTPServer(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True  # drain owns lifecycle; stuck sockets can't pin exit
     allow_reuse_address = True
 
     def __init__(self, address, app: "CacheServer") -> None:
         super().__init__(address, _Handler)
         self.app = app
+        self._date = (0, b"")
+
+    def date_line(self) -> bytes:
+        """The ``Date`` header line, formatted at most once a second."""
+        now = int(time.time())
+        second, line = self._date
+        if second != now:
+            line = b"Date: %s\r\n" % formatdate(now, usegmt=True).encode()
+            self._date = (now, line)
+        return line
 
 
 class CacheServer:
@@ -251,9 +362,9 @@ class CacheServer:
         self.snapshot_path = snapshot_path
         self._host = host
         self._requested_port = port
-        self._httpd: _HTTPServer | None = None
+        self._httpd: _Server | None = None
         self._thread: threading.Thread | None = None
-        self._pool: queue.Queue[ServiceSession] = queue.Queue()
+        self._pool: queue.SimpleQueue[ServiceSession] = queue.SimpleQueue()
         self._pool_size = 0
         self._draining = False
         self._drained: DrainReport | None = None
@@ -271,7 +382,7 @@ class CacheServer:
         for _ in range(self.service.config.max_sessions):
             self._pool.put(self.service.session())
             self._pool_size += 1
-        self._httpd = _HTTPServer((self._host, self._requested_port), self)
+        self._httpd = _Server((self._host, self._requested_port), self)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},

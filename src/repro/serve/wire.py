@@ -45,6 +45,9 @@ class WireError(ValueError):
     """A request payload that does not follow the wire format."""
 
 
+_LABEL_TYPES = frozenset((str, int, float))
+
+
 def require(payload: Any, key: str, kind: type | tuple[type, ...]) -> Any:
     """Fetch ``payload[key]``, type-checked; :class:`WireError` on miss.
 
@@ -81,25 +84,21 @@ def graph_from_wire(payload: Any) -> LabeledGraph:
     """Decode a wire graph, validating structure before construction."""
     labels = require(payload, "labels", list)
     edges = require(payload, "edges", list)
+    # Exact types: JSON decodes to exactly these, and a bool (an int
+    # subclass) is always a client bug.
     for label in labels:
-        if not isinstance(label, (str, int, float)) or isinstance(label, bool):
+        if type(label) not in _LABEL_TYPES:
             raise WireError(
                 f"labels must be JSON strings or numbers, got {label!r}"
             )
-    graph = LabeledGraph()
-    for label in labels:
-        graph.add_vertex(label)
     for pair in edges:
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool)
-                           for x in pair)):
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
             raise WireError(f"edges must be [u, v] integer pairs, got {pair!r}")
-        u, v = pair
-        try:
-            graph.add_edge(u, v)
-        except (ValueError, IndexError) as exc:
-            raise WireError(str(exc)) from exc
-    return graph
+    try:
+        return LabeledGraph.from_edges(labels, edges)
+    except (ValueError, IndexError) as exc:
+        raise WireError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------

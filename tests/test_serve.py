@@ -28,7 +28,8 @@ from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs import io as graph_io
 from repro.persist import load_snapshot
-from repro.serve.server import MAX_BODY_BYTES, CacheServer
+from repro.serve.server import (MAX_BODY_BYTES, MAX_HEADERS,
+                                 MAX_LINE_BYTES, CacheServer)
 from repro.serve.wire import graph_to_wire
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
@@ -275,25 +276,47 @@ class TestMetricsEndpoint:
                 >= before["gcplus_gc_uncollectable_objects_total"] >= 0)
 
 
+def read_response(reader):
+    """One response off a socket's ``makefile("rb")``: (status, headers,
+    payload), the payload decoded when it is JSON."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    for line in iter(reader.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    payload = reader.read(int(headers["content-length"]))
+    if headers["content-type"] == "application/json":
+        payload = json.loads(payload)
+    return status, headers, payload
+
+
+def is_closed(sock) -> bool:
+    """Whether the server has closed ``sock`` (after its last response)."""
+    sock.settimeout(0.5)
+    try:
+        return sock.recv(1) == b""
+    except TimeoutError:
+        return False                    # kept alive: nothing more to read
+    except ConnectionResetError:
+        return True                     # closed with the request unread
+
+
 def raw_exchange(server, head: bytes, body: bytes = b""):
     """Send bytes as they are; returns (status, headers, JSON payload)
     and whether the server closed the connection afterwards."""
     with socket.create_connection(("127.0.0.1", server.port),
                                   timeout=10) as sock:
         sock.sendall(head + body)
-        reader = sock.makefile("rb")
-        status = int(reader.readline().split()[1])
-        headers = {}
-        for line in iter(reader.readline, b"\r\n"):
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        payload = json.loads(reader.read(int(headers["content-length"])))
-        sock.settimeout(0.5)
-        try:
-            closed = sock.recv(1) == b""
-        except TimeoutError:
-            closed = False              # kept alive: nothing more to read
-    return status, headers, payload, closed
+        status, headers, payload = read_response(sock.makefile("rb"))
+        return status, headers, payload, is_closed(sock)
+
+
+def query_request(body: bytes, version: str = "HTTP/1.1",
+                  extra: str = "") -> bytes:
+    """A ``POST /query`` request with ``body``, as it goes on the wire."""
+    return (f"POST /query {version}\r\nHost: x\r\n"
+            f"Content-Type: application/json\r\n{extra}"
+            f"Content-Length: {len(body)}\r\n\r\n").encode("latin-1") + body
 
 
 class TestContentLength:
@@ -351,6 +374,217 @@ class TestContentLength:
             server, self.head(str(len(body))), body)
         assert status == 200 and 0 in payload["answer_ids"]
         assert "connection" not in headers and not closed
+
+    def test_chunked_body_is_refused_unread(self, served):
+        """A chunked body used to get a 400 on a connection left open,
+        its chunk-size line then parsed as the next request (an HTML
+        400), and a request pipelined behind it never answered."""
+        server, service, graphs = served
+        body = json.dumps({"graph": graph_to_wire(graphs[0])}).encode()
+        head = (b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n")
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        healthz = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        status, headers, payload, closed = raw_exchange(
+            server, head, chunked + healthz)
+        assert status == 411 and "Transfer-Encoding" in payload["error"]
+        assert headers["connection"] == "close" and closed
+        assert server.stats.request_count("/query", 411) == 1
+        assert server.stats.request_count("/healthz") == 0
+        assert service.counters()["queries"] == 0
+
+    @pytest.mark.parametrize("fields", [
+        "Content-Length: 2\r\nContent-Length: {n}\r\n",
+        "Content-Length: {n}\r\nContent-Length: {n}\r\n",
+        "Content-Length : {n}\r\n",
+    ], ids=["two-lengths", "same-length-twice", "space-before-colon"])
+    def test_ambiguous_length_is_refused_unread(self, served, fields):
+        """The first of two Content-Lengths used to win: a 400 for the
+        cut-off JSON on a connection left open, with the rest of the
+        body read as the next request (RFC 9112 §6.3, §5.1)."""
+        server, service, graphs = served
+        body = json.dumps({"graph": graph_to_wire(graphs[0])}).encode()
+        head = (b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                + fields.format(n=len(body)).encode() + b"\r\n")
+        status, headers, payload, closed = raw_exchange(server, head, body)
+        assert status == 400 and "error" in payload
+        assert headers["connection"] == "close" and closed
+        assert server.stats.request_count("/query", 400) == 1
+        assert service.counters()["queries"] == 0
+
+
+class TestHTTPShell:
+    """The request reader and response writer of the connection threads,
+    over raw sockets."""
+
+    @pytest.mark.parametrize("head, status, path", [
+        (b"NONSENSE\r\n\r\n", 400, "-"),
+        (b"GET /healthz HTTP/9.9\r\n\r\n", 400, "-"),
+        (b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n", 414, "-"),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * MAX_LINE_BYTES
+         + b"\r\n\r\n", 431, "/healthz"),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"X-Many: 1\r\n" * (MAX_HEADERS + 1) + b"\r\n", 431, "/healthz"),
+        (b"PUT /query HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501, "/query"),
+    ], ids=["request-line", "version", "long-request-line", "long-header",
+            "many-headers", "method"])
+    def test_refusals_are_json_and_counted(self, served, head, status, path):
+        """These four used to be http.server's HTML error pages, which
+        ``gcplus_http_requests_total`` never saw."""
+        server, _, _ = served
+        got, headers, payload, closed = raw_exchange(server, head)
+        assert got == status
+        assert headers["content-type"] == "application/json"
+        assert isinstance(payload["error"], str)
+        assert headers["connection"] == "close" and closed
+        assert server.stats.request_count(path, status) == 1
+        assert request(server, "GET", "/healthz")[0] == 200
+
+    def test_headers_at_the_limits_are_served(self, served):
+        server, _, _ = served
+        pad = b"X-Pad: " + b"a" * (MAX_LINE_BYTES - len(b"X-Pad: \r\n"))
+        head = (b"GET /healthz HTTP/1.1\r\n" + pad + b"\r\n"
+                + b"X-Many: 1\r\n" * (MAX_HEADERS - 1) + b"\r\n")
+        status, headers, _, closed = raw_exchange(server, head)
+        assert status == 200 and "connection" not in headers and not closed
+
+    def test_expect_100_continue(self, served):
+        server, _, graphs = served
+        body = json.dumps({"graph": graph_to_wire(graphs[0])}).encode()
+        request_bytes = query_request(body, extra="Expect: 100-continue\r\n")
+        head = request_bytes[:-len(body)]
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(head)
+            reader = sock.makefile("rb")
+            # Answered before a byte of the body is sent.
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            status, headers, payload = read_response(reader)
+            assert status == 200 and 0 in payload["answer_ids"]
+            assert not is_closed(sock)
+
+    @pytest.mark.parametrize("length, expected", [
+        ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)])
+    def test_no_100_continue_for_a_refused_length(self, served, length,
+                                                  expected):
+        server, _, _ = served
+        head = (f"POST /query HTTP/1.1\r\nHost: x\r\n"
+                f"Expect: 100-continue\r\nContent-Length: {length}\r\n\r\n")
+        status, headers, _, closed = raw_exchange(server, head.encode())
+        assert status == expected
+        assert headers["connection"] == "close" and closed
+
+    def test_pipelined_requests_are_answered_in_order(self, served):
+        server, _, graphs = served
+        body = json.dumps({"graph": graph_to_wire(graphs[0])}).encode()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(query_request(body)
+                         + b"GET /readyz HTTP/1.1\r\nHost: x\r\n\r\n"
+                         + query_request(b"{not json"))
+            reader = sock.makefile("rb")
+            first, second, third = (read_response(reader) for _ in range(3))
+            assert first[0] == 200 and 0 in first[2]["answer_ids"]
+            assert second[0] == 200 and second[2] == {"ready": True}
+            assert third[0] == 400 and "malformed JSON" in third[2]["error"]
+            assert not is_closed(sock)
+
+    @pytest.mark.parametrize("version, connection, kept", [
+        ("HTTP/1.1", "", True),
+        ("HTTP/1.1", "Connection: close\r\n", False),
+        ("HTTP/1.0", "", False),
+        ("HTTP/1.0", "Connection: keep-alive\r\n", True),
+    ], ids=["1.1", "1.1-close", "1.0", "1.0-keep-alive"])
+    def test_keep_alive(self, served, version, connection, kept):
+        server, _, graphs = served
+        body = json.dumps({"graph": graph_to_wire(graphs[0])}).encode()
+        status, headers, payload, closed = raw_exchange(
+            server, query_request(body, version, connection))
+        assert status == 200 and 0 in payload["answer_ids"]
+        assert closed is not kept
+        assert ("connection" in headers) is not kept
+
+    def test_idle_connection_is_closed_quietly(self, served, monkeypatch,
+                                               capfd):
+        import repro.serve.server as server_module
+
+        server, _, _ = served
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.3)
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""
+            assert 0.25 < time.monotonic() - started < 5
+        assert capfd.readouterr().err == ""
+        assert request(server, "GET", "/healthz")[0] == 200
+
+    def test_each_response_is_one_write(self, served, monkeypatch):
+        """Head and body leave together: with two writes the second one
+        waits on the client's delayed ACK unless both ends turn Nagle
+        off."""
+        import repro.serve.server as server_module
+
+        server, _, graphs = served
+        writes = []
+        setup = server_module._Handler.setup
+
+        def spied_setup(handler):
+            setup(handler)
+            write = handler.wfile.write
+
+            def spy(data):
+                writes.append(bytes(data))
+                return write(data)
+            handler.wfile.write = spy
+
+        monkeypatch.setattr(server_module._Handler, "setup", spied_setup)
+        body = json.dumps({"graph": graph_to_wire(graphs[0])}).encode()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(query_request(body)
+                         + b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+                         + b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+            reader = sock.makefile("rb")
+            responses = [read_response(reader) for _ in range(3)]
+        assert [status for status, _, _ in responses] == [200, 200, 404]
+        assert len(writes) == 3
+        for write, (status, headers, _) in zip(writes, responses):
+            assert write.startswith(b"HTTP/1.1 %d " % status)
+            assert b"\r\nDate: " in write
+            head, _, payload = write.partition(b"\r\n\r\n")
+            assert len(payload) == int(headers["content-length"])
+
+    def test_keep_alive_connection_leaves_no_garbage(self, served):
+        """Per request, the shell and the pipeline leave nothing for the
+        cyclic collector: 50 and 250 queries over one connection leave
+        the same number of objects."""
+        server, _, graphs = served
+        requests = [query_request(json.dumps(
+            {"graph": graph_to_wire(query)}).encode())
+            for query in make_queries(graphs, n=50)]
+
+        def garbage_after(count: int) -> int:
+            threads = set(threading.enumerate())
+            gc.collect()
+            gc.disable()
+            try:
+                with socket.create_connection(("127.0.0.1", server.port),
+                                              timeout=10) as sock:
+                    with sock.makefile("rb") as reader:
+                        for position in range(count):
+                            sock.sendall(requests[position % len(requests)])
+                            assert read_response(reader)[0] == 200
+                for thread in set(threading.enumerate()) - threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert garbage_after(50) == garbage_after(250)
 
 
 class TestDrain:
