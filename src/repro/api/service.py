@@ -45,8 +45,8 @@ from __future__ import annotations
 import threading
 import warnings
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager
 from pathlib import Path
+from time import perf_counter
 
 from repro.api.config import GCConfig
 from repro.api.events import CacheEvent, CacheEventKind
@@ -74,11 +74,44 @@ from repro.runtime.processors import DiscoveryResult, HitDiscovery
 from repro.runtime.pruner import PruneOutcome, prune_candidate_set
 from repro.util.bitset import BitSet
 from repro.util.rwlock import NullRWLock, RWLock
-from repro.util.timing import Stopwatch
 
 __all__ = ["GraphCacheService", "ServiceSession"]
 
 EventHook = Callable[[CacheEvent], None]
+
+
+class _EventScope:
+    """``with scope:`` defers cache-event hooks until the outermost scope
+    on this thread exits — and therefore until every cache lock the
+    scope's body took is released.
+
+    One object per service, shared by all threads: the nesting depth
+    and the event buffer live in the service's thread-local state, so
+    entering allocates nothing (the pipeline enters once per query).
+    """
+
+    __slots__ = ("_state", "_hooks")
+
+    def __init__(self, state: threading.local,
+                 hooks: dict[CacheEventKind, list[EventHook]]) -> None:
+        self._state = state
+        self._hooks = hooks
+
+    def __enter__(self) -> None:
+        state = self._state
+        try:
+            state.depth += 1
+        except AttributeError:      # this thread's first scope
+            state.depth, state.buffer = 1, []
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        state = self._state
+        state.depth -= 1
+        if state.depth == 0 and state.buffer:
+            buffered, state.buffer = state.buffer, []
+            for event in buffered:
+                for hook in self._hooks[event.kind]:
+                    hook(event)
 
 
 class GraphCacheService:
@@ -148,6 +181,7 @@ class GraphCacheService:
         # back into the service (execute, purge, mutations) without
         # deadlocking or running under the cache's write lock.
         self._events_local = threading.local()
+        self._event_scope = _EventScope(self._events_local, self._hooks)
         # --- Hook-driven autosave: (target, every), every 0 = off ------
         self._autosave = (Path(), 0)
         self._autosave_admissions = 0
@@ -288,7 +322,7 @@ class GraphCacheService:
     # ------------------------------------------------------------------
     def _dispatch_event(self, event: CacheEvent) -> None:
         """Cache-event sink.  Inside a locked pipeline section (depth >
-        0) events are buffered; :meth:`_event_scope` runs the hooks once
+        0) events are buffered; :attr:`_event_scope` runs the hooks once
         every lock has been released.  Outside any scope — e.g. code
         driving the :class:`CacheManager` directly — hooks run inline,
         the historical behaviour."""
@@ -298,25 +332,6 @@ class GraphCacheService:
             return
         for hook in self._hooks[event.kind]:
             hook(event)
-
-    @contextmanager
-    def _event_scope(self):
-        """Defer cache-event hooks until the outermost scope exits (and
-        therefore until the cache lock is released)."""
-        state = self._events_local
-        if getattr(state, "depth", 0) == 0:
-            state.depth = 0
-            state.buffer = []
-        state.depth += 1
-        try:
-            yield
-        finally:
-            state.depth -= 1
-            if state.depth == 0:
-                buffered, state.buffer = state.buffer, []
-                for event in buffered:
-                    for hook in self._hooks[event.kind]:
-                        hook(event)
 
     def _register(self, kind: CacheEventKind, hook: EventHook) -> EventHook:
         self._check_open()
@@ -396,9 +411,10 @@ class GraphCacheService:
             query_index = self._query_counter
             self._query_counter += 1
         metrics = QueryMetrics()
-        lock = self.cache.lock
+        cache, store = self.cache, self.store
+        lock = cache.lock
 
-        with self._event_scope():
+        with self._event_scope:
             # (1) Consistency: reconcile (write-side), then enter the
             # read phase; loop until the cache is current *while we hold
             # the read lock* so steps 2-4 see one reconciled snapshot.
@@ -406,31 +422,30 @@ class GraphCacheService:
             # contention the loop can reconcile more than once, and
             # every pass belongs on this query's overhead breakdown.
             while True:
-                if self.cache.pending_log_records(self.store):
-                    report = self.cache.ensure_consistency(self.store)
+                if cache.pending_log_records(store):
+                    report = cache.ensure_consistency(store)
                     metrics.analyze_seconds += report.analyze_seconds
                     metrics.validate_seconds += report.validate_seconds
                     metrics.purge_seconds += report.purge_seconds
                 lock.acquire_read()
-                if self.cache.pending_log_records(self.store) == 0:
+                if cache.pending_log_records(store) == 0:
                     break
                 lock.release_read()
             try:
-                log_seq = self.store.log.last_seq
+                log_seq = store.log.last_seq
                 # (2)-(3) Hit discovery and candidate set pruning.
                 run, features, resident, hits, outcome = \
                     self._discover_and_prune(query, metrics)
 
                 # (4) Method-M verification of the reduced candidate set.
-                verify_sw = Stopwatch()
-                with verify_sw:
-                    verified, tests = self.method_m.verify(
-                        run, outcome.candidates, self.query_type
-                    )
-                    answer = verified | outcome.answer_free
-                metrics.verify_seconds = verify_sw.elapsed
+                started = perf_counter()
+                candidates = outcome.candidates
+                verified, tests = self.method_m.verify(run, candidates,
+                                                       self.query_type)
+                answer = verified | outcome.answer_free
+                metrics.verify_seconds = perf_counter() - started
                 metrics.method_tests = tests
-                metrics.pruned_candidate_size = outcome.candidates.cardinality()
+                metrics.pruned_candidate_size = candidates.cardinality()
                 metrics.tests_saved = metrics.candidate_size - tests
                 metrics.answer_size = answer.cardinality()
             finally:
@@ -445,21 +460,19 @@ class GraphCacheService:
             # (5) Feed back to the Cache Manager: benefit credits +
             # admission — write-side.  Skipped wholesale if the dataset
             # moved past the read phase's snapshot (see docstring).
-            admission_sw = Stopwatch()
-            with admission_sw:
-                with lock.write():
-                    if self.store.log.last_seq == log_seq:
-                        self._credit_contributions(
-                            query, outcome.contributions, query_index
-                        )
-                        if self.caching_enabled:
-                            self.cache.admit(query, answer, self.store,
-                                             query_index, features=features,
-                                             twins=hits.exact,
-                                             same_as=resident)
-                    else:
-                        metrics.admission_skipped = True
-            metrics.admission_seconds = admission_sw.elapsed
+            started = perf_counter()
+            with lock.write():
+                if store.log.last_seq == log_seq:
+                    self._credit_contributions(
+                        query, outcome.contributions, query_index
+                    )
+                    if self.caching_enabled:
+                        cache.admit(query, answer, store, query_index,
+                                    features=features, twins=hits.exact,
+                                    same_as=resident)
+                else:
+                    metrics.admission_skipped = True
+            metrics.admission_seconds = perf_counter() - started
 
             self.monitor.record(metrics)
             if session_monitor is not None:
@@ -475,7 +488,6 @@ class GraphCacheService:
         — ``run`` / ``features`` are what steps 4-5 use."""
         cs_m = self.store.ids_bitset()
         metrics.candidate_size = cs_m.cardinality()
-        universe = self.store.max_id + 1
 
         # (2) Hit discovery (GC+sub / GC+super processors).  An arrival
         # identical to a resident query runs *as* that resident from
@@ -485,17 +497,16 @@ class GraphCacheService:
         # graph, so same candidates, tests and answer; the resident is
         # still tested like any candidate.  Otherwise the features are
         # computed exactly once here, for discovery and admission.
-        discovery_sw = Stopwatch()
-        with discovery_sw:
-            resident = self.cache.index.identical_resident(query)
-            if resident is None:
-                run, features = query, GraphFeatures.of(query)
-            else:
-                run, features = resident.query, resident.features
-                metrics.interned = True
-            hits = self.discovery.discover(run, self.cache.index, features,
-                                           resident)
-        metrics.discovery_seconds = discovery_sw.elapsed
+        started = perf_counter()
+        index = self.cache.index
+        resident = index.identical_resident(query)
+        if resident is None:
+            run, features = query, GraphFeatures.of(query)
+        else:
+            run, features = resident.query, resident.features
+            metrics.interned = True
+        hits = self.discovery.discover(run, index, features, resident)
+        metrics.discovery_seconds = perf_counter() - started
         metrics.containing_hits = len(hits.containing)
         metrics.contained_hits = len(hits.contained)
         metrics.exact_hits = len(hits.exact)
@@ -504,17 +515,16 @@ class GraphCacheService:
         # (3) Candidate set pruning (formulas (1)-(5)).  For an SI Method
         # M, CS_M is the whole live dataset, which is exactly the id set
         # the §6.3 optimal-case checks must test validity against.
-        prune_sw = Stopwatch()
-        with prune_sw:
-            outcome = prune_candidate_set(self.query_type, cs_m, hits,
-                                          universe, live_ids=cs_m)
-        metrics.prune_seconds = prune_sw.elapsed
+        started = perf_counter()
+        outcome = prune_candidate_set(self.query_type, cs_m, hits,
+                                      self.store.max_id + 1, live_ids=cs_m)
+        metrics.prune_seconds = perf_counter() - started
         metrics.exact_hit_valid = outcome.exact_hit
         metrics.empty_shortcut = outcome.empty_shortcut
         return run, features, resident, hits, outcome
 
     def _credit_contributions(self, query: LabeledGraph,
-                              contributions: dict[int, BitSet],
+                              contributions: dict[int, int],
                               query_index: int) -> None:
         """Credit each contributing entry with its alleviated tests (R)
         and their estimated cost (C) — the PIN/PINC inputs.
@@ -548,13 +558,13 @@ class GraphCacheService:
         # faded) are real discoveries but contributed nothing — they stay
         # visible in the hit lists, not as formula steps.
         steps = tuple(
-            PlanStep("(1) answer donation", entry_id, frozenset(donated))
-            for entry_id, donated in outcome.donations.items()
-            if donated.cardinality()
-        ) + tuple(
-            PlanStep("(4)+(5) candidate filter", entry_id, frozenset(removed))
-            for entry_id, removed in outcome.filtered.items()
-            if removed.cardinality()
+            PlanStep(formula, entry_id,
+                     frozenset(BitSet.from_int(ids, ids.bit_length())))
+            for formula, per_entry in (
+                ("(1) answer donation", outcome.donations),
+                ("(4)+(5) candidate filter", outcome.filtered))
+            for entry_id, ids in per_entry.items()
+            if ids
         )
         return QueryPlan(
             query_vertices=query.num_vertices,
@@ -615,7 +625,7 @@ class GraphCacheService:
         """Run the consistency protocol now (normally it runs lazily on
         the next query); useful before inspecting cache entries."""
         self._check_open()
-        with self._event_scope():
+        with self._event_scope:
             return self.cache.ensure_consistency(self.store)
 
     def purge(self) -> None:
@@ -627,7 +637,7 @@ class GraphCacheService:
         Fires the ``on_purge`` hook (after the cache lock is released).
         """
         self._check_open()
-        with self._event_scope():
+        with self._event_scope:
             self.cache.clear(self.store)
 
     # ------------------------------------------------------------------
@@ -751,7 +761,7 @@ class GraphCacheService:
         with self._counter_lock:
             self._query_counter = max(self._query_counter,
                                       snapshot.query_counter)
-        with self._event_scope():
+        with self._event_scope:
             return self.cache.ensure_consistency(self.store)
 
     # ------------------------------------------------------------------

@@ -348,13 +348,16 @@ class CacheManager:
                 self.statistics.credit(entry_id, tests_saved, cost_saved,
                                        query_index)
 
-    def credit_all(self, contributions: Mapping[int, BitSet],
+    def credit_all(self, contributions: Mapping[int, int],
                    cost_per_test: float, query_index: int) -> None:
         """Credit every entry that contributed to one query — the ids it
-        saved, at ``cost_per_test`` each — under one write-lock hold."""
+        saved, packed into an integer (bit *i* ⟺ graph id *i*, as
+        :attr:`PruneOutcome.contributions
+        <repro.runtime.pruner.PruneOutcome.contributions>` holds them),
+        at ``cost_per_test`` each — under one write-lock hold."""
         with self.lock.write():
             for entry_id, saved in contributions.items():
-                count = saved.cardinality()
+                count = saved.bit_count()
                 if count and entry_id in self.statistics:
                     self.statistics.credit(entry_id, count,
                                            count * cost_per_test,
@@ -404,9 +407,12 @@ class CacheManager:
                            stats=self.statistics.snapshot(entry.entry_id))
 
     @staticmethod
-    def _copy_entry(entry: CacheEntry) -> CacheEntry:
-        # The CacheEntry constructor copies the query; the indicators
-        # are copied explicitly.  Features are immutable and shared.
+    def _copy_entry(entry: CacheEntry,
+                    same_as: CacheEntry | None = None) -> CacheEntry:
+        # The CacheEntry constructor copies the query (or, given
+        # ``same_as``, shares that entry's graph and features); the
+        # indicators are copied explicitly.  Features are immutable and
+        # shared.
         return CacheEntry(
             entry_id=entry.entry_id,
             query=entry.query,
@@ -415,7 +421,20 @@ class CacheManager:
             valid=entry.valid.copy(),
             created_at=entry.created_at,
             features=entry.features,
+            same_as=same_as,
         )
+
+    def _restore_entry(self, record: EntryRecord) -> CacheEntry:
+        """File one captured entry in the (partly restored) index, on
+        the graph of the resident already holding its query if there is
+        one — as :meth:`admit` files an arrival that ran as a resident —
+        so identical cached queries share one graph after a restore as
+        before it."""
+        resident = self.index.identical_resident(record.entry.query)
+        entry = self._copy_entry(record.entry, same_as=resident)
+        self.index.add(entry)
+        self.statistics.restore(entry.entry_id, record.stats)
+        return entry
 
     def restore_state(self, state: CacheState) -> None:
         """Replace the entire cache state with a captured one.
@@ -468,16 +487,10 @@ class CacheManager:
             self.index.clear()
             self.statistics.clear()
             for record in state.cache:
-                entry = self._copy_entry(record.entry)
+                entry = self._restore_entry(record)
                 self._cache[entry.entry_id] = entry
-                self.index.add(entry)
-                self.statistics.restore(entry.entry_id, record.stats)
-            window_entries = [self._copy_entry(record.entry)
-                              for record in state.window]
-            self.window.restore(window_entries)  # validates the length
-            for record, entry in zip(state.window, window_entries):
-                self.index.add(entry)
-                self.statistics.restore(entry.entry_id, record.stats)
+            self.window.restore([self._restore_entry(record)
+                                 for record in state.window])
             self._next_entry_id = state.next_entry_id
             self._log_cursor = state.log_cursor
             if isinstance(self.policy, HybridPolicy):

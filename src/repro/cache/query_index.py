@@ -218,6 +218,11 @@ class QueryIndex:
         cannot represent (see :func:`_overflows`); the caller then files
         the entry in the unpacked overflow population instead.
         """
+        memo = self._memo(features)
+        if memo is not None and memo[2]:
+            # Packed by a lookup since the last registration, and every
+            # field was registered then: nothing to register now.
+            return memo[0], memo[1]
         if _overflows(features):
             raise _FieldOverflow
         sig = 0
@@ -400,17 +405,39 @@ class QueryIndex:
         same_key = self._identical.get(_structural_key(query))
         return self._holding(same_key, query) if same_key else None
 
+    def _memo(self, features: GraphFeatures) -> tuple[int, int, bool] | None:
+        """What :meth:`_pack_query` returned for ``features`` against
+        this index, if no field was registered since (a registration
+        can complete an incomplete signature)."""
+        memo = features._packed
+        if (memo is not None and memo[0] is self._offsets
+                and memo[1] == len(self._offsets)):
+            return memo[2]
+        return None
+
     def _packed(self, features: GraphFeatures,
                 same_as: CacheEntry | None) -> tuple[int, int, bool]:
         """:meth:`_pack_query`, or — when the query is resident entry
         ``same_as``'s — the signature that entry's group already holds
-        (every field of a resident is registered: equal, and complete)."""
+        (every field of a resident is registered: equal, and complete).
+
+        A query is packed once: the result is memoised on ``features``
+        (keyed by this index's registry and its size), where the second
+        lookup and the admission's :meth:`add` find it.  Concurrent
+        readers may each pack the same features and store the result;
+        any of the equal results is as good as another.
+        """
         if same_as is not None:
             group = self._sigs.get(same_as.entry_id)
             if group is not None:
                 return group[0], group[1], True
-        # No twin, or an oversized one (for which this raises).
-        return self._pack_query(features)
+        packed = self._memo(features)
+        if packed is None:
+            # No twin, or an oversized one (for which this raises).
+            packed = self._pack_query(features)
+            object.__setattr__(features, "_packed",
+                               (self._offsets, len(self._offsets), packed))
+        return packed
 
     def candidate_supergraphs(self, features: GraphFeatures,
                               same_as: CacheEntry | None = None,

@@ -26,6 +26,12 @@ class GraphStore:
     :meth:`delete_graph`, :meth:`add_edge`, :meth:`remove_edge`) and are
     appended to the :class:`~repro.dataset.log.UpdateLog`.
 
+    The set of live ids is kept as one packed integer next to the graph
+    dict, so :meth:`ids_bitset` is O(1).  Only :meth:`from_graphs`, ADD
+    and DEL write it — in a service, always under the cache's write lock
+    (``docs/concurrency.md``) — and UA/UR leave it alone: an edge
+    mutation changes a graph, never which graphs are live.
+
     >>> store = GraphStore()
     >>> gid = store.add_graph(LabeledGraph.from_edges("CO", [(0, 1)]))
     >>> store.log.last_seq
@@ -37,7 +43,9 @@ class GraphStore:
         self._next_id = 0
         self.log = log if log is not None else UpdateLog()
         self._live_vertices = 0          # Σ|V| over live graphs
-        self._ids_cache: BitSet | None = None  # invalidated by ADD/DEL
+        #: bit *i* set iff graph *i* is live — the ``ids_bitset`` payload,
+        #: written only by :meth:`from_graphs`, ADD and DEL
+        self._live_bits = 0
 
     # ------------------------------------------------------------------
     # Bulk construction
@@ -52,6 +60,7 @@ class GraphStore:
             store._graphs[store._next_id] = g.copy()
             store._live_vertices += g.num_vertices
             store._next_id += 1
+        store._live_bits = (1 << store._next_id) - 1
         return store
 
     # ------------------------------------------------------------------
@@ -63,7 +72,7 @@ class GraphStore:
         self._next_id += 1
         self._graphs[gid] = graph.copy()
         self._live_vertices += graph.num_vertices
-        self._ids_cache = None
+        self._live_bits |= 1 << gid
         self.log.append(OpType.ADD, gid)
         return gid
 
@@ -72,7 +81,7 @@ class GraphStore:
         self._require(graph_id)
         self._live_vertices -= self._graphs[graph_id].num_vertices
         del self._graphs[graph_id]
-        self._ids_cache = None
+        self._live_bits &= ~(1 << graph_id)
         self.log.append(OpType.DEL, graph_id)
 
     def add_edge(self, graph_id: int, u: int, v: int) -> None:
@@ -111,6 +120,12 @@ class GraphStore:
         """
         return self.get(graph_id).derived("features", GraphFeatures.of)
 
+    @property
+    def graphs(self) -> dict[int, LabeledGraph]:
+        """The live graphs by id — the store's own dict, for hot loops
+        that probe many ids (Method M); read it, never write it."""
+        return self._graphs
+
     def __contains__(self, graph_id: int) -> bool:
         return graph_id in self._graphs
 
@@ -146,14 +161,11 @@ class GraphStore:
         """Live ids as a BitSet sized ``max_id + 1`` — the Method-M
         candidate set ``CS_M(g)`` for SI methods (the whole dataset).
 
-        Cached between ADD/DEL operations; callers receive a copy so the
-        cache can never be aliased and mutated.
+        O(1): the live ids are kept as one packed integer, updated by ADD
+        and DEL.  Every call returns a new object; the integer inside is
+        immutable, so no caller can alias the store's set.
         """
-        if self._ids_cache is None:
-            self._ids_cache = BitSet.from_indices(
-                self._graphs.keys(), size=self._next_id
-            )
-        return self._ids_cache.copy()
+        return BitSet.from_int(self._live_bits, self._next_id)
 
     def _require(self, graph_id: int) -> None:
         if graph_id not in self._graphs:

@@ -32,12 +32,6 @@ __all__ = ["GraphFeatures"]
 Label = Hashable
 
 
-def _label_pair(a: Label, b: Label) -> tuple[str, str]:
-    """Canonical unordered label pair, keyed by repr for mixed types."""
-    ra, rb = repr(a), repr(b)
-    return (ra, rb) if ra <= rb else (rb, ra)
-
-
 @dataclass(frozen=True)
 class GraphFeatures:
     """Summary of a graph used for containment pre-filtering.
@@ -52,6 +46,12 @@ class GraphFeatures:
     label_counts: dict[str, int] = field(hash=False)
     edge_label_counts: dict[tuple[str, str], int] = field(hash=False)
     degrees_by_label: dict[str, tuple[int, ...]] = field(hash=False)
+    #: Memo slot of :class:`~repro.cache.query_index.QueryIndex`: these
+    #: features packed against one index's field registry, so that one
+    #: query is packed once for both lookups and its admission.  Not
+    #: part of the value (never compared, hashed or shown).
+    _packed: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False, hash=False)
 
     @classmethod
     def of_many(cls, graphs: Iterable[LabeledGraph]) -> list["GraphFeatures"]:
@@ -69,16 +69,27 @@ class GraphFeatures:
 
     @classmethod
     def of(cls, graph: LabeledGraph) -> "GraphFeatures":
+        # Reads the graph's label list and adjacency sets directly (one
+        # ``repr`` per vertex, no accessor call per vertex or edge), in
+        # the order ``vertices()`` / ``edges()`` visit them, so every
+        # dict below fills in the same order as through the accessors.
+        # Labels are keyed by ``repr`` (mixed label types stay
+        # comparable); an edge's label pair is the sorted key pair.
+        adjacency = graph._adjacency
+        keys = [repr(label) for label in graph._labels]
         label_counts: dict[str, int] = {}
         degrees: dict[str, list[int]] = {}
-        for v in graph.vertices():
-            key = repr(graph.label(v))
+        for key, neighbours in zip(keys, adjacency):
             label_counts[key] = label_counts.get(key, 0) + 1
-            degrees.setdefault(key, []).append(graph.degree(v))
+            degrees.setdefault(key, []).append(len(neighbours))
         edge_label_counts: dict[tuple[str, str], int] = {}
-        for u, v in graph.edges():
-            pair = _label_pair(graph.label(u), graph.label(v))
-            edge_label_counts[pair] = edge_label_counts.get(pair, 0) + 1
+        for u, neighbours in enumerate(adjacency):
+            ku = keys[u]
+            for v in neighbours:
+                if u < v:
+                    kv = keys[v]
+                    pair = (ku, kv) if ku <= kv else (kv, ku)
+                    edge_label_counts[pair] = edge_label_counts.get(pair, 0) + 1
         return cls(
             num_vertices=graph.num_vertices,
             num_edges=graph.num_edges,

@@ -9,7 +9,7 @@ baseline candidate set is the entire live dataset.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Mapping
 
 from repro.cache.entry import QueryType
 from repro.dataset.store import GraphStore
@@ -21,26 +21,32 @@ __all__ = ["MethodM", "MethodMRunner"]
 
 
 def _verify_ids(is_sub: Callable[[LabeledGraph, LabeledGraph], bool],
-                store: GraphStore, query: LabeledGraph,
-                ids: Iterable[int], size: int,
+                graphs: Mapping[int, LabeledGraph], query: LabeledGraph,
+                bits: int, size: int,
                 subgraph_semantics: bool) -> tuple[BitSet, int]:
-    """The Mverifier loop: one ``is_sub`` call per live id in ``ids``;
-    returns (answer bits over ``size`` ids, tests performed).  Ids of
-    deleted graphs are skipped."""
-    answer = BitSet(size)
+    """The Mverifier loop: one ``is_sub`` call per live id among the one
+    bits of ``bits``, lowest first; returns (answer bits over ``size``
+    ids, tests performed).  Ids not in ``graphs`` (deleted graphs, ids
+    never assigned) are skipped.  The answer's logical size grows past
+    ``size`` only as far as a hit beyond it, as ``BitSet.set`` would."""
+    hits = 0
     tests = 0
-    for gid in ids:
-        if gid not in store:
-            continue
-        host = store.get(gid)
-        tests += 1
-        if subgraph_semantics:
-            hit = is_sub(query, host)
-        else:
-            hit = is_sub(host, query)
-        if hit:
-            answer.set(gid)
-    return answer, tests
+    get = graphs.get
+    gid = 0
+    while bits:
+        # BitSet.__iter__'s walk: skip to the lowest one bit and shift it
+        # out, so the integer shrinks as the walk goes.
+        skip = (bits & -bits).bit_length() - 1
+        gid += skip
+        bits >>= skip + 1
+        host = get(gid)
+        if host is not None:
+            tests += 1
+            if (is_sub(query, host) if subgraph_semantics
+                    else is_sub(host, query)):
+                hits |= 1 << gid
+        gid += 1
+    return BitSet.from_int(hits, max(size, hits.bit_length())), tests
 
 
 class MethodM:
@@ -58,8 +64,9 @@ class MethodM:
         (GC+ never produces them — candidate sets are intersections with
         the live id set — but user code may).
         """
-        return _verify_ids(self.matcher.is_subgraph_isomorphic, self.store,
-                           query, candidate_ids, candidate_ids.size,
+        return _verify_ids(self.matcher.is_subgraph_isomorphic,
+                           self.store.graphs, query, candidate_ids._bits,
+                           candidate_ids.size,
                            query_type is QueryType.SUBGRAPH)
 
 

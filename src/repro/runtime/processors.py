@@ -81,27 +81,34 @@ class HitDiscovery:
         general pruning formulas — see :mod:`repro.runtime.pruner`).
         """
         feats = features if features is not None else GraphFeatures.of(query)
-        result = DiscoveryResult()
-        seen_exact: set[int] = set()
+        # Looked up once per call, not once per candidate (and not in
+        # __init__: whoever swaps the verifier's method sees it used).
+        is_sub = self.verifier.is_subgraph_isomorphic
+        nv, ne = query.num_vertices, query.num_edges
+        containing: list[CacheEntry] = []
+        contained: list[CacheEntry] = []
+        exact: list[CacheEntry] = []
+        tests = 0
 
-        # GC+sub processor: g ⊆ g' candidates.
+        # GC+sub processor: g ⊆ g' candidates.  An equal-sized hit is
+        # :meth:`CacheEntry.is_exact_match_of` the query, compared inline.
         for entry in index.candidate_supergraphs(feats, same_as):
-            result.internal_tests += 1
-            if self.verifier.is_subgraph_isomorphic(query, entry.query):
-                result.containing.append(entry)
-                if entry.is_exact_match_of(query):
-                    result.contained.append(entry)
-                    result.exact.append(entry)
-                    seen_exact.add(entry.entry_id)
+            tests += 1
+            if is_sub(query, entry.query):
+                containing.append(entry)
+                if entry.num_vertices == nv and entry.num_edges == ne:
+                    contained.append(entry)
+                    exact.append(entry)
 
         # GC+super processor: g'' ⊆ g candidates.
+        seen_exact = {entry.entry_id for entry in exact} if exact else ()
         for entry in index.candidate_subgraphs(feats, same_as):
             if entry.entry_id in seen_exact:
                 continue  # already certified isomorphic above
-            result.internal_tests += 1
-            if self.verifier.is_subgraph_isomorphic(entry.query, query):
-                result.contained.append(entry)
-                if entry.is_exact_match_of(query):
-                    result.containing.append(entry)
-                    result.exact.append(entry)
-        return result
+            tests += 1
+            if is_sub(entry.query, query):
+                contained.append(entry)
+                if entry.num_vertices == nv and entry.num_edges == ne:
+                    containing.append(entry)
+                    exact.append(entry)
+        return DiscoveryResult(containing, contained, exact, tests)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.entry import CacheEntry, QueryType
+from repro.cache.entry import QueryType
 from repro.runtime.processors import DiscoveryResult
 from repro.util.bitset import BitSet
 
@@ -56,23 +56,29 @@ class PruneOutcome:
       mirror);
     * ``candidates`` — the reduced candidate set to hand to Mverifier
       (``CS_GC+`` of formulas (2)+(5));
-    * ``contributions`` — per entry id, the number of Method-M sub-iso
-      tests that entry independently alleviated, and the ids it saved
-      (feeds R and C crediting);
+    * ``contributions`` — per entry id, the ids of the Method-M sub-iso
+      tests that entry independently alleviated (feeds R and C
+      crediting: the count is ``bit_count()``);
     * ``exact_hit`` / ``empty_shortcut`` — §6.3 optimal-case flags;
     * ``donations`` / ``filtered`` — the per-entry formula applications
       (ids donated via (1), ids removed via (4)/(5)) that
       ``contributions`` merges; kept separate so explain plans can report
       *which* formula each entry applied.
+
+    The three per-entry maps hold packed integers (bit *i* ⟺ graph id
+    *i*), not :class:`BitSet` objects: the pipeline only ever counts
+    them, so a query with thirty hits allocates no bitset per hit.
+    ``BitSet.from_int(bits, bits.bit_length())`` turns one into a set
+    (explain plans do).
     """
 
     answer_free: BitSet
     candidates: BitSet
-    contributions: dict[int, BitSet] = field(default_factory=dict)
+    contributions: dict[int, int] = field(default_factory=dict)
     exact_hit: bool = False
     empty_shortcut: bool = False
-    donations: dict[int, BitSet] = field(default_factory=dict)
-    filtered: dict[int, BitSet] = field(default_factory=dict)
+    donations: dict[int, int] = field(default_factory=dict)
+    filtered: dict[int, int] = field(default_factory=dict)
 
 
 def prune_candidate_set(query_type: QueryType, cs_m: BitSet,
@@ -101,10 +107,10 @@ def prune_candidate_set(query_type: QueryType, cs_m: BitSet,
         filter_entries = discovery.containing
 
     # The formulas run on the indicators' packed integers, read directly
-    # (a query with thirty hits applies them sixty times), and a BitSet
-    # is built only for what the outcome stores.  Logical sizes are
-    # carried along as the BitSet operators would have left them (the
-    # wider operand's).
+    # (a query with thirty hits applies them sixty times); a BitSet is
+    # built only for the two sets the pipeline goes on to use.  Their
+    # logical sizes are carried along as the BitSet operators would have
+    # left them (the wider operand's).
     cs_bits, cs_size = cs_m._bits, cs_m._size
 
     # Formula (1): test-free positives from answer-giving entries.  Each
@@ -112,15 +118,19 @@ def prune_candidate_set(query_type: QueryType, cs_m: BitSet,
     # cleared by validation, so the intersection is a no-op in normal
     # operation — it is kept as defence in depth (Lemma 1 relies on
     # donations being valid *current* dataset graphs).
-    donations: dict[int, BitSet] = {}
-    free_bits, free_size = 0, universe_size
+    donations: dict[int, int] = {}
+    free_bits, free_size = 0, max(universe_size, cs_size)
     for entry in answer_entries:
         valid, answer = entry.valid, entry.answer
         donated = valid._bits & answer._bits & cs_bits
-        size = max(valid._size, answer._size, cs_size)
-        donations[entry.entry_id] = BitSet.from_int(donated, size)
+        donations[entry.entry_id] = donated
         free_bits |= donated
-        free_size = max(free_size, size)
+        if valid._size > free_size:
+            free_size = valid._size
+        if answer._size > free_size:
+            free_size = answer._size
+    if not answer_entries:
+        free_size = universe_size
 
     # Formula (2): donated graphs need no sub-iso test.
     after_donation = cs_bits & ~free_bits
@@ -128,44 +138,41 @@ def prune_candidate_set(query_type: QueryType, cs_m: BitSet,
     # Formulas (4)+(5): each filtering entry bounds the candidate set to
     # the graphs that could possibly answer the query —
     # ``¬CGvalid ∪ Answer`` within the id universe.
-    filtered: dict[int, BitSet] = {}
+    filtered: dict[int, int] = {}
     reduced_bits, reduced_size = after_donation, cs_size
     universe = (1 << universe_size) - 1
     for entry in filter_entries:
         answer = entry.answer
         allowed = (~entry.valid._bits & universe) | answer._bits
-        filtered[entry.entry_id] = BitSet.from_int(after_donation & ~allowed,
-                                                   cs_size)
+        filtered[entry.entry_id] = after_donation & ~allowed
         reduced_bits &= allowed
-        reduced_size = max(reduced_size, universe_size, answer._size)
+        if answer._size > reduced_size:
+            reduced_size = answer._size
+    if filter_entries and universe_size > reduced_size:
+        reduced_size = universe_size
 
     # Independent per-entry contributions (feeds PIN's R): an answer
     # entry alleviates the tests of its donated graphs; a filter entry
     # alleviates the tests of the graphs *it alone* would have removed.
     contributions = dict(donations)
     for entry_id, removed in filtered.items():
-        donation = contributions.get(entry_id)
-        contributions[entry_id] = (removed if donation is None
-                                   else donation | removed)
-
-    outcome = PruneOutcome(
-        answer_free=BitSet.from_int(free_bits, free_size),
-        candidates=BitSet.from_int(reduced_bits, reduced_size),
-        contributions=contributions,
-        donations=donations,
-        filtered=filtered,
-    )
+        contributions[entry_id] = contributions.get(entry_id, 0) | removed
 
     # §6.3 optimal-case detection (reporting only; the formulas above
-    # already produce the optimal candidate sets).
-    current_ids = live_ids if live_ids is not None else cs_m
+    # already produce the optimal candidate sets): an entry is fully
+    # valid when its CGvalid covers every current id.
+    current = (live_ids if live_ids is not None else cs_m)._bits
+    exact_hit = empty_shortcut = False
     for entry in discovery.exact:
-        if entry.fully_valid(current_ids):
-            outcome.exact_hit = True
+        if not current & ~entry.valid._bits:
+            exact_hit = True
             break
-    if not outcome.exact_hit:
+    else:
         for entry in filter_entries:
-            if entry.answer.is_empty() and entry.fully_valid(current_ids):
-                outcome.empty_shortcut = True
+            if not entry.answer._bits and not current & ~entry.valid._bits:
+                empty_shortcut = True
                 break
-    return outcome
+    return PruneOutcome(BitSet.from_int(free_bits, free_size),
+                        BitSet.from_int(reduced_bits, reduced_size),
+                        contributions, exact_hit, empty_shortcut,
+                        donations, filtered)

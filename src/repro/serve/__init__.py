@@ -24,9 +24,15 @@ Layers:
   mixed query/mutation traffic at a target QPS with a Zipf query mix.
 
 Entry point: ``python -m repro serve`` (see ``docs/serving.md``).
+
+The load generator is a client: it needs :mod:`http.client` (and with
+it :mod:`ssl`), which the server does not.  It is therefore imported on
+first access to one of its names (PEP 562), so a serving process never
+loads it — ``from repro.serve import run_loadgen`` works as before.
 """
 
-from repro.serve.loadgen import LoadgenConfig, LoadgenReport, run_loadgen
+from typing import TYPE_CHECKING
+
 from repro.serve.metrics import render_prometheus
 from repro.serve.server import CacheServer, DrainReport
 from repro.serve.wire import (
@@ -36,6 +42,21 @@ from repro.serve.wire import (
     plan_to_wire,
     result_to_wire,
 )
+
+if TYPE_CHECKING:
+    from repro.serve.loadgen import LoadgenConfig, LoadgenReport, run_loadgen
+
+#: Names resolved from :mod:`repro.serve.loadgen` on first access.
+_LOADGEN_NAMES = frozenset({"LoadgenConfig", "LoadgenReport", "run_loadgen"})
+
+
+def __getattr__(name: str) -> object:
+    if name in _LOADGEN_NAMES:
+        from repro.serve import loadgen
+
+        return getattr(loadgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CacheServer",

@@ -152,7 +152,16 @@ class RWLock:
 
 
 class NullRWLock:
-    """Interface-compatible no-op lock for single-session services."""
+    """Interface-compatible no-op lock for single-session services.
+
+    :meth:`read` and :meth:`write` return the lock itself, which is its
+    own context manager: ``with lock.read() as held:`` binds ``held`` to
+    the lock, as with :class:`RWLock`, but an acquisition allocates
+    nothing — no generator, no context-manager object — because the
+    sequential path takes several per query.  Holds are not tracked, so
+    they nest to any depth, and an exception in the body propagates
+    unchanged (``__exit__`` returns ``None``).
+    """
 
     def acquire_read(self) -> None:
         pass
@@ -166,13 +175,19 @@ class NullRWLock:
     def release_write(self) -> None:
         pass
 
-    @contextmanager
-    def read(self):
-        yield self
+    def read(self) -> "NullRWLock":
+        """``with lock.read():`` — no-op."""
+        return self
 
-    @contextmanager
-    def write(self):
-        yield self
+    def write(self) -> "NullRWLock":
+        """``with lock.write():`` — no-op."""
+        return self
+
+    def __enter__(self) -> "NullRWLock":
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        return None
 
     def __repr__(self) -> str:
         return "NullRWLock()"

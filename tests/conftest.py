@@ -80,6 +80,12 @@ def brute_force_answer(store, query: LabeledGraph, query_type) -> set[int]:
     return out
 
 
+def packed_ids(bits: int) -> list[int]:
+    """The ids packed into ``bits`` (bit *i* ⟺ id *i*), ascending — how
+    the pruner's per-entry maps hold the ids each entry saved."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
 def brute_force_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
     """Exact isomorphism via two-way containment + equal sizes."""
     return (

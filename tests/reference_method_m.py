@@ -1,0 +1,37 @@
+"""The Mverifier loop as it was before it walked the candidate integer —
+kept verbatim as the reference ``tests/test_method_m.py`` holds
+:func:`repro.runtime.method_m._verify_ids` equal to: one generator step,
+one membership probe and one ``get`` per candidate id, one
+``BitSet.set`` per hit.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Iterable
+
+from repro.dataset.store import GraphStore
+from repro.graphs.graph import LabeledGraph
+from repro.util.bitset import BitSet
+
+
+def reference_verify_ids(is_sub: Callable[[LabeledGraph, LabeledGraph], bool],
+                         store: GraphStore, query: LabeledGraph,
+                         ids: Iterable[int], size: int,
+                         subgraph_semantics: bool) -> tuple[BitSet, int]:
+    """The Mverifier loop: one ``is_sub`` call per live id in ``ids``;
+    returns (answer bits over ``size`` ids, tests performed).  Ids of
+    deleted graphs are skipped."""
+    answer = BitSet(size)
+    tests = 0
+    for gid in ids:
+        if gid not in store:
+            continue
+        host = store.get(gid)
+        tests += 1
+        if subgraph_semantics:
+            hit = is_sub(query, host)
+        else:
+            hit = is_sub(host, query)
+        if hit:
+            answer.set(gid)
+    return answer, tests

@@ -2,6 +2,8 @@
 kept verbatim as the reference ``tests/test_pruner_properties.py`` holds
 :func:`repro.runtime.pruner.prune_candidate_set` equal to, field by
 field: one ``BitSet`` operator (and one allocation) per formula step.
+Its per-entry maps hold ``BitSet`` objects where the pruner's hold the
+packed integers; the comparison unpacks them.
 """
 
 from __future__ import annotations

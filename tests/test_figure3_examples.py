@@ -21,6 +21,7 @@ from repro.runtime.processors import DiscoveryResult
 from repro.runtime.pruner import prune_candidate_set
 from repro.graphs.graph import LabeledGraph
 from repro.util.bitset import BitSet
+from tests.conftest import packed_ids
 
 UNIVERSE = 5  # ids 0..4; G0 was deleted earlier in the paper's timeline
 CS = {1, 2, 3, 4}
@@ -69,7 +70,7 @@ def test_figure_3b_supergraph_case():
     assert sorted(outcome.candidates) == [1, 2, 3]
     assert outcome.answer_free.is_empty()
     # The pruner credits g'' with alleviating G4's test.
-    assert sorted(outcome.contributions[2]) == [4]
+    assert packed_ids(outcome.contributions[2]) == [4]
 
 
 def test_figure_3_combined():

@@ -378,3 +378,53 @@ class TestSharedGraphs:
             assert (rows, residents) == expected[:2]
             for name in ("admissions", "evictions", "renewals"):
                 assert after[name] == expected[2][name] - counters[name]
+
+    def test_a_restored_cache_shares_graphs_as_the_saved_one(self, tmp_path):
+        """Restore files each entry on the graph of the identical entry
+        restored before it, as admission does, so a round trip keeps the
+        number of distinct graph objects (one set of compiled plans per
+        distinct query) — and changes no answer and no count."""
+        config = GCConfig(model="CON", cache_capacity=6, window_capacity=3)
+        snapshot = tmp_path / "shared.snap.jsonl"
+        pool = [path("ab"), path("abc"), path("ca"), path("abcd")]
+        stream = [pool[i % 3 if i % 5 else 3] for i in range(14)]
+
+        def graphs(service: GraphCacheService):
+            entries = service.cache.all_entries()
+            return len(entries), len({id(e.query) for e in entries})
+
+        def tail(service: GraphCacheService):
+            rows = [(r.answer_ids, r.metrics.method_tests,
+                     r.metrics.internal_tests, r.metrics.interned)
+                    for r in map(service.execute, map(rebuilt, stream))]
+            interned, (counters, method, internal) = work(service)
+            return rows, graphs(service), method, internal
+
+        def fresh() -> GraphCacheService:
+            return GraphCacheService(GraphStore.from_graphs(DATASET), config)
+
+        with fresh() as service:
+            for query in stream:
+                service.execute(rebuilt(query))
+            saved = graphs(service)
+            assert saved[1] < saved[0]
+            service.save(snapshot)
+            baseline = work(service)[1]
+            expected = tail(service)
+        with fresh() as restored:
+            restored.load(snapshot)
+            restored.cache.index.audit()
+            assert graphs(restored) == saved
+            index = restored.cache.index
+            for entry in restored.cache.all_entries():
+                resident = index.identical_resident(entry.query)
+                assert entry.query is resident.query
+                assert entry.features is resident.features
+            rows, shared, method, internal = tail(restored)
+        # The restored service's matchers start from zero.
+        assert (rows, shared) == expected[:2]
+        assert [b - a for a, b in zip(baseline[1], expected[2])] == \
+            list(method)
+        assert [b - a for a, b in zip(baseline[2], expected[3])] == \
+            list(internal)
+

@@ -30,7 +30,7 @@ from repro.runtime.method_m import MethodM
 from repro.runtime.processors import DiscoveryResult, HitDiscovery
 from repro.runtime.pruner import prune_candidate_set
 from repro.util.bitset import BitSet
-from tests.conftest import brute_force_subiso
+from tests.conftest import brute_force_subiso, packed_ids
 from tests.reference_pruner import reference_prune_candidate_set
 from tests.test_consistency import ALPHABET, random_change
 
@@ -88,7 +88,7 @@ def test_pruning_decisions_are_justified(seed):
     # Contribution accounting: every contribution id was either donated
     # or removed; live contributions never overlap the kept set.
     for entry_id, saved in outcome.contributions.items():
-        assert set(saved) <= donated | removed_by_filter, (
+        assert set(packed_ids(saved)) <= donated | removed_by_filter, (
             f"entry {entry_id} credited for ids still being tested"
         )
 
@@ -131,18 +131,33 @@ def test_validity_bits_always_reflect_truth(seed):
 # The pruner on integers == the pruner on BitSet operators
 # ----------------------------------------------------------------------
 def outcome_fields(outcome):
-    """Every field, with the logical sizes ``BitSet.__eq__`` ignores
-    (they reach snapshots through the answers admitted from them)."""
+    """Every field: the two sets with the logical sizes ``BitSet.__eq__``
+    ignores (they reach snapshots through the answers admitted from
+    them), the per-entry maps as packed integers — what the pruner
+    holds, and what the reference's BitSets carry — in key order."""
     def sized(bits: BitSet):
         return bits, bits.size
 
-    def sized_map(per_entry: dict[int, BitSet]):
-        return [(entry_id, *sized(bits)) for entry_id, bits in per_entry.items()]
+    def packed_map(per_entry: dict):
+        return [(entry_id, bits if isinstance(bits, int) else bits._bits)
+                for entry_id, bits in per_entry.items()]
 
     return (sized(outcome.answer_free), sized(outcome.candidates),
-            sized_map(outcome.contributions), sized_map(outcome.donations),
-            sized_map(outcome.filtered), outcome.exact_hit,
+            packed_map(outcome.contributions), packed_map(outcome.donations),
+            packed_map(outcome.filtered), outcome.exact_hit,
             outcome.empty_shortcut)
+
+
+def test_pruner_maps_hold_integers():
+    """The per-entry maps are the packed integers themselves, not sets:
+    the pipeline only counts them."""
+    store, cache, query = build_scenario(7)
+    hits = HitDiscovery().discover(query, cache.index)
+    outcome = prune_candidate_set(QueryType.SUBGRAPH, store.ids_bitset(),
+                                  hits, store.max_id + 1)
+    for per_entry in (outcome.contributions, outcome.donations,
+                      outcome.filtered):
+        assert all(type(bits) is int for bits in per_entry.values())
 
 
 @pytest.mark.parametrize("query_type", list(QueryType))

@@ -13,6 +13,7 @@ from repro.runtime.method_m import MethodM, MethodMRunner
 from repro.runtime.processors import HitDiscovery
 from repro.runtime.pruner import prune_candidate_set
 from repro.util.bitset import BitSet
+from tests.conftest import packed_ids
 
 
 def path(labels: str) -> LabeledGraph:
@@ -136,7 +137,7 @@ class TestPrunerSubgraph:
         )
         assert sorted(outcome.answer_free) == [0]
         assert sorted(outcome.candidates) == [1, 2, 3]
-        assert sorted(outcome.contributions[7]) == [0]
+        assert packed_ids(outcome.contributions[7]) == [0]
 
     def test_filter_restricts_candidates(self):
         # g'' ⊆ g with answer {0}, fully valid -> only 0 can answer g.
@@ -150,7 +151,7 @@ class TestPrunerSubgraph:
         )
         assert outcome.answer_free.is_empty()
         assert sorted(outcome.candidates) == [0]
-        assert sorted(outcome.contributions[9]) == [1, 2, 3]
+        assert packed_ids(outcome.contributions[9]) == [1, 2, 3]
 
     def test_filter_keeps_invalid_bits(self):
         # invalid relations cannot prune (¬CGvalid ∪ Answer keeps id 2).
@@ -177,7 +178,7 @@ class TestPrunerSubgraph:
         )
         assert sorted(outcome.answer_free) == [0, 3]
         assert sorted(outcome.candidates) == [1]
-        assert sorted(outcome.contributions[2]) == [2]
+        assert packed_ids(outcome.contributions[2]) == [2]
 
     def test_multiple_donors_union(self):
         a = entry_for(1, path("CCO"), {0}, {0, 1, 2, 3}, 4)

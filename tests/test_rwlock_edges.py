@@ -219,3 +219,35 @@ class TestWriterPreference:
         with lock.read():
             with lock.write():     # "upgrade" is fine on the null lock
                 pass
+
+
+class TestNullLockContext:
+    """``read()`` / ``write()`` return the null lock itself, which is its
+    own context manager: it must still behave like the generator-based
+    managers it replaced."""
+
+    def test_both_sides_yield_the_lock(self):
+        lock = NullRWLock()
+        with lock.read() as held:
+            assert held is lock
+        with lock.write() as held:
+            assert held is lock
+
+    def test_holds_nest(self):
+        lock = NullRWLock()
+        with lock.write() as outer:
+            with lock.read() as inner:
+                with lock.write() as innermost:
+                    assert outer is inner is innermost is lock
+        with lock.read(), lock.read():
+            pass
+
+    @pytest.mark.parametrize("side", ["read", "write"])
+    def test_exceptions_propagate(self, side):
+        lock = NullRWLock()
+        with pytest.raises(KeyError, match="boom"):
+            with getattr(lock, side)():
+                raise KeyError("boom")
+        # ... and leave the lock usable.
+        with getattr(lock, side)() as held:
+            assert held is lock

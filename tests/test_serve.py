@@ -802,3 +802,33 @@ class TestLoadgen:
         assert not worker.is_alive()
         assert len(added_ids) == 1
         assert (recorder.mutations, recorder.errors) == (1, 0)
+
+
+class TestImportFootprint:
+    def test_the_server_does_not_load_the_load_generator(self):
+        """``http.client`` (and ``ssl`` with it) is the load generator's,
+        a client's; a serving process imports neither — ``repro.serve``
+        loads ``loadgen`` on first access to one of its names."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(REPO_SRC) + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.serve.server\n"
+            "print(sorted({'http.client', 'ssl', 'repro.serve.loadgen'}"
+            " & set(sys.modules)))\n"
+            "from repro.serve import LoadgenConfig, run_loadgen\n"
+            "import repro.serve.loadgen as loadgen\n"
+            "print(run_loadgen is loadgen.run_loadgen,"
+            " LoadgenConfig is loadgen.LoadgenConfig)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True).stdout.splitlines()
+        assert out == ["[]", "True True"]
+
+    def test_unknown_names_still_raise(self):
+        import repro.serve
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.serve.no_such_name  # noqa: B018
