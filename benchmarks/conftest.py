@@ -48,6 +48,26 @@ def report_table(results_dir):
     return _register
 
 
+@pytest.fixture(scope="session")
+def assert_recorded():
+    """Compare a count-only table with its tracked copy in
+    ``benchmarks/results/``, byte for byte, at the default smoke scale
+    (another ``GCPLUS_BENCH_SCALE`` renders other counts and is not
+    compared).  Such a table moves only when a change means it to, and
+    that change re-records it with ``GCPLUS_BENCH_RECORD=1``."""
+
+    def _check(name: str, table: str) -> None:
+        if current_scale().name != "smoke":
+            return
+        recorded = Path(__file__).parent / "results" / f"{name}.txt"
+        assert table == recorded.read_text(encoding="utf-8"), (
+            f"{name} differs from {recorded}; diff it against "
+            f"benchmarks/.out/{name}.txt, and re-record only on purpose"
+        )
+
+    return _check
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _TABLES:
         return

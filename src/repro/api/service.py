@@ -80,6 +80,27 @@ __all__ = ["GraphCacheService", "ServiceSession"]
 EventHook = Callable[[CacheEvent], None]
 
 
+def _deliver(hooks: dict[CacheEventKind, list[EventHook]],
+             events: Iterable[CacheEvent]) -> None:
+    """Run every hook registered for each event's kind, in order.  A
+    hook that raises stops neither the hooks after it nor the events
+    after its own; the first exception is re-raised once all have run."""
+    failure: Exception | None = None
+    for event in events:
+        for hook in hooks[event.kind]:
+            try:
+                hook(event)
+            except Exception as exc:
+                if failure is None:
+                    failure = exc
+    if failure is not None:
+        try:
+            raise failure
+        finally:
+            # the traceback holds this frame, which holds ``failure``
+            failure = None
+
+
 class _EventScope:
     """``with scope:`` defers cache-event hooks until the outermost scope
     on this thread exits — and therefore until every cache lock the
@@ -109,9 +130,7 @@ class _EventScope:
         state.depth -= 1
         if state.depth == 0 and state.buffer:
             buffered, state.buffer = state.buffer, []
-            for event in buffered:
-                for hook in self._hooks[event.kind]:
-                    hook(event)
+            _deliver(self._hooks, buffered)
 
 
 class GraphCacheService:
@@ -330,8 +349,7 @@ class GraphCacheService:
         if getattr(state, "depth", 0) > 0:
             state.buffer.append(event)
             return
-        for hook in self._hooks[event.kind]:
-            hook(event)
+        _deliver(self._hooks, (event,))
 
     def _register(self, kind: CacheEventKind, hook: EventHook) -> EventHook:
         self._check_open()
@@ -346,21 +364,26 @@ class GraphCacheService:
         """Call ``hook(event)`` when an executed query's entry has been
         admitted — fired once the admission settled, after any window
         promotion/eviction it triggered.  Usable as a decorator; returns
-        ``hook`` unchanged."""
+        ``hook`` unchanged.  A hook that raises keeps no other hook from
+        any event; the first exception is re-raised once every hook has
+        run, so ``execute`` reports it."""
         return self._register(CacheEventKind.ADMISSION, hook)
 
     def on_promotion(self, hook: EventHook) -> EventHook:
-        """Call ``hook(event)`` when a window batch merges into the cache."""
+        """Call ``hook(event)`` when a window batch merges into the cache.
+        A raising hook starves no other (see :meth:`on_admission`)."""
         return self._register(CacheEventKind.PROMOTION, hook)
 
     def on_eviction(self, hook: EventHook) -> EventHook:
         """Call ``hook(event)`` when entries leave the cache or window:
         the replacement policy's victims, or the faded copies dropped
-        when a re-executed query renewed their twin."""
+        when a re-executed query renewed their twin.  A raising hook
+        starves no other (see :meth:`on_admission`)."""
         return self._register(CacheEventKind.EVICTION, hook)
 
     def on_purge(self, hook: EventHook) -> EventHook:
-        """Call ``hook(event)`` when the whole cache is cleared."""
+        """Call ``hook(event)`` when the whole cache is cleared.  A
+        raising hook starves no other (see :meth:`on_admission`)."""
         return self._register(CacheEventKind.PURGE, hook)
 
     # ------------------------------------------------------------------

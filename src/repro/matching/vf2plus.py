@@ -11,7 +11,8 @@ iGraph comparisons ([7, 8] in the paper):
   absent from the host is detected at depth 0 for free.
 * **Per-candidate pruning**: label equality, degree coverage, and a
   radius-1 neighbor-label-profile dominance check, evaluated lazily per
-  candidate (host profiles are memoized within one test).
+  candidate (host profiles are memoized within one test, or for good
+  on a host that holds a plan; see "Compile once, test many").
 * **Lookahead**: a candidate's unmapped-neighbor count must cover the
   query vertex's unmapped-neighbor count (safe for monomorphism).
 
@@ -55,8 +56,15 @@ rank) get the same order, and with a static order the already-mapped
 neighbours of each depth's vertex are static too.  What is left per
 test is the depth-0 check (a few dict probes), the ranking, and the
 search itself, which reads the host's label and adjacency lists
-directly.  Host profiles stay lazy and per test: persisted for every
-dataset graph they would cost more memory than the plans.
+directly.  A graph that holds a plan has been a pattern — a cached
+query, or the arriving one — and meets every later arrival as a host
+too, so the plan also keeps its host side: every vertex's
+neighbour-label profile, built on the graph's first test as a host and
+published, complete, by one idempotent single store, as ``orders``
+grows.  A host without a plan (under subgraph semantics, every dataset
+graph) builds the profiles it reaches per test: persisted for every
+dataset graph they would cost more memory than the plans, so what the
+kernel keeps follows the cache, not the dataset.
 
 Leave nothing for the collector
 -------------------------------
@@ -106,7 +114,8 @@ _Step = tuple[int, Label, int, tuple[int, ...], int,
 class _Plan:
     """The pattern side of every VF2+ test of one graph version."""
 
-    __slots__ = ("required", "labels", "neighbors", "profiles", "orders")
+    __slots__ = ("required", "labels", "neighbors", "profiles", "orders",
+                 "host_profiles")
 
     def __init__(self, query: LabeledGraph) -> None:
         #: (label, vertices needed) — the depth-0 check, and the labels
@@ -125,6 +134,10 @@ class _Plan:
         #: by idempotent single stores (see the module docstring), to
         #: one entry per weak ordering of the distinct labels at most
         self.orders: dict[tuple[int, ...], tuple[_Step, ...]] = {}
+        #: vertex → {label: neighbours with it} for every vertex: the
+        #: same graph's side as a host.  None until it is first tested
+        #: as one, then published by one idempotent single store
+        self.host_profiles: dict[int, dict[Label, int]] | None = None
 
     def variable_order(self, host_counts: dict[Label, int]) -> list[int]:
         """Rarest-label-first, high-degree-first, connectivity-first."""
@@ -192,7 +205,20 @@ class VF2PlusMatcher(SubgraphMatcher):
         by_label = vertices_by_label(host)
         host_labels = host._labels
         host_adjacency = host._adjacency
-        host_profiles: dict[int, dict[Label, int]] = {}
+        # A host that holds a plan (it has been a pattern: a cached or
+        # an arriving query) keeps its profiles on that plan, complete,
+        # so extend never writes to them; any other host (a dataset
+        # graph under subgraph semantics) fills a dict per test.
+        memo = host._memo
+        host_plan = memo.get("vf2+") if memo is not None else None
+        if host_plan is None:
+            host_profiles: dict[int, dict[Label, int]] = {}
+        else:
+            host_profiles = host_plan.host_profiles
+            if host_profiles is None:
+                host_profiles = host_plan.host_profiles = {
+                    v: dict(profile)
+                    for v, profile in enumerate(host_plan.profiles)}
         mapping: dict[int, int] = {}
         used: set[int] = set()
         depth_reached = len(steps)

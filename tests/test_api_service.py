@@ -20,6 +20,7 @@ from repro.dataset.store import GraphStore
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
+from repro.persist import load_snapshot
 from tests.conftest import brute_force_answer
 from tests.test_consistency import ALPHABET, random_change
 from tests.test_interning import rebuilt
@@ -360,6 +361,33 @@ class TestHooks:
         assert len(promoted[0].entry_ids) == 2
         assert len(evicted) == 1           # second promotion overflows
         assert len(evicted[0].entry_ids) == 2
+
+    def test_a_raising_hook_starves_no_other_hook(self, store, tmp_path):
+        """The 2nd and 4th queries promote a full window and evict; the
+        eviction hook raises there.  Their ADMISSION events still reach
+        the autosave and the recorder, and ``execute`` still reports the
+        hook's failure once every hook has run."""
+        service = GraphCacheService(
+            store, GCConfig(cache_capacity=1, window_capacity=2))
+
+        def refuse(event: CacheEvent) -> None:
+            raise RuntimeError("eviction hook failed")
+
+        service.on_eviction(refuse)
+        snapshot = tmp_path / "auto.snap.jsonl"
+        service.autosave(snapshot, 1)
+        admitted: list[int] = []
+        service.on_admission(lambda event: admitted.extend(event.entry_ids))
+        failed = []
+        for n, labels in enumerate(("CO", "CC", "CCO", "NN"), start=1):
+            try:
+                service.execute(path(labels))
+            except RuntimeError as exc:
+                assert str(exc) == "eviction hook failed"
+                failed.append(n)
+            assert load_snapshot(snapshot).query_counter == n
+        assert failed == [2, 4]
+        assert admitted == [0, 1, 2, 3]
 
     def test_purge_hook_fires_under_evi(self, store):
         service = GraphCacheService(store, GCConfig(model="EVI"))

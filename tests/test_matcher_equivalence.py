@@ -19,6 +19,7 @@ pipeline as it came — the caller owns it.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -31,9 +32,11 @@ from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.matching import make_matcher
+from repro.matching.vf2plus import _Plan
 from repro.runtime.method_m import MethodMRunner
 from repro.workloads.base import DEFAULT_QUERY_SIZES
 from repro.workloads.typea import bfs_extract, generate_type_a
+from repro.workloads.typeb import generate_type_b
 from tests.conftest import brute_force_answer, labeled_graphs
 from tests.reference_matchers import REFERENCE_MATCHERS
 from tests.ullmann import UllmannMatcher
@@ -98,6 +101,40 @@ def test_random_pairs_match_reference(name, population):
     probability starts at 0 (disconnected patterns) and one alphabet has
     a label the other lacks."""
     assert_indistinguishable(name, population)
+
+
+def neighbour_label_counts(g: LabeledGraph) -> dict[int, Counter]:
+    return {v: Counter(g.neighbor_labels(v)) for v in range(g.num_vertices)}
+
+
+@given(population=st.lists(
+    st.one_of(labeled_graphs(max_vertices=6, alphabet="abcd"),
+              labeled_graphs(max_vertices=9, alphabet="abc")),
+    min_size=2, max_size=4))
+def test_a_host_holding_a_plan_searches_as_a_plain_one(population):
+    """A VF2+ host that has been a pattern reads its neighbour-label
+    profiles from its plan (built on its first test as a host, kept for
+    the next); a plan-less ``copy()`` builds them per test.  Both, and
+    the reference, give one decision, embedding and ``MatcherStats`` —
+    in the second round every plan already holds its profiles."""
+    planned = [host.copy() for host in population]
+    for host in planned:
+        host.derived("vf2+", _Plan)
+    for _ in range(2):
+        for query in population:
+            for host, warm in zip(population, planned):
+                seen = []
+                for matcher, h in ((make_matcher("vf2+"), warm),
+                                   (make_matcher("vf2+"), host.copy()),
+                                   (REFERENCE_MATCHERS["vf2+"](), host)):
+                    seen.append((matcher.is_subgraph_isomorphic(query, h),
+                                 matcher.find_embedding(query, h),
+                                 matcher.stats))
+                assert seen[0] == seen[1] == seen[2], (query, host)
+                profiles = warm._memo["vf2+"].host_profiles
+                if query is host:       # past depth 0: the profiles exist
+                    assert profiles is not None
+                assert profiles in (None, neighbour_label_counts(warm))
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +255,8 @@ def test_supergraph_plans_keep_one_order_per_label_ranking():
     for _, graph in runner.store.items():
         assert set(graph._memo) <= {"label_counts", "vf2+"}
     for plan in plans:
+        # patterns here, never hosts: no host profiles
+        assert plan.host_profiles is None
         distinct = len(plan.required)
         assert len(plan.orders) <= _weak_orderings(distinct)
         for ranking in plan.orders:
@@ -225,6 +264,35 @@ def test_supergraph_plans_keep_one_order_per_label_ranking():
             assert set(ranking) == set(range(max(ranking) + 1))
     # The hosts did rank the labels differently: the bound was tested.
     assert max(len(plan.orders) for plan in plans) > 1
+
+
+def test_subgraph_streams_leave_no_plan_on_a_dataset_graph():
+    """Host profiles live on plans, and under subgraph semantics only
+    queries hold plans, so what the kernel keeps follows the cache and
+    not the dataset: after a Type A and a Type B stream of gcbench's
+    shapes, no dataset graph holds a VF2+ plan, while cached queries hold
+    plans with their host profiles."""
+    graphs = generate_aids_like(num_graphs=60, mean_vertices=18.0,
+                                std_vertices=8.0, max_vertices=60, seed=5)
+    stream = [q.graph for q in generate_type_a(graphs, 40, "UU",
+                                               seed=5).queries]
+    stream += [q.graph for q in generate_type_b(
+        graphs, num_queries=80, no_answer_probability=0.2,
+        answer_pool_size=20, no_answer_pool_size=5, seed=5).queries]
+    service = GraphCacheService(
+        GraphStore.from_graphs(graphs),
+        GCConfig(model="CON", matcher="vf2+", cache_capacity=30,
+                 window_capacity=10))
+    try:
+        service.execute_many(stream)
+        for _, dataset_graph in service.store.items():
+            assert "vf2+" not in (dataset_graph._memo or {})
+        plans = [entry.query._memo["vf2+"]
+                 for entry in service.cache.all_entries()
+                 if entry.query._memo and "vf2+" in entry.query._memo]
+        assert any(plan.host_profiles is not None for plan in plans)
+    finally:
+        service.close()
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +340,37 @@ class TestMemoInvalidation:
         assert not m.is_subgraph_isomorphic(graph("c"), host)
         host.add_vertex("c")
         assert m.is_subgraph_isomorphic(graph("c"), host)
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_next_test_sees_the_new_host_that_was_a_pattern(self, name):
+        """As above, with a host that is first tested as a pattern (and
+        so, under VF2+, keeps its host profiles on its plan) before every
+        test: each mutator drops the plan with the memo, and the next
+        test sees the new host."""
+        m = make_matcher(name)
+        host = path("aaa")
+
+        def test(pattern: LabeledGraph) -> bool:
+            assert m.is_subgraph_isomorphic(host, host)    # a pattern
+            if name == "vf2+":
+                assert (host._memo["vf2+"].host_profiles
+                        == neighbour_label_counts(host))
+            return m.is_subgraph_isomorphic(pattern, host)
+
+        triangle = graph("aaa", TRIANGLE)
+        assert not test(triangle)
+        host.add_edge(0, 2)
+        assert host._memo is None
+        assert test(triangle)
+        host.remove_edge(0, 1)
+        assert not test(triangle)
+        assert not test(path("ab"))
+        host.set_label(1, "b")
+        assert test(path("ab"))
+        assert test(path("baa"))
+        assert not test(graph("c"))
+        host.add_vertex("c")
+        assert test(graph("c"))
 
     @pytest.mark.parametrize("name", KERNELS)
     def test_next_test_sees_the_new_pattern(self, name):
