@@ -56,6 +56,7 @@ from repro.cache.manager import CacheManager, ConsistencyReport
 from repro.cache.replacement import HybridPolicy
 from repro.persist import (
     Snapshot,
+    SnapshotFormatError,
     SnapshotMismatchError,
     config_fingerprint,
     dataset_fingerprint,
@@ -734,7 +735,11 @@ class GraphCacheService:
         """Restore from an already-decoded :class:`~repro.persist.Snapshot`
         (what :meth:`load` does after reading the file; callers that
         inspected a snapshot first restore the same object instead of
-        re-reading a path that may have changed underneath them)."""
+        re-reading a path that may have changed underneath them).
+
+        A state that no live manager of this shape could have produced
+        (overfull, colliding or out-of-range ids, a foreign policy)
+        raises :class:`~repro.persist.SnapshotFormatError`."""
         self._check_open()
         expected = config_fingerprint(self.config)
         if snapshot.fingerprint != expected:
@@ -780,7 +785,14 @@ class GraphCacheService:
                         "position (restoring would alias cached "
                         "Answer/CGvalid bits onto foreign graph ids)"
                     )
-        self.cache.restore_state(snapshot.state)
+        try:
+            self.cache.restore_state(snapshot.state)
+        except ValueError as exc:
+            # A state no live manager of this shape could have produced
+            # is a corrupt file, not a programming error.
+            raise SnapshotFormatError(
+                f"snapshot state rejected: {exc}"
+            ) from exc
         with self._counter_lock:
             self._query_counter = max(self._query_counter,
                                       snapshot.query_counter)

@@ -54,7 +54,12 @@ class GraphStore:
     def from_graphs(cls, graphs: Iterable[LabeledGraph]) -> "GraphStore":
         """Initial dataset load.  Loading is *not* logged: the log records
         changes relative to the initial state (the paper's change plan
-        starts after the dataset exists)."""
+        starts after the dataset exists).
+
+        The store holds a :meth:`~repro.graphs.graph.LabeledGraph.copy`
+        of each graph: a caller's later write never reaches it, and the
+        copy is copy-on-write, so the structure is held once until
+        either side writes."""
         store = cls()
         for g in graphs:
             store._graphs[store._next_id] = g.copy()
@@ -67,7 +72,11 @@ class GraphStore:
     # The four change operations (§1: ADD / DEL / UA / UR)
     # ------------------------------------------------------------------
     def add_graph(self, graph: LabeledGraph) -> int:
-        """ADD: insert a copy of ``graph``; returns its new id."""
+        """ADD: insert a copy of ``graph``; returns its new id.
+
+        The copy is copy-on-write (see :meth:`from_graphs`): an ADD of a
+        change plan's initial graph shares its structure until a UA/UR
+        on the new id, or a write to the source, materialises one."""
         gid = self._next_id
         self._next_id += 1
         self._graphs[gid] = graph.copy()

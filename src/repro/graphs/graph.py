@@ -16,6 +16,20 @@ Design notes
   ``version`` counter and drop the graph's one memo of derived data
   (:meth:`LabeledGraph.derived`: label counts, matcher plans,
   features), so nothing computed from an older structure survives them.
+* :meth:`LabeledGraph.copy` is O(1) copy-on-write.  Every holder that
+  copies for isolation (the store, the change plan, cache admission)
+  would otherwise hold the dataset once more; instead the copy shares
+  the source's label list and adjacency sets, both graphs are marked
+  shared, and the first mutator called on *either* side rebuilds its own
+  lists before it writes.  Nothing ever writes into a shared list, so a
+  reader of another sharer is unaffected.  There is no reference count:
+  the last sharer still copies once on its first write.  The memo is
+  never shared — a copy starts without one, and a write drops only the
+  writer's.  One visible consequence: a graph nobody has written to
+  iterates its neighbour sets in its source's table layout, where a
+  rebuilt ``set(s)`` (sized for its element count) may list a vertex of
+  degree 5 or more in another order.  Matchers then visit the same
+  candidates in another order, which moves search-state counts only.
 * Labels are arbitrary hashable objects; the AIDS-like generator uses
   small strings (atom symbols).
 """
@@ -43,7 +57,8 @@ class LabeledGraph:
     True
     """
 
-    __slots__ = ("_labels", "_adjacency", "_num_edges", "version", "_memo")
+    __slots__ = ("_labels", "_adjacency", "_num_edges", "version", "_memo",
+                 "_shared")
 
     def __init__(self) -> None:
         self._labels: list[Label] = []
@@ -53,6 +68,9 @@ class LabeledGraph:
         #: derived data by key, valid for the current structure only —
         #: see :meth:`derived`; ``None`` while nothing is memoised
         self._memo: dict[Hashable, Any] | None = None
+        #: the label list and adjacency sets may be another graph's too;
+        #: a mutator rebuilds its own (:meth:`_unshare`) before writing
+        self._shared = False
 
     # ------------------------------------------------------------------
     # Constructors
@@ -83,12 +101,20 @@ class LabeledGraph:
         return g
 
     def copy(self) -> "LabeledGraph":
-        """Deep copy (labels are shared; they are immutable by contract).
-        The copy starts without derived data: a memo is never shared."""
+        """An independent copy in O(1): copy-on-write.
+
+        The copy shares this graph's label list and adjacency sets until
+        either side is mutated; the mutator rebuilds the writer's own
+        lists first, so a write is never visible on another sharer
+        (labels themselves are shared; they are immutable by contract).
+        The copy starts at ``version`` 0 without derived data: a memo is
+        never shared.
+        """
         g = LabeledGraph()
-        g._labels = list(self._labels)
-        g._adjacency = [set(neigh) for neigh in self._adjacency]
+        g._labels = self._labels
+        g._adjacency = self._adjacency
         g._num_edges = self._num_edges
+        g._shared = self._shared = True
         return g
 
     # ------------------------------------------------------------------
@@ -147,6 +173,8 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     def add_vertex(self, label: Label) -> int:
         """Append a vertex; returns its id."""
+        if self._shared:
+            self._unshare()
         self._labels.append(label)
         self._adjacency.append(set())
         self.version += 1
@@ -156,6 +184,8 @@ class LabeledGraph:
     def set_label(self, v: int, label: Label) -> None:
         """Relabel vertex ``v`` (used by the Type B no-answer generator)."""
         self._check_vertex(v)
+        if self._shared:
+            self._unshare()
         self._labels[v] = label
         self.version += 1
         self._memo = None
@@ -168,6 +198,8 @@ class LabeledGraph:
             raise ValueError(f"self-loops are not allowed (vertex {u})")
         if v in self._adjacency[u]:
             raise ValueError(f"edge ({u}, {v}) already present")
+        if self._shared:
+            self._unshare()
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
         self._num_edges += 1
@@ -180,6 +212,8 @@ class LabeledGraph:
         self._check_vertex(v)
         if v not in self._adjacency[u]:
             raise ValueError(f"edge ({u}, {v}) not present")
+        if self._shared:
+            self._unshare()
         self._adjacency[u].discard(v)
         self._adjacency[v].discard(u)
         self._num_edges -= 1
@@ -197,6 +231,13 @@ class LabeledGraph:
             for v in range(u + 1, n):
                 if v not in adj:
                     yield (u, v)
+
+    def _unshare(self) -> None:
+        """Give this graph its own label list and adjacency sets, so the
+        write that follows cannot reach another sharer."""
+        self._labels = list(self._labels)
+        self._adjacency = [set(neigh) for neigh in self._adjacency]
+        self._shared = False
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < len(self._labels):

@@ -108,8 +108,8 @@ class SnapshotError(Exception):
 
 
 class SnapshotFormatError(SnapshotError):
-    """The file is not a decodable GC+ snapshot (wrong format tag,
-    unsupported version, malformed or inconsistent records)."""
+    """The file is not a decodable GC+ snapshot (not UTF-8, wrong format
+    tag, unsupported version, malformed or inconsistent records)."""
 
 
 class SnapshotMismatchError(SnapshotError):
@@ -320,6 +320,11 @@ def decode_snapshot(text: str) -> Snapshot:
         raise SnapshotFormatError(
             f"malformed snapshot header: {exc!r}"
         ) from exc
+    if fingerprint.get("policy", policy_name) != policy_name:
+        raise SnapshotFormatError(
+            f"inconsistent snapshot header: policy {policy_name!r} "
+            f"contradicts the fingerprint's {fingerprint['policy']!r}"
+        )
 
     cache: list[EntryRecord] = []
     window: list[EntryRecord] = []
@@ -399,5 +404,10 @@ def save_snapshot(path: str | Path, snapshot: Snapshot) -> Path:
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    """Read and decode one snapshot file."""
-    return decode_snapshot(Path(path).read_text(encoding="utf-8"))
+    """Read and decode one snapshot file (bytes that are not UTF-8 are a
+    :class:`SnapshotFormatError`, like any other corruption)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(f"snapshot is not UTF-8: {exc}") from exc
+    return decode_snapshot(text)

@@ -230,6 +230,40 @@ class TestSnapshotErrorPaths:
         assert code == 2
         self.assert_one_line_error(capsys, "warm-start failed")
 
+    @staticmethod
+    def corrupt(snapshot_file, how):
+        """One byte that is not UTF-8 inside a query record, or a header
+        policy name that contradicts the fingerprint's."""
+        data = snapshot_file.read_bytes()
+        if how == "non-utf8":
+            at = data.index(b'"query":"t # 0') + len(b'"query":"t # 0')
+            data = data[:at] + b"\xe6" + data[at:]
+        else:
+            assert b'"name":"hd"' in data and b'"policy":"hd"' in data
+            data = data.replace(b'"name":"hd"', b'"name":"4d"', 1)
+        snapshot_file.write_bytes(data)
+
+    @pytest.mark.parametrize("how", ["non-utf8", "policy"])
+    def test_load_corrupt_snapshot(self, snapshot_file, capsys, how):
+        self.corrupt(snapshot_file, how)
+        code = main(["snapshot", "load", "--path", str(snapshot_file)])
+        assert code == 2
+        self.assert_one_line_error(capsys, "cannot load snapshot")
+
+    @pytest.mark.parametrize("how", ["non-utf8", "policy"])
+    def test_run_warm_start_corrupt_snapshot(self, snapshot_file, tve,
+                                             capsys, how):
+        self.corrupt(snapshot_file, how)
+        dataset = tve("a6.tve", ["CCO", "CCC", "CNO", "COO"])
+        workload = tve("wl6.tve", ["CO"])
+        code = main([
+            "run", "--dataset", str(dataset),
+            "--workload", str(workload), "--model", "CON",
+            "--warm-start", str(snapshot_file),
+        ])
+        assert code == 2
+        self.assert_one_line_error(capsys, "warm-start failed")
+
     @pytest.mark.parametrize("broken", ["missing", "malformed"])
     @pytest.mark.parametrize("command", [
         "run", "serve", "gen-workload", "snapshot save", "snapshot load"])

@@ -21,6 +21,15 @@ A change that *means* to move a count (a new pruning rule, another
 admission policy) updates the pin in the same diff and says why;
 anything else that trips this has changed behaviour by accident.
 ``perf/workloads.py`` is imported read-only, from its file.
+
+Matcher ``states`` also follow set *layout*: a search visits a host
+vertex's neighbours in its adjacency set's iteration order.  Since
+``LabeledGraph.copy`` became copy-on-write, a stored graph nobody has
+written to iterates in its source's table layout instead of that of a
+rebuilt ``set(s)``, which may order a vertex of degree 5 or more
+differently.  The same candidates are then visited in another order,
+which is why the ``states`` below were re-recorded for it while
+``tests``, ``found``, every counter and every answer digest were not.
 """
 
 from __future__ import annotations
@@ -50,19 +59,19 @@ PINNED = {
              tests_saved=253692, admissions=620, evictions=520, renewals=0,
              exact_hit_queries=71, zero_test_queries=71,
              interned_queries=39),
-        (118308, 185833, 7730), (14897, 72671, 8165), "fc2c926fccde8fa5"),
+        (118308, 185788, 7730), (14897, 72676, 8165), "fc2c926fccde8fa5"),
     "hit_bound": (
         dict(queries=400, method_tests=12006, internal_tests=16955,
              tests_saved=107994, admissions=400, evictions=300, renewals=0,
              exact_hit_queries=333, zero_test_queries=333,
              interned_queries=331),
-        (12006, 10955, 447), (16955, 127545, 10076), "eca869433b38ed0c"),
+        (12006, 10861, 447), (16955, 127545, 10076), "eca869433b38ed0c"),
     "churn_con": (
         dict(queries=700, method_tests=43963, internal_tests=3865,
              tests_saved=300344, admissions=247, evictions=155, renewals=453,
              exact_hit_queries=615, zero_test_queries=164,
              interned_queries=612),
-        (43963, 38226, 1450), (3865, 27803, 2170), "c0bad7047a4ef720"),
+        (43963, 38202, 1450), (3865, 27803, 2170), "c0bad7047a4ef720"),
 }
 
 
