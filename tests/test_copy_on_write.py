@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.api import GCConfig, GraphCacheService
@@ -35,7 +36,7 @@ OPS = ("copy", "add_vertex", "set_label", "add_edge", "remove_edge")
 steps = st.lists(
     st.tuples(st.sampled_from(OPS), st.integers(0, 7), st.integers(0, 9),
               st.integers(0, 9), st.sampled_from("CNOX")),
-    max_size=40,
+    min_size=10, max_size=40,
 )
 
 
@@ -60,7 +61,9 @@ class Model:
         if not (u < n and v < n):
             return False
         present = frozenset((u, v)) in self.edges
-        return u != v and not present if op == "add_edge" else present
+        if op == "add_edge":
+            return u != v and not present
+        return present
 
     def apply(self, op: str, u: int, v: int, label: str) -> None:
         if op == "add_vertex":
@@ -82,7 +85,15 @@ class Model:
         ]
 
 
-@given(labeled_graphs(max_vertices=6), steps)
+def mutate(graph: LabeledGraph, op: str, u: int, v: int, label: str):
+    if op == "add_vertex":
+        return graph.add_vertex(label)
+    if op == "set_label":
+        return graph.set_label(u, label)
+    return getattr(graph, op)(u, v)
+
+
+@given(labeled_graphs(max_vertices=6, edge_probability=0.3), steps)
 def test_copy_and_mutators_match_a_reference_model(seed_graph, chain):
     graphs = [LabeledGraph.from_edges(seed_graph.labels, seed_graph.edges())]
     models = [Model(graphs[0])]
@@ -90,6 +101,8 @@ def test_copy_and_mutators_match_a_reference_model(seed_graph, chain):
     for op, which, u, v, label in chain:
         i = which % len(graphs)
         graph, model = graphs[i], models[i]
+        # mostly valid vertex ids, and one past the end now and then
+        u, v = u % (len(model.labels) + 1), v % (len(model.labels) + 1)
         if op == "copy":
             graphs.append(graph.copy())
             models.append(model.clone())
@@ -97,25 +110,15 @@ def test_copy_and_mutators_match_a_reference_model(seed_graph, chain):
             assert graphs[-1].version == 0
         elif model.valid(op, u, v):
             version = graph.version
+            new_vertex = mutate(graph, op, u, v, label)
             if op == "add_vertex":
-                assert graph.add_vertex(label) == len(model.labels)
-            elif op == "set_label":
-                graph.set_label(u, label)
-            else:
-                getattr(graph, op)(u, v)
+                assert new_vertex == len(model.labels)
             model.apply(op, u, v, label)
             assert graph.version == version + 1
             tokens[i] = None
         else:
-            try:
-                if op == "set_label":
-                    graph.set_label(u, label)
-                else:
-                    getattr(graph, op)(u, v)
-            except (IndexError, ValueError):
-                pass
-            else:
-                raise AssertionError(f"{op}({u}, {v}) did not raise")
+            with pytest.raises((IndexError, ValueError)):
+                mutate(graph, op, u, v, label)
         for j, (g, m) in enumerate(zip(graphs, models)):
             m.check(g)
             value = g.derived("probe", lambda _: object())
