@@ -6,11 +6,7 @@
   (Figures 4, 5, 6), the §7.2 hit-anatomy insight, and the ablations
   (replacement policy, cache size, churn);
 * :mod:`repro.bench.reporting` — fixed-width/markdown tables with the
-  paper's reference numbers side by side;
-* :mod:`repro.bench.concurrent` — the :class:`ConcurrentDriver` that
-  replays a (query, mutation) trace across N worker threads sharing one
-  cache, plus the :func:`sequential_replay` oracle the concurrency
-  tests compare it against.
+  paper's reference numbers side by side.
 
 Scale is controlled by the ``GCPLUS_BENCH_SCALE`` environment variable
 (``smoke`` < ``small`` < ``medium`` < ``large``); see
@@ -26,11 +22,6 @@ Run everything from the command line::
     GCPLUS_BENCH_SCALE=medium python -m repro.bench
 """
 
-from repro.bench.concurrent import (
-    ConcurrentDriver,
-    ConcurrentRunResult,
-    sequential_replay,
-)
 from repro.bench.harness import (
     SCALES,
     BenchScale,
@@ -45,7 +36,4 @@ __all__ = [
     "current_scale",
     "ExperimentHarness",
     "RunResult",
-    "ConcurrentDriver",
-    "ConcurrentRunResult",
-    "sequential_replay",
 ]

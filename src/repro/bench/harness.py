@@ -18,7 +18,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.api import GCConfig, GraphCacheService
-from repro.bench.concurrent import ConcurrentDriver, ConcurrentRunResult
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
@@ -232,7 +231,6 @@ class ExperimentHarness:
         self._dataset_features = None
         self._workloads: dict[str, Workload] = {}
         self._runs: dict[tuple[str, str, str], RunResult] = {}
-        self._concurrent_runs: dict[tuple, ConcurrentRunResult] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -343,57 +341,6 @@ class ExperimentHarness:
             for cell in cells:
                 self._runs[cell.key] = cell.result(
                     len(workload.queries) - warmup)
-
-    # ------------------------------------------------------------------
-    def run_concurrent(self, workload_name: str, matcher_name: str,
-                       model: str, threads: int,
-                       io_delay: float = 0.0) -> ConcurrentRunResult:
-        """One concurrent-serving cell: the workload's queries replayed
-        by ``threads`` sessions over one shared cache, the scale's
-        change plan applied at epoch barriers (memoized per cell).
-
-        Every cell replays the identical (query, mutation) trace, so
-        answer multisets are comparable across thread counts — which
-        :meth:`concurrent_speedup` asserts.
-        """
-        key = (workload_name, matcher_name, model, threads, io_delay)
-        if key in self._concurrent_runs:
-            return self._concurrent_runs[key]
-        s = self.scale
-        workload = self.workload(workload_name)
-        store = GraphStore.from_graphs(self.graphs)
-        plan = ChangePlan.generate(
-            self.graphs, num_queries=len(workload.queries),
-            num_batches=s.num_batches, ops_per_batch=s.ops_per_batch,
-            seed=s.plan_seed,
-        )
-        config = s.cache_config(model, matcher_name).replace(
-            lock_mode="rw", max_sessions=max(threads, 1),
-        )
-        service = GraphCacheService(store, config)
-        try:
-            driver = ConcurrentDriver(service, threads, io_delay=io_delay)
-            result = driver.run([q.graph for q in workload.queries], plan)
-        finally:
-            service.close()
-        self._concurrent_runs[key] = result
-        return result
-
-    def concurrent_speedup(self, workload_name: str, matcher_name: str,
-                           model: str, threads: int,
-                           io_delay: float = 0.0) -> float:
-        """Throughput of ``threads`` workers over the 1-worker driver on
-        the same trace; asserts the answer multisets are identical."""
-        base = self.run_concurrent(workload_name, matcher_name, model, 1,
-                                   io_delay)
-        concurrent = self.run_concurrent(workload_name, matcher_name, model,
-                                         threads, io_delay)
-        if base.answer_multiset() != concurrent.answer_multiset():
-            raise AssertionError(
-                f"answer multiset mismatch: {threads} threads vs 1 on "
-                f"({workload_name}, {matcher_name}, {model})"
-            )
-        return concurrent.throughput_qps / max(base.throughput_qps, 1e-12)
 
     # ------------------------------------------------------------------
     def speedup(self, workload_name: str, matcher_name: str,

@@ -136,12 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             runner = MethodMRunner(store, make_matcher(config.matcher),
                                    query_type=config.query_type)
         else:
-            config = _snapshot_config(
-                args,
-                # The session cap must fit the worker fan-out; lock_mode
-                # "auto" upgrades to the RW lock on the first session().
-                max_sessions=max(args.concurrency, GCConfig().max_sessions),
-            )
+            config = _snapshot_config(args)
             runner = GraphCacheService(store, config)
             _arm_autosave(runner, args.save_snapshot, args.autosave_every,
                           "--save-snapshot")
@@ -169,12 +164,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if _warm_start(service, args.warm_start) != 0:
             service.close()
             return 2
-    if args.concurrency > 1:
-        if service is None:
-            print("--concurrency needs a cache model (CON or EVI)",
-                  file=sys.stderr)
-            return 2
-        return _run_concurrent(args, service, queries, plan)
     total_time = 0.0
     total_tests = 0
     answers = 0
@@ -264,39 +253,6 @@ def _warm_start(service: GraphCacheService, path) -> int:
         print(f"warm-start failed: {exc}", file=sys.stderr)
         return 2
     _report_restore(service, path, report)
-    return 0
-
-
-def _run_concurrent(args: argparse.Namespace, service: GraphCacheService,
-                    queries: list, plan: ChangePlan | None) -> int:
-    """Serve the workload through the ConcurrentDriver: N sessions over
-    one shared cache, mutations applied at epoch barriers."""
-    from repro.bench.concurrent import ConcurrentDriver
-
-    driver = ConcurrentDriver(service, args.concurrency,
-                              io_delay=args.io_delay_ms / 1000.0)
-    try:
-        outcome = driver.run(queries, plan)
-        if args.save_snapshot:
-            if _save_snapshot_cli(service, args.save_snapshot) != 0:
-                return 2
-    finally:
-        service.close()
-    print(render_table(
-        f"concurrent run: model={args.model} matcher={args.matcher} "
-        f"threads={args.concurrency}",
-        [outcome.to_row()],
-    ))
-    s = service.summary()
-    print(render_table("cache anatomy (all sessions)", [{
-        "zero-test queries": s["zero_test_queries"],
-        "exact-hit queries": s["queries_with_exact_hit"],
-        "admissions skipped": s["admissions_skipped"],
-        "renewals": service.cache.renewals,
-        "interned": s["interned_queries"],
-        **overhead_breakdown_row(s),
-        **_hd_rounds_cell(s),
-    }]))
     return 0
 
 
@@ -460,7 +416,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = CacheServer(service, host=args.host, port=args.port,
                          drain_timeout=args.drain_timeout,
                          snapshot_path=args.snapshot_path)
-    server.start()
+    try:
+        server.start()
+    except OSError as exc:  # port in use, unknown host, no permission
+        service.close()
+        print(f"cannot listen on {args.host}:{args.port}: {exc}",
+              file=sys.stderr)
+        return 2
     print(f"serving GC+ on {server.address} "
           f"(model={config.model.name}, matcher={config.matcher}, "
           f"sessions={config.max_sessions}, "
@@ -469,7 +431,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Written only once the socket is bound: anything polling the
         # file (CI smoke, scripts) reads a connectable port, never a
         # racing placeholder.
-        args.port_file.write_text(f"{server.port}\n", encoding="utf-8")
+        try:
+            args.port_file.write_text(f"{server.port}\n", encoding="utf-8")
+        except OSError as exc:
+            server.drain()
+            print(f"--port-file: cannot write {args.port_file}: {exc}",
+                  file=sys.stderr)
+            return 2
 
     stop = threading.Event()
 
@@ -526,15 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dataset", type=Path, required=True)
     run.add_argument("--workload", type=Path, required=True)
     _add_cache_flags(run, model_help="CON, EVI or none (bare Method M)")
-    run.add_argument("--concurrency", type=int, default=1, metavar="N",
-                     help="serve the workload from N worker threads "
-                          "sharing one cache (needs a cache model; "
-                          "answers are identical to a sequential run)")
-    run.add_argument("--io-delay-ms", type=float, default=0.0, metavar="MS",
-                     help="with --concurrency: emulated per-request "
-                          "service time outside the GC+ pipeline "
-                          "(parsing/network), which worker threads "
-                          "overlap")
     run.add_argument("--explain", type=int, default=-1, metavar="N",
                      help="print the cache's explain plan before query N")
     run.add_argument("--change-batches", type=int, default=0)

@@ -19,19 +19,10 @@ Layers:
   (``/query``, ``/query/batch``, ``/mutate``, ``/explain``,
   ``/healthz``, ``/readyz``, ``/metrics``) with a bounded
   :class:`~repro.api.ServiceSession` pool and graceful drain
-  (stop accepting → finish in-flight → snapshot → close);
-* :mod:`repro.serve.loadgen` — an open-loop load generator driving
-  mixed query/mutation traffic at a target QPS with a Zipf query mix.
+  (stop accepting → finish in-flight → snapshot → close).
 
 Entry point: ``python -m repro serve`` (see ``docs/serving.md``).
-
-The load generator is a client: it needs :mod:`http.client` (and with
-it :mod:`ssl`), which the server does not.  It is therefore imported on
-first access to one of its names (PEP 562), so a serving process never
-loads it — ``from repro.serve import run_loadgen`` works as before.
 """
-
-from typing import TYPE_CHECKING
 
 from repro.serve.metrics import render_prometheus
 from repro.serve.server import CacheServer, DrainReport
@@ -43,31 +34,13 @@ from repro.serve.wire import (
     result_to_wire,
 )
 
-if TYPE_CHECKING:
-    from repro.serve.loadgen import LoadgenConfig, LoadgenReport, run_loadgen
-
-#: Names resolved from :mod:`repro.serve.loadgen` on first access.
-_LOADGEN_NAMES = frozenset({"LoadgenConfig", "LoadgenReport", "run_loadgen"})
-
-
-def __getattr__(name: str) -> object:
-    if name in _LOADGEN_NAMES:
-        from repro.serve import loadgen
-
-        return getattr(loadgen, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CacheServer",
     "DrainReport",
-    "LoadgenConfig",
-    "LoadgenReport",
     "WireError",
     "graph_from_wire",
     "graph_to_wire",
     "plan_to_wire",
     "render_prometheus",
     "result_to_wire",
-    "run_loadgen",
 ]

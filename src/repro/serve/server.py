@@ -376,13 +376,16 @@ class CacheServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "CacheServer":
-        """Open the session pool, bind the socket, start serving."""
+        """Bind the socket, open the session pool, start serving.
+
+        A socket that cannot be bound (port in use, unknown host) raises
+        :class:`OSError` before any session is opened."""
         if self._httpd is not None:
             raise RuntimeError("server already started")
+        self._httpd = _Server((self._host, self._requested_port), self)
         for _ in range(self.service.config.max_sessions):
             self._pool.put(self.service.session())
             self._pool_size += 1
-        self._httpd = _Server((self._host, self._requested_port), self)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},

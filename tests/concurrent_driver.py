@@ -1,5 +1,6 @@
 """Concurrent workload driver — N threads, one shared cache.
 
+The sampled-interleaving oracle of ``tests/test_concurrent_service.py``.
 The paper's Figure 1 deployment is a *service*: one GC+ cache absorbing
 a stream of queries from many users while the dataset churns underneath.
 :class:`ConcurrentDriver` replays exactly that shape: a (query,
@@ -20,21 +21,14 @@ not merely the same multiset, though the multiset is what
 *contents* may differ between schedules (admission order is
 nondeterministic); the answers cannot.
 
-Throughput expectations (honesty note): the bundled matchers are pure
-Python, so under CPython's GIL the CPU-bound pipeline section does not
-speed up with threads — it serialises.  What the serving layer overlaps
-is everything *around* that section: per-request I/O, parsing, network
-latency.  ``io_delay`` models that per-request service time; with it the
-driver demonstrates the multi-threaded throughput win a real deployment
-sees (and a GIL-releasing matcher or free-threaded CPython would extend
-the win to the CPU section with zero changes here).
+The driver measures nothing: timing the serving path is the job of the
+repository's benchmark (``perf/``), whose ``http_hit`` workload drives
+the same service over HTTP.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-import time
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -80,75 +74,20 @@ def assert_quiescent_invariants(service: GraphCacheService) -> None:
 
 @dataclass
 class ConcurrentRunResult:
-    """What one driver run measured.
+    """What one run answered.
 
     ``answers`` maps stream index → answer id-set, so correctness
     harnesses can compare per-index (stronger than the multiset check);
     :meth:`answer_multiset` gives the order-insensitive view.
     """
 
-    threads: int
-    queries: int
-    epochs: int
-    wall_seconds: float
-    latencies_ms: list[float] = field(repr=False)
     answers: dict[int, frozenset[int]] = field(repr=False)
-    applied_ops: int = 0
-    admissions_skipped: int = 0
-
-    @property
-    def throughput_qps(self) -> float:
-        return self.queries / self.wall_seconds if self.wall_seconds else 0.0
-
-    def latency_percentile_ms(self, fraction: float) -> float:
-        """Percentile over per-query latencies (ms), ``fraction`` in
-        [0, 1].
-
-        Delegates to :func:`repro.util.stats.percentile` — **linear
-        interpolation between closest ranks**, the project-wide
-        definition every bench artifact reports (this class previously
-        shipped a private nearest-rank variant, so the same run could
-        print two different p95s).  Empty samples yield NaN, which
-        :meth:`to_row` serialises as ``None``.
-        """
-        from repro.util.stats import percentile
-
-        return percentile(self.latencies_ms, fraction * 100.0)
-
-    @property
-    def latency_p50_ms(self) -> float:
-        return self.latency_percentile_ms(0.50)
-
-    @property
-    def latency_p95_ms(self) -> float:
-        return self.latency_percentile_ms(0.95)
+    applied_ops: int
 
     def answer_multiset(self) -> Counter:
         """Multiset of answer id-sets — the concurrency oracle's unit of
         comparison against a sequential replay."""
         return Counter(self.answers.values())
-
-    def to_row(self) -> dict[str, float | None]:
-        """JSON-safe summary row (answers elided).
-
-        Non-finite latency percentiles (a zero-query run has no samples,
-        so they are NaN) become ``None`` — strict-JSON safe, so writers
-        can use ``json.dumps(..., allow_nan=False)``.
-        """
-        def _finite(value: float) -> float | None:
-            return round(value, 3) if math.isfinite(value) else None
-
-        return {
-            "threads": self.threads,
-            "queries": self.queries,
-            "epochs": self.epochs,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "throughput_qps": round(self.throughput_qps, 3),
-            "latency_p50_ms": _finite(self.latency_p50_ms),
-            "latency_p95_ms": _finite(self.latency_p95_ms),
-            "applied_ops": self.applied_ops,
-            "admissions_skipped": self.admissions_skipped,
-        }
 
 
 class ConcurrentDriver:
@@ -156,39 +95,30 @@ class ConcurrentDriver:
 
     ``service`` must allow sessions (``lock_mode`` ``"auto"`` or
     ``"rw"``); the driver opens one :class:`ServiceSession` per worker,
-    so ``GCConfig.max_sessions`` must be ≥ ``threads``.  ``io_delay``
-    (seconds) emulates the per-request service time outside the GC+
-    pipeline — parsing, network, result serialisation — which threads
-    overlap; ``0.0`` measures the bare pipeline.
+    so ``GCConfig.max_sessions`` must be ≥ ``threads``.
 
     Worker scheduling is deterministic (query ``i`` of an epoch goes to
     worker ``i mod threads``); the *interleaving* is of course up to the
     OS, which is exactly what the answer-equivalence oracle exercises.
     """
 
-    def __init__(self, service: GraphCacheService, threads: int,
-                 io_delay: float = 0.0) -> None:
+    def __init__(self, service: GraphCacheService, threads: int) -> None:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
-        if io_delay < 0:
-            raise ValueError(f"io_delay must be >= 0, got {io_delay}")
         self.service = service
         self.threads = threads
-        self.io_delay = io_delay
 
     # ------------------------------------------------------------------
     def run(self, queries: Sequence[LabeledGraph],
-            plan: ChangePlan | None = None,
-            check_invariants: bool = True) -> ConcurrentRunResult:
-        """Serve the whole stream; returns measurements + answers.
+            plan: ChangePlan | None = None) -> ConcurrentRunResult:
+        """Serve the whole stream; returns the answers.
 
         Mutation batches fire at epoch barriers with all workers
         quiesced, at the same stream indices a sequential
         ``plan.apply_due(store, i)`` loop fires them, so the dataset
         evolution — and therefore every answer — matches a sequential
-        replay of the identical trace.  With ``check_invariants`` the
-        driver asserts :func:`assert_quiescent_invariants` at every
-        barrier.
+        replay of the identical trace.  The driver asserts
+        :func:`assert_quiescent_invariants` at every barrier.
         """
         service = self.service
         if plan is not None:
@@ -200,13 +130,10 @@ class ConcurrentDriver:
         current: dict = {"segment": None}
         answers: dict[int, frozenset[int]] = {}
         answers_lock = threading.Lock()
-        latencies: list[list[float]] = [[] for _ in range(self.threads)]
         failures: list[BaseException] = []
-        skipped_before = service.monitor.admissions_skipped
 
         def worker(wid: int) -> None:
             session = sessions[wid]
-            mine = latencies[wid]
             try:
                 while True:
                     start_barrier.wait()
@@ -215,12 +142,7 @@ class ConcurrentDriver:
                         return
                     lo, hi = segment
                     for qi in range(lo + wid, hi, self.threads):
-                        t0 = time.perf_counter()
                         result = session.execute(queries[qi])
-                        if self.io_delay:
-                            time.sleep(self.io_delay)
-                        elapsed = time.perf_counter() - t0
-                        mine.append(elapsed * 1000.0)
                         with answers_lock:
                             answers[qi] = frozenset(result.answer)
                     end_barrier.wait()
@@ -238,7 +160,6 @@ class ConcurrentDriver:
             thread.start()
 
         applied = 0
-        wall_start = time.perf_counter()
         try:
             for lo, hi in segments:
                 if plan is not None:
@@ -246,8 +167,7 @@ class ConcurrentDriver:
                 current["segment"] = (lo, hi)
                 start_barrier.wait()
                 end_barrier.wait()
-                if check_invariants:
-                    assert_quiescent_invariants(service)
+                assert_quiescent_invariants(service)
             current["segment"] = None
             start_barrier.wait()
         except threading.BrokenBarrierError:
@@ -260,26 +180,13 @@ class ConcurrentDriver:
             end_barrier.abort()
             raise
         finally:
-            wall = time.perf_counter() - wall_start
             for thread in workers:
                 thread.join(timeout=30.0)
             for session in sessions:
                 session.close()
         if failures:
             raise failures[0]
-
-        return ConcurrentRunResult(
-            threads=self.threads,
-            queries=len(queries),
-            epochs=len(segments),
-            wall_seconds=wall,
-            latencies_ms=[ms for per_worker in latencies
-                          for ms in per_worker],
-            answers=answers,
-            applied_ops=applied,
-            admissions_skipped=(service.monitor.admissions_skipped
-                                - skipped_before),
-        )
+        return ConcurrentRunResult(answers=answers, applied_ops=applied)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -301,8 +208,7 @@ class ConcurrentDriver:
 def sequential_replay(graphs: Sequence[LabeledGraph],
                       queries: Sequence[LabeledGraph],
                       plan: ChangePlan | None = None,
-                      config: GCConfig | None = None,
-                      io_delay: float = 0.0) -> ConcurrentRunResult:
+                      config: GCConfig | None = None) -> ConcurrentRunResult:
     """The single-threaded oracle: a fresh store + service, the plan
     applied at every stream index, queries answered one by one.
 
@@ -317,29 +223,12 @@ def sequential_replay(graphs: Sequence[LabeledGraph],
         store, config if config is not None else GCConfig()
     )
     answers: dict[int, frozenset[int]] = {}
-    latencies: list[float] = []
     applied = 0
-    wall_start = time.perf_counter()
     try:
         for index, query in enumerate(queries):
             if plan is not None:
                 applied += len(plan.apply_due(store, index))
-            t0 = time.perf_counter()
-            result = service.execute(query)
-            if io_delay:
-                time.sleep(io_delay)
-            latencies.append((time.perf_counter() - t0) * 1000.0)
-            answers[index] = frozenset(result.answer)
+            answers[index] = frozenset(service.execute(query).answer)
     finally:
-        wall = time.perf_counter() - wall_start
         service.close()
-    return ConcurrentRunResult(
-        threads=1,
-        queries=len(queries),
-        epochs=1,
-        wall_seconds=wall,
-        latencies_ms=latencies,
-        answers=answers,
-        applied_ops=applied,
-        admissions_skipped=0,
-    )
+    return ConcurrentRunResult(answers=answers, applied_ops=applied)

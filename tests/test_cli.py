@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -289,3 +295,45 @@ class TestSnapshotErrorPaths:
         assert main(argv) == 2
         self.assert_one_line_error(capsys,
                                    f"--dataset: cannot load {bad}")
+
+
+class TestServeSetupErrors:
+    """``serve`` setup failures an operator hits by mistyping a flag:
+    one stderr line and exit 2, like every other usage error — never a
+    traceback, and never a process left serving or hanging."""
+
+    @staticmethod
+    def serve(dataset_file, *flags):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(src) + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "serve",
+             "--dataset", str(dataset_file), "--drain-timeout", "5",
+             *flags],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    @staticmethod
+    def assert_usage_error(proc, fragment):
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert fragment in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+    def test_port_in_use(self, dataset_file):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            proc = self.serve(dataset_file, "--port", str(port))
+        self.assert_usage_error(proc, f"cannot listen on 127.0.0.1:{port}")
+        assert "serving GC+" not in proc.stdout
+
+    def test_port_file_in_missing_directory(self, dataset_file, tmp_path):
+        port_file = tmp_path / "no-such-dir" / "port"
+        proc = self.serve(dataset_file, "--port", "0",
+                          "--port-file", str(port_file))
+        self.assert_usage_error(proc, f"--port-file: cannot write {port_file}")
+        assert not port_file.exists()

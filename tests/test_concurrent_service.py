@@ -25,17 +25,17 @@ import threading
 import pytest
 
 from repro.api import GCConfig, GraphCacheService
-from repro.bench.concurrent import (
-    ConcurrentDriver,
-    assert_quiescent_invariants,
-    sequential_replay,
-)
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.util.rwlock import NullRWLock, RWLock
 from repro.workloads.typeb import TypeBConfig, generate_type_b
+from tests.concurrent_driver import (
+    ConcurrentDriver,
+    assert_quiescent_invariants,
+    sequential_replay,
+)
 
 
 def path(labels: str) -> LabeledGraph:

@@ -742,93 +742,94 @@ class TestServeCLISubprocess:
         assert len(snapshot.state.cache) + len(snapshot.state.window) == 1
 
 
-class TestLoadgen:
-    def test_config_validation(self):
-        from repro.serve.loadgen import LoadgenConfig
+class TestConcurrentClients:
+    def test_mixed_traffic_on_keep_alive_connections(self, tmp_path):
+        """Several clients at once, each on its own keep-alive
+        connection, interleave ``/query`` with ``add_graph`` and a
+        ``delete_graph`` of one of their own adds: every response is a
+        200, the service counted exactly the queries sent and hit its
+        cache, and the drain finishes in-flight work and leaves a
+        snapshot that decodes."""
+        graphs = make_graphs()
+        queries = [graph_to_wire(q) for q in make_queries(graphs, n=10)]
+        snap = tmp_path / "mixed.snap.jsonl"
+        service = GraphCacheService(GraphStore.from_graphs(graphs), GCConfig(
+            model="CON", lock_mode="rw", max_sessions=4))
+        server = CacheServer(service, snapshot_path=snap).start()
+        clients, rounds = 4, 15
+        statuses: list[int] = []
+        queries_sent = [0] * clients
+        failures: list[Exception] = []
+        go = threading.Barrier(clients)
 
-        with pytest.raises(ValueError, match="qps"):
-            LoadgenConfig(qps=0)
-        with pytest.raises(ValueError, match="duration"):
-            LoadgenConfig(duration_seconds=0)
-        with pytest.raises(ValueError, match="workers"):
-            LoadgenConfig(workers=0)
-        with pytest.raises(ValueError, match="mutation_fraction"):
-            LoadgenConfig(mutation_fraction=1.0)
+        def client(cid: int) -> None:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
 
-    def test_empty_query_pool_rejected(self, served):
-        from repro.serve.loadgen import run_loadgen
+            def post(path, payload):
+                conn.request("POST", path, body=json.dumps(payload).encode(),
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                statuses.append(response.status)
+                return body
 
-        server, _, _ = served
-        with pytest.raises(ValueError, match="query pool is empty"):
-            run_loadgen("127.0.0.1", server.port, [])
+            try:
+                added = []
+                go.wait()
+                for i in range(rounds):
+                    post("/query",
+                         {"graph": queries[(cid + i) % len(queries)]})
+                    queries_sent[cid] += 1
+                    if i % 3 == 1:
+                        receipt = post("/mutate", {
+                            "op": "add_graph",
+                            "graph": graph_to_wire(graphs[cid])})
+                        added.append(receipt["applied"]["graph_id"])
+                    elif i % 3 == 2:
+                        post("/mutate", {"op": "delete_graph",
+                                         "graph_id": added.pop()})
+            except Exception as exc:  # re-raised on the main thread
+                failures.append(exc)
+            finally:
+                conn.close()
 
-    def test_short_mixed_run(self, served):
-        """A half-second mixed query/mutation run completes with zero
-        errors and self-consistent accounting."""
-        from repro.serve.loadgen import LoadgenConfig, run_loadgen
-
-        server, service, graphs = served
-        queries = make_queries(graphs, n=10)
-        config = LoadgenConfig(qps=60.0, duration_seconds=0.5, workers=2,
-                               mutation_fraction=0.3, seed=7)
-        report = run_loadgen("127.0.0.1", server.port, queries, config)
-        assert report.errors == 0
-        assert report.requests == report.queries + report.mutations == 30
-        assert report.mutations > 0
-        assert report.achieved_qps > 0
-        assert report.hits <= report.queries
-        assert set(report.latency_ms) == {"p50", "p95", "p99", "max"}
-        payload = report.to_dict()
-        assert payload["requests"] == 30
-        # The server saw exactly the run's queries.
-        assert service.counters()["queries"] == report.queries
-
-    def test_delete_before_any_add_degrades_to_an_add(self, served):
-        """A delete that arrives before any add of the run has completed
-        (the adding worker is still waiting for its response) is sent as
-        an add — and comes back: it used to recurse while holding the
-        non-reentrant id lock and hang both workers."""
-        from repro.serve.loadgen import _Recorder, _Worker
-
-        server, _, _ = served
-        recorder, added_ids = _Recorder(), []
-        plans = [{"kind": "mutate",
-                  "body": {"op": "delete_graph", "added_index": 0}}]
-        worker = _Worker("127.0.0.1", server.port, plans, [0.0], 0, 1,
-                         time.monotonic(), recorder, added_ids,
-                         threading.Lock(), 10.0)
-        worker.start()
-        worker.join(timeout=30)
-        assert not worker.is_alive()
-        assert len(added_ids) == 1
-        assert (recorder.mutations, recorder.errors) == (1, 0)
+        threads = [threading.Thread(target=client, args=(cid,))
+                   for cid in range(clients)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            if failures:
+                raise failures[0]
+            assert len(statuses) == clients * (rounds + 2 * (rounds // 3))
+            assert set(statuses) == {200}
+            counters = service.counters()
+            assert counters["queries"] == sum(queries_sent)
+            assert counters["cache_hits"] > 0
+        finally:
+            report = server.drain(timeout=10.0)
+        assert report.in_flight_drained
+        assert report.snapshot_error is None
+        snapshot = load_snapshot(snap)
+        assert len(snapshot.state.cache) + len(snapshot.state.window) > 0
 
 
 class TestImportFootprint:
     def test_the_server_does_not_load_the_load_generator(self):
-        """``http.client`` (and ``ssl`` with it) is the load generator's,
-        a client's; a serving process imports neither — ``repro.serve``
-        loads ``loadgen`` on first access to one of its names."""
+        """``http.client`` (and ``ssl`` with it) belongs to a client;
+        a serving process imports neither."""
         env = dict(os.environ)
         env["PYTHONPATH"] = (str(REPO_SRC) + os.pathsep
                              + env.get("PYTHONPATH", ""))
         probe = (
             "import sys\n"
             "import repro.cli, repro.serve.server\n"
-            "print(sorted({'http.client', 'ssl', 'repro.serve.loadgen'}"
-            " & set(sys.modules)))\n"
-            "from repro.serve import LoadgenConfig, run_loadgen\n"
-            "import repro.serve.loadgen as loadgen\n"
-            "print(run_loadgen is loadgen.run_loadgen,"
-            " LoadgenConfig is loadgen.LoadgenConfig)\n"
+            "print(sorted({'http.client', 'ssl'} & set(sys.modules)))\n"
         )
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, timeout=60,
                              check=True).stdout.splitlines()
-        assert out == ["[]", "True True"]
-
-    def test_unknown_names_still_raise(self):
-        import repro.serve
-
-        with pytest.raises(AttributeError, match="no_such_name"):
-            repro.serve.no_such_name  # noqa: B018
+        assert out == ["[]"]
