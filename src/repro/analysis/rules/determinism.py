@@ -35,8 +35,7 @@ ALLOWLISTED_SEGMENTS = frozenset({"workloads", "bench", "serve"})
 ALLOWLISTED_SUFFIXES = ("graphs/generators.py",)
 
 #: Wall-clock reads.  ``time.perf_counter``/``monotonic`` are *not*
-#: listed: interval timing feeds metrics, never decisions, and the
-#: Stopwatch clock is injectable for replay (util.timing).
+#: listed: interval timing feeds metrics, never decisions.
 WALL_CLOCKS = frozenset({
     "time.time", "time.time_ns", "time.localtime", "time.gmtime",
     "datetime.now", "datetime.utcnow", "datetime.today",
@@ -80,8 +79,8 @@ class WallClockInCore(_CoreScoped):
                 yield self.finding(
                     module, node.lineno,
                     f"`{name}()` reads the wall clock in a core package; "
-                    f"inject a clock (util.timing.Stopwatch(clock=...)) "
-                    f"or take the timestamp as a parameter",
+                    f"time intervals with time.perf_counter() or take "
+                    f"the timestamp as a parameter",
                 )
 
 

@@ -408,9 +408,7 @@ class GraphCacheService:
         self._check_open()
         return [self._execute_pipeline(query) for query in queries]
 
-    def _execute_pipeline(self, query: LabeledGraph,
-                          session_monitor: StatisticsMonitor | None = None,
-                          ) -> QueryResult:
+    def _execute_pipeline(self, query: LabeledGraph) -> QueryResult:
         """The full Figure-1 per-query flow, concurrency-safe.
 
         Lock discipline (``docs/concurrency.md`` has the rationale):
@@ -499,8 +497,6 @@ class GraphCacheService:
             metrics.admission_seconds = perf_counter() - started
 
             self.monitor.record(metrics)
-            if session_monitor is not None:
-                session_monitor.record(metrics)
             return QueryResult(answer=answer, metrics=metrics)
 
     def _discover_and_prune(self, query: LabeledGraph, metrics: QueryMetrics,
@@ -829,7 +825,8 @@ class GraphCacheService:
         return counters
 
     def summary(self) -> dict[str, float]:
-        """The monitor's flat aggregate dict for this session.
+        """The monitor's flat aggregate dict over every query this service
+        and its sessions executed.
 
         Under the HD replacement policy the dict additionally carries
         ``hd_pin_rounds`` / ``hd_pinc_rounds`` — how many eviction
@@ -858,9 +855,8 @@ class ServiceSession:
     Obtained via :meth:`GraphCacheService.session`.  All sessions of a
     service execute against the **same** cache, dataset, statistics and
     hook registry; the cache's reader-writer lock keeps concurrent
-    pipelines safe.  On top of the shared state each session keeps a
-    private :class:`StatisticsMonitor`, so per-worker latency/hit
-    anatomy can be reported next to the service-wide aggregate.
+    pipelines safe.  Every query is recorded in the service's one
+    :class:`StatisticsMonitor` (:meth:`GraphCacheService.summary`).
 
     A session only executes queries; everything else (explain plans,
     mutations, persistence, hooks) goes through :attr:`service`.
@@ -885,7 +881,6 @@ class ServiceSession:
     def __init__(self, parent: GraphCacheService, session_id: int) -> None:
         self._parent = parent
         self.session_id = session_id
-        self.monitor = StatisticsMonitor()
         self._closed = False
 
     def __enter__(self) -> "ServiceSession":
@@ -912,8 +907,7 @@ class ServiceSession:
     def execute(self, query: LabeledGraph) -> QueryResult:
         """Answer one query through the shared cache."""
         self._check_open()
-        return self._parent._execute_pipeline(query,
-                                              session_monitor=self.monitor)
+        return self._parent._execute_pipeline(query)
 
     def execute_many(self, queries: Iterable[LabeledGraph]) -> list[QueryResult]:
         """Answer a batch of queries through the shared cache."""
@@ -924,12 +918,6 @@ class ServiceSession:
         """The shared parent service."""
         return self._parent
 
-    def summary(self) -> dict[str, float]:
-        """This session's private monitor aggregate (the parent's
-        :meth:`GraphCacheService.summary` covers all sessions)."""
-        return self.monitor.summary()
-
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
-        return (f"ServiceSession(id={self.session_id}, "
-                f"queries={self.monitor.queries}, {state})")
+        return f"ServiceSession(id={self.session_id}, {state})"

@@ -1,12 +1,13 @@
 """Benchmark harness regenerating the paper's evaluation (§7).
 
-* :mod:`repro.bench.harness` — dataset/workload/run orchestration with
-  memoization (many figures share the same underlying runs);
+* :mod:`repro.bench.harness` — datasets, workloads and the one lockstep
+  replay loop every experiment runs through, with memoization (many
+  figures share the same underlying runs);
 * :mod:`repro.bench.experiments` — one function per paper figure
   (Figures 4, 5, 6), the §7.2 hit-anatomy insight, and the ablations
   (replacement policy, cache size, churn);
-* :mod:`repro.bench.reporting` — fixed-width/markdown tables with the
-  paper's reference numbers side by side.
+* :mod:`repro.bench.reporting` — fixed-width tables with the paper's
+  reference numbers side by side.
 
 Scale is controlled by the ``GCPLUS_BENCH_SCALE`` environment variable
 (``smoke`` < ``small`` < ``medium`` < ``large``); see
@@ -15,11 +16,9 @@ magnitude slower than the paper's Java testbed, so default scales shrink
 the dataset/workload while preserving the cache:dataset:churn ratios
 (README, "Benchmarks").
 
-Run everything from the command line::
+The figures are run, printed and recorded by the pytest suite::
 
-    python -m repro.bench            # all figures, default scale
-    python -m repro.bench fig4       # one figure
-    GCPLUS_BENCH_SCALE=medium python -m repro.bench
+    GCPLUS_BENCH_SCALE=smoke PYTHONPATH=src python -m pytest benchmarks -q
 """
 
 from repro.bench.harness import (

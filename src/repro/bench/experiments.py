@@ -6,13 +6,17 @@ and returns ``(rows, rendered_table)``.  Paper reference numbers (AIDS,
 comparison; at scaled-down Python sizes the *shapes* are expected to
 hold — CON ≫ EVI > 1 everywhere, method-independent Figure 5, negligible
 CON-exclusive overhead — while absolute magnitudes grow with stream
-length toward the paper's values (see EXPERIMENTS.md).
+length toward the paper's values (README, "Benchmarks").  Every
+stream replays through :meth:`ExperimentHarness.replay`, and a speedup
+is read only after its two runs' answers compare equal
+(:meth:`RunResult.speedup_over`).
 """
 
 from __future__ import annotations
 
 from repro.bench.harness import (
     MATCHER_NAMES,
+    ROW_MODELS,
     TYPE_A_CATEGORIES,
     TYPE_B_CATEGORIES,
     ExperimentHarness,
@@ -70,44 +74,6 @@ PAPER_FIG6: dict[str, dict[str, object]] = {
 }
 
 ALL_CATEGORIES = TYPE_A_CATEGORIES + TYPE_B_CATEGORIES
-
-
-def _run_custom(harness: ExperimentHarness, workload_name: str,
-                make_runner, num_batches: int | None = None
-                ) -> tuple[float, int]:
-    """Execute a workload with a custom runner under the harness's scale
-    (same change plan, same warm-up policy as memoized runs).
-
-    ``make_runner(store)`` builds the runner; returns (query seconds,
-    sub-iso tests) over the measured (post-warm-up) stream.
-    """
-    from repro.dataset.change_plan import ChangePlan
-    from repro.dataset.store import GraphStore
-
-    s = harness.scale
-    wl = harness.workload(workload_name)
-    store = GraphStore.from_graphs(harness.graphs)
-    batches = s.num_batches if num_batches is None else num_batches
-    plan = None
-    if batches > 0:
-        plan = ChangePlan.generate(
-            harness.graphs, num_queries=len(wl.queries),
-            num_batches=batches, ops_per_batch=s.ops_per_batch,
-            seed=s.plan_seed,
-        )
-    runner = make_runner(store)
-    warmup = min(s.warmup_queries, max(len(wl.queries) - 1, 0))
-    qtime = 0.0
-    tests = 0
-    for i, query in enumerate(wl.queries):
-        if plan is not None:
-            plan.apply_due(store, i)
-        result = runner.execute(query.graph)
-        if i < warmup:
-            continue
-        qtime += result.metrics.query_seconds
-        tests += result.metrics.method_tests
-    return qtime, tests
 
 
 # ----------------------------------------------------------------------
@@ -253,22 +219,23 @@ def ablation_policies(harness: ExperimentHarness, workload: str = "ZZ",
                       matcher: str = "vf2+",
                       policies: tuple[str, ...] = ("hd", "pin", "pinc",
                                                    "lru", "lfu")):
-    """Replacement-policy ablation: HD should be on par with the best."""
-    from repro.api import GraphCacheService
+    """Replacement-policy ablation: HD should be on par with the best.
 
-    s = harness.scale
-    base = harness.run(workload, matcher, "base")
+    The bare method replays in the same lockstep as the policies, so
+    each time ratio is measured as a grid row's is
+    (:meth:`ExperimentHarness.run`); so does the capacity ablation.
+    """
+    config = harness.scale.cache_config("CON", matcher)
+    runs = harness.replay(workload, {"base": config, **{
+        policy: config.replace(policy=policy) for policy in policies
+    }})
     rows = []
     for policy in policies:
-        config = s.cache_config("CON", matcher).replace(policy=policy)
-        qtime, tests = _run_custom(
-            harness, workload,
-            lambda store, config=config: GraphCacheService(store, config),
-        )
+        time_speedup, test_speedup = runs[policy].speedup_over(runs["base"])
         rows.append({
             "policy": policy,
-            "time speedup": base.total_query_seconds / max(qtime, 1e-12),
-            "test speedup": base.total_method_tests / max(tests, 1),
+            "time speedup": time_speedup,
+            "test speedup": test_speedup,
         })
     return rows, render_table(
         f"Ablation — replacement policy (CON, {workload}, {matcher})", rows
@@ -279,24 +246,23 @@ def ablation_cache_size(harness: ExperimentHarness, workload: str = "ZZ",
                         matcher: str = "vf2+",
                         capacities: tuple[int, ...] = (25, 50, 100, 200)):
     """Speedup vs cache capacity (paper keeps the 'meagre' 100)."""
-    from repro.api import GraphCacheService
-
     s = harness.scale
-    base = harness.run(workload, matcher, "base")
-    rows = []
-    for capacity in capacities:
-        config = s.cache_config("CON", matcher).replace(
+    config = s.cache_config("CON", matcher)
+    runs = harness.replay(workload, {"base": config, **{
+        f"capacity {capacity}": config.replace(
             cache_capacity=capacity,
             window_capacity=min(s.window_capacity, max(1, capacity // 5)),
         )
-        qtime, tests = _run_custom(
-            harness, workload,
-            lambda store, config=config: GraphCacheService(store, config),
-        )
+        for capacity in capacities
+    }})
+    rows = []
+    for capacity in capacities:
+        time_speedup, test_speedup = runs[
+            f"capacity {capacity}"].speedup_over(runs["base"])
         rows.append({
             "cache capacity": capacity,
-            "time speedup": base.total_query_seconds / max(qtime, 1e-12),
-            "test speedup": base.total_method_tests / max(tests, 1),
+            "time speedup": time_speedup,
+            "test speedup": test_speedup,
         })
     return rows, render_table(
         f"Ablation — cache capacity (CON, {workload}, {matcher})", rows
@@ -313,33 +279,22 @@ def ablation_churn(harness: ExperimentHarness, workload: str = "ZZ",
     more slowly (only touched relations lose validity) — the paper's
     central qualitative claim.
     """
-    from repro.api import GraphCacheService
-    from repro.matching import make_matcher
-    from repro.runtime.method_m import MethodMRunner
-
     s = harness.scale
     rows = []
     for mult in batch_multipliers:
-        batches = int(round(s.num_batches * mult))
-        results = {}
-        for model in ("base", "EVI", "CON"):
-            if model == "base":
-                def make_runner(store):
-                    return MethodMRunner(store, make_matcher(matcher))
-            else:
-                def make_runner(store, model=model):
-                    return GraphCacheService(
-                        store, s.cache_config(model, matcher)
-                    )
-            results[model] = _run_custom(
-                harness, workload, make_runner, num_batches=batches
-            )
+        runs = harness.replay(
+            workload,
+            {model: s.cache_config(model, matcher) for model in ROW_MODELS},
+            num_batches=int(round(s.num_batches * mult)),
+        )
+        evi_time, evi_tests = runs["EVI"].speedup_over(runs["base"])
+        con_time, con_tests = runs["CON"].speedup_over(runs["base"])
         rows.append({
             "churn x paper ratio": mult,
-            "EVI test speedup": results["base"][1] / max(results["EVI"][1], 1),
-            "CON test speedup": results["base"][1] / max(results["CON"][1], 1),
-            "EVI time speedup": results["base"][0] / max(results["EVI"][0], 1e-12),
-            "CON time speedup": results["base"][0] / max(results["CON"][0], 1e-12),
+            "EVI test speedup": evi_tests,
+            "CON test speedup": con_tests,
+            "EVI time speedup": evi_time,
+            "CON time speedup": con_time,
         })
     return rows, render_table(
         f"Ablation — churn intensity (EVI vs CON, {workload}, {matcher})",
@@ -363,12 +318,7 @@ def supergraph_workload(harness: ExperimentHarness,
     """
     import random as _random
 
-    from repro.api import GraphCacheService
     from repro.cache.entry import QueryType
-    from repro.dataset.change_plan import ChangePlan
-    from repro.dataset.store import GraphStore
-    from repro.matching import make_matcher
-    from repro.runtime.method_m import MethodMRunner
     from repro.util.zipf import ZipfSampler
     from repro.workloads.typea import bfs_extract
 
@@ -397,52 +347,18 @@ def supergraph_workload(harness: ExperimentHarness,
         if q is not None:
             queries.append(q)
 
-    def execute_all(runner, store, plan):
-        warmup = min(s.warmup_queries, max(len(queries) - 1, 0))
-        qtime = 0.0
-        tests = 0
-        signature = 0
-        for i, q in enumerate(queries):
-            if plan is not None:
-                plan.apply_due(store, i)
-            result = runner.execute(q)
-            signature = hash((signature, result.answer_ids))
-            if i < warmup:
-                continue
-            qtime += result.metrics.query_seconds
-            tests += result.metrics.method_tests
-        return qtime, tests, signature
-
-    results = {}
-    for model in ("base", "EVI", "CON"):
-        store = GraphStore.from_graphs(fragments)
-        plan = ChangePlan.generate(
-            fragments, num_queries=len(queries),
-            num_batches=s.num_batches, ops_per_batch=s.ops_per_batch,
-            seed=s.plan_seed,
-        )
-        if model == "base":
-            runner = MethodMRunner(store, make_matcher(matcher),
-                                   query_type=QueryType.SUPERGRAPH)
-        else:
-            runner = GraphCacheService(
-                store, s.cache_config(model, matcher).replace(
-                    query_type=QueryType.SUPERGRAPH)
-            )
-        results[model] = execute_all(runner, store, plan)
-
-    if len({sig for _, _, sig in results.values()}) != 1:
-        raise AssertionError(
-            "supergraph answers differ across base/EVI/CON"
-        )
-    base_time, base_tests, _ = results["base"]
+    runs = harness.replay("supergraph", {
+        model: s.cache_config(model, matcher).replace(
+            query_type=QueryType.SUPERGRAPH)
+        for model in ROW_MODELS
+    }, graphs=fragments, queries=queries)
     rows = []
     for model in ("EVI", "CON"):
-        qtime, tests, _ = results[model]
+        time_speedup, test_speedup = runs[model].speedup_over(runs["base"])
         rows.append({
             "model": model,
-            "time speedup": base_time / max(qtime, 1e-12),
-            "test speedup": base_tests / max(tests, 1),
+            "time speedup": time_speedup,
+            "test speedup": test_speedup,
         })
     return rows, render_table(
         f"Supergraph-query workload (inverse logic, {matcher})", rows

@@ -5,24 +5,28 @@ dataset replica with the scale's change plan replayed identically.  The
 paper's figures slice the same run grid different ways (Figure 4: query
 time; Figure 5: sub-iso tests; Figure 6: time breakdown), so the harness
 memoizes runs — each (workload, matcher, model) cell executes once per
-process no matter how many figures touch it.  The three models of one
-(workload, matcher) row run in lockstep (:meth:`ExperimentHarness.run`).
+process no matter how many figures touch it.  Every stream — a grid
+row, an ablation, the supergraph workload — replays through one loop
+(:meth:`ExperimentHarness.replay`), which applies the warm-up rule and
+feeds each cell's :class:`~repro.runtime.monitor.StatisticsMonitor`.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import random
+from collections.abc import Mapping, Sequence
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.api import GCConfig, GraphCacheService
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
+from repro.graphs.graph import LabeledGraph
 from repro.matching import make_matcher
 from repro.runtime.method_m import MethodMRunner
+from repro.runtime.monitor import StatisticsMonitor
 from repro.workloads.base import Workload
 from repro.workloads.typea import generate_type_a
 from repro.workloads.typeb import TypeBConfig, generate_type_b
@@ -37,9 +41,6 @@ __all__ = [
     "TYPE_B_CATEGORIES",
     "ALL_WORKLOADS",
     "MATCHER_NAMES",
-    "shared_harness",
-    "reset_shared_harness",
-    "make_rng",
 ]
 
 TYPE_A_CATEGORIES = ("ZZ", "ZU", "UU")
@@ -80,9 +81,10 @@ class BenchScale:
     plan_seed: int = 77
 
     def cache_config(self, model: str, matcher: str) -> GCConfig:
-        """The validated service config for one run-grid cell."""
+        """The validated service config for one run-grid cell (the bare
+        method's ``"base"`` cell reads only its matcher)."""
         return GCConfig(
-            model=model,
+            model="CON" if model == "base" else model,
             matcher=matcher,
             cache_capacity=self.cache_capacity,
             window_capacity=self.window_capacity,
@@ -130,96 +132,102 @@ def current_scale() -> BenchScale:
 
 @dataclass
 class RunResult:
-    """Aggregates from one (workload, matcher, model) run."""
+    """One replayed stream: its cell's monitor, which holds only the
+    measured queries (those after the warm-up slice), and an
+    order-sensitive hash of every answer, warm-up included."""
 
     workload: str
     matcher: str
-    model: str                      # "base", "EVI" or "CON"
-    queries: int
-    total_query_seconds: float
-    total_overhead_seconds: float
-    total_consistency_seconds: float
-    total_purge_seconds: float
-    total_method_tests: int
-    total_internal_tests: int
-    summary: dict[str, float] = field(default_factory=dict)
-    answer_signature: int = 0       # order-sensitive hash of all answers
+    model: str          # "base", "EVI", "CON" or an ablation's label
+    monitor: StatisticsMonitor
+    answer_signature: int
+
+    @property
+    def queries(self) -> int:
+        return self.monitor.queries
+
+    @property
+    def total_query_seconds(self) -> float:
+        return self.monitor.query_seconds
+
+    @property
+    def total_overhead_seconds(self) -> float:
+        return self.monitor.overhead_seconds
+
+    @property
+    def total_consistency_seconds(self) -> float:
+        return self.monitor.consistency_seconds
+
+    @property
+    def total_method_tests(self) -> int:
+        return self.monitor.total_method_tests
+
+    @property
+    def summary(self) -> dict[str, float]:
+        return self.monitor.summary()
 
     @property
     def avg_query_time_ms(self) -> float:
-        return self.total_query_seconds / self.queries * 1000.0
+        return self.summary["avg_query_time_ms"]
 
     @property
     def avg_overhead_ms(self) -> float:
-        return self.total_overhead_seconds / self.queries * 1000.0
+        return self.summary["avg_overhead_ms"]
 
     @property
     def avg_purge_ms(self) -> float:
-        return self.total_purge_seconds / self.queries * 1000.0
+        return self.summary["avg_purge_ms"]
 
     @property
     def avg_method_tests(self) -> float:
-        return self.total_method_tests / self.queries
+        return self.summary["avg_method_tests"]
+
+    def speedup_over(self, base: "RunResult") -> tuple[float, float]:
+        """(query-time speedup, sub-iso-test speedup) of this run over
+        ``base``, after asserting that both gave every query the same
+        answer (the correctness claim of §6, checked on every bench)."""
+        if self.answer_signature != base.answer_signature:
+            raise AssertionError(
+                f"answer mismatch: {self.model} vs {base.model} on "
+                f"({self.workload}, {self.matcher})"
+            )
+        return (base.total_query_seconds
+                / max(self.total_query_seconds, 1e-12),
+                base.total_method_tests / max(self.total_method_tests, 1))
 
 
 class _Cell:
-    """One (workload, matcher, model) run in progress: its own dataset
-    replica, change plan and runner, and the totals of a
-    :class:`RunResult`."""
+    """One stream's replay in progress: its own dataset replica, change
+    plan and runner, the answer signature so far, and a monitor fed only
+    the measured queries.  The ``"base"`` cell runs the bare Method M
+    with its config's matcher and query type; any other runs a
+    :class:`GraphCacheService` with its config."""
 
-    def __init__(self, harness: "ExperimentHarness", workload_name: str,
-                 matcher_name: str, model: str) -> None:
-        s = harness.scale
-        self.key = (workload_name, matcher_name, model)
-        self.store = GraphStore.from_graphs(harness.graphs)
+    def __init__(self, model: str, config: GCConfig,
+                 graphs: list[LabeledGraph], num_queries: int,
+                 scale: BenchScale, num_batches: int) -> None:
+        self.model = model
+        self.config = config
+        self.store = GraphStore.from_graphs(graphs)
         self.plan = ChangePlan.generate(
-            harness.graphs,
-            num_queries=len(harness.workload(workload_name).queries),
-            num_batches=s.num_batches, ops_per_batch=s.ops_per_batch,
-            seed=s.plan_seed,
+            graphs, num_queries=num_queries, num_batches=num_batches,
+            ops_per_batch=scale.ops_per_batch, seed=scale.plan_seed,
         )
         if model == "base":
             self.runner = MethodMRunner(self.store,
-                                        make_matcher(matcher_name))
+                                        make_matcher(config.matcher),
+                                        query_type=config.query_type)
         else:
-            self.runner = GraphCacheService(
-                self.store, s.cache_config(model, matcher_name)
-            )
-        self.query = self.overhead = self.consistency = self.purge = 0.0
-        self.tests = self.internal = 0
+            self.runner = GraphCacheService(self.store, config)
+        self.monitor = StatisticsMonitor()
         self.signature = 0
 
-    def step(self, i: int, graph, measured: bool) -> None:
+    def step(self, i: int, graph: LabeledGraph, measured: bool) -> None:
         self.plan.apply_due(self.store, i)
         result = self.runner.execute(graph)
         self.signature = hash((self.signature, result.answer_ids))
-        if not measured:
-            return
-        m = result.metrics
-        self.query += m.query_seconds
-        self.overhead += m.overhead_seconds
-        self.consistency += m.consistency_seconds
-        self.purge += m.purge_seconds
-        self.tests += m.method_tests
-        self.internal += m.internal_tests
-
-    def result(self, queries: int) -> RunResult:
-        workload_name, matcher_name, model = self.key
-        return RunResult(
-            workload=workload_name,
-            matcher=matcher_name,
-            model=model,
-            queries=queries,
-            total_query_seconds=self.query,
-            total_overhead_seconds=self.overhead,
-            total_consistency_seconds=self.consistency,
-            total_purge_seconds=self.purge,
-            total_method_tests=self.tests,
-            total_internal_tests=self.internal,
-            summary=(self.runner.summary()
-                     if isinstance(self.runner, GraphCacheService) else {}),
-            answer_signature=self.signature,
-        )
+        if measured:
+            self.monitor.record(result.metrics)
 
 
 class ExperimentHarness:
@@ -289,100 +297,83 @@ class ExperimentHarness:
         """One cell of the run grid (memoized).
 
         ``model``: ``"base"`` (bare Method M), ``"EVI"`` or ``"CON"``.
-        Every cell replays the identical change plan against its own
-        fresh dataset replica, so answers are comparable across cells.
 
         A cell's time is only ever read against the other two of its
         (workload, matcher) row — a speedup over the bare method, CON
-        against EVI — so the row is measured together, in lockstep:
-        query *i* passes through all three runners before query *i+1*.
-        Measured one cell after the other, a phase of the host's speed
-        (1.5x, seconds long) lands on one side of a ratio; in lockstep
-        it slows all three alike.  (vf2+ at smoke scale, the lead of
-        mean CON over mean EVI across the six workloads: +1% to +21% in
-        twelve passes cell after cell, +6% to +11% in eight passes as
-        the rows are measured now.)  The price is three dataset
-        replicas alive at once instead of one.
+        against EVI — so the row is replayed together, in lockstep
+        (:meth:`replay`).  Measured one cell after the other, a phase of
+        the host's speed (1.5x, seconds long) lands on one side of a
+        ratio; in lockstep it slows all three alike.  (vf2+ at smoke
+        scale, the lead of mean CON over mean EVI across the six
+        workloads: +1% to +21% in twelve passes cell after cell, +6% to
+        +11% in eight passes as the rows are measured now.)  The price
+        is three dataset replicas alive at once instead of one.
         """
         key = (workload_name, matcher_name, model)
         if key not in self._runs:
             row = ROW_MODELS if model in ROW_MODELS else (model,)
-            self._run_row(workload_name, matcher_name, row)
+            runs = self.replay(workload_name, {
+                m: self.scale.cache_config(m, matcher_name) for m in row
+            })
+            for m, result in runs.items():
+                self._runs[(workload_name, matcher_name, m)] = result
         return self._runs[key]
 
-    def _run_row(self, workload_name: str, matcher_name: str,
-                 models: tuple[str, ...]) -> None:
+    def replay(self, workload_name: str, configs: Mapping[str, GCConfig],
+               *, graphs: list[LabeledGraph] | None = None,
+               queries: Sequence[LabeledGraph] | None = None,
+               num_batches: int | None = None) -> dict[str, RunResult]:
+        """Replay one query stream through one :class:`_Cell` per
+        ``configs`` entry, in lockstep — query *i* passes through every
+        cell before query *i+1* — and return each cell's result under
+        its key (``"base"`` is the bare Method M).
+
+        The stream is the named workload over the harness's dataset
+        unless ``graphs`` / ``queries`` replace them.  Every cell
+        replays the same change plan (``num_batches`` batches, the
+        scale's by default) against its own fresh dataset replica, so
+        answers are comparable across cells.  The paper warms the cache
+        for one window before measuring (§7.1): the first
+        ``warmup_queries`` queries reach no cell's monitor, the bare
+        method's included, so ratios stay apples-to-apples, while
+        answer signatures cover every query.
+        """
         s = self.scale
-        workload = self.workload(workload_name)
-        # The paper warms the cache for one window before measuring
-        # (§7.1); the same number of head queries is excluded from the
-        # baseline's totals so speedup ratios stay apples-to-apples.
-        # Answer signatures still cover *every* query (correctness is
-        # checked on the whole stream, warm-up included).
-        warmup = min(s.warmup_queries, max(len(workload.queries) - 1, 0))
+        if graphs is None:
+            graphs = self.graphs
+        if queries is None:
+            queries = [q.graph for q in self.workload(workload_name).queries]
+        batches = s.num_batches if num_batches is None else num_batches
+        warmup = min(s.warmup_queries, max(len(queries) - 1, 0))
         with ExitStack() as stack:
             cells = []
-            for model in models:
-                cell = _Cell(self, workload_name, matcher_name, model)
+            for model, config in configs.items():
+                cell = _Cell(model, config, graphs, len(queries), s, batches)
                 if isinstance(cell.runner, GraphCacheService):
                     stack.callback(cell.runner.close)
                 cells.append(cell)
-            # A full collection walks every container alive — three
-            # dataset replicas, the workloads, all memoised results —
-            # and its pause lands in whichever runner's stopwatch is
-            # open.  Setting aside what is alive now keeps collections
-            # during the row down to what the row itself allocates.
+            # A full collection walks every container alive — the dataset
+            # replicas, the workloads, all memoised results — and its
+            # pause lands in whichever runner's stopwatch is open.
+            # Setting aside what is alive now keeps collections during
+            # the replay down to what the replay itself allocates.
             gc.collect()
             gc.freeze()
             stack.callback(gc.unfreeze)
-            for i, query in enumerate(workload.queries):
+            for i, query in enumerate(queries):
                 for cell in cells:
-                    cell.step(i, query.graph, measured=i >= warmup)
-            for cell in cells:
-                self._runs[cell.key] = cell.result(
-                    len(workload.queries) - warmup)
+                    cell.step(i, query, measured=i >= warmup)
+        return {
+            cell.model: RunResult(workload_name, cell.config.matcher,
+                                  cell.model, cell.monitor, cell.signature)
+            for cell in cells
+        }
 
     # ------------------------------------------------------------------
     def speedup(self, workload_name: str, matcher_name: str,
                 model: str) -> tuple[float, float]:
         """(query-time speedup, sub-iso-test speedup) of ``model`` over
-        the bare Method M — the paper's headline metrics.
-
-        Also asserts answer equality between the cached run and the
-        baseline (the correctness claim of §6, checked on every bench).
-        """
-        base = self.run(workload_name, matcher_name, "base")
-        cached = self.run(workload_name, matcher_name, model)
-        if base.answer_signature != cached.answer_signature:
-            raise AssertionError(
-                f"answer mismatch: {model} vs base on "
-                f"({workload_name}, {matcher_name})"
-            )
-        time_speedup = (base.total_query_seconds
-                        / max(cached.total_query_seconds, 1e-12))
-        test_speedup = (base.total_method_tests
-                        / max(cached.total_method_tests, 1))
-        return time_speedup, test_speedup
-
-
-# Convenience singleton used by the pytest benchmarks so that all bench
-# modules share one memoized run grid within a process.
-_shared: ExperimentHarness | None = None
-
-
-def shared_harness() -> ExperimentHarness:
-    global _shared
-    if _shared is None:
-        _shared = ExperimentHarness()
-    return _shared
-
-
-def reset_shared_harness() -> None:
-    """Testing hook."""
-    global _shared
-    _shared = None
-
-
-def make_rng(seed: int) -> random.Random:
-    """Seeded RNG helper shared by ad-hoc experiment scripts."""
-    return random.Random(seed)
+        the bare Method M — the paper's headline metrics — after
+        asserting answer equality (:meth:`RunResult.speedup_over`)."""
+        return self.run(workload_name, matcher_name, model).speedup_over(
+            self.run(workload_name, matcher_name, "base"))

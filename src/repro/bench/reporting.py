@@ -1,17 +1,16 @@
 """Table rendering for the experiment harness.
 
 Each figure function in :mod:`repro.bench.experiments` produces rows of
-``dict``; this module renders them as fixed-width text (for terminal and
-bench logs) and as markdown (for EXPERIMENTS.md), with the paper's
-reference numbers side by side where available.
+``dict``; this module renders them as fixed-width text — the tables
+``pytest benchmarks`` prints and records under ``benchmarks/results/``,
+and the ones ``python -m repro run`` prints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-__all__ = ["render_table", "render_markdown", "format_value",
-           "overhead_breakdown_row"]
+__all__ = ["render_table", "format_value", "overhead_breakdown_row"]
 
 
 def overhead_breakdown_row(summary: Mapping[str, float]) -> dict[str, float]:
@@ -41,19 +40,14 @@ def format_value(value: object) -> str:
     return str(value)
 
 
-def _normalise(rows: Sequence[Mapping[str, object]],
-               columns: Sequence[str] | None) -> tuple[list[str], list[list[str]]]:
-    if not rows:
-        return list(columns or []), []
-    cols = list(columns) if columns is not None else list(rows[0].keys())
-    table = [[format_value(row.get(c, "")) for c in cols] for row in rows]
-    return cols, table
-
-
 def render_table(title: str, rows: Sequence[Mapping[str, object]],
                  columns: Sequence[str] | None = None) -> str:
     """Fixed-width table with a title rule."""
-    cols, table = _normalise(rows, columns)
+    if columns is not None:
+        cols = list(columns)
+    else:
+        cols = list(rows[0].keys()) if rows else []
+    table = [[format_value(row.get(c, "")) for c in cols] for row in rows]
     widths = [len(c) for c in cols]
     for line in table:
         for i, cell in enumerate(line):
@@ -66,16 +60,3 @@ def render_table(title: str, rows: Sequence[Mapping[str, object]],
     )
     rule = "=" * max(len(header), len(title))
     return f"{title}\n{rule}\n{header}\n{sep}\n{body}\n"
-
-
-def render_markdown(title: str, rows: Sequence[Mapping[str, object]],
-                    columns: Sequence[str] | None = None) -> str:
-    """GitHub-flavoured markdown table."""
-    cols, table = _normalise(rows, columns)
-    lines = [f"### {title}", ""]
-    lines.append("| " + " | ".join(cols) + " |")
-    lines.append("|" + "|".join("---" for _ in cols) + "|")
-    for line in table:
-        lines.append("| " + " | ".join(line) + " |")
-    lines.append("")
-    return "\n".join(lines)

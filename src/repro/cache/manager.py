@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
 from repro.cache.entry import CacheEntry, QueryType
@@ -53,7 +54,6 @@ from repro.graphs.graph import LabeledGraph
 from repro.persist.state import CacheState, EntryRecord
 from repro.util.bitset import BitSet
 from repro.util.rwlock import NullRWLock, RWLock
-from repro.util.timing import Stopwatch
 
 if TYPE_CHECKING:   # import cycle: repro.api builds on repro.cache
     from repro.api.config import GCConfig
@@ -173,27 +173,24 @@ class CacheManager:
         if store.log.last_seq <= self._log_cursor:
             return NOOP_CONSISTENCY
 
+        started = perf_counter()
         if self.model is CacheModel.EVI:
-            sw = Stopwatch()
-            with sw:
-                self.validator.purge_evi(self.clear)
-                self._log_cursor = store.log.last_seq
+            self.validator.purge_evi(self.clear)
+            self._log_cursor = store.log.last_seq
             return ConsistencyReport(True, True, 0, 0.0, 0.0,
-                                     purge_seconds=sw.elapsed)
+                                     purge_seconds=perf_counter() - started)
 
-        analyze_sw = Stopwatch()
-        with analyze_sw:
-            counters, self._log_cursor = analyze_log(store.log, self._log_cursor)
+        counters, self._log_cursor = analyze_log(store.log, self._log_cursor)
+        analyzed = perf_counter()
         entries = self.all_entries()
-        validate_sw = Stopwatch()
-        with validate_sw:
-            self.validator.validate_con(entries, counters, store.max_id)
+        validating = perf_counter()
+        self.validator.validate_con(entries, counters, store.max_id)
         return ConsistencyReport(
             dataset_changed=True,
             purged=False,
             entries_validated=len(entries),
-            analyze_seconds=analyze_sw.elapsed,
-            validate_seconds=validate_sw.elapsed,
+            analyze_seconds=analyzed - started,
+            validate_seconds=perf_counter() - validating,
         )
 
     def pending_log_records(self, store: GraphStore) -> int:

@@ -122,6 +122,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not queries:
         print("workload is empty", file=sys.stderr)
         return 2
+    if args.explain >= len(queries):
+        print(f"--explain {args.explain}: the workload has only "
+              f"{len(queries)} queries (0 to {len(queries) - 1})",
+              file=sys.stderr)
+        return 2
     if args.save_snapshot is not None and not args.save_snapshot.parent.is_dir():
         # Fail before serving the whole workload, not after.
         print(f"--save-snapshot: directory {args.save_snapshot.parent} "
@@ -156,9 +161,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.explain >= 0 and service is None:
         print("--explain needs a cache model (CON or EVI); ignoring it",
               file=sys.stderr)
-    if service is None and (args.warm_start or args.save_snapshot):
-        print("--warm-start/--save-snapshot need a cache model (CON or EVI)",
-              file=sys.stderr)
+    if service is None and (args.warm_start or args.save_snapshot
+                            or args.autosave_every):
+        print("--warm-start/--save-snapshot/--autosave-every need a cache "
+              "model (CON or EVI)", file=sys.stderr)
         return 2
     if args.warm_start:
         if _warm_start(service, args.warm_start) != 0:

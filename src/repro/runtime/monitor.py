@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.util.bitset import BitSet
-from repro.util.stats import RunningStats
 
 __all__ = ["QueryMetrics", "QueryResult", "StatisticsMonitor"]
 
@@ -93,24 +92,20 @@ class QueryResult:
 
 @dataclass
 class StatisticsMonitor:
-    """Aggregates :class:`QueryMetrics` across a run.
+    """Cumulative totals of :class:`QueryMetrics` across a run.
 
-    Thread-safe: concurrent sessions sharing one cache record into one
-    monitor, so :meth:`record` and :meth:`summary` serialise on an
-    internal mutex (uncontended in single-session use — a couple of
-    hundred nanoseconds per query, far below timing noise).
+    Every field only ever grows; :meth:`summary` derives the per-query
+    averages from them.  Thread-safe: concurrent sessions sharing one
+    cache record into one monitor, so :meth:`record` and the accessors
+    serialise on an internal mutex (uncontended in single-session use).
     """
 
-    query_time: RunningStats = field(default_factory=RunningStats)
-    verify_time: RunningStats = field(default_factory=RunningStats)
-    discovery_time: RunningStats = field(default_factory=RunningStats)
-    overhead_time: RunningStats = field(default_factory=RunningStats)
-    consistency_time: RunningStats = field(default_factory=RunningStats)
-    purge_time: RunningStats = field(default_factory=RunningStats)
-    method_tests: RunningStats = field(default_factory=RunningStats)
-    tests_saved: RunningStats = field(default_factory=RunningStats)
-
     queries: int = 0
+    # Seconds, summed over the recorded queries.
+    query_seconds: float = 0.0
+    overhead_seconds: float = 0.0
+    consistency_seconds: float = 0.0
+    purge_seconds: float = 0.0
     total_method_tests: int = 0
     total_internal_tests: int = 0
     total_tests_saved: int = 0
@@ -123,12 +118,9 @@ class StatisticsMonitor:
     total_containing_hits: int = 0
     total_contained_hits: int = 0
     total_exact_hits: int = 0
-    #: Monotonic hit/miss tallies for ops counters: a query is a *cache
-    #: hit* when discovery found at least one containment relation
-    #: (containing, contained or exact) — the paper's "GC+ helped"
-    #: signal — and a miss otherwise.  Unlike the windowed averages
-    #: above these never decrease and never reset on purge, which is
-    #: what Prometheus counters require.
+    #: A query is a *cache hit* when discovery found at least one
+    #: containment relation (containing, contained or exact) — the
+    #: paper's "GC+ helped" signal — and a miss otherwise.
     cache_hits: int = 0
     cache_misses: int = 0
     _mutex: threading.Lock = field(default_factory=threading.Lock,
@@ -136,64 +128,34 @@ class StatisticsMonitor:
 
     def record(self, metrics: QueryMetrics) -> None:
         with self._mutex:
-            self._record_locked(metrics)
-
-    def _record_locked(self, metrics: QueryMetrics) -> None:
-        self.queries += 1
-        self.query_time.add(metrics.query_seconds)
-        self.verify_time.add(metrics.verify_seconds)
-        self.discovery_time.add(metrics.discovery_seconds)
-        self.overhead_time.add(metrics.overhead_seconds)
-        self.consistency_time.add(metrics.consistency_seconds)
-        self.purge_time.add(metrics.purge_seconds)
-        self.method_tests.add(metrics.method_tests)
-        self.tests_saved.add(metrics.tests_saved)
-        self.total_method_tests += metrics.method_tests
-        self.total_internal_tests += metrics.internal_tests
-        self.total_tests_saved += metrics.tests_saved
-        if metrics.method_tests == 0:
-            self.zero_test_queries += 1
-        if metrics.exact_hits > 0:
-            self.queries_with_exact_hit += 1
-        if metrics.exact_hit_valid:
-            self.queries_with_valid_exact_hit += 1
-        if metrics.empty_shortcut:
-            self.queries_with_empty_shortcut += 1
-        if metrics.interned:
-            self.interned_queries += 1
-        if metrics.admission_skipped:
-            self.admissions_skipped += 1
-        self.total_containing_hits += metrics.containing_hits
-        self.total_contained_hits += metrics.contained_hits
-        self.total_exact_hits += metrics.exact_hits
-        if (metrics.containing_hits + metrics.contained_hits
-                + metrics.exact_hits) > 0:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
-
-    # ------------------------------------------------------------------
-    # Report accessors (milliseconds, matching the paper's units)
-    # ------------------------------------------------------------------
-    @property
-    def avg_query_time_ms(self) -> float:
-        return self.query_time.mean * 1000.0
-
-    @property
-    def avg_overhead_ms(self) -> float:
-        return self.overhead_time.mean * 1000.0
-
-    @property
-    def avg_consistency_ms(self) -> float:
-        return self.consistency_time.mean * 1000.0
-
-    @property
-    def avg_purge_ms(self) -> float:
-        return self.purge_time.mean * 1000.0
-
-    @property
-    def avg_method_tests(self) -> float:
-        return self.method_tests.mean
+            self.queries += 1
+            self.query_seconds += metrics.query_seconds
+            self.overhead_seconds += metrics.overhead_seconds
+            self.consistency_seconds += metrics.consistency_seconds
+            self.purge_seconds += metrics.purge_seconds
+            self.total_method_tests += metrics.method_tests
+            self.total_internal_tests += metrics.internal_tests
+            self.total_tests_saved += metrics.tests_saved
+            if metrics.method_tests == 0:
+                self.zero_test_queries += 1
+            if metrics.exact_hits > 0:
+                self.queries_with_exact_hit += 1
+            if metrics.exact_hit_valid:
+                self.queries_with_valid_exact_hit += 1
+            if metrics.empty_shortcut:
+                self.queries_with_empty_shortcut += 1
+            if metrics.interned:
+                self.interned_queries += 1
+            if metrics.admission_skipped:
+                self.admissions_skipped += 1
+            self.total_containing_hits += metrics.containing_hits
+            self.total_contained_hits += metrics.contained_hits
+            self.total_exact_hits += metrics.exact_hits
+            if (metrics.containing_hits + metrics.contained_hits
+                    + metrics.exact_hits) > 0:
+                self.cache_hits += 1
+            else:
+                self.cache_misses += 1
 
     def counters(self) -> dict[str, int]:
         """Cumulative, monotonically non-decreasing tallies.
@@ -220,30 +182,32 @@ class StatisticsMonitor:
             }
 
     def summary(self) -> dict[str, float]:
-        """A flat dict for report tables and JSON dumps."""
+        """A flat dict for report tables and JSON dumps: the totals, and
+        per-query averages (milliseconds, the paper's unit; 0.0 before
+        the first query)."""
         with self._mutex:
-            return self._summary_locked()
-
-    def _summary_locked(self) -> dict[str, float]:
-        return {
-            "queries": self.queries,
-            "avg_query_time_ms": self.avg_query_time_ms,
-            "avg_overhead_ms": self.avg_overhead_ms,
-            "avg_consistency_ms": self.avg_consistency_ms,
-            "avg_purge_ms": self.avg_purge_ms,
-            "avg_method_tests": self.avg_method_tests,
-            "total_method_tests": self.total_method_tests,
-            "total_internal_tests": self.total_internal_tests,
-            "total_tests_saved": self.total_tests_saved,
-            "zero_test_queries": self.zero_test_queries,
-            "queries_with_exact_hit": self.queries_with_exact_hit,
-            "queries_with_valid_exact_hit": self.queries_with_valid_exact_hit,
-            "queries_with_empty_shortcut": self.queries_with_empty_shortcut,
-            "interned_queries": self.interned_queries,
-            "admissions_skipped": self.admissions_skipped,
-            "total_containing_hits": self.total_containing_hits,
-            "total_contained_hits": self.total_contained_hits,
-            "total_exact_hits": self.total_exact_hits,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
+            n = self.queries or 1
+            return {
+                "queries": self.queries,
+                "avg_query_time_ms": self.query_seconds / n * 1000.0,
+                "avg_overhead_ms": self.overhead_seconds / n * 1000.0,
+                "avg_consistency_ms": self.consistency_seconds / n * 1000.0,
+                "avg_purge_ms": self.purge_seconds / n * 1000.0,
+                "avg_method_tests": self.total_method_tests / n,
+                "total_method_tests": self.total_method_tests,
+                "total_internal_tests": self.total_internal_tests,
+                "total_tests_saved": self.total_tests_saved,
+                "zero_test_queries": self.zero_test_queries,
+                "queries_with_exact_hit": self.queries_with_exact_hit,
+                "queries_with_valid_exact_hit":
+                    self.queries_with_valid_exact_hit,
+                "queries_with_empty_shortcut":
+                    self.queries_with_empty_shortcut,
+                "interned_queries": self.interned_queries,
+                "admissions_skipped": self.admissions_skipped,
+                "total_containing_hits": self.total_containing_hits,
+                "total_contained_hits": self.total_contained_hits,
+                "total_exact_hits": self.total_exact_hits,
+                "cache_hits": self.cache_hits,
+                "cache_misses": self.cache_misses,
+            }

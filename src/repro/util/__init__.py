@@ -9,21 +9,16 @@ package provides faithful substitutes:
   ``CGvalid`` indicators (paper, Algorithm 2).
 * :mod:`repro.util.zipf` — a bounded Zipf(α) sampler used by the workload
   generators (paper §7.1, default α = 1.4).
-* :mod:`repro.util.stats` — running statistics and the (squared)
-  coefficient of variation used by the HD replacement policy.
-* :mod:`repro.util.timing` — a tiny stopwatch used by the statistics
-  monitor to split query time into benefit and overhead components.
+* :mod:`repro.util.stats` — the (squared) coefficient of variation
+  used by the HD replacement policy, and a percentile helper.
 """
 
 from repro.util.bitset import BitSet
-from repro.util.stats import RunningStats, coefficient_of_variation_squared
-from repro.util.timing import Stopwatch
+from repro.util.stats import coefficient_of_variation_squared
 from repro.util.zipf import ZipfSampler
 
 __all__ = [
     "BitSet",
-    "RunningStats",
-    "Stopwatch",
     "ZipfSampler",
     "coefficient_of_variation_squared",
 ]

@@ -1,11 +1,12 @@
-"""Statistics helpers for the cache replacement machinery and reporting.
+"""Statistics helpers for the cache replacement machinery and gcbench.
 
 The HD replacement policy (paper §7.1) switches between PIN and PINC
 scoring based on the *(squared) coefficient of variation* of the per-entry
 benefit counters R: when ``CoV² > 1`` the distribution is deemed
 high-variance (hyper-exponential-like) and PIN's raw counters are
 discriminative enough on their own; otherwise the cost-weighted PINC
-scoring is used.
+scoring is used.  :func:`percentile` is the interpolation the serving
+layer's latency quantiles and gcbench's latency metrics share.
 """
 
 from __future__ import annotations
@@ -13,22 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-__all__ = [
-    "RunningStats",
-    "coefficient_of_variation_squared",
-    "mean",
-    "percentile",
-]
-
-
-def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean; 0.0 for an empty iterable (reporting convenience)."""
-    total = 0.0
-    count = 0
-    for v in values:
-        total += v
-        count += 1
-    return total / count if count else 0.0
+__all__ = ["coefficient_of_variation_squared", "percentile"]
 
 
 def coefficient_of_variation_squared(values: Iterable[float]) -> float:
@@ -69,72 +55,3 @@ def percentile(values: Iterable[float], q: float) -> float:
         return data[lo]
     frac = pos - lo
     return data[lo] * (1 - frac) + data[hi] * frac
-
-
-class RunningStats:
-    """Welford-style running mean/variance accumulator.
-
-    Used by the statistics monitor for per-query metrics so that long
-    benchmark runs do not need to retain every sample.
-    """
-
-    __slots__ = ("count", "_mean", "_m2", "minimum", "maximum", "total")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.total = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance."""
-        return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def std_dev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator into this one (Chan's algorithm)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            self.total = other.total
-            return
-        n = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / n
-        self._mean += delta * other.count / n
-        self.count = n
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    def __repr__(self) -> str:
-        return (
-            f"RunningStats(count={self.count}, mean={self.mean:.6g}, "
-            f"std={self.std_dev:.6g})"
-        )

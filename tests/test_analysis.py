@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from repro.analysis import (
     write_baseline,
 )
 from repro.analysis.__main__ import main as gclint_main
-from repro.util.timing import ManualClock, Stopwatch
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -585,33 +585,7 @@ class TestFlowPrecision:
 
     def test_full_tree_run_stays_fast(self):
         # Acceptance bound: flow analysis over the whole tree < 10s.
-        sw = Stopwatch()
-        with sw:
-            run_analysis([SRC])
-        assert sw.elapsed < 10.0, f"gclint took {sw.elapsed:.1f}s"
-
-
-# ----------------------------------------------------------------------
-# Satellite: the injectable clock that keeps GC201 honest
-# ----------------------------------------------------------------------
-class TestInjectableClock:
-    def test_stopwatch_with_manual_clock_pins_time(self):
-        clock = ManualClock()
-        sw = Stopwatch(clock=clock)
-        with sw:
-            clock.advance(1.25)
-        with sw:
-            clock.advance(0.75)
-        assert sw.elapsed == 2.0
-
-    def test_manual_clock_rejects_backward_time(self):
-        clock = ManualClock(start=10.0)
-        with pytest.raises(ValueError):
-            clock.advance(-1.0)
-        assert clock() == 10.0
-
-    def test_default_clock_still_measures(self):
-        sw = Stopwatch()
-        with sw:
-            _ = sum(range(1000))
-        assert sw.elapsed > 0
+        started = time.perf_counter()
+        run_analysis([SRC])
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0, f"gclint took {elapsed:.1f}s"

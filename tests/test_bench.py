@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.api import GraphCacheService
 from repro.bench.experiments import (
     PAPER_FIG4,
     PAPER_FIG5,
     PAPER_FIG6,
     ablation_churn,
+    ablation_policies,
     figure4,
     figure5,
     figure6,
@@ -22,7 +26,10 @@ from repro.bench.harness import (
     ExperimentHarness,
     current_scale,
 )
-from repro.bench.reporting import format_value, render_markdown, render_table
+from repro.bench.reporting import format_value, render_table
+from repro.dataset.change_plan import ChangePlan
+from repro.dataset.store import GraphStore
+from repro.runtime.monitor import QueryResult
 
 TINY = BenchScale(
     name="tiny", num_graphs=40, mean_vertices=10.0, std_vertices=3.0,
@@ -128,6 +135,55 @@ class TestExperiments:
             rows[0]["CON test speedup"]
         )
 
+    def test_hit_anatomy_counts_only_the_measured_slice(self):
+        """Every column of the table describes the queries after the
+        warm-up window, recounted here from a replay of the same stream."""
+        scale = dataclasses.replace(TINY, warmup_queries=8)
+        harness = ExperimentHarness(scale)
+        rows, _ = hit_anatomy(harness, workloads=("ZZ",))
+        run = harness.run("ZZ", "vf2+", "CON")
+        assert run.summary["queries"] == run.queries == 16
+
+        store = GraphStore.from_graphs(harness.graphs)
+        plan = ChangePlan.generate(
+            harness.graphs, num_queries=scale.num_queries,
+            num_batches=scale.num_batches,
+            ops_per_batch=scale.ops_per_batch, seed=scale.plan_seed,
+        )
+        measured = []
+        with GraphCacheService(store,
+                               scale.cache_config("CON", "vf2+")) as service:
+            for i, query in enumerate(harness.workload("ZZ").queries):
+                plan.apply_due(store, i)
+                metrics = service.execute(query.graph).metrics
+                if i >= scale.warmup_queries:
+                    measured.append(metrics)
+        assert rows == [{
+            "workload": "ZZ",
+            "queries": len(measured),
+            "exact-hit queries": sum(m.exact_hits > 0 for m in measured),
+            "zero-test queries": sum(m.method_tests == 0 for m in measured),
+            "containing hits": sum(m.containing_hits for m in measured),
+            "contained hits": sum(m.contained_hits for m in measured),
+            "exact hits": sum(m.exact_hits for m in measured),
+        }]
+
+    def test_ablation_answers_are_checked(self, monkeypatch):
+        """A cached run that loses one answer id fails the ablation, as
+        it fails every figure cell."""
+        execute = GraphCacheService.execute
+
+        def drop_lowest_id(service, query):
+            result = execute(service, query)
+            answer = result.answer.copy()
+            if answer:
+                answer.set(min(answer), False)
+            return QueryResult(answer=answer, metrics=result.metrics)
+
+        monkeypatch.setattr(GraphCacheService, "execute", drop_lowest_id)
+        with pytest.raises(AssertionError, match="answer mismatch"):
+            ablation_policies(ExperimentHarness(TINY), policies=("lru",))
+
 
 class TestReporting:
     def test_format_value(self):
@@ -146,12 +202,6 @@ class TestReporting:
     def test_render_table_empty(self):
         out = render_table("Empty", [], columns=["x"])
         assert "Empty" in out
-
-    def test_render_markdown(self):
-        out = render_markdown("T", [{"x": 1}])
-        assert out.startswith("### T")
-        assert "| x |" in out
-        assert "|---|" in out
 
     def test_column_selection(self):
         out = render_table("T", [{"a": 1, "b": 2}], columns=["b"])
@@ -183,3 +233,22 @@ class TestMonitor:
         assert mon.queries_with_exact_hit == 1
         assert mon.queries_with_valid_exact_hit == 1
         assert mon.total_method_tests == 5
+
+    def test_summary_averages_are_totals_over_queries(self):
+        from repro.runtime.monitor import QueryMetrics, StatisticsMonitor
+
+        empty = StatisticsMonitor().summary()
+        assert all(empty[key] == 0.0 for key in empty
+                   if key.startswith("avg_"))
+        mon = StatisticsMonitor()
+        mon.record(QueryMetrics(method_tests=1, verify_seconds=0.002,
+                                analyze_seconds=0.001,
+                                admission_seconds=0.003))
+        mon.record(QueryMetrics(method_tests=4, verify_seconds=0.004,
+                                purge_seconds=0.002))
+        s = mon.summary()
+        assert s["avg_query_time_ms"] == pytest.approx(3.0)
+        assert s["avg_overhead_ms"] == pytest.approx(3.0)
+        assert s["avg_consistency_ms"] == pytest.approx(1.5)
+        assert s["avg_purge_ms"] == pytest.approx(1.0)
+        assert s["avg_method_tests"] == 2.5

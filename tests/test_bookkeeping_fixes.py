@@ -57,7 +57,7 @@ class TestManualPurgeCursor:
             result = service.execute(
                 LabeledGraph.from_edges("CO", [(0, 1)]))
             assert result.metrics.purge_seconds == 0.0
-            assert service.monitor.purge_time.total == 0.0
+            assert service.monitor.purge_seconds == 0.0
 
     def test_manager_clear_without_store_keeps_cursor(self):
         """The no-argument form stays available (the EVI protocol purges

@@ -102,6 +102,33 @@ class TestRun:
         assert exc.value.code == 2
         assert "--retro-budget" in capsys.readouterr().err
 
+    def test_autosave_without_a_cache_model_rejected(
+            self, dataset_file, workload_file, capsys):
+        """Bare Method M has no cache to autosave: one stderr line and
+        exit 2 before any query runs, as for ``--warm-start``."""
+        code = main([
+            "run", "--dataset", str(dataset_file),
+            "--workload", str(workload_file), "--model", "none",
+            "--autosave-every", "2",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--autosave-every" in captured.err
+
+    def test_explain_past_the_workload_rejected(self, dataset_file,
+                                                workload_file, capsys):
+        code = main([
+            "run", "--dataset", str(dataset_file),
+            "--workload", str(workload_file), "--explain", "50",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--explain 50" in captured.err
+
     def test_empty_workload_rejected(self, dataset_file, tmp_path,
                                      capsys):
         empty = tmp_path / "empty.tve"

@@ -170,8 +170,6 @@ class TestSessions:
             # Second execution hit the first session's cached entry.
             assert service.cache.admissions == 2
             assert service.monitor.queries == 2
-            assert a.monitor.queries == 1
-            assert b.monitor.queries == 1
         service.close()
 
     def test_max_sessions_enforced_and_slot_freed(self):

@@ -15,14 +15,12 @@ import repro.api.service
 import repro.dataset.store
 import repro.graphs.graph
 import repro.util.bitset
-import repro.util.timing
 import repro.util.zipf
 import tests.enumeration
 
 MODULES = [
     repro.util.bitset,
     repro.util.zipf,
-    repro.util.timing,
     repro.graphs.graph,
     repro.dataset.store,
     repro.api.config,

@@ -22,7 +22,7 @@ def test_all_names_resolve():
     "repro.api", "repro.api.config", "repro.api.events",
     "repro.api.plan", "repro.api.service",
     "repro.util", "repro.util.bitset", "repro.util.zipf",
-    "repro.util.stats", "repro.util.timing",
+    "repro.util.stats",
     "repro.graphs", "repro.graphs.graph", "repro.graphs.features",
     "repro.graphs.canonical", "repro.graphs.generators", "repro.graphs.io",
     "repro.matching", "repro.matching.base", "repro.matching.vf2",
@@ -57,18 +57,3 @@ def test_readme_quickstart_works():
     with GraphCacheService(store, GCConfig(model="CON")) as service:
         result = service.execute(LabeledGraph.from_edges("CO", [(0, 1)]))
     assert sorted(result.answer_ids) == [0]
-
-
-def test_bench_cli_help():
-    from repro.bench.__main__ import main
-
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-
-
-def test_bench_cli_rejects_unknown_figure():
-    from repro.bench.__main__ import main
-
-    with pytest.raises(SystemExit):
-        main(["not-a-figure"])

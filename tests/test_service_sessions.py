@@ -86,9 +86,8 @@ class TestReuseAfterClose:
             call(closed_session)
 
     def test_introspection_survives_close(self, closed_session):
-        # Reading metrics off a finished session is legitimate — only
-        # *work* through it is refused.
-        assert closed_session.summary()["queries"] == 1
+        # Inspecting a finished session is legitimate — only *work*
+        # through it is refused.
         assert "closed" in repr(closed_session)
 
 

@@ -1,4 +1,4 @@
-"""Zipf sampler, running statistics and stopwatch tests."""
+"""Zipf sampler, percentile and coefficient-of-variation tests."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import (
-    RunningStats,
-    coefficient_of_variation_squared,
-    mean,
-    percentile,
-)
-from repro.util.timing import Stopwatch
+from repro.util.stats import coefficient_of_variation_squared, percentile
 from repro.util.zipf import DEFAULT_ALPHA, ZipfSampler
 
 
@@ -90,12 +84,6 @@ class TestZipf:
 
 
 class TestMeanPercentile:
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_mean_empty(self):
-        assert mean([]) == 0.0
-
     def test_percentile_median(self):
         assert percentile([1, 2, 3, 4, 5], 50) == 3
 
@@ -150,138 +138,3 @@ class TestCoV:
         assert math.isclose(
             coefficient_of_variation_squared(data), expected, rel_tol=1e-9
         )
-
-
-class TestRunningStats:
-    def test_empty(self):
-        s = RunningStats()
-        assert s.count == 0
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_basic_moments(self):
-        s = RunningStats()
-        for x in [2.0, 4.0, 6.0]:
-            s.add(x)
-        assert math.isclose(s.mean, 4.0)
-        assert math.isclose(s.variance, 8.0 / 3.0)
-        assert s.minimum == 2.0 and s.maximum == 6.0
-        assert math.isclose(s.total, 12.0)
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50))
-    def test_matches_batch_computation(self, data):
-        s = RunningStats()
-        for x in data:
-            s.add(x)
-        mu = sum(data) / len(data)
-        var = sum((x - mu) ** 2 for x in data) / len(data)
-        assert math.isclose(s.mean, mu, rel_tol=1e-9, abs_tol=1e-7)
-        assert math.isclose(s.variance, var, rel_tol=1e-6, abs_tol=1e-6)
-
-    @given(
-        st.lists(st.floats(-100, 100), min_size=1, max_size=20),
-        st.lists(st.floats(-100, 100), min_size=1, max_size=20),
-    )
-    def test_merge_equals_concatenation(self, xs, ys):
-        a = RunningStats()
-        for x in xs:
-            a.add(x)
-        b = RunningStats()
-        for y in ys:
-            b.add(y)
-        a.merge(b)
-        c = RunningStats()
-        for v in xs + ys:
-            c.add(v)
-        assert a.count == c.count
-        assert math.isclose(a.mean, c.mean, rel_tol=1e-9, abs_tol=1e-9)
-        assert math.isclose(a.variance, c.variance, rel_tol=1e-6,
-                            abs_tol=1e-6)
-        assert a.minimum == c.minimum and a.maximum == c.maximum
-
-    @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
-        st.lists(st.integers(0, 7), min_size=1, max_size=60),
-    )
-    def test_multiway_merge_equals_single_fold(self, data, labels):
-        """Chan's algorithm over an arbitrary K-way partition must agree
-        with one accumulator folding the whole stream — the shape the
-        process Mverifier backend relies on when per-worker counters are
-        folded back into the primary."""
-        partitions: dict[int, RunningStats] = {}
-        for value, label in zip(data, labels):
-            partitions.setdefault(label % 4, RunningStats()).add(value)
-        merged = RunningStats()
-        for part in partitions.values():
-            merged.merge(part)
-        direct = RunningStats()
-        for value in data[:len(labels)]:
-            direct.add(value)
-        assert merged.count == direct.count
-        if direct.count:
-            assert math.isclose(merged.mean, direct.mean,
-                                rel_tol=1e-9, abs_tol=1e-7)
-            assert math.isclose(merged.variance, direct.variance,
-                                rel_tol=1e-6, abs_tol=1e-6)
-            assert merged.minimum == direct.minimum
-            assert merged.maximum == direct.maximum
-            assert math.isclose(merged.total, direct.total,
-                                rel_tol=1e-9, abs_tol=1e-7)
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.add(5.0)
-        a.merge(RunningStats())
-        assert a.count == 1
-        b = RunningStats()
-        b.merge(a)
-        assert b.count == 1 and b.mean == 5.0
-
-    def test_repr(self):
-        s = RunningStats()
-        s.add(1.0)
-        assert "count=1" in repr(s)
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        first = sw.elapsed
-        with sw:
-            pass
-        assert sw.elapsed >= first >= 0.0
-
-    def test_stop_returns_interval(self):
-        sw = Stopwatch()
-        sw.start()
-        interval = sw.stop()
-        assert interval >= 0.0
-        assert sw.elapsed == pytest.approx(interval)
-
-    def test_double_start_rejected(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-        assert not sw.running
-
-    def test_running_flag(self):
-        sw = Stopwatch()
-        assert not sw.running
-        sw.start()
-        assert sw.running
-        sw.stop()
-        assert not sw.running
