@@ -2,24 +2,18 @@
 
 An AST-based rule engine enforcing the contracts the rest of the repo
 only states in prose: lock discipline (``docs/concurrency.md``),
-deterministic core decision paths (the oracle-equivalence guarantee),
-snapshot-codec/field coverage (``docs/persistence.md``), exception
-hygiene in the durability/serving layers, and an honest public API
-surface.  Run it as::
+deterministic core decision paths (the oracle-equivalence guarantee)
+and exception hygiene in the durability/serving layers.  Run it as::
 
     python -m repro.analysis src/repro
 
 or import :func:`run_analysis` from tests.  ``docs/analysis.md`` covers
-every rule, the pragma/baseline suppression layers and the CI wiring.
+every rule, the pragma and path-scope suppression layers and the CI
+wiring.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import (
     AnalysisReport,
     Finding,
@@ -36,7 +30,6 @@ from repro.analysis.rules import default_rules
 
 __all__ = [
     "AnalysisReport",
-    "BaselineError",
     "Finding",
     "ModuleRule",
     "ParsedModule",
@@ -45,8 +38,6 @@ __all__ = [
     "Severity",
     "collect_modules",
     "default_rules",
-    "load_baseline",
     "parse_module",
     "run_analysis",
-    "write_baseline",
 ]

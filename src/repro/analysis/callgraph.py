@@ -153,8 +153,8 @@ class ProjectGraph:
 
     def resolve_class_name(self, name: str, from_relpath: str) -> str | None:
         """Pick the project class called ``name`` nearest to the
-        referring module — same nearest-common-prefix tie-break GC301
-        uses to pair fixture and live definitions."""
+        referring module: the one sharing the longest path prefix
+        with it."""
         candidates = self._classes_by_name.get(name, [])
         if not candidates:
             return None

@@ -3,14 +3,14 @@
 The analyzer is deliberately small: plain :mod:`ast` walks, no imports
 of the analyzed code (so it can lint broken or dependency-missing
 trees), and a rule interface narrow enough that a project-specific
-invariant — "no hook emission under the cache lock", "snapshot codec
-covers every dataclass field" — is one screenful of visitor.
+invariant — "no hook emission under the cache lock", "no wall clock in
+a core decision path" — is one screenful of visitor.
 
 Two rule shapes exist:
 
 * :class:`ModuleRule` — sees one parsed module at a time (most rules);
 * :class:`ProjectRule` — sees the whole parsed module set at once
-  (cross-file invariants like snapshot-codec drift).
+  (cross-file invariants like lock-acquisition order).
 
 Suppression layers, innermost first:
 
@@ -19,16 +19,12 @@ Suppression layers, innermost first:
    mandatory; a bare pragma is itself a finding (GC001).
 2. **path-scoped allowlists** — each rule carries path-segment scoping
    (e.g. the determinism rule never looks at ``workloads``/``bench``).
-3. **baseline file** — known findings by stable fingerprint, for
-   adopting the analyzer on a tree with pre-existing debt.  This
-   repository's checked-in baseline is empty and must stay empty.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-import hashlib
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -67,20 +63,8 @@ class Finding:
     path: str          # posix relpath as given to the engine
     line: int          # 1-based
     message: str
-    #: The source line the finding anchors to, used for the stable
-    #: fingerprint so baselines survive unrelated edits above them.
-    source_line: str = ""
-    #: 1-based column, 0 when the rule has no sub-line precision.  NOT
-    #: part of the fingerprint — formatting churn must not invalidate
-    #: baselines.
+    #: 1-based column, 0 when the rule has no sub-line precision.
     col: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselines: rule + file + the offending
-        line's text (not its number, which churns on every edit)."""
-        basis = f"{self.rule_id}|{self.path}|{self.source_line.strip()}"
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         location = f"{self.path}:{self.line}"
@@ -115,18 +99,12 @@ class ParsedModule:
     relpath: str                 # posix-style, as passed on the CLI
     source: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
     pragmas: list[_Pragma] = field(default_factory=list)
 
     @property
     def segments(self) -> tuple[str, ...]:
         """Path segments, used for rule scoping (``repro/cache/…``)."""
         return tuple(Path(self.relpath).parts)
-
-    def source_line(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
     def suppressed_rules(self, line: int) -> frozenset[str]:
         """Rule ids/slugs suppressed at ``line`` by inline pragmas."""
@@ -143,9 +121,8 @@ def parse_module(path: Path, relpath: str | None = None) -> ParsedModule:
     source = path.read_text(encoding="utf-8")
     rel = relpath if relpath is not None else path.as_posix()
     tree = ast.parse(source, filename=rel)
-    module = ParsedModule(path=path, relpath=rel, source=source, tree=tree,
-                          lines=source.splitlines())
-    for lineno, text in enumerate(module.lines, start=1):
+    module = ParsedModule(path=path, relpath=rel, source=source, tree=tree)
+    for lineno, text in enumerate(source.splitlines(), start=1):
         match = _PRAGMA_RE.search(text)
         if match is None:
             continue
@@ -224,8 +201,7 @@ class Rule:
                 message: str, col: int = 0) -> Finding:
         return Finding(
             rule_id=self.rule_id, slug=self.slug, severity=self.severity,
-            path=module.relpath, line=line, message=message,
-            source_line=module.source_line(line), col=col,
+            path=module.relpath, line=line, message=message, col=col,
         )
 
 
@@ -258,7 +234,6 @@ class AnalysisReport:
 
     findings: list[Finding]
     suppressed: list[Finding]       # silenced by inline pragmas
-    baselined: list[Finding]        # silenced by the baseline file
     modules_checked: int
 
     @property
@@ -299,40 +274,30 @@ def _iter_raw_findings(modules: Sequence[ParsedModule],
                     line=pragma.line,
                     message="gclint allow[] pragma without a reason; "
                             "say why the suppression is sound",
-                    source_line=module.source_line(pragma.line),
                 )
 
 
-def run_analysis(paths: Sequence[str | Path],
-                 rules: Sequence[Rule] | None = None,
-                 baseline_fingerprints: frozenset[str] = frozenset(),
-                 ) -> AnalysisReport:
+def run_analysis(paths: Sequence[str | Path]) -> AnalysisReport:
     """Run every rule over every module under ``paths``.
 
     The pytest-importable entry point: tests assert
     ``run_analysis(["src/repro"]).findings == []``.
     """
-    if rules is None:
-        from repro.analysis.rules import default_rules
+    from repro.analysis.rules import default_rules
 
-        rules = default_rules()
     modules, parse_errors = collect_modules(paths)
     by_rel = {module.relpath: module for module in modules}
 
     kept: list[Finding] = list(parse_errors)
     suppressed: list[Finding] = []
-    baselined: list[Finding] = []
-    for finding in _iter_raw_findings(modules, rules):
+    for finding in _iter_raw_findings(modules, default_rules()):
         module = by_rel.get(finding.path)
         if module is not None:
             allowed = module.suppressed_rules(finding.line)
             if finding.rule_id in allowed or finding.slug in allowed:
                 suppressed.append(finding)
                 continue
-        if finding.fingerprint in baseline_fingerprints:
-            baselined.append(finding)
-            continue
         kept.append(finding)
     kept.sort(key=lambda f: (f.path, f.line, f.rule_id))
     return AnalysisReport(findings=kept, suppressed=suppressed,
-                          baselined=baselined, modules_checked=len(modules))
+                          modules_checked=len(modules))

@@ -28,8 +28,8 @@ Interprocedural layer: for every project function the
 
 Both propagate through the call graph, so "write-side helper does pipe
 I/O three frames below ``with lock.write():``" is visible without any
-inlining.  The acquisition-order graph for GC110 (and the ``--lock-graph``
-DOT artifact) falls out of the same pass.
+inlining.  The acquisition-order graph for GC110 falls out of the same
+pass.
 """
 
 from __future__ import annotations
@@ -707,12 +707,10 @@ class ConcurrencyIndex:
     #: client-facing view filters them out.
     MECHANISM_SUFFIXES: tuple[str, ...] = ("util/rwlock.py",)
 
-    def client_edges(self, exclude_suffixes: tuple[str, ...] | None = None
-                     ) -> list[AcquisitionEdge]:
-        suffixes = self.MECHANISM_SUFFIXES if exclude_suffixes is None \
-            else exclude_suffixes
+    def client_edges(self) -> list[AcquisitionEdge]:
         return [edge for edge in self.edges
-                if not any(edge.path.endswith(suffix) for suffix in suffixes)]
+                if not any(edge.path.endswith(suffix)
+                           for suffix in self.MECHANISM_SUFFIXES)]
 
     def lock_order_cycles(self) -> list[list[AcquisitionEdge]]:
         """Cycles in the lock-acquisition-order graph, each reported as
@@ -746,26 +744,6 @@ class ConcurrencyIndex:
 
             dfs(start, [])
         return cycles
-
-    def to_dot(self) -> str:
-        """The acquisition-order graph in DOT, for the CI artifact."""
-        edges = self.client_edges()
-        lines = ["digraph lock_order {",
-                 "  rankdir=LR;",
-                 "  node [shape=box, fontname=\"monospace\"];"]
-        nodes = sorted({edge.held for edge in edges}
-                       | {edge.acquired for edge in edges})
-        for node in nodes:
-            lines.append(f'  "{node}";')
-        for edge in sorted(edges, key=lambda e: (
-                e.held, e.acquired, e.path, e.line)):
-            label = f"{edge.held_mode}→{edge.acquired_mode} " \
-                    f"{edge.path}:{edge.line}"
-            style = ' style=dashed' if edge.via_entry else ''
-            lines.append(f'  "{edge.held}" -> "{edge.acquired}" '
-                         f'[label="{label}"{style}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def _short(qualname: str) -> str:

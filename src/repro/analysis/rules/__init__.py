@@ -8,7 +8,6 @@ everywhere at once.
 from __future__ import annotations
 
 from repro.analysis.core import Rule
-from repro.analysis.rules.api_surface import DunderAllIntegrity
 from repro.analysis.rules.concurrency import (
     BlockingCallUnderLock,
     LockOrderCycle,
@@ -19,7 +18,6 @@ from repro.analysis.rules.determinism import (
     UnseededRandomness,
     WallClockInCore,
 )
-from repro.analysis.rules.drift import SnapshotCodecDrift
 from repro.analysis.rules.exceptions import BroadExcept
 from repro.analysis.rules.locks import (
     HookUnderLock,
@@ -42,7 +40,5 @@ def default_rules() -> list[Rule]:
         WallClockInCore(),
         UnseededRandomness(),
         HashOrderDependence(),
-        SnapshotCodecDrift(),
         BroadExcept(),
-        DunderAllIntegrity(),
     ]

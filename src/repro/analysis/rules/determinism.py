@@ -144,7 +144,6 @@ class HashOrderDependence(_CoreScoped):
                         message="`.popitem()` pops an unspecified entry; "
                                 "core eviction/selection must use an "
                                 "explicit total order",
-                        source_line=module.source_line(node.lineno),
                     )
                 # list(set(...)) / tuple({...}): hash order becomes list
                 # order.  sorted(set(...)) is the sanctioned spelling.
@@ -180,5 +179,4 @@ class HashOrderDependence(_CoreScoped):
         return Finding(
             rule_id=self.rule_id, slug=self.slug, severity=Severity.WARNING,
             path=module.relpath, line=line, message=message,
-            source_line=module.source_line(line),
         )

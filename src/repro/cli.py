@@ -132,16 +132,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"--save-snapshot: directory {args.save_snapshot.parent} "
               f"does not exist", file=sys.stderr)
         return 2
+    bare = args.model.lower() == "none"
+    if bare and (args.explain >= 0 or args.warm_start or args.save_snapshot
+                 or args.autosave_every):
+        print("--explain/--warm-start/--save-snapshot/--autosave-every need "
+              "a cache model (CON or EVI)", file=sys.stderr)
+        return 2
     store = GraphStore.from_graphs(graphs)
 
     try:
-        if args.model.lower() == "none":
-            config = GCConfig(query_type=args.query_type,
-                              matcher=args.matcher)
+        # The cache flags are checked under every model: bare Method M
+        # ignores them, so a bad value is a usage error all the same.
+        config = _snapshot_config(args, model="CON" if bare else args.model)
+        if bare:
             runner = MethodMRunner(store, make_matcher(config.matcher),
                                    query_type=config.query_type)
         else:
-            config = _snapshot_config(args)
             runner = GraphCacheService(store, config)
             _arm_autosave(runner, args.save_snapshot, args.autosave_every,
                           "--save-snapshot")
@@ -158,14 +164,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
 
     service = runner if isinstance(runner, GraphCacheService) else None
-    if args.explain >= 0 and service is None:
-        print("--explain needs a cache model (CON or EVI); ignoring it",
-              file=sys.stderr)
-    if service is None and (args.warm_start or args.save_snapshot
-                            or args.autosave_every):
-        print("--warm-start/--save-snapshot/--autosave-every need a cache "
-              "model (CON or EVI)", file=sys.stderr)
-        return 2
     if args.warm_start:
         if _warm_start(service, args.warm_start) != 0:
             service.close()

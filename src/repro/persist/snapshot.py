@@ -45,7 +45,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -199,8 +199,7 @@ def _decode_graph(text: Any) -> LabeledGraph:
     return pairs[0][1]
 
 
-_STATS_FIELDS = ("tests_saved", "cost_saved", "hits", "last_used",
-                 "created_at")
+_STATS_FIELDS = tuple(f.name for f in fields(EntryStats))
 
 
 def _encode_entry(where: str, record: EntryRecord) -> dict[str, Any]:

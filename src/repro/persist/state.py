@@ -57,7 +57,3 @@ class CacheState:
     policy_name: str = "hd"
     pin_rounds: int = 0
     pinc_rounds: int = 0
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.cache) + len(self.window)

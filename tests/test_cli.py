@@ -117,6 +117,40 @@ class TestRun:
         assert captured.err.count("\n") == 1
         assert "--autosave-every" in captured.err
 
+    def test_explain_without_a_cache_model_rejected(
+            self, dataset_file, workload_file, capsys):
+        """``--explain`` under bare Method M is a usage error like
+        ``--warm-start``, not a warning the run carries on past."""
+        code = main([
+            "run", "--dataset", str(dataset_file),
+            "--workload", str(workload_file), "--model", "none",
+            "--explain", "0",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--explain" in captured.err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--policy", "bogus"], "bogus"),
+        (["--cache-capacity", "-3"], "cache_capacity"),
+        (["--window-capacity", "0"], "window_capacity"),
+    ])
+    def test_cache_flags_validated_without_a_cache_model(
+            self, dataset_file, workload_file, capsys, flags, named):
+        """Bare Method M ignores the cache flags, but a bad value is
+        still one stderr line and exit 2 before any query runs."""
+        code = main([
+            "run", "--dataset", str(dataset_file),
+            "--workload", str(workload_file), "--model", "none", *flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert named in captured.err
+
     def test_explain_past_the_workload_rejected(self, dataset_file,
                                                 workload_file, capsys):
         code = main([

@@ -11,12 +11,15 @@ purges), window FIFO preservation, and hook-driven autosaving.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import GCConfig, GraphCacheService
+from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.manager import CacheManager
+from repro.cache.statistics import EntryStats
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
@@ -24,12 +27,16 @@ from repro.graphs.graph import LabeledGraph
 from repro.persist import (
     FINGERPRINT_FIELDS,
     CacheState,
+    EntryRecord,
+    Snapshot,
     SnapshotFormatError,
     SnapshotMismatchError,
+    config_fingerprint,
     decode_snapshot,
     encode_snapshot,
     load_snapshot,
 )
+from repro.util.bitset import BitSet
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
 NUM_QUERIES = 60
@@ -172,6 +179,54 @@ class TestCodec:
     def test_reencode_is_bit_identical(self, trace, tmp_path):
         text = self.seed_snapshot_text(trace, tmp_path)
         assert encode_snapshot(decode_snapshot(text)) == text
+
+    def test_every_field_round_trips(self):
+        """Each field of the persisted dataclasses holds a non-default
+        value and survives the codec.  A field added to ``Snapshot``,
+        ``CacheState`` or ``EntryStats`` fails here until it is set below
+        and the codec carries it; ``Snapshot.version`` has one legal
+        value and is exempt."""
+        def record(entry_id, stats):
+            entry = CacheEntry(
+                entry_id=entry_id,
+                query=LabeledGraph.from_edges("CON", [(0, 1), (1, 2)]),
+                query_type=QueryType.SUPERGRAPH,
+                answer=BitSet.from_indices([1, 4], 6),
+                valid=BitSet.from_indices([0, 1, 3, 4], 6),
+                created_at=entry_id + 1,
+            )
+            return EntryRecord(entry=entry, stats=stats)
+
+        stats = [EntryStats(tests_saved=7, cost_saved=2.5, hits=3,
+                            last_used=11, created_at=4),
+                 EntryStats(tests_saved=1, cost_saved=0.25, hits=1,
+                            last_used=9, created_at=8)]
+        state = CacheState(
+            cache=[record(2, stats[0])], window=[record(5, stats[1])],
+            next_entry_id=9, log_cursor=6, policy_name="pin",
+            pin_rounds=2, pinc_rounds=5,
+        )
+        snapshot = Snapshot(
+            fingerprint=config_fingerprint(GCConfig(model="EVI",
+                                                    policy="pin")),
+            query_counter=17,
+            state=state,
+            dataset={"digest": "ab" * 32, "max_id": 5, "live_graphs": 4},
+        )
+        for value in (snapshot, state, *stats):
+            for f in dataclasses.fields(value):
+                if value is snapshot and f.name == "version":
+                    continue
+                if f.default is not dataclasses.MISSING:
+                    default = f.default
+                elif f.default_factory is not dataclasses.MISSING:
+                    default = f.default_factory()
+                else:
+                    continue
+                assert getattr(value, f.name) != default, (
+                    f"{type(value).__name__}.{f.name} is left at its "
+                    f"default; set it so the round trip checks it")
+        assert decode_snapshot(encode_snapshot(snapshot)) == snapshot
 
     def test_rejects_foreign_format(self):
         with pytest.raises(SnapshotFormatError, match="format"):

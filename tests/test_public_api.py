@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import inspect
+import pkgutil
 
 import pytest
 
@@ -18,34 +20,37 @@ def test_all_names_resolve():
         assert hasattr(repro, name), f"__all__ lists missing name {name}"
 
 
-@pytest.mark.parametrize("module", [
-    "repro.api", "repro.api.config", "repro.api.events",
-    "repro.api.plan", "repro.api.service",
-    "repro.util", "repro.util.bitset", "repro.util.zipf",
-    "repro.util.stats",
-    "repro.graphs", "repro.graphs.graph", "repro.graphs.features",
-    "repro.graphs.canonical", "repro.graphs.generators", "repro.graphs.io",
-    "repro.matching", "repro.matching.base", "repro.matching.vf2",
-    "repro.matching.vf2plus", "repro.matching.graphql",
-    "repro.dataset", "repro.dataset.store", "repro.dataset.log",
-    "repro.dataset.log_analyzer", "repro.dataset.change_plan",
-    "repro.cache", "repro.cache.entry", "repro.cache.manager",
-    "repro.cache.models", "repro.cache.query_index",
-    "repro.cache.replacement", "repro.cache.statistics",
-    "repro.cache.validator", "repro.cache.window",
-    "repro.runtime", "repro.runtime.method_m",
-    "repro.runtime.monitor", "repro.runtime.processors",
-    "repro.runtime.pruner",
-    "repro.workloads", "repro.workloads.base", "repro.workloads.typea",
-    "repro.workloads.typeb",
-    "repro.datasets", "repro.datasets.aids",
-    "repro.bench", "repro.bench.harness", "repro.bench.experiments",
-    "repro.bench.reporting",
-])
+#: Every module of the package; ``__main__`` modules run their entry
+#: point on import (``repro/__main__.py`` calls ``sys.exit``).
+MODULES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not info.name.endswith(".__main__")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_module_imports_cleanly(module):
+    """The module imports, and its ``__all__`` (when it has one) names
+    only bound names, each once, and every public top-level class and
+    function the module itself defines."""
     mod = importlib.import_module(module)
-    for name in getattr(mod, "__all__", []):
+    exported = getattr(mod, "__all__", None)
+    if exported is None:
+        return
+    for name in exported:
         assert hasattr(mod, name), f"{module}.__all__ lists {name}"
+    duplicated = sorted({name for name in exported
+                         if exported.count(name) > 1})
+    assert not duplicated, f"{module}.__all__ lists {duplicated} twice"
+    missing = sorted(
+        name for name, value in vars(mod).items()
+        if not name.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == module
+        and name not in exported
+    )
+    assert not missing, f"{module}.__all__ leaves out {missing}"
 
 
 def test_readme_quickstart_works():
