@@ -198,7 +198,7 @@ class ProjectGraph:
             except SyntaxError:
                 return None
         if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
-            # ``RWLock | None`` — prefer the non-None side.
+            # ``Lock | None`` — prefer the non-None side.
             for side in (ann.left, ann.right):
                 if not (isinstance(side, ast.Constant) and side.value is None):
                     resolved = self._annotation_type(mod, side)
@@ -565,7 +565,7 @@ def build_project_graph(modules: list[ParsedModule]) -> ProjectGraph:
     graph._build_module_index(modules)
     graph._collect_defs(modules)
     graph._resolve_bases()
-    # Locals and attribute types feed each other (``lock = RWLock()``
+    # Locals and attribute types feed each other (``lock = Lock()``
     # then ``self.lock = lock``; ``x = self.attr`` the other way) — two
     # rounds reach the common cases' fixpoint.
     for _ in range(2):

@@ -16,7 +16,7 @@ Design notes
   must-analysis built on top.
 * ``return``/``raise`` edges point at the synthetic exit node and pop
   every open ``with`` region (Python runs ``__exit__`` while unwinding);
-  explicit ``lock.acquire_read()``-style holds are *not* popped, which
+  explicit ``lock.acquire()`` holds are *not* popped, which
   matches runtime semantics — an early return genuinely leaks them.
 * Nested ``def``/``lambda``/``class`` bodies are opaque single nodes:
   they execute later, under a different lock context.

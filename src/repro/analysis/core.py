@@ -3,7 +3,7 @@
 The analyzer is deliberately small: plain :mod:`ast` walks, no imports
 of the analyzed code (so it can lint broken or dependency-missing
 trees), and a rule interface narrow enough that a project-specific
-invariant — "no hook emission under the cache lock", "no wall clock in
+invariant — "no hook call under the service lock", "no wall clock in
 a core decision path" — is one screenful of visitor.
 
 Two rule shapes exist:

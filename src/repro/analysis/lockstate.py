@@ -4,17 +4,17 @@ The abstract domain is a *set of lock stacks*: each stack is one
 possible nesting of currently-held locks on some path to the program
 point, entries ordered by acquisition.  From the set we derive
 
-* **may-held** — the union over stacks (used by GC110/GC111: "could a
-  lock be held here?"), and
+* **may-held** — the union over stacks (used by GC103/GC110/GC111:
+  "could a lock be held here?"), and
 * **must-held** — the intersection over stacks (used by GC120: "is this
   mutation provably guarded on every path?").
 
 Lock *identity* is canonicalized through the call graph's attribute
-types so ``self.lock`` inside ``CacheManager``, ``self.cache.lock``
-inside the service, and a local alias ``lock = self.cache.lock`` all
-collapse to ``CacheManager.lock``.  Three hold modes exist: ``read`` and
-``write`` for :class:`repro.util.rwlock.RWLock` regions, ``mutex`` for
-plain ``threading`` locks/conditions.
+types so ``self._lock`` inside ``GraphCacheService``,
+``self.service._lock`` elsewhere, and a local alias
+``lock = self.service._lock`` all collapse to
+``GraphCacheService._lock``.  A lock is held by ``with <lock>:`` or
+between explicit ``acquire()`` / ``release()`` calls.
 
 Interprocedural layer: for every project function the
 :class:`ConcurrencyIndex` computes
@@ -26,10 +26,9 @@ Interprocedural layer: for every project function the
   vacuously guarded — unresolved dynamic dispatch must not turn into
   false positives).
 
-Both propagate through the call graph, so "write-side helper does pipe
-I/O three frames below ``with lock.write():``" is visible without any
-inlining.  The acquisition-order graph for GC110 falls out of the same
-pass.
+Both propagate through the call graph, so "a helper does pipe I/O three
+frames below ``with self._lock:``" is visible without any inlining.
+The acquisition-order graph for GC110 falls out of the same pass.
 """
 
 from __future__ import annotations
@@ -48,15 +47,14 @@ __all__ = [
     "FunctionFlow",
     "ConcurrencyIndex",
     "LockAcquisition",
+    "SERVICE_LOCK",
     "get_index",
-    "module_flows",
-    "pairs_of", "may_pairs", "must_pairs", "iter_calls",
-    "READ", "WRITE", "MUTEX",
+    "held_locks", "may_locks", "must_locks", "iter_calls",
 ]
 
-READ = "read"
-WRITE = "write"
-MUTEX = "mutex"
+#: The service's one lock (``GraphCacheService._lock``), held for a
+#: whole public call — what GC103 and GC111 police.
+SERVICE_LOCK = "GraphCacheService._lock"
 
 #: Depth cap per stack and width cap per state set; both are far above
 #: anything real code does — they only bound pathological inputs.
@@ -74,40 +72,34 @@ _LOCK_TYPES = {
     "threading.Lock", "threading.RLock", "threading.Condition",
     "threading.Semaphore", "threading.BoundedSemaphore",
 }
-_RWLOCK_CLASS_NAMES = {"RWLock", "NullRWLock"}
 
-_ACQUIRE_METHODS = {"acquire_read": READ, "acquire_write": WRITE,
-                    "acquire": MUTEX}
-_RELEASE_METHODS = {"release_read": READ, "release_write": WRITE,
-                    "release": MUTEX}
-
-# A hold: (lock_id, mode, tag).  tag is the with_enter CFG node index
-# for context-manager holds and -1 for explicit acquire_* holds, which
+# A hold: (lock_id, tag).  tag is the with_enter CFG node index for
+# context-manager holds and -1 for explicit acquire() holds, which
 # region-exit edges must NOT release (Python doesn't either).
-Hold = tuple[str, str, int]
+Hold = tuple[str, int]
 Stack = tuple[Hold, ...]
 State = frozenset[Stack]
 
 _EMPTY_STATE: State = frozenset({()})
 
 
-def pairs_of(stack: Stack) -> frozenset[tuple[str, str]]:
-    return frozenset((lock, mode) for lock, mode, _tag in stack)
+def held_locks(stack: Stack) -> frozenset[str]:
+    return frozenset(lock for lock, _tag in stack)
 
 
-def may_pairs(state: State) -> frozenset[tuple[str, str]]:
-    out: set[tuple[str, str]] = set()
+def may_locks(state: State) -> frozenset[str]:
+    out: set[str] = set()
     for stack in state:
-        out.update(pairs_of(stack))
+        out.update(held_locks(stack))
     return frozenset(out)
 
 
-def must_pairs(state: State) -> frozenset[tuple[str, str]] | None:
+def must_locks(state: State) -> frozenset[str] | None:
     """Intersection over stacks; ``None`` is ⊤ (unreachable point)."""
-    result: frozenset[tuple[str, str]] | None = None
+    result: frozenset[str] | None = None
     for stack in state:
-        pairs = pairs_of(stack)
-        result = pairs if result is None else (result & pairs)
+        locks = held_locks(stack)
+        result = locks if result is None else (result & locks)
     return result
 
 
@@ -116,7 +108,6 @@ class LockAcquisition:
     """One acquisition site, with the local may-state just before it."""
 
     lock_id: str
-    mode: str
     line: int
     col: int
     state_before: State
@@ -131,8 +122,6 @@ class FunctionFlow:
     #: in-state per CFG node index (post-fixpoint)
     node_states: dict[int, State] = field(default_factory=dict)
     acquisitions: list[LockAcquisition] = field(default_factory=list)
-    #: local read→write upgrades: (lock_id, line, col)
-    upgrades: list[tuple[str, int, int]] = field(default_factory=list)
     #: id(ast.Call) -> may-state at the call
     call_states: dict[int, State] = field(default_factory=dict)
     #: every analyzed call with its in-state, in CFG order — the rules'
@@ -141,8 +130,8 @@ class FunctionFlow:
     #: (ast.stmt, in-state) for every plain statement node, in CFG order
     stmt_states: list[tuple[ast.stmt, State]] = field(default_factory=list)
 
-    def may_at_call(self, call_id: int) -> frozenset[tuple[str, str]]:
-        return may_pairs(self.call_states.get(call_id, frozenset()))
+    def may_at_call(self, call_id: int) -> frozenset[str]:
+        return may_locks(self.call_states.get(call_id, frozenset()))
 
 
 class _LockResolver:
@@ -207,9 +196,9 @@ class _LockResolver:
             current = self.graph.attr_type(current, attr)
         return current
 
-    def resolve(self, expr: ast.expr) -> tuple[str, str | None] | None:
-        """Receiver expression → (lock_id, attr_type or None), or
-        ``None`` when the expression is not lock-like."""
+    def resolve(self, expr: ast.expr) -> str | None:
+        """Receiver expression → lock_id, or ``None`` when the
+        expression is not lock-like."""
         dotted = dotted_name(expr)
         if dotted is None:
             return None
@@ -218,21 +207,18 @@ class _LockResolver:
         leaf = parts[-1]
         attr_type = self._type_of_chain(parts)
         lockish = any(token in leaf.lower() for token in _LOCKISH)
-        typed_lock = attr_type is not None and (
-            attr_type in _LOCK_TYPES
-            or attr_type.split(".")[-1] in _RWLOCK_CLASS_NAMES)
-        if not lockish and not typed_lock:
+        if not lockish and attr_type not in _LOCK_TYPES:
             return None
         if parts == ["self"] and self.cls is not None:
-            return self.cls.qualname.split(".")[-1], attr_type
+            return self.cls.qualname.split(".")[-1]
         owner = self._type_of_chain(parts[:-1])
         if owner is not None:
             short = owner.split(".")[-1]
-            return f"{short}.{leaf}", attr_type
+            return f"{short}.{leaf}"
         if parts[0] == "self" and self.cls is not None:
             short = self.cls.qualname.split(".")[-1]
-            return f"{short}." + ".".join(parts[1:]), attr_type
-        return f"{module_key(self.func.module.relpath)}:{dotted}", attr_type
+            return f"{short}." + ".".join(parts[1:])
+        return f"{module_key(self.func.module.relpath)}:{dotted}"
 
 
 def _shallow_exprs(stmt: ast.AST) -> list[ast.expr]:
@@ -294,7 +280,6 @@ def iter_calls(exprs: Sequence[ast.expr]) -> list[ast.Call]:
 class _LockOp:
     kind: str          # "acquire" | "release"
     lock_id: str
-    mode: str
     line: int
     col: int
 
@@ -306,38 +291,24 @@ def _lock_ops(resolver: _LockResolver,
     ops: list[_LockOp] = []
     for call in iter_calls(exprs):
         func = call.func
-        if not isinstance(func, ast.Attribute):
+        if not (isinstance(func, ast.Attribute)
+                and func.attr in ("acquire", "release")):
             continue
-        mode = _ACQUIRE_METHODS.get(func.attr)
-        kind = "acquire"
-        if mode is None:
-            mode = _RELEASE_METHODS.get(func.attr)
-            kind = "release"
-        if mode is None:
+        lock_id = resolver.resolve(func.value)
+        if lock_id is None:
             continue
-        resolved = resolver.resolve(func.value)
-        if resolved is None:
-            continue
-        ops.append(_LockOp(kind=kind, lock_id=resolved[0], mode=mode,
+        ops.append(_LockOp(kind=func.attr, lock_id=lock_id,
                            line=call.lineno, col=call.col_offset + 1))
     ops.sort(key=lambda op: (op.line, op.col))
     return ops
 
 
 def _classify_with_item(resolver: _LockResolver,
-                        item: ast.withitem) -> tuple[str, str] | None:
-    """``with <expr>:`` → (lock_id, mode) when the item is a lock."""
+                        item: ast.withitem) -> str | None:
+    """``with <expr>:`` → lock_id when the item is a lock."""
     expr = item.context_expr
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute) \
-            and expr.func.attr in (READ, WRITE):
-        resolved = resolver.resolve(expr.func.value)
-        if resolved is not None:
-            return resolved[0], expr.func.attr
-        return None
     if isinstance(expr, (ast.Name, ast.Attribute)):
-        resolved = resolver.resolve(expr)
-        if resolved is not None:
-            return resolved[0], MUTEX
+        return resolver.resolve(expr)
     return None
 
 
@@ -351,13 +322,13 @@ def _push(state: State, hold: Hold) -> State:
     return _cap(frozenset(out))
 
 
-def _pop_mode(state: State, lock_id: str, mode: str) -> State:
-    """Release the topmost (lock, mode) hold on each stack, if any."""
+def _pop_lock(state: State, lock_id: str) -> State:
+    """Release the topmost hold of ``lock_id`` on each stack, if any."""
     out = set()
     for stack in state:
         idx = None
         for position in range(len(stack) - 1, -1, -1):
-            if stack[position][0] == lock_id and stack[position][1] == mode:
+            if stack[position][0] == lock_id:
                 idx = position
                 break
         if idx is None:
@@ -373,7 +344,7 @@ def _pop_tags(state: State, tags: tuple[int, ...]) -> State:
     tagset = set(tags)
     out = set()
     for stack in state:
-        out.add(tuple(hold for hold in stack if hold[2] not in tagset))
+        out.add(tuple(hold for hold in stack if hold[1] not in tagset))
     return _cap(frozenset(out))
 
 
@@ -390,7 +361,7 @@ def _analyze_function(graph: ProjectGraph, func: FunctionInfo) -> FunctionFlow:
 
     # Precompute per-node lock ops / with classifications.
     node_ops: dict[int, list[_LockOp]] = {}
-    with_locks: dict[int, tuple[str, str] | None] = {}
+    with_locks: dict[int, str | None] = {}
     for node in flow_cfg.nodes:
         if node.kind == cfg_mod.STMT and node.ast_node is not None:
             node_ops[node.index] = _lock_ops(
@@ -406,19 +377,18 @@ def _analyze_function(graph: ProjectGraph, func: FunctionInfo) -> FunctionFlow:
             lock = with_locks.get(index)
             if lock is None:
                 return instate
-            return _push(instate, (lock[0], lock[1], index))
+            return _push(instate, (lock, index))
         if node.kind == cfg_mod.WITH_EXIT:
             assert node.enter_id is not None
-            lock = with_locks.get(node.enter_id)
-            if lock is None:
+            if with_locks.get(node.enter_id) is None:
                 return instate
             return _pop_tags(instate, (node.enter_id,))
         state = instate
         for op in node_ops.get(index, ()):
             if op.kind == "acquire":
-                state = _push(state, (op.lock_id, op.mode, -1))
+                state = _push(state, (op.lock_id, -1))
             else:
-                state = _pop_mode(state, op.lock_id, op.mode)
+                state = _pop_lock(state, op.lock_id)
         return state
 
     # Predecessor lists with edge pops.
@@ -454,7 +424,6 @@ def _analyze_function(graph: ProjectGraph, func: FunctionInfo) -> FunctionFlow:
     flow.node_states = in_states
 
     # Event extraction on the stable states.
-    seen_upgrades: set[tuple[str, int]] = set()
     for node in flow_cfg.nodes:
         instate = in_states.get(node.index)
         if instate is None:
@@ -468,10 +437,7 @@ def _analyze_function(graph: ProjectGraph, func: FunctionInfo) -> FunctionFlow:
                 col = getattr(item.context_expr, "col_offset", -1) + 1 \
                     if isinstance(item, ast.withitem) else 0
                 flow.acquisitions.append(LockAcquisition(
-                    lock_id=lock[0], mode=lock[1], line=line, col=col,
-                    state_before=instate))
-                _note_upgrade(flow, lock[0], lock[1], line, col, instate,
-                              seen_upgrades)
+                    lock_id=lock, line=line, col=col, state_before=instate))
             if isinstance(node.ast_node, ast.withitem):
                 for call in iter_calls(_shallow_exprs(node.ast_node)):
                     flow.call_states[id(call)] = instate
@@ -484,13 +450,11 @@ def _analyze_function(graph: ProjectGraph, func: FunctionInfo) -> FunctionFlow:
         for op in ops:
             if op.kind == "acquire":
                 flow.acquisitions.append(LockAcquisition(
-                    lock_id=op.lock_id, mode=op.mode, line=op.line,
-                    col=op.col, state_before=state))
-                _note_upgrade(flow, op.lock_id, op.mode, op.line, op.col,
-                              state, seen_upgrades)
-                state = _push(state, (op.lock_id, op.mode, -1))
+                    lock_id=op.lock_id, line=op.line, col=op.col,
+                    state_before=state))
+                state = _push(state, (op.lock_id, -1))
             else:
-                state = _pop_mode(state, op.lock_id, op.mode)
+                state = _pop_lock(state, op.lock_id)
         flow.stmt_states.append((node.ast_node, instate))
         for call in iter_calls(_shallow_exprs(node.ast_node)):
             flow.call_states[id(call)] = instate
@@ -498,27 +462,12 @@ def _analyze_function(graph: ProjectGraph, func: FunctionInfo) -> FunctionFlow:
     return flow
 
 
-def _note_upgrade(flow: FunctionFlow, lock_id: str, mode: str, line: int,
-                  col: int, state: State,
-                  seen: set[tuple[str, int]]) -> None:
-    if mode != WRITE or (lock_id, line) in seen:
-        return
-    for stack in state:
-        pairs = pairs_of(stack)
-        if (lock_id, READ) in pairs and (lock_id, WRITE) not in pairs:
-            flow.upgrades.append((lock_id, line, col))
-            seen.add((lock_id, line))
-            return
-
-
 @dataclass(frozen=True)
 class AcquisitionEdge:
     """Lock A held while lock B is acquired, with one witness site."""
 
     held: str
-    held_mode: str
     acquired: str
-    acquired_mode: str
     path: str
     line: int
     function: str
@@ -535,12 +484,11 @@ class ConcurrencyIndex:
         for qualname in sorted(self.graph.functions):
             self.flows[qualname] = _analyze_function(
                 self.graph, self.graph.functions[qualname])
-        self.may_entry: dict[str, frozenset[tuple[str, str]]] = {}
-        #: provenance: (func, pair) -> (caller, line) of the first edge
-        #: that introduced the pair.
-        self._entry_via: dict[tuple[str, tuple[str, str]],
-                              tuple[str, int]] = {}
-        self.must_entry: dict[str, frozenset[tuple[str, str]] | None] = {}
+        self.may_entry: dict[str, frozenset[str]] = {}
+        #: provenance: (func, lock) -> (caller, line) of the first edge
+        #: that introduced the lock.
+        self._entry_via: dict[tuple[str, str], tuple[str, int]] = {}
+        self.must_entry: dict[str, frozenset[str] | None] = {}
         self._resolvers: dict[str, _LockResolver] = {}
         self._compute_may_entry()
         self._compute_must_entry()
@@ -555,8 +503,7 @@ class ConcurrencyIndex:
                 if caller in self.flows]
 
     def _compute_may_entry(self) -> None:
-        may: dict[str, set[tuple[str, str]]] = {
-            qualname: set() for qualname in self.flows}
+        may: dict[str, set[str]] = {qualname: set() for qualname in self.flows}
         changed = True
         while changed:
             changed = False
@@ -567,13 +514,13 @@ class ConcurrencyIndex:
                     contribution.update(may.get(caller, ()))
                     fresh = contribution - may[callee]
                     if fresh:
-                        for pair in sorted(fresh):
+                        for lock in sorted(fresh):
                             self._entry_via.setdefault(
-                                (callee, pair), (caller, line))
+                                (callee, lock), (caller, line))
                         may[callee].update(fresh)
                         changed = True
-        self.may_entry = {qualname: frozenset(pairs)
-                          for qualname, pairs in may.items()}
+        self.may_entry = {qualname: frozenset(locks)
+                          for qualname, locks in may.items()}
 
     def _compute_must_entry(self) -> None:
         # Two flavours of "no information":
@@ -591,7 +538,7 @@ class ConcurrencyIndex:
         # from ∅, so chaotic iteration converges to the least fixpoint —
         # an under-approximation of must-held, i.e. conservative toward
         # reporting, never toward silence.
-        must: dict[str, frozenset[tuple[str, str]] | None] = {}
+        must: dict[str, frozenset[str] | None] = {}
         reachable_sites: dict[str, list[tuple[str, int, int]]] = {}
         for qualname in self.flows:
             sites = self._call_sites(qualname)
@@ -604,10 +551,10 @@ class ConcurrencyIndex:
                 sites = reachable_sites[callee]
                 if not sites:
                     continue
-                meet: frozenset[tuple[str, str]] | None = None
+                meet: frozenset[str] | None = None
                 for caller, call_id, _line in sites:
                     state = self.flows[caller].call_states.get(call_id)
-                    local = must_pairs(state) if state is not None else None
+                    local = must_locks(state) if state is not None else None
                     if local is None:
                         continue        # unreachable call site
                     inherited = must.get(caller) or frozenset()
@@ -625,17 +572,16 @@ class ConcurrencyIndex:
 
     # -- derived views -----------------------------------------------------
 
-    def may_held(self, qualname: str, state: State
-                 ) -> frozenset[tuple[str, str]]:
+    def may_held(self, qualname: str, state: State) -> frozenset[str]:
         """Locally-held ∪ entry context — "could be held here"."""
-        return may_pairs(state) | self.may_entry.get(qualname, frozenset())
+        return may_locks(state) | self.may_entry.get(qualname, frozenset())
 
-    def must_held(self, qualname: str, state: State
-                  ) -> frozenset[tuple[str, str]] | None:
+    def must_held(self, qualname: str,
+                  state: State) -> frozenset[str] | None:
         """Provably held on every local path and at every resolved
         caller; ``None`` means ⊤ (vacuously guarded — unreachable
         point, or no caller the graph can resolve)."""
-        local = must_pairs(state)
+        local = must_locks(state)
         entry = self.must_entry.get(qualname)
         if local is None or entry is None:
             return None
@@ -662,13 +608,13 @@ class ConcurrencyIndex:
             return None
         return owner.split(".")[-1], attr.attr
 
-    def entry_chain(self, qualname: str, pair: tuple[str, str],
+    def entry_chain(self, qualname: str, lock: str,
                     limit: int = 5) -> list[str]:
         """Human-readable provenance for an inherited hold."""
         chain: list[str] = []
         current = qualname
         for _ in range(limit):
-            via = self._entry_via.get((current, pair))
+            via = self._entry_via.get((current, lock))
             if via is None:
                 break
             caller, line = via
@@ -678,45 +624,33 @@ class ConcurrencyIndex:
 
     def _acquisition_edges(self) -> list[AcquisitionEdge]:
         edges: list[AcquisitionEdge] = []
-        seen: set[tuple[str, str, str, str, str, int]] = set()
+        seen: set[tuple[str, str, str, int]] = set()
         for qualname in sorted(self.flows):
             flow = self.flows[qualname]
-            entry_pairs = self.may_entry.get(qualname, frozenset())
+            entry_locks = self.may_entry.get(qualname, frozenset())
             for acq in flow.acquisitions:
-                held_local = may_pairs(acq.state_before)
-                for held_lock, held_mode in sorted(held_local | entry_pairs):
-                    if held_lock == acq.lock_id:
+                held_local = may_locks(acq.state_before)
+                for held in sorted(held_local | entry_locks):
+                    if held == acq.lock_id:
                         continue
-                    key = (held_lock, held_mode, acq.lock_id, acq.mode,
-                           flow.info.module.relpath, acq.line)
+                    key = (held, acq.lock_id, flow.info.module.relpath,
+                           acq.line)
                     if key in seen:
                         continue
                     seen.add(key)
                     edges.append(AcquisitionEdge(
-                        held=held_lock, held_mode=held_mode,
-                        acquired=acq.lock_id, acquired_mode=acq.mode,
+                        held=held, acquired=acq.lock_id,
                         path=flow.info.module.relpath, line=acq.line,
                         function=qualname,
-                        via_entry=(held_lock, held_mode) not in held_local,
+                        via_entry=held not in held_local,
                     ))
         return edges
-
-    #: The RWLock implementation's own internals (its condition
-    #: variable, the ``with self._cond`` regions inside acquire/release)
-    #: are the locking *mechanism*, not client ordering — every
-    #: client-facing view filters them out.
-    MECHANISM_SUFFIXES: tuple[str, ...] = ("util/rwlock.py",)
-
-    def client_edges(self) -> list[AcquisitionEdge]:
-        return [edge for edge in self.edges
-                if not any(edge.path.endswith(suffix)
-                           for suffix in self.MECHANISM_SUFFIXES)]
 
     def lock_order_cycles(self) -> list[list[AcquisitionEdge]]:
         """Cycles in the lock-acquisition-order graph, each reported as
         the witness edges along the cycle, deterministically ordered."""
         adjacency: dict[str, dict[str, AcquisitionEdge]] = {}
-        for edge in self.client_edges():
+        for edge in self.edges:
             adjacency.setdefault(edge.held, {})
             # Keep one witness per (src, dst), the first in sorted order.
             adjacency[edge.held].setdefault(edge.acquired, edge)
@@ -769,15 +703,4 @@ def get_index(modules: Sequence[ParsedModule]) -> ConcurrencyIndex:
     _INDEX_CACHE.append((key, tuple(modules), index))
     if len(_INDEX_CACHE) > _INDEX_CACHE_CAP:
         _INDEX_CACHE.pop(0)
-    return index
-
-
-def module_flows(module: ParsedModule) -> ConcurrencyIndex:
-    """Single-module index for the intraprocedural rules (GC101–103),
-    memoized on the module object itself."""
-    cached = module.__dict__.get("_gclint_flows")
-    if isinstance(cached, ConcurrencyIndex):
-        return cached
-    index = ConcurrencyIndex([module])
-    module.__dict__["_gclint_flows"] = index
     return index

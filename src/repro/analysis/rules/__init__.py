@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.analysis.core import Rule
 from repro.analysis.rules.concurrency import (
     BlockingCallUnderLock,
+    HookUnderLock,
     LockOrderCycle,
     UnguardedSharedMutation,
 )
@@ -19,11 +20,6 @@ from repro.analysis.rules.determinism import (
     WallClockInCore,
 )
 from repro.analysis.rules.exceptions import BroadExcept
-from repro.analysis.rules.locks import (
-    HookUnderLock,
-    ReadToWriteUpgrade,
-    WriteCallUnderReadLock,
-)
 
 __all__ = ["default_rules"]
 
@@ -31,8 +27,6 @@ __all__ = ["default_rules"]
 def default_rules() -> list[Rule]:
     """Every project rule, in report order."""
     return [
-        WriteCallUnderReadLock(),
-        ReadToWriteUpgrade(),
         HookUnderLock(),
         LockOrderCycle(),
         BlockingCallUnderLock(),

@@ -1,28 +1,34 @@
-"""Interprocedural concurrency rules (gclint v2 tentpole).
+"""Lock-discipline rules (``docs/concurrency.md``).
 
-All three rules share one :class:`~repro.analysis.lockstate.ConcurrencyIndex`
-over the scoped module set — CFG + call graph + lock-state fixpoint —
-so the project pays for the flow analysis once per run:
+The service holds one lock, ``GraphCacheService._lock``, for the whole
+of every public call that reads or writes the cache or the dataset.
+All four rules share one
+:class:`~repro.analysis.lockstate.ConcurrencyIndex` over the scoped
+module set — CFG + call graph + lock-state fixpoint — so the project
+pays for the flow analysis once per run:
 
+* **GC103** ``hook-under-lock`` — a cache-event hook (``on_admission``
+  etc., ``event_listener``, ``_dispatch_event``, the ``_deliver`` loop)
+  invoked inside a service-lock region of the same function.  Hooks may
+  call back into the service, so the lock buffers their events and
+  delivers them after its release.
 * **GC110** ``lock-order`` — cycles in the lock-acquisition-order graph
   (lock A held while acquiring B on one chain, B while acquiring A on
-  another), plus read→write upgrade paths that only exist across call
-  edges (the intraprocedural case is GC102's).
+  another).
 * **GC111** ``blocking-under-lock`` — pipe/socket I/O, file I/O,
   snapshot encode/decode, ``time.sleep`` or ``subprocess`` reachable
-  while the *write* side of an RWLock may be held.  Write holds starve
-  every reader and writer in the process; blocking under a read hold or
-  a plain mutex is this codebase's sanctioned serving/serialisation
-  model and stays legal.
+  while the service lock may be held: it would stall every session.
+  Blocking under a lock whose job is to serialise that I/O
+  (``_save_lock``, ``_drain_lock``) stays legal.
 * **GC120** ``unguarded-mutation`` — assignments to attributes of the
   shared-state classes (``CacheManager``/``StatisticsMonitor``/
-  ``QueryIndex``) on paths where no write lock or mutex is provably
-  held.  A heuristic race detector for exactly the interleavings the
-  runtime tests cannot drive.
+  ``QueryIndex``) on paths where no lock is provably held.  A heuristic
+  race detector for exactly the interleavings the runtime tests cannot
+  drive.
 
-The three rules carry identical scoping on purpose: the scoped module
-list is then identical for each, and :func:`get_index` hands all three
-the same cached index.
+The rules carry identical scoping on purpose: the scoped module list is
+then identical for each, and :func:`get_index` hands all of them the
+same cached index.
 """
 
 from __future__ import annotations
@@ -38,16 +44,22 @@ from repro.analysis.core import (
     dotted_name,
 )
 from repro.analysis.lockstate import (
-    MUTEX,
-    READ,
-    WRITE,
+    SERVICE_LOCK,
     ConcurrencyIndex,
     get_index,
-    may_pairs,
+    may_locks,
 )
 
-__all__ = ["LockOrderCycle", "BlockingCallUnderLock",
+__all__ = ["HookUnderLock", "LockOrderCycle", "BlockingCallUnderLock",
            "UnguardedSharedMutation", "TRACKED_SHARED_CLASSES"]
+
+#: User-hook surfaces that must only ever run after the service lock is
+#: released, never inline under it (``_deliver`` is the service's loop
+#: that runs them).
+HOOK_NAMES = frozenset({
+    "on_admission", "on_eviction", "on_purge", "on_promotion",
+    "event_listener", "_dispatch_event", "_deliver",
+})
 
 #: Shared-state classes whose attributes demand a lock to mutate.
 TRACKED_SHARED_CLASSES = frozenset({
@@ -108,21 +120,51 @@ def _blocking_kind(call: ast.Call) -> str | None:
 
 
 class _FlowRule(ProjectRule):
-    """Shared scoping so all three rules hit the same index cache line."""
-
-    exclude_suffixes = ("util/rwlock.py",)
+    """Shared scoping so all four rules hit the same index cache line."""
 
     @staticmethod
     def _index(modules: Sequence[ParsedModule]) -> ConcurrencyIndex:
         return get_index(modules)
 
 
+class HookUnderLock(_FlowRule):
+    rule_id = "GC103"
+    slug = "hook-under-lock"
+    severity = Severity.ERROR
+    description = ("cache-event hook invoked while the service lock is "
+                   "held; delivery must wait for its release")
+
+    def check_project(self,
+                      modules: Sequence[ParsedModule]) -> Iterator[Finding]:
+        index = self._index(modules)
+        by_rel = {module.relpath: module for module in modules}
+        for qualname in sorted(index.flows):
+            flow = index.flows[qualname]
+            module = by_rel.get(flow.info.module.relpath)
+            if module is None:
+                continue
+            for call, state in flow.calls:
+                func = call.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else None)
+                if name not in HOOK_NAMES or \
+                        SERVICE_LOCK not in may_locks(state):
+                    continue
+                yield self.finding(
+                    module, call.lineno,
+                    f"`{ast.unparse(func)}(...)` runs a cache-event hook "
+                    f"inside a `{SERVICE_LOCK}` region; user hooks may "
+                    f"re-enter the service and deadlock — let the lock "
+                    f"buffer the event and deliver it on release",
+                    col=call.col_offset + 1,
+                )
+
+
 class LockOrderCycle(_FlowRule):
     rule_id = "GC110"
     slug = "lock-order"
     severity = Severity.ERROR
-    description = ("lock-acquisition-order cycle, or a read→write "
-                   "upgrade path that spans call edges")
+    description = "lock-acquisition-order cycle"
 
     def check_project(self,
                       modules: Sequence[ParsedModule]) -> Iterator[Finding]:
@@ -133,8 +175,7 @@ class LockOrderCycle(_FlowRule):
             order = " → ".join([edge.held for edge in cycle]
                                + [cycle[0].held])
             witnesses = "; ".join(
-                f"{edge.held} ({edge.held_mode}) held while acquiring "
-                f"{edge.acquired} ({edge.acquired_mode}) at "
+                f"{edge.held} held while acquiring {edge.acquired} at "
                 f"{edge.path}:{edge.line}"
                 for edge in cycle
             )
@@ -149,46 +190,14 @@ class LockOrderCycle(_FlowRule):
                 f"{witnesses}",
             )
 
-        # Upgrades that only exist across call edges: a function that
-        # takes the write side while some caller chain already holds the
-        # read side of the same lock.  (Local upgrades are GC102's.)
-        for qualname in sorted(index.flows):
-            flow = index.flows[qualname]
-            entry = index.may_entry.get(qualname, frozenset())
-            for acq in flow.acquisitions:
-                if acq.mode != WRITE:
-                    continue
-                local = may_pairs(acq.state_before)
-                if (acq.lock_id, READ) in local:
-                    continue        # intraprocedural — GC102 reports it
-                if (acq.lock_id, READ) not in entry:
-                    continue
-                if (acq.lock_id, WRITE) in (local | entry):
-                    continue        # write-reentrant path: legal
-                module = by_rel.get(flow.info.module.relpath)
-                if module is None:
-                    continue
-                chain = index.entry_chain(qualname, (acq.lock_id, READ))
-                via = (" via " + " ← ".join(chain)) if chain else ""
-                yield self.finding(
-                    module, acq.line,
-                    f"read→write upgrade across calls: "
-                    f"`{_short(qualname)}` acquires `{acq.lock_id}` "
-                    f"write while a caller already holds its read "
-                    f"side{via}; RWLock deadlocks/raises on upgrade — "
-                    f"release the read hold before entering the write "
-                    f"path",
-                    col=acq.col,
-                )
-
 
 class BlockingCallUnderLock(_FlowRule):
     rule_id = "GC111"
     slug = "blocking-under-lock"
     severity = Severity.ERROR
     description = ("blocking primitive (pipe/file I/O, sleep, "
-                   "subprocess, snapshot codec) reachable while a "
-                   "write lock is held")
+                   "subprocess, snapshot codec) reachable while the "
+                   "service lock is held")
 
     def check_project(self,
                       modules: Sequence[ParsedModule]) -> Iterator[Finding]:
@@ -204,26 +213,22 @@ class BlockingCallUnderLock(_FlowRule):
                 kind = _blocking_kind(call)
                 if kind is None:
                     continue
-                held = may_pairs(state) | entry
-                write_locks = sorted(lock for lock, mode in held
-                                     if mode == WRITE)
-                if not write_locks:
-                    continue
-                lock = write_locks[0]
-                if (lock, WRITE) in may_pairs(state):
-                    where = f"inside the `{lock}` write region"
-                else:
-                    chain = index.entry_chain(qualname, (lock, WRITE))
+                if SERVICE_LOCK in may_locks(state):
+                    where = f"inside the `{SERVICE_LOCK}` region"
+                elif SERVICE_LOCK in entry:
+                    chain = index.entry_chain(qualname, SERVICE_LOCK)
                     via = " ← ".join(chain) if chain else "a caller"
-                    where = (f"while `{lock}` write is held by {via}")
+                    where = f"while `{SERVICE_LOCK}` is held by {via}"
+                else:
+                    continue
                 yield self.finding(
                     module, call.lineno,
                     f"blocking {kind} call "
                     f"`{ast.unparse(call.func)}(...)` in "
-                    f"`{_short(qualname)}` {where}; a write hold "
-                    f"starves every reader — do the I/O outside the "
-                    f"lock (snapshot pattern: capture under write, "
-                    f"serialise after release)",
+                    f"`{_short(qualname)}` {where}; it stalls every "
+                    f"session — do the I/O outside the lock (snapshot "
+                    f"pattern: capture under the lock, write after "
+                    f"release)",
                     col=call.col_offset + 1,
                 )
 
@@ -233,7 +238,7 @@ class UnguardedSharedMutation(_FlowRule):
     slug = "unguarded-mutation"
     severity = Severity.ERROR
     description = ("attribute of a shared-state class mutated on a "
-                   "path where no write lock or mutex is provably held")
+                   "path where no lock is provably held")
 
     def check_project(self,
                       modules: Sequence[ParsedModule]) -> Iterator[Finding]:
@@ -253,26 +258,20 @@ class UnguardedSharedMutation(_FlowRule):
                             owner[0] not in TRACKED_SHARED_CLASSES:
                         continue
                     held = index.must_held(qualname, state)
-                    if held is None:
-                        continue    # ⊤: no caller the graph resolves
-                    if any(mode in (WRITE, MUTEX) for _lock, mode in held):
-                        continue
+                    if held is None or held:
+                        continue    # ⊤ (no caller the graph resolves)
+                    guard = ("monitor._mutex"
+                             if owner[0] == "StatisticsMonitor"
+                             else "service._lock")
                     yield self.finding(
                         module, attr.lineno,
                         f"`{ast.unparse(attr)}` ({owner[0]} shared "
                         f"state) is mutated in `{_short(qualname)}` "
-                        f"with no write lock or mutex provably held on "
-                        f"every path; guard the mutation (e.g. `with "
-                        f"{_guard_hint(owner[0])}:`) or move it into "
-                        f"construction",
+                        f"with no lock provably held on every path; "
+                        f"guard the mutation (e.g. `with {guard}:`) or "
+                        f"move it into construction",
                         col=attr.col_offset + 1,
                     )
-
-
-def _guard_hint(owner_short: str) -> str:
-    if owner_short == "StatisticsMonitor":
-        return "monitor._mutex"
-    return "cache.lock.write()"
 
 
 def _mutated_attrs(stmt: ast.stmt) -> list[ast.Attribute]:

@@ -10,7 +10,7 @@ Three pieces compose the surface callers should program against:
   dataset mutations, snapshots, and — via
   :meth:`GraphCacheService.session` — up to ``GCConfig.max_sessions``
   concurrent :class:`ServiceSession` query handles sharing one cache
-  behind a reader-writer lock (see ``docs/concurrency.md``);
+  behind one lock held per request (see ``docs/concurrency.md``);
 * :class:`QueryPlan` / :class:`PlanStep` — structured explain receipts;
   :class:`CacheEvent` / :class:`CacheEventKind` — hook payloads.
 """

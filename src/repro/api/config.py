@@ -83,11 +83,11 @@ class GCConfig:
     window_capacity: int = DEFAULT_WINDOW_CAPACITY
     policy: str = "hd"
     caching_enabled: bool = True
-    #: Cache-subsystem locking: ``"rw"`` (reader-writer lock from
-    #: construction) or ``"auto"`` (the default: lock-free until the first
-    #: ``GraphCacheService.session()`` call upgrades to the RW lock at
-    #: that quiescent point).  A pure performance/serving knob: answers
-    #: are identical in every mode.
+    #: Service locking: ``"rw"`` (the service's one lock, held per
+    #: request, from construction) or ``"auto"`` (the default: no lock
+    #: until the first ``GraphCacheService.session()`` call installs it
+    #: at that quiescent point).  A pure performance/serving knob:
+    #: answers are identical in every mode.
     lock_mode: str = "auto"
     #: Maximum concurrently *open* sessions sharing one service's cache
     #: (the root service does not count).  Bounds the worker fan-out a

@@ -31,13 +31,12 @@ On top of the per-query engine the service adds the session surface:
   semantics for session scoping;
 * **concurrent serving**: :meth:`GraphCacheService.session` hands out
   up to ``GCConfig.max_sessions`` lightweight :class:`ServiceSession`
-  handles that share one cache, one dataset and one reader-writer lock,
-  so N worker threads can serve a query stream against a single shared
-  cache (the paper's Figure 1 deployment).  Hit discovery, pruning and
-  Mverification run under the shared read lock; consistency passes,
-  admissions/evictions, benefit crediting and dataset mutations take
-  the write lock.  See ``docs/concurrency.md`` for the full boundary
-  map and the answer-equivalence guarantee.
+  handles that share one cache and one dataset, so N worker threads can
+  serve a query stream against a single shared cache (the paper's
+  Figure 1 deployment).  The service has one lock, and every public
+  call that reads or writes the cache or the dataset holds it from
+  start to finish: a query's five steps are one atomic transition over
+  the shared state.  See ``docs/concurrency.md``.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from repro.runtime.monitor import QueryMetrics, QueryResult, StatisticsMonitor
 from repro.runtime.processors import DiscoveryResult, HitDiscovery
 from repro.runtime.pruner import PruneOutcome, prune_candidate_set
 from repro.util.bitset import BitSet
-from repro.util.rwlock import NullRWLock, RWLock
 
 __all__ = ["GraphCacheService", "ServiceSession"]
 
@@ -102,36 +100,41 @@ def _deliver(hooks: dict[CacheEventKind, list[EventHook]],
             failure = None
 
 
-class _EventScope:
-    """``with scope:`` defers cache-event hooks until the outermost scope
-    on this thread exits — and therefore until every cache lock the
-    scope's body took is released.
+class _ServiceLock:
+    """The service's one lock: ``with service._lock:`` holds it for a
+    whole public call.  Cache events raised meanwhile are buffered and
+    handed to the hooks once it is released, so a hook may call back
+    into the service.
 
-    One object per service, shared by all threads: the nesting depth
-    and the event buffer live in the service's thread-local state, so
-    entering allocates nothing (the pipeline enters once per query).
+    :attr:`mutex` is ``None`` — no locking, one caller at a time by
+    contract — until :meth:`GraphCacheService.session` installs a
+    ``threading.Lock`` (``lock_mode="rw"`` installs it at construction).
+    Not reentrant: public methods call unlocked private helpers.
     """
 
-    __slots__ = ("_state", "_hooks")
+    __slots__ = ("mutex", "held", "events", "_hooks")
 
-    def __init__(self, state: threading.local,
+    def __init__(self, mutex: threading.Lock | None,
                  hooks: dict[CacheEventKind, list[EventHook]]) -> None:
-        self._state = state
+        self.mutex = mutex
+        self.held = False
+        self.events: list[CacheEvent] = []
         self._hooks = hooks
 
     def __enter__(self) -> None:
-        state = self._state
-        try:
-            state.depth += 1
-        except AttributeError:      # this thread's first scope
-            state.depth, state.buffer = 1, []
+        if self.mutex is not None:
+            self.mutex.acquire()
+        self.held = True
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        state = self._state
-        state.depth -= 1
-        if state.depth == 0 and state.buffer:
-            buffered, state.buffer = state.buffer, []
-            _deliver(self._hooks, buffered)
+        events = self.events
+        if events:
+            self.events = []
+        self.held = False
+        if self.mutex is not None:
+            self.mutex.release()
+        if events:
+            _deliver(self._hooks, events)
 
 
 class GraphCacheService:
@@ -189,19 +192,15 @@ class GraphCacheService:
         # The cache's event listener is attached lazily by the first
         # hook registration, so hook-free sessions pay no event cost.
         # --- Concurrent serving state ---------------------------------
-        # Stream-position allocation must be atomic across sessions.
-        self._counter_lock = threading.Lock()
+        # The one lock over the cache, the dataset and the stream
+        # position; it also buffers cache events until its release.
+        self._lock = _ServiceLock(
+            threading.Lock() if config.lock_mode == "rw" else None,
+            self._hooks)
         # Open ServiceSession handles sharing this service's cache.
         self._session_guard = threading.Lock()
         self._sessions: list["ServiceSession"] = []
         self._next_session_id = 0
-        # Per-thread cache-event deferral: events emitted inside a
-        # locked pipeline section are buffered and the hooks run only
-        # after every lock is released, so user hooks can freely call
-        # back into the service (execute, purge, mutations) without
-        # deadlocking or running under the cache's write lock.
-        self._events_local = threading.local()
-        self._event_scope = _EventScope(self._events_local, self._hooks)
         # --- Hook-driven autosave: (target, every), every 0 = off ------
         self._autosave = (Path(), 0)
         self._autosave_admissions = 0
@@ -215,7 +214,7 @@ class GraphCacheService:
     def autosave(self, path: str | Path, every: int) -> None:
         """Save to ``path`` every ``every`` admissions (a later call
         retargets).  The save is an admission hook, so it runs only
-        after every cache lock of the triggering query is released."""
+        after the triggering query released the service lock."""
         if not isinstance(every, int) or isinstance(every, bool) or every < 1:
             raise ValueError(
                 f"autosave every must be a positive integer, got {every!r}")
@@ -279,10 +278,8 @@ class GraphCacheService:
         # threads); new saves after this point still work — see save().
         with self._save_lock:
             pass
-        # Detach under the write lock: a concurrent query thread reads
-        # this listener while emitting, and must see either the live
-        # hook or None — never a torn in-between.
-        with self.cache.lock.write():
+        # Detach under the lock: no query is mid-emission meanwhile.
+        with self._lock:
             self.cache.event_listener = None
         for hooks in self._hooks.values():
             hooks.clear()
@@ -303,21 +300,21 @@ class GraphCacheService:
 
         Sessions are the unit of concurrent serving: each worker thread
         holds one, all of them execute against the same cache, dataset
-        and statistics, and the cache's reader-writer lock keeps their
-        pipelines safe (read phases overlap; mutations serialise).
+        and statistics, and the service lock runs their queries one at
+        a time, each from start to finish.
 
-        Under ``lock_mode="auto"`` the first call swaps the no-op lock
-        for a real :class:`~repro.util.rwlock.RWLock`; open sessions
-        **before** issuing concurrent queries so the swap happens at a
-        quiescent point.  At most ``GCConfig.max_sessions`` sessions may
+        Under ``lock_mode="auto"`` the first call installs the lock
+        (until then the service takes none); open sessions **before**
+        issuing concurrent queries so the swap happens at a quiescent
+        point.  At most ``GCConfig.max_sessions`` sessions may
         be open at once; closing one (it is a context manager) frees its
         slot.
         """
         self._check_open()
         with self._session_guard:
-            if isinstance(self.cache.lock, NullRWLock):
-                # lock_mode="auto": upgrade at this (quiescent) point.
-                self.cache.lock = RWLock()
+            if self._lock.mutex is None:
+                # lock_mode="auto": install the lock at this quiescent point.
+                self._lock.mutex = threading.Lock()
             self._sessions = [s for s in self._sessions if not s.closed]
             if len(self._sessions) >= self.config.max_sessions:
                 raise RuntimeError(
@@ -341,23 +338,20 @@ class GraphCacheService:
     # Event hooks
     # ------------------------------------------------------------------
     def _dispatch_event(self, event: CacheEvent) -> None:
-        """Cache-event sink.  Inside a locked pipeline section (depth >
-        0) events are buffered; :attr:`_event_scope` runs the hooks once
-        every lock has been released.  Outside any scope — e.g. code
-        driving the :class:`CacheManager` directly — hooks run inline,
-        the historical behaviour."""
-        state = self._events_local
-        if getattr(state, "depth", 0) > 0:
-            state.buffer.append(event)
+        """Cache-event sink.  While the service lock is held events are
+        buffered, and the lock runs the hooks on release.  Otherwise —
+        code driving the :class:`CacheManager` directly — hooks run
+        inline."""
+        lock = self._lock
+        if lock.held:
+            lock.events.append(event)
             return
         _deliver(self._hooks, (event,))
 
     def _register(self, kind: CacheEventKind, hook: EventHook) -> EventHook:
         self._check_open()
-        self._hooks[kind].append(hook)
-        # Publish the listener under the write lock so a query thread
-        # mid-emission sees the attachment atomically.
-        with self.cache.lock.write():
+        with self._lock:
+            self._hooks[kind].append(hook)
             self.cache.event_listener = self._dispatch_event
         return hook
 
@@ -409,52 +403,25 @@ class GraphCacheService:
         return [self._execute_pipeline(query) for query in queries]
 
     def _execute_pipeline(self, query: LabeledGraph) -> QueryResult:
-        """The full Figure-1 per-query flow, concurrency-safe.
+        """The full Figure-1 per-query flow, steps 1-5 in one hold of
+        the service lock: the answer, the benefit credits and the
+        admission all belong to one dataset state, and no other call
+        observes the cache between two steps."""
+        metrics = QueryMetrics()
+        cache = self.cache      # one name per line: gclint types each
+        store = self.store
 
-        Lock discipline (``docs/concurrency.md`` has the rationale):
-
-        * step 1 (consistency) is write-side, inside
-          :meth:`CacheManager.ensure_consistency`; the loop re-checks
-          under the read lock because another session's mutation may
-          land between our reconcile and our read acquisition;
-        * steps 2-4 (discovery → pruning → Mverify) run under the
-          shared **read** lock: the dataset and every cache entry are
-          frozen while any query is mid-read-phase, so the answer is
-          computed against one consistent dataset state;
-        * step 5 (crediting + admission, or renewal of a faded exact
-          twin) re-acquires the **write** lock.  If the dataset log
-          moved in the unavoidable gap between the read and write
-          phases, the step is *skipped*
-          (``metrics.admission_skipped``): the computed answer belongs
-          to a superseded dataset state, and caching is an optimisation
-          GC+ may always decline — answers are never affected.
-        """
-        with self._counter_lock:
+        with self._lock:
             query_index = self._query_counter
             self._query_counter += 1
-        metrics = QueryMetrics()
-        cache, store = self.cache, self.store
-        lock = cache.lock
-
-        with self._event_scope:
-            # (1) Consistency: reconcile (write-side), then enter the
-            # read phase; loop until the cache is current *while we hold
-            # the read lock* so steps 2-4 see one reconciled snapshot.
-            # Component times accumulate across passes — under
-            # contention the loop can reconcile more than once, and
-            # every pass belongs on this query's overhead breakdown.
-            while True:
-                if cache.pending_log_records(store):
-                    report = cache.ensure_consistency(store)
-                    metrics.analyze_seconds += report.analyze_seconds
-                    metrics.validate_seconds += report.validate_seconds
-                    metrics.purge_seconds += report.purge_seconds
-                lock.acquire_read()
-                if cache.pending_log_records(store) == 0:
-                    break
-                lock.release_read()
+            # (1) Consistency: reflect dataset changes logged since the
+            # cache last looked.
+            if cache.pending_log_records(store):
+                report = cache.ensure_consistency(store)
+                metrics.analyze_seconds = report.analyze_seconds
+                metrics.validate_seconds = report.validate_seconds
+                metrics.purge_seconds = report.purge_seconds
             try:
-                log_seq = store.log.last_seq
                 # (2)-(3) Hit discovery and candidate set pruning.
                 run, features, resident, hits, outcome = \
                     self._discover_and_prune(query, metrics)
@@ -471,7 +438,6 @@ class GraphCacheService:
                 metrics.tests_saved = metrics.candidate_size - tests
                 metrics.answer_size = answer.cardinality()
             finally:
-                lock.release_read()
                 # Unless the query ran as a resident, the matchers
                 # memoised a plan on the caller's object (steps 2 and 4
                 # are its only users; admission copies the graph).  It
@@ -480,30 +446,23 @@ class GraphCacheService:
                 query.forget_derived()
 
             # (5) Feed back to the Cache Manager: benefit credits +
-            # admission — write-side.  Skipped wholesale if the dataset
-            # moved past the read phase's snapshot (see docstring).
+            # admission (or renewal of a faded exact twin).
             started = perf_counter()
-            with lock.write():
-                if store.log.last_seq == log_seq:
-                    self._credit_contributions(
-                        query, outcome.contributions, query_index
-                    )
-                    if self.caching_enabled:
-                        cache.admit(query, answer, store, query_index,
-                                    features=features, twins=hits.exact,
-                                    same_as=resident)
-                else:
-                    metrics.admission_skipped = True
+            self._credit_contributions(query, outcome.contributions,
+                                       query_index)
+            if self.caching_enabled:
+                cache.admit(query, answer, store, query_index,
+                            features=features, twins=hits.exact,
+                            same_as=resident)
             metrics.admission_seconds = perf_counter() - started
-
             self.monitor.record(metrics)
-            return QueryResult(answer=answer, metrics=metrics)
+        return QueryResult(answer=answer, metrics=metrics)
 
     def _discover_and_prune(self, query: LabeledGraph, metrics: QueryMetrics,
                             ) -> tuple[LabeledGraph, GraphFeatures,
                                        CacheEntry | None, DiscoveryResult,
                                        PruneOutcome]:
-        """Pipeline steps 2-3 under the caller's read hold, filling their
+        """Pipeline steps 2-3 under the caller's lock hold, filling their
         ``metrics``; returns ``(run, features, resident, hits, outcome)``
         — ``run`` / ``features`` are what steps 4-5 use."""
         cs_m = self.store.ids_bitset()
@@ -562,18 +521,19 @@ class GraphCacheService:
         """What the cache would do for ``query`` — without doing it.
 
         Runs the pipeline's own steps 2-3 (interning included) under the
-        read lock: no consistency pass, no admission, no benefit
+        service lock: no consistency pass, no admission, no benefit
         crediting, no monitor record.  Pending (unvalidated) dataset
         changes are reported on the plan instead of being reconciled.
         """
         self._check_open()
         metrics = QueryMetrics()   # read for the plan, recorded nowhere
-        try:
-            with self.cache.lock.read():
+        with self._lock:
+            try:
                 _, _, _, hits, outcome = self._discover_and_prune(query,
                                                                   metrics)
-        finally:
-            query.forget_derived()  # as the pipeline: the caller owns it
+            finally:
+                query.forget_derived()  # as the pipeline: the caller owns it
+            pending = self.cache.pending_log_records(self.store)
         # Zero-effect applications (e.g. a hit whose CGvalid bits all
         # faded) are real discoveries but contributed nothing — they stay
         # visible in the hit lists, not as formula steps.
@@ -599,7 +559,7 @@ class GraphCacheService:
             reduced_candidates=frozenset(outcome.candidates),
             exact_hit=outcome.exact_hit,
             empty_shortcut=outcome.empty_shortcut,
-            pending_log_records=self.cache.pending_log_records(self.store),
+            pending_log_records=pending,
         )
 
     # ------------------------------------------------------------------
@@ -609,43 +569,42 @@ class GraphCacheService:
         """Fire every due batch of a :class:`ChangePlan` at this stream
         position; the next query (or batch) reconciles the cache.
 
-        Like every mutation below, the application takes the cache's
-        write lock: in concurrent serving it serialises after in-flight
-        read phases, so no query ever observes a half-applied batch.
+        Like every mutation below, the application holds the service
+        lock: no query ever observes a half-applied batch.
         """
         self._check_open()
-        with self.cache.lock.write():
+        with self._lock:
             return plan.apply_due(self.store, query_index)
 
     def add_graph(self, graph: LabeledGraph) -> int:
         """ADD a dataset graph; returns its new id."""
         self._check_open()
-        with self.cache.lock.write():
+        with self._lock:
             return self.store.add_graph(graph)
 
     def delete_graph(self, graph_id: int) -> None:
         """DEL a dataset graph (its id is never reused)."""
         self._check_open()
-        with self.cache.lock.write():
+        with self._lock:
             self.store.delete_graph(graph_id)
 
     def add_edge(self, graph_id: int, u: int, v: int) -> None:
         """UA: add an edge to a dataset graph."""
         self._check_open()
-        with self.cache.lock.write():
+        with self._lock:
             self.store.add_edge(graph_id, u, v)
 
     def remove_edge(self, graph_id: int, u: int, v: int) -> None:
         """UR: remove an edge from a dataset graph."""
         self._check_open()
-        with self.cache.lock.write():
+        with self._lock:
             self.store.remove_edge(graph_id, u, v)
 
     def refresh(self) -> ConsistencyReport:
         """Run the consistency protocol now (normally it runs lazily on
         the next query); useful before inspecting cache entries."""
         self._check_open()
-        with self._event_scope:
+        with self._lock:
             return self.cache.ensure_consistency(self.store)
 
     def purge(self) -> None:
@@ -654,10 +613,10 @@ class GraphCacheService:
         The purge counts as having reflected all dataset changes logged
         so far — an empty cache is consistent with any dataset state —
         so the next query does **not** run a spurious consistency pass.
-        Fires the ``on_purge`` hook (after the cache lock is released).
+        Fires the ``on_purge`` hook (after the service lock is released).
         """
         self._check_open()
-        with self._event_scope:
+        with self._lock:
             self.cache.clear(self.store)
 
     # ------------------------------------------------------------------
@@ -666,11 +625,12 @@ class GraphCacheService:
     def save(self, path: str | Path) -> Path:
         """Persist the full cache state to a snapshot file at ``path``.
 
-        The capture runs under the cache's write lock (safe while sessions
-        are serving on other threads — they queue behind it exactly as
-        behind a dataset mutation); the write itself is atomic
-        (temp file + ``os.replace``), so readers and crashed autosaves
-        can never observe a torn snapshot.  Returns the path written.
+        The capture holds the service lock (safe while sessions are
+        serving on other threads — they queue behind it exactly as behind
+        a dataset mutation); the file write runs after its release and is
+        atomic (temp file + ``os.replace``), so readers and crashed
+        autosaves can never observe a torn snapshot.  Returns the path
+        written.
 
         Unlike queries, saving is allowed on a **closed** service: the
         capture is a read-only observation of state that outlives
@@ -681,20 +641,11 @@ class GraphCacheService:
         stopped accepting sessions.
         """
         with self._save_lock:
-            # One write-lock hold (snapshot_state's acquisition is
-            # reentrant) covers both the cache capture and the dataset
-            # fingerprint, so the recorded dataset identity describes
-            # exactly the dataset state at the captured log cursor even
-            # while sessions mutate on other threads.
-            with self.cache.lock.write():
+            # One hold covers the cache capture, the dataset fingerprint
+            # and the stream position, so all three describe one state.
+            with self._lock:
                 state = self.cache.snapshot_state()
                 dataset = dataset_fingerprint(self.store)
-            # The stream position is read *after* the state capture: any
-            # admission that slipped in between is not in the state, and
-            # a counter merely ahead of the captured entries only skips
-            # stream indices on restore — it can never reuse one, which
-            # is what keeps created_at/recency monotone across restarts.
-            with self._counter_lock:
                 query_counter = self._query_counter
             snapshot = Snapshot(
                 fingerprint=config_fingerprint(self.config),
@@ -749,6 +700,13 @@ class GraphCacheService:
                 f"{ {n: snapshot.fingerprint.get(n) for n in differing} }, "
                 f"service { {n: expected.get(n) for n in differing} })"
             )
+        with self._lock:
+            return self._restore(snapshot)
+
+    def _restore(self, snapshot: Snapshot) -> ConsistencyReport:
+        """:meth:`restore` past the config check, under the lock: the
+        dataset checks, the state transplant and the catch-up pass see
+        one dataset state."""
         if snapshot.state.log_cursor > self.store.log.last_seq:
             raise SnapshotMismatchError(
                 f"snapshot reflects dataset log records up to seq "
@@ -772,8 +730,7 @@ class GraphCacheService:
                     f"different dataset"
                 )
             if self.store.log.last_seq == snapshot.state.log_cursor:
-                with self.cache.lock.read():
-                    current = dataset_fingerprint(self.store)
+                current = dataset_fingerprint(self.store)
                 if current != snapshot.dataset:
                     raise SnapshotMismatchError(
                         "snapshot was taken over a different dataset: "
@@ -789,11 +746,9 @@ class GraphCacheService:
             raise SnapshotFormatError(
                 f"snapshot state rejected: {exc}"
             ) from exc
-        with self._counter_lock:
-            self._query_counter = max(self._query_counter,
-                                      snapshot.query_counter)
-        with self._event_scope:
-            return self.cache.ensure_consistency(self.store)
+        self._query_counter = max(self._query_counter,
+                                  snapshot.query_counter)
+        return self.cache.ensure_consistency(self.store)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -810,7 +765,7 @@ class GraphCacheService:
         """Cumulative, monotonically non-decreasing ops counters.
 
         Merges the :class:`StatisticsMonitor` tallies (queries, cache
-        hits/misses, skipped admissions, sub-iso test totals) with the
+        hits/misses, sub-iso test totals) with the
         cache manager's lifetime admission/renewal/eviction/purge
         counts.  None of these ever decrease — purges and ``clear()``
         reset windowed statistics, never these — so the serving layer
@@ -854,8 +809,8 @@ class ServiceSession:
 
     Obtained via :meth:`GraphCacheService.session`.  All sessions of a
     service execute against the **same** cache, dataset, statistics and
-    hook registry; the cache's reader-writer lock keeps concurrent
-    pipelines safe.  Every query is recorded in the service's one
+    hook registry; the service lock runs their queries one at a time.
+    Every query is recorded in the service's one
     :class:`StatisticsMonitor` (:meth:`GraphCacheService.summary`).
 
     A session only executes queries; everything else (explain plans,

@@ -58,9 +58,8 @@ class CacheEntry:
     * ``answer`` — bit *i* set iff dataset graph *i* satisfied the query
       at execution time (``g ⊆ G_i`` for subgraph semantics, ``G_i ⊆ g``
       for supergraph semantics).  Frozen against dataset changes — only
-      ``valid`` fades; rewritten solely under the cache's write lock,
-      together with ``valid``, by a fresh execution's result (renewal:
-      the object is replaced).
+      ``valid`` fades; rewritten solely together with ``valid``, by a
+      fresh execution's result (renewal: the object is replaced).
     * ``valid`` — the ``CGvalid`` indicator: bit *i* set iff the recorded
       relation toward graph *i* is still guaranteed for the up-to-date
       dataset.  Initialised to the ids of all dataset graphs live at

@@ -15,18 +15,9 @@ Responsibilities (paper §4):
   only path that ever turns a ``CGvalid`` bit back on;
 * keep per-entry benefit statistics for the replacement policies.
 
-Concurrency
------------
-The manager owns the cache subsystem's reader-writer lock
-(:attr:`CacheManager.lock`): hit discovery over :attr:`index`, pruning
-and Mverification are read-side; :meth:`ensure_consistency`,
-:meth:`admit` (and the renewal or promotion/eviction it may trigger),
-:meth:`credit` / :meth:`credit_all` and :meth:`clear` are write-side and
-take the lock themselves, so they are safe to call while queries are in
-flight on other threads.  Single-session services install a
-:class:`~repro.util.rwlock.NullRWLock`, which makes every acquisition a
-no-op — the sequential path pays nothing.  See ``docs/concurrency.md``
-for the per-pipeline-step boundary map.
+The manager is single-threaded by contract and takes no lock: the
+service calls it only while holding its own lock
+(``docs/concurrency.md``).
 """
 
 from __future__ import annotations
@@ -53,7 +44,6 @@ from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 from repro.persist.state import CacheState, EntryRecord
 from repro.util.bitset import BitSet
-from repro.util.rwlock import NullRWLock, RWLock
 
 if TYPE_CHECKING:   # import cycle: repro.api builds on repro.cache
     from repro.api.config import GCConfig
@@ -88,8 +78,7 @@ class CacheManager:
                  query_type: QueryType = QueryType.SUBGRAPH,
                  capacity: int = DEFAULT_CACHE_CAPACITY,
                  window_capacity: int = DEFAULT_WINDOW_CAPACITY,
-                 policy: ReplacementPolicy | str = "hd",
-                 lock: RWLock | NullRWLock | None = None) -> None:
+                 policy: ReplacementPolicy | str = "hd") -> None:
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.model = model
@@ -103,12 +92,6 @@ class CacheManager:
         self._cache: dict[int, CacheEntry] = {}
         self._next_entry_id = 0
         self._log_cursor = 0
-        #: Reader-writer lock guarding the whole cache subsystem (and,
-        #: by service convention, the dataset store it reflects).  The
-        #: default no-op lock keeps the single-session path zero-cost;
-        #: :meth:`repro.api.service.GraphCacheService.session` swaps in
-        #: a real :class:`RWLock` (``lock_mode="auto"``/``"rw"``).
-        self.lock = lock if lock is not None else NullRWLock()
         # Instrumentation for Figure 6's overhead breakdown and the
         # serving layer's ops counters.  All four are cumulative and
         # monotone over the manager's lifetime: :meth:`clear` increments
@@ -131,7 +114,6 @@ class CacheManager:
             capacity=config.cache_capacity,
             window_capacity=config.window_capacity,
             policy=config.policy,
-            lock=RWLock() if config.lock_mode == "rw" else NullRWLock(),
         )
 
     def _emit(self, kind_name: str, entry_ids: tuple[int, ...],
@@ -157,19 +139,7 @@ class CacheManager:
 
         EVI: indiscriminate purge.  CON: Algorithm 1 (log analysis) +
         Algorithm 2 (validity refresh on every cache/window entry).
-
-        Write-side: the reconciliation runs under the manager's write
-        lock, serialised against in-flight read phases.  The no-work
-        fast path is double-checked — an unlocked peek at two integers
-        first (benign in CPython: both are single attribute reads),
-        re-verified under the lock before any state moves.
         """
-        if store.log.last_seq <= self._log_cursor:
-            return NOOP_CONSISTENCY
-        with self.lock.write():
-            return self._reconcile(store)
-
-    def _reconcile(self, store: GraphStore) -> ConsistencyReport:
         if store.log.last_seq <= self._log_cursor:
             return NOOP_CONSISTENCY
 
@@ -203,8 +173,7 @@ class CacheManager:
     # ------------------------------------------------------------------
     def all_entries(self) -> list[CacheEntry]:
         """Hit-eligible entries: cache ∪ window (paper §4)."""
-        with self.lock.read():
-            return list(self._cache.values()) + self.window.entries()
+        return list(self._cache.values()) + self.window.entries()
 
     @property
     def cache_size(self) -> int:
@@ -234,10 +203,8 @@ class CacheManager:
         hit discovery) avoid a recomputation here.
 
         ``twins`` are the entries hit discovery certified isomorphic to
-        ``query``.  They were collected in the caller's read phase, so
-        residency and validity are re-checked here: a twin evicted since
-        is ignored, one another session renewed is simply fully valid.
-        If a resident twin's ``CGvalid`` no longer covers the live ids
+        ``query``; one no longer resident is ignored.  If a resident
+        twin's ``CGvalid`` no longer covers the live ids
         the fresh answer is written into it (:meth:`_renew`) and no new
         entry is created; with no faded twin — always, without churn and
         under EVI — the query is admitted as a new entry, next to any
@@ -247,43 +214,37 @@ class CacheManager:
         query (:meth:`QueryIndex.identical_resident`): the new entry
         shares that entry's graph and features instead of copying
         ``query`` — one graph, one set of compiled plans per distinct
-        cached query, however many copies the window admits.  Cached
-        graphs are immutable, so this holds even if ``same_as`` was
-        evicted since the read phase.
-
-        Write-side: runs under the manager's write lock (reentrant for
-        a caller already holding it).
+        cached query, however many copies the window admits.
         """
-        with self.lock.write():
-            live = store.ids_bitset()
-            faded = [twin for twin in twins
-                     if twin.entry_id in self.statistics
-                     and not twin.fully_valid(live)]
-            if faded:
-                return self._renew(faded, answer, live, query_index)
-            entry = CacheEntry(
-                entry_id=self._next_entry_id,
-                query=query,
-                query_type=self.query_type,
-                answer=answer.copy(),
-                valid=live,
-                created_at=query_index,
-                features=features,
-                same_as=same_as,
-            )
-            self._next_entry_id += 1
-            self.statistics.register(entry.entry_id, query_index)
-            self.index.add(entry)
-            self.admissions += 1
-            promoted = self.window.add(entry)
-            if promoted is not None:
-                self._promote(promoted)
-            # Emitted once the admission has fully settled, so hooks
-            # observe the post-admission state (entry in the window or,
-            # if its arrival filled the window, already promoted or
-            # evicted).
-            self._emit("ADMISSION", (entry.entry_id,), query_index)
-            return entry
+        live = store.ids_bitset()
+        faded = [twin for twin in twins
+                 if twin.entry_id in self.statistics
+                 and not twin.fully_valid(live)]
+        if faded:
+            return self._renew(faded, answer, live, query_index)
+        entry = CacheEntry(
+            entry_id=self._next_entry_id,
+            query=query,
+            query_type=self.query_type,
+            answer=answer.copy(),
+            valid=live,
+            created_at=query_index,
+            features=features,
+            same_as=same_as,
+        )
+        self._next_entry_id += 1
+        self.statistics.register(entry.entry_id, query_index)
+        self.index.add(entry)
+        self.admissions += 1
+        promoted = self.window.add(entry)
+        if promoted is not None:
+            self._promote(promoted)
+        # Emitted once the admission has fully settled, so hooks
+        # observe the post-admission state (entry in the window or,
+        # if its arrival filled the window, already promoted or
+        # evicted).
+        self._emit("ADMISSION", (entry.entry_id,), query_index)
+        return entry
 
     def _renew(self, faded: list[CacheEntry], answer: BitSet, live: BitSet,
                query_index: int) -> CacheEntry:
@@ -340,10 +301,9 @@ class CacheManager:
     # ------------------------------------------------------------------
     def credit(self, entry_id: int, tests_saved: int, cost_saved: float,
                query_index: int) -> None:
-        with self.lock.write():
-            if entry_id in self.statistics:
-                self.statistics.credit(entry_id, tests_saved, cost_saved,
-                                       query_index)
+        if entry_id in self.statistics:
+            self.statistics.credit(entry_id, tests_saved, cost_saved,
+                                   query_index)
 
     def credit_all(self, contributions: Mapping[int, int],
                    cost_per_test: float, query_index: int) -> None:
@@ -351,14 +311,13 @@ class CacheManager:
         saved, packed into an integer (bit *i* ⟺ graph id *i*, as
         :attr:`PruneOutcome.contributions
         <repro.runtime.pruner.PruneOutcome.contributions>` holds them),
-        at ``cost_per_test`` each — under one write-lock hold."""
-        with self.lock.write():
-            for entry_id, saved in contributions.items():
-                count = saved.bit_count()
-                if count and entry_id in self.statistics:
-                    self.statistics.credit(entry_id, count,
-                                           count * cost_per_test,
-                                           query_index)
+        at ``cost_per_test`` each."""
+        for entry_id, saved in contributions.items():
+            count = saved.bit_count()
+            if count and entry_id in self.statistics:
+                self.statistics.credit(entry_id, count,
+                                       count * cost_per_test,
+                                       query_index)
 
     # ------------------------------------------------------------------
     # Snapshot capture / restore (the persistence subsystem's substrate;
@@ -367,37 +326,29 @@ class CacheManager:
     def snapshot_state(self) -> CacheState:
         """A decoupled point-in-time capture of the whole cache state.
 
-        Write-side: capturing under the write lock guarantees no
-        admission, eviction, crediting or consistency pass is mid-flight
-        — the captured state is exactly one the sequential semantics
-        could observe, so a restore resumes a *valid* trajectory.  Safe
-        to call while sessions are serving on other threads (they queue
-        behind the capture, exactly as behind a dataset mutation).
-
         Entries and statistics are deep-copied (see
         :class:`~repro.persist.state.CacheState`), so the capture stays
         frozen while the live cache keeps evolving.
         """
-        with self.lock.write():
-            cache_records = [
-                self._capture(self._cache[entry_id])
-                for entry_id in sorted(self._cache)
-            ]
-            window_records = [self._capture(entry)
-                              for entry in self.window.entries()]
-            pin_rounds = pinc_rounds = 0
-            if isinstance(self.policy, HybridPolicy):
-                pin_rounds = self.policy.pin_rounds
-                pinc_rounds = self.policy.pinc_rounds
-            return CacheState(
-                cache=cache_records,
-                window=window_records,
-                next_entry_id=self._next_entry_id,
-                log_cursor=self._log_cursor,
-                policy_name=self.policy.name,
-                pin_rounds=pin_rounds,
-                pinc_rounds=pinc_rounds,
-            )
+        cache_records = [
+            self._capture(self._cache[entry_id])
+            for entry_id in sorted(self._cache)
+        ]
+        window_records = [self._capture(entry)
+                          for entry in self.window.entries()]
+        pin_rounds = pinc_rounds = 0
+        if isinstance(self.policy, HybridPolicy):
+            pin_rounds = self.policy.pin_rounds
+            pinc_rounds = self.policy.pinc_rounds
+        return CacheState(
+            cache=cache_records,
+            window=window_records,
+            next_entry_id=self._next_entry_id,
+            log_cursor=self._log_cursor,
+            policy_name=self.policy.name,
+            pin_rounds=pin_rounds,
+            pinc_rounds=pinc_rounds,
+        )
 
     def _capture(self, entry: CacheEntry) -> EntryRecord:
         return EntryRecord(entry=self._copy_entry(entry),
@@ -436,7 +387,7 @@ class CacheManager:
     def restore_state(self, state: CacheState) -> None:
         """Replace the entire cache state with a captured one.
 
-        Write-side, and **silent**: no admission/eviction/purge events
+        **Silent**: no admission/eviction/purge events
         fire — a restore is state transplantation, not cache activity.
         The bucketed :class:`QueryIndex` is rebuilt from the restored
         entries (it is derived state; persisting it would only create a
@@ -479,20 +430,19 @@ class CacheManager:
                     f"{state.next_entry_id}"
                 )
             seen.add(entry_id)
-        with self.lock.write():
-            self._cache.clear()
-            self.index.clear()
-            self.statistics.clear()
-            for record in state.cache:
-                entry = self._restore_entry(record)
-                self._cache[entry.entry_id] = entry
-            self.window.restore([self._restore_entry(record)
-                                 for record in state.window])
-            self._next_entry_id = state.next_entry_id
-            self._log_cursor = state.log_cursor
-            if isinstance(self.policy, HybridPolicy):
-                self.policy.pin_rounds = state.pin_rounds
-                self.policy.pinc_rounds = state.pinc_rounds
+        self._cache.clear()
+        self.index.clear()
+        self.statistics.clear()
+        for record in state.cache:
+            entry = self._restore_entry(record)
+            self._cache[entry.entry_id] = entry
+        self.window.restore([self._restore_entry(record)
+                             for record in state.window])
+        self._next_entry_id = state.next_entry_id
+        self._log_cursor = state.log_cursor
+        if isinstance(self.policy, HybridPolicy):
+            self.policy.pin_rounds = state.pin_rounds
+            self.policy.pinc_rounds = state.pinc_rounds
 
     # ------------------------------------------------------------------
     # Purge (EVI, or manual reset)
@@ -509,36 +459,25 @@ class CacheManager:
         ``purged=True``), polluting the Figure-6 overhead breakdown.
         The EVI consistency path purges through a no-argument callback
         and advances the cursor itself, so it is unaffected.
-
-        Write-side: the purge runs under the manager's write lock, so
-        calling it while queries are in flight on other threads is safe
-        — it serialises after any read phase currently holding the lock
-        and before the next one; a mid-pipeline query can never observe
-        a half-cleared index.  The PURGE event is emitted from inside
-        the critical section; the service layer defers hook execution
-        until the lock is released (see
-        :meth:`repro.api.service.GraphCacheService._dispatch_event`), so
-        user hooks never run while the cache subsystem is locked.
         """
-        with self.lock.write():
-            cleared = (tuple(self._cache) + tuple(
-                e.entry_id for e in self.window.entries()
-            ) if self.event_listener is not None else ())
-            self._cache.clear()
-            self.window.clear()
-            self.index.clear()
-            self.statistics.clear()
-            self.purges += 1
-            # The policy's accumulated state (HD's PIN/PINC regime
-            # tallies) describes the population just purged; a fresh
-            # cache restarts the tallies so ablation reports never mix
-            # regime counts across purge boundaries.
-            self.policy.reset()
-            if store is not None:
-                self._log_cursor = store.log.last_seq
-            # Purging an already-empty cache emits nothing (the _emit
-            # guard): hooks only ever observe purges that removed state.
-            self._emit("PURGE", cleared)
+        cleared = (tuple(self._cache) + tuple(
+            e.entry_id for e in self.window.entries()
+        ) if self.event_listener is not None else ())
+        self._cache.clear()
+        self.window.clear()
+        self.index.clear()
+        self.statistics.clear()
+        self.purges += 1
+        # The policy's accumulated state (HD's PIN/PINC regime
+        # tallies) describes the population just purged; a fresh
+        # cache restarts the tallies so ablation reports never mix
+        # regime counts across purge boundaries.
+        self.policy.reset()
+        if store is not None:
+            self._log_cursor = store.log.last_seq
+        # Purging an already-empty cache emits nothing (the _emit
+        # guard): hooks only ever observe purges that removed state.
+        self._emit("PURGE", cleared)
 
     def __repr__(self) -> str:
         return (

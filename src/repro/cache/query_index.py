@@ -160,13 +160,9 @@ def _structural_key(graph: LabeledGraph) -> tuple:
 class QueryIndex:
     """Containment-direction prefilter over the cache + window entries.
 
-    The index carries no lock of its own: the owning
-    :class:`~repro.cache.manager.CacheManager`'s reader-writer lock
-    guards it — :meth:`candidate_supergraphs` / :meth:`candidate_subgraphs`
-    / :meth:`identical_resident` are read-side (and never mutate index
-    state when maintained through the manager, which refreshes guard
-    caches at admission time), while :meth:`add` / :meth:`remove` /
-    :meth:`clear` are write-side.
+    Single-threaded by contract, like the owning
+    :class:`~repro.cache.manager.CacheManager`: the index takes no lock,
+    and the service reaches it only while holding its own.
     """
 
     def __init__(self) -> None:
@@ -242,7 +238,6 @@ class QueryIndex:
         for bucket in self._buckets.values():
             for group in bucket.values():
                 group[2] = group[0] | all_guards
-        # gclint: allow[GC120] admission refreshes eagerly under the write lock, so the lazy lookup-side refresh only runs on a bare, unshared index
         self._guards_dirty = False
 
     def _pack_query(self, features: GraphFeatures) -> tuple[int, int, bool]:
@@ -306,11 +301,9 @@ class QueryIndex:
         for label in entry.features.label_counts:
             self._postings.setdefault(label, set()).add(entry.entry_id)
         if self._guards_dirty:
-            # Re-cache guarded signatures on the write side (admission
-            # runs under the cache's write lock), so the lookup path
-            # stays strictly read-only under concurrency.  The lazy
-            # refresh in the lookups remains as a fallback for code
-            # driving a bare index.
+            # Re-cache guarded signatures at admission, so lookups find
+            # them fresh.  The lazy refresh in the lookups remains as a
+            # fallback for code driving a bare index.
             self._refresh_guards()
 
     @staticmethod
@@ -423,9 +416,7 @@ class QueryIndex:
 
         A query is packed once: the result is memoised on ``features``
         (keyed by this index's registry and its size), where the second
-        lookup and the admission's :meth:`add` find it.  Concurrent
-        readers may each pack the same features and store the result;
-        any of the equal results is as good as another.
+        lookup and the admission's :meth:`add` find it.
         """
         if same_as is not None:
             group = self._sigs.get(same_as.entry_id)

@@ -51,12 +51,9 @@ class StatisticsManager:
     The counters of a faded copy that a renewal drops are not lost: they
     are folded into the surviving twin (:meth:`absorb`).
 
-    Carries no lock of its own: every mutation (``register``/``credit``/
-    ``absorb``/``forget``/``clear``) reaches it through write-side
-    :class:`~repro.cache.manager.CacheManager` operations, and the
-    read-side consumers (the replacement policies' scoring) run inside
-    those same write-locked eviction rounds — so the manager's
-    reader-writer lock covers it entirely (see ``docs/concurrency.md``).
+    Carries no lock of its own: it is reached only through
+    :class:`~repro.cache.manager.CacheManager`, which the service calls
+    only while holding its one lock (see ``docs/concurrency.md``).
     """
 
     def __init__(self) -> None:

@@ -75,13 +75,17 @@ def _load_graphs(flag: str, path: Path) -> list[LabeledGraph]:
 
 
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
-    graphs = generate_aids_like(
-        num_graphs=args.num_graphs,
-        mean_vertices=args.mean_vertices,
-        std_vertices=args.std_vertices,
-        max_vertices=args.max_vertices,
-        seed=args.seed,
-    )
+    try:
+        graphs = generate_aids_like(
+            num_graphs=args.num_graphs,
+            mean_vertices=args.mean_vertices,
+            std_vertices=args.std_vertices,
+            max_vertices=args.max_vertices,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"gen-dataset: {exc}", file=sys.stderr)
+        return 2
     graph_io.dump_file(args.out, list(enumerate(graphs)))
     avg_v = sum(g.num_vertices for g in graphs) / len(graphs)
     avg_e = sum(g.num_edges for g in graphs) / len(graphs)
@@ -93,21 +97,26 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
 def _cmd_gen_workload(args: argparse.Namespace) -> int:
     graphs = _load_graphs("--dataset", args.dataset)
     kind = args.kind.upper()
-    if kind in {c.name for c in TypeACategory}:
-        workload = generate_type_a(graphs, args.num_queries, kind,
-                                   seed=args.seed)
-    elif kind.endswith("%"):
-        share = int(kind.rstrip("%")) / 100.0
-        workload = generate_type_b(graphs, TypeBConfig(
-            num_queries=args.num_queries,
-            no_answer_probability=share,
-            answer_pool_size=max(args.num_queries // 2, 10),
-            no_answer_pool_size=max(args.num_queries // 8, 5),
-            seed=args.seed,
-        ))
-    else:
-        print(f"unknown workload kind {args.kind!r}; use UU/ZU/ZZ or "
-              f"0%/20%/50%", file=sys.stderr)
+    percent = kind[:-1] if kind.endswith("%") else ""
+    type_a = kind in {c.name for c in TypeACategory}
+    if not (type_a or (percent.isdigit() and int(percent) <= 100)):
+        print(f"unknown workload kind {args.kind!r}; use UU/ZU/ZZ or a "
+              f"no-answer share from 0% to 100%", file=sys.stderr)
+        return 2
+    try:
+        if type_a:
+            workload = generate_type_a(graphs, args.num_queries, kind,
+                                       seed=args.seed)
+        else:
+            workload = generate_type_b(graphs, TypeBConfig(
+                num_queries=args.num_queries,
+                no_answer_probability=int(percent) / 100.0,
+                answer_pool_size=max(args.num_queries // 2, 10),
+                no_answer_pool_size=max(args.num_queries // 8, 5),
+                seed=args.seed,
+            ))
+    except ValueError as exc:
+        print(f"gen-workload: {exc}", file=sys.stderr)
         return 2
     graph_io.dump_file(
         args.out, [(i, q.graph) for i, q in enumerate(workload.queries)]
@@ -122,10 +131,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not queries:
         print("workload is empty", file=sys.stderr)
         return 2
-    if args.explain >= len(queries):
-        print(f"--explain {args.explain}: the workload has only "
-              f"{len(queries)} queries (0 to {len(queries) - 1})",
-              file=sys.stderr)
+    if not -1 <= args.explain < len(queries):
+        print(f"--explain {args.explain}: the workload has "
+              f"{len(queries)} queries (0 to {len(queries) - 1}; -1 for "
+              f"no plan)", file=sys.stderr)
         return 2
     if args.save_snapshot is not None and not args.save_snapshot.parent.is_dir():
         # Fail before serving the whole workload, not after.
@@ -138,6 +147,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--explain/--warm-start/--save-snapshot/--autosave-every need "
               "a cache model (CON or EVI)", file=sys.stderr)
         return 2
+    plan = None
+    if args.change_batches:
+        try:
+            plan = ChangePlan.generate(
+                graphs, num_queries=len(queries),
+                num_batches=args.change_batches,
+                ops_per_batch=args.ops_per_batch, seed=args.seed,
+            )
+        except ValueError as exc:
+            print(f"--change-batches/--ops-per-batch: {exc}",
+                  file=sys.stderr)
+            return 2
     store = GraphStore.from_graphs(graphs)
 
     try:
@@ -154,14 +175,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-
-    plan = None
-    if args.change_batches > 0:
-        plan = ChangePlan.generate(
-            graphs, num_queries=len(queries),
-            num_batches=args.change_batches,
-            ops_per_batch=args.ops_per_batch, seed=args.seed,
-        )
 
     service = runner if isinstance(runner, GraphCacheService) else None
     if args.warm_start:

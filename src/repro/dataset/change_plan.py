@@ -85,10 +85,15 @@ class ChangePlan:
         uniformly typed operations at uniform times in ``[0, num_queries)``.
 
         The paper's AIDS plan is 100 batches × 20 ops over 10,000 queries;
-        scaled-down runs keep the same batch structure.
+        scaled-down runs keep the same batch structure.  Zero batches or
+        zero ops per batch make an empty plan; negative counts raise.
         """
         if num_queries <= 0:
             raise ValueError(f"num_queries must be positive, got {num_queries}")
+        for name, count in (("num_batches", num_batches),
+                            ("ops_per_batch", ops_per_batch)):
+            if count < 0:
+                raise ValueError(f"{name} must be non-negative, got {count}")
         if not initial_graphs:
             raise ValueError("initial dataset must be non-empty")
         rng = random.Random(seed)

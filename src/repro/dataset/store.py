@@ -28,7 +28,7 @@ class GraphStore:
 
     The set of live ids is kept as one packed integer next to the graph
     dict, so :meth:`ids_bitset` is O(1).  Only :meth:`from_graphs`, ADD
-    and DEL write it — in a service, always under the cache's write lock
+    and DEL write it — in a service, always under the service lock
     (``docs/concurrency.md``) — and UA/UR leave it alone: an edge
     mutation changes a graph, never which graphs are live.
 

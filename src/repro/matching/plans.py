@@ -9,8 +9,8 @@ This module holds the pieces more than one kernel uses; the per-matcher
 pattern plans sit next to their kernels.
 
 Everything stored is immutable once built: sessions share one matcher
-instance across threads, and graph-scoped values that never change are
-the only state that is safe in the shared read phase.
+instance across threads, so the matcher keeps no per-test state outside
+its call frames, and graph-scoped values never change once published.
 """
 
 from __future__ import annotations

@@ -58,9 +58,6 @@ class QueryMetrics:
     #: The query was identical to a resident cached query and ran as it
     #: (that entry's graph, features, signature and compiled plans).
     interned: bool = False
-    #: Concurrent serving only: the dataset mutated between this query's
-    #: read phase and its admission, so the (stale) entry was declined.
-    admission_skipped: bool = False
 
     @property
     def query_seconds(self) -> float:
@@ -95,9 +92,10 @@ class StatisticsMonitor:
     """Cumulative totals of :class:`QueryMetrics` across a run.
 
     Every field only ever grows; :meth:`summary` derives the per-query
-    averages from them.  Thread-safe: concurrent sessions sharing one
-    cache record into one monitor, so :meth:`record` and the accessors
-    serialise on an internal mutex (uncontended in single-session use).
+    averages from them.  Thread-safe: queries record under the service
+    lock, but ``/metrics`` scrapes read without it, so :meth:`record`
+    and the accessors serialise on an internal mutex (uncontended in
+    single-session use).
     """
 
     queries: int = 0
@@ -114,7 +112,6 @@ class StatisticsMonitor:
     queries_with_valid_exact_hit: int = 0
     queries_with_empty_shortcut: int = 0
     interned_queries: int = 0
-    admissions_skipped: int = 0
     total_containing_hits: int = 0
     total_contained_hits: int = 0
     total_exact_hits: int = 0
@@ -146,8 +143,6 @@ class StatisticsMonitor:
                 self.queries_with_empty_shortcut += 1
             if metrics.interned:
                 self.interned_queries += 1
-            if metrics.admission_skipped:
-                self.admissions_skipped += 1
             self.total_containing_hits += metrics.containing_hits
             self.total_contained_hits += metrics.contained_hits
             self.total_exact_hits += metrics.exact_hits
@@ -171,7 +166,6 @@ class StatisticsMonitor:
                 "queries": self.queries,
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
-                "admissions_skipped": self.admissions_skipped,
                 "method_tests": self.total_method_tests,
                 "internal_tests": self.total_internal_tests,
                 "tests_saved": self.total_tests_saved,
@@ -204,7 +198,6 @@ class StatisticsMonitor:
                 "queries_with_empty_shortcut":
                     self.queries_with_empty_shortcut,
                 "interned_queries": self.interned_queries,
-                "admissions_skipped": self.admissions_skipped,
                 "total_containing_hits": self.total_containing_hits,
                 "total_contained_hits": self.total_contained_hits,
                 "total_exact_hits": self.total_exact_hits,

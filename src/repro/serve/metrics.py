@@ -7,7 +7,7 @@ weight.  Four sources feed one scrape:
 
 * the service's monotonic :meth:`~repro.api.GraphCacheService.counters`
   (queries, cache hits/misses, admissions/renewals/evictions/purges,
-  skipped admissions, sub-iso test totals) → ``*_total`` counters;
+  sub-iso test totals) → ``*_total`` counters;
 * point-in-time service state (cache/window occupancy, open sessions,
   HD's PIN/PINC regime rounds) → gauges;
 * the server's own :class:`ServerStats` (per-path/status request
@@ -61,8 +61,6 @@ _COUNTER_SPECS = (
      "instead of being admitted as a copy"),
     ("purges", "gcplus_purges_total",
      "Whole-cache purges (EVI consistency or manual clear)"),
-    ("admissions_skipped", "gcplus_admissions_skipped_total",
-     "Admissions declined because the dataset moved mid-pipeline"),
     ("method_tests", "gcplus_method_tests_total",
      "Sub-iso tests executed by the Method-M verifier"),
     ("internal_tests", "gcplus_internal_tests_total",

@@ -9,8 +9,9 @@ cheap and unbounded; *request work* is bounded by a pool of
 each POST checks a session out, runs (queries through the session,
 explain plans and mutations through the service), and returns it.  The
 session pool is therefore the sidecar's concurrency limiter: at most
-``max_sessions`` requests are in flight at once, exactly the
-deployment shape ``docs/concurrency.md`` reasons about.
+``max_sessions`` requests are in flight at once, and each of them runs
+against the cache under the service's one lock, held for its whole call
+(``docs/concurrency.md``).
 
 Endpoints (wire format in :mod:`repro.serve.wire`, full reference in
 ``docs/serving.md``):

@@ -116,7 +116,6 @@ def metrics_to_wire(metrics: QueryMetrics) -> dict[str, Any]:
         "exact_hits": metrics.exact_hits,
         "exact_hit_valid": metrics.exact_hit_valid,
         "empty_shortcut": metrics.empty_shortcut,
-        "admission_skipped": metrics.admission_skipped,
         "query_ms": metrics.query_seconds * 1000.0,
         "overhead_ms": metrics.overhead_seconds * 1000.0,
     }

@@ -10,6 +10,11 @@ threads holding :class:`~repro.api.service.ServiceSession` handles, and
 each mutation batch is applied at the epoch barrier — a quiescent point
 where the driver also asserts the cache's structural invariants.
 
+Every query holds the service's one lock from its consistency pass to
+its admission, so the threads interleave at query boundaries only; what
+the schedule decides is the *order* in which an epoch's queries reach
+the cache.
+
 Why epochs make concurrency *checkable*: within an epoch the dataset is
 frozen (mutations only happen at barriers), and a GC+ answer is a pure
 function of (query, dataset state) — the §6 correctness claim, which

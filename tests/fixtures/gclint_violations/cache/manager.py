@@ -7,29 +7,15 @@ asserts the exact rule ids fire against this file.
 import random
 
 
-class BrokenManager:
+class GraphCacheService:
     def __init__(self, lock):
-        self.lock = lock
+        self._lock = lock
         self.on_admission = None
 
-    def admit(self, entry):
-        return entry
-
     def admit_and_notify(self, entry):
-        with self.lock.write():
-            # GC103: user hook invoked while the write lock is held.
+        with self._lock:
+            # GC103: user hook invoked while the service lock is held.
             self.on_admission(entry)
-
-    def lookup_then_admit(self, entry):
-        with self.lock.read():
-            # GC101: write-side operation inside a read hold.
-            self.admit(entry)
-
-    def upgrade(self, entry):
-        with self.lock.read():
-            # GC102: read -> write upgrade deadlocks a real RWLock.
-            with self.lock.write():
-                return entry
 
     def pick_victim(self, entries):
         # GC202: global-RNG draw in a cache decision path.

@@ -1,9 +1,7 @@
-"""Seeded lock-ordering violations (never imported).
+"""Seeded lock-ordering violation (never imported).
 
 Two call chains acquire the same two locks in opposite orders (GC110
-cycle), and a write acquisition sits below a caller's read hold (GC110
-interprocedural upgrade — the lexical case is GC102's, this one only
-exists across the call edge).
+cycle).
 """
 
 
@@ -13,25 +11,14 @@ class OrderingManager:
         self._mutex = mutex
 
     def locked_then_mutexed(self):
-        # Chain 1: lock (write) is held while _mutex is acquired.
-        with self.lock.write():
+        # Chain 1: lock is held while _mutex is acquired.
+        with self.lock:
             with self._mutex:
                 return 1
 
     def mutexed_then_locked(self):
-        # Chain 2: _mutex is held while lock (read) is acquired —
+        # Chain 2: _mutex is held while lock is acquired —
         # GC110: opposite order to chain 1, a deadlock-capable cycle.
         with self._mutex:
-            with self.lock.read():
+            with self.lock:
                 return 2
-
-    def reader(self):
-        # Holds the read side and calls into the write path below.
-        with self.lock.read():
-            return self.writer()
-
-    def writer(self):
-        # GC110: acquires the write side while reader() still holds the
-        # read side of the same lock — an upgrade across a call edge.
-        with self.lock.write():
-            return 3

@@ -1,9 +1,9 @@
 """Seeded unguarded shared-state mutation (never imported).
 
 The class deliberately reuses the tracked name ``QueryIndex``: its
-attributes are shared state that demands a write lock or mutex.  The
-mutation below is reachable from a resolved caller that holds nothing,
-so the must-held analysis proves no guard on that path (GC120).
+attributes are shared state that demands a lock.  The mutation below
+is reachable from a resolved caller that holds nothing, so the
+must-held analysis proves no guard on that path (GC120).
 """
 
 

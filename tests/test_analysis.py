@@ -39,7 +39,7 @@ class TestTreeIsClean:
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings
         )
-        assert report.modules_checked > 70
+        assert report.modules_checked >= 70
 
     def test_cli_exits_zero_on_tree(self):
         assert gclint_main([str(SRC)]) == 0
@@ -54,15 +54,13 @@ class TestSeededViolations:
         assert gclint_main([str(FIXTURE)]) == 1
 
     @pytest.mark.parametrize("rule_id,path_part", [
-        ("GC101", "cache/manager.py"),    # write-side call under read lock
-        ("GC102", "cache/manager.py"),    # read→write upgrade
-        ("GC103", "cache/manager.py"),    # hook emission under lock
+        ("GC103", "cache/manager.py"),    # hook call under the service lock
         ("GC202", "cache/manager.py"),    # random.random() in cache/
         ("GC201", "runtime/worker_pool.py"),  # wall clock under runtime/
         ("GC202", "runtime/worker_pool.py"),  # unseeded RNG under runtime/
         ("GC401", "persist/writer.py"),   # swallowed broad except
-        ("GC110", "cache/ordering.py"),   # lock-order cycle + interproc upgrade
-        ("GC111", "cache/blocking.py"),   # blocking I/O under a write hold
+        ("GC110", "cache/ordering.py"),   # lock-order cycle
+        ("GC111", "cache/blocking.py"),   # blocking I/O under the service lock
         ("GC120", "cache/raceable.py"),   # unguarded shared-state mutation
     ])
     def test_each_seeded_violation_is_caught(self, fixture_report,
@@ -225,10 +223,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert gclint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("GC101", "GC102", "GC103", "GC110", "GC111",
-                        "GC120", "GC201", "GC202", "GC203", "GC401"):
+        for rule_id in ("GC103", "GC110", "GC111", "GC120", "GC201",
+                        "GC202", "GC203", "GC401"):
             assert rule_id in out
-        assert len(out.splitlines()) == 10
+        assert len(out.splitlines()) == 8
 
     def test_list_rules_reports_severity(self, capsys):
         assert gclint_main(["--list-rules"]) == 0
@@ -240,13 +238,13 @@ class TestCli:
 
     def test_json_reports_column_and_paths(self, tmp_path, capsys):
         _write(tmp_path, "cache/block.py", """\
-            class Manager:
+            class GraphCacheService:
                 def __init__(self, lock, conn):
-                    self.lock = lock
+                    self._lock = lock
                     self.conn = conn
 
                 def publish(self, payload):
-                    with self.lock.write():
+                    with self._lock:
                         self.conn.send(payload)
             """)
         out = tmp_path / "report.json"
@@ -264,70 +262,64 @@ class TestCli:
 # Flow-aware rule precision: things that must NOT fire
 # ----------------------------------------------------------------------
 class TestFlowPrecision:
-    def test_sequential_acquire_release_is_not_an_upgrade(self, tmp_path):
-        # read, release, then write — no hold overlaps, nothing fires.
-        _write(tmp_path, "cache/seq.py", """\
-            class Manager:
+    def test_hook_after_release_is_clean(self, tmp_path):
+        # The service lock's own pattern: buffer under the hold, run the
+        # hook once the region has ended.
+        _write(tmp_path, "api/service.py", """\
+            class GraphCacheService:
                 def __init__(self, lock):
-                    self.lock = lock
+                    self._lock = lock
+                    self.on_admission = None
 
-                def refresh(self):
-                    with self.lock.read():
-                        snapshot = 1
-                    with self.lock.write():
-                        return snapshot
+                def admit(self, entry):
+                    with self._lock:
+                        event = entry
+                    self.on_admission(event)
             """)
         report = run_analysis([tmp_path])
-        assert [f for f in report.findings
-                if f.rule_id in ("GC102", "GC110")] == []
+        assert [f for f in report.findings if f.rule_id == "GC103"] == []
 
-    def test_write_then_nested_read_is_legal(self, tmp_path):
-        # Downgrade-shaped nesting: write outer, read inner.  RWLock
-        # write holds subsume reads; neither GC101 nor GC110 applies.
-        _write(tmp_path, "cache/nest.py", """\
-            class Manager:
-                def __init__(self, lock):
-                    self.lock = lock
+    def test_blocking_under_an_io_lock_is_sanctioned(self, tmp_path):
+        # A lock whose job is to serialise file I/O (the service's
+        # _save_lock) may be held across it: GC111 polices the service
+        # lock only.
+        _write(tmp_path, "api/service.py", """\
+            import os
 
-                def rebuild(self):
-                    with self.lock.write():
-                        with self.lock.read():
-                            return 1
-            """)
-        report = run_analysis([tmp_path])
-        assert [f for f in report.findings
-                if f.rule_id in ("GC101", "GC110")] == []
 
-    def test_blocking_under_read_hold_is_sanctioned(self, tmp_path):
-        # The serving model does I/O under read holds by design: GC111
-        # only polices the write side.
-        _write(tmp_path, "cache/serve.py", """\
-            class Manager:
-                def __init__(self, lock, conn):
-                    self.lock = lock
-                    self.conn = conn
+            class GraphCacheService:
+                def __init__(self, lock, save_lock):
+                    self._lock = lock
+                    self._save_lock = save_lock
 
-                def answer(self, payload):
-                    with self.lock.read():
-                        self.conn.send(payload)
+                def save(self, tmp, path):
+                    with self._save_lock:
+                        with self._lock:
+                            state = 1
+                        os.replace(tmp, path)
+                        return state
             """)
         report = run_analysis([tmp_path])
         assert [f for f in report.findings if f.rule_id == "GC111"] == []
 
-    def test_interprocedural_blocking_needs_a_write_caller(self, tmp_path):
-        # Same helper, two call chains: only the write-held one flags,
+    def test_interprocedural_blocking_needs_a_service_lock_caller(
+            self, tmp_path):
+        # Same helper, two call chains: only the lock-holding one flags,
         # and the message names the caller that holds the lock.
         _write(tmp_path, "cache/chain.py", """\
             import time
 
 
-            class Manager:
+            class GraphCacheService:
                 def __init__(self, lock):
-                    self.lock = lock
+                    self._lock = lock
 
-                def under_write(self):
-                    with self.lock.write():
+                def under_lock(self):
+                    with self._lock:
                         return self._work()
+
+                def bare(self):
+                    return self._work()
 
                 def _work(self):
                     time.sleep(0.01)
@@ -335,7 +327,7 @@ class TestFlowPrecision:
             """)
         report = run_analysis([tmp_path])
         (hit,) = [f for f in report.findings if f.rule_id == "GC111"]
-        assert "Manager.under_write" in hit.message
+        assert "GraphCacheService.under_lock" in hit.message
 
     def test_guarded_mutation_of_tracked_class_is_clean(self, tmp_path):
         _write(tmp_path, "cache/guarded.py", """\
@@ -345,7 +337,7 @@ class TestFlowPrecision:
                     self.epoch = 0
 
                 def bump(self):
-                    with self.lock.write():
+                    with self.lock:
                         self.epoch += 1
 
                 def refresh(self):

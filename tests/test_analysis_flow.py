@@ -3,7 +3,8 @@ the project call graph, and the lock-state dataflow that the GC1xx
 rules are built on.
 
 These pin the *engine* semantics the rules rely on — may/must entry
-contexts, upgrade detection, acquisition-order edges — independently of
+contexts, canonical lock identities, acquisition-order edges —
+independently of
 any rule's message or scoping, so a rule regression and an engine
 regression fail different tests.
 """
@@ -17,13 +18,7 @@ from pathlib import Path
 from repro.analysis.callgraph import build_project_graph, module_key
 from repro.analysis.cfg import build_cfg
 from repro.analysis.core import collect_modules
-from repro.analysis.lockstate import (
-    MUTEX,
-    READ,
-    WRITE,
-    may_pairs,
-    module_flows,
-)
+from repro.analysis.lockstate import ConcurrencyIndex, may_locks
 
 
 def _func(source: str) -> ast.FunctionDef:
@@ -178,51 +173,36 @@ class TestLockState:
         # 8 here leaves the methods indented one level inside the class.
         body = _PREAMBLE + textwrap.indent(textwrap.dedent(methods),
                                            "        ")
-        (module,) = _modules(tmp_path, **{"cache__m.py": body})
-        return module_flows(module)
+        return ConcurrencyIndex(_modules(tmp_path, **{"cache__m.py": body}))
 
     def _flow(self, tmp_path, methods, name):
         index = self._index(tmp_path, methods)
         (qualname,) = [q for q in index.flows if q.endswith(name)]
         return index.flows[qualname]
 
-    def test_modes_and_canonical_ids(self, tmp_path):
+    def test_canonical_ids(self, tmp_path):
         flow = self._flow(tmp_path, """\
             def use(self):
-                with self.lock.read():
+                with self.lock:
                     pass
-                with self.lock.write():
-                    pass
-                with self._mutex:
+                lock = self._mutex
+                with lock:
                     pass
             """, ".use")
-        acquired = [(a.lock_id, a.mode) for a in flow.acquisitions]
-        assert acquired == [("Manager.lock", READ),
-                            ("Manager.lock", WRITE),
-                            ("Manager._mutex", MUTEX)]
+        acquired = [a.lock_id for a in flow.acquisitions]
+        assert acquired == ["Manager.lock", "Manager._mutex"]
 
     def test_sequential_holds_do_not_overlap(self, tmp_path):
         flow = self._flow(tmp_path, """\
             def use(self):
-                with self.lock.read():
+                with self.lock:
                     pass
-                with self.lock.write():
+                with self._mutex:
                     pass
             """, ".use")
-        (write,) = [a for a in flow.acquisitions if a.mode == WRITE]
-        assert ("Manager.lock", READ) not in may_pairs(write.state_before)
-        assert flow.upgrades == []
-
-    def test_nested_upgrade_is_detected_with_position(self, tmp_path):
-        flow = self._flow(tmp_path, """\
-            def use(self):
-                with self.lock.read():
-                    with self.lock.write():
-                        pass
-            """, ".use")
-        ((lock_id, line, col),) = flow.upgrades
-        assert lock_id == "Manager.lock"
-        assert line == 8 and col > 0
+        (second,) = [a for a in flow.acquisitions
+                     if a.lock_id == "Manager._mutex"]
+        assert "Manager.lock" not in may_locks(second.state_before)
 
     def test_explicit_acquire_release_balances(self, tmp_path):
         # The PR 3 worker loop shape: balanced explicit acquire/release
@@ -238,27 +218,26 @@ class TestLockState:
         states = [state for call, state in flow.calls
                   if isinstance(call.func, ast.Attribute)
                   and call.func.attr == "poll"]
-        assert states and \
-            ("Manager._mutex", MUTEX) not in may_pairs(states[0])
+        assert states and "Manager._mutex" not in may_locks(states[0])
 
     def test_may_entry_propagates_caller_holds(self, tmp_path):
         index = self._index(tmp_path, """\
             def guarded(self):
-                with self.lock.read():
+                with self.lock:
                     return self.helper()
 
             def helper(self):
                 return 1
             """)
         (helper,) = [q for q in index.flows if q.endswith(".helper")]
-        assert ("Manager.lock", READ) in index.may_entry[helper]
-        chain = index.entry_chain(helper, ("Manager.lock", READ))
+        assert "Manager.lock" in index.may_entry[helper]
+        chain = index.entry_chain(helper, "Manager.lock")
         assert chain and "guarded" in chain[0]
 
     def test_must_entry_is_empty_with_an_unlocked_caller(self, tmp_path):
         index = self._index(tmp_path, """\
             def guarded(self):
-                with self.lock.write():
+                with self.lock:
                     return self.helper()
 
             def bare(self):
@@ -268,9 +247,9 @@ class TestLockState:
                 return 1
             """)
         (helper,) = [q for q in index.flows if q.endswith(".helper")]
-        # may: the write hold can be inherited; must: the bare caller
-        # means nothing is guaranteed.
-        assert ("Manager.lock", WRITE) in index.may_entry[helper]
+        # may: the hold can be inherited; must: the bare caller means
+        # nothing is guaranteed.
+        assert "Manager.lock" in index.may_entry[helper]
         assert index.must_entry[helper] == frozenset()
 
     def test_uncalled_method_has_top_must_entry(self, tmp_path):
@@ -284,13 +263,13 @@ class TestLockState:
     def test_opposite_order_chains_form_a_cycle(self, tmp_path):
         index = self._index(tmp_path, """\
             def ab(self):
-                with self.lock.write():
+                with self.lock:
                     with self._mutex:
                         pass
 
             def ba(self):
                 with self._mutex:
-                    with self.lock.read():
+                    with self.lock:
                         pass
             """)
         (cycle,) = index.lock_order_cycles()
@@ -300,15 +279,16 @@ class TestLockState:
     def test_consistent_order_is_acyclic(self, tmp_path):
         index = self._index(tmp_path, """\
             def ab(self):
-                with self.lock.write():
+                with self.lock:
                     with self._mutex:
                         pass
 
             def ab_again(self):
-                with self.lock.read():
-                    with self._mutex:
-                        pass
+                self.lock.acquire()
+                with self._mutex:
+                    pass
+                self.lock.release()
             """)
         assert index.lock_order_cycles() == []
-        assert {(e.held, e.acquired) for e in index.client_edges()} == {
+        assert {(e.held, e.acquired) for e in index.edges} == {
             ("Manager.lock", "Manager._mutex")}

@@ -26,11 +26,27 @@ def dataset_file(tmp_path):
     return target
 
 
+def assert_usage_error(code, capsys, fragment):
+    """Exit 2 with one stderr line naming ``fragment``, no traceback."""
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert fragment in captured.err and "Traceback" not in captured.err
+    return captured
+
+
 class TestGenDataset:
     def test_writes_parseable_graphs(self, dataset_file, capsys):
         graphs = graph_io.load_file(dataset_file)
         assert len(graphs) == 40
         assert all(g.num_vertices >= 4 for _, g in graphs)
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_count_is_a_usage_error(self, tmp_path, capsys,
+                                                 count):
+        code = main(["gen-dataset", "--num-graphs", count,
+                     "--out", str(tmp_path / "d.tve")])
+        assert_usage_error(code, capsys, "num_graphs")
 
 
 class TestGenWorkload:
@@ -52,6 +68,17 @@ class TestGenWorkload:
         ])
         assert code == 2
         assert "unknown workload kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,fragment", [
+        (["--num-queries", "0"], "num_queries"),
+        (["--kind", "abc%"], "unknown workload kind"),
+        (["--kind", "150%"], "unknown workload kind"),
+    ])
+    def test_bad_values_are_usage_errors(self, dataset_file, tmp_path,
+                                         capsys, flags, fragment):
+        code = main(["gen-workload", "--dataset", str(dataset_file),
+                     "--out", str(tmp_path / "wl.tve"), *flags])
+        assert_usage_error(code, capsys, fragment)
 
 
 class TestRun:
@@ -162,6 +189,18 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "--explain 50" in captured.err
+
+    @pytest.mark.parametrize("flags,fragment", [
+        (["--change-batches", "-2"], "num_batches"),
+        (["--change-batches", "3", "--ops-per-batch", "-1"],
+         "ops_per_batch"),
+        (["--explain", "-4"], "--explain -4"),
+    ])
+    def test_negative_counts_rejected(self, dataset_file, workload_file,
+                                      capsys, flags, fragment):
+        code = main(["run", "--dataset", str(dataset_file),
+                     "--workload", str(workload_file), *flags])
+        assert assert_usage_error(code, capsys, fragment).out == ""
 
     def test_empty_workload_rejected(self, dataset_file, tmp_path,
                                      capsys):

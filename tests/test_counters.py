@@ -19,7 +19,7 @@ from repro.runtime.monitor import StatisticsMonitor
 
 COUNTER_KEYS = (
     "queries", "cache_hits", "cache_misses", "admissions", "evictions",
-    "purges", "admissions_skipped", "method_tests", "internal_tests",
+    "purges", "method_tests", "internal_tests",
     "tests_saved", "interned_queries",
 )
 

@@ -255,6 +255,15 @@ class TestChangePlan:
         with pytest.raises(ValueError):
             ChangePlan.generate([LabeledGraph()], 0, 1, 1, 0)
 
+    @pytest.mark.parametrize("batches,ops", [(-2, 5), (3, -1)])
+    def test_negative_counts_rejected(self, batches, ops):
+        with pytest.raises(ValueError, match="non-negative"):
+            ChangePlan.generate([LabeledGraph()], 10, batches, ops, 0)
+
+    def test_zero_counts_make_an_empty_plan(self):
+        assert ChangePlan.generate([LabeledGraph()], 10, 0, 5, 0).total_ops == 0
+        assert ChangePlan.generate([LabeledGraph()], 10, 3, 0, 0).total_ops == 0
+
     @given(st.integers(0, 10_000))
     def test_all_op_types_eventually_occur(self, seed):
         """Over a long plan each op type appears (uniform type choice)."""

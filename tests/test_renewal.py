@@ -168,8 +168,8 @@ class TestManagerRenewal:
         assert not c.e0.fully_valid(c.store.ids_bitset())   # not passed in
 
     def test_twins_already_gone_are_skipped(self):
-        """The twins come from the caller's read phase; one evicted
-        since neither survives nor is dropped a second time."""
+        """A twin no longer resident when it is passed in neither
+        survives nor is dropped a second time."""
         c = Copies()
         del c.manager._cache[0]                 # as _promote evicts
         c.manager.index.remove(0)
