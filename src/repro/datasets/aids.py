@@ -25,6 +25,7 @@ If you have the real file (``t/v/e`` exchange format), load it with
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,6 +83,16 @@ class AidsLikeConfig:
             raise ValueError(f"min_vertices must be >= 2, got {self.min_vertices}")
         if self.max_vertices < self.min_vertices:
             raise ValueError("max_vertices must be >= min_vertices")
+        if not math.isfinite(self.mean_vertices):
+            raise ValueError(
+                f"mean_vertices must be finite, got {self.mean_vertices}")
+        if not (math.isfinite(self.std_vertices) and self.std_vertices >= 0):
+            raise ValueError("std_vertices must be finite and >= 0, "
+                             f"got {self.std_vertices}")
+        if not (math.isfinite(self.mean_ring_edges)
+                and self.mean_ring_edges > 0):
+            raise ValueError("mean_ring_edges must be finite and > 0, "
+                             f"got {self.mean_ring_edges}")
 
 
 def generate_aids_like(config: AidsLikeConfig | None = None,

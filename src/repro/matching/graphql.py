@@ -30,7 +30,11 @@ from collections.abc import Hashable
 
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
-from repro.matching.plans import neighbor_lists, vertices_by_label
+from repro.matching.plans import (
+    neighbor_lists,
+    neighbour_profiles,
+    vertices_by_label,
+)
 
 __all__ = ["GraphQLMatcher"]
 
@@ -120,6 +124,10 @@ class GraphQLMatcher(SubgraphMatcher):
                             host: LabeledGraph) -> list[set[int]]:
         by_label = vertices_by_label(host)
         host_adjacency = host._adjacency
+        radius = self.profile_radius
+        # At radius 1 a profile is the neighbour-label count every host
+        # keeps (plans.neighbour_profiles); other radii build per test.
+        table = neighbour_profiles(host) if radius == 1 else None
         host_profiles: dict[int, dict[Label, int]] = {}
         out: list[set[int]] = []
         for u, qlabel in enumerate(plan.labels):
@@ -129,10 +137,9 @@ class GraphQLMatcher(SubgraphMatcher):
             for v in by_label.get(qlabel, ()):
                 if len(host_adjacency[v]) < qdeg:
                     continue
-                prof = host_profiles.get(v)
+                prof = table[v] if table is not None else host_profiles.get(v)
                 if prof is None:
-                    prof = _profile(host, v, self.profile_radius)
-                    host_profiles[v] = prof
+                    prof = host_profiles[v] = _profile(host, v, radius)
                 for lab, cnt in qprof:
                     if prof.get(lab, 0) < cnt:
                         break

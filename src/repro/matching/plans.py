@@ -15,13 +15,15 @@ its call frames, and graph-scoped values never change once published.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Hashable
+from typing import Any
+from weakref import KeyedRef
 
 from repro.graphs.graph import LabeledGraph
 
-__all__ = ["label_counts", "vertices_by_label", "connectivity_order",
-           "neighbor_lists"]
+__all__ = ["label_counts", "vertices_by_label", "neighbour_profiles",
+           "connectivity_order", "neighbor_lists"]
 
 Label = Hashable
 
@@ -47,6 +49,74 @@ def vertices_by_label(graph: LabeledGraph) -> dict[Label, list[int]]:
     that start from a label's vertices (VF2, VF2+, GraphQL, enumeration)
     find their root candidates."""
     return graph.derived("vertices_by_label", _group_by_label)
+
+
+class _Profile(dict):
+    """A vertex's ``{label: neighbours with it}``; a ``dict`` that can be
+    weakly referenced, so the intern table below can hold it."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: a profile's labels, sorted (or, for labels that do not order, its
+#: item set) → a weak reference to the one live :class:`_Profile` with
+#: them.  Weak values, so the table holds nothing that no live graph
+#: holds; a ``WeakValueDictionary`` does the same with a Python-level
+#: call per probe, which a build pays per vertex.
+_INTERNED: dict[Hashable, KeyedRef] = {}
+
+
+def _forget(ref: Any) -> None:       # the KeyedRef whose profile died
+    # Two builds that raced on one key each made a profile and the later
+    # store won: the loser's death must not drop the winner's entry.
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+def _profiles(graph: LabeledGraph) -> tuple[_Profile, ...]:
+    labels: list[Any] = graph._labels   # ordered below, where they can be
+    label_of = labels.__getitem__
+    interned = _INTERNED
+    out: list[_Profile] = []
+    for neigh in graph._adjacency:
+        # The sorted labels, built without sorted() for the degrees most
+        # vertices have: a build pays for its key once per vertex.
+        degree = len(neigh)
+        try:
+            if degree == 1:
+                for n in neigh:
+                    key: Hashable = (labels[n],)
+            elif degree == 2:
+                u, v = neigh
+                a, b = labels[u], labels[v]
+                key = (a, b) if a <= b else (b, a)
+            else:
+                key = tuple(sorted(map(label_of, neigh)))
+        except TypeError:       # labels that do not order
+            key = frozenset(Counter(map(label_of, neigh)).items())
+        ref = interned.get(key)
+        profile = ref() if ref is not None else None
+        if profile is None:
+            profile = _Profile()
+            for n in neigh:
+                lab = labels[n]
+                profile[lab] = profile.get(lab, 0) + 1
+            interned[key] = KeyedRef(profile, _forget, key)
+        out.append(profile)
+    return tuple(out)
+
+
+def neighbour_profiles(graph: LabeledGraph) -> tuple[dict[Label, int], ...]:
+    """Per vertex, ``{label: neighbours carrying it}`` (do not mutate):
+    the radius-1 profile a host candidate must dominate.
+
+    Built complete on first use and published once per graph version.
+    Equal profiles are one object across every live graph: molecules
+    repeat a few neighbourhoods over and over (gcbench's 600-graph
+    dataset has 10 844 vertices and 394 distinct profiles), so keeping
+    the table on every host costs a tuple of pointers per graph.
+    """
+    return graph.derived("neighbour_profiles", _profiles)
 
 
 def neighbor_lists(graph: LabeledGraph) -> list[tuple[int, ...]]:

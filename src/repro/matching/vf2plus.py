@@ -11,8 +11,8 @@ iGraph comparisons ([7, 8] in the paper):
   absent from the host is detected at depth 0 for free.
 * **Per-candidate pruning**: label equality, degree coverage, and a
   radius-1 neighbor-label-profile dominance check, evaluated lazily per
-  candidate (host profiles are memoized within one test, or for good
-  on a host that holds a plan; see "Compile once, test many").
+  candidate (the host's profiles are built once per graph version; see
+  "Compile once, test many").
 * **Lookahead**: a candidate's unmapped-neighbor count must cover the
   query vertex's unmapped-neighbor count (safe for monomorphism).
 
@@ -45,8 +45,9 @@ Compile once, test many
 -----------------------
 One query meets hundreds of hosts and one host meets every query, so
 nothing that depends on a single graph is computed per test
-(:mod:`repro.matching.plans`).  The host contributes its label counts
-and its label → vertices lists; the pattern contributes a
+(:mod:`repro.matching.plans`).  The host contributes its label counts,
+its label → vertices lists and its vertices' neighbour-label profiles;
+the pattern contributes a
 :class:`_Plan` — required label counts, labels, neighbour lists,
 neighbour-label profiles — and, per *ranking*
 of its labels by host frequency, the variable order compiled into one
@@ -56,15 +57,13 @@ rank) get the same order, and with a static order the already-mapped
 neighbours of each depth's vertex are static too.  What is left per
 test is the depth-0 check (a few dict probes), the ranking, and the
 search itself, which reads the host's label and adjacency lists
-directly.  A graph that holds a plan has been a pattern — a cached
-query, or the arriving one — and meets every later arrival as a host
-too, so the plan also keeps its host side: every vertex's
-neighbour-label profile, built on the graph's first test as a host and
-published, complete, by one idempotent single store, as ``orders``
-grows.  A host without a plan (under subgraph semantics, every dataset
-graph) builds the profiles it reaches per test: persisted for every
-dataset graph they would cost more memory than the plans, so what the
-kernel keeps follows the cache, not the dataset.
+directly.  Every host — a dataset graph under subgraph semantics, a
+cached query during discovery — keeps its profiles the same way
+(:func:`~repro.matching.plans.neighbour_profiles`): one complete tuple,
+built on the graph's first test past depth 0 and never written again,
+of profiles interned across all live graphs.  Molecules repeat a few
+neighbourhoods, so a dataset graph pays a tuple of pointers for them,
+not a dict per vertex, and a host rejected at depth 0 pays nothing.
 
 Leave nothing for the collector
 -------------------------------
@@ -75,10 +74,10 @@ the function object holds its closure, the closure holds the cell of the
 enclosing frame's ``extend`` variable, and that cell holds the function.
 Reference counting never frees a cycle, so every test that reached the
 search used to leave the function, its cells and whatever they reach —
-the mapping, the ``used`` set, the host profiles — to the cyclic
+the mapping, the ``used`` set — to the cyclic
 collector: about 1 900 unreachable objects and two gen-0 collections
 per query on ``verify_bound``, 6-10% of every gcbench stream, charged to
-whichever layer allocated next.  ``_search`` now empties that one cell
+whichever layer allocated next.  ``_walk`` now empties that one cell
 when the recursion returns or raises, so the last reference to
 everything else goes with the frame.  The other kernels (and the
 test suite's Ullmann oracle and embedding enumerator) do the same, and
@@ -98,6 +97,7 @@ from repro.matching.base import SubgraphMatcher
 from repro.matching.plans import (
     label_counts,
     neighbor_lists,
+    neighbour_profiles,
     vertices_by_label,
 )
 
@@ -114,8 +114,7 @@ _Step = tuple[int, Label, int, tuple[int, ...], int,
 class _Plan:
     """The pattern side of every VF2+ test of one graph version."""
 
-    __slots__ = ("required", "labels", "neighbors", "profiles", "orders",
-                 "host_profiles")
+    __slots__ = ("required", "labels", "neighbors", "profiles", "orders")
 
     def __init__(self, query: LabeledGraph) -> None:
         #: (label, vertices needed) — the depth-0 check, and the labels
@@ -134,10 +133,6 @@ class _Plan:
         #: by idempotent single stores (see the module docstring), to
         #: one entry per weak ordering of the distinct labels at most
         self.orders: dict[tuple[int, ...], tuple[_Step, ...]] = {}
-        #: vertex → {label: neighbours with it} for every vertex: the
-        #: same graph's side as a host.  None until it is first tested
-        #: as one, then published by one idempotent single store
-        self.host_profiles: dict[int, dict[Label, int]] | None = None
 
     def variable_order(self, host_counts: dict[Label, int]) -> list[int]:
         """Rarest-label-first, high-degree-first, connectivity-first."""
@@ -201,24 +196,17 @@ class VF2PlusMatcher(SubgraphMatcher):
         steps = plan.orders.get(ranking)
         if steps is None:
             steps = plan.orders[ranking] = plan.compile(host_counts)
+        return self._walk(steps, host)
 
+    def _walk(self, steps: tuple[_Step, ...],
+              host: LabeledGraph) -> dict[int, int] | None:
+        """The search past the depth-0 check.  Its own frame: the closure
+        cells below are made when a frame starts, so a host rejected at
+        depth 0 (about half of them under Method M) makes none."""
         by_label = vertices_by_label(host)
         host_labels = host._labels
         host_adjacency = host._adjacency
-        # A host that holds a plan (it has been a pattern: a cached or
-        # an arriving query) keeps its profiles on that plan, complete,
-        # so extend never writes to them; any other host (a dataset
-        # graph under subgraph semantics) fills a dict per test.
-        memo = host._memo
-        host_plan = memo.get("vf2+") if memo is not None else None
-        if host_plan is None:
-            host_profiles: dict[int, dict[Label, int]] = {}
-        else:
-            host_profiles = host_plan.host_profiles
-            if host_profiles is None:
-                host_profiles = host_plan.host_profiles = {
-                    v: dict(profile)
-                    for v, profile in enumerate(host_plan.profiles)}
+        profiles = neighbour_profiles(host)
         mapping: dict[int, int] = {}
         used: set[int] = set()
         depth_reached = len(steps)
@@ -266,13 +254,7 @@ class VF2PlusMatcher(SubgraphMatcher):
                 if (u_unmapped and len(cand_neighbors) < enough
                         and len(cand_neighbors - used) < u_unmapped):
                     continue
-                profile = host_profiles.get(cand)
-                if profile is None:
-                    profile = {}
-                    for n in cand_neighbors:
-                        lab = host_labels[n]
-                        profile[lab] = profile.get(lab, 0) + 1
-                    host_profiles[cand] = profile
+                profile = profiles[cand]
                 dominated = True
                 for lab, count in qprofile:
                     if profile.get(lab, 0) < count:
@@ -292,8 +274,8 @@ class VF2PlusMatcher(SubgraphMatcher):
             found = extend(0)
         finally:
             # extend's closure holds the cell that holds extend; empty
-            # the cell, or this search's function, cells, mapping, used
-            # set and host profiles all wait for the cyclic collector
+            # the cell, or this search's function, cells, mapping and
+            # used set all wait for the cyclic collector
             # ("Leave nothing for the collector" above).
             del extend
         self.stats.states += states

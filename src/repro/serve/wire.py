@@ -22,6 +22,7 @@ rejected, never a stack trace.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.api.plan import QueryPlan
@@ -85,12 +86,17 @@ def graph_from_wire(payload: Any) -> LabeledGraph:
     labels = require(payload, "labels", list)
     edges = require(payload, "edges", list)
     # Exact types: JSON decodes to exactly these, and a bool (an int
-    # subclass) is always a client bug.
+    # subclass) is always a client bug.  Python's decoder also accepts
+    # NaN, Infinity and overflowing literals (1e400); NaN equals no
+    # label, itself included, so matchers that compare labels and
+    # matchers that probe dicts would answer differently.
     for label in labels:
         if type(label) not in _LABEL_TYPES:
             raise WireError(
                 f"labels must be JSON strings or numbers, got {label!r}"
             )
+        if type(label) is float and not math.isfinite(label):
+            raise WireError(f"labels must be finite numbers, got {label!r}")
     for pair in edges:
         if not (type(pair) is list and len(pair) == 2
                 and type(pair[0]) is int and type(pair[1]) is int):

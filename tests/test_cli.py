@@ -48,6 +48,22 @@ class TestGenDataset:
                      "--out", str(tmp_path / "d.tve")])
         assert_usage_error(code, capsys, "num_graphs")
 
+    @pytest.mark.parametrize("flag,value,fragment", [
+        ("--mean-vertices", "inf", "mean_vertices"),
+        ("--mean-vertices", "-inf", "mean_vertices"),
+        ("--mean-vertices", "nan", "mean_vertices"),
+        ("--std-vertices", "inf", "std_vertices"),
+        ("--std-vertices", "nan", "std_vertices"),
+        ("--std-vertices", "-1", "std_vertices"),
+    ])
+    def test_bad_size_distribution_is_a_usage_error(self, tmp_path, capsys,
+                                                    flag, value, fragment):
+        out = tmp_path / "d.tve"
+        code = main(["gen-dataset", "--num-graphs", "5", f"{flag}={value}",
+                     "--out", str(out)])
+        assert_usage_error(code, capsys, fragment)
+        assert not out.exists()
+
 
 class TestGenWorkload:
     @pytest.mark.parametrize("kind", ["ZZ", "UU", "0%"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.datasets.aids import (
@@ -80,6 +82,23 @@ class TestGenerator:
             AidsLikeConfig(min_vertices=1)
         with pytest.raises(ValueError):
             AidsLikeConfig(min_vertices=10, max_vertices=5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("mean_vertices", math.inf), ("mean_vertices", -math.inf),
+        ("mean_vertices", math.nan),
+        ("std_vertices", math.inf), ("std_vertices", math.nan),
+        ("std_vertices", -1.0),
+        ("mean_ring_edges", 0.0), ("mean_ring_edges", -2.5),
+        ("mean_ring_edges", math.inf), ("mean_ring_edges", math.nan),
+    ])
+    def test_size_distribution_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AidsLikeConfig(**{field: value})
+
+    def test_degenerate_but_valid_distribution(self):
+        graphs = generate_aids_like(num_graphs=3, mean_vertices=6.0,
+                                    std_vertices=0.0, mean_ring_edges=0.5)
+        assert [g.num_vertices for g in graphs] == [6, 6, 6]
 
     def test_paper_scale_defaults(self):
         cfg = AidsLikeConfig()

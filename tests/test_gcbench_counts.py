@@ -37,11 +37,15 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from repro import GraphCacheService, GraphStore
+from repro import GraphCacheService, GraphStore, LabeledGraph
+from repro.matching import make_matcher
+from repro.matching.plans import label_counts, vertices_by_label
+from repro.matching.vf2plus import _Plan
 from tests.conftest import no_cyclic_garbage
 
 _PATH = Path(__file__).resolve().parent.parent / "perf" / "workloads.py"
@@ -96,3 +100,37 @@ def test_stream_counts_are_the_pinned_ones(name):
     assert {key: got[key] for key in counters} == counters
     assert stats == [method, internal]
     assert digest.hexdigest()[:16] == answers
+
+
+def test_host_profile_tables_cost_a_tuple_per_graph():
+    """Every searched host keeps its neighbour-label profile table
+    (``repro.matching.plans.neighbour_profiles``), so its memory grows
+    with the dataset: one searched test on each of ``verify_bound``'s
+    600 graphs may add at most 1 KB per graph, and interning keeps the
+    distinct profiles to the few neighbourhoods molecules repeat (394
+    over 10 844 vertices at seed 1; a dict per vertex was ~4 KB per
+    graph).  The probe is a one-vertex pattern whose plan and compiled
+    order exist beforehand, as do the host's label counts and label
+    lists, so what the test adds is the table alone."""
+    spec = next(s for s in workloads.SPECS if s.name == "verify_bound")
+    graphs = workloads.build_inputs(spec, seed=1).graphs
+    probes = []
+    for host in graphs:
+        vertices_by_label(host)
+        probe = LabeledGraph.from_edges([host.label(0)], [])
+        plan = probe.derived("vf2+", _Plan)
+        plan.orders[(0,)] = plan.compile(label_counts(host))
+        probes.append(probe)
+    matcher = make_matcher("vf2+")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for probe, host in zip(probes, graphs):
+            assert matcher.is_subgraph_isomorphic(probe, host)
+        added = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert added <= 1024 * len(graphs)
+    profiles = {id(p) for host in graphs
+                for p in host._memo["neighbour_profiles"]}
+    assert len(profiles) <= 1000

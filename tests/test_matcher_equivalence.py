@@ -19,6 +19,8 @@ pipeline as it came — the caller owns it.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 from math import comb
 
@@ -31,7 +33,8 @@ from repro.cache.entry import QueryType
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
-from repro.matching import make_matcher
+from repro.matching import GraphQLMatcher, make_matcher
+from repro.matching.plans import _INTERNED, neighbour_profiles
 from repro.matching.vf2plus import _Plan
 from repro.runtime.method_m import MethodMRunner
 from repro.workloads.base import DEFAULT_QUERY_SIZES
@@ -103,8 +106,13 @@ def test_random_pairs_match_reference(name, population):
     assert_indistinguishable(name, population)
 
 
-def neighbour_label_counts(g: LabeledGraph) -> dict[int, Counter]:
-    return {v: Counter(g.neighbor_labels(v)) for v in range(g.num_vertices)}
+def neighbour_label_counts(g: LabeledGraph) -> list[Counter]:
+    return [Counter(g.neighbor_labels(v)) for v in range(g.num_vertices)]
+
+
+def kept_profiles(g: LabeledGraph):
+    """The host table ``g`` holds now, or None — read without building."""
+    return (g._memo or {}).get("neighbour_profiles")
 
 
 @given(population=st.lists(
@@ -112,29 +120,35 @@ def neighbour_label_counts(g: LabeledGraph) -> dict[int, Counter]:
               labeled_graphs(max_vertices=9, alphabet="abc")),
     min_size=2, max_size=4))
 def test_a_host_holding_a_plan_searches_as_a_plain_one(population):
-    """A VF2+ host that has been a pattern reads its neighbour-label
-    profiles from its plan (built on its first test as a host, kept for
-    the next); a plan-less ``copy()`` builds them per test.  Both, and
-    the reference, give one decision, embedding and ``MatcherStats`` —
-    in the second round every plan already holds its profiles."""
+    """Every VF2+ host keeps one profile table per graph version, whether
+    or not it has been a pattern too: a host holding a plan, a plain
+    ``copy()`` and the reference give one decision, embedding and
+    ``MatcherStats``.  In the second round every host searched past
+    depth 0 already holds its table; the table is the neighbour-label
+    counts, and the planned host and its plain twin hold the same
+    profile objects."""
     planned = [host.copy() for host in population]
     for host in planned:
         host.derived("vf2+", _Plan)
+    plain = [host.copy() for host in population]
     for _ in range(2):
         for query in population:
-            for host, warm in zip(population, planned):
+            for host, warm, twin in zip(population, planned, plain):
                 seen = []
                 for matcher, h in ((make_matcher("vf2+"), warm),
-                                   (make_matcher("vf2+"), host.copy()),
+                                   (make_matcher("vf2+"), twin),
                                    (REFERENCE_MATCHERS["vf2+"](), host)):
                     seen.append((matcher.is_subgraph_isomorphic(query, h),
                                  matcher.find_embedding(query, h),
                                  matcher.stats))
                 assert seen[0] == seen[1] == seen[2], (query, host)
-                profiles = warm._memo["vf2+"].host_profiles
-                if query is host:       # past depth 0: the profiles exist
+                profiles = kept_profiles(warm)
+                if query is host:       # past depth 0: the table exists
                     assert profiles is not None
-                assert profiles in (None, neighbour_label_counts(warm))
+                if profiles is not None:
+                    assert list(profiles) == neighbour_label_counts(warm)
+                    assert all(a is b for a, b in
+                               zip(profiles, kept_profiles(twin)))
 
 
 # ----------------------------------------------------------------------
@@ -253,10 +267,9 @@ def test_supergraph_plans_keep_one_order_per_label_ranking():
              if graph._memo and "vf2+" in graph._memo]
     assert len(plans) == 150
     for _, graph in runner.store.items():
+        # patterns here, never hosts: no host profile table
         assert set(graph._memo) <= {"label_counts", "vf2+"}
     for plan in plans:
-        # patterns here, never hosts: no host profiles
-        assert plan.host_profiles is None
         distinct = len(plan.required)
         assert len(plan.orders) <= _weak_orderings(distinct)
         for ranking in plan.orders:
@@ -267,11 +280,13 @@ def test_supergraph_plans_keep_one_order_per_label_ranking():
 
 
 def test_subgraph_streams_leave_no_plan_on_a_dataset_graph():
-    """Host profiles live on plans, and under subgraph semantics only
-    queries hold plans, so what the kernel keeps follows the cache and
-    not the dataset: after a Type A and a Type B stream of gcbench's
-    shapes, no dataset graph holds a VF2+ plan, while cached queries hold
-    plans with their host profiles."""
+    """Under subgraph semantics only queries hold VF2+ plans; every host
+    — a dataset graph in Method M, a cached query in discovery — holds
+    its profile table instead, equal to its neighbour-label counts and
+    built of profiles shared across graphs: after a Type A and a Type B
+    stream of gcbench's shapes no dataset graph holds a plan, the graphs
+    that were searched hold fewer than a quarter as many distinct
+    profiles as vertices, and cached queries hold tables too."""
     graphs = generate_aids_like(num_graphs=60, mean_vertices=18.0,
                                 std_vertices=8.0, max_vertices=60, seed=5)
     stream = [q.graph for q in generate_type_a(graphs, 40, "UU",
@@ -285,14 +300,119 @@ def test_subgraph_streams_leave_no_plan_on_a_dataset_graph():
                  window_capacity=10))
     try:
         service.execute_many(stream)
+        tables = []
         for _, dataset_graph in service.store.items():
             assert "vf2+" not in (dataset_graph._memo or {})
-        plans = [entry.query._memo["vf2+"]
-                 for entry in service.cache.all_entries()
-                 if entry.query._memo and "vf2+" in entry.query._memo]
-        assert any(plan.host_profiles is not None for plan in plans)
+            profiles = kept_profiles(dataset_graph)
+            if profiles is not None:
+                assert (list(profiles)
+                        == neighbour_label_counts(dataset_graph))
+                tables.append(profiles)
+        vertices = sum(len(t) for t in tables)
+        assert len(tables) > 30
+        assert len({id(p) for t in tables for p in t}) < vertices / 4
+        assert any(kept_profiles(entry.query) is not None
+                   for entry in service.cache.all_entries())
     finally:
         service.close()
+
+
+# ----------------------------------------------------------------------
+# The host profile table: complete, interned, one per graph version
+# ----------------------------------------------------------------------
+def test_equal_profiles_on_two_graphs_are_one_object():
+    first = graph("abca", [(0, 1), (1, 2), (2, 3)])
+    second = graph("acbaa", [(3, 4), (4, 1), (1, 2), (0, 2)])
+    a, b = neighbour_profiles(first), neighbour_profiles(second)
+    assert list(a) == neighbour_label_counts(first)
+    assert list(b) == neighbour_label_counts(second)
+    assert a is neighbour_profiles(first)        # built once per version
+    assert a[1] == {"a": 1, "c": 1} and a[1] is b[2] is b[4]
+    assert a[2] is b[1]                          # {"a": 1, "b": 1}
+    assert a[0] is b[0] and a[3] != b[3]         # {"b": 1}; {"c": 1}
+
+
+@pytest.mark.parametrize("leaves", [
+    [1, "a", 1], ["a", 1, 1], [1, 1, "a"],       # labels that do not order
+    [2.5, 1, 2], [2, 2.5, 1],
+])
+def test_profiles_intern_whatever_the_neighbour_order(leaves):
+    """A star's centre meets its leaves in set order; its profile is one
+    object however they are labelled and ordered."""
+    star = graph(["x", *leaves], [(0, i) for i in range(1, 4)])
+    other = graph([*reversed(leaves), "x"], [(3, i) for i in range(3)])
+    centre = neighbour_profiles(star)[0]
+    assert centre == Counter(leaves)
+    assert centre is neighbour_profiles(other)[3]
+
+
+def test_the_intern_table_holds_nothing_no_graph_holds():
+    """Profiles are interned by their label multiset, for labels of any
+    hashable type (``tag`` does not even order), and the table keeps an
+    entry only while some graph's table holds its profile."""
+    gc.collect()                       # nothing dies behind our back
+    baseline = len(_INTERNED)
+    tag = object()
+    graphs = [graph([tag, "a", tag], [(0, 1), (1, 2)]),
+              graph([tag, tag, "a"], [(0, 1), (1, 2)]),
+              graph([tag, tag], [(0, 1)])]
+    tables = [neighbour_profiles(g) for g in graphs]
+    assert tables[0][1] == {tag: 2} and tables[1][1] == {tag: 1, "a": 1}
+    assert tables[0][0] is tables[0][2]                          # {a: 1}
+    assert tables[1][0] is tables[1][2] is tables[2][0] is tables[2][1]
+    mixed = weakref.ref(tables[1][1])
+    assert len(_INTERNED) > baseline
+    del tables
+    del graphs[1]                      # the only one with {tag: 1, a: 1}
+    assert mixed() is None
+    assert len(_INTERNED) > baseline
+    del graphs[:]
+    assert len(_INTERNED) == baseline
+
+
+@pytest.mark.parametrize("name", ["vf2+", "graphql"])
+def test_a_host_rejected_at_depth_0_builds_no_table(name):
+    host = path("aab")
+    matcher = make_matcher(name)
+    if name == "vf2+":
+        assert not matcher.is_subgraph_isomorphic(graph("c"), host)
+        assert not matcher.is_subgraph_isomorphic(graph("bb"), host)
+        assert kept_profiles(host) is None
+    assert matcher.is_subgraph_isomorphic(path("ab"), host)
+    assert list(kept_profiles(host)) == neighbour_label_counts(host)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda g: g.add_vertex("a"),
+    lambda g: g.set_label(0, "b"),
+    lambda g: g.add_edge(0, 2),
+    lambda g: g.remove_edge(0, 1),
+], ids=["add_vertex", "set_label", "add_edge", "remove_edge"])
+def test_every_mutator_drops_the_table(mutate):
+    g = path("aaa")
+    before = neighbour_profiles(g)
+    mutate(g)
+    assert kept_profiles(g) is None
+    after = neighbour_profiles(g)
+    assert after is not before
+    assert list(after) == neighbour_label_counts(g)
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_graphql_at_every_radius_matches_its_reference(radius,
+                                                        gcbench_shapes):
+    """At radius 1 GraphQL's host profiles are the shared table; at
+    radius 2 it builds its own per test and leaves no table behind."""
+    population = [g.copy() for g in gcbench_shapes[::3] + SEARCH_CORNERS]
+    reference = REFERENCE_MATCHERS["graphql"](profile_radius=radius)
+    production = GraphQLMatcher(profile_radius=radius)
+    for query in population:
+        for host in population:
+            assert (production.find_embedding(query, host)
+                    == reference.find_embedding(query, host))
+            assert production.stats == reference.stats, (query, host)
+    assert all((kept_profiles(host) is not None) == (radius == 1)
+               for host in population)
 
 
 # ----------------------------------------------------------------------
@@ -344,16 +464,16 @@ class TestMemoInvalidation:
     @pytest.mark.parametrize("name", KERNELS)
     def test_next_test_sees_the_new_host_that_was_a_pattern(self, name):
         """As above, with a host that is first tested as a pattern (and
-        so, under VF2+, keeps its host profiles on its plan) before every
-        test: each mutator drops the plan with the memo, and the next
-        test sees the new host."""
+        so holds a plan next to its host profile table) before every
+        test: each mutator drops both with the memo, and the next test
+        sees the new host."""
         m = make_matcher(name)
         host = path("aaa")
 
         def test(pattern: LabeledGraph) -> bool:
             assert m.is_subgraph_isomorphic(host, host)    # a pattern
-            if name == "vf2+":
-                assert (host._memo["vf2+"].host_profiles
+            if name != "vf2":           # the kernels that read profiles
+                assert (list(kept_profiles(host))
                         == neighbour_label_counts(host))
             return m.is_subgraph_isomorphic(pattern, host)
 

@@ -12,7 +12,10 @@ purges), window FIFO preservation, and hook-driven autosaving.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -531,6 +534,48 @@ class TestAutosave:
                 rows = run_span(service, queries, None, 0, 4)
             assert len(rows) == 4, "queries failed alongside the autosave"
             assert not doomed.exists()
+
+    @pytest.mark.parametrize("errno_", [errno.ENOSPC, errno.EROFS],
+                             ids=["disk-full", "read-only"])
+    def test_autosave_on_a_full_or_read_only_disk(self, trace, tmp_path,
+                                                  monkeypatch, errno_):
+        """Tests run as root, where a ``chmod``-ed directory stays
+        writable, so the failure is injected where the write meets the
+        OS: a full disk fails ``fsync`` after the temp file was written,
+        a read-only one fails creating it.  Either way the query that
+        crossed the threshold answers as a service without autosave
+        does, the previous snapshot stays byte for byte, no ``*.tmp`` is
+        left, and the next crossing retries."""
+        graphs, queries, _ = trace
+        target = tmp_path / "auto.snap.jsonl"
+        attempts = []
+
+        def fail(*args, **kwargs):
+            attempts.append(errno_)
+            raise OSError(errno_, os.strerror(errno_))
+
+        with GraphCacheService(GraphStore.from_graphs(graphs),
+                               CONFIG) as service, \
+                GraphCacheService(GraphStore.from_graphs(graphs),
+                                  CONFIG) as plain:
+            service.autosave(target, 2)
+            assert (run_span(service, queries, None, 0, 2)
+                    == run_span(plain, queries, None, 0, 2))
+            previous = target.read_bytes()
+            if errno_ == errno.ENOSPC:
+                monkeypatch.setattr(os, "fsync", fail)
+            else:
+                monkeypatch.setattr(tempfile, "NamedTemporaryFile", fail)
+            with pytest.warns(RuntimeWarning, match="autosave"):
+                rows = run_span(service, queries, None, 2, 4)
+            assert attempts == [errno_]
+            assert rows == run_span(plain, queries, None, 2, 4)
+            assert target.read_bytes() == previous
+            assert list(tmp_path.glob("*.tmp")) == []
+            monkeypatch.undo()              # the disk recovers
+            run_span(service, queries, None, 4, 6)
+            assert load_snapshot(target).query_counter == 6
+            assert list(tmp_path.glob("*.tmp")) == []
 
     def test_autosave_requires_snapshot_path(self, trace, tmp_path):
         """The target is an argument of ``autosave`` (no config field can

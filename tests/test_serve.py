@@ -195,6 +195,30 @@ class TestEndpoints:
         assert "unknown op" in payload["error"]
 
 
+    @pytest.mark.parametrize("path", ["/query", "/explain", "/mutate"])
+    def test_non_finite_labels_are_a_400(self, served, path):
+        """A NaN label matches nothing under VF2 / VF2+ but itself under
+        GraphQL (NaN != NaN), so no endpoint accepts one; the server
+        stays healthy after the refusal."""
+        server, service, _ = served
+        before = len(service.store)
+        graph = '{"labels": [NaN, "C"], "edges": [[0, 1]]}'
+        body = ('{"op": "add_graph", "graph": %s}' % graph
+                if path == "/mutate" else '{"graph": %s}' % graph)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        try:
+            conn.request("POST", path, body=body.encode(),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "finite" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert len(service.store) == before
+        assert request(server, "GET", "/healthz")[0] == 200
+
+
 class TestMetricsEndpoint:
     def test_metrics_match_service_counters(self, served):
         """The acceptance criterion: after mixed traffic, ``/metrics``

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -49,10 +50,28 @@ class TestGraphCodec:
         ({"labels": ["C", "C"], "edges": [[0, 0]]}, "self-loops"),
         ({"labels": ["C", "C"], "edges": [[0, 1], [1, 0]]},
          "already present"),
+        ({"labels": [math.nan, "C"], "edges": [[0, 1]]}, "finite"),
+        ({"labels": ["C", math.inf], "edges": []}, "finite"),
+        ({"labels": [-math.inf], "edges": []}, "finite"),
     ])
     def test_rejects_malformed(self, payload, fragment):
         with pytest.raises(WireError, match=fragment):
             graph_from_wire(payload)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e400"])
+    def test_non_finite_json_labels_are_rejected(self, literal):
+        """``json.loads`` decodes these to non-finite floats; a NaN
+        label would make the matchers disagree (NaN != NaN)."""
+        payload = json.loads(f'{{"labels": [{literal}, "C"], '
+                             f'"edges": [[0, 1]]}}')
+        with pytest.raises(WireError, match="finite"):
+            graph_from_wire(payload)
+
+    def test_finite_float_labels_still_decode(self):
+        g = graph_from_wire(json.loads('{"labels": [1.5, 1e300], '
+                                       '"edges": [[0, 1]]}'))
+        assert g.labels == (1.5, 1e300)
 
 
 class TestResultAndPlan:
