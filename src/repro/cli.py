@@ -61,7 +61,8 @@ __all__ = ["main", "build_parser"]
 
 
 class _GraphFileError(Exception):
-    """A ``t/v/e`` file named on the command line could not be loaded."""
+    """A ``t/v/e`` file named on the command line could not be loaded
+    or written."""
 
 
 def _load_graphs(flag: str, path: Path) -> list[LabeledGraph]:
@@ -72,6 +73,16 @@ def _load_graphs(flag: str, path: Path) -> list[LabeledGraph]:
         return [g for _, g in graph_io.load_file(path)]
     except (OSError, ValueError) as exc:   # ValueError: malformed records
         raise _GraphFileError(f"{flag}: cannot load {path}: {exc}") from None
+
+
+def _dump_graphs(path: Path, graphs: list[tuple[int, LabeledGraph]]) -> None:
+    """Write ``--out``; a path that cannot be written (a missing
+    directory, a directory, no permission) ends the command in
+    :func:`main` with one line and exit 2."""
+    try:
+        graph_io.dump_file(path, graphs)
+    except OSError as exc:
+        raise _GraphFileError(f"--out: cannot write {path}: {exc}") from None
 
 
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
@@ -86,7 +97,7 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"gen-dataset: {exc}", file=sys.stderr)
         return 2
-    graph_io.dump_file(args.out, list(enumerate(graphs)))
+    _dump_graphs(args.out, list(enumerate(graphs)))
     avg_v = sum(g.num_vertices for g in graphs) / len(graphs)
     avg_e = sum(g.num_edges for g in graphs) / len(graphs)
     print(f"wrote {len(graphs)} graphs to {args.out} "
@@ -118,9 +129,8 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"gen-workload: {exc}", file=sys.stderr)
         return 2
-    graph_io.dump_file(
-        args.out, [(i, q.graph) for i, q in enumerate(workload.queries)]
-    )
+    _dump_graphs(args.out,
+                 [(i, q.graph) for i, q in enumerate(workload.queries)])
     print(f"wrote {len(workload)} queries to {args.out} ({workload.name})")
     return 0
 
@@ -416,6 +426,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.server import CacheServer
 
+    if not 0 <= args.port <= 65535:
+        print(f"--port {args.port}: a port is 0 to 65535 (0 binds an "
+              f"ephemeral one)", file=sys.stderr)
+        return 2
     graphs = _load_graphs("--dataset", args.dataset)
     try:
         config = _snapshot_config(

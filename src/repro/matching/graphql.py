@@ -6,7 +6,9 @@ implemented here:
 1. **Local pruning** by neighborhood profiles: a candidate host vertex
    must carry the query vertex's label and its radius-``r`` neighborhood
    label multiset must dominate the query vertex's (default ``r = 1``,
-   configurable).
+   configurable).  At ``r = 1`` that is one AND of the query vertex's
+   need mask with the host profile's supply mask
+   (:mod:`repro.matching.plans`, "Profiles as masks").
 2. **Global refinement** ("pseudo subgraph isomorphism"): iterated
    bipartite checks — host vertex ``v`` stays a candidate for query
    vertex ``u`` only if there is a *semi-perfect matching* from every
@@ -31,6 +33,7 @@ from collections.abc import Hashable
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
 from repro.matching.plans import (
+    need_mask,
     neighbor_lists,
     neighbour_profiles,
     vertices_by_label,
@@ -64,16 +67,18 @@ def _profile(graph: LabeledGraph, v: int, radius: int) -> dict[Label, int]:
 class _Plan:
     """The pattern side of every GraphQL test of one graph version and
     one profile radius (:mod:`repro.matching.plans`): per vertex its
-    label, degree, profile items and neighbours, the latter in the
-    adjacency set's iteration order."""
+    label, profile items and neighbours, the latter in the adjacency
+    set's iteration order, and at radius 1 the profile's need mask."""
 
-    __slots__ = ("labels", "neighbors", "profiles")
+    __slots__ = ("labels", "neighbors", "profiles", "needs")
 
     def __init__(self, query: LabeledGraph, radius: int) -> None:
         self.labels = tuple(query._labels)
         self.neighbors = neighbor_lists(query)
         self.profiles = [tuple(_profile(query, u, radius).items())
                          for u in range(len(self.labels))]
+        self.needs = ([need_mask(p) for p in self.profiles]
+                      if radius == 1 else None)
 
 
 def _augment(qn: int, visited: set[int], host_neighbors: list[int],
@@ -125,11 +130,18 @@ class GraphQLMatcher(SubgraphMatcher):
         by_label = vertices_by_label(host)
         host_adjacency = host._adjacency
         radius = self.profile_radius
-        # At radius 1 a profile is the neighbour-label count every host
-        # keeps (plans.neighbour_profiles); other radii build per test.
-        table = neighbour_profiles(host) if radius == 1 else None
-        host_profiles: dict[int, dict[Label, int]] = {}
         out: list[set[int]] = []
+        if plan.needs is not None:
+            # At radius 1 a profile is the neighbour-label count every
+            # host keeps (plans.neighbour_profiles), and dominance is one
+            # AND with its supply mask; it implies the degree bound.
+            table = neighbour_profiles(host)
+            for qlabel, need in zip(plan.labels, plan.needs):
+                out.append({v for v in by_label.get(qlabel, ())
+                            if not need & table[v].supply})
+            return out
+        # Other radii build the host's profiles per test.
+        host_profiles: dict[int, dict[Label, int]] = {}
         for u, qlabel in enumerate(plan.labels):
             qprof = plan.profiles[u]
             qdeg = len(plan.neighbors[u])
@@ -137,7 +149,7 @@ class GraphQLMatcher(SubgraphMatcher):
             for v in by_label.get(qlabel, ()):
                 if len(host_adjacency[v]) < qdeg:
                     continue
-                prof = table[v] if table is not None else host_profiles.get(v)
+                prof = host_profiles.get(v)
                 if prof is None:
                     prof = host_profiles[v] = _profile(host, v, radius)
                 for lab, cnt in qprof:

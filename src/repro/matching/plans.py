@@ -11,19 +11,47 @@ pattern plans sit next to their kernels.
 Everything stored is immutable once built: sessions share one matcher
 instance across threads, so the matcher keeps no per-test state outside
 its call frames, and graph-scoped values never change once published.
+
+Profiles as masks
+-----------------
+A host vertex can take a pattern vertex's place only if its neighbour
+labels dominate the pattern vertex's: for every label ``l``, at least as
+many neighbours carry ``l``.  Each such fact is an *atom* ``(l, k)``,
+"at least ``k`` neighbours carry ``l``", and a module-wide registry gives
+every atom its own bit.  A pattern vertex *needs* the atoms
+``(l, count)`` of its profile; an interned host profile keeps the
+complement of the atoms it has, ``(l, 1..count)`` for each of its
+labels, as its ``supply``.  Dominance is then ``need & supply == 0``,
+one AND however many labels the pattern vertex has.
+
+The test is exact whatever order patterns and hosts register in.  Bits
+are only appended and never reassigned, so one atom is one bit for as
+long as the process lives.  A host profile registers *every* atom it
+has when it is interned: if a pattern needing ``(l, k)`` comes later it
+finds the host's bit, and if it came first the host sets the bit the
+pattern registered.  An atom a host lacks (``k`` above its count of
+``l``) is never one of the bits it sets.  Registering takes a lock, so
+two threads never hand out one bit twice; lookups do not.
+
+Like :class:`~repro.cache.query_index.QueryIndex`'s field registry, the
+registry never shrinks: it holds, per label, atoms up to the largest
+neighbour count any pattern or host has shown for it, and no more
+(gcbench's streams register 44-49 atoms, so a mask fits one machine
+word; a hub with 3 000 neighbours of one label adds 3 000).
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
+from threading import Lock
 from typing import Any
 from weakref import KeyedRef
 
 from repro.graphs.graph import LabeledGraph
 
 __all__ = ["label_counts", "vertices_by_label", "neighbour_profiles",
-           "connectivity_order", "neighbor_lists"]
+           "need_mask", "connectivity_order", "neighbor_lists"]
 
 Label = Hashable
 
@@ -51,11 +79,38 @@ def vertices_by_label(graph: LabeledGraph) -> dict[Label, list[int]]:
     return graph.derived("vertices_by_label", _group_by_label)
 
 
+#: atom ``(label, k)`` → its bit's position (see "Profiles as masks")
+_ATOMS: dict[tuple[Label, int], int] = {}
+_ATOMS_LOCK = Lock()
+
+
+def _atom(label: Label, k: int) -> int:
+    """The bit of "at least ``k`` neighbours carry ``label``"."""
+    bit = _ATOMS.get((label, k))
+    if bit is None:
+        with _ATOMS_LOCK:
+            bit = _ATOMS.get((label, k))
+            if bit is None:
+                bit = _ATOMS[(label, k)] = len(_ATOMS)
+    return 1 << bit
+
+
+def need_mask(items: Iterable[tuple[Label, int]]) -> int:
+    """The atoms a pattern vertex with profile ``items`` needs: a host
+    profile dominates it iff ``need & profile.supply == 0``."""
+    need = 0
+    for label, count in items:
+        need |= _atom(label, count)
+    return need
+
+
 class _Profile(dict):
     """A vertex's ``{label: neighbours with it}``; a ``dict`` that can be
-    weakly referenced, so the intern table below can hold it."""
+    weakly referenced, so the intern table below can hold it, and that
+    carries ``supply``: the complement of every atom it has."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "supply")
+    supply: int
 
 
 #: a profile's labels, sorted (or, for labels that do not order, its
@@ -101,14 +156,20 @@ def _profiles(graph: LabeledGraph) -> tuple[_Profile, ...]:
             for n in neigh:
                 lab = labels[n]
                 profile[lab] = profile.get(lab, 0) + 1
+            have = 0
+            for lab, count in profile.items():
+                for k in range(1, count + 1):
+                    have |= _atom(lab, k)
+            profile.supply = ~have
             interned[key] = KeyedRef(profile, _forget, key)
         out.append(profile)
     return tuple(out)
 
 
-def neighbour_profiles(graph: LabeledGraph) -> tuple[dict[Label, int], ...]:
+def neighbour_profiles(graph: LabeledGraph) -> tuple[_Profile, ...]:
     """Per vertex, ``{label: neighbours carrying it}`` (do not mutate):
-    the radius-1 profile a host candidate must dominate.
+    the radius-1 profile a host candidate must dominate, with its
+    ``supply`` mask (see "Profiles as masks").
 
     Built complete on first use and published once per graph version.
     Equal profiles are one object across every live graph: molecules

@@ -9,10 +9,15 @@ iGraph comparisons ([7, 8] in the paper):
   degree as tie-break, then made connectivity-first (each subsequent
   vertex is adjacent to an earlier one when possible).  A query label
   absent from the host is detected at depth 0 for free.
-* **Per-candidate pruning**: label equality, degree coverage, and a
-  radius-1 neighbor-label-profile dominance check, evaluated lazily per
-  candidate (the host's profiles are built once per graph version; see
-  "Compile once, test many").
+* **Per-candidate pruning**: label equality, and a radius-1
+  neighbor-label-profile dominance check, evaluated lazily per
+  candidate.  Dominance is one AND of two packed ints: the pattern
+  vertex's need mask against the host profile's supply mask
+  (:mod:`repro.matching.plans`, "Profiles as masks"; the host's
+  profiles are built once per graph version, see "Compile once, test
+  many").  It also covers the degree test: a profile's counts sum to
+  its vertex's degree, so a dominating profile has at least the
+  pattern vertex's degree.
 * **Lookahead**: a candidate's unmapped-neighbor count must cover the
   query vertex's unmapped-neighbor count (safe for monomorphism).
 
@@ -48,8 +53,8 @@ nothing that depends on a single graph is computed per test
 (:mod:`repro.matching.plans`).  The host contributes its label counts,
 its label → vertices lists and its vertices' neighbour-label profiles;
 the pattern contributes a
-:class:`_Plan` — required label counts, labels, neighbour lists,
-neighbour-label profiles — and, per *ranking*
+:class:`_Plan` — required label counts, labels, neighbour lists, one
+need mask per vertex — and, per *ranking*
 of its labels by host frequency, the variable order compiled into one
 step per depth.  The order only ever compares host counts with each
 other, so two hosts that rank the pattern's labels alike (ties sharing a
@@ -64,6 +69,10 @@ built on the graph's first test past depth 0 and never written again,
 of profiles interned across all live graphs.  Molecules repeat a few
 neighbourhoods, so a dataset graph pays a tuple of pointers for them,
 not a dict per vertex, and a host rejected at depth 0 pays nothing.
+Each interned profile carries its supply mask, set once when it is
+interned, so a candidate's whole neighbourhood test is
+``need & profiles[cand].supply`` — no loop over labels, no dict probe
+— and the same masks serve Method M's tests and discovery's alike.
 
 Leave nothing for the collector
 -------------------------------
@@ -96,6 +105,7 @@ from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
 from repro.matching.plans import (
     label_counts,
+    need_mask,
     neighbor_lists,
     neighbour_profiles,
     vertices_by_label,
@@ -104,17 +114,16 @@ from repro.matching.plans import (
 __all__ = ["VF2PlusMatcher"]
 
 Label = Hashable
-#: One depth of a compiled order: the pattern vertex, its label and
-#: degree, its neighbours mapped at shallower depths (in the adjacency
-#: set's iteration order), how many are not, and its profile's items.
-_Step = tuple[int, Label, int, tuple[int, ...], int,
-              tuple[tuple[Label, int], ...]]
+#: One depth of a compiled order: the pattern vertex, its label, its
+#: neighbours mapped at shallower depths (in the adjacency set's
+#: iteration order), how many are not, and its profile's need mask.
+_Step = tuple[int, Label, tuple[int, ...], int, int]
 
 
 class _Plan:
     """The pattern side of every VF2+ test of one graph version."""
 
-    __slots__ = ("required", "labels", "neighbors", "profiles", "orders")
+    __slots__ = ("required", "labels", "neighbors", "needs", "orders")
 
     def __init__(self, query: LabeledGraph) -> None:
         #: (label, vertices needed) — the depth-0 check, and the labels
@@ -122,13 +131,14 @@ class _Plan:
         self.required = tuple(label_counts(query).items())
         self.labels = tuple(query._labels)
         self.neighbors = neighbor_lists(query)
-        self.profiles = []
+        #: per vertex, the atoms a host candidate's profile must supply
+        self.needs = []
         for neigh in self.neighbors:
             profile: dict[Label, int] = {}
             for n in neigh:
                 lab = self.labels[n]
                 profile[lab] = profile.get(lab, 0) + 1
-            self.profiles.append(tuple(profile.items()))
+            self.needs.append(need_mask(profile.items()))
         #: host ranking of ``required``'s labels → compiled steps; grows
         #: by idempotent single stores (see the module docstring), to
         #: one entry per weak ordering of the distinct labels at most
@@ -161,8 +171,8 @@ class _Plan:
         for u in self.variable_order(host_counts):
             neigh = self.neighbors[u]
             mapped = tuple(n for n in neigh if n in placed)
-            steps.append((u, self.labels[u], len(neigh), mapped,
-                          len(neigh) - len(mapped), self.profiles[u]))
+            steps.append((u, self.labels[u], mapped,
+                          len(neigh) - len(mapped), self.needs[u]))
             placed.add(u)
         return tuple(steps)
 
@@ -217,7 +227,7 @@ class VF2PlusMatcher(SubgraphMatcher):
             if depth == depth_reached:
                 return True
             states += 1
-            u, qlabel, qdeg, mapped, u_unmapped, qprofile = steps[depth]
+            u, qlabel, mapped, u_unmapped, need = steps[depth]
             if len(mapped) == 1:
                 # One anchor: its image's neighbours are the candidates,
                 # adjacent to it by construction.
@@ -240,8 +250,7 @@ class VF2PlusMatcher(SubgraphMatcher):
                     continue
                 if host_labels[cand] != qlabel:
                     continue
-                cand_neighbors = host_adjacency[cand]
-                if len(cand_neighbors) < qdeg:
+                if need & profiles[cand].supply:
                     continue
                 if images:
                     adjacent = True
@@ -251,17 +260,11 @@ class VF2PlusMatcher(SubgraphMatcher):
                             break
                     if not adjacent:
                         continue
-                if (u_unmapped and len(cand_neighbors) < enough
-                        and len(cand_neighbors - used) < u_unmapped):
-                    continue
-                profile = profiles[cand]
-                dominated = True
-                for lab, count in qprofile:
-                    if profile.get(lab, 0) < count:
-                        dominated = False
-                        break
-                if not dominated:
-                    continue
+                if u_unmapped:
+                    cand_neighbors = host_adjacency[cand]
+                    if (len(cand_neighbors) < enough
+                            and len(cand_neighbors - used) < u_unmapped):
+                        continue
                 mapping[u] = cand
                 used.add(cand)
                 if extend(depth + 1):

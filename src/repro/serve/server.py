@@ -87,6 +87,11 @@ MAX_HEADERS = 100
 
 _JSON = "application/json"
 _PROM = "text/plain; version=0.0.4; charset=utf-8"
+#: path → the one method it answers; any other method is a 405 whose
+#: ``Allow`` names it (RFC 9110 §15.5.6)
+_ROUTES = {"/metrics": "GET", "/healthz": "GET", "/readyz": "GET",
+           "/query": "POST", "/query/batch": "POST", "/mutate": "POST",
+           "/explain": "POST"}
 
 #: The request headers the server acts on; every other one is read past.
 _ACTED_ON = frozenset((b"content-length", b"connection",
@@ -245,8 +250,10 @@ class _Handler(socketserver.StreamRequestHandler):
             app.stats.observe_query_latency(time.perf_counter() - started)
         if app.draining:
             keep_alive = False      # persuade clients off a dying server
-        head = b"%s%sContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n" % (
-            _STATUS_LINES[status], server.date_line(),
+        allow = (b"Allow: %s\r\n" % _ROUTES[self.path].encode("latin-1")
+                 if status == 405 else b"")
+        head = b"%s%s%sContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n" % (
+            _STATUS_LINES[status], server.date_line(), allow,
             content_type.encode("latin-1"), len(payload),
             b"" if keep_alive else b"Connection: close\r\n")
         try:
@@ -472,29 +479,33 @@ class CacheServer:
     # ------------------------------------------------------------------
     def handle(self, method: str, path: str,
                body: bytes) -> tuple[int, bytes, str]:
-        """Serve one request; returns ``(status, payload, content_type)``."""
+        """Serve one request; returns ``(status, payload, content_type)``.
+
+        A known path asked with the other method is a 405; the socket
+        shell adds its ``Allow`` header from the same route table."""
         try:
-            if path == "/metrics" and method == "GET":
+            allowed = _ROUTES.get(path)
+            if allowed is None:
+                return self._json(404, {"error": f"unknown path {path!r}"})
+            if method != allowed:
+                return self._json(405, {"error": f"{path} is {allowed}-only"})
+            if path == "/metrics":
                 text = render_prometheus(self.service, self.stats,
                                          ready=self.ready)
                 return 200, text.encode("utf-8"), _PROM
-            if path == "/healthz" and method == "GET":
+            if path == "/healthz":
                 return self._json(200, {"status": "ok",
                                         "draining": self._draining})
-            if path == "/readyz" and method == "GET":
+            if path == "/readyz":
                 if self.ready:
                     return self._json(200, {"ready": True})
                 return self._json(503, {"ready": False,
                                         "reason": "draining"})
-            if path in ("/query", "/query/batch", "/mutate", "/explain"):
-                if method != "POST":
-                    return self._json(405, {"error": f"{path} is POST-only"})
-                if not self.ready:
-                    return self._json(503, {"error": "draining"})
-                payload = self._parse_json(body)
-                with _Flight(self):
-                    return self._json(*self._serve(path, payload))
-            return self._json(404, {"error": f"unknown path {path!r}"})
+            if not self.ready:
+                return self._json(503, {"error": "draining"})
+            payload = self._parse_json(body)
+            with _Flight(self):
+                return self._json(*self._serve(path, payload))
         except _Response as early:
             return self._json(early.status, early.payload)
         except WireError as exc:

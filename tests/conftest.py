@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from types import FunctionType
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -149,6 +150,20 @@ def no_cyclic_garbage():
         f"{found} unreachable objects left for the cyclic collector: "
         f"{dict(types.most_common())}; unreachable functions: "
         f"{dict(functions.most_common())}")
+
+
+@contextmanager
+def fresh_profile_registry():
+    """Run the block with an empty atom registry and profile intern
+    table (``repro.matching.plans``, "Profiles as masks"); yields the
+    registry.  The block alone decides which atoms are registered and
+    in what order, and what it registers is gone afterwards.  Only
+    graphs built inside the block may be searched in it: a profile
+    table built outside carries masks of the outer registry."""
+    from repro.matching import plans
+    with patch.object(plans, "_ATOMS", {}), \
+            patch.object(plans, "_INTERNED", {}):
+        yield plans._ATOMS
 
 
 # ----------------------------------------------------------------------

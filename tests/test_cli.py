@@ -97,6 +97,25 @@ class TestGenWorkload:
         assert_usage_error(code, capsys, fragment)
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["gen-dataset", "gen-workload"])
+def test_unwritable_out_is_a_usage_error(dataset_file, tmp_path, capsys,
+                                         command, target):
+    """An ``--out`` in a directory that does not exist, or naming a
+    directory, is one line and exit 2 — not a ``FileNotFoundError`` /
+    ``IsADirectoryError`` traceback after the work is done."""
+    out = (tmp_path / "no-such-dir" / "x.tve"
+           if target == "missing-directory" else tmp_path)
+    argv = {
+        "gen-dataset": ["gen-dataset", "--num-graphs", "5"],
+        "gen-workload": ["gen-workload", "--dataset", str(dataset_file),
+                         "--num-queries", "5"],
+    }[command]
+    code = main([*argv, "--out", str(out)])
+    assert_usage_error(code, capsys, f"--out: cannot write {out}")
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 class TestRun:
     @pytest.fixture
     def workload_file(self, dataset_file, tmp_path):
@@ -445,6 +464,13 @@ class TestServeSetupErrors:
             port = taken.getsockname()[1]
             proc = self.serve(dataset_file, "--port", str(port))
         self.assert_usage_error(proc, f"cannot listen on 127.0.0.1:{port}")
+        assert "serving GC+" not in proc.stdout
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-5"])
+    def test_port_out_of_range(self, dataset_file, port):
+        """``bind()`` raised ``OverflowError`` for these, a traceback."""
+        proc = self.serve(dataset_file, "--port", port)
+        self.assert_usage_error(proc, f"--port {port}: a port is 0 to 65535")
         assert "serving GC+" not in proc.stdout
 
     def test_port_file_in_missing_directory(self, dataset_file, tmp_path):

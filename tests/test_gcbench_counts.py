@@ -46,7 +46,7 @@ from repro import GraphCacheService, GraphStore, LabeledGraph
 from repro.matching import make_matcher
 from repro.matching.plans import label_counts, vertices_by_label
 from repro.matching.vf2plus import _Plan
-from tests.conftest import no_cyclic_garbage
+from tests.conftest import fresh_profile_registry, no_cyclic_garbage
 
 _PATH = Path(__file__).resolve().parent.parent / "perf" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("gcbench_workloads", _PATH)
@@ -134,3 +134,20 @@ def test_host_profile_tables_cost_a_tuple_per_graph():
     profiles = {id(p) for host in graphs
                 for p in host._memo["neighbour_profiles"]}
     assert len(profiles) <= 1000
+
+
+def test_profile_masks_fit_a_machine_word():
+    """Replayed from an empty registry, ``verify_bound``'s stream
+    registers at most 64 profile atoms (``repro.matching.plans``,
+    "Profiles as masks"; 44-49 over gcbench's streams), so every need
+    and supply mask VF2+ ANDs is one machine word."""
+    spec = next(s for s in workloads.SPECS if s.name == "verify_bound")
+    with fresh_profile_registry() as atoms:
+        inputs = workloads.build_inputs(spec, seed=1)
+        with GraphCacheService(GraphStore.from_graphs(inputs.graphs),
+                               workloads.CONFIG) as service:
+            for position, query in enumerate(inputs.stream):
+                if inputs.plan is not None:
+                    service.apply(inputs.plan, position)
+                service.execute(query)
+        assert 0 < len(atoms) <= 64

@@ -20,8 +20,11 @@ pipeline as it came — the caller owns it.
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 import weakref
 from collections import Counter
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -34,13 +37,14 @@ from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.matching import GraphQLMatcher, make_matcher
-from repro.matching.plans import _INTERNED, neighbour_profiles
+from repro.matching.plans import _INTERNED, need_mask, neighbour_profiles
 from repro.matching.vf2plus import _Plan
 from repro.runtime.method_m import MethodMRunner
 from repro.workloads.base import DEFAULT_QUERY_SIZES
 from repro.workloads.typea import bfs_extract, generate_type_a
 from repro.workloads.typeb import generate_type_b
-from tests.conftest import brute_force_answer, labeled_graphs
+from tests.conftest import (brute_force_answer, fresh_profile_registry,
+                            labeled_graphs)
 from tests.reference_matchers import REFERENCE_MATCHERS
 from tests.ullmann import UllmannMatcher
 
@@ -413,6 +417,122 @@ def test_graphql_at_every_radius_matches_its_reference(radius,
             assert production.stats == reference.stats, (query, host)
     assert all((kept_profiles(host) is not None) == (radius == 1)
                for host in population)
+
+
+# ----------------------------------------------------------------------
+# Profiles as masks: one AND is dict dominance, in any registration order
+# ----------------------------------------------------------------------
+def centre_with(profile: dict) -> LabeledGraph:
+    """A star whose centre (vertex 0, label ``x``) has ``profile``."""
+    leaves = [lab for lab, count in profile.items() for _ in range(count)]
+    return graph(["x", *leaves], [(0, i) for i in range(1, len(leaves) + 1)])
+
+
+profile_dicts = st.dictionaries(st.sampled_from("abcd"), st.integers(1, 6),
+                                max_size=4)
+
+
+@given(patterns=st.lists(profile_dicts, min_size=1, max_size=5),
+       hosts=st.lists(profile_dicts, min_size=1, max_size=5),
+       order=st.sampled_from(["patterns first", "hosts first",
+                              "interleaved"]))
+def test_the_mask_test_is_dict_dominance(patterns, hosts, order):
+    """``need & supply == 0`` iff the host profile dominates the pattern
+    profile, whichever side registered an atom first; the registry then
+    holds each host's ``(l, 1..count)`` and each pattern's
+    ``(l, count)``, one bit apiece."""
+    with fresh_profile_registry() as atoms:
+        first = [("p", d) for d in patterns]
+        second = [("h", d) for d in hosts]
+        if order == "hosts first":
+            first, second = second, first
+        jobs = (first + second if order != "interleaved" else
+                [job for pair in zip_longest(first, second)
+                 for job in pair if job is not None])
+        needs, supplies = {}, {}
+        for i, (side, d) in enumerate(jobs):
+            if side == "p":
+                needs[i] = (d, need_mask(d.items()))
+            else:
+                profile = neighbour_profiles(centre_with(d))[0]
+                assert profile == d
+                supplies[i] = (d, profile.supply)
+        for pattern, need in needs.values():
+            for host, supply in supplies.values():
+                dominated = all(host.get(lab, 0) >= count
+                                for lab, count in pattern.items())
+                assert (need & supply == 0) == dominated, (pattern, host)
+        expected = {(lab, count) for d in patterns
+                    for lab, count in d.items()}
+        expected |= {(lab, k) for d in hosts for lab, count in d.items()
+                     for k in range(1, count + 1)}
+        if any(hosts):
+            expected.add(("x", 1))                 # the leaves' profile
+        assert set(atoms) == expected
+        assert sorted(atoms.values()) == list(range(len(atoms)))
+
+
+def test_threads_registering_at_once_never_share_a_bit():
+    """Registering is check-then-act on a shared table: eight threads
+    registering the same atoms in the same order, so that they race for
+    each one, under a short switch interval, all see one bit per atom
+    and no bit twice.  One round catches an unlocked registration only
+    now and then (about one in six), so there are forty."""
+    wanted = [(lab, k) for lab in "abcdefgh" for k in range(1, 250)]
+
+    def register(start: threading.Barrier, seen: dict) -> None:
+        start.wait()
+        for atom in wanted:
+            seen[atom] = need_mask([atom]).bit_length()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            start = threading.Barrier(8, timeout=60)
+            seen: list[dict] = [{} for _ in range(8)]
+            with fresh_profile_registry() as atoms:
+                threads = [threading.Thread(target=register,
+                                            args=(start, bits))
+                           for bits in seen]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(atoms.values()) == list(range(len(wanted)))
+                assert all(bits == seen[0] for bits in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_hub_of_3000_neighbours_matches_the_reference():
+    """A host whose centre has 3 000 neighbours of one label: under
+    VF2+ and GraphQL every pattern's answer, embedding and
+    ``MatcherStats`` equal the reference's.  The hub registers its
+    atoms ``(a, 1..3000)``, the patterns only what it lacks."""
+    with fresh_profile_registry() as atoms:
+        hub = graph("a" * 3001, [(0, i) for i in range(1, 3001)])
+        neighbour_profiles(hub)
+        hub_atoms = {("a", k) for k in range(1, 3001)}
+        assert set(atoms) == hub_atoms
+        patterns = [
+            (graph("a"), True), (path("aa"), True), (path("aaa"), True),
+            (graph("a" * 11, [(0, i) for i in range(1, 11)]), True),
+            (graph("aaa", TRIANGLE), False), (path("aaaa"), False),
+            (path("ab"), False),
+        ]
+        for name in ("vf2+", "graphql"):
+            reference = REFERENCE_MATCHERS[name]()
+            production = make_matcher(name)
+            for query, expected in patterns:
+                assert production.is_subgraph_isomorphic(query, hub) \
+                    == reference.is_subgraph_isomorphic(query, hub) \
+                    == expected
+                assert (production.find_embedding(query, hub)
+                        == reference.find_embedding(query, hub))
+                assert production.stats == reference.stats, (name, query)
+        assert set(atoms) - hub_atoms == {("b", 1)}
 
 
 # ----------------------------------------------------------------------

@@ -195,6 +195,35 @@ class TestEndpoints:
         assert "unknown op" in payload["error"]
 
 
+    @pytest.mark.parametrize("method,path,allowed", [
+        ("POST", "/healthz", "GET"), ("POST", "/readyz", "GET"),
+        ("POST", "/metrics", "GET"), ("GET", "/query", "POST"),
+        ("GET", "/query/batch", "POST"), ("GET", "/mutate", "POST"),
+        ("GET", "/explain", "POST"),
+    ])
+    def test_a_known_path_asked_with_the_other_method_is_a_405(
+            self, served, method, path, allowed):
+        """Not a 404 "unknown path", and over the socket the 405 names
+        the method the path takes in ``Allow`` (RFC 9110 §15.5.6); the
+        connection stays open."""
+        server, _, _ = served
+        status, payload, _ = server.handle(method, path, b"")
+        assert status == 405
+        assert json.loads(payload)["error"] == f"{path} is {allowed}-only"
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        try:
+            conn.request(method, path,
+                         body=b"{}" if method == "POST" else None)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 405
+            assert response.getheader("Allow") == allowed
+            assert response.getheader("Connection") is None
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
     @pytest.mark.parametrize("path", ["/query", "/explain", "/mutate"])
     def test_non_finite_labels_are_a_400(self, served, path):
         """A NaN label matches nothing under VF2 / VF2+ but itself under
