@@ -5,8 +5,8 @@ Replays the paper's Figure 2 running example with real machinery and
 prints every state transition: the cached queries' ``Answer`` snapshots,
 their ``CGvalid`` indicators degrading under dataset changes, and the
 resulting candidate-set pruning for a final query — including the EVI
-comparison (which would have thrown everything away, twice; the purge
-event hook makes both purges visible).
+comparison (which would have thrown everything away, twice; the
+service's ``purges`` counter shows both purges).
 
 Run:  python examples/consistency_deep_dive.py
 """
@@ -86,10 +86,6 @@ def main() -> None:
     # The EVI comparison on the identical history.
     store2 = GraphStore.from_graphs(initial)
     with GraphCacheService(store2, GCConfig(model="EVI")) as evi:
-        evi.on_purge(lambda event: print(
-            f"    [purge hook] EVI dropped {len(event.entry_ids)} "
-            f"cached entr{'y' if len(event.entry_ids) == 1 else 'ies'}"
-        ))
         print("\n== The same history under EVI:")
         evi.execute(path("CCO"))
         evi.add_graph(path("CCO"))
@@ -102,7 +98,8 @@ def main() -> None:
               f"proved in §6)")
         print(f"    but sub-iso tests executed: "
               f"{result_evi.metrics.method_tests} — the cache was purged "
-              f"at T2 and T4, so nothing was left to help.")
+              f"at T2 and T4 (purges: {evi.counters()['purges']}), so "
+              f"nothing was left to help.")
 
 
 if __name__ == "__main__":

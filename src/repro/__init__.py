@@ -21,7 +21,7 @@ Quickstart (the service-layer API)::
 
 ``GraphCacheService`` also offers ``execute_many`` (one consistency pass
 per batch), ``explain`` (the plan ``execute`` would run, read-only),
-cache event hooks, the dataset mutations (``apply``, ``add_graph``, ...),
+the dataset mutations (``apply``, ``add_graph``, ...),
 snapshot ``save`` / ``load`` / ``autosave`` and shared-cache sessions;
 see :mod:`repro.api`.
 
@@ -30,8 +30,6 @@ paper's experiments.
 """
 
 from repro.api import (
-    CacheEvent,
-    CacheEventKind,
     GCConfig,
     GraphCacheService,
     PlanStep,
@@ -68,8 +66,6 @@ __all__ = [
     "GCConfig",
     "QueryPlan",
     "PlanStep",
-    "CacheEvent",
-    "CacheEventKind",
     "QueryResult",
     "MethodMRunner",
     "GraphStore",

@@ -17,8 +17,8 @@ codebase:
   ``self.cache = CacheManager.from_config(...)`` with
   ``def from_config(...) -> "CacheManager"``.
 
-Unresolvable calls (dynamic callables like ``self.event_listener(...)``,
-values threaded through untyped returns) simply produce no edge.  Rules
+Unresolvable calls (a callback stored on an attribute, values
+threaded through untyped returns) simply produce no edge.  Rules
 built on the graph must treat a missing edge as "unknown", not "safe" —
 the lock-state analysis does this by keeping must-information empty
 across unresolved boundaries.

@@ -3,7 +3,7 @@
 The analyzer is deliberately small: plain :mod:`ast` walks, no imports
 of the analyzed code (so it can lint broken or dependency-missing
 trees), and a rule interface narrow enough that a project-specific
-invariant — "no hook call under the service lock", "no wall clock in
+invariant — "no blocking I/O under the service lock", "no wall clock in
 a core decision path" — is one screenful of visitor.
 
 Two rule shapes exist:
@@ -57,8 +57,8 @@ class Severity(enum.Enum):
 class Finding:
     """One rule violation at one source location."""
 
-    rule_id: str       # e.g. "GC103"
-    slug: str          # e.g. "hook-under-lock" (pragma alias)
+    rule_id: str       # e.g. "GC111"
+    slug: str          # e.g. "blocking-under-lock" (pragma alias)
     severity: Severity
     path: str          # posix relpath as given to the engine
     line: int          # 1-based
@@ -74,7 +74,7 @@ class Finding:
                 f"[{self.severity.value}] {self.message}")
 
 
-#: ``# gclint: allow[GC103] deferred via _emit`` — rule ids or slugs,
+#: ``# gclint: allow[GC111] serialises the write`` — rule ids or slugs,
 #: comma separated, reason mandatory.
 _PRAGMA_RE = re.compile(
     r"#\s*gclint:\s*allow\[(?P<rules>[^\]]+)\]\s*(?P<reason>.*)$"

@@ -4,7 +4,7 @@ The abstract domain is a *set of lock stacks*: each stack is one
 possible nesting of currently-held locks on some path to the program
 point, entries ordered by acquisition.  From the set we derive
 
-* **may-held** — the union over stacks (used by GC103/GC110/GC111:
+* **may-held** — the union over stacks (used by GC110/GC111:
   "could a lock be held here?"), and
 * **must-held** — the intersection over stacks (used by GC120: "is this
   mutation provably guarded on every path?").
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: The service's one lock (``GraphCacheService._lock``), held for a
-#: whole public call — what GC103 and GC111 police.
+#: whole public call — what GC111 polices.
 SERVICE_LOCK = "GraphCacheService._lock"
 
 #: Depth cap per stack and width cap per state set; both are far above

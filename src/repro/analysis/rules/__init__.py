@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.analysis.core import Rule
 from repro.analysis.rules.concurrency import (
     BlockingCallUnderLock,
-    HookUnderLock,
     LockOrderCycle,
     UnguardedSharedMutation,
 )
@@ -27,7 +26,6 @@ __all__ = ["default_rules"]
 def default_rules() -> list[Rule]:
     """Every project rule, in report order."""
     return [
-        HookUnderLock(),
         LockOrderCycle(),
         BlockingCallUnderLock(),
         UnguardedSharedMutation(),

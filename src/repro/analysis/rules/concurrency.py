@@ -2,16 +2,11 @@
 
 The service holds one lock, ``GraphCacheService._lock``, for the whole
 of every public call that reads or writes the cache or the dataset.
-All four rules share one
+All three rules share one
 :class:`~repro.analysis.lockstate.ConcurrencyIndex` over the scoped
 module set — CFG + call graph + lock-state fixpoint — so the project
 pays for the flow analysis once per run:
 
-* **GC103** ``hook-under-lock`` — a cache-event hook (``on_admission``
-  etc., ``event_listener``, ``_dispatch_event``, the ``_deliver`` loop)
-  invoked inside a service-lock region of the same function.  Hooks may
-  call back into the service, so the lock buffers their events and
-  delivers them after its release.
 * **GC110** ``lock-order`` — cycles in the lock-acquisition-order graph
   (lock A held while acquiring B on one chain, B while acquiring A on
   another).
@@ -50,16 +45,8 @@ from repro.analysis.lockstate import (
     may_locks,
 )
 
-__all__ = ["HookUnderLock", "LockOrderCycle", "BlockingCallUnderLock",
+__all__ = ["LockOrderCycle", "BlockingCallUnderLock",
            "UnguardedSharedMutation", "TRACKED_SHARED_CLASSES"]
-
-#: User-hook surfaces that must only ever run after the service lock is
-#: released, never inline under it (``_deliver`` is the service's loop
-#: that runs them).
-HOOK_NAMES = frozenset({
-    "on_admission", "on_eviction", "on_purge", "on_promotion",
-    "event_listener", "_dispatch_event", "_deliver",
-})
 
 #: Shared-state classes whose attributes demand a lock to mutate.
 TRACKED_SHARED_CLASSES = frozenset({
@@ -120,44 +107,11 @@ def _blocking_kind(call: ast.Call) -> str | None:
 
 
 class _FlowRule(ProjectRule):
-    """Shared scoping so all four rules hit the same index cache line."""
+    """Shared scoping so all three rules hit the same index cache line."""
 
     @staticmethod
     def _index(modules: Sequence[ParsedModule]) -> ConcurrencyIndex:
         return get_index(modules)
-
-
-class HookUnderLock(_FlowRule):
-    rule_id = "GC103"
-    slug = "hook-under-lock"
-    severity = Severity.ERROR
-    description = ("cache-event hook invoked while the service lock is "
-                   "held; delivery must wait for its release")
-
-    def check_project(self,
-                      modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        index = self._index(modules)
-        by_rel = {module.relpath: module for module in modules}
-        for qualname in sorted(index.flows):
-            flow = index.flows[qualname]
-            module = by_rel.get(flow.info.module.relpath)
-            if module is None:
-                continue
-            for call, state in flow.calls:
-                func = call.func
-                name = (func.attr if isinstance(func, ast.Attribute)
-                        else func.id if isinstance(func, ast.Name) else None)
-                if name not in HOOK_NAMES or \
-                        SERVICE_LOCK not in may_locks(state):
-                    continue
-                yield self.finding(
-                    module, call.lineno,
-                    f"`{ast.unparse(func)}(...)` runs a cache-event hook "
-                    f"inside a `{SERVICE_LOCK}` region; user hooks may "
-                    f"re-enter the service and deadlock — let the lock "
-                    f"buffer the event and deliver it on release",
-                    col=call.col_offset + 1,
-                )
 
 
 class LockOrderCycle(_FlowRule):

@@ -6,17 +6,15 @@ Three pieces compose the surface callers should program against:
   (``from_dict``/``to_dict`` for CLI and bench wiring, ``replace`` for
   overrides);
 * :class:`GraphCacheService` — the session facade: ``execute``,
-  batch-amortised ``execute_many``, read-only ``explain``, event hooks,
+  batch-amortised ``execute_many``, read-only ``explain``,
   dataset mutations, snapshots, and — via
   :meth:`GraphCacheService.session` — up to ``GCConfig.max_sessions``
   concurrent :class:`ServiceSession` query handles sharing one cache
   behind one lock held per request (see ``docs/concurrency.md``);
-* :class:`QueryPlan` / :class:`PlanStep` — structured explain receipts;
-  :class:`CacheEvent` / :class:`CacheEventKind` — hook payloads.
+* :class:`QueryPlan` / :class:`PlanStep` — structured explain receipts.
 """
 
 from repro.api.config import GCConfig
-from repro.api.events import CacheEvent, CacheEventKind
 from repro.api.plan import PlanStep, QueryPlan
 from repro.api.service import GraphCacheService, ServiceSession
 
@@ -26,6 +24,4 @@ __all__ = [
     "ServiceSession",
     "QueryPlan",
     "PlanStep",
-    "CacheEvent",
-    "CacheEventKind",
 ]

@@ -23,8 +23,6 @@ On top of the per-query engine the service adds the session surface:
 * ``execute_many(queries)`` — one consistency pass amortised over a
   whole batch (``ensure_consistency`` used to run per query);
 * ``explain(query)`` — read-only, steps 2-3 as ``execute`` runs them;
-* event hooks (``on_admission`` / ``on_eviction`` / ``on_purge`` /
-  ``on_promotion``) so ops code stops reaching into private fields;
 * a mutation API (``apply``, ``add_graph``, ...) so callers never juggle
   the :class:`GraphStore` and the cache separately;
 * ``save`` / ``load`` / ``autosave`` snapshots, and context-manager
@@ -41,14 +39,14 @@ On top of the per-query engine the service adds the session surface:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from pathlib import Path
 from time import perf_counter
 
 from repro.api.config import GCConfig
-from repro.api.events import CacheEvent, CacheEventKind
 from repro.api.plan import PlanStep, QueryPlan
 from repro.cache.entry import CacheEntry
 from repro.cache.manager import CacheManager, ConsistencyReport
@@ -75,67 +73,6 @@ from repro.runtime.pruner import PruneOutcome, prune_candidate_set
 from repro.util.bitset import BitSet
 
 __all__ = ["GraphCacheService", "ServiceSession"]
-
-EventHook = Callable[[CacheEvent], None]
-
-
-def _deliver(hooks: dict[CacheEventKind, list[EventHook]],
-             events: Iterable[CacheEvent]) -> None:
-    """Run every hook registered for each event's kind, in order.  A
-    hook that raises stops neither the hooks after it nor the events
-    after its own; the first exception is re-raised once all have run."""
-    failure: Exception | None = None
-    for event in events:
-        for hook in hooks[event.kind]:
-            try:
-                hook(event)
-            except Exception as exc:
-                if failure is None:
-                    failure = exc
-    if failure is not None:
-        try:
-            raise failure
-        finally:
-            # the traceback holds this frame, which holds ``failure``
-            failure = None
-
-
-class _ServiceLock:
-    """The service's one lock: ``with service._lock:`` holds it for a
-    whole public call.  Cache events raised meanwhile are buffered and
-    handed to the hooks once it is released, so a hook may call back
-    into the service.
-
-    :attr:`mutex` is ``None`` — no locking, one caller at a time by
-    contract — until :meth:`GraphCacheService.session` installs a
-    ``threading.Lock`` (``lock_mode="rw"`` installs it at construction).
-    Not reentrant: public methods call unlocked private helpers.
-    """
-
-    __slots__ = ("mutex", "held", "events", "_hooks")
-
-    def __init__(self, mutex: threading.Lock | None,
-                 hooks: dict[CacheEventKind, list[EventHook]]) -> None:
-        self.mutex = mutex
-        self.held = False
-        self.events: list[CacheEvent] = []
-        self._hooks = hooks
-
-    def __enter__(self) -> None:
-        if self.mutex is not None:
-            self.mutex.acquire()
-        self.held = True
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        events = self.events
-        if events:
-            self.events = []
-        self.held = False
-        if self.mutex is not None:
-            self.mutex.release()
-        if events:
-            _deliver(self._hooks, events)
-
 
 class GraphCacheService:
     """A GC+ session over one :class:`GraphStore`.
@@ -186,55 +123,46 @@ class GraphCacheService:
         # close() must be idempotent and race-free: the serving drain
         # path, __exit__ and user code may all reach it concurrently.
         self._close_lock = threading.Lock()
-        self._hooks: dict[CacheEventKind, list[EventHook]] = {
-            kind: [] for kind in CacheEventKind
-        }
-        # The cache's event listener is attached lazily by the first
-        # hook registration, so hook-free sessions pay no event cost.
         # --- Concurrent serving state ---------------------------------
         # The one lock over the cache, the dataset and the stream
-        # position; it also buffers cache events until its release.
-        self._lock = _ServiceLock(
-            threading.Lock() if config.lock_mode == "rw" else None,
-            self._hooks)
+        # position.  Under lock_mode="auto" it is a no-op (one caller at
+        # a time by contract) until session() swaps in a real lock; a
+        # ``with`` block releases the object it entered, so the swap
+        # never strands a holder.  Not reentrant: public methods call
+        # unlocked private helpers.
+        self._lock: contextlib.AbstractContextManager[object] = (
+            threading.Lock() if config.lock_mode == "rw"
+            else contextlib.nullcontext())
         # Open ServiceSession handles sharing this service's cache.
         self._session_guard = threading.Lock()
         self._sessions: list["ServiceSession"] = []
         self._next_session_id = 0
-        # --- Hook-driven autosave: (target, every), every 0 = off ------
+        # --- Autosave: (target, every), every 0 = off, and the
+        # ``cache.admissions`` count it last saved at.  Both under _lock.
         self._autosave = (Path(), 0)
-        self._autosave_admissions = 0
-        # Guards both (hooks run on each session's thread, so the
-        # increment-and-test must be atomic)...
-        self._autosave_lock = threading.Lock()
-        # ...while this one serialises whole save() calls, so two
-        # sessions' saves to one path cannot interleave.
+        self._autosave_base = 0
+        # Serialises whole save() calls, so two sessions' saves to one
+        # path cannot interleave.
         self._save_lock = threading.Lock()
 
     def autosave(self, path: str | Path, every: int) -> None:
         """Save to ``path`` every ``every`` admissions (a later call
-        retargets).  The save is an admission hook, so it runs only
-        after the triggering query released the service lock."""
+        retargets and keeps the count; renewals do not count).  The save
+        runs on the thread of the query whose admission crossed the
+        threshold, after that query released the service lock."""
         if not isinstance(every, int) or isinstance(every, bool) or every < 1:
             raise ValueError(
                 f"autosave every must be a positive integer, got {every!r}")
-        with self._autosave_lock:
-            armed = self._autosave[1] > 0
+        self._check_open()
+        with self._lock:
+            if not self._autosave[1]:
+                self._autosave_base = self.cache.admissions
             self._autosave = (Path(path), every)
-        if not armed:
-            self._register(CacheEventKind.ADMISSION, self._autosave_hook)
 
-    def _autosave_hook(self, event: CacheEvent) -> None:
-        with self._autosave_lock:
-            target, every = self._autosave
-            self._autosave_admissions += 1
-            if self._autosave_admissions < every:
-                return
-            self._autosave_admissions = 0
-        # Outside the tally lock: only the thread that crossed the
-        # threshold gets here.  An I/O failure (disk full, directory
-        # gone) must not fail the query that triggered the save — warn
-        # and keep serving; the next threshold crossing retries.
+    def _autosave_to(self, target: Path) -> None:
+        """Write an autosave to ``target``.  An I/O failure (disk full,
+        directory gone) must not fail the query that triggered it — warn
+        and keep serving; the next threshold crossing retries."""
         try:
             self.save(target)
         except OSError as exc:
@@ -242,7 +170,7 @@ class GraphCacheService:
                 f"autosave to {str(target)!r} failed "
                 f"({exc}); continuing without a snapshot",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=4,
             )
 
     # ------------------------------------------------------------------
@@ -256,12 +184,12 @@ class GraphCacheService:
         self.close()
 
     def close(self) -> None:
-        """End the session: detach hooks, close any open shared-cache
-        sessions; further queries raise.
+        """End the session: close any open shared-cache sessions;
+        further queries raise.
 
         Idempotent — a second (or concurrent) call is a no-op, so the
         serving drain path, ``__exit__`` and user code can all call it
-        without coordinating.  If a deferred autosave is mid-save on
+        without coordinating.  If an autosave is mid-save on
         another thread when ``close`` is called, ``close`` waits for
         that save's write to finish (the ``_save_lock`` hold), so the
         snapshot on disk is never torn by a shutdown racing an autosave.
@@ -274,15 +202,10 @@ class GraphCacheService:
             sessions, self._sessions = self._sessions, []
         for session in sessions:
             session._closed = True
-        # Wait out any in-flight save() (autosave hooks run on session
+        # Wait out any in-flight save() (autosaves run on session
         # threads); new saves after this point still work — see save().
         with self._save_lock:
             pass
-        # Detach under the lock: no query is mid-emission meanwhile.
-        with self._lock:
-            self.cache.event_listener = None
-        for hooks in self._hooks.values():
-            hooks.clear()
 
     @property
     def closed(self) -> bool:
@@ -312,9 +235,9 @@ class GraphCacheService:
         """
         self._check_open()
         with self._session_guard:
-            if self._lock.mutex is None:
+            if isinstance(self._lock, contextlib.nullcontext):
                 # lock_mode="auto": install the lock at this quiescent point.
-                self._lock.mutex = threading.Lock()
+                self._lock = threading.Lock()
             self._sessions = [s for s in self._sessions if not s.closed]
             if len(self._sessions) >= self.config.max_sessions:
                 raise RuntimeError(
@@ -335,53 +258,6 @@ class GraphCacheService:
             return len(self._sessions)
 
     # ------------------------------------------------------------------
-    # Event hooks
-    # ------------------------------------------------------------------
-    def _dispatch_event(self, event: CacheEvent) -> None:
-        """Cache-event sink.  While the service lock is held events are
-        buffered, and the lock runs the hooks on release.  Otherwise —
-        code driving the :class:`CacheManager` directly — hooks run
-        inline."""
-        lock = self._lock
-        if lock.held:
-            lock.events.append(event)
-            return
-        _deliver(self._hooks, (event,))
-
-    def _register(self, kind: CacheEventKind, hook: EventHook) -> EventHook:
-        self._check_open()
-        with self._lock:
-            self._hooks[kind].append(hook)
-            self.cache.event_listener = self._dispatch_event
-        return hook
-
-    def on_admission(self, hook: EventHook) -> EventHook:
-        """Call ``hook(event)`` when an executed query's entry has been
-        admitted — fired once the admission settled, after any window
-        promotion/eviction it triggered.  Usable as a decorator; returns
-        ``hook`` unchanged.  A hook that raises keeps no other hook from
-        any event; the first exception is re-raised once every hook has
-        run, so ``execute`` reports it."""
-        return self._register(CacheEventKind.ADMISSION, hook)
-
-    def on_promotion(self, hook: EventHook) -> EventHook:
-        """Call ``hook(event)`` when a window batch merges into the cache.
-        A raising hook starves no other (see :meth:`on_admission`)."""
-        return self._register(CacheEventKind.PROMOTION, hook)
-
-    def on_eviction(self, hook: EventHook) -> EventHook:
-        """Call ``hook(event)`` when entries leave the cache or window:
-        the replacement policy's victims, or the faded copies dropped
-        when a re-executed query renewed their twin.  A raising hook
-        starves no other (see :meth:`on_admission`)."""
-        return self._register(CacheEventKind.EVICTION, hook)
-
-    def on_purge(self, hook: EventHook) -> EventHook:
-        """Call ``hook(event)`` when the whole cache is cleared.  A
-        raising hook starves no other (see :meth:`on_admission`)."""
-        return self._register(CacheEventKind.PURGE, hook)
-
-    # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
     def execute(self, query: LabeledGraph) -> QueryResult:
@@ -396,8 +272,7 @@ class GraphCacheService:
         not amortise already: every query starts with the same O(1)
         staleness guard, and the consistency protocol runs — charged to
         that query's metrics — only when the dataset log has moved,
-        including mid-batch (a generator side effect, an event hook, raw
-        store access).
+        including mid-batch (a generator side effect, raw store access).
         """
         self._check_open()
         return [self._execute_pipeline(query) for query in queries]
@@ -406,7 +281,8 @@ class GraphCacheService:
         """The full Figure-1 per-query flow, steps 1-5 in one hold of
         the service lock: the answer, the benefit credits and the
         admission all belong to one dataset state, and no other call
-        observes the cache between two steps."""
+        observes the cache between two steps.  A due autosave runs
+        after the release."""
         metrics = QueryMetrics()
         cache = self.cache      # one name per line: gclint types each
         store = self.store
@@ -456,6 +332,13 @@ class GraphCacheService:
                             same_as=resident)
             metrics.admission_seconds = perf_counter() - started
             self.monitor.record(metrics)
+            save_to = None
+            target, every = self._autosave
+            if every and cache.admissions - self._autosave_base >= every:
+                self._autosave_base = cache.admissions
+                save_to = target
+        if save_to is not None:
+            self._autosave_to(save_to)
         return QueryResult(answer=answer, metrics=metrics)
 
     def _discover_and_prune(self, query: LabeledGraph, metrics: QueryMetrics,
@@ -613,7 +496,6 @@ class GraphCacheService:
         The purge counts as having reflected all dataset changes logged
         so far — an empty cache is consistent with any dataset state —
         so the next query does **not** run a spurious consistency pass.
-        Fires the ``on_purge`` hook (after the service lock is released).
         """
         self._check_open()
         with self._lock:
@@ -634,10 +516,9 @@ class GraphCacheService:
 
         Unlike queries, saving is allowed on a **closed** service: the
         capture is a read-only observation of state that outlives
-        :meth:`close` (which only detaches hooks).
-        This is what makes a shutdown racing a deferred autosave safe —
-        the autosave completes instead of crashing the closing thread's
-        hook flush — and what lets the drain path snapshot *after* it
+        :meth:`close`.  This is what makes a shutdown racing an autosave
+        safe — the autosave completes instead of failing on the closed
+        service — and what lets the drain path snapshot *after* it
         stopped accepting sessions.
         """
         with self._save_lock:
@@ -808,13 +689,13 @@ class ServiceSession:
     """One worker's handle onto a shared :class:`GraphCacheService`.
 
     Obtained via :meth:`GraphCacheService.session`.  All sessions of a
-    service execute against the **same** cache, dataset, statistics and
-    hook registry; the service lock runs their queries one at a time.
+    service execute against the **same** cache, dataset and statistics;
+    the service lock runs their queries one at a time.
     Every query is recorded in the service's one
     :class:`StatisticsMonitor` (:meth:`GraphCacheService.summary`).
 
     A session only executes queries; everything else (explain plans,
-    mutations, persistence, hooks) goes through :attr:`service`.
+    mutations, persistence) goes through :attr:`service`.
 
     Sessions are context managers; closing one frees its
     ``max_sessions`` slot.  Closing the parent service closes every

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.models import CacheModel
@@ -47,7 +47,6 @@ from repro.util.bitset import BitSet
 
 if TYPE_CHECKING:   # import cycle: repro.api builds on repro.cache
     from repro.api.config import GCConfig
-    from repro.api.events import CacheEvent
 
 __all__ = ["CacheManager", "ConsistencyReport", "NOOP_CONSISTENCY"]
 
@@ -101,9 +100,6 @@ class CacheManager:
         self.admissions = 0
         self.renewals = 0
         self.purges = 0
-        #: Optional callback receiving :class:`repro.api.events.CacheEvent`
-        #: records; set by the service layer, ignored when ``None``.
-        self.event_listener: Callable[[CacheEvent], None] | None = None
 
     @classmethod
     def from_config(cls, config: GCConfig) -> "CacheManager":
@@ -114,21 +110,6 @@ class CacheManager:
             capacity=config.cache_capacity,
             window_capacity=config.window_capacity,
             policy=config.policy,
-        )
-
-    def _emit(self, kind_name: str, entry_ids: tuple[int, ...],
-              query_index: int | None = None) -> None:
-        # Empty emissions are suppressed here, for every event kind: an
-        # EVICTION with no victims (a promotion that fit under capacity)
-        # or a PURGE of an already-empty cache is a non-event, and hooks
-        # firing with empty id tuples on every window promotion drowned
-        # real signals (pinned by tests/test_bookkeeping_fixes.py).
-        if self.event_listener is None or not entry_ids:
-            return
-        from repro.api.events import CacheEvent, CacheEventKind
-
-        self.event_listener(
-            CacheEvent(CacheEventKind[kind_name], entry_ids, query_index)
         )
 
     # ------------------------------------------------------------------
@@ -239,11 +220,6 @@ class CacheManager:
         promoted = self.window.add(entry)
         if promoted is not None:
             self._promote(promoted)
-        # Emitted once the admission has fully settled, so hooks
-        # observe the post-admission state (entry in the window or,
-        # if its arrival filled the window, already promoted or
-        # evicted).
-        self._emit("ADMISSION", (entry.entry_id,), query_index)
         return entry
 
     def _renew(self, faded: list[CacheEntry], answer: BitSet, live: BitSet,
@@ -260,9 +236,8 @@ class CacheManager:
         cache/window position and accrued statistics and absorbs the
         dropped copies'; the indicators are *replaced*, never edited, so
         a reader can never observe a half-written one.  Residency of the
-        survivor does not change (no event); each dropped copy is an
-        eviction (counted, and emitted so hooks mirroring residency stay
-        right).
+        survivor does not change; each dropped copy counts as an
+        eviction.
         """
         survivor, *copies = sorted(faded, key=lambda twin: twin.entry_id)
         survivor.answer = answer.copy()
@@ -276,7 +251,6 @@ class CacheManager:
         self.statistics.get(survivor.entry_id).last_used = query_index
         self.evictions += len(dropped)
         self.renewals += 1
-        self._emit("EVICTION", dropped)
         return survivor
 
     def _promote(self, batch: list[CacheEntry]) -> None:
@@ -284,7 +258,6 @@ class CacheManager:
         capacity using the replacement policy."""
         for entry in batch:
             self._cache[entry.entry_id] = entry
-        self._emit("PROMOTION", tuple(e.entry_id for e in batch))
         population = list(self._cache.values())
         victims = self.policy.select_victims(
             population, self.statistics, self.capacity
@@ -294,7 +267,6 @@ class CacheManager:
             self.index.remove(victim.entry_id)
             self.statistics.forget(victim.entry_id)
             self.evictions += 1
-        self._emit("EVICTION", tuple(v.entry_id for v in victims))
 
     # ------------------------------------------------------------------
     # Benefit crediting (feeds PIN/PINC/HD)
@@ -387,8 +359,8 @@ class CacheManager:
     def restore_state(self, state: CacheState) -> None:
         """Replace the entire cache state with a captured one.
 
-        **Silent**: no admission/eviction/purge events
-        fire — a restore is state transplantation, not cache activity.
+        **Silent**: no admission/eviction/purge counter moves — a
+        restore is state transplantation, not cache activity.
         The bucketed :class:`QueryIndex` is rebuilt from the restored
         entries (it is derived state; persisting it would only create a
         second source of truth to keep honest).  The caller is
@@ -460,9 +432,6 @@ class CacheManager:
         The EVI consistency path purges through a no-argument callback
         and advances the cursor itself, so it is unaffected.
         """
-        cleared = (tuple(self._cache) + tuple(
-            e.entry_id for e in self.window.entries()
-        ) if self.event_listener is not None else ())
         self._cache.clear()
         self.window.clear()
         self.index.clear()
@@ -475,9 +444,6 @@ class CacheManager:
         self.policy.reset()
         if store is not None:
             self._log_cursor = store.log.last_seq
-        # Purging an already-empty cache emits nothing (the _emit
-        # guard): hooks only ever observe purges that removed state.
-        self._emit("PURGE", cleared)
 
     def __repr__(self) -> str:
         return (

@@ -60,9 +60,9 @@ from repro.workloads.typeb import TypeBConfig, generate_type_b
 __all__ = ["main", "build_parser"]
 
 
-class _GraphFileError(Exception):
-    """A ``t/v/e`` file named on the command line could not be loaded
-    or written."""
+class _FileFlagError(Exception):
+    """A file named on the command line cannot be loaded or written:
+    :func:`main` prints the message on one line and exits 2."""
 
 
 def _load_graphs(flag: str, path: Path) -> list[LabeledGraph]:
@@ -72,7 +72,7 @@ def _load_graphs(flag: str, path: Path) -> list[LabeledGraph]:
     try:
         return [g for _, g in graph_io.load_file(path)]
     except (OSError, ValueError) as exc:   # ValueError: malformed records
-        raise _GraphFileError(f"{flag}: cannot load {path}: {exc}") from None
+        raise _FileFlagError(f"{flag}: cannot load {path}: {exc}") from None
 
 
 def _dump_graphs(path: Path, graphs: list[tuple[int, LabeledGraph]]) -> None:
@@ -82,7 +82,20 @@ def _dump_graphs(path: Path, graphs: list[tuple[int, LabeledGraph]]) -> None:
     try:
         graph_io.dump_file(path, graphs)
     except OSError as exc:
-        raise _GraphFileError(f"--out: cannot write {path}: {exc}") from None
+        raise _FileFlagError(f"--out: cannot write {path}: {exc}") from None
+
+
+def _check_snapshot_target(flag: str, path: Path | None) -> None:
+    """Refuse a snapshot target no save could write — a missing
+    directory, or a directory itself — before any query runs, not when
+    the first save fails."""
+    if path is None:
+        return
+    if path.is_dir():
+        raise _FileFlagError(f"{flag}: {path} is a directory")
+    if not path.parent.is_dir():
+        raise _FileFlagError(
+            f"{flag}: directory {path.parent} does not exist")
 
 
 def _cmd_gen_dataset(args: argparse.Namespace) -> int:
@@ -146,11 +159,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{len(queries)} queries (0 to {len(queries) - 1}; -1 for "
               f"no plan)", file=sys.stderr)
         return 2
-    if args.save_snapshot is not None and not args.save_snapshot.parent.is_dir():
-        # Fail before serving the whole workload, not after.
-        print(f"--save-snapshot: directory {args.save_snapshot.parent} "
-              f"does not exist", file=sys.stderr)
-        return 2
+    _check_snapshot_target("--save-snapshot", args.save_snapshot)
     bare = args.model.lower() == "none"
     if bare and (args.explain >= 0 or args.warm_start or args.save_snapshot
                  or args.autosave_every):
@@ -324,6 +333,7 @@ def _snapshot_config(args: argparse.Namespace, **more: object) -> GCConfig:
 
 def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     """Warm a cache by executing a workload, then persist its state."""
+    _check_snapshot_target("--out", args.out)
     graphs = _load_graphs("--dataset", args.dataset)
     queries = _load_graphs("--workload", args.workload)
     if not queries:
@@ -430,6 +440,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"--port {args.port}: a port is 0 to 65535 (0 binds an "
               f"ephemeral one)", file=sys.stderr)
         return 2
+    _check_snapshot_target("--snapshot-path", args.snapshot_path)
     graphs = _load_graphs("--dataset", args.dataset)
     try:
         config = _snapshot_config(
@@ -437,6 +448,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = GraphCacheService(GraphStore.from_graphs(graphs), config)
         _arm_autosave(service, args.snapshot_path, args.autosave_every,
                       "--snapshot-path")
+        server = CacheServer(service, host=args.host, port=args.port,
+                             drain_timeout=args.drain_timeout,
+                             snapshot_path=args.snapshot_path)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -444,9 +458,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if _warm_start(service, args.warm_start) != 0:
             service.close()
             return 2
-    server = CacheServer(service, host=args.host, port=args.port,
-                         drain_timeout=args.drain_timeout,
-                         snapshot_path=args.snapshot_path)
     try:
         server.start()
     except OSError as exc:  # port in use, unknown host, no permission
@@ -599,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _GraphFileError as exc:
+    except _FileFlagError as exc:
         print(exc, file=sys.stderr)
         return 2
 

@@ -38,6 +38,7 @@ the server has a ``snapshot_path``, and close the service.  The
 from __future__ import annotations
 
 import json
+import math
 import queue
 import socketserver
 import threading
@@ -352,6 +353,16 @@ class _Server(socketserver.ThreadingTCPServer):
         return line
 
 
+def _drain_budget(seconds: float) -> float:
+    """``seconds`` if it is a drain timeout: finite and >= 0 (0
+    abandons in-flight requests at once).  ``inf`` overflowed the
+    condition wait and ``nan`` never expired, so both are refused."""
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(f"drain timeout must be a finite number of "
+                         f"seconds >= 0, got {seconds!r}")
+    return seconds
+
+
 class CacheServer:
     """The sidecar: one service, one session pool, one HTTP listener.
 
@@ -366,7 +377,7 @@ class CacheServer:
                  snapshot_path: str | Path | None = None) -> None:
         self.service = service
         self.stats = ServerStats()
-        self.drain_timeout = drain_timeout
+        self.drain_timeout = _drain_budget(drain_timeout)
         self.snapshot_path = snapshot_path
         self._host = host
         self._requested_port = port
@@ -429,7 +440,12 @@ class CacheServer:
 
     def drain(self, timeout: float | None = None) -> DrainReport:
         """Graceful shutdown; idempotent (later calls return the first
-        report).  See the module docstring for the exact sequence."""
+        report).  See the module docstring for the exact sequence.  A
+        ``timeout`` that :class:`CacheServer` would refuse as
+        ``drain_timeout`` raises :class:`ValueError` before anything
+        stops."""
+        budget = (self.drain_timeout if timeout is None
+                  else _drain_budget(timeout))
         with self._drain_lock:
             if self._drained is not None:
                 return self._drained
@@ -439,7 +455,6 @@ class CacheServer:
                 self._httpd.shutdown()          # stop accepting
                 if self._thread is not None:
                     self._thread.join(timeout=5.0)
-            budget = self.drain_timeout if timeout is None else timeout
             deadline = time.monotonic() + budget
             with self._flight_cond:
                 while self._in_flight > 0:

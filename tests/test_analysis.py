@@ -39,7 +39,8 @@ class TestTreeIsClean:
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings
         )
-        assert report.modules_checked >= 70
+        # Every module of the tree was parsed and checked.
+        assert report.modules_checked == len(list(SRC.rglob("*.py")))
 
     def test_cli_exits_zero_on_tree(self):
         assert gclint_main([str(SRC)]) == 0
@@ -54,7 +55,6 @@ class TestSeededViolations:
         assert gclint_main([str(FIXTURE)]) == 1
 
     @pytest.mark.parametrize("rule_id,path_part", [
-        ("GC103", "cache/manager.py"),    # hook call under the service lock
         ("GC202", "cache/manager.py"),    # random.random() in cache/
         ("GC201", "runtime/worker_pool.py"),  # wall clock under runtime/
         ("GC202", "runtime/worker_pool.py"),  # unseeded RNG under runtime/
@@ -223,10 +223,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert gclint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("GC103", "GC110", "GC111", "GC120", "GC201",
+        for rule_id in ("GC110", "GC111", "GC120", "GC201",
                         "GC202", "GC203", "GC401"):
             assert rule_id in out
-        assert len(out.splitlines()) == 8
+        assert len(out.splitlines()) == 7
 
     def test_list_rules_reports_severity(self, capsys):
         assert gclint_main(["--list-rules"]) == 0
@@ -262,23 +262,6 @@ class TestCli:
 # Flow-aware rule precision: things that must NOT fire
 # ----------------------------------------------------------------------
 class TestFlowPrecision:
-    def test_hook_after_release_is_clean(self, tmp_path):
-        # The service lock's own pattern: buffer under the hold, run the
-        # hook once the region has ended.
-        _write(tmp_path, "api/service.py", """\
-            class GraphCacheService:
-                def __init__(self, lock):
-                    self._lock = lock
-                    self.on_admission = None
-
-                def admit(self, entry):
-                    with self._lock:
-                        event = entry
-                    self.on_admission(event)
-            """)
-        report = run_analysis([tmp_path])
-        assert [f for f in report.findings if f.rule_id == "GC103"] == []
-
     def test_blocking_under_an_io_lock_is_sanctioned(self, tmp_path):
         # A lock whose job is to serialise file I/O (the service's
         # _save_lock) may be held across it: GC111 polices the service

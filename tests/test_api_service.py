@@ -1,4 +1,4 @@
-"""GraphCacheService: sessions, batching, explain plans, hooks, shim."""
+"""GraphCacheService: sessions, batching, explain plans, shim."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import (
-    CacheEvent,
-    CacheEventKind,
-    GCConfig,
-    GraphCacheService,
-    QueryPlan,
-)
+from repro.api import GCConfig, GraphCacheService, QueryPlan
 from repro.cache.entry import QueryType
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
@@ -337,89 +331,6 @@ def test_the_explained_streams_do_intern():
     assert sum(explain_then_execute(seed, config) for seed in range(5)) > 10
 
 
-class TestHooks:
-    def test_admission_hook_fires_per_query(self, service):
-        events: list[CacheEvent] = []
-        service.on_admission(events.append)
-        service.execute(path("CO"))
-        service.execute(path("CC"))
-        assert [e.kind for e in events] == [CacheEventKind.ADMISSION] * 2
-        assert [e.query_index for e in events] == [0, 1]
-
-    def test_promotion_and_eviction_hooks(self, store):
-        service = GraphCacheService(
-            store, GCConfig(cache_capacity=2, window_capacity=2,
-                            policy="pin")
-        )
-        promoted: list[CacheEvent] = []
-        evicted: list[CacheEvent] = []
-        service.on_promotion(promoted.append)
-        service.on_eviction(evicted.append)
-        for labels in ("CO", "CC", "CCO", "NN"):
-            service.execute(path(labels))
-        assert len(promoted) == 2          # two full windows
-        assert len(promoted[0].entry_ids) == 2
-        assert len(evicted) == 1           # second promotion overflows
-        assert len(evicted[0].entry_ids) == 2
-
-    def test_a_raising_hook_starves_no_other_hook(self, store, tmp_path):
-        """The 2nd and 4th queries promote a full window and evict; the
-        eviction hook raises there.  Their ADMISSION events still reach
-        the autosave and the recorder, and ``execute`` still reports the
-        hook's failure once every hook has run."""
-        service = GraphCacheService(
-            store, GCConfig(cache_capacity=1, window_capacity=2))
-
-        def refuse(event: CacheEvent) -> None:
-            raise RuntimeError("eviction hook failed")
-
-        service.on_eviction(refuse)
-        snapshot = tmp_path / "auto.snap.jsonl"
-        service.autosave(snapshot, 1)
-        admitted: list[int] = []
-        service.on_admission(lambda event: admitted.extend(event.entry_ids))
-        failed = []
-        for n, labels in enumerate(("CO", "CC", "CCO", "NN"), start=1):
-            try:
-                service.execute(path(labels))
-            except RuntimeError as exc:
-                assert str(exc) == "eviction hook failed"
-                failed.append(n)
-            assert load_snapshot(snapshot).query_counter == n
-        assert failed == [2, 4]
-        assert admitted == [0, 1, 2, 3]
-
-    def test_purge_hook_fires_under_evi(self, store):
-        service = GraphCacheService(store, GCConfig(model="EVI"))
-        purged: list[CacheEvent] = []
-        service.on_purge(purged.append)
-        service.execute(path("CO"))
-        service.add_graph(path("CC"))
-        service.execute(path("CO"))
-        assert len(purged) == 1
-        assert len(purged[0].entry_ids) == 1
-
-    def test_hook_usable_as_decorator(self, service):
-        seen = []
-
-        @service.on_admission
-        def record(event: CacheEvent) -> None:
-            seen.append(event)
-
-        service.execute(path("CO"))
-        assert len(seen) == 1
-
-    def test_close_detaches_hooks(self, store):
-        events: list[CacheEvent] = []
-        service = GraphCacheService(store)
-        service.on_admission(events.append)
-        service.execute(path("CO"))
-        service.close()
-        # direct cache use after close must not reach the dead session.
-        assert service.cache.event_listener is None
-        assert len(events) == 1
-
-
 class TestMutationAPI:
     def test_passthroughs_log_to_store(self, service, store):
         gid = service.add_graph(path("COC"))
@@ -515,8 +426,8 @@ class TestCloseLifecycle:
 
     def test_close_waits_for_in_flight_autosave(self, store, tmp_path,
                                                 monkeypatch):
-        """A deferred autosave mid-write when close() lands must finish
-        its write before close() returns — no torn snapshot, no crash."""
+        """An autosave mid-write when close() lands must finish its
+        write before close() returns — no torn snapshot, no crash."""
         import threading
 
         import repro.api.service as service_module
@@ -537,9 +448,9 @@ class TestCloseLifecycle:
         snap = tmp_path / "auto.snap.jsonl"
         service = GraphCacheService(store)
         service.autosave(snap, 1)
-        # One admission (window insert) trips the autosave hook, which
-        # runs on this thread's event flush; do it from a helper thread
-        # so the main thread can close() mid-save.
+        # One admission (window insert) trips the autosave, which runs
+        # on the querying thread once it released the service lock; do
+        # it from a helper thread so the main thread can close() mid-save.
         query_thread = threading.Thread(
             target=service.execute, args=(path("CO"),))
         query_thread.start()
@@ -562,8 +473,6 @@ class TestCloseLifecycle:
         assert finished.is_set(), "close() returned before the save wrote"
         assert service.closed
         # The snapshot the autosave was writing is on disk and valid.
-        from repro.persist import load_snapshot
-
         snapshot = load_snapshot(snap)
         assert len(snapshot.state.window) + len(snapshot.state.cache) == 1
 
@@ -572,8 +481,6 @@ class TestCloseLifecycle:
         service.execute(path("CO"))
         service.close()
         target = service.save(tmp_path / "late.snap.jsonl")
-        from repro.persist import load_snapshot
-
         assert load_snapshot(target).query_counter == 1
 
     def test_queries_refused_after_close(self, store):

@@ -72,16 +72,15 @@ class TestManualPurgeCursor:
         manager.clear(store)
         assert manager.pending_log_records(store) == 0
 
-    def test_purge_fires_hook_and_empties_cache(self):
+    def test_purge_counts_and_empties_cache(self):
         store = two_graph_store()
-        events = []
         with GraphCacheService(store, GCConfig()) as service:
-            service.on_purge(events.append)
             service.execute(LabeledGraph.from_edges("CO", [(0, 1)]))
+            assert service.counters()["purges"] == 0
             service.purge()
             assert service.cache.cache_size == 0
             assert service.cache.window_size == 0
-        assert len(events) == 1
+            assert service.counters()["purges"] == 1
 
 
 class TestPrunerLiveIds:
@@ -220,66 +219,6 @@ class TestLRURecencySemantics:
         ]
         victims = LRUPolicy().select_victims(entries, stats, capacity=1)
         assert [v.entry_id for v in victims] == [0]
-
-
-class TestEmptyEventSuppression:
-    """Hooks never fire with empty id tuples: an eviction-free window
-    promotion emits no EVICTION, a purge of an already-empty cache emits
-    no PURGE (regression — hooks used to see a non-event on every
-    promotion and had to filter empty tuples themselves)."""
-
-    @staticmethod
-    def service(**overrides):
-        store = two_graph_store()
-        config = GCConfig(model="CON", **overrides)
-        return GraphCacheService(store, config)
-
-    @staticmethod
-    def distinct_queries(n):
-        # Paths of growing length: distinct graphs, all with answers.
-        return [
-            LabeledGraph.from_edges("C" * (k + 2),
-                                    [(i, i + 1) for i in range(k + 1)])
-            for k in range(n)
-        ]
-
-    def test_promotion_under_capacity_fires_no_eviction(self):
-        with self.service(cache_capacity=100, window_capacity=2) as svc:
-            events = []
-            svc.on_promotion(lambda e: events.append(e))
-            svc.on_eviction(lambda e: events.append(e))
-            for q in self.distinct_queries(2):
-                svc.execute(q)
-            kinds = [e.kind.value for e in events]
-            assert kinds == ["promotion"], (
-                f"expected exactly one promotion and no eviction, "
-                f"got {kinds}"
-            )
-            assert len(events[0].entry_ids) == 2
-
-    def test_purge_of_empty_cache_emits_nothing(self):
-        with self.service() as svc:
-            purges = []
-            svc.on_purge(lambda e: purges.append(e))
-            svc.purge()                      # cache is empty: non-event
-            assert purges == []
-            svc.execute(LabeledGraph.from_edges("CO", [(0, 1)]))
-            svc.purge()                      # real purge: one event
-            svc.purge()                      # empty again: still one
-            assert len(purges) == 1
-            assert purges[0].entry_ids != ()
-
-    def test_no_event_ever_carries_empty_ids(self):
-        with self.service(cache_capacity=2, window_capacity=2) as svc:
-            events = []
-            for register in (svc.on_admission, svc.on_promotion,
-                             svc.on_eviction, svc.on_purge):
-                register(lambda e: events.append(e))
-            for q in self.distinct_queries(7):
-                svc.execute(q)
-            svc.purge()
-            assert events, "trace produced no events; test is vacuous"
-            assert all(e.entry_ids for e in events)
 
 
 class TestHDRegimeTallies:

@@ -116,6 +116,29 @@ def test_unwritable_out_is_a_usage_error(dataset_file, tmp_path, capsys,
     assert not (tmp_path / "no-such-dir").exists()
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["run", "snapshot save"])
+def test_unwritable_snapshot_target_is_a_usage_error(
+        dataset_file, tmp_path, capsys, command, target):
+    """A snapshot target no save could write is one line and exit 2
+    before any query runs — not a failed save after the whole workload."""
+    workload = tmp_path / "wl.tve"
+    assert main(["gen-workload", "--dataset", str(dataset_file),
+                 "--num-queries", "5", "--out", str(workload)]) == 0
+    capsys.readouterr()
+    snap = (tmp_path / "no-such-dir" / "x.snap.jsonl"
+            if target == "missing-directory" else tmp_path)
+    inputs = ["--dataset", str(dataset_file), "--workload", str(workload)]
+    flag, argv = {
+        "run": ("--save-snapshot", ["run", *inputs]),
+        "snapshot save": ("--out", ["snapshot", "save", *inputs]),
+    }[command]
+    captured = assert_usage_error(main([*argv, flag, str(snap)]), capsys,
+                                  f"{flag}: ")
+    assert captured.out == "", "the workload ran before the check"
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 class TestRun:
     @pytest.fixture
     def workload_file(self, dataset_file, tmp_path):
@@ -471,6 +494,24 @@ class TestServeSetupErrors:
         """``bind()`` raised ``OverflowError`` for these, a traceback."""
         proc = self.serve(dataset_file, "--port", port)
         self.assert_usage_error(proc, f"--port {port}: a port is 0 to 65535")
+        assert "serving GC+" not in proc.stdout
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_snapshot_path(self, dataset_file, tmp_path, target):
+        """Used to serve, warn on every autosave and fail at drain."""
+        snap = (tmp_path / "no-such-dir" / "x.snap.jsonl"
+                if target == "missing-directory" else tmp_path)
+        proc = self.serve(dataset_file, "--port", "0",
+                          "--snapshot-path", str(snap))
+        self.assert_usage_error(proc, "--snapshot-path: ")
+        assert "serving GC+" not in proc.stdout
+
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "-1"])
+    def test_unbounded_drain_timeout(self, dataset_file, seconds):
+        """``inf`` lost the drain snapshot to an ``OverflowError``."""
+        proc = self.serve(dataset_file, "--port", "0",
+                          "--drain-timeout", seconds)
+        self.assert_usage_error(proc, "drain timeout must be")
         assert "serving GC+" not in proc.stdout
 
     def test_port_file_in_missing_directory(self, dataset_file, tmp_path):

@@ -3,10 +3,10 @@
 The headline property: a service restored from a mid-trace snapshot is
 *indistinguishable* from the uninterrupted service for the remainder of
 the trace — bit-identical answers, the same per-query test counts and
-hit anatomy, the same promotion/eviction event stream, and the same
-final cache population.  Plus: codec validation, config-fingerprint
-rejection, restore-after-mutation reconciliation (CON revalidates, EVI
-purges), window FIFO preservation, and hook-driven autosaving.
+hit anatomy, the same cache population after every query.  Plus: codec
+validation, config-fingerprint rejection, restore-after-mutation
+reconciliation (CON revalidates, EVI purges), window FIFO preservation,
+and autosaving.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ def trace():
     return graphs, queries, plan
 
 
-def observe(service):
-    """Attach promotion/eviction recorders; returns the event list."""
-    events: list[tuple[str, tuple[int, ...]]] = []
-    service.on_promotion(lambda e: events.append(("promotion", e.entry_ids)))
-    service.on_eviction(lambda e: events.append(("eviction", e.entry_ids)))
-    return events
-
-
 def run_span(service, queries, plan, start, stop):
     """Execute queries ``start..stop`` (applying due mutations), returning
     one observation row per query."""
@@ -93,6 +85,16 @@ def population(service):
                                    for e in cache.window.entries()])
 
 
+def trajectory(service, queries, plan, start, stop):
+    """:func:`run_span`, plus the :func:`population` after each query:
+    every promotion and eviction shows in it."""
+    rows, populations = [], []
+    for i in range(start, stop):
+        rows += run_span(service, queries, plan, i, i + 1)
+        populations.append(population(service))
+    return rows, populations
+
+
 class TestMidTraceRoundTrip:
     """Save mid-trace, restore in a fresh process-equivalent service,
     replay the remainder: everything matches the uninterrupted run."""
@@ -112,11 +114,9 @@ class TestMidTraceRoundTrip:
         plan.reset()
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                config) as reference:
-            events = observe(reference)
             head = run_span(reference, queries, plan, 0, cut)
-            events_at_cut = len(events)
-            tail = run_span(reference, queries, plan, cut, NUM_QUERIES)
-            expected_events = events[events_at_cut:]
+            tail, expected_trajectory = trajectory(reference, queries, plan,
+                                                   cut, NUM_QUERIES)
             expected_population = population(reference)
         del head  # only the suffix is compared; the head anchors the cut
 
@@ -138,12 +138,12 @@ class TestMidTraceRoundTrip:
         with GraphCacheService(store, config) as restored:
             restored.load(snapshot_path)
             assert restored.queries_executed == cut
-            events2 = observe(restored)
-            tail2 = run_span(restored, queries, plan, cut, NUM_QUERIES)
+            tail2, trajectory2 = trajectory(restored, queries, plan, cut,
+                                            NUM_QUERIES)
             assert tail2 == tail, (
                 "restored replay diverged from the uninterrupted run"
             )
-            assert events2 == expected_events, (
+            assert trajectory2 == expected_trajectory, (
                 "promotion/eviction trajectory diverged after restore"
             )
             assert population(restored) == expected_population
@@ -465,14 +465,13 @@ class TestWindowRestore:
             restored.load(path)
             assert [e.entry_id for e in restored.cache.window.entries()] \
                 == window_ids
-            promotions = []
-            restored.on_promotion(
-                lambda e: promotions.append(e.entry_ids))
             run_span(restored, queries, None, 3, 6)
-            # The next promotion batch leads with the restored residents,
-            # in their original FIFO order.
-            assert len(promotions) == 1
-            assert list(promotions[0][:3]) == window_ids
+            # The window filled and promoted once into the empty cache;
+            # the batch leads with the restored residents, in their
+            # original FIFO order (the cache keeps promotion order).
+            assert restored.cache.window_size == 0
+            assert restored.cache.cache_size == 6
+            assert list(restored.cache._cache)[:3] == window_ids
 
 
 class TestManagerRestoreValidation:
@@ -497,8 +496,7 @@ class TestManagerRestoreValidation:
 
 
 class TestAutosave:
-    def test_hook_driven_autosave_writes_periodically(self, trace,
-                                                      tmp_path):
+    def test_autosave_writes_periodically(self, trace, tmp_path):
         graphs, queries, _ = trace
         path = tmp_path / "auto.snap.jsonl"
         with GraphCacheService(GraphStore.from_graphs(graphs),
@@ -517,6 +515,50 @@ class TestAutosave:
                                CONFIG) as revived:
             revived.load(path)
             assert revived.queries_executed == 8
+
+    def test_autosave_trigger_positions(self, trace, tmp_path):
+        """Every third admission saves, on the thread of the query that
+        made it; renewals (the ChangePlan fades cached answers, so
+        re-executed queries renew at positions 2, 20, 22-24, 26, 52 and
+        55) are no admissions and do not count, and retargeting keeps
+        the count.  The positions are pinned: a change to what counts
+        moves them."""
+        graphs, queries, plan = trace
+        first, second = tmp_path / "a.snap.jsonl", tmp_path / "b.snap.jsonl"
+        seen = {first: [], second: []}
+        renewed = []
+        plan.reset()
+        with GraphCacheService(GraphStore.from_graphs(graphs),
+                               CONFIG) as service:
+            service.autosave(first, 3)
+            for i in range(NUM_QUERIES):
+                if i == 20:
+                    # one admission (query 19) since the save at 18
+                    service.autosave(second, 3)
+                renewals = service.cache.renewals
+                run_span(service, queries, plan, i, i + 1)
+                if service.cache.renewals > renewals:
+                    renewed.append(i)
+                for path, saves in seen.items():
+                    if path.exists():
+                        counter = load_snapshot(path).query_counter
+                        if not saves or saves[-1] != counter:
+                            saves.append(counter)
+        assert renewed == [2, 20, 22, 23, 24, 26, 52, 55]
+        # query_counter is the position of the saving query plus one
+        assert seen[first] == [4, 7, 10, 13, 16, 19]
+        assert seen[second] == [26, 30, 33, 36, 39, 42, 45, 48, 51, 55, 59]
+
+    def test_autosave_never_writes_without_caching(self, trace, tmp_path):
+        graphs, queries, _ = trace
+        path = tmp_path / "never.snap.jsonl"
+        with GraphCacheService(GraphStore.from_graphs(graphs),
+                               CONFIG.replace(caching_enabled=False)
+                               ) as service:
+            service.autosave(path, 1)
+            run_span(service, queries, None, 0, 10)
+            assert service.cache.admissions == 0
+        assert not path.exists()
 
     def test_autosave_failure_does_not_crash_serving(self, trace,
                                                      tmp_path):

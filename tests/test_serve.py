@@ -671,6 +671,56 @@ class TestDrain:
             assert (restored.cache.cache_size
                     + restored.cache.window_size) == entries_before
 
+    @pytest.mark.parametrize("seconds", [float("inf"), float("nan"), -1.0])
+    def test_unbounded_drain_timeout_is_refused(self, seconds):
+        """``inf`` overflowed the drain's condition wait (no snapshot, the
+        service left open) and ``nan`` never expired: both, and a
+        negative budget, are refused when the server is built."""
+        service = GraphCacheService(GraphStore.from_graphs(make_graphs(5)))
+        with pytest.raises(ValueError, match="drain timeout"):
+            CacheServer(service, drain_timeout=seconds)
+        assert CacheServer(service, drain_timeout=0).drain_timeout == 0
+        service.close()
+
+    def test_unbounded_drain_refused_with_a_request_in_flight(self,
+                                                              tmp_path):
+        """A ``drain(timeout=inf)`` while a query is held in discovery
+        raises before anything stops; the server keeps serving, and a
+        bounded drain then finishes the query and writes the snapshot."""
+        graphs = make_graphs()
+        snap = tmp_path / "drain.snap.jsonl"
+        service = GraphCacheService(GraphStore.from_graphs(graphs), GCConfig(
+            model="CON", lock_mode="rw", max_sessions=4))
+        server = CacheServer(service, snapshot_path=snap).start()
+        entered, gate = threading.Event(), threading.Event()
+        discover = service.discovery.discover
+
+        def held_discover(*args):
+            entered.set()
+            assert gate.wait(timeout=10)
+            return discover(*args)
+
+        service.discovery.discover = held_discover
+        wire = graph_to_wire(graphs[0].induced_subgraph([0, 1]))
+        results = []
+        client = threading.Thread(target=lambda: results.append(
+            request(server, "POST", "/query", {"graph": wire})))
+        client.start()
+        try:
+            assert entered.wait(timeout=10)
+            with pytest.raises(ValueError, match="drain timeout"):
+                server.drain(timeout=float("inf"))
+            assert server.ready and not service.closed
+        finally:
+            gate.set()
+            client.join(timeout=10)
+        report = server.drain(timeout=5.0)
+        assert [status for status, _ in results] == [200]
+        assert report.in_flight_drained
+        assert report.snapshot_path == str(snap)
+        assert load_snapshot(snap).query_counter == 1
+        assert service.closed
+
     def test_draining_server_refuses_work(self, served):
         server, service, graphs = served
         server.drain(timeout=5.0)
