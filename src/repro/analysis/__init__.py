@@ -1,15 +1,15 @@
-"""repro.analysis — gclint, the project-specific static-analysis suite.
+"""repro.analysis — gclint, the project's lock-discipline analyzer.
 
-An AST-based rule engine enforcing the contracts the rest of the repo
-only states in prose: lock discipline (``docs/concurrency.md``),
-deterministic core decision paths (the oracle-equivalence guarantee)
-and exception hygiene in the durability/serving layers.  Run it as::
+A flow-aware AST analysis enforcing the one-lock-per-request contract
+of ``docs/concurrency.md``: lock-order cycles (GC110), blocking calls
+under the service lock (GC111) and unguarded shared-state mutation
+(GC120).  Run it as::
 
     python -m repro.analysis src/repro
 
 or import :func:`run_analysis` from tests.  ``docs/analysis.md`` covers
-every rule, the pragma and path-scope suppression layers and the CI
-wiring.
+every rule, the flow engine and the CI wiring; the determinism and
+exception-hygiene rules are checked by ``tests/test_source_rules.py``.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ from __future__ import annotations
 from repro.analysis.core import (
     AnalysisReport,
     Finding,
-    ModuleRule,
     ParsedModule,
     ProjectRule,
-    Rule,
-    Severity,
     collect_modules,
     parse_module,
     run_analysis,
@@ -31,11 +28,8 @@ from repro.analysis.rules import default_rules
 __all__ = [
     "AnalysisReport",
     "Finding",
-    "ModuleRule",
     "ParsedModule",
     "ProjectRule",
-    "Rule",
-    "Severity",
     "collect_modules",
     "default_rules",
     "parse_module",

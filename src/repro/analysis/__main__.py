@@ -1,10 +1,9 @@
 """gclint CLI — ``python -m repro.analysis [paths...]``.
 
-Analyses every ``.py`` file under the given paths, applies the inline
-pragmas and prints the findings that survive.  Exit status: 0 when no
-ERROR-severity finding survives, 1 otherwise, 2 for usage errors (a
-missing path, a ``--json`` target that cannot be written).  ``--fail-on
-warning`` promotes warnings to gate failures; ``--json`` writes the
+Analyses every ``.py`` file under the given paths and prints the
+findings.  Exit status: 0 when there are none, 1 on findings or on a
+file that does not parse, 2 for usage errors (a missing path, a
+``--json`` target that cannot be written).  ``--json`` writes the
 machine-readable report CI uploads as an artifact.
 """
 
@@ -25,55 +24,42 @@ DEFAULT_PATHS = ("src/repro",)
 
 
 def _report_json(report: AnalysisReport) -> dict[str, object]:
-    def rows(findings):
-        return [
+    return {
+        "tool": "gclint",
+        "modules_checked": report.modules_checked,
+        "reported_paths": sorted({f.path for f in report.findings}),
+        "findings": [
             {
                 "rule": f.rule_id,
                 "slug": f.slug,
-                "severity": f.severity.value,
                 "path": f.path,
                 "line": f.line,
                 "col": f.col,
                 "message": f.message,
             }
-            for f in findings
-        ]
-
-    return {
-        "tool": "gclint",
-        "modules_checked": report.modules_checked,
-        "reported_paths": sorted({f.path for f in report.findings}),
-        "errors": len(report.errors),
-        "warnings": len(report.warnings),
-        "findings": rows(report.findings),
-        "suppressed": rows(report.suppressed),
+            for f in report.findings
+        ],
     }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="gclint: project-specific static analysis for the "
-                    "GC+ reproduction (lock discipline, determinism, "
-                    "exception hygiene).",
+        description="gclint: lock-discipline analysis for the GC+ "
+                    "reproduction.",
     )
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to analyze "
                              f"(default: {DEFAULT_PATHS[0]})")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the full machine-readable report here")
-    parser.add_argument("--fail-on", choices=["error", "warning"],
-                        default="error",
-                        help="lowest severity that fails the run "
-                             "(default: error)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule registry and exit")
     args = parser.parse_args(argv)
 
     if args.list_rules:
         for rule in default_rules():
-            print(f"{rule.rule_id}  {rule.slug:22s} "
-                  f"[{rule.severity.value}] {rule.description}")
+            print(f"{rule.rule_id}  {rule.slug:22s} {rule.description}")
         return 0
 
     missing = [p for p in args.paths if not Path(p).exists()]
@@ -82,7 +68,12 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    report = run_analysis(args.paths)
+    try:
+        report = run_analysis(args.paths)
+    except SyntaxError as exc:
+        print(f"gclint: cannot parse {exc.filename}:{exc.lineno}: "
+              f"{exc.msg}", file=sys.stderr)
+        return 1
 
     if args.json:
         try:
@@ -97,15 +88,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     for finding in report.findings:
         print(finding.render())
-    gating = (report.findings if args.fail_on == "warning"
-              else report.errors)
-    summary = (f"gclint: {report.modules_checked} module(s), "
-               f"{len(report.errors)} error(s), "
-               f"{len(report.warnings)} warning(s)")
-    if report.suppressed:
-        summary += f", {len(report.suppressed)} pragma-suppressed"
-    print(summary)
-    return 1 if gating else 0
+    print(f"gclint: {report.modules_checked} module(s), "
+          f"{len(report.findings)} finding(s)")
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

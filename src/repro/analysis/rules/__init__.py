@@ -7,30 +7,20 @@ everywhere at once.
 
 from __future__ import annotations
 
-from repro.analysis.core import Rule
+from repro.analysis.core import ProjectRule
 from repro.analysis.rules.concurrency import (
     BlockingCallUnderLock,
     LockOrderCycle,
     UnguardedSharedMutation,
 )
-from repro.analysis.rules.determinism import (
-    HashOrderDependence,
-    UnseededRandomness,
-    WallClockInCore,
-)
-from repro.analysis.rules.exceptions import BroadExcept
 
 __all__ = ["default_rules"]
 
 
-def default_rules() -> list[Rule]:
+def default_rules() -> list[ProjectRule]:
     """Every project rule, in report order."""
     return [
         LockOrderCycle(),
         BlockingCallUnderLock(),
         UnguardedSharedMutation(),
-        WallClockInCore(),
-        UnseededRandomness(),
-        HashOrderDependence(),
-        BroadExcept(),
     ]

@@ -3,8 +3,8 @@
 The service holds one lock, ``GraphCacheService._lock``, for the whole
 of every public call that reads or writes the cache or the dataset.
 All three rules share one
-:class:`~repro.analysis.lockstate.ConcurrencyIndex` over the scoped
-module set — CFG + call graph + lock-state fixpoint — so the project
+:class:`~repro.analysis.lockstate.ConcurrencyIndex` over the module
+set — CFG + call graph + lock-state fixpoint — so the project
 pays for the flow analysis once per run:
 
 * **GC110** ``lock-order`` — cycles in the lock-acquisition-order graph
@@ -21,9 +21,8 @@ pays for the flow analysis once per run:
   race detector for exactly the interleavings the runtime tests cannot
   drive.
 
-The rules carry identical scoping on purpose: the scoped module list is
-then identical for each, and :func:`get_index` hands all of them the
-same cached index.
+All three see the same module list, so :func:`get_index` hands each
+of them the same cached index.
 """
 
 from __future__ import annotations
@@ -35,12 +34,10 @@ from repro.analysis.core import (
     Finding,
     ParsedModule,
     ProjectRule,
-    Severity,
     dotted_name,
 )
 from repro.analysis.lockstate import (
     SERVICE_LOCK,
-    ConcurrencyIndex,
     get_index,
     may_locks,
 )
@@ -106,23 +103,14 @@ def _blocking_kind(call: ast.Call) -> str | None:
     return None
 
 
-class _FlowRule(ProjectRule):
-    """Shared scoping so all three rules hit the same index cache line."""
-
-    @staticmethod
-    def _index(modules: Sequence[ParsedModule]) -> ConcurrencyIndex:
-        return get_index(modules)
-
-
-class LockOrderCycle(_FlowRule):
+class LockOrderCycle(ProjectRule):
     rule_id = "GC110"
     slug = "lock-order"
-    severity = Severity.ERROR
     description = "lock-acquisition-order cycle"
 
     def check_project(self,
                       modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        index = self._index(modules)
+        index = get_index(modules)
         by_rel = {module.relpath: module for module in modules}
 
         for cycle in index.lock_order_cycles():
@@ -145,17 +133,16 @@ class LockOrderCycle(_FlowRule):
             )
 
 
-class BlockingCallUnderLock(_FlowRule):
+class BlockingCallUnderLock(ProjectRule):
     rule_id = "GC111"
     slug = "blocking-under-lock"
-    severity = Severity.ERROR
     description = ("blocking primitive (pipe/file I/O, sleep, "
                    "subprocess, snapshot codec) reachable while the "
                    "service lock is held")
 
     def check_project(self,
                       modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        index = self._index(modules)
+        index = get_index(modules)
         by_rel = {module.relpath: module for module in modules}
         for qualname in sorted(index.flows):
             flow = index.flows[qualname]
@@ -187,16 +174,15 @@ class BlockingCallUnderLock(_FlowRule):
                 )
 
 
-class UnguardedSharedMutation(_FlowRule):
+class UnguardedSharedMutation(ProjectRule):
     rule_id = "GC120"
     slug = "unguarded-mutation"
-    severity = Severity.ERROR
     description = ("attribute of a shared-state class mutated on a "
                    "path where no lock is provably held")
 
     def check_project(self,
                       modules: Sequence[ParsedModule]) -> Iterator[Finding]:
-        index = self._index(modules)
+        index = get_index(modules)
         by_rel = {module.relpath: module for module in modules}
         for qualname in sorted(index.flows):
             flow = index.flows[qualname]

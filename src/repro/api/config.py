@@ -122,6 +122,13 @@ class GCConfig:
         object.__setattr__(self, "lock_mode", self.lock_mode.lower())
         for name in ("cache_capacity", "window_capacity", "max_sessions"):
             _require_int(name, getattr(self, name))
+        # Only a bool: the string "false" is truthy and would cache.
+        if not isinstance(self.caching_enabled, bool):
+            raise ValueError(
+                f"caching_enabled must be a bool, got "
+                f"{self.caching_enabled!r} "
+                f"({type(self.caching_enabled).__name__})"
+            )
         if self.cache_capacity <= 0:
             raise ValueError(
                 f"cache_capacity must be positive, got {self.cache_capacity}"

@@ -577,7 +577,10 @@ class CacheServer:
         except (KeyError, IndexError, ValueError) as exc:
             if isinstance(exc, WireError):
                 raise
-            raise WireError(f"mutation rejected: {exc}") from exc
+            # str(KeyError) is the repr of its message: quote-wrapped.
+            reason = (exc.args[0] if isinstance(exc, KeyError) and exc.args
+                      else exc)
+            raise WireError(f"mutation rejected: {reason}") from exc
         return {"applied": applied_op_to_wire(applied)}
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Seeded determinism violation (never imported).
 
-Each marked line must be caught by gclint; tests/test_analysis.py
-asserts the exact rule ids fire against this file.
+Each marked line must be caught; tests/test_source_rules.py asserts
+the exact rule ids fire against this file.
 """
 
 import random

@@ -1,5 +1,5 @@
-"""gclint self-tests: the tree is clean, seeded violations are caught,
-and the suppression layers (pragma, scope) behave.
+"""gclint self-tests: the tree is clean, the seeded lock-rule
+violations are caught, and the flow rules stay precise.
 
 The seeded-violation fixture (tests/fixtures/gclint_violations) is the
 analyzer's own regression harness: if a rule rots, the fixture run
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Severity, run_analysis
+from repro.analysis import run_analysis
 from repro.analysis.__main__ import main as gclint_main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -55,10 +55,6 @@ class TestSeededViolations:
         assert gclint_main([str(FIXTURE)]) == 1
 
     @pytest.mark.parametrize("rule_id,path_part", [
-        ("GC202", "cache/manager.py"),    # random.random() in cache/
-        ("GC201", "runtime/worker_pool.py"),  # wall clock under runtime/
-        ("GC202", "runtime/worker_pool.py"),  # unseeded RNG under runtime/
-        ("GC401", "persist/writer.py"),   # swallowed broad except
         ("GC110", "cache/ordering.py"),   # lock-order cycle
         ("GC111", "cache/blocking.py"),   # blocking I/O under the service lock
         ("GC120", "cache/raceable.py"),   # unguarded shared-state mutation
@@ -70,135 +66,25 @@ class TestSeededViolations:
         assert hits, (f"{rule_id} did not fire on {path_part}; analyzer "
                       f"regression")
 
-    def test_all_seeded_findings_are_errors(self, fixture_report):
-        assert all(f.severity is Severity.ERROR
-                   for f in fixture_report.findings)
-
 
 # ----------------------------------------------------------------------
-# Rule scoping and mechanics on synthetic trees
+# The command line
 # ----------------------------------------------------------------------
-class TestScoping:
-    def test_workloads_are_allowlisted_for_determinism(self, tmp_path):
-        _write(tmp_path, "workloads/gen.py",
-               "import random\n\ndef draw():\n    return random.random()\n")
-        _write(tmp_path, "cache/pick.py",
-               "import random\n\ndef draw():\n    return random.random()\n")
-        report = run_analysis([tmp_path])
-        assert [f.path for f in report.findings
-                if f.rule_id == "GC202"] == [(tmp_path / "cache" /
-                                              "pick.py").as_posix()]
-
-    def test_seeded_rng_is_fine_in_core(self, tmp_path):
-        _write(tmp_path, "cache/pick.py", """\
-            import random
-
-            def draw(seed):
-                return random.Random(seed).random()
-            """)
-        report = run_analysis([tmp_path])
-        assert report.findings == []
-
-    def test_unseeded_rng_constructor_flagged_in_core(self, tmp_path):
-        _write(tmp_path, "runtime/jitter.py",
-               "import random\n\nRNG = random.Random()\n")
-        report = run_analysis([tmp_path])
-        assert [f.rule_id for f in report.findings] == ["GC202"]
-
-    def test_wall_clock_flagged_in_core_only(self, tmp_path):
-        body = "import time\n\ndef stamp():\n    return time.time()\n"
-        _write(tmp_path, "persist/stamp.py", body)
-        _write(tmp_path, "serve/stamp.py", body)
-        report = run_analysis([tmp_path])
-        assert [(f.rule_id, f.path) for f in report.findings] == [
-            ("GC201", (tmp_path / "persist" / "stamp.py").as_posix())
-        ]
-
-    def test_hash_order_heuristics_warn_not_error(self, tmp_path):
-        _write(tmp_path, "cache/order.py", """\
-            def ids(raw):
-                return list(set(raw))
-
-            def ok(raw):
-                return sorted(set(raw))
-            """)
-        report = run_analysis([tmp_path])
-        assert [f.severity for f in report.findings] == [Severity.WARNING]
-        assert report.ok   # warnings don't gate by default
-
-    def test_popitem_is_an_error(self, tmp_path):
-        _write(tmp_path, "cache/evict.py", """\
-            def evict_one(table):
-                return table.popitem()
-            """)
-        report = run_analysis([tmp_path])
-        assert [f.rule_id for f in report.findings] == ["GC203"]
-        assert not report.ok
-
-    def test_reraising_broad_except_is_allowed(self, tmp_path):
-        _write(tmp_path, "persist/atomic.py", """\
-            import os
-
-            def write(path, data, tmp):
-                try:
-                    os.replace(tmp, path)
-                except BaseException:
-                    os.unlink(tmp)
-                    raise
-            """)
-        report = run_analysis([tmp_path])
-        assert report.findings == []
-
-
-class TestSuppression:
-    def test_inline_pragma_with_reason_suppresses(self, tmp_path):
-        _write(tmp_path, "cache/pick.py", """\
-            import random
-
-            def draw():
-                # gclint: allow[unseeded-random] demo of pragma mechanics
-                return random.random()
-            """)
-        report = run_analysis([tmp_path])
-        assert report.findings == []
-        assert [f.rule_id for f in report.suppressed] == ["GC202"]
-
-    def test_pragma_by_rule_id_also_works(self, tmp_path):
-        _write(tmp_path, "cache/pick.py", """\
-            import random
-
-            def draw():
-                return random.random()  # gclint: allow[GC202] demo reason
-            """)
-        report = run_analysis([tmp_path])
-        assert report.findings == []
-
-    def test_pragma_without_reason_is_itself_a_finding(self, tmp_path):
-        _write(tmp_path, "cache/pick.py", """\
-            import random
-
-            def draw():
-                # gclint: allow[GC202]
-                return random.random()
-            """)
-        report = run_analysis([tmp_path])
-        assert [f.rule_id for f in report.findings] == ["GC001"]
-        assert not report.ok
-
-
 class TestCli:
     def test_json_report(self, tmp_path, capsys):
-        _write(tmp_path, "cache/pick.py",
-               "import random\n\n"
-               "def draw():\n    return random.random()\n")
         out = tmp_path / "report.json"
-        code = gclint_main([str(tmp_path), "--json", str(out)])
-        assert code == 1
+        assert gclint_main([str(FIXTURE), "--json", str(out)]) == 1
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["tool"] == "gclint"
-        assert payload["errors"] == 1
-        (row,) = payload["findings"]
-        assert row["rule"] == "GC202" and row["severity"] == "error"
+        assert {row["rule"] for row in payload["findings"]} == {
+            "GC110", "GC111", "GC120"}
+
+    def test_unparseable_file_fails_the_run(self, tmp_path, capsys):
+        # One stderr line naming the file and line, exit 1, no traceback.
+        _write(tmp_path, "cache/broken.py", "def broken(:\n")
+        assert gclint_main([str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cache/broken.py:1" in err
 
     def test_unwritable_json_is_usage_error(self, tmp_path, capsys):
         # Exit 1 means "findings"; a report that cannot be written is a
@@ -213,28 +99,11 @@ class TestCli:
     def test_missing_path_is_usage_error(self, capsys):
         assert gclint_main(["definitely/not/a/path"]) == 2
 
-    def test_fail_on_warning_promotes_warnings(self, tmp_path, capsys):
-        _write(tmp_path, "cache/order.py",
-               "def ids(raw):\n    return list(set(raw))\n")
-        assert gclint_main([str(tmp_path)]) == 0
-        assert gclint_main([str(tmp_path),
-                            "--fail-on", "warning"]) == 1
-
     def test_list_rules(self, capsys):
         assert gclint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("GC110", "GC111", "GC120", "GC201",
-                        "GC202", "GC203", "GC401"):
-            assert rule_id in out
-        assert len(out.splitlines()) == 7
-
-    def test_list_rules_reports_severity(self, capsys):
-        assert gclint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        # Every registry line carries its severity column.
-        lines = [ln for ln in out.splitlines() if ln.strip()]
-        assert lines and all("[error]" in ln or "[warning]" in ln
-                             for ln in lines)
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "GC110", "GC111", "GC120"]
 
     def test_json_reports_column_and_paths(self, tmp_path, capsys):
         _write(tmp_path, "cache/block.py", """\

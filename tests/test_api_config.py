@@ -92,6 +92,14 @@ class TestValidation:
             GCConfig.from_dict({field: value})
 
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_caching_enabled_must_be_a_bool(self, value):
+        for build in (lambda: GCConfig(caching_enabled=value),
+                      lambda: GCConfig.from_dict({"caching_enabled": value})):
+            with pytest.raises(ValueError, match="caching_enabled"):
+                build()
+
+
 class TestDerivation:
     def test_replace_revalidates(self):
         config = GCConfig()

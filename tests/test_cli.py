@@ -324,23 +324,37 @@ class TestSnapshotErrorPaths:
         assert code == 2
         self.assert_one_line_error(capsys, "cannot load snapshot")
 
-    def test_restore_with_an_unregistered_matcher(self, snapshot_file, tve,
-                                                  capsys):
-        """A snapshot whose fingerprint names a matcher the registry no
-        longer has (``ullmann`` was one once) cannot name a config."""
+    @staticmethod
+    def load_edited(snapshot_file, tve, field, value):
+        """``snapshot load --dataset`` of the snapshot with one
+        fingerprint field rewritten."""
         import json
 
         header, _, entries = snapshot_file.read_text(
             encoding="utf-8").partition("\n")
         header = json.loads(header)
-        header["fingerprint"]["matcher"] = "ullmann"
+        header["fingerprint"][field] = value
         snapshot_file.write_text(json.dumps(header) + "\n" + entries,
                                  encoding="utf-8")
         dataset = tve("a4.tve", ["CCO", "CCC", "CNO", "COO"])
-        code = main(["snapshot", "load", "--path", str(snapshot_file),
+        return main(["snapshot", "load", "--path", str(snapshot_file),
                      "--dataset", str(dataset)])
-        assert code == 2
+
+    def test_restore_with_an_unregistered_matcher(self, snapshot_file, tve,
+                                                  capsys):
+        """A snapshot whose fingerprint names a matcher the registry no
+        longer has (``ullmann`` was one once) cannot name a config."""
+        assert self.load_edited(snapshot_file, tve, "matcher",
+                                "ullmann") == 2
         self.assert_one_line_error(capsys, "unknown matcher 'ullmann'")
+
+    def test_restore_with_a_string_caching_flag(self, snapshot_file, tve,
+                                                capsys):
+        """``"false"`` is truthy: restored as is, it would build a
+        service that caches."""
+        assert self.load_edited(snapshot_file, tve, "caching_enabled",
+                                "false") == 2
+        self.assert_one_line_error(capsys, "caching_enabled must be a bool")
 
     @pytest.mark.parametrize("flags, fragment", [
         (["--autosave-every", "2"], "requires --save-snapshot"),

@@ -188,7 +188,9 @@ class TestEndpoints:
         status, payload = request(server, "POST", "/mutate",
                                   {"op": "delete_graph", "graph_id": 10**6})
         assert status == 400
-        assert "mutation rejected" in payload["error"]
+        assert payload["error"] == (
+            "mutation rejected: graph id 1000000 not in dataset "
+            "(deleted or never existed)")
         status, payload = request(server, "POST", "/mutate",
                                   {"op": "shrink"})
         assert status == 400
