@@ -27,7 +27,6 @@ from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.query_index import QueryIndex
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.features import GraphFeatures
-from repro.util.bitset import BitSet
 from repro.workloads.typea import generate_type_a
 
 
@@ -97,7 +96,7 @@ def test_bucketed_index_scaling(report_table, results_dir):
         for i, graph in enumerate(cached):
             entry = CacheEntry(
                 entry_id=i, query=graph, query_type=QueryType.SUBGRAPH,
-                answer=BitSet(), valid=BitSet(), created_at=i,
+                answer=0, valid=0, created_at=i,
             )
             bucketed.add(entry)
             linear.add(entry)

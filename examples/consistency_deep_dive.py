@@ -12,6 +12,7 @@ Run:  python examples/consistency_deep_dive.py
 """
 
 from repro import GCConfig, GraphCacheService, GraphStore, LabeledGraph
+from repro.util import bit_ids
 
 
 def path(labels: str) -> LabeledGraph:
@@ -29,7 +30,8 @@ def show_cache(service: GraphCacheService) -> None:
     for e in entries:
         print(f"    cached entry #{e.entry_id} "
               f"(|V|={e.num_vertices},|E|={e.num_edges}): "
-              f"Answer={sorted(e.answer)} CGvalid={sorted(e.valid)}")
+              f"Answer={list(bit_ids(e.answer))} "
+              f"CGvalid={list(bit_ids(e.valid))}")
 
 
 def main() -> None:

@@ -57,7 +57,6 @@ from repro.persist import (
 )
 from repro.runtime.method_m import MethodMRunner
 from repro.runtime.monitor import QueryResult
-from repro.util.bitset import BitSet
 
 __version__ = "1.0.0"
 
@@ -75,7 +74,6 @@ __all__ = [
     "OpType",
     "LabeledGraph",
     "GraphFeatures",
-    "BitSet",
     "CacheModel",
     "CacheManager",
     "CacheEntry",

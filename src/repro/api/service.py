@@ -70,7 +70,7 @@ from repro.runtime.method_m import MethodM
 from repro.runtime.monitor import QueryMetrics, QueryResult, StatisticsMonitor
 from repro.runtime.processors import DiscoveryResult, HitDiscovery
 from repro.runtime.pruner import PruneOutcome, prune_candidate_set
-from repro.util.bitset import BitSet
+from repro.util.bits import bit_ids
 
 __all__ = ["GraphCacheService", "ServiceSession"]
 
@@ -135,7 +135,8 @@ class GraphCacheService:
             else contextlib.nullcontext())
         # Open ServiceSession handles sharing this service's cache.
         self._session_guard = threading.Lock()
-        self._sessions: list["ServiceSession"] = []
+        #: open sessions by id; a session removes itself when it closes
+        self._sessions: dict[int, "ServiceSession"] = {}
         self._next_session_id = 0
         # --- Autosave: (target, every), every 0 = off, and the
         # ``cache.admissions`` count it last saved at.  Both under _lock.
@@ -199,8 +200,8 @@ class GraphCacheService:
                 return
             self._closed = True
         with self._session_guard:
-            sessions, self._sessions = self._sessions, []
-        for session in sessions:
+            sessions, self._sessions = self._sessions, {}
+        for session in sessions.values():
             session._closed = True
         # Wait out any in-flight save() (autosaves run on session
         # threads); new saves after this point still work — see save().
@@ -238,7 +239,6 @@ class GraphCacheService:
             if isinstance(self._lock, contextlib.nullcontext):
                 # lock_mode="auto": install the lock at this quiescent point.
                 self._lock = threading.Lock()
-            self._sessions = [s for s in self._sessions if not s.closed]
             if len(self._sessions) >= self.config.max_sessions:
                 raise RuntimeError(
                     f"max_sessions={self.config.max_sessions} sessions "
@@ -247,14 +247,13 @@ class GraphCacheService:
                 )
             session = ServiceSession(self, self._next_session_id)
             self._next_session_id += 1
-            self._sessions.append(session)
+            self._sessions[session.session_id] = session
             return session
 
     @property
     def open_sessions(self) -> int:
         """How many shared-cache sessions are currently open."""
         with self._session_guard:
-            self._sessions = [s for s in self._sessions if not s.closed]
             return len(self._sessions)
 
     # ------------------------------------------------------------------
@@ -310,9 +309,9 @@ class GraphCacheService:
                 answer = verified | outcome.answer_free
                 metrics.verify_seconds = perf_counter() - started
                 metrics.method_tests = tests
-                metrics.pruned_candidate_size = candidates.cardinality()
+                metrics.pruned_candidate_size = candidates.bit_count()
                 metrics.tests_saved = metrics.candidate_size - tests
-                metrics.answer_size = answer.cardinality()
+                metrics.answer_size = answer.bit_count()
             finally:
                 # Unless the query ran as a resident, the matchers
                 # memoised a plan on the caller's object (steps 2 and 4
@@ -339,7 +338,7 @@ class GraphCacheService:
                 save_to = target
         if save_to is not None:
             self._autosave_to(save_to)
-        return QueryResult(answer=answer, metrics=metrics)
+        return QueryResult(answer_bits=answer, metrics=metrics)
 
     def _discover_and_prune(self, query: LabeledGraph, metrics: QueryMetrics,
                             ) -> tuple[LabeledGraph, GraphFeatures,
@@ -349,7 +348,7 @@ class GraphCacheService:
         ``metrics``; returns ``(run, features, resident, hits, outcome)``
         — ``run`` / ``features`` are what steps 4-5 use."""
         cs_m = self.store.ids_bitset()
-        metrics.candidate_size = cs_m.cardinality()
+        metrics.candidate_size = cs_m.bit_count()
 
         # (2) Hit discovery (GC+sub / GC+super processors).  An arrival
         # identical to a resident query runs *as* that resident from
@@ -421,8 +420,7 @@ class GraphCacheService:
         # faded) are real discoveries but contributed nothing — they stay
         # visible in the hit lists, not as formula steps.
         steps = tuple(
-            PlanStep(formula, entry_id,
-                     frozenset(BitSet.from_int(ids, ids.bit_length())))
+            PlanStep(formula, entry_id, frozenset(bit_ids(ids)))
             for formula, per_entry in (
                 ("(1) answer donation", outcome.donations),
                 ("(4)+(5) candidate filter", outcome.filtered))
@@ -438,8 +436,8 @@ class GraphCacheService:
             exact_hits=tuple(e.entry_id for e in hits.exact),
             internal_tests=hits.internal_tests,
             steps=steps,
-            test_free_answers=frozenset(outcome.answer_free),
-            reduced_candidates=frozenset(outcome.candidates),
+            test_free_answers=frozenset(bit_ids(outcome.answer_free)),
+            reduced_candidates=frozenset(bit_ids(outcome.candidates)),
             exact_hit=outcome.exact_hit,
             empty_shortcut=outcome.empty_shortcut,
             pending_log_records=pending,
@@ -730,6 +728,8 @@ class ServiceSession:
         """Release this session's ``max_sessions`` slot; further queries
         through it raise.  The shared cache is untouched."""
         self._closed = True
+        with self._parent._session_guard:
+            self._parent._sessions.pop(self.session_id, None)
 
     @property
     def closed(self) -> bool:

@@ -3,7 +3,8 @@
 Components, mirroring Figure 1 of the paper:
 
 * :class:`repro.cache.entry.CacheEntry` — a cached query with its frozen
-  ``Answer`` BitSet and its live ``CGvalid`` validity indicator;
+  ``Answer`` and its live ``CGvalid`` validity indicator, both ``int``
+  bit vectors over dataset-graph ids;
 * :class:`repro.cache.window.WindowManager` — admission control: queries
   are batched in a window (default 20) before entering the cache;
 * :class:`repro.cache.statistics.StatisticsManager` — per-entry benefit

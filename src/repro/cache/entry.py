@@ -4,9 +4,10 @@ Per the paper (§5.2.2): *"once a query is executed, its answer set is
 finalized, which snapshots the query's relation against dataset at the
 execution time — even [if] the dataset would undergo changes later, GC+
 will not repeat processing previous queries. Therefore, to deal with
-dataset changes, GC+ employs a BitSet indicator ``CGvalid`` per cached
-query, with each bit identifying the up-to-date validity of the query's
-relation towards a dataset graph."*
+dataset changes, GC+ employs a [bit-vector] indicator ``CGvalid`` per
+cached query, with each bit identifying the up-to-date validity of the
+query's relation towards a dataset graph."*  Here both indicators are
+plain ``int`` values (bit *i* ⟺ dataset graph *i*, :mod:`repro.util.bits`).
 
 The invariant everything downstream relies on is therefore about the
 *pair* of indicators, not about ``answer`` alone: **a set ``valid`` bit
@@ -16,9 +17,10 @@ ever turns ``valid`` bits *off*.  The one write-side path that re-earns
 them is renewal (:meth:`CacheManager.admit
 <repro.cache.manager.CacheManager.admit>`): when the user re-issues the
 query and it has just been executed against the live dataset, both
-indicators are **replaced** wholesale, never edited bit by bit — the
-result was paid for on the critical path anyway, and a replaced pair
-preserves the invariant by construction.
+indicators are **replaced** wholesale — the result was paid for on the
+critical path anyway, and a replaced pair preserves the invariant by
+construction.  Every write is an assignment to the entry's field (an
+``int`` is immutable), so no reader ever sees a half-edited indicator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import InitVar, dataclass, field
 
 from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
 
 __all__ = ["QueryType", "CacheEntry"]
 
@@ -55,15 +56,18 @@ class QueryType(enum.Enum):
 class CacheEntry:
     """One cached query.
 
-    * ``answer`` — bit *i* set iff dataset graph *i* satisfied the query
-      at execution time (``g ⊆ G_i`` for subgraph semantics, ``G_i ⊆ g``
-      for supergraph semantics).  Frozen against dataset changes — only
-      ``valid`` fades; rewritten solely together with ``valid``, by a
-      fresh execution's result (renewal: the object is replaced).
-    * ``valid`` — the ``CGvalid`` indicator: bit *i* set iff the recorded
-      relation toward graph *i* is still guaranteed for the up-to-date
-      dataset.  Initialised to the ids of all dataset graphs live at
-      execution time (again on renewal); faded by the Cache Validator.
+    * ``answer`` — an ``int``: bit *i* set iff dataset graph *i* satisfied
+      the query at execution time (``g ⊆ G_i`` for subgraph semantics,
+      ``G_i ⊆ g`` for supergraph semantics).  Frozen against dataset
+      changes — only ``valid`` fades; rewritten solely together with
+      ``valid``, by a fresh execution's result (renewal: the field is
+      reassigned).
+    * ``valid`` — the ``CGvalid`` indicator, an ``int``: bit *i* set iff
+      the recorded relation toward graph *i* is still guaranteed for the
+      up-to-date dataset.  Initialised to the ids of all dataset graphs
+      live at execution time (again on renewal); faded by the Cache
+      Validator.  Ids past its ``bit_length()`` read 0 — graphs added
+      since are of unknown relation.
     * ``features`` — monotone features for the query index.  Callers
       that already computed the query's features (the service does, for
       hit discovery) pass them in; otherwise they are derived here.
@@ -78,8 +82,8 @@ class CacheEntry:
     entry_id: int
     query: LabeledGraph
     query_type: QueryType
-    answer: BitSet
-    valid: BitSet
+    answer: int
+    valid: int
     created_at: int  # index of the query in the stream (for recency)
     features: GraphFeatures | None = None
     num_vertices: int = field(init=False)
@@ -96,25 +100,11 @@ class CacheEntry:
         self.num_vertices = self.query.num_vertices
         self.num_edges = self.query.num_edges
 
-    # ------------------------------------------------------------------
-    # Pruning building blocks (paper §6)
-    # ------------------------------------------------------------------
-    def valid_answer(self) -> BitSet:
-        """``CGvalid ∩ Answer`` — the test-free positives of formula (1)."""
-        return self.valid & self.answer
-
-    def possible_answer(self, universe_size: int) -> BitSet:
-        """``¬CGvalid ∪ Answer`` over ``universe_size`` ids — formula (4):
-        every graph that could possibly satisfy a query related to this
-        entry; its complement is safely prunable."""
-        return self.valid.complement(universe_size) | self.answer
-
-    def fully_valid(self, current_ids: BitSet) -> bool:
-        """Does the entry hold validity on *all* up-to-date dataset graphs?
-
-        Required by both §6.3 optimal cases.
-        """
-        return self.valid.contains_all(current_ids)
+    def fully_valid(self, live: int) -> bool:
+        """Does the entry hold validity on *all* the ``live`` ids (the
+        up-to-date dataset graphs)?  Required by both §6.3 optimal
+        cases."""
+        return not live & ~self.valid
 
     def is_exact_match_of(self, query: LabeledGraph) -> bool:
         """Size part of the §6.3 exact-match test: equal vertex and edge
@@ -127,6 +117,6 @@ class CacheEntry:
     def __repr__(self) -> str:
         return (
             f"CacheEntry(id={self.entry_id}, |V|={self.num_vertices}, "
-            f"|E|={self.num_edges}, answers={self.answer.cardinality()}, "
-            f"valid={self.valid.cardinality()})"
+            f"|E|={self.num_edges}, answers={self.answer.bit_count()}, "
+            f"valid={self.valid.bit_count()})"
         )

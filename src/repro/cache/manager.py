@@ -43,7 +43,6 @@ from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 from repro.persist.state import CacheState, EntryRecord
-from repro.util.bitset import BitSet
 
 if TYPE_CHECKING:   # import cycle: repro.api builds on repro.cache
     from repro.api.config import GCConfig
@@ -135,7 +134,7 @@ class CacheManager:
         analyzed = perf_counter()
         entries = self.all_entries()
         validating = perf_counter()
-        self.validator.validate_con(entries, counters, store.max_id)
+        self.validator.validate_con(entries, counters)
         return ConsistencyReport(
             dataset_changed=True,
             purged=False,
@@ -168,7 +167,7 @@ class CacheManager:
     # Admission (paper §4: executed queries enter the window, batches
     # promote to the cache, replacement trims to capacity)
     # ------------------------------------------------------------------
-    def admit(self, query: LabeledGraph, answer: BitSet,
+    def admit(self, query: LabeledGraph, answer: int,
               store: GraphStore, query_index: int,
               features: GraphFeatures | None = None,
               twins: Sequence[CacheEntry] = (),
@@ -207,7 +206,7 @@ class CacheManager:
             entry_id=self._next_entry_id,
             query=query,
             query_type=self.query_type,
-            answer=answer.copy(),
+            answer=answer,
             valid=live,
             created_at=query_index,
             features=features,
@@ -222,7 +221,7 @@ class CacheManager:
             self._promote(promoted)
         return entry
 
-    def _renew(self, faded: list[CacheEntry], answer: BitSet, live: BitSet,
+    def _renew(self, faded: list[CacheEntry], answer: int, live: int,
                query_index: int) -> CacheEntry:
         """Write a re-executed query's fresh result into its lowest-id
         faded twin and drop the other faded twins.
@@ -240,7 +239,7 @@ class CacheManager:
         eviction.
         """
         survivor, *copies = sorted(faded, key=lambda twin: twin.entry_id)
-        survivor.answer = answer.copy()
+        survivor.answer = answer
         survivor.valid = live
         dropped = tuple(copy.entry_id for copy in copies)
         for entry_id in dropped:
@@ -330,15 +329,14 @@ class CacheManager:
     def _copy_entry(entry: CacheEntry,
                     same_as: CacheEntry | None = None) -> CacheEntry:
         # The CacheEntry constructor copies the query (or, given
-        # ``same_as``, shares that entry's graph and features); the
-        # indicators are copied explicitly.  Features are immutable and
-        # shared.
+        # ``same_as``, shares that entry's graph and features).  The
+        # indicators (ints) and the features are immutable and shared.
         return CacheEntry(
             entry_id=entry.entry_id,
             query=entry.query,
             query_type=entry.query_type,
-            answer=entry.answer.copy(),
-            valid=entry.valid.copy(),
+            answer=entry.answer,
+            valid=entry.valid,
             created_at=entry.created_at,
             features=entry.features,
             same_as=same_as,

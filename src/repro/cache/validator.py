@@ -8,8 +8,9 @@ cached contents indiscriminately."*
 **CON** (§5.2.2): per cached query, refresh the ``CGvalid`` indicator
 from the Log Analyzer's counters:
 
-* newly appeared graph ids (indicator shorter than ``m + 1``) extend with
-  ``False`` — the relation toward a new graph is unknown;
+* newly appeared graph ids read ``False`` — the relation toward a new
+  graph is unknown (Algorithm 2's extend; implicit in an ``int``, whose
+  bits past ``bit_length()`` are 0);
 * a touched graph keeps its bit only in the two safe cases —
   **UA-exclusive** changes cannot break a *positive* subgraph-semantics
   relation (``g ⊆ G_i`` survives adding edges to ``G_i``), and
@@ -36,17 +37,16 @@ from repro.dataset.log_analyzer import ChangeCounters
 __all__ = ["refresh_validity", "CacheValidator"]
 
 
-def refresh_validity(entry: CacheEntry, counters: ChangeCounters,
-                     max_graph_id: int) -> int:
-    """Algorithm 2: refresh one entry's ``CGvalid`` in place.
+def refresh_validity(entry: CacheEntry, counters: ChangeCounters) -> int:
+    """Algorithm 2: refresh one entry's ``CGvalid``, one touched id at a
+    time (the per-entry reference :meth:`CacheValidator.validate_con` is
+    held equal to).
 
-    ``max_graph_id`` is the paper's ``m`` — the currently maximum graph id
-    in the dataset (ids are never reused, so this is the high-water mark).
-    Returns the number of bits turned off (for instrumentation).
+    Algorithm 2's first step — extend the indicator with ``False`` up to
+    the currently maximum graph id — is implicit: ids past the ``int``'s
+    ``bit_length()`` already read 0.  Returns the number of bits turned
+    off (for instrumentation).
     """
-    if max_graph_id + 1 > entry.valid.size:
-        entry.valid.extend(max_graph_id + 1)  # new graphs: unknown relation
-
     if entry.query_type is QueryType.SUBGRAPH:
         positive_safe = counters.ua_exclusive  # g ⊆ G_i survives UA-only
         negative_safe = counters.ur_exclusive  # g ⊄ G_i survives UR-only
@@ -56,15 +56,16 @@ def refresh_validity(entry: CacheEntry, counters: ChangeCounters,
 
     turned_off = 0
     for gid in counters.touched_ids():
-        if not entry.valid.get(gid):
+        bit = 1 << gid
+        if not entry.valid & bit:
             continue  # already invalid; nothing can resurrect it
-        if entry.answer.get(gid):
+        if entry.answer & bit:
             if positive_safe(gid):
                 continue
         else:
             if negative_safe(gid):
                 continue
-        entry.valid.set(gid, False)
+        entry.valid &= ~bit
         turned_off += 1
     return turned_off
 
@@ -83,7 +84,7 @@ class CacheValidator:
         self.bits_invalidated = 0  # CON bits turned off (instrumentation)
 
     def validate_con(self, entries: list[CacheEntry],
-                     counters: ChangeCounters, max_graph_id: int) -> None:
+                     counters: ChangeCounters) -> None:
         """CON: refresh every entry's indicator against the counters.
 
         Algorithm 2 as mask algebra.  The counters become two id masks
@@ -93,15 +94,10 @@ class CacheValidator:
         (~answer & breaks_negative))``: exactly the bits
         :func:`refresh_validity` turns off one id at a time (it stays
         as the per-entry reference; a property test holds the two
-        equal).  The loop reads the indicators' packed integers
-        directly, as the matchers read a graph's adjacency lists: with
-        a hundred entries per pass the accessor calls were most of it.
+        equal).
         """
         self.validations += 1
-        size = max_graph_id + 1
-        if counters.is_empty() and all(
-            entry.valid.size >= size for entry in entries
-        ):
+        if counters.is_empty():
             return
         # Touched ids with some operation other than UA / other than UR.
         # Subgraph semantics: g ⊆ G_i survives UA-only changes to G_i,
@@ -114,18 +110,15 @@ class CacheValidator:
                 not_ur_only |= 1 << gid
         turned_off = 0
         for entry in entries:
-            valid = entry.valid
-            if size > valid._size:
-                valid.extend(size)  # new graphs: unknown relation
             if entry.query_type is QueryType.SUBGRAPH:
                 breaks_positive, breaks_negative = not_ua_only, not_ur_only
             else:
                 breaks_positive, breaks_negative = not_ur_only, not_ua_only
-            answer, bits = entry.answer._bits, valid._bits
-            off = bits & ((answer & breaks_positive)
-                          | (~answer & breaks_negative))
+            answer = entry.answer
+            off = entry.valid & ((answer & breaks_positive)
+                                 | (~answer & breaks_negative))
             if off:
-                valid.clear_mask(off)
+                entry.valid &= ~off
                 turned_off += off.bit_count()
         self.bits_invalidated += turned_off
 

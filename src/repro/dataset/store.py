@@ -1,8 +1,8 @@
 """The mutable graph dataset (the paper's Dataset Manager state).
 
 Key invariant: **graph ids are assigned monotonically and never reused**.
-``Answer``/``CGvalid`` indicators in the cache are BitSets indexed by
-graph id, so a reused id would silently alias a dead graph's cached
+``Answer``/``CGvalid`` indicators in the cache are ``int`` bit vectors
+indexed by graph id, so a reused id would silently alias a dead graph's cached
 relations onto a new graph.  DEL therefore removes the graph object but
 retires its id forever.
 """
@@ -14,7 +14,6 @@ from collections.abc import Iterable, Iterator, KeysView
 from repro.dataset.log import OpType, UpdateLog
 from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
 
 __all__ = ["GraphStore"]
 
@@ -166,15 +165,16 @@ class GraphStore:
         """
         return self._live_vertices / len(self._graphs) if self._graphs else 0.0
 
-    def ids_bitset(self) -> BitSet:
-        """Live ids as a BitSet sized ``max_id + 1`` — the Method-M
-        candidate set ``CS_M(g)`` for SI methods (the whole dataset).
+    def ids_bitset(self) -> int:
+        """Live ids as an ``int`` (bit *i* set iff graph *i* is live) —
+        the Method-M candidate set ``CS_M(g)`` for SI methods (the whole
+        dataset).
 
         O(1): the live ids are kept as one packed integer, updated by ADD
-        and DEL.  Every call returns a new object; the integer inside is
-        immutable, so no caller can alias the store's set.
+        and DEL; an ``int`` is immutable, so no caller can alias the
+        store's set.
         """
-        return BitSet.from_int(self._live_bits, self._next_id)
+        return self._live_bits
 
     def _require(self, graph_id: int) -> None:
         if graph_id not in self._graphs:

@@ -4,17 +4,16 @@ The paper's third Method M.  GraphQL's signature contributions, all
 implemented here:
 
 1. **Local pruning** by neighborhood profiles: a candidate host vertex
-   must carry the query vertex's label and its radius-``r`` neighborhood
-   label multiset must dominate the query vertex's (default ``r = 1``,
-   configurable).  At ``r = 1`` that is one AND of the query vertex's
-   need mask with the host profile's supply mask
+   must carry the query vertex's label and its radius-1 neighborhood
+   label multiset must dominate the query vertex's: one AND of the query
+   vertex's need mask with the host profile's supply mask
    (:mod:`repro.matching.plans`, "Profiles as masks").
 2. **Global refinement** ("pseudo subgraph isomorphism"): iterated
    bipartite checks — host vertex ``v`` stays a candidate for query
    vertex ``u`` only if there is a *semi-perfect matching* from every
    neighbor of ``u`` to distinct neighbors of ``v`` through the current
    candidate relation.  Implemented with augmenting-path bipartite
-   matching, swept ``refinement_rounds`` times (default 2).
+   matching, swept at most twice (``REFINEMENT_ROUNDS``).
 3. **Search-order optimization**: the search picks, at each depth, the
    unmapped query vertex with the fewest live candidates
    (least-candidates-first dynamic ordering).
@@ -28,57 +27,33 @@ self-reference when it ends.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
 from repro.matching.plans import (
-    need_mask,
     neighbor_lists,
+    neighbour_needs,
     neighbour_profiles,
     vertices_by_label,
 )
 
 __all__ = ["GraphQLMatcher"]
 
-Label = Hashable
-
-
-def _profile(graph: LabeledGraph, v: int, radius: int) -> dict[Label, int]:
-    """Label multiset of the radius-``radius`` neighborhood around ``v``
-    (excluding ``v`` itself)."""
-    labels, adjacency = graph._labels, graph._adjacency
-    seen = {v}
-    frontier = [v]
-    profile: dict[Label, int] = {}
-    for _ in range(radius):
-        nxt: list[int] = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    lab = labels[w]
-                    profile[lab] = profile.get(lab, 0) + 1
-                    nxt.append(w)
-        frontier = nxt
-    return profile
+#: sweeps of the global refinement (phase 2) per test
+REFINEMENT_ROUNDS = 2
 
 
 class _Plan:
-    """The pattern side of every GraphQL test of one graph version and
-    one profile radius (:mod:`repro.matching.plans`): per vertex its
-    label, profile items and neighbours, the latter in the adjacency
-    set's iteration order, and at radius 1 the profile's need mask."""
+    """The pattern side of every GraphQL test of one graph version
+    (:mod:`repro.matching.plans`): per vertex its label, its neighbours
+    in the adjacency set's iteration order, and the need mask of its
+    radius-1 profile."""
 
-    __slots__ = ("labels", "neighbors", "profiles", "needs")
+    __slots__ = ("labels", "neighbors", "needs")
 
-    def __init__(self, query: LabeledGraph, radius: int) -> None:
+    def __init__(self, query: LabeledGraph) -> None:
         self.labels = tuple(query._labels)
         self.neighbors = neighbor_lists(query)
-        self.profiles = [tuple(_profile(query, u, radius).items())
-                         for u in range(len(self.labels))]
-        self.needs = ([need_mask(p) for p in self.profiles]
-                      if radius == 1 else None)
+        self.needs = neighbour_needs(self.labels, self.neighbors)
 
 
 def _augment(qn: int, visited: set[int], host_neighbors: list[int],
@@ -105,60 +80,24 @@ class GraphQLMatcher(SubgraphMatcher):
 
     name = "graphql"
 
-    def __init__(self, profile_radius: int = 1,
-                 refinement_rounds: int = 2) -> None:
-        super().__init__()
-        if profile_radius < 0:
-            raise ValueError(f"profile_radius must be >= 0, got {profile_radius}")
-        if refinement_rounds < 0:
-            raise ValueError(
-                f"refinement_rounds must be >= 0, got {refinement_rounds}"
-            )
-        self.profile_radius = profile_radius
-        self.refinement_rounds = refinement_rounds
-
     # ------------------------------------------------------------------
     # Phase 1: local pruning
     # ------------------------------------------------------------------
-    def _plan(self, query: LabeledGraph) -> _Plan:
-        radius = self.profile_radius
-        return query.derived(("graphql", radius),
-                             lambda graph: _Plan(graph, radius))
+    @staticmethod
+    def _plan(query: LabeledGraph) -> _Plan:
+        return query.derived("graphql", _Plan)
 
-    def _initial_candidates(self, plan: _Plan,
+    @staticmethod
+    def _initial_candidates(plan: _Plan,
                             host: LabeledGraph) -> list[set[int]]:
+        # A radius-1 profile is the neighbour-label count every host
+        # keeps (plans.neighbour_profiles), and dominance is one AND
+        # with its supply mask; it implies the degree bound.
         by_label = vertices_by_label(host)
-        host_adjacency = host._adjacency
-        radius = self.profile_radius
-        out: list[set[int]] = []
-        if plan.needs is not None:
-            # At radius 1 a profile is the neighbour-label count every
-            # host keeps (plans.neighbour_profiles), and dominance is one
-            # AND with its supply mask; it implies the degree bound.
-            table = neighbour_profiles(host)
-            for qlabel, need in zip(plan.labels, plan.needs):
-                out.append({v for v in by_label.get(qlabel, ())
-                            if not need & table[v].supply})
-            return out
-        # Other radii build the host's profiles per test.
-        host_profiles: dict[int, dict[Label, int]] = {}
-        for u, qlabel in enumerate(plan.labels):
-            qprof = plan.profiles[u]
-            qdeg = len(plan.neighbors[u])
-            cands: set[int] = set()
-            for v in by_label.get(qlabel, ()):
-                if len(host_adjacency[v]) < qdeg:
-                    continue
-                prof = host_profiles.get(v)
-                if prof is None:
-                    prof = host_profiles[v] = _profile(host, v, radius)
-                for lab, cnt in qprof:
-                    if prof.get(lab, 0) < cnt:
-                        break
-                else:
-                    cands.add(v)
-            out.append(cands)
-        return out
+        table = neighbour_profiles(host)
+        return [{v for v in by_label.get(qlabel, ())
+                 if not need & table[v].supply}
+                for qlabel, need in zip(plan.labels, plan.needs)]
 
     # ------------------------------------------------------------------
     # Phase 2: global refinement (pseudo subgraph isomorphism)
@@ -181,7 +120,7 @@ class GraphQLMatcher(SubgraphMatcher):
         """Iterate the pseudo-iso test; returns False if any candidate set
         empties (no embedding can exist)."""
         host_adjacency = host._adjacency
-        for _ in range(self.refinement_rounds):
+        for _ in range(REFINEMENT_ROUNDS):
             changed = False
             for u, q_neigh in enumerate(plan.neighbors):
                 if not q_neigh:

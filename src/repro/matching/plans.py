@@ -43,7 +43,7 @@ word; a hub with 3 000 neighbours of one label adds 3 000).
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 from threading import Lock
 from typing import Any
 from weakref import KeyedRef
@@ -51,7 +51,8 @@ from weakref import KeyedRef
 from repro.graphs.graph import LabeledGraph
 
 __all__ = ["label_counts", "vertices_by_label", "neighbour_profiles",
-           "need_mask", "connectivity_order", "neighbor_lists"]
+           "need_mask", "neighbour_needs", "connectivity_order",
+           "neighbor_lists"]
 
 Label = Hashable
 
@@ -102,6 +103,20 @@ def need_mask(items: Iterable[tuple[Label, int]]) -> int:
     for label, count in items:
         need |= _atom(label, count)
     return need
+
+
+def neighbour_needs(labels: Sequence[Label],
+                    neighbors: Sequence[tuple[int, ...]]) -> list[int]:
+    """Per pattern vertex, the :func:`need_mask` of its radius-1
+    profile, from the pattern's labels and :func:`neighbor_lists`."""
+    needs = []
+    for neigh in neighbors:
+        profile: dict[Label, int] = {}
+        for n in neigh:
+            lab = labels[n]
+            profile[lab] = profile.get(lab, 0) + 1
+        needs.append(need_mask(profile.items()))
+    return needs
 
 
 class _Profile(dict):

@@ -105,8 +105,8 @@ from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
 from repro.matching.plans import (
     label_counts,
-    need_mask,
     neighbor_lists,
+    neighbour_needs,
     neighbour_profiles,
     vertices_by_label,
 )
@@ -132,13 +132,7 @@ class _Plan:
         self.labels = tuple(query._labels)
         self.neighbors = neighbor_lists(query)
         #: per vertex, the atoms a host candidate's profile must supply
-        self.needs = []
-        for neigh in self.neighbors:
-            profile: dict[Label, int] = {}
-            for n in neigh:
-                lab = self.labels[n]
-                profile[lab] = profile.get(lab, 0) + 1
-            self.needs.append(need_mask(profile.items()))
+        self.needs = neighbour_needs(self.labels, self.neighbors)
         #: host ranking of ``required``'s labels → compiled steps; grows
         #: by idempotent single stores (see the module docstring), to
         #: one entry per weak ordering of the distinct labels at most

@@ -10,7 +10,8 @@ A snapshot file is plain JSON-lines (one JSON object per line, UTF-8):
 * **one line per entry**: location (``cache`` or ``window``), the query
   graph embedded as ``t/v/e`` text (the :mod:`repro.graphs.io` exchange
   idiom), the ``Answer`` and ``CGvalid`` indicators as
-  ``{"size", "hex"}`` pairs, and the entry's accrued
+  ``{"size", "hex"}`` pairs (``size`` is the indicator's
+  ``bit_length()``; see :func:`_decode_indicator`), and the entry's accrued
   :class:`~repro.cache.statistics.EntryStats`.
 
 Cache entries are written in ascending ``entry_id``; window entries
@@ -54,7 +55,6 @@ from repro.cache.statistics import EntryStats
 from repro.graphs import io as graph_io
 from repro.graphs.graph import LabeledGraph
 from repro.persist.state import CacheState, EntryRecord
-from repro.util.bitset import BitSet
 
 if TYPE_CHECKING:   # import cycle: repro.api builds on repro.persist
     from repro.api.config import GCConfig
@@ -172,15 +172,35 @@ class Snapshot:
 # ----------------------------------------------------------------------
 # Field-level encoding
 # ----------------------------------------------------------------------
-def _encode_bitset(bits: BitSet) -> dict[str, Any]:
-    return {"size": bits.size, "hex": bits.to_hex()}
+def _encode_indicator(bits: int) -> dict[str, Any]:
+    return {"size": bits.bit_length(), "hex": format(bits, "x")}
 
 
-def _decode_bitset(obj: Any, what: str) -> BitSet:
+def _decode_indicator(obj: Any, what: str) -> int:
+    """The ``int`` an encoded indicator holds.
+
+    ``size`` carries no meaning of its own any more — ids past an
+    indicator's ``bit_length()`` read 0 — but version-1 files have it
+    (older writers recorded a logical length, which may exceed the
+    ``bit_length()``), and it is still a corruption check: a
+    non-integer or negative ``size``, or hex with a bit at or past
+    ``size``, is rejected.  It is dropped once checked.
+    """
     try:
-        return BitSet.from_hex(obj["hex"], obj["size"])
+        size, digits = obj["size"], obj["hex"]
+        if not isinstance(size, int) or size < 0:
+            raise ValueError(f"size must be a non-negative integer, "
+                             f"got {size!r}")
+        bits = int(digits, 16) if digits else 0
+        if bits < 0:
+            raise ValueError(f"hex digits must encode a non-negative "
+                             f"value, got {digits!r}")
+        if bits >> size:
+            raise ValueError(f"hex digits {digits!r} set bits beyond "
+                             f"size {size}")
     except (TypeError, KeyError, ValueError) as exc:
         raise SnapshotFormatError(f"bad {what} indicator: {exc}") from exc
+    return bits
 
 
 def _encode_graph(graph: LabeledGraph) -> str:
@@ -210,8 +230,8 @@ def _encode_entry(where: str, record: EntryRecord) -> dict[str, Any]:
         "created_at": entry.created_at,
         "query_type": entry.query_type.value,
         "query": _encode_graph(entry.query),
-        "answer": _encode_bitset(entry.answer),
-        "valid": _encode_bitset(entry.valid),
+        "answer": _encode_indicator(entry.answer),
+        "valid": _encode_indicator(entry.valid),
         "stats": {name: getattr(stats, name) for name in _STATS_FIELDS},
     }
 
@@ -229,8 +249,8 @@ def _decode_entry(obj: dict[str, Any], lineno: int) -> tuple[str, EntryRecord]:
             entry_id=int(obj["entry_id"]),
             query=_decode_graph(obj["query"]),
             query_type=query_type,
-            answer=_decode_bitset(obj["answer"], "answer"),
-            valid=_decode_bitset(obj["valid"], "valid"),
+            answer=_decode_indicator(obj["answer"], "answer"),
+            valid=_decode_indicator(obj["valid"], "valid"),
             created_at=int(obj["created_at"]),
         )
         raw_stats = obj["stats"]

@@ -2,9 +2,9 @@
 
 :meth:`repro.cache.manager.CacheManager.snapshot_state` produces a
 :class:`CacheState`; :meth:`~repro.cache.manager.CacheManager.restore_state`
-consumes one.  The capture is **decoupled**: every entry is deep-copied
-(query graph, ``Answer`` and ``CGvalid`` bitsets) and every
-:class:`~repro.cache.statistics.EntryStats` is cloned, so a captured
+consumes one.  The capture is **decoupled**: every entry is copied (its
+``Answer`` and ``CGvalid`` ints are immutable, so they are shared) and
+every :class:`~repro.cache.statistics.EntryStats` is cloned, so a captured
 state is a true point-in-time value — the live cache can keep mutating
 (or be torn down) without affecting it, and vice versa.
 

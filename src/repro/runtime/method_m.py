@@ -16,38 +16,29 @@ from repro.cache.entry import QueryType
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
-from repro.util.bitset import BitSet
+from repro.util.bits import bit_ids
 
 __all__ = ["MethodM", "MethodMRunner"]
 
 
 def _verify_ids(is_sub: Callable[[LabeledGraph, LabeledGraph], bool],
                 graphs: Mapping[int, LabeledGraph], query: LabeledGraph,
-                bits: int, size: int,
-                subgraph_semantics: bool) -> tuple[BitSet, int]:
+                candidates: int, subgraph_semantics: bool) -> tuple[int, int]:
     """The Mverifier loop: one ``is_sub`` call per live id among the one
-    bits of ``bits``, lowest first; returns (answer bits over ``size``
-    ids, tests performed).  Ids not in ``graphs`` (deleted graphs, ids
-    never assigned) are skipped.  The answer's logical size grows past
-    ``size`` only as far as a hit beyond it, as ``BitSet.set`` would."""
+    bits of ``candidates``, lowest first; returns (answer bits, tests
+    performed).  Ids not in ``graphs`` (deleted graphs, ids never
+    assigned) are skipped."""
     hits = 0
     tests = 0
     get = graphs.get
-    gid = 0
-    while bits:
-        # BitSet.__iter__'s walk: skip to the lowest one bit and shift it
-        # out, so the integer shrinks as the walk goes.
-        skip = (bits & -bits).bit_length() - 1
-        gid += skip
-        bits >>= skip + 1
+    for gid in bit_ids(candidates):
         host = get(gid)
         if host is not None:
             tests += 1
             if (is_sub(query, host) if subgraph_semantics
                     else is_sub(host, query)):
                 hits |= 1 << gid
-        gid += 1
-    return BitSet.from_int(hits, max(size, hits.bit_length())), tests
+    return hits, tests
 
 
 class MethodM:
@@ -57,8 +48,8 @@ class MethodM:
         self.matcher = matcher
         self.store = store
 
-    def verify(self, query: LabeledGraph, candidate_ids: BitSet,
-               query_type: QueryType) -> tuple[BitSet, int]:
+    def verify(self, query: LabeledGraph, candidate_ids: int,
+               query_type: QueryType) -> tuple[int, int]:
         """Test every candidate; returns (answer bits, tests performed).
 
         Candidate ids referring to deleted graphs are skipped defensively
@@ -66,8 +57,7 @@ class MethodM:
         the live id set — but user code may).
         """
         return _verify_ids(self.matcher.is_subgraph_isomorphic,
-                           self.store.graphs, query, candidate_ids._bits,
-                           candidate_ids.size,
+                           self.store.graphs, query, candidate_ids,
                            query_type is QueryType.SUBGRAPH)
 
 
@@ -102,7 +92,7 @@ class MethodMRunner:
             query.forget_derived()
         metrics = QueryMetrics(
             method_tests=tests,
-            candidate_size=candidates.cardinality(),
+            candidate_size=candidates.bit_count(),
             verify_seconds=elapsed,
         )
-        return QueryResult(answer=answer, metrics=metrics)
+        return QueryResult(answer_bits=answer, metrics=metrics)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.util.bitset import BitSet
+from repro.util.bits import bit_ids
 
 __all__ = ["QueryMetrics", "QueryResult", "StatisticsMonitor"]
 
@@ -77,14 +77,24 @@ class QueryMetrics:
 
 @dataclass
 class QueryResult:
-    """The answer set (as a BitSet over dataset-graph ids) plus metrics."""
+    """The answer set plus metrics.
 
-    answer: BitSet
+    ``answer_bits`` is the answer as the pipeline computed it, an
+    ``int`` (bit *i* set iff dataset graph *i* answers the query);
+    :attr:`answer` and :attr:`answer_ids` are built from it when read.
+    """
+
+    answer_bits: int
     metrics: QueryMetrics
 
     @property
+    def answer(self) -> tuple[int, ...]:
+        """The answer's graph ids, ascending."""
+        return tuple(bit_ids(self.answer_bits))
+
+    @property
     def answer_ids(self) -> frozenset[int]:
-        return frozenset(self.answer)
+        return frozenset(bit_ids(self.answer_bits))
 
 
 @dataclass

@@ -28,7 +28,7 @@ certify exact matches in both hit lists (see
   via (1) *and* filters the candidate set down to exactly that answer via
   (5) — zero sub-iso tests remain;
 * **fully-valid filtering entry with empty answer** → its
-  ``possible_answer`` set is empty → the candidate set empties — zero
+  ``¬CGvalid ∪ Answer`` set is empty → the candidate set empties — zero
   tests, empty answer.
 
 The pruner still *detects and reports* both cases so the monitor can
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 from repro.cache.entry import QueryType
 from repro.runtime.processors import DiscoveryResult
-from repro.util.bitset import BitSet
 
 __all__ = ["PruneOutcome", "prune_candidate_set"]
 
@@ -65,15 +64,13 @@ class PruneOutcome:
       ``contributions`` merges; kept separate so explain plans can report
       *which* formula each entry applied.
 
-    The three per-entry maps hold packed integers (bit *i* ⟺ graph id
-    *i*), not :class:`BitSet` objects: the pipeline only ever counts
-    them, so a query with thirty hits allocates no bitset per hit.
-    ``BitSet.from_int(bits, bits.bit_length())`` turns one into a set
+    Every id set here is an ``int`` (bit *i* ⟺ graph id *i*), as the
+    entries' indicators are; :func:`repro.util.bits.bit_ids` walks one
     (explain plans do).
     """
 
-    answer_free: BitSet
-    candidates: BitSet
+    answer_free: int
+    candidates: int
     contributions: dict[int, int] = field(default_factory=dict)
     exact_hit: bool = False
     empty_shortcut: bool = False
@@ -81,10 +78,10 @@ class PruneOutcome:
     filtered: dict[int, int] = field(default_factory=dict)
 
 
-def prune_candidate_set(query_type: QueryType, cs_m: BitSet,
+def prune_candidate_set(query_type: QueryType, cs_m: int,
                         discovery: DiscoveryResult,
                         universe_size: int,
-                        live_ids: BitSet | None = None) -> PruneOutcome:
+                        live_ids: int | None = None) -> PruneOutcome:
     """Apply formulas (1)–(5) to the Method-M candidate set ``cs_m``.
 
     ``universe_size`` is ``max_graph_id + 1`` — the id space against which
@@ -106,50 +103,31 @@ def prune_candidate_set(query_type: QueryType, cs_m: BitSet,
         answer_entries = discovery.contained
         filter_entries = discovery.containing
 
-    # The formulas run on the indicators' packed integers, read directly
-    # (a query with thirty hits applies them sixty times); a BitSet is
-    # built only for the two sets the pipeline goes on to use.  Their
-    # logical sizes are carried along as the BitSet operators would have
-    # left them (the wider operand's).
-    cs_bits, cs_size = cs_m._bits, cs_m._size
-
     # Formula (1): test-free positives from answer-giving entries.  Each
     # donation is intersected with CS_M: CGvalid bits of dead graphs are
     # cleared by validation, so the intersection is a no-op in normal
     # operation — it is kept as defence in depth (Lemma 1 relies on
     # donations being valid *current* dataset graphs).
     donations: dict[int, int] = {}
-    free_bits, free_size = 0, max(universe_size, cs_size)
+    answer_free = 0
     for entry in answer_entries:
-        valid, answer = entry.valid, entry.answer
-        donated = valid._bits & answer._bits & cs_bits
+        donated = entry.valid & entry.answer & cs_m
         donations[entry.entry_id] = donated
-        free_bits |= donated
-        if valid._size > free_size:
-            free_size = valid._size
-        if answer._size > free_size:
-            free_size = answer._size
-    if not answer_entries:
-        free_size = universe_size
+        answer_free |= donated
 
     # Formula (2): donated graphs need no sub-iso test.
-    after_donation = cs_bits & ~free_bits
+    after_donation = cs_m & ~answer_free
 
     # Formulas (4)+(5): each filtering entry bounds the candidate set to
     # the graphs that could possibly answer the query —
     # ``¬CGvalid ∪ Answer`` within the id universe.
     filtered: dict[int, int] = {}
-    reduced_bits, reduced_size = after_donation, cs_size
+    candidates = after_donation
     universe = (1 << universe_size) - 1
     for entry in filter_entries:
-        answer = entry.answer
-        allowed = (~entry.valid._bits & universe) | answer._bits
+        allowed = (~entry.valid & universe) | entry.answer
         filtered[entry.entry_id] = after_donation & ~allowed
-        reduced_bits &= allowed
-        if answer._size > reduced_size:
-            reduced_size = answer._size
-    if filter_entries and universe_size > reduced_size:
-        reduced_size = universe_size
+        candidates &= allowed
 
     # Independent per-entry contributions (feeds PIN's R): an answer
     # entry alleviates the tests of its donated graphs; a filter entry
@@ -161,18 +139,16 @@ def prune_candidate_set(query_type: QueryType, cs_m: BitSet,
     # §6.3 optimal-case detection (reporting only; the formulas above
     # already produce the optimal candidate sets): an entry is fully
     # valid when its CGvalid covers every current id.
-    current = (live_ids if live_ids is not None else cs_m)._bits
+    live = live_ids if live_ids is not None else cs_m
     exact_hit = empty_shortcut = False
     for entry in discovery.exact:
-        if not current & ~entry.valid._bits:
+        if entry.fully_valid(live):
             exact_hit = True
             break
     else:
         for entry in filter_entries:
-            if not entry.answer._bits and not current & ~entry.valid._bits:
+            if not entry.answer and entry.fully_valid(live):
                 empty_shortcut = True
                 break
-    return PruneOutcome(BitSet.from_int(free_bits, free_size),
-                        BitSet.from_int(reduced_bits, reduced_size),
-                        contributions, exact_hit, empty_shortcut,
-                        donations, filtered)
+    return PruneOutcome(answer_free, candidates, contributions, exact_hit,
+                        empty_shortcut, donations, filtered)

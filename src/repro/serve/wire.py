@@ -129,7 +129,7 @@ def metrics_to_wire(metrics: QueryMetrics) -> dict[str, Any]:
 
 def result_to_wire(result: QueryResult) -> dict[str, Any]:
     return {
-        "answer_ids": sorted(result.answer),
+        "answer_ids": list(result.answer),
         "metrics": metrics_to_wire(result.metrics),
     }
 

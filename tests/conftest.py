@@ -83,8 +83,14 @@ def brute_force_answer(store, query: LabeledGraph, query_type) -> set[int]:
 
 def packed_ids(bits: int) -> list[int]:
     """The ids packed into ``bits`` (bit *i* ⟺ id *i*), ascending — how
-    the pruner's per-entry maps hold the ids each entry saved."""
+    ``Answer``, ``CGvalid`` and every id set of the pipeline hold ids.
+    A naive per-bit scan: the oracle of :func:`repro.util.bits.bit_ids`."""
     return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def id_mask(ids) -> int:
+    """The ``int`` id set holding the ids in ``ids`` (bit *i* ⟺ id *i*)."""
+    return sum(1 << i for i in set(ids))
 
 
 def brute_force_isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:

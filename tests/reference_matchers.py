@@ -217,39 +217,14 @@ class ReferenceGraphQLMatcher(SubgraphMatcher):
 
     name = "graphql"
 
-    def __init__(self, profile_radius: int = 1,
-                 refinement_rounds: int = 2) -> None:
-        super().__init__()
-        if profile_radius < 0:
-            raise ValueError(f"profile_radius must be >= 0, got {profile_radius}")
-        if refinement_rounds < 0:
-            raise ValueError(
-                f"refinement_rounds must be >= 0, got {refinement_rounds}"
-            )
-        self.profile_radius = profile_radius
-        self.refinement_rounds = refinement_rounds
-
     # ------------------------------------------------------------------
     # Phase 1: local pruning
     # ------------------------------------------------------------------
-    def _profile(self, graph: LabeledGraph, v: int) -> Counter:
-        """Label multiset of the radius-``r`` neighborhood around ``v``
+    @staticmethod
+    def _profile(graph: LabeledGraph, v: int) -> Counter:
+        """Label multiset of the radius-1 neighborhood around ``v``
         (excluding ``v`` itself)."""
-        if self.profile_radius == 0:
-            return Counter()
-        seen = {v}
-        frontier = [v]
-        profile: Counter = Counter()
-        for _ in range(self.profile_radius):
-            nxt: list[int] = []
-            for u in frontier:
-                for w in graph.neighbors(u):
-                    if w not in seen:
-                        seen.add(w)
-                        profile[graph.label(w)] += 1
-                        nxt.append(w)
-            frontier = nxt
-        return profile
+        return Counter(graph.label(w) for w in graph.neighbors(v) if w != v)
 
     def _initial_candidates(self, query: LabeledGraph,
                             host: LabeledGraph) -> list[set[int]]:
@@ -304,7 +279,7 @@ class ReferenceGraphQLMatcher(SubgraphMatcher):
                 candidates: list[set[int]]) -> bool:
         """Iterate the pseudo-iso test; returns False if any candidate set
         empties (no embedding can exist)."""
-        for _ in range(self.refinement_rounds):
+        for _ in range(2):     # two refinement sweeps at most
             changed = False
             for u in query.vertices():
                 q_neigh = list(query.neighbors(u))

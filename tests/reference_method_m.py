@@ -1,8 +1,8 @@
 """The Mverifier loop as it was before it walked the candidate integer —
 kept verbatim as the reference ``tests/test_method_m.py`` holds
 :func:`repro.runtime.method_m._verify_ids` equal to: one generator step,
-one membership probe and one ``get`` per candidate id, one
-``BitSet.set`` per hit.
+one membership probe and one ``get`` per candidate id, one ``|=`` per
+hit.
 """
 
 from __future__ import annotations
@@ -11,17 +11,16 @@ from collections.abc import Callable, Iterable
 
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
 
 
 def reference_verify_ids(is_sub: Callable[[LabeledGraph, LabeledGraph], bool],
                          store: GraphStore, query: LabeledGraph,
-                         ids: Iterable[int], size: int,
-                         subgraph_semantics: bool) -> tuple[BitSet, int]:
+                         ids: Iterable[int],
+                         subgraph_semantics: bool) -> tuple[int, int]:
     """The Mverifier loop: one ``is_sub`` call per live id in ``ids``;
-    returns (answer bits over ``size`` ids, tests performed).  Ids of
-    deleted graphs are skipped."""
-    answer = BitSet(size)
+    returns (answer bits, tests performed).  Ids of deleted graphs are
+    skipped."""
+    answer = 0
     tests = 0
     for gid in ids:
         if gid not in store:
@@ -33,5 +32,5 @@ def reference_verify_ids(is_sub: Callable[[LabeledGraph, LabeledGraph], bool],
         else:
             hit = is_sub(host, query)
         if hit:
-            answer.set(gid)
+            answer |= 1 << gid
     return answer, tests

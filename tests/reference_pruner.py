@@ -1,9 +1,9 @@
-"""The Candidate Set Pruner as it was before it moved onto integers —
-kept verbatim as the reference ``tests/test_pruner_properties.py`` holds
+"""The Candidate Set Pruner one formula step at a time — the reference
+``tests/test_pruner_properties.py`` holds
 :func:`repro.runtime.pruner.prune_candidate_set` equal to, field by
-field: one ``BitSet`` operator (and one allocation) per formula step.
-Its per-entry maps hold ``BitSet`` objects where the pruner's hold the
-packed integers; the comparison unpacks them.
+field.  Each step is one named set expression on the ``int`` id sets
+(bit *i* ⟺ graph id *i*): :func:`valid_answer` for formula (1),
+:func:`possible_answer` for formula (4).
 """
 
 from __future__ import annotations
@@ -11,13 +11,25 @@ from __future__ import annotations
 from repro.cache.entry import QueryType
 from repro.runtime.processors import DiscoveryResult
 from repro.runtime.pruner import PruneOutcome
-from repro.util.bitset import BitSet
+from repro.cache.entry import CacheEntry
 
 
-def reference_prune_candidate_set(query_type: QueryType, cs_m: BitSet,
+def valid_answer(entry: CacheEntry) -> int:
+    """``CGvalid ∩ Answer`` — the test-free positives of formula (1)."""
+    return entry.valid & entry.answer
+
+
+def possible_answer(entry: CacheEntry, universe_size: int) -> int:
+    """``¬CGvalid ∪ Answer`` over ``universe_size`` ids — formula (4):
+    every graph that could possibly satisfy a query related to this
+    entry; its complement is safely prunable."""
+    return (~entry.valid & ((1 << universe_size) - 1)) | entry.answer
+
+
+def reference_prune_candidate_set(query_type: QueryType, cs_m: int,
                                   discovery: DiscoveryResult,
                                   universe_size: int,
-                                  live_ids: BitSet | None = None) -> PruneOutcome:
+                                  live_ids: int | None = None) -> PruneOutcome:
     """Apply formulas (1)–(5) to the Method-M candidate set ``cs_m``.
 
     ``universe_size`` is ``max_graph_id + 1`` — the id space against which
@@ -39,10 +51,7 @@ def reference_prune_candidate_set(query_type: QueryType, cs_m: BitSet,
         answer_entries = discovery.contained
         filter_entries = discovery.containing
 
-    outcome = PruneOutcome(
-        answer_free=BitSet(universe_size),
-        candidates=cs_m.copy(),
-    )
+    outcome = PruneOutcome(answer_free=0, candidates=cs_m)
 
     # Formula (1): test-free positives from answer-giving entries.  Each
     # donation is intersected with CS_M: CGvalid bits of dead graphs are
@@ -51,20 +60,20 @@ def reference_prune_candidate_set(query_type: QueryType, cs_m: BitSet,
     # donations being valid *current* dataset graphs).
     per_entry_donation = outcome.donations
     for entry in answer_entries:
-        donation = entry.valid_answer() & cs_m
+        donation = valid_answer(entry) & cs_m
         per_entry_donation[entry.entry_id] = donation
         outcome.answer_free = outcome.answer_free | donation
 
     # Formula (2): donated graphs need no sub-iso test.
-    after_donation = outcome.candidates.and_not(outcome.answer_free)
+    after_donation = outcome.candidates & ~outcome.answer_free
 
     # Formulas (4)+(5): each filtering entry bounds the candidate set to
     # the graphs that could possibly answer the query.
     reduced = after_donation
     per_entry_filtered = outcome.filtered
     for entry in filter_entries:
-        allowed = entry.possible_answer(universe_size)
-        removed = after_donation.and_not(allowed)
+        allowed = possible_answer(entry, universe_size)
+        removed = after_donation & ~allowed
         per_entry_filtered[entry.entry_id] = removed
         reduced = reduced & allowed
     outcome.candidates = reduced
@@ -91,7 +100,7 @@ def reference_prune_candidate_set(query_type: QueryType, cs_m: BitSet,
             break
     if not outcome.exact_hit:
         for entry in filter_entries:
-            if entry.answer.is_empty() and entry.fully_valid(current_ids):
+            if entry.answer == 0 and entry.fully_valid(current_ids):
                 outcome.empty_shortcut = True
                 break
     return outcome

@@ -3,7 +3,6 @@
 * manual purge advances the consistency cursor (no spurious pass);
 * the §6.3 optimal-case checks test validity against the *live* id set,
   not whatever candidate set the caller happened to pass;
-* ``BitSet.from_indices`` validates indices before building;
 * ``EntryStats.last_used`` recency semantics (admission counts as the
   first use) are what the LRU policy actually consumes.
 """
@@ -21,7 +20,7 @@ from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 from repro.runtime.processors import DiscoveryResult
 from repro.runtime.pruner import prune_candidate_set
-from repro.util.bitset import BitSet
+from tests.conftest import id_mask
 
 
 def two_graph_store() -> GraphStore:
@@ -65,7 +64,7 @@ class TestManualPurgeCursor:
         store = two_graph_store()
         manager = CacheManager()
         manager.admit(LabeledGraph.from_edges("CO", [(0, 1)]),
-                      BitSet(), store, 0)
+                      0, store, 0)
         store.add_graph(LabeledGraph.from_edges("CC", [(0, 1)]))
         manager.clear()
         assert manager.pending_log_records(store) == 1
@@ -87,12 +86,12 @@ class TestPrunerLiveIds:
     """§6.3: "fully valid" means valid towards *all* graphs in the
     current dataset — not merely the candidate set Method M considers."""
 
-    def _exact_entry(self, valid_ids, answer_ids, universe=4) -> CacheEntry:
+    def _exact_entry(self, valid_ids, answer_ids) -> CacheEntry:
         g = LabeledGraph.from_edges("CO", [(0, 1)])
         return CacheEntry(
             entry_id=0, query=g, query_type=QueryType.SUBGRAPH,
-            answer=BitSet.from_indices(answer_ids, size=universe),
-            valid=BitSet.from_indices(valid_ids, size=universe),
+            answer=id_mask(answer_ids),
+            valid=id_mask(valid_ids),
             created_at=0,
         )
 
@@ -101,8 +100,8 @@ class TestPrunerLiveIds:
         entry = self._exact_entry(valid_ids=[0, 1], answer_ids=[0])
         discovery = DiscoveryResult(containing=[entry], contained=[entry],
                                     exact=[entry])
-        live = BitSet.from_indices([0, 1, 2], size=4)
-        narrowed = BitSet.from_indices([0, 1], size=4)
+        live = id_mask([0, 1, 2])
+        narrowed = id_mask([0, 1])
         # A narrowed candidate set must not fool the optimal-case check.
         outcome = prune_candidate_set(QueryType.SUBGRAPH, narrowed,
                                       discovery, 4, live_ids=live)
@@ -112,16 +111,16 @@ class TestPrunerLiveIds:
         entry = self._exact_entry(valid_ids=[0, 1, 2], answer_ids=[0])
         discovery = DiscoveryResult(containing=[entry], contained=[entry],
                                     exact=[entry])
-        live = BitSet.from_indices([0, 1, 2], size=4)
-        outcome = prune_candidate_set(QueryType.SUBGRAPH, live.copy(),
+        live = id_mask([0, 1, 2])
+        outcome = prune_candidate_set(QueryType.SUBGRAPH, live,
                                       discovery, 4, live_ids=live)
         assert outcome.exact_hit
 
     def test_empty_shortcut_uses_live_ids(self):
         entry = self._exact_entry(valid_ids=[0, 1], answer_ids=[])
         discovery = DiscoveryResult(contained=[entry])
-        live = BitSet.from_indices([0, 1, 2], size=4)
-        narrowed = BitSet.from_indices([0, 1], size=4)
+        live = id_mask([0, 1, 2])
+        narrowed = id_mask([0, 1])
         outcome = prune_candidate_set(QueryType.SUBGRAPH, narrowed,
                                       discovery, 4, live_ids=live)
         assert not outcome.empty_shortcut
@@ -131,24 +130,6 @@ class TestPrunerLiveIds:
         outcome = prune_candidate_set(QueryType.SUBGRAPH, narrowed,
                                       discovery, 4)
         assert outcome.empty_shortcut
-
-
-class TestBitSetValidation:
-    def test_oversized_index_raises_even_when_not_last(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            BitSet.from_indices([5, 1], size=3)
-
-    def test_generator_input_validated(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            BitSet.from_indices(iter([0, 7]), size=4)
-
-    def test_negative_still_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            BitSet.from_indices([2, -1], size=4)
-
-    def test_boundary_index_accepted(self):
-        b = BitSet.from_indices([2], size=3)
-        assert b.get(2) and b.size == 3
 
 
 class TestGraphStoreFeaturesMemo:
@@ -214,8 +195,8 @@ class TestLRURecencySemantics:
         stats.register(1, created_at=50)  # freshly admitted
         g = LabeledGraph.from_edges("CO", [(0, 1)])
         entries = [
-            CacheEntry(0, g, QueryType.SUBGRAPH, BitSet(), BitSet(), 0),
-            CacheEntry(1, g, QueryType.SUBGRAPH, BitSet(), BitSet(), 50),
+            CacheEntry(0, g, QueryType.SUBGRAPH, 0, 0, 0),
+            CacheEntry(1, g, QueryType.SUBGRAPH, 0, 0, 50),
         ]
         victims = LRUPolicy().select_victims(entries, stats, capacity=1)
         assert [v.entry_id for v in victims] == [0]

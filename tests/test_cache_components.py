@@ -18,7 +18,6 @@ from repro.cache.replacement import (
 from repro.cache.statistics import StatisticsManager
 from repro.cache.window import WindowManager
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
 from tests.conftest import brute_force_subiso, labeled_graphs
 
 
@@ -29,8 +28,8 @@ def make_entry(entry_id: int, graph: LabeledGraph | None = None,
         query=graph if graph is not None
         else LabeledGraph.from_edges("CO", [(0, 1)]),
         query_type=QueryType.SUBGRAPH,
-        answer=BitSet(),
-        valid=BitSet(),
+        answer=0,
+        valid=0,
         created_at=created_at,
     )
 

@@ -8,7 +8,7 @@ from repro.cache.manager import CacheManager
 from repro.cache.models import CacheModel
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
+from tests.conftest import id_mask, packed_ids
 
 
 def graph(labels="CO", edges=((0, 1),)) -> LabeledGraph:
@@ -23,9 +23,7 @@ def store_with(n: int = 3) -> GraphStore:
 
 def admit_one(manager: CacheManager, store: GraphStore,
               answer: set[int] = frozenset(), at: int = 0):
-    return manager.admit(graph(), BitSet.from_indices(answer,
-                                                      size=store.max_id + 1),
-                         store, at)
+    return manager.admit(graph(), id_mask(answer), store, at)
 
 
 class TestConstruction:
@@ -62,7 +60,7 @@ class TestAdmission:
         store.delete_graph(1)
         m = CacheManager()
         entry = admit_one(m, store)
-        assert sorted(entry.valid) == [0, 2]
+        assert packed_ids(entry.valid) == [0, 2]
 
     def test_window_promotion_to_cache(self):
         store = store_with()
@@ -121,8 +119,7 @@ class TestConsistencyProtocol:
         report = m.ensure_consistency(store)
         assert report.dataset_changed and not report.purged
         assert report.entries_validated == 1
-        assert not entry.valid.get(0)
-        assert entry.valid.get(1) and entry.valid.get(2)
+        assert packed_ids(entry.valid) == [1, 2]
 
     def test_con_cursor_prevents_revalidation(self):
         store = store_with()
@@ -161,8 +158,7 @@ class TestConsistencyProtocol:
         entry = admit_one(m, store)
         store.add_graph(graph())
         m.ensure_consistency(store)
-        assert entry.valid.size == 3
-        assert not entry.valid.get(2)
+        assert packed_ids(entry.valid) == [0, 1]   # G2's bit reads 0
 
     def test_timings_populated(self):
         store = store_with()

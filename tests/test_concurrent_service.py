@@ -230,7 +230,7 @@ class TestInterleavings:
         assert after["queries"] == after["admissions"] + after["renewals"]
         (entry,) = service.cache.all_entries()
         assert entry.created_at == 0
-        assert entry.valid.get(4)          # CGvalid taken before the DEL
+        assert entry.valid >> 4 & 1        # CGvalid taken before the DEL
         follow_up = service.execute(path("CO"))
         assert follow_up.answer_ids == {0, 2}
         assert_quiescent_invariants(service)

@@ -22,7 +22,8 @@ from repro.dataset.store import GraphStore
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
-from tests.conftest import brute_force_answer
+from tests.conftest import brute_force_answer, packed_ids
+from tests.reference_pruner import valid_answer
 
 ALPHABET = "abc"
 
@@ -164,7 +165,7 @@ def test_con_validity_is_sound_but_not_complete():
             )
         engine.cache.ensure_consistency(store)
         for entry in engine.cache.all_entries():
-            for gid in entry.valid_answer():
+            for gid in packed_ids(valid_answer(entry)):
                 assert gid in store, (
                     f"step {step}: valid answer bit for dead graph {gid}"
                 )

@@ -14,12 +14,12 @@ import repro.api.config
 import repro.api.service
 import repro.dataset.store
 import repro.graphs.graph
-import repro.util.bitset
+import repro.util.bits
 import repro.util.zipf
 import tests.enumeration
 
 MODULES = [
-    repro.util.bitset,
+    repro.util.bits,
     repro.util.zipf,
     repro.graphs.graph,
     repro.dataset.store,

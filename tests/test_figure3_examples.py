@@ -20,8 +20,7 @@ from repro.cache.entry import CacheEntry, QueryType
 from repro.runtime.processors import DiscoveryResult
 from repro.runtime.pruner import prune_candidate_set
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
-from tests.conftest import packed_ids
+from tests.conftest import id_mask, packed_ids
 
 UNIVERSE = 5  # ids 0..4; G0 was deleted earlier in the paper's timeline
 CS = {1, 2, 3, 4}
@@ -38,8 +37,8 @@ def make_entry(entry_id: int, answer: set[int],
     return CacheEntry(
         entry_id=entry_id, query=dummy_query(2),
         query_type=QueryType.SUBGRAPH,
-        answer=BitSet.from_indices(answer, size=UNIVERSE),
-        valid=BitSet.from_indices(valid, size=UNIVERSE),
+        answer=id_mask(answer),
+        valid=id_mask(valid),
         created_at=0,
     )
 
@@ -47,28 +46,28 @@ def make_entry(entry_id: int, answer: set[int],
 def test_figure_3a_subgraph_case():
     g_prime = make_entry(1, answer={2, 3}, valid={2})
     outcome = prune_candidate_set(
-        QueryType.SUBGRAPH, BitSet.from_indices(CS),
+        QueryType.SUBGRAPH, id_mask(CS),
         DiscoveryResult(containing=[g_prime]), universe_size=UNIVERSE,
     )
     # Answer_sub(g) = CGvalid(g') ∩ Answer(g') = {G2}
-    assert sorted(outcome.answer_free) == [2]
+    assert packed_ids(outcome.answer_free) == [2]
     # CS_GC+sub(g) = CS_M \ Answer_sub = {G1, G3, G4}
-    assert sorted(outcome.candidates) == [1, 3, 4]
+    assert packed_ids(outcome.candidates) == [1, 3, 4]
     # G3 is NOT test-free despite being in the cached answer: its
     # validity faded (the paper's central point in §6.1).
-    assert 3 in set(outcome.candidates)
+    assert outcome.candidates >> 3 & 1
 
 
 def test_figure_3b_supergraph_case():
     g_second = make_entry(2, answer={2, 3}, valid={2, 3, 4})
     outcome = prune_candidate_set(
-        QueryType.SUBGRAPH, BitSet.from_indices(CS),
+        QueryType.SUBGRAPH, id_mask(CS),
         DiscoveryResult(contained=[g_second]), universe_size=UNIVERSE,
     )
     # g''.Answer_super(g) = ¬CGvalid(g'') ∪ Answer(g'') ⊇ {G1, G2, G3};
     # G4 is excluded: g'' ⊄ G4 held and is still valid, so g ⊄ G4.
-    assert sorted(outcome.candidates) == [1, 2, 3]
-    assert outcome.answer_free.is_empty()
+    assert packed_ids(outcome.candidates) == [1, 2, 3]
+    assert outcome.answer_free == 0
     # The pruner credits g'' with alleviating G4's test.
     assert packed_ids(outcome.contributions[2]) == [4]
 
@@ -78,10 +77,10 @@ def test_figure_3_combined():
     g_prime = make_entry(1, answer={2, 3}, valid={2})
     g_second = make_entry(2, answer={2, 3}, valid={2, 3, 4})
     outcome = prune_candidate_set(
-        QueryType.SUBGRAPH, BitSet.from_indices(CS),
+        QueryType.SUBGRAPH, id_mask(CS),
         DiscoveryResult(containing=[g_prime], contained=[g_second]),
         universe_size=UNIVERSE,
     )
-    assert sorted(outcome.answer_free) == [2]
+    assert packed_ids(outcome.answer_free) == [2]
     # (CS \ {G2}) ∩ {G1, G2, G3} = {G1, G3}
-    assert sorted(outcome.candidates) == [1, 3]
+    assert packed_ids(outcome.candidates) == [1, 3]

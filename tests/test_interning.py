@@ -27,7 +27,6 @@ from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
 from tests.conftest import brute_force_answer
 from tests.test_consistency import ALPHABET, random_change
 from tests.test_renewal import describe, path, relabelled
@@ -266,11 +265,11 @@ def sharing_manager():
     """Three entries on one graph (ids 0, 1, 3) and one apart (2)."""
     store = GraphStore.from_graphs([path("CCO"), path("CO"), path("NNN")])
     manager = CacheManager(window_capacity=10, capacity=10)
-    answer = BitSet.from_indices([0, 1], size=3)
+    answer = 0b011
     first = manager.admit(path("CO"), answer, store, 0)
     copies = [first,
               manager.admit(path("CO"), answer, store, 1, same_as=first)]
-    other = manager.admit(path("NN"), BitSet(3), store, 2)
+    other = manager.admit(path("NN"), 0, store, 2)
     copies.append(manager.admit(path("CO"), answer, store, 3,
                                 same_as=manager.index.identical_resident(
                                     path("CO"))))
@@ -308,7 +307,7 @@ class TestSharedGraphs:
         graph = copies[0].query
         store.remove_edge(1, 0, 1)          # fades the positive toward G1
         manager.ensure_consistency(store)
-        fresh = BitSet.from_indices([0], size=3)
+        fresh = 0b001
         survivor = manager.admit(path("CO"), fresh, store, 9, twins=copies,
                                  same_as=copies[0])
         manager.index.audit()
@@ -321,7 +320,7 @@ class TestSharedGraphs:
         store, manager, copies, _ = sharing_manager()
         for entry in copies:
             manager.index.remove(entry.entry_id)
-        entry = manager.admit(path("CO"), BitSet.from_indices([0, 1], 3),
+        entry = manager.admit(path("CO"), 0b011,
                               store, 9, same_as=copies[0])
         assert entry.query is copies[0].query
         assert manager.index.identical_resident(path("CO")) is entry
@@ -339,7 +338,7 @@ class TestSharedGraphs:
         assert index.candidate_subgraphs(features, same_as=copies[0]) \
             == index.candidate_subgraphs(features) == copies
         # An entry the index never saw is no shortcut, only a miss.
-        stranger = manager.admit(path("CO"), BitSet(3),
+        stranger = manager.admit(path("CO"), 0,
                                  GraphStore.from_graphs([]), 0)
         assert index.candidate_supergraphs(features, same_as=stranger) \
             == copies

@@ -402,21 +402,20 @@ def test_every_mutator_drops_the_table(mutate):
     assert list(after) == neighbour_label_counts(g)
 
 
-@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("radius", [1])
 def test_graphql_at_every_radius_matches_its_reference(radius,
                                                         gcbench_shapes):
-    """At radius 1 GraphQL's host profiles are the shared table; at
-    radius 2 it builds its own per test and leaves no table behind."""
+    """GraphQL's one profile radius is 1: its host profiles are the
+    shared table, which every searched host keeps."""
     population = [g.copy() for g in gcbench_shapes[::3] + SEARCH_CORNERS]
-    reference = REFERENCE_MATCHERS["graphql"](profile_radius=radius)
-    production = GraphQLMatcher(profile_radius=radius)
+    reference = REFERENCE_MATCHERS["graphql"]()
+    production = GraphQLMatcher()
     for query in population:
         for host in population:
             assert (production.find_embedding(query, host)
                     == reference.find_embedding(query, host))
             assert production.stats == reference.stats, (query, host)
-    assert all((kept_profiles(host) is not None) == (radius == 1)
-               for host in population)
+    assert all(kept_profiles(host) is not None for host in population)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import given
 from repro.graphs.graph import LabeledGraph
 from repro.matching import MATCHERS, make_matcher
 from repro.matching.base import verify_embedding
-from repro.matching.graphql import GraphQLMatcher
 from tests.conftest import brute_force_subiso, labeled_graphs
 from tests.ullmann import UllmannMatcher
 
@@ -164,27 +163,6 @@ class TestFactory:
         for name in ("nauty", "ullmann"):
             with pytest.raises(ValueError):
                 make_matcher(name)
-
-
-class TestGraphQLKnobs:
-    def test_radius_zero_allowed(self, triangle_graph):
-        m = GraphQLMatcher(profile_radius=0)
-        assert m.is_subgraph_isomorphic(path("CC"), triangle_graph)
-
-    def test_radius_two(self, triangle_graph):
-        m = GraphQLMatcher(profile_radius=2)
-        assert m.is_subgraph_isomorphic(path("CCO"), triangle_graph)
-
-    def test_no_refinement_still_correct(self, triangle_graph):
-        m = GraphQLMatcher(refinement_rounds=0)
-        assert m.is_subgraph_isomorphic(path("CCO"), triangle_graph)
-        assert not m.is_subgraph_isomorphic(path("NN"), triangle_graph)
-
-    def test_invalid_knobs(self):
-        with pytest.raises(ValueError):
-            GraphQLMatcher(profile_radius=-1)
-        with pytest.raises(ValueError):
-            GraphQLMatcher(refinement_rounds=-1)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Method M and the store's live-id set after both moved onto integers.
 
-* :meth:`GraphStore.ids_bitset` is the store's live ids — the same set,
-  logical size and independence per call as when it was rebuilt from
-  the graph dict — after every step of random ADD/DEL/UA/UR sequences;
-* :meth:`MethodM.verify` returns the answer bits, logical size and test
-  count of the per-id loop it replaced (``tests/reference_method_m.py``)
-  on any candidate set: deleted ids, ids past ``max_id``, the empty set,
-  under both query types.
+* :meth:`GraphStore.ids_bitset` is the store's live ids — the same set
+  as when it was rebuilt from the graph dict — after every step of
+  random ADD/DEL/UA/UR sequences;
+* :meth:`MethodM.verify` returns the answer bits and test count of the
+  per-id loop it replaced (``tests/reference_method_m.py``) on any
+  candidate set: deleted ids, ids past ``max_id``, the empty set, under
+  both query types.
 """
 
 from __future__ import annotations
@@ -20,27 +20,15 @@ from repro.dataset.store import GraphStore
 from repro.graphs.generators import random_labeled_graph
 from repro.matching.vf2plus import VF2PlusMatcher
 from repro.runtime.method_m import MethodM
-from repro.util.bitset import BitSet
+from repro.util.bits import bit_ids
+from tests.conftest import id_mask
 from tests.reference_method_m import reference_verify_ids
 from tests.test_consistency import ALPHABET
 
 
-def rebuilt_ids(store: GraphStore) -> BitSet:
-    """What ``ids_bitset`` returned when it was rebuilt from the dict."""
-    return BitSet.from_indices(store.ids(), size=store.max_id + 1)
-
-
 def check_ids(store: GraphStore) -> None:
-    first, second = store.ids_bitset(), store.ids_bitset()
-    expected = rebuilt_ids(store)
-    assert (first, first.size) == (expected, expected.size)
-    # Independent objects: writing one changes neither the other nor
-    # what the store hands out next.
-    assert first is not second
-    first.set(store.max_id + 5)
-    first.clear_mask(expected._bits)
-    assert (second, second.size) == (expected, expected.size)
-    assert store.ids_bitset() == expected
+    """``ids_bitset`` is what rebuilding it from the dict gives."""
+    assert store.ids_bitset() == id_mask(store.ids())
 
 
 def mutate(store: GraphStore, rng: random.Random) -> None:
@@ -81,17 +69,16 @@ def test_ids_bitset_is_the_live_ids_after_every_step(seed, initial, steps):
 
 def test_an_empty_store_has_no_ids():
     store = GraphStore()
-    assert (store.ids_bitset(), store.ids_bitset().size) == (BitSet(), 0)
+    assert store.ids_bitset() == 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       candidates=st.sets(st.integers(0, 24)), slack=st.integers(0, 4),
+       candidates=st.sets(st.integers(0, 24)),
        query_type=st.sampled_from(list(QueryType)))
-def test_verify_equals_the_per_id_loop(seed, candidates, slack, query_type):
+def test_verify_equals_the_per_id_loop(seed, candidates, query_type):
     """Candidate ids up to 24 over a store of at most 12 ids ever
-    assigned, some deleted: dead ids, ids past ``max_id`` and ids past
-    the candidate set's own logical size all occur."""
+    assigned, some deleted: dead ids and ids past ``max_id`` occur."""
     rng = random.Random(seed)
     store = GraphStore.from_graphs(
         random_labeled_graph(rng.randint(1, 6), 0.5, ALPHABET, rng)
@@ -100,18 +87,14 @@ def test_verify_equals_the_per_id_loop(seed, candidates, slack, query_type):
         if rng.random() < 0.3:
             store.delete_graph(gid)
     query = random_labeled_graph(rng.randint(1, 4), 0.6, ALPHABET, rng)
-    # A logical size below, at and above the highest candidate id.
-    size = max(candidates, default=-1) + 1 + slack - 2
-    ids = BitSet.from_int(BitSet.from_indices(candidates)._bits,
-                          max(size, 0))
+    ids = id_mask(candidates)
 
     matcher = VF2PlusMatcher()
     answer, tests = MethodM(matcher, store).verify(query, ids, query_type)
     expected, expected_tests = reference_verify_ids(
-        matcher.is_subgraph_isomorphic, store, query, ids, ids.size,
+        matcher.is_subgraph_isomorphic, store, query, bit_ids(ids),
         query_type is QueryType.SUBGRAPH)
-    assert (answer, answer.size, tests) == \
-        (expected, expected.size, expected_tests)
+    assert (answer, tests) == (expected, expected_tests)
     assert tests == len(candidates & set(store.ids()))
 
 
@@ -120,5 +103,5 @@ def test_verify_of_nothing_is_nothing():
                                                          random.Random(1))])
     for query_type in QueryType:
         answer, tests = MethodM(VF2PlusMatcher(), store).verify(
-            store.get(0), BitSet(4), query_type)
-        assert (answer, answer.size, tests) == (BitSet(), 4, 0)
+            store.get(0), 0, query_type)
+        assert (answer, tests) == (0, 0)

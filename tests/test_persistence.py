@@ -16,6 +16,7 @@ import errno
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +40,7 @@ from repro.persist import (
     encode_snapshot,
     load_snapshot,
 )
-from repro.util.bitset import BitSet
+from repro.util.bits import bit_ids
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
 NUM_QUERIES = 60
@@ -194,8 +195,8 @@ class TestCodec:
                 entry_id=entry_id,
                 query=LabeledGraph.from_edges("CON", [(0, 1), (1, 2)]),
                 query_type=QueryType.SUPERGRAPH,
-                answer=BitSet.from_indices([1, 4], 6),
-                valid=BitSet.from_indices([0, 1, 3, 4], 6),
+                answer=0b10010,
+                valid=0b11011,
                 created_at=entry_id + 1,
             )
             return EntryRecord(entry=entry, stats=stats)
@@ -269,6 +270,78 @@ class TestCodec:
             decode_snapshot("")
         with pytest.raises(SnapshotFormatError, match="JSON"):
             decode_snapshot("t # 0\nv 0 C\n")
+
+
+class TestOldSnapshotsKeepLoading:
+    """``tests/fixtures/snapshot_v1_churned.jsonl`` was written while
+    each indicator still carried a logical length, and every ``size`` in
+    it exceeds its indicator's ``bit_length()``.
+
+    It was made like this: the dataset of ``python -m repro gen-dataset``
+    with ``DATASET`` below; a CON service (cache 6, window 4) ran 18
+    Type B queries (no-answer share 20%, pools 10 / 5, seed 1); then the
+    first edge of graphs 23, 3 and 7 was removed and added back (UR + UA
+    on one graph fades every bit toward it, and the graph ends as it
+    was) and a consistency pass ran.  Because the churn restored every
+    graph it touched, the state was saved with log cursor 0, so it
+    restores over a freshly generated dataset — the library here and
+    ``python -m repro snapshot load`` in CI alike.
+    """
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "snapshot_v1_churned.jsonl"
+    #: ``gen-dataset`` parameters of the fixture's dataset
+    DATASET = dict(num_graphs=24, mean_vertices=8.0, std_vertices=3.0,
+                   max_vertices=14, seed=5)
+    WIDE = [2, 3, 4, 7, 8, 11, 12, 13, 15, 18, 19, 21]
+    #: entry id -> Answer ids, residency order (cache by id, window FIFO)
+    ANSWERS = {0: WIDE, 1: [15], 3: [7, 11, 15], 5: [], 6: [15], 7: WIDE,
+               16: WIDE, 17: []}
+    #: every entry's CGvalid: all 24 ids but the three the churn touched
+    VALID = [i for i in range(24) if i not in (3, 7, 23)]
+
+    def restored(self):
+        store = GraphStore.from_graphs(generate_aids_like(**self.DATASET))
+        snapshot = load_snapshot(self.FIXTURE)
+        service = GraphCacheService(
+            store, GCConfig.from_dict(snapshot.fingerprint))
+        report = service.load(self.FIXTURE)
+        return service, report
+
+    def test_restores_the_same_entries_answers_and_validity(self):
+        service, report = self.restored()
+        with service:
+            assert not report.dataset_changed
+            cache = service.cache
+            residents = ([cache._cache[i] for i in sorted(cache._cache)]
+                         + cache.window.entries())
+            assert [e.entry_id for e in cache.window.entries()] == [16, 17]
+            assert {e.entry_id: list(bit_ids(e.answer))
+                    for e in residents} == self.ANSWERS
+            assert [e.entry_id for e in residents] == list(self.ANSWERS)
+            assert all(list(bit_ids(e.valid)) == self.VALID
+                       for e in residents)
+
+    def test_every_size_in_it_exceeds_the_bit_length(self):
+        for line in self.FIXTURE.read_text().splitlines()[1:]:
+            record = json.loads(line)
+            for name in ("answer", "valid"):
+                indicator = record[name]
+                assert indicator["size"] > int(indicator["hex"], 16) \
+                    .bit_length()
+
+    def test_re_encoding_differs_only_in_size(self):
+        text = self.FIXTURE.read_text()
+        again = encode_snapshot(decode_snapshot(text))
+        old, new = text.splitlines(), again.splitlines()
+        assert len(old) == len(new) and old[0] == new[0]
+        for old_line, new_line in zip(old[1:], new[1:]):
+            before, after = json.loads(old_line), json.loads(new_line)
+            for name in ("answer", "valid"):
+                bits = int(after[name]["hex"], 16)
+                assert after[name]["size"] == bits.bit_length()
+                before[name]["size"] = after[name]["size"]
+            assert before == after
+        assert encode_snapshot(decode_snapshot(again)) == again
 
 
 class TestFingerprintRejection:
@@ -373,7 +446,7 @@ class TestRestoreReconciliation:
             assert restored.cache.pending_log_records(store) == 0
             # No restored entry may claim validity toward the deleted id.
             for entry in restored.cache.all_entries():
-                assert not entry.valid.get(victim)
+                assert not entry.valid >> victim & 1
             # Answers equal a never-snapshotted service over the same
             # mutated dataset (correctness is end-to-end, not just bits).
             for query in queries[20:30]:

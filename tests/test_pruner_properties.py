@@ -29,8 +29,7 @@ from repro.matching.vf2plus import VF2PlusMatcher
 from repro.runtime.method_m import MethodM
 from repro.runtime.processors import DiscoveryResult, HitDiscovery
 from repro.runtime.pruner import prune_candidate_set
-from repro.util.bitset import BitSet
-from tests.conftest import brute_force_subiso, packed_ids
+from tests.conftest import brute_force_subiso, id_mask, packed_ids
 from tests.reference_pruner import reference_prune_candidate_set
 from tests.test_consistency import ALPHABET, random_change
 
@@ -72,9 +71,9 @@ def test_pruning_decisions_are_justified(seed):
     truth = {
         gid for gid, g in store.items() if brute_force_subiso(query, g)
     }
-    donated = set(outcome.answer_free)
-    kept = set(outcome.candidates)
-    removed_by_filter = set(cs) - donated - kept
+    donated = set(packed_ids(outcome.answer_free))
+    kept = set(packed_ids(outcome.candidates))
+    removed_by_filter = set(packed_ids(cs)) - donated - kept
 
     # Lemma 1: donations are true answers (no false positives).
     assert donated <= truth, f"false positives donated: {donated - truth}"
@@ -114,13 +113,13 @@ def test_validity_bits_always_reflect_truth(seed):
     """After validation, every set validity bit is a true statement."""
     store, cache, _ = build_scenario(seed)
     for entry in cache.all_entries():
-        for gid in entry.valid:
+        for gid in packed_ids(entry.valid):
             if gid not in store:
                 raise AssertionError(
                     f"valid bit set for deleted graph {gid}"
                 )
             holds = brute_force_subiso(entry.query, store.get(gid))
-            recorded = entry.answer.get(gid)
+            recorded = bool(entry.answer >> gid & 1)
             assert holds == recorded, (
                 f"valid bit {gid} contradicts ground truth: recorded "
                 f"{recorded}, actual {holds}"
@@ -128,24 +127,14 @@ def test_validity_bits_always_reflect_truth(seed):
 
 
 # ----------------------------------------------------------------------
-# The pruner on integers == the pruner on BitSet operators
+# The pruner == the pruner one formula step at a time
 # ----------------------------------------------------------------------
 def outcome_fields(outcome):
-    """Every field: the two sets with the logical sizes ``BitSet.__eq__``
-    ignores (they reach snapshots through the answers admitted from
-    them), the per-entry maps as packed integers — what the pruner
-    holds, and what the reference's BitSets carry — in key order."""
-    def sized(bits: BitSet):
-        return bits, bits.size
-
-    def packed_map(per_entry: dict):
-        return [(entry_id, bits if isinstance(bits, int) else bits._bits)
-                for entry_id, bits in per_entry.items()]
-
-    return (sized(outcome.answer_free), sized(outcome.candidates),
-            packed_map(outcome.contributions), packed_map(outcome.donations),
-            packed_map(outcome.filtered), outcome.exact_hit,
-            outcome.empty_shortcut)
+    """Every field, the per-entry maps in key order."""
+    return (outcome.answer_free, outcome.candidates,
+            list(outcome.contributions.items()),
+            list(outcome.donations.items()), list(outcome.filtered.items()),
+            outcome.exact_hit, outcome.empty_shortcut)
 
 
 def test_pruner_maps_hold_integers():
@@ -171,7 +160,7 @@ def test_pruner_equals_reference_on_real_hits(query_type, seed):
         == outcome_fields(reference_prune_candidate_set(*args))
 
 
-_indicator = st.tuples(st.sets(st.integers(0, 9)), st.integers(0, 3))
+_indicator = st.sets(st.integers(0, 9))
 
 
 @given(
@@ -184,25 +173,21 @@ _indicator = st.tuples(st.sets(st.integers(0, 9)), st.integers(0, 3))
 )
 def test_pruner_equals_reference_on_arbitrary_indicators(
         indicators, roles, candidates, live, universe_size, query_type):
-    """Hit lists no discovery would produce — indicators shorter and
-    longer than the id universe, candidate sets narrower than the live
-    ids — where only the formulas themselves are left to agree."""
-    def bits(indicator) -> BitSet:
-        ids, slack = indicator
-        return BitSet.from_indices(ids, size=max(ids, default=-1) + 1 + slack)
-
+    """Hit lists no discovery would produce — indicators with ids past
+    the id universe, candidate sets narrower than the live ids — where
+    only the formulas themselves are left to agree."""
     graph = random_labeled_graph(2, 1.0, ALPHABET, random.Random(0))
     hits = DiscoveryResult()
     for entry_id, ((answer, valid), role) in enumerate(zip(indicators, roles)):
-        entry = CacheEntry(entry_id, graph, query_type, bits(answer),
-                           bits(valid), created_at=0)
+        entry = CacheEntry(entry_id, graph, query_type, id_mask(answer),
+                           id_mask(valid), created_at=0)
         if role != "contained":
             hits.containing.append(entry)
         if role != "containing":
             hits.contained.append(entry)
         if role == "exact":
             hits.exact.append(entry)
-    args = (query_type, bits(candidates), hits, universe_size,
-            bits(live) if live is not None else None)
+    args = (query_type, id_mask(candidates), hits, universe_size,
+            id_mask(live) if live is not None else None)
     assert outcome_fields(prune_candidate_set(*args)) \
         == outcome_fields(reference_prune_candidate_set(*args))

@@ -24,7 +24,6 @@ from repro.cache.query_index import QueryIndex
 from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
 from tests.conftest import labeled_graphs
 
 
@@ -33,8 +32,8 @@ def make_entry(entry_id: int, graph: LabeledGraph) -> CacheEntry:
         entry_id=entry_id,
         query=graph,
         query_type=QueryType.SUBGRAPH,
-        answer=BitSet(),
-        valid=BitSet(),
+        answer=0,
+        valid=0,
         created_at=entry_id,
     )
 
@@ -249,7 +248,7 @@ class TestChurnHygiene:
                 for v in range(u + 1, n):
                     if rng.random() < 0.5:
                         g.add_edge(u, v)
-            manager.admit(g, BitSet(), store, i)
+            manager.admit(g, 0, store, i)
             manager.index.audit()
             eligible = {e.entry_id for e in manager.all_entries()}
             indexed = {e.entry_id for e in manager.index.entries()}

@@ -23,8 +23,8 @@ from repro.dataset.store import GraphStore
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2 import VF2Matcher
-from repro.util.bitset import BitSet
-from tests.conftest import brute_force_answer, brute_force_isomorphic
+from tests.conftest import (brute_force_answer, brute_force_isomorphic,
+                            id_mask)
 from tests.test_consistency import ALPHABET, random_change
 
 
@@ -51,11 +51,8 @@ def relabelled(graph: LabeledGraph, rng: random.Random) -> LabeledGraph:
 QUERY = path("CO")
 
 
-def answer_of(store: GraphStore) -> BitSet:
-    return BitSet.from_indices(
-        brute_force_answer(store, QUERY, QueryType.SUBGRAPH),
-        size=store.max_id + 1,
-    )
+def answer_of(store: GraphStore) -> int:
+    return id_mask(brute_force_answer(store, QUERY, QueryType.SUBGRAPH))
 
 
 class Copies:
@@ -71,9 +68,9 @@ class Copies:
         self.e0 = self.manager.admit(QUERY, before, self.store, 0)
         self.e1 = self.manager.admit(QUERY, before, self.store, 1)
         self.manager.window.capacity = 10   # the rest stays in the window
-        self.other = self.manager.admit(path("NN"), BitSet(3), self.store, 2)
+        self.other = self.manager.admit(path("NN"), 0, self.store, 2)
         self.e3 = self.manager.admit(QUERY, before, self.store, 3)
-        self.last = self.manager.admit(path("NNN"), BitSet(3), self.store, 4)
+        self.last = self.manager.admit(path("NNN"), 0, self.store, 4)
         self.manager.credit(self.e0.entry_id, 10, 2.5, 5)
         self.manager.credit(self.e1.entry_id, 4, 1.25, 6)
         self.manager.credit(self.e3.entry_id, 3, 0.5, 7)
@@ -111,7 +108,7 @@ class TestManagerRenewal:
         assert got is c.e0
         assert c.e0.entry_id == 0 and c.e0.created_at == 0
         assert 0 in c.manager._cache            # position kept
-        assert c.e0.answer == fresh and c.e0.answer is not fresh
+        assert c.e0.answer == fresh
         assert c.e0.valid == c.store.ids_bitset()
         assert c.e0.fully_valid(c.store.ids_bitset())
 
@@ -248,7 +245,7 @@ class TestServiceRenewal:
             assert repeat.metrics.method_tests == 1
             (entry,) = service.cache.all_entries()
             assert entry.entry_id == 0 and entry.created_at == 0
-            assert entry.answer == repeat.answer
+            assert entry.answer == repeat.answer_bits
             assert entry.fully_valid(service.store.ids_bitset())
             # ...and the next one pays for nothing.
             again = service.execute(path("CO"))
@@ -354,7 +351,7 @@ class TestServiceRenewal:
             service.execute(path("NN"))      # unrelated
             (faded,) = [e for e in service.cache.all_entries()
                         if e.query.labels == path("CO").labels]
-            assert not faded.valid.get(2)
+            assert not faded.valid >> 2 & 1
             larger = service.execute(path("CCO"))
             # A valid CO ⊄ G2 would prune G2 from CCO's candidates; the
             # unknown relation cannot, so G2 is tested beside G0 and G1.
@@ -373,16 +370,17 @@ def assert_valid_bits_truthful(service: GraphCacheService, where: str):
     store = service.store
     for entry in service.cache.all_entries():
         for gid in store.ids():
-            if not entry.valid.get(gid):
+            if not entry.valid >> gid & 1:
                 continue
             graph = store.get(gid)
             if entry.query_type is QueryType.SUBGRAPH:
                 holds = matcher.is_subgraph_isomorphic(entry.query, graph)
             else:
                 holds = matcher.is_subgraph_isomorphic(graph, entry.query)
-            assert entry.answer.get(gid) == holds, (
+            recorded = bool(entry.answer >> gid & 1)
+            assert recorded == holds, (
                 f"{where}: entry {entry.entry_id} claims a valid "
-                f"{entry.answer.get(gid)} toward graph {gid}, truth {holds}")
+                f"{recorded} toward graph {gid}, truth {holds}")
 
 
 @pytest.mark.parametrize("query_type",
@@ -437,10 +435,9 @@ def describe(service: GraphCacheService):
     rows = []
     for entry in residents:
         stats = cache.statistics.get(entry.entry_id)
-        rows.append((entry.entry_id, entry.created_at, entry.answer.to_hex(),
-                     entry.valid.to_hex(), entry.valid.size,
-                     stats.tests_saved, stats.cost_saved, stats.hits,
-                     stats.last_used))
+        rows.append((entry.entry_id, entry.created_at, entry.answer,
+                     entry.valid, stats.tests_saved, stats.cost_saved,
+                     stats.hits, stats.last_used))
     return rows, [e.entry_id for e in cache.window.entries()]
 
 

@@ -22,14 +22,13 @@ from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.replacement import POLICIES, make_policy
 from repro.cache.statistics import StatisticsManager
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
 
 
 def _entry(entry_id: int, created_at: int) -> CacheEntry:
     graph = LabeledGraph.from_edges("CO", [(0, 1)])
     return CacheEntry(
         entry_id=entry_id, query=graph, query_type=QueryType.SUBGRAPH,
-        answer=BitSet(4), valid=BitSet(4), created_at=created_at,
+        answer=0, valid=0, created_at=created_at,
     )
 
 

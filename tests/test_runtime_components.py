@@ -12,8 +12,7 @@ from repro.matching.vf2 import VF2Matcher
 from repro.runtime.method_m import MethodM, MethodMRunner
 from repro.runtime.processors import HitDiscovery
 from repro.runtime.pruner import prune_candidate_set
-from repro.util.bitset import BitSet
-from tests.conftest import packed_ids
+from tests.conftest import id_mask, packed_ids
 
 
 def path(labels: str) -> LabeledGraph:
@@ -23,12 +22,11 @@ def path(labels: str) -> LabeledGraph:
 
 
 def entry_for(entry_id: int, query: LabeledGraph, answer: set[int],
-              valid: set[int], size: int,
-              query_type=QueryType.SUBGRAPH) -> CacheEntry:
+              valid: set[int], query_type=QueryType.SUBGRAPH) -> CacheEntry:
     return CacheEntry(
         entry_id=entry_id, query=query, query_type=query_type,
-        answer=BitSet.from_indices(answer, size=size),
-        valid=BitSet.from_indices(valid, size=size),
+        answer=id_mask(answer),
+        valid=id_mask(valid),
         created_at=0,
     )
 
@@ -49,7 +47,7 @@ class TestMethodM:
         mm = MethodM(VF2Matcher(), store)
         answer, tests = mm.verify(path("CO"), store.ids_bitset(),
                                   QueryType.SUBGRAPH)
-        assert sorted(answer) == [0, 3]
+        assert packed_ids(answer) == [0, 3]
         assert tests == 4
 
     def test_supergraph_semantics(self, store):
@@ -57,14 +55,14 @@ class TestMethodM:
         answer, tests = mm.verify(path("CCO"), store.ids_bitset(),
                                   QueryType.SUPERGRAPH)
         # graphs contained in the C-C-O path: G0, G1, G2 (not triangle)
-        assert sorted(answer) == [0, 1, 2]
+        assert packed_ids(answer) == [0, 1, 2]
         assert tests == 4
 
     def test_restricted_candidates(self, store):
         mm = MethodM(VF2Matcher(), store)
-        answer, tests = mm.verify(path("CO"), BitSet.from_indices({0, 1}),
+        answer, tests = mm.verify(path("CO"), id_mask({0, 1}),
                                   QueryType.SUBGRAPH)
-        assert sorted(answer) == [0]
+        assert packed_ids(answer) == [0]
         assert tests == 2
 
     def test_deleted_candidate_skipped(self, store):
@@ -73,7 +71,7 @@ class TestMethodM:
         mm = MethodM(VF2Matcher(), store)
         answer, tests = mm.verify(path("CO"), candidates,
                                   QueryType.SUBGRAPH)
-        assert sorted(answer) == [0]
+        assert packed_ids(answer) == [0]
         assert tests == 3
 
     def test_runner_executes_whole_dataset(self, store):
@@ -88,8 +86,8 @@ class TestMethodM:
 class TestHitDiscovery:
     def test_finds_both_directions(self, store):
         index = QueryIndex()
-        big = entry_for(0, path("CCO"), {0}, {0, 1, 2, 3}, 4)
-        small = entry_for(1, path("C"), {0, 1, 3}, {0, 1, 2, 3}, 4)
+        big = entry_for(0, path("CCO"), {0}, {0, 1, 2, 3})
+        small = entry_for(1, path("C"), {0, 1, 3}, {0, 1, 2, 3})
         index.add(big)
         index.add(small)
         hits = HitDiscovery().discover(path("CC"), index)
@@ -101,7 +99,7 @@ class TestHitDiscovery:
 
     def test_exact_match_in_both_lists(self, store):
         index = QueryIndex()
-        same = entry_for(0, path("CC"), set(), {0}, 1)
+        same = entry_for(0, path("CC"), set(), {0})
         index.add(same)
         hits = HitDiscovery().discover(path("CC"), index)
         assert [e.entry_id for e in hits.containing] == [0]
@@ -112,7 +110,7 @@ class TestHitDiscovery:
 
     def test_unrelated_entry_ignored(self, store):
         index = QueryIndex()
-        index.add(entry_for(0, path("NN"), set(), set(), 1))
+        index.add(entry_for(0, path("NN"), set(), set()))
         hits = HitDiscovery().discover(path("CC"), index)
         assert hits.hit_count == 0
 
@@ -127,48 +125,48 @@ class TestPrunerSubgraph:
 
     def test_donation_removes_valid_answers(self):
         # g ⊆ g'; g' answered {0, 3} but only 0 still valid.
-        g_prime = entry_for(7, path("CCO"), {0, 3}, {0, 1, 2}, 4)
-        cs = BitSet.from_indices({0, 1, 2, 3})
+        g_prime = entry_for(7, path("CCO"), {0, 3}, {0, 1, 2})
+        cs = id_mask({0, 1, 2, 3})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
             QueryType.SUBGRAPH, cs,
             DiscoveryResult(containing=[g_prime]), universe_size=4,
         )
-        assert sorted(outcome.answer_free) == [0]
-        assert sorted(outcome.candidates) == [1, 2, 3]
+        assert packed_ids(outcome.answer_free) == [0]
+        assert packed_ids(outcome.candidates) == [1, 2, 3]
         assert packed_ids(outcome.contributions[7]) == [0]
 
     def test_filter_restricts_candidates(self):
         # g'' ⊆ g with answer {0}, fully valid -> only 0 can answer g.
-        g_second = entry_for(9, path("C"), {0}, {0, 1, 2, 3}, 4)
-        cs = BitSet.from_indices({0, 1, 2, 3})
+        g_second = entry_for(9, path("C"), {0}, {0, 1, 2, 3})
+        cs = id_mask({0, 1, 2, 3})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
             QueryType.SUBGRAPH, cs,
             DiscoveryResult(contained=[g_second]), universe_size=4,
         )
-        assert outcome.answer_free.is_empty()
-        assert sorted(outcome.candidates) == [0]
+        assert outcome.answer_free == 0
+        assert packed_ids(outcome.candidates) == [0]
         assert packed_ids(outcome.contributions[9]) == [1, 2, 3]
 
     def test_filter_keeps_invalid_bits(self):
         # invalid relations cannot prune (¬CGvalid ∪ Answer keeps id 2).
-        g_second = entry_for(9, path("C"), {0}, {0, 1, 3}, 4)
-        cs = BitSet.from_indices({0, 1, 2, 3})
+        g_second = entry_for(9, path("C"), {0}, {0, 1, 3})
+        cs = id_mask({0, 1, 2, 3})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
             QueryType.SUBGRAPH, cs,
             DiscoveryResult(contained=[g_second]), universe_size=4,
         )
-        assert sorted(outcome.candidates) == [0, 2]
+        assert packed_ids(outcome.candidates) == [0, 2]
 
     def test_combined_donation_then_filter(self):
-        g_prime = entry_for(1, path("CCO"), {0, 3}, {0, 1, 2, 3}, 4)
-        g_second = entry_for(2, path("C"), {0, 1, 3}, {0, 1, 2, 3}, 4)
-        cs = BitSet.from_indices({0, 1, 2, 3})
+        g_prime = entry_for(1, path("CCO"), {0, 3}, {0, 1, 2, 3})
+        g_second = entry_for(2, path("C"), {0, 1, 3}, {0, 1, 2, 3})
+        cs = id_mask({0, 1, 2, 3})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
@@ -176,43 +174,43 @@ class TestPrunerSubgraph:
             DiscoveryResult(containing=[g_prime], contained=[g_second]),
             universe_size=4,
         )
-        assert sorted(outcome.answer_free) == [0, 3]
-        assert sorted(outcome.candidates) == [1]
+        assert packed_ids(outcome.answer_free) == [0, 3]
+        assert packed_ids(outcome.candidates) == [1]
         assert packed_ids(outcome.contributions[2]) == [2]
 
     def test_multiple_donors_union(self):
-        a = entry_for(1, path("CCO"), {0}, {0, 1, 2, 3}, 4)
-        b = entry_for(2, path("CCC"), {3}, {0, 1, 2, 3}, 4)
-        cs = BitSet.from_indices({0, 1, 2, 3})
+        a = entry_for(1, path("CCO"), {0}, {0, 1, 2, 3})
+        b = entry_for(2, path("CCC"), {3}, {0, 1, 2, 3})
+        cs = id_mask({0, 1, 2, 3})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
             QueryType.SUBGRAPH, cs,
             DiscoveryResult(containing=[a, b]), universe_size=4,
         )
-        assert sorted(outcome.answer_free) == [0, 3]
+        assert packed_ids(outcome.answer_free) == [0, 3]
 
     def test_multiple_filters_intersect(self):
-        a = entry_for(1, path("C"), {0, 1}, {0, 1, 2, 3}, 4)
-        b = entry_for(2, path("O"), {1, 2}, {0, 1, 2, 3}, 4)
-        cs = BitSet.from_indices({0, 1, 2, 3})
+        a = entry_for(1, path("C"), {0, 1}, {0, 1, 2, 3})
+        b = entry_for(2, path("O"), {1, 2}, {0, 1, 2, 3})
+        cs = id_mask({0, 1, 2, 3})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
             QueryType.SUBGRAPH, cs,
             DiscoveryResult(contained=[a, b]), universe_size=4,
         )
-        assert sorted(outcome.candidates) == [1]
+        assert packed_ids(outcome.candidates) == [1]
 
     def test_no_hits_no_pruning(self):
-        cs = BitSet.from_indices({0, 1})
+        cs = id_mask({0, 1})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
             QueryType.SUBGRAPH, cs, DiscoveryResult(), universe_size=2
         )
-        assert sorted(outcome.candidates) == [0, 1]
-        assert outcome.answer_free.is_empty()
+        assert packed_ids(outcome.candidates) == [0, 1]
+        assert outcome.answer_free == 0
         assert outcome.contributions == {}
 
 
@@ -221,36 +219,36 @@ class TestPrunerSupergraph:
 
     def test_contained_entries_donate(self):
         # supergraph query g; g'' ⊆ g with valid answer {0}: G0 ⊆ g'' ⊆ g.
-        g_second = entry_for(3, path("C"), {0}, {0, 1}, 2,
+        g_second = entry_for(3, path("C"), {0}, {0, 1},
                              query_type=QueryType.SUPERGRAPH)
-        cs = BitSet.from_indices({0, 1})
+        cs = id_mask({0, 1})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
             QueryType.SUPERGRAPH, cs,
             DiscoveryResult(contained=[g_second]), universe_size=2,
         )
-        assert sorted(outcome.answer_free) == [0]
-        assert sorted(outcome.candidates) == [1]
+        assert packed_ids(outcome.answer_free) == [0]
+        assert packed_ids(outcome.candidates) == [1]
 
     def test_containing_entries_filter(self):
         # g ⊆ g'; G1 ⊄ g' (valid) ⇒ G1 ⊄ g.
-        g_prime = entry_for(4, path("CCO"), {0}, {0, 1}, 2,
+        g_prime = entry_for(4, path("CCO"), {0}, {0, 1},
                             query_type=QueryType.SUPERGRAPH)
-        cs = BitSet.from_indices({0, 1})
+        cs = id_mask({0, 1})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
             QueryType.SUPERGRAPH, cs,
             DiscoveryResult(containing=[g_prime]), universe_size=2,
         )
-        assert sorted(outcome.candidates) == [0]
+        assert packed_ids(outcome.candidates) == [0]
 
 
 class TestOptimalCases:
     def test_exact_hit_flag(self):
-        exact = entry_for(5, path("CC"), {0}, {0, 1}, 2)
-        cs = BitSet.from_indices({0, 1})
+        exact = entry_for(5, path("CC"), {0}, {0, 1})
+        cs = id_mask({0, 1})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
@@ -261,12 +259,12 @@ class TestOptimalCases:
         )
         assert outcome.exact_hit
         # formulas collapse the candidate set to nothing:
-        assert outcome.candidates.is_empty()
-        assert sorted(outcome.answer_free) == [0]
+        assert outcome.candidates == 0
+        assert packed_ids(outcome.answer_free) == [0]
 
     def test_exact_hit_requires_full_validity(self):
-        stale = entry_for(5, path("CC"), {0}, {0}, 2)  # id 1 invalid
-        cs = BitSet.from_indices({0, 1})
+        stale = entry_for(5, path("CC"), {0}, {0})  # id 1 invalid
+        cs = id_mask({0, 1})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
@@ -277,11 +275,11 @@ class TestOptimalCases:
         )
         assert not outcome.exact_hit
         # the invalid graph must still be verified:
-        assert sorted(outcome.candidates) == [1]
+        assert packed_ids(outcome.candidates) == [1]
 
     def test_empty_shortcut_flag(self):
-        empty = entry_for(6, path("C"), set(), {0, 1}, 2)
-        cs = BitSet.from_indices({0, 1})
+        empty = entry_for(6, path("C"), set(), {0, 1})
+        cs = id_mask({0, 1})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
@@ -289,12 +287,12 @@ class TestOptimalCases:
             DiscoveryResult(contained=[empty]), universe_size=2,
         )
         assert outcome.empty_shortcut
-        assert outcome.candidates.is_empty()
-        assert outcome.answer_free.is_empty()
+        assert outcome.candidates == 0
+        assert outcome.answer_free == 0
 
     def test_empty_shortcut_requires_full_validity(self):
-        stale = entry_for(6, path("C"), set(), {0}, 2)
-        cs = BitSet.from_indices({0, 1})
+        stale = entry_for(6, path("C"), set(), {0})
+        cs = id_mask({0, 1})
         from repro.runtime.processors import DiscoveryResult
 
         outcome = prune_candidate_set(
@@ -302,4 +300,4 @@ class TestOptimalCases:
             DiscoveryResult(contained=[stale]), universe_size=2,
         )
         assert not outcome.empty_shortcut
-        assert sorted(outcome.candidates) == [1]
+        assert packed_ids(outcome.candidates) == [1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import GCConfig, GraphCacheService
+from repro.api import GCConfig, GraphCacheService, ServiceSession
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 
@@ -65,6 +65,32 @@ class TestSlotAccounting:
             session.close()
             assert session.closed
             assert service.open_sessions == 0
+
+
+    def test_opening_n_sessions_is_linear(self, monkeypatch):
+        """Opening a session never walks the open ones: no open
+        session's ``closed`` is read while N of them are opened (a scan
+        per open made ``CacheServer.start`` quadratic in
+        ``max_sessions``), and closing any one frees its slot."""
+        reads = 0
+        closed = ServiceSession.closed
+
+        def counted(session):
+            nonlocal reads
+            reads += 1
+            return closed.fget(session)
+
+        monkeypatch.setattr(ServiceSession, "closed", property(counted))
+        n = 200
+        with make_service(max_sessions=n) as service:
+            sessions = [service.session() for _ in range(n)]
+            assert reads == 0
+            assert service.open_sessions == n
+            sessions[n // 2].close()
+            assert service.open_sessions == n - 1
+            service.session()
+            with pytest.raises(RuntimeError, match=f"max_sessions={n}"):
+                service.session()
 
 
 class TestReuseAfterClose:

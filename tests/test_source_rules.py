@@ -9,8 +9,8 @@ randomness (GC202) and never takes an order from a hash: no
 parses (GC000), and a ``# gclint: allow[<id or slug>, ...] <reason>``
 pragma, on a finding's line or alone on the line above, suppresses it
 only with a reason (GC001).  Core is a path with a segment in ``CORE``
-and none in ``EXEMPT``, and not ``graphs/generators.py``.  The lock
-rules (GC110/111/120) are gclint's: ``python -m repro.analysis``.
+and none in ``EXEMPT``.  The lock rules (GC110/111/120) are gclint's:
+``python -m repro.analysis``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ FIXTURE = REPO / "tests" / "fixtures" / "gclint_violations"
 
 CORE = frozenset({"matching", "cache", "runtime", "persist", "api"})
 EXEMPT = frozenset({"workloads", "bench", "serve"})
-EXEMPT_SUFFIX = "graphs/generators.py"
 SLUGS = {"GC201": "wall-clock", "GC202": "unseeded-random",
          "GC203": "hash-order", "GC401": "broad-except"}
 
@@ -77,8 +76,7 @@ def _swallows(handler: ast.ExceptHandler) -> bool:
 def raw_findings(tree: ast.AST, rel: str) -> Iterator[tuple[str, int]]:
     """``(rule, line)`` for every GC2xx/GC401 match, before pragmas."""
     parts = set(PurePosixPath(rel).parts)
-    core = (bool(parts & CORE) and not parts & EXEMPT
-            and not rel.endswith(EXEMPT_SUFFIX))
+    core = bool(parts & CORE) and not parts & EXEMPT
     hygiene = bool(parts & {"persist", "serve"})
     for node in ast.walk(tree):
         if core and isinstance(node, ast.Call):

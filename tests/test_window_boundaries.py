@@ -12,7 +12,6 @@ from repro.cache.window import WindowManager
 from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
-from repro.util.bitset import BitSet
 
 
 def path(labels: str) -> LabeledGraph:
@@ -26,8 +25,8 @@ def entry(entry_id: int, labels: str = "CO") -> CacheEntry:
         entry_id=entry_id,
         query=path(labels),
         query_type=QueryType.SUBGRAPH,
-        answer=BitSet(4),
-        valid=BitSet(4),
+        answer=0,
+        valid=0,
         created_at=entry_id,
     )
 
@@ -75,7 +74,7 @@ class TestPostPromotionHitEligibility:
         return manager, store
 
     def _admit(self, manager, store, at, labels="CO"):
-        return manager.admit(path(labels), BitSet(store.max_id + 1),
+        return manager.admit(path(labels), 0,
                              store, at)
 
     def test_window_resident_is_discoverable(self):
@@ -109,7 +108,7 @@ class TestQueryIndexWindowResidentRemoval:
     def test_remove_window_resident_entry_from_index(self):
         manager = CacheManager(window_capacity=5)
         store = GraphStore.from_graphs([path("CCO")])
-        admitted = manager.admit(path("CO"), BitSet(store.max_id + 1),
+        admitted = manager.admit(path("CO"), 0,
                                  store, 0)
         assert manager.window_size == 1  # still window-resident
         manager.index.remove(admitted.entry_id)
@@ -132,7 +131,7 @@ class TestQueryIndexWindowResidentRemoval:
     def test_clear_covers_window_residents(self):
         manager = CacheManager(window_capacity=5)
         store = GraphStore.from_graphs([path("CCO")])
-        manager.admit(path("CO"), BitSet(store.max_id + 1), store, 0)
+        manager.admit(path("CO"), 0, store, 0)
         manager.clear()
         assert len(manager.index) == 0
         assert manager.window_size == 0
