@@ -82,7 +82,6 @@ class GCConfig:
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
     window_capacity: int = DEFAULT_WINDOW_CAPACITY
     policy: str = "hd"
-    caching_enabled: bool = True
     #: Service locking: ``"rw"`` (the service's one lock, held per
     #: request, from construction) or ``"auto"`` (the default: no lock
     #: until the first ``GraphCacheService.session()`` call installs it
@@ -122,13 +121,6 @@ class GCConfig:
         object.__setattr__(self, "lock_mode", self.lock_mode.lower())
         for name in ("cache_capacity", "window_capacity", "max_sessions"):
             _require_int(name, getattr(self, name))
-        # Only a bool: the string "false" is truthy and would cache.
-        if not isinstance(self.caching_enabled, bool):
-            raise ValueError(
-                f"caching_enabled must be a bool, got "
-                f"{self.caching_enabled!r} "
-                f"({type(self.caching_enabled).__name__})"
-            )
         if self.cache_capacity <= 0:
             raise ValueError(
                 f"cache_capacity must be positive, got {self.cache_capacity}"
@@ -176,7 +168,6 @@ class GCConfig:
             "cache_capacity": self.cache_capacity,
             "window_capacity": self.window_capacity,
             "policy": self.policy,
-            "caching_enabled": self.caching_enabled,
             "lock_mode": self.lock_mode,
             "max_sessions": self.max_sessions,
         }

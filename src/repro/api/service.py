@@ -117,7 +117,6 @@ class GraphCacheService:
         self.config = config
         self.discovery = HitDiscovery(internal_verifier)
         self.monitor = StatisticsMonitor()
-        self.caching_enabled = config.caching_enabled
         self._query_counter = 0
         self._closed = False
         # close() must be idempotent and race-free: the serving drain
@@ -325,10 +324,9 @@ class GraphCacheService:
             started = perf_counter()
             self._credit_contributions(query, outcome.contributions,
                                        query_index)
-            if self.caching_enabled:
-                cache.admit(query, answer, store, query_index,
-                            features=features, twins=hits.exact,
-                            same_as=resident)
+            cache.admit(query, answer, store, query_index,
+                        features=features, twins=hits.exact,
+                        same_as=resident)
             metrics.admission_seconds = perf_counter() - started
             self.monitor.record(metrics)
             save_to = None
@@ -353,11 +351,12 @@ class GraphCacheService:
         # (2) Hit discovery (GC+sub / GC+super processors).  An arrival
         # identical to a resident query runs *as* that resident from
         # here to the end of step 4: its graph (whose memo holds the
-        # matchers' compiled plans), its features, its packed signature
-        # — compiled once per distinct query, not once per arrival.  Same
-        # graph, so same candidates, tests and answer; the resident is
-        # still tested like any candidate.  Otherwise the features are
-        # computed exactly once here, for discovery and admission.
+        # matchers' compiled plans) and its features (which memoise the
+        # index's packed signature) — compiled once per distinct query,
+        # not once per arrival.  Same graph, so same candidates, tests
+        # and answer; the resident is still tested like any candidate.
+        # Otherwise the features are computed exactly once here, for
+        # discovery and admission.
         started = perf_counter()
         index = self.cache.index
         resident = index.identical_resident(query)
@@ -366,7 +365,7 @@ class GraphCacheService:
         else:
             run, features = resident.query, resident.features
             metrics.interned = True
-        hits = self.discovery.discover(run, index, features, resident)
+        hits = self.discovery.discover(run, index, features)
         metrics.discovery_seconds = perf_counter() - started
         metrics.containing_hits = len(hits.containing)
         metrics.contained_hits = len(hits.contained)

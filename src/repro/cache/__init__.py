@@ -13,7 +13,7 @@ Components, mirroring Figure 1 of the paper:
 * :mod:`repro.cache.replacement` — LRU, LFU, PIN, PINC and the hybrid HD
   policy driven by the coefficient of variation of R (§7.1);
 * :mod:`repro.cache.validator` — the Cache Validator: Algorithm 2 for the
-  CON model, indiscriminate purge for EVI;
+  CON model (the manager's own ``clear`` is EVI's indiscriminate purge);
 * :class:`repro.cache.query_index.QueryIndex` — feature-based filter over
   cached queries for sub/supergraph hit discovery (the iGQ index of [25]);
 * :class:`repro.cache.manager.CacheManager` — the orchestrating facade
@@ -33,7 +33,7 @@ from repro.cache.replacement import (
     make_policy,
 )
 from repro.cache.statistics import StatisticsManager
-from repro.cache.validator import CacheValidator, refresh_validity
+from repro.cache.validator import refresh_validity, validate_con
 from repro.cache.window import WindowManager
 
 __all__ = [
@@ -43,8 +43,8 @@ __all__ = [
     "CacheManager",
     "WindowManager",
     "StatisticsManager",
-    "CacheValidator",
     "refresh_validity",
+    "validate_con",
     "ReplacementPolicy",
     "LRUPolicy",
     "LFUPolicy",

@@ -106,14 +106,6 @@ class CacheEntry:
         cases."""
         return not live & ~self.valid
 
-    def is_exact_match_of(self, query: LabeledGraph) -> bool:
-        """Size part of the §6.3 exact-match test: equal vertex and edge
-        counts.  Combined with a verified containment in either direction
-        this implies isomorphism (an injective embedding between
-        equal-sized graphs is a bijection preserving all edges)."""
-        return (self.num_vertices == query.num_vertices
-                and self.num_edges == query.num_edges)
-
     def __repr__(self) -> str:
         return (
             f"CacheEntry(id={self.entry_id}, |V|={self.num_vertices}, "

@@ -36,7 +36,7 @@ from repro.cache.replacement import (
     make_policy,
 )
 from repro.cache.statistics import StatisticsManager
-from repro.cache.validator import CacheValidator
+from repro.cache.validator import validate_con
 from repro.cache.window import WindowManager
 from repro.dataset.log_analyzer import analyze_log
 from repro.dataset.store import GraphStore
@@ -85,7 +85,6 @@ class CacheManager:
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.window = WindowManager(window_capacity)
         self.statistics = StatisticsManager()
-        self.validator = CacheValidator()
         self.index = QueryIndex()
         self._cache: dict[int, CacheEntry] = {}
         self._next_entry_id = 0
@@ -125,8 +124,7 @@ class CacheManager:
 
         started = perf_counter()
         if self.model is CacheModel.EVI:
-            self.validator.purge_evi(self.clear)
-            self._log_cursor = store.log.last_seq
+            self.clear(store)
             return ConsistencyReport(True, True, 0, 0.0, 0.0,
                                      purge_seconds=perf_counter() - started)
 
@@ -134,7 +132,7 @@ class CacheManager:
         analyzed = perf_counter()
         entries = self.all_entries()
         validating = perf_counter()
-        self.validator.validate_con(entries, counters)
+        validate_con(entries, counters)
         return ConsistencyReport(
             dataset_changed=True,
             purged=False,
@@ -427,8 +425,7 @@ class CacheManager:
         first query after a manual purge ran a spurious consistency pass
         (EVI re-"purged" the already-empty cache and reported
         ``purged=True``), polluting the Figure-6 overhead breakdown.
-        The EVI consistency path purges through a no-argument callback
-        and advances the cursor itself, so it is unaffected.
+        EVI's consistency pass purges through this same call.
         """
         self._cache.clear()
         self.window.clear()

@@ -26,10 +26,6 @@ incrementally on admit/evict/purge:
   check (``≥`` the query's sizes for the supergraph direction, ``≤``
   for the subgraph direction), skipping whole groups of entries with
   two integer comparisons;
-* a **per-label posting list** maps each vertex label to the set of
-  entry ids containing it; a query label whose posting is empty
-  short-circuits the supergraph lookup (no cached entry can contain the
-  query) before any per-bucket work;
 * the dominance test itself runs on **packed feature signatures**: all
   monotone components of an entry's features (vertex/edge counts,
   per-label counts, per-label-pair edge counts, and per-label counts of
@@ -57,7 +53,10 @@ matchers' compiled plans on its memo — already sits on that resident;
 :meth:`QueryIndex.identical_resident` finds it with one dict probe and
 one comparison, so the pipeline can run the arrival *as* the resident,
 and a new entry of that structure shares the resident's graph instead
-of copying it.
+of copying it.  A query's packed signature is memoised on its
+:class:`GraphFeatures` (a complete one for good, as field offsets are
+append-only), so an arrival run on a resident's features finds it
+there.
 
 The signature test is *exactly* equivalent to
 :meth:`GraphFeatures.may_be_subgraph_of` (for the degree component:
@@ -177,8 +176,6 @@ class QueryIndex:
         #: count) pair bijectively, so equal sigs ⟺ equal feature
         #: vectors.
         self._buckets: dict[tuple[int, int], dict[int, list]] = {}
-        #: vertex label → ids of entries with ≥ 1 vertex of that label
-        self._postings: dict[str, set[int]] = {}
         #: field key → bit offset (append-only, so packed signatures of
         #: existing entries stay valid as new labels/degrees appear)
         self._offsets: dict[tuple, int] = {}
@@ -186,8 +183,6 @@ class QueryIndex:
         self._all_guards = 0
         #: entry id → its group (the same list object as in the bucket)
         self._sigs: dict[int, list] = {}
-        #: True when the registry grew after groups cached sig|guards
-        self._guards_dirty = False
         #: entries whose feature counts overflow the packed fields
         #: (gigantic graphs) — served through the unpacked feature check
         self._oversized: dict[int, CacheEntry] = {}
@@ -204,7 +199,6 @@ class QueryIndex:
             offset = len(self._offsets) * _WIDTH
             self._offsets[key] = offset
             self._all_guards |= _GUARD << offset
-            self._guards_dirty = True
         return offset
 
     def _pack_entry(self, features: GraphFeatures) -> tuple[int, int]:
@@ -216,8 +210,8 @@ class QueryIndex:
         """
         memo = self._memo(features)
         if memo is not None and memo[2]:
-            # Packed by a lookup since the last registration, and every
-            # field was registered then: nothing to register now.
+            # Packed complete by a lookup: every field is registered
+            # already, nothing to register now.
             return memo[0], memo[1]
         if _overflows(features):
             raise _FieldOverflow
@@ -238,7 +232,6 @@ class QueryIndex:
         for bucket in self._buckets.values():
             for group in bucket.values():
                 group[2] = group[0] | all_guards
-        self._guards_dirty = False
 
     def _pack_query(self, features: GraphFeatures) -> tuple[int, int, bool]:
         """(sig, guard_mask, complete) against the current registry.
@@ -271,10 +264,11 @@ class QueryIndex:
     # ------------------------------------------------------------------
     def add(self, entry: CacheEntry) -> None:
         if entry.entry_id in self._entries:
-            # Re-adding under the same id replaces the posting/bucket
-            # state wholesale so no stale references can linger.
+            # Re-adding under the same id replaces the bucket state
+            # wholesale so no stale references can linger.
             self.remove(entry.entry_id)
         self._entries[entry.entry_id] = entry
+        registered = len(self._offsets)
         twin = self._file_identical(entry)
         if twin is not None:
             # Equal graphs of one key have equal features: file the
@@ -298,12 +292,9 @@ class QueryIndex:
         else:
             group[3][entry.entry_id] = entry
             self._sigs[entry.entry_id] = group
-        for label in entry.features.label_counts:
-            self._postings.setdefault(label, set()).add(entry.entry_id)
-        if self._guards_dirty:
-            # Re-cache guarded signatures at admission, so lookups find
-            # them fresh.  The lazy refresh in the lookups remains as a
-            # fallback for code driving a bare index.
+        if len(self._offsets) != registered:
+            # Only here does the registry grow: re-cache the guarded
+            # signatures now, so every lookup finds them fresh.
             self._refresh_guards()
 
     @staticmethod
@@ -345,12 +336,6 @@ class QueryIndex:
                     bucket.pop(group[0], None)
                     if not bucket:
                         del self._buckets[key]
-        for label in entry.features.label_counts:
-            posting = self._postings.get(label)
-            if posting is not None:
-                posting.discard(entry_id)
-                if not posting:
-                    del self._postings[label]
         key = entry.query.derived("structural_key", _structural_key)
         same_key = self._identical.get(key)
         if same_key is not None:
@@ -361,7 +346,6 @@ class QueryIndex:
     def clear(self) -> None:
         self._entries.clear()
         self._buckets.clear()
-        self._postings.clear()
         self._sigs.clear()
         self._oversized.clear()
         self._identical.clear()
@@ -391,65 +375,44 @@ class QueryIndex:
 
         Read-side, and ``query`` is only read.  What it returns stands
         in for the arrival wherever one graph alone matters: the
-        entry's graph (with the memo the matchers filled), its features
-        and, through ``same_as`` on the two lookups below, its packed
-        signature.
+        entry's graph (with the memo the matchers filled) and its
+        features (with the packed signature memoised on them).
         """
         same_key = self._identical.get(_structural_key(query))
         return self._holding(same_key, query) if same_key else None
 
     def _memo(self, features: GraphFeatures) -> tuple[int, int, bool] | None:
         """What :meth:`_pack_query` returned for ``features`` against
-        this index, if no field was registered since (a registration
-        can complete an incomplete signature)."""
+        this index, while it still holds: a complete signature for
+        good (offsets are append-only), an incomplete one until a field
+        is registered (which can complete it)."""
         memo = features._packed
-        if (memo is not None and memo[0] is self._offsets
-                and memo[1] == len(self._offsets)):
+        if memo is not None and memo[0] is self._offsets and (
+                memo[2][2] or memo[1] == len(self._offsets)):
             return memo[2]
         return None
 
-    def _packed(self, features: GraphFeatures,
-                same_as: CacheEntry | None) -> tuple[int, int, bool]:
-        """:meth:`_pack_query`, or — when the query is resident entry
-        ``same_as``'s — the signature that entry's group already holds
-        (every field of a resident is registered: equal, and complete).
-
-        A query is packed once: the result is memoised on ``features``
-        (keyed by this index's registry and its size), where the second
-        lookup and the admission's :meth:`add` find it.
+    def _packed(self, features: GraphFeatures) -> tuple[int, int, bool]:
+        """:meth:`_pack_query`, packed once: the result is memoised on
+        ``features`` (keyed by this index's registry and its size),
+        where the second lookup, the admission's :meth:`add` and every
+        later arrival run on the same features find it.
         """
-        if same_as is not None:
-            group = self._sigs.get(same_as.entry_id)
-            if group is not None:
-                return group[0], group[1], True
         packed = self._memo(features)
         if packed is None:
-            # No twin, or an oversized one (for which this raises).
             packed = self._pack_query(features)
             object.__setattr__(features, "_packed",
                                (self._offsets, len(self._offsets), packed))
         return packed
 
     def candidate_supergraphs(self, features: GraphFeatures,
-                              same_as: CacheEntry | None = None,
                               ) -> list[CacheEntry]:
         """Entries whose query might *contain* the new query
-        (``g ⊆ g'`` candidates — the GC+sub processor's pool).
-        ``same_as``: see :meth:`identical_resident`."""
+        (``g ⊆ g'`` candidates — the GC+sub processor's pool)."""
         if not self._entries:
             return []
-        # Posting-list short-circuit: a query label no surviving entry
-        # carries (all holders evicted, though the label stays in the
-        # field registry) means no entry can contain the query.  Within
-        # surviving groups the signature test itself subsumes the
-        # per-label screen, exactly.
-        for label in features.label_counts:
-            if not self._postings.get(label):
-                return []
-        if self._guards_dirty:
-            self._refresh_guards()
         try:
-            q_sig, q_guards, complete = self._packed(features, same_as)
+            q_sig, q_guards, complete = self._packed(features)
         except _FieldOverflow:
             # A gigantic query: nothing packable can contain it, so only
             # the (equally gigantic) overflow population needs checking.
@@ -480,15 +443,13 @@ class QueryIndex:
         return [entry for _, entry in out]
 
     def candidate_subgraphs(self, features: GraphFeatures,
-                            same_as: CacheEntry | None = None,
                             ) -> list[CacheEntry]:
         """Entries whose query might be *contained in* the new query
-        (``g'' ⊆ g`` candidates — the GC+super processor's pool).
-        ``same_as``: see :meth:`identical_resident`."""
+        (``g'' ⊆ g`` candidates — the GC+super processor's pool)."""
         if not self._entries:
             return []
         try:
-            q_sig, _, _ = self._packed(features, same_as)
+            q_sig, _, _ = self._packed(features)
         except _FieldOverflow:
             # A gigantic query may contain anything: unpacked full scan.
             return self._scan(
@@ -514,10 +475,10 @@ class QueryIndex:
     # Self-check (used by the churn tests; cheap enough for debugging)
     # ------------------------------------------------------------------
     def audit(self) -> None:
-        """Assert buckets, postings, groups, signatures and the
-        structural map exactly mirror the entry population: no stale ids
-        survive eviction/purge, no empty bucket/group/posting/key is
-        retained, every entry is findable."""
+        """Assert buckets, groups, signatures and the structural map
+        exactly mirror the entry population: no stale ids survive
+        eviction/purge, no empty bucket/group/key is retained, every
+        entry is findable."""
         bucketed: dict[int, CacheEntry] = {}
         for (bv, be), bucket in self._buckets.items():
             assert bucket, f"empty bucket {(bv, be)} retained"
@@ -526,9 +487,8 @@ class QueryIndex:
                 assert group[0] == sig_key, (
                     f"group filed under wrong signature in {(bv, be)}"
                 )
-                assert self._guards_dirty or (
-                    group[2] == group[0] | self._all_guards
-                ), f"stale guarded signature for group {sig_key}"
+                assert group[2] == group[0] | self._all_guards, (
+                    f"stale guarded signature for group {sig_key}")
                 for entry_id, entry in group[3].items():
                     assert (entry.num_vertices, entry.num_edges) == \
                         (bv, be), (
@@ -557,13 +517,6 @@ class QueryIndex:
         )
         assert all(bucketed[eid] is self._entries[eid] for eid in bucketed), (
             "bucket holds a different object than the entry map"
-        )
-        expected_postings: dict[str, set[int]] = {}
-        for entry_id, entry in self._entries.items():
-            for label in entry.features.label_counts:
-                expected_postings.setdefault(label, set()).add(entry_id)
-        assert self._postings == expected_postings, (
-            "postings drifted from the entry population"
         )
         assert self._sigs.keys() | self._oversized.keys() == \
             self._entries.keys(), (

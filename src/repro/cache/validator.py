@@ -1,9 +1,9 @@
 """The Cache Validator — Algorithm 2 of the paper, for both cache models.
 
-**EVI** (§5.1): on any dataset change the validator clears cache and
-window indiscriminately.  *"Log Analyzer has to do nothing but raising a
-flag indicating the dataset is changed, and Cache Validator then clears
-cached contents indiscriminately."*
+**EVI** (§5.1): on any dataset change the Cache Manager clears cache
+and window indiscriminately (``CacheManager.clear``).  *"Log Analyzer
+has to do nothing but raising a flag indicating the dataset is changed,
+and Cache Validator then clears cached contents indiscriminately."*
 
 **CON** (§5.2.2): per cached query, refresh the ``CGvalid`` indicator
 from the Log Analyzer's counters:
@@ -29,18 +29,16 @@ in ``tests/test_consistency.py`` verify it end to end.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.cache.entry import CacheEntry, QueryType
 from repro.dataset.log_analyzer import ChangeCounters
 
-__all__ = ["refresh_validity", "CacheValidator"]
+__all__ = ["refresh_validity", "validate_con"]
 
 
 def refresh_validity(entry: CacheEntry, counters: ChangeCounters) -> int:
     """Algorithm 2: refresh one entry's ``CGvalid``, one touched id at a
-    time (the per-entry reference :meth:`CacheValidator.validate_con` is
-    held equal to).
+    time (the per-entry reference :func:`validate_con` is held equal
+    to).
 
     Algorithm 2's first step — extend the indicator with ``False`` up to
     the currently maximum graph id — is implicit: ids past the ``int``'s
@@ -70,59 +68,42 @@ def refresh_validity(entry: CacheEntry, counters: ChangeCounters) -> int:
     return turned_off
 
 
-class CacheValidator:
-    """Applies a model's consistency mechanism to a set of entries.
+def validate_con(entries: list[CacheEntry],
+                 counters: ChangeCounters) -> int:
+    """CON: refresh every entry's indicator against the counters;
+    returns the number of bits turned off.
 
-    The :class:`~repro.cache.manager.CacheManager` owns the log cursor and
-    decides *when* validation runs (on query arrival, iff the log moved);
-    this class implements *what* validation does.
+    The :class:`~repro.cache.manager.CacheManager` owns the log cursor
+    and decides *when* this runs (on query arrival, iff the log moved).
+    Algorithm 2 as mask algebra: the counters become two id masks once
+    per pass — the touched ids that break a recorded positive (all but
+    the safe case's) and those that break a negative — and an entry
+    loses ``valid & ((answer & breaks_positive) | (~answer &
+    breaks_negative))``: exactly the bits :func:`refresh_validity` turns
+    off one id at a time (it stays as the per-entry reference; a
+    property test holds the two equal).
     """
-
-    def __init__(self) -> None:
-        self.validations = 0       # CON refresh passes performed
-        self.purges = 0            # EVI purges performed
-        self.bits_invalidated = 0  # CON bits turned off (instrumentation)
-
-    def validate_con(self, entries: list[CacheEntry],
-                     counters: ChangeCounters) -> None:
-        """CON: refresh every entry's indicator against the counters.
-
-        Algorithm 2 as mask algebra.  The counters become two id masks
-        once per pass — the touched ids that break a recorded positive
-        (all but the safe case's) and those that break a negative — and
-        an entry loses ``valid & ((answer & breaks_positive) |
-        (~answer & breaks_negative))``: exactly the bits
-        :func:`refresh_validity` turns off one id at a time (it stays
-        as the per-entry reference; a property test holds the two
-        equal).
-        """
-        self.validations += 1
-        if counters.is_empty():
-            return
-        # Touched ids with some operation other than UA / other than UR.
-        # Subgraph semantics: g ⊆ G_i survives UA-only changes to G_i,
-        # g ⊄ G_i survives UR-only ones; supergraph semantics swap.
-        not_ua_only = not_ur_only = 0
-        for gid in counters.total:
-            if not counters.ua_exclusive(gid):
-                not_ua_only |= 1 << gid
-            if not counters.ur_exclusive(gid):
-                not_ur_only |= 1 << gid
-        turned_off = 0
-        for entry in entries:
-            if entry.query_type is QueryType.SUBGRAPH:
-                breaks_positive, breaks_negative = not_ua_only, not_ur_only
-            else:
-                breaks_positive, breaks_negative = not_ur_only, not_ua_only
-            answer = entry.answer
-            off = entry.valid & ((answer & breaks_positive)
-                                 | (~answer & breaks_negative))
-            if off:
-                entry.valid &= ~off
-                turned_off += off.bit_count()
-        self.bits_invalidated += turned_off
-
-    def purge_evi(self, clear_all: Callable[[], None]) -> None:
-        """EVI: clear everything via the manager-provided callback."""
-        self.purges += 1
-        clear_all()
+    if counters.is_empty():
+        return 0
+    # Touched ids with some operation other than UA / other than UR.
+    # Subgraph semantics: g ⊆ G_i survives UA-only changes to G_i,
+    # g ⊄ G_i survives UR-only ones; supergraph semantics swap.
+    not_ua_only = not_ur_only = 0
+    for gid in counters.total:
+        if not counters.ua_exclusive(gid):
+            not_ua_only |= 1 << gid
+        if not counters.ur_exclusive(gid):
+            not_ur_only |= 1 << gid
+    turned_off = 0
+    for entry in entries:
+        if entry.query_type is QueryType.SUBGRAPH:
+            breaks_positive, breaks_negative = not_ua_only, not_ur_only
+        else:
+            breaks_positive, breaks_negative = not_ur_only, not_ua_only
+        answer = entry.answer
+        off = entry.valid & ((answer & breaks_positive)
+                             | (~answer & breaks_negative))
+        if off:
+            entry.valid &= ~off
+            turned_off += off.bit_count()
+    return turned_off

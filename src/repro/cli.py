@@ -15,16 +15,18 @@ policies and both query semantics.
 
 Cache persistence (see ``docs/persistence.md``)::
 
-    python -m repro snapshot save --dataset data.tve \
-        --workload queries.tve --out cache.snap.jsonl
+    python -m repro run --dataset data.tve --workload queries.tve \
+        --save-snapshot cache.snap.jsonl
     python -m repro snapshot load --path cache.snap.jsonl --dataset data.tve
     python -m repro run --dataset data.tve --workload queries.tve \
         --warm-start cache.snap.jsonl --save-snapshot cache.snap.jsonl
 
-``snapshot save`` warms a cache over a workload and persists it;
-``snapshot load`` inspects a snapshot (and, with ``--dataset``, restores
-it and reports the reconciliation); ``run --warm-start`` starts serving
-from a persisted cache instead of a cold one.
+``run --save-snapshot`` persists the cache a workload warmed (a run with
+``--change-batches`` cannot: its changes never reach a dataset file, so
+nothing could restore the snapshot); ``snapshot load`` inspects a
+snapshot (and, with ``--dataset``, restores it and reports the
+reconciliation); ``run --warm-start`` starts serving from a persisted
+cache instead of a cold one.
 
 The HTTP sidecar (see ``docs/serving.md``)::
 
@@ -166,6 +168,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--explain/--warm-start/--save-snapshot/--autosave-every need "
               "a cache model (CON or EVI)", file=sys.stderr)
         return 2
+    if args.change_batches and args.save_snapshot:
+        # The changes live only in this process: a snapshot reflecting
+        # them is ahead of every copy of --dataset on disk.
+        print("--save-snapshot cannot be combined with --change-batches: "
+              "the changes are never written to a dataset file, so no "
+              "command could restore the snapshot", file=sys.stderr)
+        return 2
     plan = None
     if args.change_batches:
         try:
@@ -294,8 +303,8 @@ def _warm_start(service: GraphCacheService, path) -> int:
 
 def _add_cache_flags(parser: argparse.ArgumentParser,
                      model_help: str = "CON or EVI") -> None:
-    """The flags `run`, `snapshot save` and `serve` share: what
-    :func:`_snapshot_config` turns into a :class:`GCConfig`."""
+    """The flags `run` and `serve` share: what :func:`_snapshot_config`
+    turns into a :class:`GCConfig`."""
     parser.add_argument("--model", default="CON", help=model_help)
     parser.add_argument("--matcher", default="vf2+",
                         help=f"one of {sorted(MATCHERS)}")
@@ -329,41 +338,6 @@ def _snapshot_config(args: argparse.Namespace, **more: object) -> GCConfig:
         "window_capacity": args.window_capacity,
         **more,
     })
-
-
-def _cmd_snapshot_save(args: argparse.Namespace) -> int:
-    """Warm a cache by executing a workload, then persist its state."""
-    _check_snapshot_target("--out", args.out)
-    graphs = _load_graphs("--dataset", args.dataset)
-    queries = _load_graphs("--workload", args.workload)
-    if not queries:
-        print("workload is empty", file=sys.stderr)
-        return 2
-    try:
-        config = _snapshot_config(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    store = GraphStore.from_graphs(graphs)
-    with GraphCacheService(store, config) as service:
-        service.execute_many(queries)
-        try:
-            written = service.save(args.out)
-        except (SnapshotError, OSError) as exc:
-            print(f"saving snapshot failed: {exc}", file=sys.stderr)
-            return 2
-        s = service.summary()
-        print(render_table(
-            f"snapshot save: model={args.model} matcher={args.matcher}",
-            [{
-                "queries warmed": len(queries),
-                "cache entries": service.cache.cache_size,
-                "window entries": service.cache.window_size,
-                "zero-test queries": s["zero_test_queries"],
-                "snapshot": str(written),
-            }],
-        ))
-    return 0
 
 
 def _cmd_snapshot_load(args: argparse.Namespace) -> int:
@@ -421,12 +395,6 @@ def _cmd_snapshot_load(args: argparse.Namespace) -> int:
               f"{service.cache.pending_log_records(store)} log records "
               f"pending")
     return 0
-
-
-def _cmd_snapshot(args: argparse.Namespace) -> int:
-    if args.snapshot_command == "save":
-        return _cmd_snapshot_save(args)
-    return _cmd_snapshot_load(args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -554,22 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "admissions during the run (0 = only at the end)")
     run.set_defaults(func=_cmd_run)
 
-    snap = sub.add_parser("snapshot",
-                          help="persist / inspect GC+ cache snapshots")
+    snap = sub.add_parser("snapshot", help="inspect GC+ cache snapshots")
     snap_sub = snap.add_subparsers(dest="snapshot_command", required=True)
-    snap_save = snap_sub.add_parser(
-        "save", help="warm a cache over a workload and persist its state")
-    snap_save.add_argument("--dataset", type=Path, required=True)
-    snap_save.add_argument("--workload", type=Path, required=True)
-    snap_save.add_argument("--out", type=Path, required=True)
-    _add_cache_flags(snap_save)
-    snap_save.set_defaults(func=_cmd_snapshot)
     snap_load = snap_sub.add_parser(
         "load", help="inspect a snapshot; with --dataset, restore it "
                      "against that dataset and report the reconciliation")
     snap_load.add_argument("--path", type=Path, required=True)
     snap_load.add_argument("--dataset", type=Path, default=None)
-    snap_load.set_defaults(func=_cmd_snapshot)
+    snap_load.set_defaults(func=_cmd_snapshot_load)
 
     serve = sub.add_parser(
         "serve", help="run the HTTP serving sidecar (see docs/serving.md)")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, KeysView
 
 from repro.dataset.log import OpType, UpdateLog
-from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 
 __all__ = ["GraphStore"]
@@ -110,23 +109,6 @@ class GraphStore:
     def get(self, graph_id: int) -> LabeledGraph:
         self._require(graph_id)
         return self._graphs[graph_id]
-
-    def features(self, graph_id: int) -> GraphFeatures:
-        """Monotone features of a live graph, memoized once per graph.
-
-        The memo is the graph's own (:meth:`LabeledGraph.derived`): a
-        UA/UR edge mutation drops it, so the next call recomputes; DEL
-        drops it with the graph.  Features are immutable, so sharing one
-        instance across readers is safe.
-
-        This is the accessor for dataset-side tooling (workload
-        generators, benchmarks, ad-hoc analysis over a store).  The
-        query hot path deliberately does *not* consume dataset-graph
-        features: prefiltering Method-M candidates by features would
-        change the ``method_tests`` counts the paper's Figure 5
-        reports, trading reproduction fidelity for speed.
-        """
-        return self.get(graph_id).derived("features", GraphFeatures.of)
 
     @property
     def graphs(self) -> dict[int, LabeledGraph]:

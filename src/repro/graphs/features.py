@@ -123,7 +123,3 @@ class GraphFeatures:
                 if mine > theirs:
                     return False
         return True
-
-    def may_be_supergraph_of(self, other: "GraphFeatures") -> bool:
-        """Necessary condition for ``other's graph ⊆ self's graph``."""
-        return other.may_be_subgraph_of(self)

@@ -20,7 +20,7 @@ Layers:
 Entry points for users are
 :meth:`repro.api.service.GraphCacheService.save` / ``load`` /
 ``autosave``, ``CacheServer(..., snapshot_path=...)``, and the CLI's
-``snapshot save/load`` and ``run --warm-start``.  See
+``snapshot load`` and ``run --warm-start`` / ``--save-snapshot``.  See
 ``docs/persistence.md``.
 """
 

@@ -92,15 +92,15 @@ FINGERPRINT_FIELDS = (
     "cache_capacity",
     "window_capacity",
     "policy",
-    "caching_enabled",
 )
 
 #: Fingerprint keys of config fields that no longer exist.  The decoder
 #: drops them at any value, so snapshots written while they did still
-#: restore: neither field changed what a set ``CGvalid`` bit means
+#: restore: none of them changed what a set ``CGvalid`` bit means
 #: (``docs/persistence.md``, "Retired keys").  Any other unknown key
 #: still fails the restore with :class:`SnapshotMismatchError`.
-RETIRED_FINGERPRINT_FIELDS = ("internal_verifier", "retro_budget")
+RETIRED_FINGERPRINT_FIELDS = ("internal_verifier", "retro_budget",
+                              "caching_enabled")
 
 
 class SnapshotError(Exception):
@@ -399,7 +399,7 @@ def save_snapshot(path: str | Path, snapshot: Snapshot) -> Path:
     directory, fsynced, then ``os.replace``d over the destination — a
     crashed autosave can never leave a torn snapshot behind, and two
     *processes* saving to the same path (an autosaving server plus an
-    operator's ``snapshot save``) cannot clobber each other's
+    operator's ``run --save-snapshot``) cannot clobber each other's
     in-progress writes; last ``replace`` wins with a complete file."""
     target = Path(path)
     data = encode_snapshot(snapshot)

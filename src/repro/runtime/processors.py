@@ -7,8 +7,8 @@ cached-query population:
 
 1. the :class:`~repro.cache.query_index.QueryIndex` filters each
    direction with monotone features (complete — no missed hits), served
-   from its ``(num_vertices, num_edges)`` buckets and per-label posting
-   lists rather than a scan of every cached entry;
+   from its ``(num_vertices, num_edges)`` buckets and packed signature
+   groups rather than a scan of every cached entry;
 2. an internal sub-iso verifier confirms the survivors.
 
 The internal verifier's tests are **not** Method-M sub-iso tests (those
@@ -51,10 +51,6 @@ class DiscoveryResult:
     exact: list[CacheEntry] = field(default_factory=list)
     internal_tests: int = 0
 
-    @property
-    def hit_count(self) -> int:
-        return len(self.containing) + len(self.contained)
-
 
 class HitDiscovery:
     """Runs both processors against the query index."""
@@ -63,16 +59,10 @@ class HitDiscovery:
         self.verifier = verifier if verifier is not None else VF2PlusMatcher()
 
     def discover(self, query: LabeledGraph, index: QueryIndex,
-                 features: GraphFeatures | None = None,
-                 same_as: CacheEntry | None = None) -> DiscoveryResult:
-        """Find all cached queries related to ``query`` by containment.
-
-        ``same_as`` — the resident entry whose graph ``query`` is, when
-        the caller runs an arrival as its identical resident
-        (:meth:`QueryIndex.identical_resident`): the index then reads
-        that entry's packed signature instead of packing the features
-        again.  The entry is still a candidate like any other — it is
-        tested, certified exact and counted.
+                 features: GraphFeatures) -> DiscoveryResult:
+        """Find all cached queries related to ``query`` by containment;
+        ``features`` are ``query``'s (the caller computes them once, for
+        discovery and admission).
 
         Equal-sized candidates are verified once: an injective embedding
         between graphs of equal vertex/edge counts is an isomorphism, so
@@ -80,7 +70,6 @@ class HitDiscovery:
         is what makes the §6.3 exact-match optimal case fall out of the
         general pruning formulas — see :mod:`repro.runtime.pruner`).
         """
-        feats = features if features is not None else GraphFeatures.of(query)
         # Looked up once per call, not once per candidate (and not in
         # __init__: whoever swaps the verifier's method sees it used).
         is_sub = self.verifier.is_subgraph_isomorphic
@@ -91,8 +80,8 @@ class HitDiscovery:
         tests = 0
 
         # GC+sub processor: g ⊆ g' candidates.  An equal-sized hit is
-        # :meth:`CacheEntry.is_exact_match_of` the query, compared inline.
-        for entry in index.candidate_supergraphs(feats, same_as):
+        # an isomorphism: an exact match of the query.
+        for entry in index.candidate_supergraphs(features):
             tests += 1
             if is_sub(query, entry.query):
                 containing.append(entry)
@@ -102,7 +91,7 @@ class HitDiscovery:
 
         # GC+super processor: g'' ⊆ g candidates.
         seen_exact = {entry.entry_id for entry in exact} if exact else ()
-        for entry in index.candidate_subgraphs(feats, same_as):
+        for entry in index.candidate_subgraphs(features):
             if entry.entry_id in seen_exact:
                 continue  # already certified isomorphic above
             tests += 1

@@ -24,8 +24,7 @@ class TestDefaults:
         assert config.window_capacity == 20
         assert config.policy == "hd"
         assert config.matcher == "vf2+"
-        assert config.caching_enabled
-        assert len(dataclasses.fields(config)) == 9
+        assert len(dataclasses.fields(config)) == 8
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -92,13 +91,6 @@ class TestValidation:
             GCConfig.from_dict({field: value})
 
 
-    @pytest.mark.parametrize("value", ["false", 0, 1, None])
-    def test_caching_enabled_must_be_a_bool(self, value):
-        for build in (lambda: GCConfig(caching_enabled=value),
-                      lambda: GCConfig.from_dict({"caching_enabled": value})):
-            with pytest.raises(ValueError, match="caching_enabled"):
-                build()
-
 
 class TestDerivation:
     def test_replace_revalidates(self):
@@ -133,12 +125,9 @@ class TestDerivation:
                 GCConfig.from_dict({unknown: 10})
 
 
-def test_fidelity_doc_classifies_every_field():
-    """``docs/config-fidelity.md`` names every field in exactly one of
-    its two tables (``matcher``: the paragraph between them) and has no
-    row for a field that does not exist; what a snapshot fingerprints
-    is classified as fidelity; and a retired field is mentioned under
-    the "Retired" heading only."""
+def fidelity_doc() -> tuple[str, dict[str, str], list[str], list[str]]:
+    """``docs/config-fidelity.md``: its text, its sections by heading,
+    and the field names of its two tables' rows."""
     text = (Path(__file__).resolve().parents[1] / "docs"
             / "config-fidelity.md").read_text(encoding="utf-8")
     sections = dict(re.findall(r"^## (.*?)\n(.*?)(?=^## |\Z)", text,
@@ -148,12 +137,24 @@ def test_fidelity_doc_classifies_every_field():
         for heading in ("Fields that affect reproduction fidelity",
                         "Pure performance and deployment fields "
                         "(never change any result)"))
-    (paragraph,) = re.findall(r"^`matcher` sits in between.*?\n\n", text,
-                              flags=re.MULTILINE | re.DOTALL)
-    assert paragraph in sections["Fields that affect reproduction fidelity"]
-    assert sorted(fidelity + performance + ["matcher"]) == sorted(
-        f.name for f in dataclasses.fields(GCConfig))
-    assert set(FINGERPRINT_FIELDS) <= set(fidelity) | {"matcher"}
+    return text, sections, fidelity, performance
+
+
+def test_config_fields_are_the_fidelity_doc_rows():
+    """Every ``GCConfig`` field has exactly one row in the two field
+    tables of ``docs/config-fidelity.md`` and every row is a field, so
+    a knob cannot come (back) undocumented."""
+    _, _, fidelity, performance = fidelity_doc()
+    rows = fidelity + performance
+    assert len(rows) == len(set(rows)), rows
+    assert sorted(rows) == sorted(f.name for f in dataclasses.fields(GCConfig))
+
+
+def test_fidelity_doc_classifies_every_field():
+    """What a snapshot fingerprints is classified as fidelity, and a
+    retired field is mentioned under the "Retired" heading only."""
+    text, sections, fidelity, _ = fidelity_doc()
+    assert set(FINGERPRINT_FIELDS) <= set(fidelity)
     retired = sections["Retired: retrospective revalidation"]
     for name in RETIRED_FINGERPRINT_FIELDS:
         assert 0 < retired.count(name) == text.count(name), name

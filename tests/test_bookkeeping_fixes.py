@@ -17,6 +17,7 @@ from repro.cache.manager import NOOP_CONSISTENCY, CacheManager
 from repro.cache.replacement import LRUPolicy
 from repro.cache.statistics import EntryStats, StatisticsManager
 from repro.dataset.store import GraphStore
+from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 from repro.runtime.processors import DiscoveryResult
 from repro.runtime.pruner import prune_candidate_set
@@ -133,34 +134,40 @@ class TestPrunerLiveIds:
 
 
 class TestGraphStoreFeaturesMemo:
+    """What a dataset graph's memo (:meth:`LabeledGraph.derived`) holds
+    — features here, a matcher's host tables on the query path — lasts
+    until a store mutation of that graph."""
+
+    @staticmethod
+    def features(store, graph_id):
+        return store.get(graph_id).derived("features", GraphFeatures.of)
+
     def test_memo_returns_same_instance_until_mutation(self):
         store = two_graph_store()
-        first = store.features(0)
+        first = self.features(store, 0)
         assert first.num_vertices == 3
-        assert store.features(0) is first  # memoized
+        assert self.features(store, 0) is first  # memoized
         store.add_edge(0, 0, 2)  # UA bumps the graph's version
-        refreshed = store.features(0)
+        refreshed = self.features(store, 0)
         assert refreshed is not first
         assert refreshed.num_edges == 3
 
     def test_edge_removal_invalidates(self):
         store = two_graph_store()
-        before = store.features(0)
+        before = self.features(store, 0)
         store.remove_edge(0, 1, 2)
-        assert store.features(0).num_edges == before.num_edges - 1
+        assert self.features(store, 0).num_edges == before.num_edges - 1
 
     def test_delete_drops_memo_and_raises(self):
         store = two_graph_store()
-        store.features(1)
+        self.features(store, 1)
         store.delete_graph(1)
         with pytest.raises(KeyError):
-            store.features(1)
+            self.features(store, 1)
 
     def test_matches_direct_computation(self):
-        from repro.graphs.features import GraphFeatures
-
         store = two_graph_store()
-        assert store.features(1) == GraphFeatures.of(store.get(1))
+        assert self.features(store, 1) == GraphFeatures.of(store.get(1))
 
 
 class TestLRURecencySemantics:

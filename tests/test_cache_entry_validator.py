@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cache.entry import CacheEntry, QueryType
-from repro.cache.validator import CacheValidator, refresh_validity
+from repro.cache.manager import CacheManager
+from repro.cache.models import CacheModel
+from repro.cache.query_index import QueryIndex
+from repro.cache.validator import refresh_validity, validate_con
 from repro.dataset.log import OpType, UpdateLog
 from repro.dataset.log_analyzer import analyze_log
+from repro.dataset.store import GraphStore
+from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
+from repro.runtime.processors import HitDiscovery
 from tests.conftest import id_mask, packed_ids
 from tests.reference_pruner import possible_answer, valid_answer
 
@@ -63,10 +69,16 @@ class TestCacheEntry:
         assert not e.fully_valid(id_mask({0, 3}))
 
     def test_exact_match_size_check(self):
-        e = entry(answer=set(), valid=set())
-        assert e.is_exact_match_of(LabeledGraph.from_edges("XY", [(0, 1)]))
-        assert not e.is_exact_match_of(LabeledGraph.from_edges("XYZ",
-                                                               [(0, 1)]))
+        """A verified containment is an exact match iff the sizes are
+        equal: the same ``CO`` entry is exact for ``CO``, and only
+        contained in ``CON``."""
+        index = QueryIndex()
+        index.add(entry(answer=set(), valid=set()))
+        for query, exact in (("CO", 1), ("CON", 0)):
+            graph = LabeledGraph.from_edges(query, [(0, 1)])
+            hits = HitDiscovery().discover(graph, index,
+                                           GraphFeatures.of(graph))
+            assert (len(hits.contained), len(hits.exact)) == (1, exact)
 
     def test_repr(self):
         assert "answers=" in repr(entry(answer={1}, valid={1}))
@@ -200,27 +212,23 @@ class TestFigure2Example:
 
 class TestCacheValidator:
     def test_validate_con_counts(self):
-        validator = CacheValidator()
         entries = [entry(answer={0}, valid={0}, entry_id=i)
                    for i in range(3)]
-        validator.validate_con(entries, counters_from((OpType.UR, 0)))
-        assert validator.validations == 1
-        assert validator.bits_invalidated == 3
+        assert validate_con(entries, counters_from((OpType.UR, 0))) == 3
+        assert [e.valid for e in entries] == [0, 0, 0]
 
     def test_validate_con_noop_when_empty(self):
-        validator = CacheValidator()
         entries = [entry(answer=set(), valid={0})]
         counters, _ = analyze_log(UpdateLog(), 0)
-        validator.validate_con(entries, counters)
-        assert validator.bits_invalidated == 0
+        assert validate_con(entries, counters) == 0
+        assert entries[0].valid == 1
 
     def test_validate_con_extends_even_without_counters(self):
         """An ADD-only log leaves every indicator as it was: the new
         graph's bit already reads 0 (Algorithm 2's extend)."""
-        validator = CacheValidator()
         e = entry(answer=set(), valid={0})
-        validator.validate_con([e], counters_from((OpType.ADD, 3)))
-        assert (e.valid, validator.bits_invalidated) == (1, 0)
+        turned_off = validate_con([e], counters_from((OpType.ADD, 3)))
+        assert (e.valid, turned_off) == (1, 0)
 
     @given(
         indicators=st.lists(
@@ -242,16 +250,22 @@ class TestCacheValidator:
         counters = counters_from(*ops)
         expected, got = population(), population()
         turned_off = sum(refresh_validity(e, counters) for e in expected)
-        validator = CacheValidator()
-        validator.validate_con(got, counters)
+        assert validate_con(got, counters) == turned_off
         assert [(e.valid, e.answer) for e in got] \
             == [(e.valid, e.answer) for e in expected]
-        assert validator.bits_invalidated == turned_off
-        assert validator.validations == 1
 
     def test_purge_evi(self):
-        validator = CacheValidator()
-        cleared = []
-        validator.purge_evi(lambda: cleared.append(True))
-        assert validator.purges == 1
-        assert cleared == [True]
+        """EVI reflects any change by clearing cache and window, and
+        counts the pass as having seen the whole log."""
+        store = GraphStore.from_graphs(
+            [LabeledGraph.from_edges("CO", [(0, 1)])])
+        manager = CacheManager(model=CacheModel.EVI, window_capacity=2)
+        for i in range(3):
+            manager.admit(LabeledGraph.from_edges("CO", [(0, 1)]), 1,
+                          store, i)
+        assert manager.cache_size + manager.window_size == 3
+        store.remove_edge(0, 0, 1)
+        report = manager.ensure_consistency(store)
+        assert report.purged and manager.purges == 1
+        assert manager.all_entries() == [] and len(manager.index) == 0
+        assert manager.pending_log_records(store) == 0

@@ -117,7 +117,7 @@ def test_unwritable_out_is_a_usage_error(dataset_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-@pytest.mark.parametrize("command", ["run", "snapshot save"])
+@pytest.mark.parametrize("command", ["run", "serve"])
 def test_unwritable_snapshot_target_is_a_usage_error(
         dataset_file, tmp_path, capsys, command, target):
     """A snapshot target no save could write is one line and exit 2
@@ -131,7 +131,8 @@ def test_unwritable_snapshot_target_is_a_usage_error(
     inputs = ["--dataset", str(dataset_file), "--workload", str(workload)]
     flag, argv = {
         "run": ("--save-snapshot", ["run", *inputs]),
-        "snapshot save": ("--out", ["snapshot", "save", *inputs]),
+        "serve": ("--snapshot-path",
+                  ["serve", "--dataset", str(dataset_file), "--port", "0"]),
     }[command]
     captured = assert_usage_error(main([*argv, flag, str(snap)]), capsys,
                                   f"{flag}: ")
@@ -260,6 +261,30 @@ class TestRun:
                      "--workload", str(workload_file), *flags])
         assert assert_usage_error(code, capsys, fragment).out == ""
 
+    @pytest.mark.parametrize("autosave", [[], ["--autosave-every", "1"]])
+    def test_snapshot_of_a_changed_dataset_rejected(
+            self, dataset_file, workload_file, tmp_path, capsys, autosave):
+        """The changes never reach a dataset file, so a snapshot that
+        reflects them could not be restored over ``--dataset``: one
+        stderr line and exit 2 before any query runs, no file written."""
+        snap = tmp_path / "changed.snap.jsonl"
+        code = main([
+            "run", "--dataset", str(dataset_file),
+            "--workload", str(workload_file), "--change-batches", "2",
+            "--save-snapshot", str(snap), *autosave,
+        ])
+        captured = assert_usage_error(code, capsys, "--change-batches")
+        assert captured.out == ""
+        assert not snap.exists()
+
+    def test_snapshot_command_only_loads(self, capsys):
+        """``run --save-snapshot`` is the one snapshot writer."""
+        with pytest.raises(SystemExit) as exc:
+            main(["snapshot", "save"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'save'" in err and "load" in err
+
     def test_empty_workload_rejected(self, dataset_file, tmp_path,
                                      capsys):
         empty = tmp_path / "empty.tve"
@@ -299,8 +324,8 @@ class TestSnapshotErrorPaths:
         workload = tve("wl.tve", ["CO", "CC"])
         snap = tmp_path / "cache.snap.jsonl"
         assert main([
-            "snapshot", "save", "--dataset", str(dataset),
-            "--workload", str(workload), "--out", str(snap),
+            "run", "--dataset", str(dataset),
+            "--workload", str(workload), "--save-snapshot", str(snap),
         ]) == 0
         return snap
 
@@ -350,11 +375,14 @@ class TestSnapshotErrorPaths:
 
     def test_restore_with_a_string_caching_flag(self, snapshot_file, tve,
                                                 capsys):
-        """``"false"`` is truthy: restored as is, it would build a
-        service that caches."""
+        """``caching_enabled`` is a retired key: dropped on decode at
+        any value, so a snapshot that carries it restores."""
+        capsys.readouterr()
         assert self.load_edited(snapshot_file, tve, "caching_enabled",
-                                "false") == 2
-        self.assert_one_line_error(capsys, "caching_enabled must be a bool")
+                                "false") == 0
+        out = capsys.readouterr().out
+        assert "caching_enabled" not in out
+        assert "warm-start: restored" in out
 
     @pytest.mark.parametrize("flags, fragment", [
         (["--autosave-every", "2"], "requires --save-snapshot"),
@@ -444,7 +472,7 @@ class TestSnapshotErrorPaths:
 
     @pytest.mark.parametrize("broken", ["missing", "malformed"])
     @pytest.mark.parametrize("command", [
-        "run", "serve", "gen-workload", "snapshot save", "snapshot load"])
+        "run", "serve", "gen-workload", "snapshot load"])
     def test_unloadable_graph_file(self, command, broken, snapshot_file,
                                    tve, tmp_path, capsys):
         """Every subcommand that reads a ``t/v/e`` file reports a
@@ -458,9 +486,6 @@ class TestSnapshotErrorPaths:
             "serve": ["serve", "--dataset", str(bad), "--port", "0"],
             "gen-workload": ["gen-workload", "--dataset", str(bad),
                              "--out", str(tmp_path / "out.tve")],
-            "snapshot save": ["snapshot", "save", "--dataset", str(bad),
-                              "--workload", workload,
-                              "--out", str(tmp_path / "out.snap.jsonl")],
             "snapshot load": ["snapshot", "load", "--dataset", str(bad),
                               "--path", str(snapshot_file)],
         }[command]

@@ -399,7 +399,8 @@ class TestOracleRuns:
             try:
                 for query in queries[:60]:
                     service.execute(query)
-                service.caching_enabled = False
+                # Freeze the cached population: admit nothing more.
+                service.cache.admit = lambda *args, **kwargs: None
                 before = service.counters()
                 sys.setswitchinterval(1e-5)  # many more interleavings
                 outcome = ConcurrentDriver(service, threads).run(queries,

@@ -10,6 +10,7 @@ from repro.cache.models import CacheModel
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
+from repro.runtime.method_m import MethodMRunner
 from tests.conftest import brute_force_answer
 
 
@@ -117,13 +118,13 @@ class TestBasicExecution:
 
 class TestCachingDisabled:
     def test_no_admission(self, store):
-        engine = GraphCacheService(store, matcher=VF2PlusMatcher(),
-                                   caching_enabled=False)
-        engine.execute(path("CO"))
-        result = engine.execute(path("CO"))
+        """Bare Method M is :class:`MethodMRunner`: no cache, so a
+        repeat costs every test again."""
+        runner = MethodMRunner(store, VF2PlusMatcher())
+        first = runner.execute(path("CO"))
+        result = runner.execute(path("CO"))
         assert result.metrics.method_tests == 5
-        assert engine.cache.cache_size == 0
-        assert engine.cache.window_size == 0
+        assert result.answer_ids == first.answer_ids
 
 
 class TestDynamicBehaviour:

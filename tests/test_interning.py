@@ -327,21 +327,16 @@ class TestSharedGraphs:
         manager.index.audit()
 
     def test_a_bare_index_files_identical_entries_together(self):
-        _, manager, copies, other = sharing_manager()
+        _, _, copies, other = sharing_manager()
         index = QueryIndex()
         for entry in (*copies, other):
             index.add(entry)
             index.audit()
-        features = GraphFeatures.of(path("CO"))
-        assert index.candidate_supergraphs(features, same_as=copies[0]) \
-            == index.candidate_supergraphs(features) == copies
-        assert index.candidate_subgraphs(features, same_as=copies[0]) \
-            == index.candidate_subgraphs(features) == copies
-        # An entry the index never saw is no shortcut, only a miss.
-        stranger = manager.admit(path("CO"), 0,
-                                 GraphStore.from_graphs([]), 0)
-        assert index.candidate_supergraphs(features, same_as=stranger) \
-            == copies
+        # A fresh arrival and the residents' shared features (which
+        # carry the memoised signature) find the same pools.
+        for features in (GraphFeatures.of(path("CO")), copies[0].features):
+            assert index.candidate_supergraphs(features) == copies
+            assert index.candidate_subgraphs(features) == copies
 
     def test_snapshot_round_trip_keeps_answers_and_counts(self, tmp_path):
         config = GCConfig(model="CON", cache_capacity=6, window_capacity=3)

@@ -333,7 +333,11 @@ class TestOldSnapshotsKeepLoading:
         text = self.FIXTURE.read_text()
         again = encode_snapshot(decode_snapshot(text))
         old, new = text.splitlines(), again.splitlines()
-        assert len(old) == len(new) and old[0] == new[0]
+        assert len(old) == len(new)
+        # Besides the sizes, only the retired key goes: decode drops it.
+        header = json.loads(old[0])
+        assert header["fingerprint"].pop("caching_enabled") is True
+        assert header == json.loads(new[0])
         for old_line, new_line in zip(old[1:], new[1:]):
             before, after = json.loads(old_line), json.loads(new_line)
             for name in ("answer", "valid"):
@@ -369,12 +373,16 @@ class TestFingerprintRejection:
         ({"internal_verifier": None, "retro_budget": 5}, True),
         ({"internal_verifier": "ullmann"}, True),
         ({"bogus": 1}, False),
+        ({"caching_enabled": True}, True),
+        ({"caching_enabled": False}, True),
+        ({"caching_enabled": "false"}, True),
     ])
     def test_only_retired_header_keys_are_ignored(self, trace, tmp_path,
                                                   extra, restores):
         """A file written while ``internal_verifier`` / ``retro_budget``
-        existed still restores, whatever their value; any other key this
-        service does not know is a mismatch."""
+        / ``caching_enabled`` existed still restores, whatever their
+        value; any other key this service does not know is a
+        mismatch."""
         graphs, queries, _ = trace
         path = tmp_path / "old.snap.jsonl"
         with GraphCacheService(GraphStore.from_graphs(graphs),
@@ -401,7 +409,7 @@ class TestFingerprintRejection:
         fields."""
         assert FINGERPRINT_FIELDS == (
             "model", "query_type", "matcher", "cache_capacity",
-            "window_capacity", "policy", "caching_enabled",
+            "window_capacity", "policy",
         )
         graphs, queries, _ = trace
         path = tmp_path / "perf.snap.jsonl"
@@ -623,11 +631,13 @@ class TestAutosave:
         assert seen[second] == [26, 30, 33, 36, 39, 42, 45, 48, 51, 55, 59]
 
     def test_autosave_never_writes_without_caching(self, trace, tmp_path):
+        """Autosave counts admissions, not queries: a cache that admits
+        nothing (its ``admit`` a no-op here) is never saved."""
         graphs, queries, _ = trace
         path = tmp_path / "never.snap.jsonl"
         with GraphCacheService(GraphStore.from_graphs(graphs),
-                               CONFIG.replace(caching_enabled=False)
-                               ) as service:
+                               CONFIG) as service:
+            service.cache.admit = lambda *args, **kwargs: None
             service.autosave(path, 1)
             run_span(service, queries, None, 0, 10)
             assert service.cache.admissions == 0

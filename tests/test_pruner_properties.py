@@ -24,6 +24,7 @@ from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.manager import CacheManager
 from repro.cache.models import CacheModel
 from repro.dataset.store import GraphStore
+from repro.graphs.features import GraphFeatures
 from repro.graphs.generators import random_labeled_graph
 from repro.matching.vf2plus import VF2PlusMatcher
 from repro.runtime.method_m import MethodM
@@ -59,11 +60,15 @@ def build_scenario(seed: int):
     return store, cache, query
 
 
+def discover(query, index):
+    return HitDiscovery().discover(query, index, GraphFeatures.of(query))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_pruning_decisions_are_justified(seed):
     store, cache, query = build_scenario(seed)
-    hits = HitDiscovery().discover(query, cache.index)
+    hits = discover(query, cache.index)
     cs = store.ids_bitset()
     outcome = prune_candidate_set(QueryType.SUBGRAPH, cs, hits,
                                   store.max_id + 1)
@@ -97,7 +102,7 @@ def test_pruning_decisions_are_justified(seed):
 def test_discovery_finds_all_true_containments(seed):
     """The feature filter + verifier pipeline misses no containment."""
     store, cache, query = build_scenario(seed)
-    hits = HitDiscovery().discover(query, cache.index)
+    hits = discover(query, cache.index)
     containing_ids = {e.entry_id for e in hits.containing}
     contained_ids = {e.entry_id for e in hits.contained}
     for entry in cache.all_entries():
@@ -141,7 +146,7 @@ def test_pruner_maps_hold_integers():
     """The per-entry maps are the packed integers themselves, not sets:
     the pipeline only counts them."""
     store, cache, query = build_scenario(7)
-    hits = HitDiscovery().discover(query, cache.index)
+    hits = discover(query, cache.index)
     outcome = prune_candidate_set(QueryType.SUBGRAPH, store.ids_bitset(),
                                   hits, store.max_id + 1)
     for per_entry in (outcome.contributions, outcome.donations,
@@ -154,7 +159,7 @@ def test_pruner_maps_hold_integers():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_pruner_equals_reference_on_real_hits(query_type, seed):
     store, cache, query = build_scenario(seed)
-    hits = HitDiscovery().discover(query, cache.index)
+    hits = discover(query, cache.index)
     args = (query_type, store.ids_bitset(), hits, store.max_id + 1)
     assert outcome_fields(prune_candidate_set(*args)) \
         == outcome_fields(reference_prune_candidate_set(*args))

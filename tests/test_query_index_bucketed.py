@@ -215,7 +215,6 @@ class TestChurnHygiene:
         index.clear()
         assert len(index) == 0
         assert index._buckets == {}
-        assert index._postings == {}
         index.audit()
 
     def test_re_add_same_id_replaces_postings(self):

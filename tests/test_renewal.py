@@ -270,7 +270,6 @@ class TestServiceRenewal:
         (dict(model="CON"), False),
         (dict(model="EVI"), False),
         (dict(model="EVI"), True),
-        (dict(model="CON", caching_enabled=False), True),
     ])
     def test_never_renews_without_a_faded_twin(self, config, churn):
         pool = [path("CO"), path("CC"), path("OC"), path("CCO")]
@@ -283,8 +282,7 @@ class TestServiceRenewal:
                 service.execute(pool[step % 3 if step % 7 else 3])
             counters = service.counters()
             assert counters["renewals"] == 0
-            assert counters["admissions"] == (
-                24 if service.caching_enabled else 0)
+            assert counters["admissions"] == 24
 
     @pytest.mark.parametrize("query_type", ["subgraph", "supergraph"])
     def test_relabelled_query_renews_like_an_identical_one(self, query_type):

@@ -7,6 +7,7 @@ import pytest
 from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.query_index import QueryIndex
 from repro.dataset.store import GraphStore
+from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2 import VF2Matcher
 from repro.runtime.method_m import MethodM, MethodMRunner
@@ -83,6 +84,10 @@ class TestMethodM:
         assert result.metrics.verify_seconds > 0.0
 
 
+def discover(query, index):
+    return HitDiscovery().discover(query, index, GraphFeatures.of(query))
+
+
 class TestHitDiscovery:
     def test_finds_both_directions(self, store):
         index = QueryIndex()
@@ -90,18 +95,18 @@ class TestHitDiscovery:
         small = entry_for(1, path("C"), {0, 1, 3}, {0, 1, 2, 3})
         index.add(big)
         index.add(small)
-        hits = HitDiscovery().discover(path("CC"), index)
+        hits = discover(path("CC"), index)
         assert [e.entry_id for e in hits.containing] == [0]  # CC ⊆ CCO
         assert [e.entry_id for e in hits.contained] == [1]   # C ⊆ CC
         assert hits.exact == []
         assert hits.internal_tests == 2
-        assert hits.hit_count == 2
+        assert len(hits.containing) + len(hits.contained) == 2
 
     def test_exact_match_in_both_lists(self, store):
         index = QueryIndex()
         same = entry_for(0, path("CC"), set(), {0})
         index.add(same)
-        hits = HitDiscovery().discover(path("CC"), index)
+        hits = discover(path("CC"), index)
         assert [e.entry_id for e in hits.containing] == [0]
         assert [e.entry_id for e in hits.contained] == [0]
         assert [e.entry_id for e in hits.exact] == [0]
@@ -111,12 +116,12 @@ class TestHitDiscovery:
     def test_unrelated_entry_ignored(self, store):
         index = QueryIndex()
         index.add(entry_for(0, path("NN"), set(), set()))
-        hits = HitDiscovery().discover(path("CC"), index)
-        assert hits.hit_count == 0
+        hits = discover(path("CC"), index)
+        assert hits.containing == hits.contained == []
 
     def test_empty_index(self):
-        hits = HitDiscovery().discover(path("CC"), QueryIndex())
-        assert hits.hit_count == 0
+        hits = discover(path("CC"), QueryIndex())
+        assert hits.containing == hits.contained == []
         assert hits.internal_tests == 0
 
 
