@@ -21,7 +21,7 @@ class MatcherStats:
     """Work counters accumulated across calls to one matcher instance.
 
     * ``tests`` — number of (query, host) decision calls;
-    * ``states`` — search-tree states expanded (recursive extensions);
+    * ``states`` — search-tree states expanded (depths the walker entered);
     * ``found`` — decision calls that returned True.
     """
 
@@ -91,16 +91,15 @@ class SubgraphMatcher(abc.ABC):
             stats.found += 1
         return mapping
 
-    @abc.abstractmethod
     def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        """Algorithm-specific decision (sizes/labels already pre-checked)."""
+        """Algorithm-specific decision (sizes already pre-checked)."""
+        return self._embed(query, host) is not None
 
+    @abc.abstractmethod
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
-        """Default embedding extraction; subclasses may override."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement embedding extraction"
-        )
+        """Algorithm-specific search for one embedding (sizes already
+        pre-checked)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(tests={self.stats.tests})"

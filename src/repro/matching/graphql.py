@@ -14,15 +14,13 @@ implemented here:
    neighbor of ``u`` to distinct neighbors of ``v`` through the current
    candidate relation.  Implemented with augmenting-path bipartite
    matching, swept at most twice (``REFINEMENT_ROUNDS``).
-3. **Search-order optimization**: the search picks, at each depth, the
+3. **Search-order optimization**: the search
+   (:func:`repro.matching.search.extend`) picks, at each depth, the
    unmapped query vertex with the fewest live candidates
-   (least-candidates-first dynamic ordering).
+   (least-candidates-first dynamic ordering, :class:`_Choice`).
 
-Neither the refinement nor the search leaves a reference cycle behind a
-test ("Leave nothing for the collector" in
-:mod:`repro.matching.vf2plus`): the augmenting step is a module-level
-function, and the search's self-recursive closure drops its
-self-reference when it ends.
+Neither the search nor the augmenting paths recurse, so no pattern is
+too deep for them.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from repro.matching.plans import (
     neighbour_profiles,
     vertices_by_label,
 )
+from repro.matching.search import Step, extend
 
 __all__ = ["GraphQLMatcher"]
 
@@ -56,23 +55,146 @@ class _Plan:
         self.needs = neighbour_needs(self.labels, self.neighbors)
 
 
-def _augment(qn: int, visited: set[int], host_neighbors: list[int],
+def _augment(qn: int, host_neighbors: set[int],
              candidates: list[set[int]], match_of: dict[int, int]) -> bool:
-    """One augmenting-path step of :meth:`GraphQLMatcher._has_semi_matching`.
-
-    A module-level function taking its state as arguments, not a closure
-    over it: a nested function that calls itself is a reference cycle,
-    and this one runs once per (pattern vertex, candidate) pair."""
-    for h in host_neighbors:
-        if h in visited or h not in candidates[qn]:
+    """Match ``qn`` to a host neighbour, moving earlier matches along an
+    augmenting path if need be: the recursive search's visits, in its
+    order, on a stack of (query neighbour, host neighbours left)."""
+    visited: set[int] = set()
+    stack = [(qn, iter(host_neighbors))]
+    through: list[int] = []
+    while True:
+        q, hosts = stack[-1]
+        for h in hosts:
+            if h not in visited and h in candidates[q]:
+                visited.add(h)
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return False
+            through.pop()
             continue
-        visited.add(h)
-        if h not in match_of or _augment(match_of[h], visited,
-                                         host_neighbors, candidates,
-                                         match_of):
-            match_of[h] = qn
-            return True
-    return False
+        if h in match_of:
+            through.append(h)
+            stack.append((match_of[h], iter(host_neighbors)))
+            continue
+        match_of[h] = q
+        for h, (q, _) in zip(through, stack):
+            match_of[h] = q
+        return True
+
+
+def _semi_matching(q_neigh: tuple[int, ...], h_neigh: set[int],
+                   candidates: list[set[int]]) -> bool:
+    """Can every ``qn`` take a *distinct* ``h ∈ candidates[qn]``?  Each
+    takes its first free one; only when one finds none free, though some
+    allowed, does the augmenting-path matching run, from the start.  On
+    molecules most matchings are settled so, and :func:`_augment`'s
+    stack would double the refinement's time."""
+    taken: set[int] = set()
+    for qn in q_neigh:
+        allowed = candidates[qn]
+        for h in h_neigh:
+            if h in allowed and h not in taken:
+                taken.add(h)
+                break
+        else:
+            if allowed.isdisjoint(h_neigh):
+                return False
+            match_of: dict[int, int] = {}
+            return all(_augment(qn, h_neigh, candidates, match_of)
+                       for qn in q_neigh)
+    return True
+
+
+class _Choice:
+    """GraphQL's search order for :func:`~repro.matching.search.extend`:
+    the unmapped vertex with the fewest live candidates, vertices next to
+    the mapping (the ``frontier``) first, the lowest id on ties.
+
+    A frontier vertex's ``live`` count is its unused candidates adjacent
+    to the images of its mapped neighbours (``near`` counts those).
+    Placing ``u`` on ``v`` recounts ``u``'s neighbours from ``v``'s
+    neighbourhood and takes ``v`` off the other frontier counts; ``log``
+    keeps the old counts, to undo placements the walker took back.  Off
+    the frontier, counts are needed only when a new component starts."""
+
+    __slots__ = ("plan", "candidates", "adjacency", "live", "near",
+                 "frontier", "chosen", "log")
+
+    def __init__(self, plan: _Plan, host: LabeledGraph,
+                 candidates: list[set[int]]) -> None:
+        self.plan = plan
+        self.candidates = candidates
+        self.adjacency = host._adjacency
+        self.live, self.near = [0] * len(candidates), [0] * len(candidates)
+        self.frontier: set[int] = set()
+        self.chosen: list[int] = []     # per depth of the current branch
+        #: per placement counted: the vertex and its (x, old live) list
+        self.log: list[tuple[int, list[tuple[int, int]]]] = []
+
+    def _place(self, u: int, mapping: dict[int, int],
+               used: set[int]) -> None:
+        neighbors, candidates = self.plan.neighbors, self.candidates
+        adjacency, live, frontier = self.adjacency, self.live, self.frontier
+        v = mapping[u]
+        old: list[tuple[int, int]] = []
+        frontier.discard(u)
+        for x in frontier:
+            if v in candidates[x]:
+                for y in neighbors[x]:
+                    if y in mapping and v not in adjacency[mapping[y]]:
+                        break
+                else:
+                    old.append((x, live[x]))
+                    live[x] -= 1
+        for x in neighbors[u]:
+            self.near[x] += 1
+            if x in mapping:
+                continue
+            images = [adjacency[mapping[y]] for y in neighbors[x]
+                      if y in mapping and y != u]
+            count = 0
+            for h in adjacency[v]:
+                if h in candidates[x] and h not in used:
+                    for image in images:
+                        if h not in image:
+                            break
+                    else:
+                        count += 1
+            old.append((x, live[x]))
+            live[x] = count
+            frontier.add(x)
+        self.log.append((u, old))
+
+    def _unplace(self) -> None:
+        u, old = self.log.pop()
+        for x, count in reversed(old):
+            self.live[x] = count
+        for x in self.plan.neighbors[u]:
+            self.near[x] -= 1
+            if not self.near[x]:
+                self.frontier.discard(x)
+        if self.near[u]:
+            self.frontier.add(u)
+
+    def __call__(self, mapping: dict[int, int], used: set[int]) -> Step:
+        depth = len(mapping)
+        while len(self.log) > max(depth - 1, 0):    # stale placements
+            self._unplace()
+        if depth:
+            self._place(self.chosen[depth - 1], mapping, used)
+        del self.chosen[depth:]
+        live, candidates = self.live, self.candidates
+        if self.frontier:
+            _, u = min([(live[x], x) for x in self.frontier])
+        else:
+            _, u = min([(len(c) - len(c.intersection(used)), x)
+                        for x, c in enumerate(candidates) if x not in mapping])
+        self.chosen.append(u)
+        mapped = [y for y in self.plan.neighbors[u] if y in mapping]
+        return (u, self.plan.labels[u], mapped, 0, 0, 0, candidates[u])
 
 
 class GraphQLMatcher(SubgraphMatcher):
@@ -80,13 +202,7 @@ class GraphQLMatcher(SubgraphMatcher):
 
     name = "graphql"
 
-    # ------------------------------------------------------------------
     # Phase 1: local pruning
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _plan(query: LabeledGraph) -> _Plan:
-        return query.derived("graphql", _Plan)
-
     @staticmethod
     def _initial_candidates(plan: _Plan,
                             host: LabeledGraph) -> list[set[int]]:
@@ -99,128 +215,59 @@ class GraphQLMatcher(SubgraphMatcher):
                  if not need & table[v].supply}
                 for qlabel, need in zip(plan.labels, plan.needs)]
 
-    # ------------------------------------------------------------------
     # Phase 2: global refinement (pseudo subgraph isomorphism)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _has_semi_matching(query_neighbors: tuple[int, ...],
-                           host_neighbors: list[int],
-                           candidates: list[set[int]]) -> bool:
-        """Can every query neighbor be matched to a *distinct* host neighbor
-        it is compatible with?  Standard augmenting-path bipartite matching
-        over the compatibility relation ``h ∈ candidates[qn]``."""
-        match_of: dict[int, int] = {}  # host neighbor -> query neighbor
-        for qn in query_neighbors:
-            if not _augment(qn, set(), host_neighbors, candidates, match_of):
-                return False
-        return True
-
     def _refine(self, plan: _Plan, host: LabeledGraph,
                 candidates: list[set[int]]) -> bool:
         """Iterate the pseudo-iso test; returns False if any candidate set
-        empties (no embedding can exist)."""
-        host_adjacency = host._adjacency
+        empties (no embedding can exist).
+
+        A candidate none of whose neighbours is ``excluded`` from the
+        candidates of a pattern neighbour with its label passes: its
+        profile dominates, so the matching exists.  Where the excluded
+        vertices are under a quarter of the candidates (a long path: two
+        of ~1 300), only the candidates next to them are tested; on
+        molecules they are most of a label's vertices, and collecting
+        their neighbours costs more than testing every candidate."""
+        host_adjacency, labels = host._adjacency, plan.labels
+        by_label = vertices_by_label(host)
+        excluded: list[set[int] | None] = [None] * len(candidates)
         for _ in range(REFINEMENT_ROUNDS):
             changed = False
             for u, q_neigh in enumerate(plan.neighbors):
                 if not q_neigh:
                     continue
-                dead: list[int] = []
-                for v in candidates[u]:
-                    h_neigh = list(host_adjacency[v])
-                    if not self._has_semi_matching(q_neigh, h_neigh, candidates):
-                        dead.append(v)
+                pool = candidates[u]
+                if 4 * sum([len(by_label[labels[qn]]) - len(candidates[qn])
+                            for qn in q_neigh]) < len(pool):
+                    near: set[int] = set()
+                    for qn in q_neigh:
+                        if excluded[qn] is None:
+                            excluded[qn] = (set(by_label[labels[qn]])
+                                            - candidates[qn])
+                        for h in excluded[qn]:
+                            near.update(host_adjacency[h])
+                    pool = pool & near
+                dead = [v for v in pool
+                        if not _semi_matching(q_neigh, host_adjacency[v],
+                                              candidates)]
                 if dead:
                     changed = True
                     candidates[u].difference_update(dead)
+                    if excluded[u] is not None:
+                        excluded[u].update(dead)
                     if not candidates[u]:
                         return False
             if not changed:
                 break
         return True
 
-    # ------------------------------------------------------------------
     # Phase 3: search
-    # ------------------------------------------------------------------
-    def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        return self._search(query, host) is not None
-
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
-        return self._search(query, host)
-
-    def _search(self, query: LabeledGraph,
-                host: LabeledGraph) -> dict[int, int] | None:
-        plan = self._plan(query)
+        plan = query.derived("graphql", _Plan)
         candidates = self._initial_candidates(plan, host)
-        if any(not c for c in candidates):
+        if any(not c for c in candidates) or not self._refine(
+                plan, host, candidates):
             return None
-        if not self._refine(plan, host, candidates):
-            return None
-
-        neighbors = plan.neighbors
-        n = len(neighbors)
-        host_adjacency = host._adjacency
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-        states = 0
-
-        def live_count(u: int) -> int:
-            """Candidates of u consistent with the current partial map."""
-            images = [host_adjacency[mapping[x]]
-                      for x in neighbors[u] if x in mapping]
-            count = 0
-            for v in candidates[u]:
-                if v in used:
-                    continue
-                for image in images:
-                    if v not in image:
-                        break
-                else:
-                    count += 1
-            return count
-
-        def selection_key(u: int) -> tuple[int, int]:
-            for nb in neighbors[u]:
-                if nb in mapping:
-                    return (0, live_count(u))
-            return (1, live_count(u))
-
-        def extend() -> bool:
-            nonlocal states
-            if len(mapping) == n:
-                return True
-            states += 1
-            # Least-candidates-first among unmapped query vertices, with a
-            # connectivity bonus: prefer vertices adjacent to the mapping.
-            u = min([x for x in range(n) if x not in mapping],
-                    key=selection_key)
-            images = [host_adjacency[mapping[x]]
-                      for x in neighbors[u] if x in mapping]
-            for v in candidates[u]:
-                if v in used:
-                    continue
-                adjacent = True
-                for image in images:
-                    if v not in image:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                mapping[u] = v
-                used.add(v)
-                if extend():
-                    return True
-                del mapping[u]
-                used.discard(v)
-            return False
-
-        try:
-            found = extend()
-        finally:
-            # Break the extend <-> closure-cell cycle, so that nothing of
-            # this search (selection_key and live_count hang off it) is
-            # left to the cyclic collector.
-            del extend
-        self.stats.states += states
-        return mapping if found else None
+        return extend(host, len(candidates), self.stats,
+                    choose=_Choice(plan, host, candidates))

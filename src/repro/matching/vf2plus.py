@@ -23,9 +23,8 @@ iGraph comparisons ([7, 8] in the paper):
 
 Where the candidates come from
 ------------------------------
-A depth's candidates are the host vertices that can extend the mapping,
-in a fixed order, and the search spends its time walking them, so each
-walk does no more than the order needs:
+The search is :func:`repro.matching.search.extend` on compiled steps,
+and each depth walks no more candidates than its order needs:
 
 * **Root pool**: a vertex with no mapped neighbour (depth 0, and the
   first vertex of every further component) draws from the host's
@@ -38,9 +37,10 @@ walk does no more than the order needs:
   more, the lowest-degree image (the first on ties) is iterated and
   every candidate is probed against all images.
 * **Lookahead bound**: ``used`` holds one host vertex per depth, so a
-  candidate with at least ``depth + unmapped`` neighbours has
-  ``unmapped`` unused ones; only below that bound is the exact count
-  (a set difference) built.
+  candidate with at least ``depth + unmapped`` neighbours (a bound
+  compiled into the step, the order being static) has ``unmapped``
+  unused ones; only below it is the exact count (a set difference)
+  built.
 
 Every check still runs on the same candidates in the same order, so
 decisions, embeddings and ``MatcherStats`` equal the per-test reference
@@ -73,28 +73,6 @@ Each interned profile carries its supply mask, set once when it is
 interned, so a candidate's whole neighbourhood test is
 ``need & profiles[cand].supply`` — no loop over labels, no dict probe
 — and the same masks serve Method M's tests and discovery's alike.
-
-Leave nothing for the collector
--------------------------------
-The search is a nested function that calls itself, because closure
-cells are the cheapest place CPython offers for a recursion's shared
-state.  A nested function that names itself is also a reference cycle:
-the function object holds its closure, the closure holds the cell of the
-enclosing frame's ``extend`` variable, and that cell holds the function.
-Reference counting never frees a cycle, so every test that reached the
-search used to leave the function, its cells and whatever they reach —
-the mapping, the ``used`` set — to the cyclic
-collector: about 1 900 unreachable objects and two gen-0 collections
-per query on ``verify_bound``, 6-10% of every gcbench stream, charged to
-whichever layer allocated next.  ``_walk`` now empties that one cell
-when the recursion returns or raises, so the last reference to
-everything else goes with the frame.  The other kernels (and the
-test suite's Ullmann oracle and embedding enumerator) do the same, and
-``tests/test_no_cyclic_garbage.py`` pins the result from the kernels up
-to ``CacheServer.handle``: with the collector off, the code runs and
-``gc.collect()`` finds nothing; ``tests/test_gcbench_counts.py`` pins it
-over the full-size streams.  The collector itself is left alone — the
-fix is to produce no garbage, not to stop looking for it.
 """
 
 from __future__ import annotations
@@ -108,16 +86,12 @@ from repro.matching.plans import (
     neighbor_lists,
     neighbour_needs,
     neighbour_profiles,
-    vertices_by_label,
 )
+from repro.matching.search import Step, extend
 
 __all__ = ["VF2PlusMatcher"]
 
 Label = Hashable
-#: One depth of a compiled order: the pattern vertex, its label, its
-#: neighbours mapped at shallower depths (in the adjacency set's
-#: iteration order), how many are not, and its profile's need mask.
-_Step = tuple[int, Label, tuple[int, ...], int, int]
 
 
 class _Plan:
@@ -136,7 +110,7 @@ class _Plan:
         #: host ranking of ``required``'s labels → compiled steps; grows
         #: by idempotent single stores (see the module docstring), to
         #: one entry per weak ordering of the distinct labels at most
-        self.orders: dict[tuple[int, ...], tuple[_Step, ...]] = {}
+        self.orders: dict[tuple[int, ...], tuple[Step, ...]] = {}
 
     def variable_order(self, host_counts: dict[Label, int]) -> list[int]:
         """Rarest-label-first, high-degree-first, connectivity-first."""
@@ -159,14 +133,18 @@ class _Plan:
                     frontier.add(n)
         return order
 
-    def compile(self, host_counts: dict[Label, int]) -> tuple[_Step, ...]:
+    def compile(self, host_counts: dict[Label, int]) -> tuple[Step, ...]:
+        """One step per depth; ``mapped`` in the adjacency set's
+        iteration order."""
         placed: set[int] = set()
-        steps: list[_Step] = []
-        for u in self.variable_order(host_counts):
+        steps: list[Step] = []
+        for depth, u in enumerate(self.variable_order(host_counts)):
             neigh = self.neighbors[u]
             mapped = tuple(n for n in neigh if n in placed)
-            steps.append((u, self.labels[u], mapped,
-                          len(neigh) - len(mapped), self.needs[u]))
+            unmapped = len(neigh) - len(mapped)
+            steps.append((u, self.labels[u], mapped, self.needs[u],
+                          depth + unmapped if unmapped else 0, unmapped,
+                          None))
             placed.add(u)
         return tuple(steps)
 
@@ -176,16 +154,8 @@ class VF2PlusMatcher(SubgraphMatcher):
 
     name = "vf2+"
 
-    def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        return self._search(query, host) is not None
-
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
-        return self._search(query, host)
-
-    # ------------------------------------------------------------------
-    def _search(self, query: LabeledGraph,
-                host: LabeledGraph) -> dict[int, int] | None:
         host_counts = label_counts(host)
         plan = query.derived("vf2+", _Plan)
         # Depth-0 fail-fast: some query label missing or under-supplied.
@@ -200,80 +170,5 @@ class VF2PlusMatcher(SubgraphMatcher):
         steps = plan.orders.get(ranking)
         if steps is None:
             steps = plan.orders[ranking] = plan.compile(host_counts)
-        return self._walk(steps, host)
-
-    def _walk(self, steps: tuple[_Step, ...],
-              host: LabeledGraph) -> dict[int, int] | None:
-        """The search past the depth-0 check.  Its own frame: the closure
-        cells below are made when a frame starts, so a host rejected at
-        depth 0 (about half of them under Method M) makes none."""
-        by_label = vertices_by_label(host)
-        host_labels = host._labels
-        host_adjacency = host._adjacency
-        profiles = neighbour_profiles(host)
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-        depth_reached = len(steps)
-        states = 0
-
-        def extend(depth: int) -> bool:
-            nonlocal states
-            if depth == depth_reached:
-                return True
-            states += 1
-            u, qlabel, mapped, u_unmapped, need = steps[depth]
-            if len(mapped) == 1:
-                # One anchor: its image's neighbours are the candidates,
-                # adjacent to it by construction.
-                pool = host_adjacency[mapping[mapped[0]]]
-                images = ()
-            elif mapped:
-                # Scan the neighbourhood of the lowest-degree image
-                # (first one on ties); the others are checked per
-                # candidate.
-                images = [host_adjacency[mapping[n]] for n in mapped]
-                pool = min(images, key=len)
-            else:
-                images = ()
-                pool = by_label[qlabel]
-            # len(used) == depth: a candidate with this many neighbours
-            # has u_unmapped unused ones without counting them.
-            enough = depth + u_unmapped
-            for cand in pool:
-                if cand in used:
-                    continue
-                if host_labels[cand] != qlabel:
-                    continue
-                if need & profiles[cand].supply:
-                    continue
-                if images:
-                    adjacent = True
-                    for image in images:
-                        if cand not in image:
-                            adjacent = False
-                            break
-                    if not adjacent:
-                        continue
-                if u_unmapped:
-                    cand_neighbors = host_adjacency[cand]
-                    if (len(cand_neighbors) < enough
-                            and len(cand_neighbors - used) < u_unmapped):
-                        continue
-                mapping[u] = cand
-                used.add(cand)
-                if extend(depth + 1):
-                    return True
-                del mapping[u]
-                used.discard(cand)
-            return False
-
-        try:
-            found = extend(0)
-        finally:
-            # extend's closure holds the cell that holds extend; empty
-            # the cell, or this search's function, cells, mapping and
-            # used set all wait for the cyclic collector
-            # ("Leave nothing for the collector" above).
-            del extend
-        self.stats.states += states
-        return mapping if found else None
+        return extend(host, len(steps), self.stats, steps,
+                    neighbour_profiles(host), lowest=True)

@@ -16,7 +16,7 @@ weight.  Four sources feed one scrape:
 * the interpreter's own ``gc.get_stats()``, read at scrape time (no
   per-query cost) → ``gcplus_gc_*_total`` counters per generation.  The
   pipeline is written to leave the cyclic collector nothing to free
-  (``repro.matching.vf2plus``, "Leave nothing for the collector"), and
+  (``repro.matching.search``, "No cycle to collect"), and
   a collection has no span: ``rate(gcplus_gc_collected_objects_total)``
   above zero on a live sidecar is how a reintroduced reference cycle
   shows from outside.

@@ -15,7 +15,8 @@ must leave it nothing to find.  A sub-iso search that leaks a reference
 cycle — a self-recursive closure is one — left 203 312 (``churn_con``),
 266 172 (``hit_bound``) and 807 245 (``verify_bound``) unreachable
 objects over these streams, and 6-10% of their time went to the
-collector freeing them, with no span to show it.
+collector freeing them, with no span to show it ("No cycle to collect"
+in ``repro.matching.search``).
 
 A change that *means* to move a count (a new pruning rule, another
 admission policy) updates the pin in the same diff and says why;

@@ -38,6 +38,7 @@ from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.matching import GraphQLMatcher, make_matcher
 from repro.matching.plans import _INTERNED, need_mask, neighbour_profiles
+from repro.matching.graphql import _Plan as GraphQLPlan
 from repro.matching.vf2plus import _Plan
 from repro.runtime.method_m import MethodMRunner
 from repro.workloads.base import DEFAULT_QUERY_SIZES
@@ -204,6 +205,43 @@ def test_gcbench_shapes_match_reference(name, gcbench_shapes):
     assert max(g.num_vertices for g in gcbench_shapes) == 60
     assert len(gcbench_shapes) >= 12 + 10 + len(SEARCH_CORNERS)
     assert_indistinguishable(name, gcbench_shapes)
+
+
+#: Where backtracking runs deepest: one label, so no label or profile
+#: test prunes, and shapes whose dead ends the search must walk to the
+#: end — long paths, wide stars, odd cycles in a bipartite K3,3 or grid.
+HOSTILE = [
+    *(path("C" * n) for n in (1, 2, 3, 4, 5, 8, 13, 21, 30)),
+    *(graph("C" * (leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+      for leaves in (3, 6, 12)),
+    *(graph("C" * n, ring("C" * n)) for n in (3, 4, 5, 6, 7, 8)),
+    graph("C" * 6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    graph("C" * 16, [(v, v + 1) for v in range(16) if v % 4 < 3]
+          + [(v, v + 4) for v in range(12)]),
+]
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_hostile_shapes_match_reference(name):
+    assert_indistinguishable(name, HOSTILE)
+
+
+def test_graphql_refines_to_the_reference_candidates():
+    """GraphQL's refinement tests only the candidates next to a vertex
+    excluded from a neighbour's candidates, and matches greedily first:
+    it must leave the reference's candidate sets, also on the long hosts
+    where it skips the others."""
+    production, reference = GraphQLMatcher(), REFERENCE_MATCHERS["graphql"]()
+    long_paths = [path("C" * n) for n in (2, 3, 40, 60)]
+    for query in HOSTILE + long_paths:
+        plan = query.derived("graphql", GraphQLPlan)
+        for host in HOSTILE + long_paths:
+            ours = production._initial_candidates(plan, host)
+            theirs = reference._initial_candidates(query, host)
+            if all(theirs):
+                assert (production._refine(plan, host, ours)
+                        == reference._refine(query, host, theirs))
+            assert ours == theirs, (query, host)
 
 
 def _exact_lookahead_counts(pattern: LabeledGraph,

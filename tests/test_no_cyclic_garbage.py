@@ -5,10 +5,10 @@ closure, the closure holds the cell that holds the function), so a
 sub-iso search written as one leaves itself — and its mapping, its
 ``used`` set, its profiles — behind for the cyclic collector on every
 test; on the gcbench streams that was 6-10% of the wall time, with no
-span to show it ("Leave nothing for the collector" in
-``repro.matching.vf2plus``).  The kernels now drop that self-reference
-when the search ends and the pipeline above them allocates no cycle
-either; this file makes both a tested property, layer by layer.
+span to show it ("No cycle to collect" in ``repro.matching.search``).
+The kernels now search on an explicit stack in one frame and the
+pipeline above them allocates no cycle either; this file makes both a
+tested property, layer by layer.
 
 The check is ``tests/conftest.py::no_cyclic_garbage``: collect, turn the
 collector off, run the code, collect again — the second collection must

@@ -4,6 +4,9 @@ Cached answers stay bit-identical to the direct matcher only while core
 code never reads the wall clock (GC201), never draws unseeded
 randomness (GC202) and never takes an order from a hash: no
 ``.popitem()``, no iteration over a set expression (GC203).
+No core function calls itself, by its bare name or as ``self.<name>``
+(GC204): recursion fails on a deep enough input, and a nested function
+that calls itself is a reference cycle left to the collector.
 ``persist`` / ``serve`` must not swallow failures: no bare or broad
 ``except`` unless it ends in a bare ``raise`` (GC401).  Every file
 parses (GC000), and a ``# gclint: allow[<id or slug>, ...] <reason>``
@@ -30,7 +33,8 @@ FIXTURE = REPO / "tests" / "fixtures" / "gclint_violations"
 CORE = frozenset({"matching", "cache", "runtime", "persist", "api"})
 EXEMPT = frozenset({"workloads", "bench", "serve"})
 SLUGS = {"GC201": "wall-clock", "GC202": "unseeded-random",
-         "GC203": "hash-order", "GC401": "broad-except"}
+         "GC203": "hash-order", "GC204": "recursion",
+         "GC401": "broad-except"}
 
 WALL_CLOCKS = frozenset(
     "time.time time.time_ns time.localtime time.gmtime datetime.now "
@@ -73,6 +77,15 @@ def _swallows(handler: ast.ExceptHandler) -> bool:
                                  for e in names)
 
 
+def _calls_itself(node: ast.AST, function: ast.AST) -> bool:
+    """``node`` calls ``function`` by its bare name or as ``self.<name>``."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = function.name
+    return (isinstance(node.func, ast.Name) and node.func.id == name
+            or _dotted(node.func) == f"self.{name}")
+
+
 def raw_findings(tree: ast.AST, rel: str) -> Iterator[tuple[str, int]]:
     """``(rule, line)`` for every GC2xx/GC401 match, before pragmas."""
     parts = set(PurePosixPath(rel).parts)
@@ -99,6 +112,9 @@ def raw_findings(tree: ast.AST, rel: str) -> Iterator[tuple[str, int]]:
         elif (hygiene and isinstance(node, ast.ExceptHandler)
                 and _swallows(node)):
             yield "GC401", node.lineno
+        if core and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from (("GC204", call.lineno) for call in ast.walk(node)
+                        if _calls_itself(call, node))
 
 
 def check(root: Path) -> list[tuple[str, str, int]]:
@@ -151,6 +167,7 @@ SEEDED = {  # test id: (rule, fixture file, text on the flagged line)
     "GC202-runtime": ("GC202", "runtime/worker_pool.py", "random.random()"),
     "GC203-popitem": ("GC203", "cache/hash_order.py", ".popitem()"),
     "GC203-set-iteration": ("GC203", "cache/hash_order.py", "in set("),
+    "GC204-recursion": ("GC204", "matching/recursive.py", "return extend("),
     "GC401-persist": ("GC401", "persist/writer.py", "except Exception"),
     "GC001-no-reason": ("GC001", "cache/pragma.py", "allow[GC202]"),
 }
@@ -180,6 +197,16 @@ SCOPE = {  # test id: (file, source, rules it must raise)
     "set-to-list": ("cache/order.py", "X = list(set(Y))", ["GC203"]),
     "sorted-set": ("cache/order.py", "X = sorted(set(Y))", []),
     "popitem": ("cache/evict.py", "X = Y.popitem()", ["GC203"]),
+    "recursion-by-name":
+        ("matching/walk.py", "def f(n):\n    return f(n - 1)", ["GC204"]),
+    "recursion-by-method": ("runtime/plan.py", "class P:\n    def f(self):\n"
+                            "        return self.f()", ["GC204"]),
+    "nested-self-call": ("matching/walk.py", "def f():\n    def g():\n"
+                         "        return g()\n    return g", ["GC204"]),
+    "call-of-another": ("cache/walk.py", "def f(other):\n    return g(f)\n"
+                        "def g(h):\n    return h.f()", []),
+    "recursion-outside-core":
+        ("graphs/walk.py", "def f(n):\n    return f(n - 1)", []),
     "reraising-broad-except": ("persist/atomic.py", "try:\n    f()\n"
                                "except BaseException:\n    raise", []),
     "pragma-by-slug": ("cache/pick.py",

@@ -9,7 +9,7 @@ none of them is wrong.  It plugs into the service as a ready instance
 selects it.
 
 Like the bundled kernels it leaves no reference cycle behind a test
-("Leave nothing for the collector" in :mod:`repro.matching.vf2plus`).
+("No cycle to collect" in :mod:`repro.matching.search`).
 """
 
 from __future__ import annotations
