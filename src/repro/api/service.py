@@ -282,7 +282,7 @@ class GraphCacheService:
         observes the cache between two steps.  A due autosave runs
         after the release."""
         metrics = QueryMetrics()
-        cache = self.cache      # one name per line: gclint types each
+        cache = self.cache      # read once per query
         store = self.store
 
         with self._lock:

@@ -167,7 +167,11 @@ class _Scope:
 
 
 class _Flight:
-    """One request counted as in flight, for :meth:`CacheServer.drain`."""
+    """One request counted as in flight, for :meth:`CacheServer.drain`.
+
+    Readiness is checked and the count taken in one hold of
+    ``_flight_cond``, where drain sets ``_draining``: a request is
+    either refused with a 503 or waited for, never neither."""
 
     __slots__ = ("_server",)
 
@@ -175,8 +179,11 @@ class _Flight:
         self._server = server
 
     def __enter__(self) -> None:
-        with self._server._flight_cond:
-            self._server._in_flight += 1
+        server = self._server
+        with server._flight_cond:
+            if not server.ready:
+                raise _Response(503, {"error": "draining"})
+            server._in_flight += 1
 
     def __exit__(self, exc_type, exc, tb) -> None:
         with self._server._flight_cond:
@@ -450,7 +457,8 @@ class CacheServer:
             if self._drained is not None:
                 return self._drained
             started = time.perf_counter()
-            self._draining = True
+            with self._flight_cond:
+                self._draining = True
             if self._httpd is not None:
                 self._httpd.shutdown()          # stop accepting
                 if self._thread is not None:
@@ -516,11 +524,9 @@ class CacheServer:
                     return self._json(200, {"ready": True})
                 return self._json(503, {"ready": False,
                                         "reason": "draining"})
-            if not self.ready:
-                return self._json(503, {"error": "draining"})
-            payload = self._parse_json(body)
             with _Flight(self):
-                return self._json(*self._serve(path, payload))
+                return self._json(*self._serve(path,
+                                               self._parse_json(body)))
         except _Response as early:
             return self._json(early.status, early.payload)
         except WireError as exc:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from repro.graphs.graph import LabeledGraph
+from tests.lockdep import lock_discipline  # noqa: F401  (a fixture)
 
 # Keep hypothesis runs fast and CI-stable: sub-iso oracles are O(n!) in
 # the worst case, so strategies below bound graph sizes tightly.

@@ -391,6 +391,7 @@ class TestPurgeTiming:
         assert metrics.validate_seconds >= 0.0
 
 
+@pytest.mark.usefixtures("lock_discipline")
 class TestCloseLifecycle:
     """close() is idempotent and safe against in-flight autosaves."""
 

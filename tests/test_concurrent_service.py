@@ -34,6 +34,9 @@ from tests.concurrent_driver import (
     sequential_replay,
 )
 
+#: GC110 / GC111 hold over every test here (tests/lockdep.py).
+pytestmark = pytest.mark.usefixtures("lock_discipline")
+
 
 def path(labels: str) -> LabeledGraph:
     return LabeledGraph.from_edges(

@@ -43,6 +43,9 @@ from repro.persist import (
 from repro.util.bits import bit_ids
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
+#: GC110 / GC111 hold over every test here (tests/lockdep.py).
+pytestmark = pytest.mark.usefixtures("lock_discipline")
+
 NUM_QUERIES = 60
 
 CONFIG = GCConfig(model="CON", cache_capacity=10, window_capacity=4)

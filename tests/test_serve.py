@@ -33,6 +33,9 @@ from repro.serve.server import (MAX_BODY_BYTES, MAX_HEADERS,
 from repro.serve.wire import graph_to_wire
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 
+#: GC110 / GC111 hold over every test here (tests/lockdep.py).
+pytestmark = pytest.mark.usefixtures("lock_discipline")
+
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -748,6 +751,48 @@ class TestDrain:
         thread.join(timeout=10.0)
         assert report.in_flight_drained
         assert results["response"][0] in (200, 503)
+
+
+    def test_drain_waits_for_a_request_still_decoding(self, served,
+                                                      monkeypatch):
+        """A request still decoding its body when drain starts is in
+        flight: drain waits for it, it answers 200, and the next request
+        is refused as draining.  (Readiness used to be checked before
+        the request was counted, so drain neither waited for it nor
+        refused it: it returned at once, and the request then waited
+        SESSION_WAIT_SECONDS on the retired pool for a 503.)"""
+        server, service, graphs = served
+        decoding, release = threading.Event(), threading.Event()
+        parse = CacheServer._parse_json
+
+        def held_parse(body):
+            decoding.set()
+            assert release.wait(timeout=10.0)
+            return parse(body)
+
+        monkeypatch.setattr(CacheServer, "_parse_json",
+                            staticmethod(held_parse))
+        body = json.dumps({"graph": graph_to_wire(
+            graphs[0].induced_subgraph([0, 1]))}).encode()
+        answers, reports = [], []
+        asked = threading.Thread(target=lambda: answers.append(
+            server.handle("POST", "/query", body)))
+        asked.start()
+        assert decoding.wait(timeout=10.0)
+        draining = threading.Thread(target=lambda: reports.append(
+            server.drain(timeout=10.0)))
+        draining.start()
+        try:
+            draining.join(timeout=0.3)
+            assert draining.is_alive(), "drain did not wait for the request"
+        finally:
+            release.set()
+            asked.join(timeout=15.0)
+            draining.join(timeout=15.0)
+        assert answers[0][0] == 200
+        assert reports[0].in_flight_drained
+        status, payload, _ = server.handle("POST", "/query", body)
+        assert (status, json.loads(payload)) == (503, {"error": "draining"})
 
 
 class TestWarmStartOverHTTP:

@@ -15,6 +15,9 @@ from repro.api import GCConfig, GraphCacheService, ServiceSession
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
 
+#: GC110 / GC111 hold over every test here (tests/lockdep.py).
+pytestmark = pytest.mark.usefixtures("lock_discipline")
+
 
 def path(labels: str) -> LabeledGraph:
     return LabeledGraph.from_edges(

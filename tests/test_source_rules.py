@@ -11,9 +11,10 @@ that calls itself is a reference cycle left to the collector.
 ``except`` unless it ends in a bare ``raise`` (GC401).  Every file
 parses (GC000), and a ``# gclint: allow[<id or slug>, ...] <reason>``
 pragma, on a finding's line or alone on the line above, suppresses it
-only with a reason (GC001).  Core is a path with a segment in ``CORE``
-and none in ``EXEMPT``.  The lock rules (GC110/111/120) are gclint's:
-``python -m repro.analysis``.
+only with a reason (GC001); the pragma keeps the spelling of the
+linter these rules came from.  Core is a path with a segment in
+``CORE`` and none in ``EXEMPT``.  The lock rules (GC110/111/120) are
+``tests/test_lock_discipline.py``.
 """
 
 from __future__ import annotations
