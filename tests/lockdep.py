@@ -11,8 +11,9 @@ over every test it is applied to:
   (``GraphCacheService._lock``), not by instance, as Linux lockdep keys
   them by class, so one test that takes two locks in one order and
   another that takes them in the other order make a cycle, though
-  neither test deadlocked.  A test's teardown fails while the graph has
-  a cycle.
+  neither test deadlocked.  A test's teardown fails when an edge it
+  added closed a cycle, so the test that closed it is the one that
+  fails.
 * **GC111, nothing blocks under the service lock.**  A socket send or
   receive, ``open``, ``os.replace``, ``time.sleep``, a ``subprocess``
   start, ``encode_snapshot`` or ``save_snapshot`` that runs while its
@@ -30,6 +31,7 @@ write the shared state, is a structural check:
 from __future__ import annotations
 
 import builtins
+import contextlib
 import functools
 import io
 import os
@@ -61,7 +63,9 @@ STDLIB = tuple(sysconfig.get_paths()[key] for key in ("stdlib", "platstdlib"))
 #: its first read under the fixture (so a lock installed later, as
 #: ``session()`` installs ``_lock`` under ``lock_mode="auto"``, and one
 #: built before the fixture started are wrapped too); a module's lock
-#: is wrapped once.
+#: is wrapped once.  The no-op ``nullcontext`` that stands in for
+#: ``_lock`` under ``lock_mode="auto"`` until then is wrapped as well:
+#: a one-caller service holds it where a shared one holds the lock.
 LOCKS: dict[str, tuple[Any, str]] = {
     "GraphCacheService._lock": (GraphCacheService, "_lock"),
     "GraphCacheService._close_lock": (GraphCacheService, "_close_lock"),
@@ -85,7 +89,8 @@ BLOCKING: tuple[tuple[Any, str], ...] = (
     (snapshot_codec, "encode_snapshot"), (snapshot_codec, "save_snapshot"),
 )
 
-_LOCK_TYPES = (type(threading.Lock()), threading.Condition)
+_LOCK_TYPES = (type(threading.Lock()), threading.Condition,
+               contextlib.nullcontext)
 
 
 class Recorder:
@@ -131,40 +136,55 @@ class Recorder:
                 self.blocked.append(f"{what} under {SERVICE_LOCK} at "
                                     f"{_site()}")
 
-    def cycle(self) -> list[str] | None:
-        """A cycle of the lock graph as ``[a, b, ..., a]``, or None."""
-        with self._guard:
-            edges = list(self.edges)
-        return find_cycle(edges)
-
     def describe(self, cycle: list[str]) -> str:
         return "; ".join(f"{a} -> {b} first at {self.edges[(a, b)]}"
                          for a, b in zip(cycle, cycle[1:]))
 
+    def mark(self) -> tuple[int, int]:
+        """Where :meth:`faults_since` starts counting."""
+        with self._guard:
+            return len(self.blocked), len(self.edges)
 
-def find_cycle(edges: list[tuple[str, str]]) -> list[str] | None:
-    """A cycle of the directed graph ``edges`` as ``[a, ..., a]``."""
+    def faults_since(self, mark: tuple[int, int]) -> list[str]:
+        """The blocking calls recorded since ``mark``, and a cycle
+        through an edge added since (a cycle an earlier test closed
+        fails that test, not every later one)."""
+        blocked, seen = mark
+        with self._guard:
+            faults = [f"blocking under the service lock (GC111): {what}"
+                      for what in self.blocked[blocked:]]
+            edges = list(self.edges)
+        for a, b in edges[seen:]:
+            back = find_path(edges, b, a)
+            if back is not None:
+                cycle = [a, *back]
+                faults.append(f"lock-order cycle (GC110) "
+                              f"{' -> '.join(cycle)}: "
+                              f"{self.describe(cycle)}")
+                break
+        return faults
+
+
+def find_path(edges: list[tuple[str, str]], start: str,
+              goal: str) -> list[str] | None:
+    """A path ``[start, ..., goal]`` along ``edges``, or None."""
     successors: dict[str, list[str]] = {}
-    for a, b in sorted(edges):
+    for a, b in edges:
         successors.setdefault(a, []).append(b)
-    state: dict[str, int] = {}          # 1 on the path, 2 finished
-    for root in sorted(successors):
-        if state.get(root):
-            continue
-        path = [root]
-        pending = [iter(successors.get(root, ()))]
-        state[root] = 1
-        while pending:
-            step = next(pending[-1], None)
-            if step is None:
-                state[path.pop()] = 2
-                pending.pop()
-            elif state.get(step) == 1:
-                return path[path.index(step):] + [step]
-            elif not state.get(step):
-                state[step] = 1
-                path.append(step)
-                pending.append(iter(successors.get(step, ())))
+    came_from: dict[str, str | None] = {start: None}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        if node == goal:
+            path = []
+            while node is not None:
+                path.append(node)
+                node = came_from[node]
+            return path[::-1]
+        for step in successors.get(node, ()):
+            if step not in came_from:
+                came_from[step] = node
+                frontier.append(step)
     return None
 
 
@@ -188,8 +208,9 @@ def _asked_by_package() -> bool:
 
 
 class RecordingLock:
-    """A lock or condition that reports each acquire and release to a
-    :class:`Recorder`; everything else is the wrapped object's."""
+    """A lock or condition (or the ``nullcontext`` standing in for one)
+    that reports each acquire and release to a :class:`Recorder`;
+    everything else is the wrapped object's."""
 
     def __init__(self, name: str, inner: Any, recorder: Recorder) -> None:
         self.name = name
@@ -206,11 +227,14 @@ class RecordingLock:
         self._recorder.dropped(self.name)
         self._inner.release()
 
-    def __enter__(self) -> bool:
-        return self.acquire()
+    def __enter__(self) -> Any:
+        entered = self._inner.__enter__()
+        self._recorder.took(self.name)
+        return entered
 
-    def __exit__(self, *exc: object) -> None:
-        self.release()
+    def __exit__(self, *exc: Any) -> Any:
+        self._recorder.dropped(self.name)
+        return self._inner.__exit__(*exc)
 
     def wait(self, timeout: float | None = None) -> bool:
         """A condition's wait gives the lock up until it returns."""
@@ -293,17 +317,12 @@ def install(monkeypatch: pytest.MonkeyPatch,
 
 @pytest.fixture
 def lock_discipline() -> Iterator[Recorder]:
-    """Run the test under lockdep; its teardown fails on a lock-order
-    cycle in the session's graph or a blocking call under the service
-    lock during the test."""
-    seen = len(RECORDER.blocked)
+    """Run the test under lockdep; its teardown fails on a blocking call
+    under the service lock during the test, or on a lock-order cycle in
+    the session's graph once the test added an edge to it."""
+    mark = RECORDER.mark()
     with pytest.MonkeyPatch.context() as monkeypatch:
         install(monkeypatch)
         yield RECORDER
-    blocked = RECORDER.blocked[seen:]
-    assert not blocked, "blocking under the service lock (GC111): " + \
-        "; ".join(blocked)
-    cycle = RECORDER.cycle()
-    assert cycle is None, (f"lock-order cycle (GC110) "
-                           f"{' -> '.join(cycle)}: "
-                           f"{RECORDER.describe(cycle)}")
+    faults = RECORDER.faults_since(mark)
+    assert not faults, "; ".join(faults)

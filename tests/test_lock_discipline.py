@@ -44,7 +44,7 @@ from repro.serve.server import CacheServer
 from repro.serve.wire import graph_to_wire
 from tests.conftest import fresh_profile_registry
 from tests.lockdep import (LOCKS, RECORDER, Recorder, RecordingLock,
-                           find_cycle, install)
+                           find_path, install)
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -462,12 +462,16 @@ def test_every_wrapped_lock_is_taken(lock_discipline, tmp_path):
     assert {name for name in LOCKS if not taken[name]} == set()
 
 
-@pytest.fixture
-def service():
+@pytest.fixture(params=["rw", "auto"])
+def service(request):
+    """A service whose ``_lock`` is a real lock (``rw``) or, with no
+    session open, the no-op ``nullcontext`` of ``lock_mode="auto"``:
+    the fixture records both alike."""
     store = GraphStore.from_graphs(
         [LabeledGraph.from_edges("CCO", [(0, 1), (1, 2)])])
     with GraphCacheService(store, GCConfig(model="CON",
-                                           lock_mode="rw")) as service:
+                                           lock_mode=request.param)
+                           ) as service:
         yield service
 
 
@@ -475,20 +479,21 @@ def test_a_lock_order_cycle_is_found(service):
     """``_session_guard`` inside ``_lock`` on one path and the reverse
     on another is a cycle, though neither path deadlocked."""
     recorder = Recorder()
+    mark = recorder.mark()
     with pytest.MonkeyPatch.context() as monkeypatch:
         install(monkeypatch, recorder)
         with service._lock:
             with service._session_guard:
                 pass
-        assert recorder.cycle() is None
+        assert recorder.faults_since(mark) == []
         with service._session_guard:
             with service._lock:
                 pass
-    cycle = recorder.cycle()
-    assert cycle is not None
-    assert set(cycle) == {"GraphCacheService._lock",
-                          "GraphCacheService._session_guard"}
-    assert "first at" in recorder.describe(cycle)
+    [fault] = recorder.faults_since(mark)
+    assert fault.startswith(
+        "lock-order cycle (GC110) GraphCacheService._lock -> "
+        "GraphCacheService._session_guard -> GraphCacheService._lock: ")
+    assert fault.count("first at") == 2
 
 
 def test_blocking_under_the_service_lock_is_found(service, tmp_path):
@@ -515,11 +520,41 @@ def test_blocking_under_the_service_lock_is_found(service, tmp_path):
     assert "persist/snapshot.py" in blocked
 
 
-def test_find_cycle():
-    assert find_cycle([("a", "b"), ("b", "c")]) is None
-    assert find_cycle([("a", "b"), ("b", "c"), ("c", "a")]) == [
-        "a", "b", "c", "a"]
-    assert find_cycle([("a", "a")]) == ["a", "a"]
+def test_a_one_caller_query_holds_the_recorded_lock(service):
+    recorder = Recorder()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        install(monkeypatch, recorder)
+        service.execute(LabeledGraph.from_edges("CO", [(0, 1)]))
+    assert recorder.acquired["GraphCacheService._lock"] == 1
+    assert recorder.held() == []
+
+
+def test_a_cycle_fails_the_test_that_closed_it():
+    """Later tests that add no edge do not fail on an old cycle."""
+    recorder = Recorder()
+    a = RecordingLock("a", threading.Lock(), recorder)
+    b = RecordingLock("b", threading.Lock(), recorder)
+    with a, b:
+        pass
+    mark = recorder.mark()
+    with b, a:
+        pass
+    assert [fault.split(":")[0] for fault in recorder.faults_since(mark)
+            ] == ["lock-order cycle (GC110) b -> a -> b"]
+    later = recorder.mark()
+    c = RecordingLock("c", threading.Lock(), recorder)
+    with a, b:   # an edge already in the graph
+        pass
+    with c, a:   # a new edge, on no cycle
+        pass
+    assert recorder.faults_since(later) == []
+
+
+def test_find_path():
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "a")]
+    assert find_path(edges, "a", "c") == ["a", "b", "c"]
+    assert find_path(edges, "a", "a") == ["a"]
+    assert find_path(edges, "a", "d") is None
 
 
 def test_threads_keep_their_own_held_stacks():
