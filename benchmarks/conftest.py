@@ -28,10 +28,17 @@ def harness() -> ExperimentHarness:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def recording() -> bool:
+    """Is this run meant to be committed (``GCPLUS_BENCH_RECORD=1``, as
+    in CI's non-blocking perf-smoke job)?  Such a run also asserts the
+    wall-clock ratios an ordinary tier-1 run only records."""
+    return os.environ.get("GCPLUS_BENCH_RECORD") == "1"
+
+
+@pytest.fixture(scope="session")
+def results_dir(recording) -> Path:
     """Where this run's tables and ``BENCH_*.json`` files go — the one
     place that decides between recording and scratch output."""
-    recording = os.environ.get("GCPLUS_BENCH_RECORD") == "1"
     directory = Path(__file__).parent / ("results" if recording else ".out")
     directory.mkdir(exist_ok=True)
     return directory

@@ -311,23 +311,25 @@ class GraphCacheService:
                 metrics.pruned_candidate_size = candidates.bit_count()
                 metrics.tests_saved = metrics.candidate_size - tests
                 metrics.answer_size = answer.bit_count()
-            finally:
-                # Unless the query ran as a resident, the matchers
-                # memoised a plan on the caller's object (steps 2 and 4
-                # are its only users; admission copies the graph).  It
-                # must not outlive the query: callers keep, reuse and
-                # mutate their query objects.
-                query.forget_derived()
 
-            # (5) Feed back to the Cache Manager: benefit credits +
-            # admission (or renewal of a faded exact twin).
-            started = perf_counter()
-            self._credit_contributions(query, outcome.contributions,
-                                       query_index)
-            cache.admit(query, answer, store, query_index,
-                        features=features, twins=hits.exact,
-                        same_as=resident)
-            metrics.admission_seconds = perf_counter() - started
+                # (5) Feed back to the Cache Manager: benefit credits +
+                # admission (or renewal of a faded exact twin).
+                started = perf_counter()
+                self._credit_contributions(query, outcome.contributions,
+                                           query_index)
+                cache.admit(query, answer, store, query_index,
+                            features=features, twins=hits.exact,
+                            same_as=resident)
+                metrics.admission_seconds = perf_counter() - started
+            finally:
+                # Unless the query ran as a resident, steps 2 and 4
+                # memoised plans and a host table on the caller's
+                # object.  A new entry took them with its copy of the
+                # graph (CacheEntry); whatever is left must not outlive
+                # the query: callers keep, reuse and mutate their query
+                # objects.  Both happen under the service lock, the
+                # only place a memo moves between two graphs.
+                query.forget_derived()
             self.monitor.record(metrics)
             save_to = None
             target, every = self._autosave

@@ -25,11 +25,13 @@ Design notes
   reader of another sharer is unaffected.  There is no reference count:
   the last sharer still copies once on its first write.  The memo is
   never shared — a copy starts without one, and a write drops only the
-  writer's.  One visible consequence: a graph nobody has written to
-  iterates its neighbour sets in its source's table layout, where a
-  rebuilt ``set(s)`` (sized for its element count) may list a vertex of
-  degree 5 or more in another order.  Matchers then visit the same
-  candidates in another order, which moves search-state counts only.
+  writer's; :meth:`LabeledGraph.move_derived` hands it to a fresh copy
+  and leaves the source without one.  One visible consequence: a graph
+  nobody has written to iterates its neighbour sets in its source's
+  table layout, where a rebuilt ``set(s)`` (sized for its element
+  count) may list a vertex of degree 5 or more in another order.
+  Matchers then visit the same candidates in another order, which
+  moves search-state counts only.
 * Labels are arbitrary hashable objects; the AIDS-like generator uses
   small strings (atom symbols).
 """
@@ -275,6 +277,21 @@ class LabeledGraph:
         """Drop everything :meth:`derived` memoised (mutators do this
         themselves; the query pipeline calls it so that a caller-owned
         query object leaves as it came)."""
+        self._memo = None
+
+    def move_derived(self, copy: "LabeledGraph") -> None:
+        """Hand this graph's memo to ``copy`` and keep none: moved, not
+        shared, so each value still has one owner and a write to either
+        graph drops it from neither.  Only a :meth:`copy` of this graph
+        that neither side has written to since (it still shares this
+        graph's label list and adjacency sets) has the structure the
+        memo was built from; any other graph gets nothing and this one
+        still ends without a memo.  Cache admission uses it: the plans
+        and host tables a query's own run built go into the entry that
+        keeps the query (:class:`repro.cache.entry.CacheEntry`)."""
+        if (copy._labels is self._labels
+                and copy._adjacency is self._adjacency):
+            copy._memo = self._memo
         self._memo = None
 
     def is_connected(self) -> bool:

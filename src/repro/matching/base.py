@@ -9,6 +9,7 @@ are preserved — i.e. non-induced subgraph isomorphism (paper §3).
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.graphs.graph import LabeledGraph
@@ -66,10 +67,14 @@ class SubgraphMatcher(abc.ABC):
             return True
         if size > len(host._labels) or query._num_edges > host._num_edges:
             return False
-        result = self._decide(query, host)
-        if result:
-            stats.found += 1
-        return result
+        decide = self._decide
+        if decide is None:
+            if self._embed(query, host) is None:
+                return False
+        elif not decide(query, host):
+            return False
+        stats.found += 1
+        return True
 
     def find_embedding(self, query: LabeledGraph,
                        host: LabeledGraph) -> dict[int, int] | None:
@@ -91,9 +96,11 @@ class SubgraphMatcher(abc.ABC):
             stats.found += 1
         return mapping
 
-    def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        """Algorithm-specific decision (sizes already pre-checked)."""
-        return self._embed(query, host) is not None
+    #: An algorithm-specific decision ``(query, host) -> bool`` (sizes
+    #: already pre-checked), for a subclass that decides more cheaply
+    #: than it embeds.  None, as in every bundled kernel, makes a test
+    #: one call of :meth:`_embed` below the prologue: no frame between.
+    _decide: Callable[[LabeledGraph, LabeledGraph], bool] | None = None
 
     @abc.abstractmethod
     def _embed(self, query: LabeledGraph,

@@ -28,10 +28,10 @@ from __future__ import annotations
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
 from repro.matching.plans import (
+    HostTable,
+    host_table,
     neighbor_lists,
     neighbour_needs,
-    neighbour_profiles,
-    vertices_by_label,
 )
 from repro.matching.search import Step, extend
 
@@ -204,19 +204,20 @@ class GraphQLMatcher(SubgraphMatcher):
 
     # Phase 1: local pruning
     @staticmethod
-    def _initial_candidates(plan: _Plan,
+    def _initial_candidates(plan: _Plan, table: HostTable,
                             host: LabeledGraph) -> list[set[int]]:
         # A radius-1 profile is the neighbour-label count every host
         # keeps (plans.neighbour_profiles), and dominance is one AND
         # with its supply mask; it implies the degree bound.
-        by_label = vertices_by_label(host)
-        table = neighbour_profiles(host)
+        by_label = table.by_label
+        profiles = table.profiles or table.build_profiles(host)
         return [{v for v in by_label.get(qlabel, ())
-                 if not need & table[v].supply}
+                 if not need & profiles[v].supply}
                 for qlabel, need in zip(plan.labels, plan.needs)]
 
     # Phase 2: global refinement (pseudo subgraph isomorphism)
     def _refine(self, plan: _Plan, host: LabeledGraph,
+                by_label: dict[object, list[int]],
                 candidates: list[set[int]]) -> bool:
         """Iterate the pseudo-iso test; returns False if any candidate set
         empties (no embedding can exist).
@@ -229,7 +230,6 @@ class GraphQLMatcher(SubgraphMatcher):
         molecules they are most of a label's vertices, and collecting
         their neighbours costs more than testing every candidate."""
         host_adjacency, labels = host._adjacency, plan.labels
-        by_label = vertices_by_label(host)
         excluded: list[set[int] | None] = [None] * len(candidates)
         for _ in range(REFINEMENT_ROUNDS):
             changed = False
@@ -265,9 +265,10 @@ class GraphQLMatcher(SubgraphMatcher):
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
         plan = query.derived("graphql", _Plan)
-        candidates = self._initial_candidates(plan, host)
+        table = host_table(host)
+        candidates = self._initial_candidates(plan, table, host)
         if any(not c for c in candidates) or not self._refine(
-                plan, host, candidates):
+                plan, host, table.by_label, candidates):
             return None
-        return extend(host, len(candidates), self.stats,
-                    choose=_Choice(plan, host, candidates))
+        return extend(host, len(candidates), self.stats, table.by_label,
+                      choose=_Choice(plan, host, candidates))

@@ -12,6 +12,22 @@ Everything stored is immutable once built: sessions share one matcher
 instance across threads, so the matcher keeps no per-test state outside
 its call frames, and graph-scoped values never change once published.
 
+Compile once, test many
+-----------------------
+A host contributes one :class:`HostTable` per graph version, found with
+one memo probe: its label counts (the depth-0 check), its label →
+vertices lists (root candidates; :func:`repro.matching.search.extend`
+takes them from its caller) and, from the first test that gets past
+depth 0, its neighbour-label profiles.  A pattern contributes its
+kernel's plan.  Both are built on whatever graph object the pipeline
+tests: a dataset graph keeps its table as long as it lives unchanged,
+and a cached query keeps its plan and table as long as its entry.  An
+arriving query's own object is the caller's, so the pipeline never
+leaves a memo on it: cache admission moves what the query's run built
+into the entry it creates (:meth:`LabeledGraph.move_derived
+<repro.graphs.graph.LabeledGraph.move_derived>`), and discovery meets
+the admitted query compiled.
+
 Profiles as masks
 -----------------
 A host vertex can take a pattern vertex's place only if its neighbour
@@ -50,34 +66,45 @@ from weakref import KeyedRef
 
 from repro.graphs.graph import LabeledGraph
 
-__all__ = ["label_counts", "vertices_by_label", "neighbour_profiles",
-           "need_mask", "neighbour_needs", "connectivity_order",
-           "neighbor_lists"]
+__all__ = ["HostTable", "host_table", "neighbour_profiles", "need_mask",
+           "neighbour_needs", "connectivity_order", "neighbor_lists"]
 
 Label = Hashable
 
 
-def label_counts(graph: LabeledGraph) -> dict[Label, int]:
-    """Label → number of vertices carrying it (do not mutate).
+class HostTable:
+    """What a test reads from its host graph, built once per graph
+    version (:func:`host_table`): ``counts``, label → vertices carrying
+    it, what a depth-0 label check probes; ``by_label``, label →
+    ascending vertex ids, where the kernels that start from a label's
+    vertices (VF2, VF2+, GraphQL, enumeration) draw root candidates; and
+    ``profiles``, the host's :func:`neighbour_profiles`, None until a
+    test first gets past depth 0 (a host every pattern rejects there
+    never pays for them).  Do not mutate any of them."""
 
-    As a host this is what a depth-0 label-multiset check probes; as a
-    pattern its items are the counts the host must supply.
-    """
-    return graph.derived("label_counts", LabeledGraph.label_multiset)
+    __slots__ = ("counts", "by_label", "profiles")
+
+    def __init__(self, graph: LabeledGraph) -> None:
+        by_label: dict[Label, list[int]] = {}
+        for v, lab in enumerate(graph._labels):
+            by_label.setdefault(lab, []).append(v)
+        self.counts = {lab: len(vs) for lab, vs in by_label.items()}
+        self.by_label = by_label
+        self.profiles: tuple[_Profile, ...] | None = None
+
+    def build_profiles(self, graph: LabeledGraph) -> tuple[_Profile, ...]:
+        """Publish ``graph``'s profiles here (``graph`` is the graph this
+        table was built from) and return them; a search reads
+        ``table.profiles or table.build_profiles(host)``, never empty
+        for a host with a vertex."""
+        profiles = self.profiles = _profiles(graph)
+        return profiles
 
 
-def _group_by_label(graph: LabeledGraph) -> dict[Label, list[int]]:
-    groups: dict[Label, list[int]] = {}
-    for v, lab in enumerate(graph._labels):
-        groups.setdefault(lab, []).append(v)
-    return groups
-
-
-def vertices_by_label(graph: LabeledGraph) -> dict[Label, list[int]]:
-    """Label → ascending vertex ids (do not mutate): where the kernels
-    that start from a label's vertices (VF2, VF2+, GraphQL, enumeration)
-    find their root candidates."""
-    return graph.derived("vertices_by_label", _group_by_label)
+def host_table(graph: LabeledGraph) -> HostTable:
+    """``graph``'s :class:`HostTable`: one memo probe per test, under
+    the class itself as the key."""
+    return graph.derived(HostTable, HostTable)
 
 
 #: atom ``(label, k)`` → its bit's position (see "Profiles as masks")
@@ -186,13 +213,15 @@ def neighbour_profiles(graph: LabeledGraph) -> tuple[_Profile, ...]:
     the radius-1 profile a host candidate must dominate, with its
     ``supply`` mask (see "Profiles as masks").
 
-    Built complete on first use and published once per graph version.
-    Equal profiles are one object across every live graph: molecules
-    repeat a few neighbourhoods over and over (gcbench's 600-graph
-    dataset has 10 844 vertices and 394 distinct profiles), so keeping
-    the table on every host costs a tuple of pointers per graph.
+    Built complete on first use and published once per graph version,
+    on its :class:`HostTable`.  Equal profiles are one object across
+    every live graph: molecules repeat a few neighbourhoods over and
+    over (gcbench's 600-graph dataset has 10 844 vertices and 394
+    distinct profiles), so keeping the table on every host costs a
+    tuple of pointers per graph.
     """
-    return graph.derived("neighbour_profiles", _profiles)
+    table = host_table(graph)
+    return table.profiles or table.build_profiles(graph)
 
 
 def neighbor_lists(graph: LabeledGraph) -> list[tuple[int, ...]]:

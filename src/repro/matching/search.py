@@ -12,11 +12,11 @@ as masks"; 0 tests nothing); a candidate with fewer than ``bound``
 neighbours must still have ``unmapped`` unused ones (VF2+'s lookahead;
 VF2's degree test is ``bound == unmapped == deg(u)``; 0 tests nothing);
 ``pool``, the candidates, or None to draw them as VF2 and VF2+ do: the
-label's vertices for a root, the anchor image's neighbours for one
-mapped neighbour, and for several the first image's (VF2) or the
-lowest-degree image's (VF2+, ``lowest``) neighbours.  A static order
-passes its compiled ``steps``; GraphQL's dynamic one passes ``choose``,
-asked once per state.  Every filter is a pure test of the candidate, so
+label's vertices for a root (from ``by_label``), the anchor image's
+neighbours for one mapped neighbour, and for several the first image's
+(VF2) or the lowest-degree image's (VF2+, ``lowest``) neighbours.  A
+static order passes its compiled ``steps``; GraphQL's dynamic one
+passes ``choose``, asked once per state.  Every filter is a pure test of the candidate, so
 depths, mappings and ``MatcherStats.states`` equal those of the
 recursive kernels in ``tests/reference_matchers.py``.
 
@@ -38,12 +38,11 @@ function from calling itself.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from typing import Any
 
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import MatcherStats
-from repro.matching.plans import vertices_by_label
 
 __all__ = ["Step", "extend"]
 
@@ -52,15 +51,18 @@ Step = tuple[int, Hashable, Sequence[int], int, int, int, Any]
 
 
 def extend(host: LabeledGraph, size: int, stats: MatcherStats,
+           by_label: Mapping[Hashable, Sequence[int]],
            steps: Sequence[Step] = (), profiles: Sequence[Any] = (),
            lowest: bool = False,
            choose: Callable[[dict[int, int], set[int]], Step] | None = None,
            ) -> dict[int, int] | None:
     """An embedding ``{pattern vertex: host vertex}`` of ``size`` pattern
-    vertices, or None; counts each depth entered in ``stats``."""
+    vertices, or None; counts each depth entered in ``stats``.
+    ``by_label`` is the host's label → vertices lists
+    (:class:`~repro.matching.plans.HostTable`), which the caller holds
+    already."""
     labels = host._labels
     adjacency = host._adjacency
-    by_label = vertices_by_label(host)
     mapping: dict[int, int] = {}
     used: set[int] = set()
     #: per depth above the current one: its vertex, candidates and tests

@@ -25,7 +25,11 @@ from __future__ import annotations
 
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
-from repro.matching.plans import connectivity_order, neighbor_lists
+from repro.matching.plans import (
+    connectivity_order,
+    host_table,
+    neighbor_lists,
+)
 from repro.matching.search import Step, extend
 
 __all__ = ["VF2Matcher"]
@@ -57,4 +61,5 @@ class VF2Matcher(SubgraphMatcher):
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
         steps = query.derived("vf2", _compile)
-        return extend(host, len(steps), self.stats, steps)
+        return extend(host, len(steps), self.stats, host_table(host).by_label,
+                      steps)

@@ -28,7 +28,7 @@ and each depth walks no more candidates than its order needs:
 
 * **Root pool**: a vertex with no mapped neighbour (depth 0, and the
   first vertex of every further component) draws from the host's
-  vertices of its label (:func:`~repro.matching.plans.vertices_by_label`),
+  vertices of its label (:class:`~repro.matching.plans.HostTable`),
   ascending — the same candidates in the same order as a scan of every
   host vertex that skips the other labels.
 * **Anchor rule**: with exactly one mapped neighbour, the candidates are
@@ -50,48 +50,51 @@ Compile once, test many
 -----------------------
 One query meets hundreds of hosts and one host meets every query, so
 nothing that depends on a single graph is computed per test
-(:mod:`repro.matching.plans`).  The host contributes its label counts,
-its label → vertices lists and its vertices' neighbour-label profiles;
-the pattern contributes a
+(:mod:`repro.matching.plans`, "Compile once, test many").  The host
+contributes its :class:`~repro.matching.plans.HostTable`: label counts,
+label → vertices lists and, once a test gets past depth 0, its
+vertices' neighbour-label profiles.  The pattern contributes a
 :class:`_Plan` — required label counts, labels, neighbour lists, one
-need mask per vertex — and, per *ranking*
-of its labels by host frequency, the variable order compiled into one
-step per depth.  The order only ever compares host counts with each
-other, so two hosts that rank the pattern's labels alike (ties sharing a
-rank) get the same order, and with a static order the already-mapped
-neighbours of each depth's vertex are static too.  What is left per
-test is the depth-0 check (a few dict probes), the ranking, and the
-search itself, which reads the host's label and adjacency lists
-directly.  Every host — a dataset graph under subgraph semantics, a
-cached query during discovery — keeps its profiles the same way
-(:func:`~repro.matching.plans.neighbour_profiles`): one complete tuple,
-built on the graph's first test past depth 0 and never written again,
-of profiles interned across all live graphs.  Molecules repeat a few
-neighbourhoods, so a dataset graph pays a tuple of pointers for them,
-not a dict per vertex, and a host rejected at depth 0 pays nothing.
-Each interned profile carries its supply mask, set once when it is
-interned, so a candidate's whole neighbourhood test is
-``need & profiles[cand].supply`` — no loop over labels, no dict probe
-— and the same masks serve Method M's tests and discovery's alike.
+need mask per vertex — and, per *ranking* of its labels by host
+frequency (each label's dense rank among the host's counts of them),
+the variable order compiled into one step per depth.  The order only
+ever compares host counts with each other, so two hosts that rank the
+pattern's labels alike (ties sharing a rank) get the same order, and
+with a static order the already-mapped neighbours of each depth's
+vertex are static too.  What is left per test is one memo probe on each
+graph, the depth-0 check (a dict probe per label), the ranking (a
+comparison for one or two labels) and the search itself, which reads
+the host's label and adjacency lists directly: the shared prologue
+(:meth:`~repro.matching.base.SubgraphMatcher.is_subgraph_isomorphic`)
+calls the kernel with no frame between.  Every host — a dataset graph
+under subgraph semantics, a cached query during discovery — keeps its
+profiles the same way (:func:`~repro.matching.plans.neighbour_profiles`):
+one complete tuple, built on the graph's first test past depth 0 and
+never written again, of profiles interned across all live graphs.
+Molecules repeat a few neighbourhoods, so a dataset graph pays a tuple
+of pointers for them, not a dict per vertex, and a host rejected at
+depth 0 pays nothing.  Each interned profile carries its supply mask,
+set once when it is interned, so a candidate's whole neighbourhood test
+is ``need & profiles[cand].supply`` — no loop over labels, no dict probe
+— and the same masks serve Method M's tests and discovery's alike.  An
+admitted query keeps the plan, orders and table its own run built
+(cache admission moves them into its entry), so discovery does not
+compile it again.  ``tests/test_gcbench_counts.py`` pins how many plans,
+orders and profile tables gcbench's streams build.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
 from repro.matching.plans import (
-    label_counts,
+    HostTable,
     neighbor_lists,
     neighbour_needs,
-    neighbour_profiles,
 )
 from repro.matching.search import Step, extend
 
 __all__ = ["VF2PlusMatcher"]
-
-Label = Hashable
 
 
 class _Plan:
@@ -102,7 +105,7 @@ class _Plan:
     def __init__(self, query: LabeledGraph) -> None:
         #: (label, vertices needed) — the depth-0 check, and the labels
         #: whose host ranking selects the order
-        self.required = tuple(label_counts(query).items())
+        self.required = tuple(query.label_multiset().items())
         self.labels = tuple(query._labels)
         self.neighbors = neighbor_lists(query)
         #: per vertex, the atoms a host candidate's profile must supply
@@ -112,13 +115,16 @@ class _Plan:
         #: one entry per weak ordering of the distinct labels at most
         self.orders: dict[tuple[int, ...], tuple[Step, ...]] = {}
 
-    def variable_order(self, host_counts: dict[Label, int]) -> list[int]:
-        """Rarest-label-first, high-degree-first, connectivity-first."""
+    def variable_order(self, ranking: tuple[int, ...]) -> list[int]:
+        """Rarest-label-first, high-degree-first, connectivity-first.
+
+        ``ranking`` is each of ``required``'s labels' dense rank among
+        the host's counts of them, so ranks compare as the counts do."""
         labels, neighbors = self.labels, self.neighbors
-
-        def rarity_key(v: int) -> tuple[int, int, int]:
-            return (host_counts.get(labels[v], 0), -len(neighbors[v]), v)
-
+        rank = dict(zip([label for label, _ in self.required], ranking))
+        rarity = [(rank[label], -len(neighbors[v]), v)
+                  for v, label in enumerate(labels)]
+        rarity_key = rarity.__getitem__
         remaining = set(range(len(labels)))
         order: list[int] = []
         frontier: set[int] = set()
@@ -133,12 +139,12 @@ class _Plan:
                     frontier.add(n)
         return order
 
-    def compile(self, host_counts: dict[Label, int]) -> tuple[Step, ...]:
+    def compile(self, ranking: tuple[int, ...]) -> tuple[Step, ...]:
         """One step per depth; ``mapped`` in the adjacency set's
         iteration order."""
         placed: set[int] = set()
         steps: list[Step] = []
-        for depth, u in enumerate(self.variable_order(host_counts)):
+        for depth, u in enumerate(self.variable_order(ranking)):
             neigh = self.neighbors[u]
             mapped = tuple(n for n in neigh if n in placed)
             unmapped = len(neigh) - len(mapped)
@@ -156,19 +162,39 @@ class VF2PlusMatcher(SubgraphMatcher):
 
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
-        host_counts = label_counts(host)
         plan = query.derived("vf2+", _Plan)
+        table = host.derived(HostTable, HostTable)   # plans.host_table
+        counts = table.counts
         # Depth-0 fail-fast: some query label missing or under-supplied.
         supplied = []
         for lab, need in plan.required:
-            have = host_counts.get(lab, 0)
+            have = counts.get(lab, 0)
             if have < need:
                 return None
             supplied.append(have)
-        levels = sorted(set(supplied))
-        ranking = tuple([levels.index(have) for have in supplied])
+        # Each supply's dense rank among them (see _Plan.orders), by
+        # comparison for up to three labels, as most patterns have: the
+        # rank of x is the number of distinct supplies below it.
+        if len(supplied) == 1:
+            ranking: tuple[int, ...] = (0,)
+        elif len(supplied) == 2:
+            a, b = supplied
+            ranking = (0, 0) if a == b else (0, 1) if a < b else (1, 0)
+        elif len(supplied) == 3:
+            a, b, c = supplied
+            low, middle, _ = sorted(supplied)
+            ranking = ((low < a) + (low < middle < a),
+                       (low < b) + (low < middle < b),
+                       (low < c) + (low < middle < c))
+        else:
+            levels = sorted(set(supplied))
+            ranks = []
+            for have in supplied:
+                ranks.append(levels.index(have))
+            ranking = tuple(ranks)
         steps = plan.orders.get(ranking)
         if steps is None:
-            steps = plan.orders[ranking] = plan.compile(host_counts)
-        return extend(host, len(steps), self.stats, steps,
-                    neighbour_profiles(host), lowest=True)
+            steps = plan.orders[ranking] = plan.compile(ranking)
+        return extend(host, len(steps), self.stats, table.by_label, steps,
+                      table.profiles or table.build_profiles(host),
+                      lowest=True)

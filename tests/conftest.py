@@ -85,8 +85,12 @@ def brute_force_answer(store, query: LabeledGraph, query_type) -> set[int]:
 def packed_ids(bits: int) -> list[int]:
     """The ids packed into ``bits`` (bit *i* ⟺ id *i*), ascending — how
     ``Answer``, ``CGvalid`` and every id set of the pipeline hold ids.
-    A naive per-bit scan: the oracle of :func:`repro.util.bits.bit_ids`."""
-    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+    A naive per-bit scan: the oracle of :func:`repro.util.bits.bit_ids`.
+    It reads the bits a byte at a time, so an id set of 10⁵ ids costs
+    10⁵ steps, not 10⁵ shifts of the whole integer."""
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return [8 * at + i for at, byte in enumerate(data) for i in range(8)
+            if byte >> i & 1]
 
 
 def id_mask(ids) -> int:

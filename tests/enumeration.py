@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Iterator
 
 from repro.graphs.graph import LabeledGraph
-from repro.matching.plans import connectivity_order, vertices_by_label
+from repro.matching.plans import connectivity_order, host_table
 
 __all__ = ["enumerate_embeddings", "count_embeddings"]
 
@@ -53,7 +53,7 @@ def enumerate_embeddings(query: LabeledGraph, host: LabeledGraph,
         return
 
     order = connectivity_order(query)
-    by_label = vertices_by_label(host)
+    by_label = host_table(host).by_label
 
     mapping: dict[int, int] = {}
     used: set[int] = set()

@@ -11,7 +11,7 @@ a naive per-bit scan under hypothesis.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.persist.snapshot import (
     SnapshotFormatError,
@@ -44,7 +44,15 @@ def test_iteration_sorted_and_cardinality(xs):
     assert bits.bit_count() == len(xs)
 
 
-@given(st.integers(min_value=0, max_value=2**300))
+#: a few ids, the highest of them at or past 10⁵: a dataset of that many
+#: graphs in its late life, where most ids were deleted
+sparse_wide = st.builds(lambda top, ids: id_mask(ids) | 1 << top,
+                        st.integers(10**5, 2 * 10**5),
+                        st.sets(st.integers(0, 2 * 10**5), max_size=12))
+
+
+@example(0)
+@given(st.one_of(st.integers(min_value=0, max_value=2**300), sparse_wide))
 def test_id_walk_equals_a_naive_scan(bits):
     assert list(bit_ids(bits)) == packed_ids(bits)
 

@@ -203,11 +203,12 @@ class TestInterleavings:
         class Query(LabeledGraph):
             __slots__ = ()
 
-            def forget_derived(self) -> None:
-                # The pipeline's cleanup between answer and admission
-                # gives the waiting DEL every chance to run: a design
-                # that let go of the cache there would let it finish.
-                super().forget_derived()
+            def move_derived(self, copy: LabeledGraph) -> None:
+                # Admission handing the query's plans to its new entry,
+                # after the answer, gives the waiting DEL every chance
+                # to run: a design that let go of the cache there would
+                # let it finish.
+                super().move_derived(copy)
                 td.join(timeout=0.1)
 
         query = Query.from_edges("CO", [(0, 1)])

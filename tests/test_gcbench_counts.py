@@ -44,8 +44,7 @@ from pathlib import Path
 import pytest
 
 from repro import GraphCacheService, GraphStore, LabeledGraph
-from repro.matching import make_matcher
-from repro.matching.plans import label_counts, vertices_by_label
+from repro.matching import make_matcher, plans
 from repro.matching.vf2plus import _Plan
 from tests.conftest import fresh_profile_registry, no_cyclic_garbage
 
@@ -57,33 +56,59 @@ _SPEC.loader.exec_module(workloads)
 
 #: Per workload: ``service.counters()`` after warm-up + measured stream,
 #: ``(tests, states, found)`` of the Method-M matcher and of discovery's
-#: internal verifier, and the head of the SHA-256 over every answer.
+#: internal verifier, the head of the SHA-256 over every answer, and
+#: ``(plans, orders, tables)``: VF2+ :class:`_Plan` constructions,
+#: :meth:`_Plan.compile` calls and host profile tables built.
 PINNED = {
     "verify_bound": (
         dict(queries=620, method_tests=118308, internal_tests=14897,
              tests_saved=253692, admissions=620, evictions=520, renewals=0,
              exact_hit_queries=71, zero_test_queries=71,
              interned_queries=39),
-        (118308, 185788, 7730), (14897, 72676, 8165), "fc2c926fccde8fa5"),
+        (118308, 185788, 7730), (14897, 72676, 8165), "fc2c926fccde8fa5",
+        (581, 1253, 1072)),
     "hit_bound": (
         dict(queries=400, method_tests=12006, internal_tests=16955,
              tests_saved=107994, admissions=400, evictions=300, renewals=0,
              exact_hit_queries=333, zero_test_queries=333,
              interned_queries=331),
-        (12006, 10861, 447), (16955, 127545, 10076), "eca869433b38ed0c"),
+        (12006, 10861, 447), (16955, 127545, 10076), "eca869433b38ed0c",
+        (69, 213, 342)),
     "churn_con": (
         dict(queries=700, method_tests=43963, internal_tests=3865,
              tests_saved=300344, admissions=247, evictions=155, renewals=453,
              exact_hit_queries=615, zero_test_queries=164,
              interned_queries=612),
-        (43963, 38202, 1450), (3865, 27803, 2170), "c0bad7047a4ef720"),
+        (43963, 38202, 1450), (3865, 27803, 2170), "c0bad7047a4ef720",
+        (579, 854, 1387)),
 }
 
 
+def _counting(calls: list[int], slot: int, function):
+    """``function``, counting its calls in ``calls[slot]``."""
+    def counted(*args):
+        calls[slot] += 1
+        return function(*args)
+    return counted
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_stream_counts_are_the_pinned_ones(name):
+def test_stream_counts_are_the_pinned_ones(name, monkeypatch):
+    """The counts above, over one replay.  "Compile once, test many"
+    (``repro.matching.vf2plus``) is pinned as counts too, not as a
+    clock: a plan is built once per graph version that is a pattern, an
+    order once per label ranking a plan meets, a profile table once per
+    host version searched past depth 0 — and an admitted query takes
+    what its own run built into the cache (``CacheEntry``), so discovery
+    does not build it again."""
     spec = next(s for s in workloads.SPECS if s.name == name)
-    counters, method, internal, answers = PINNED[name]
+    counters, method, internal, answers, compiled = PINNED[name]
+    built = [0, 0, 0]
+    monkeypatch.setattr(_Plan, "__init__",
+                        _counting(built, 0, _Plan.__init__))
+    monkeypatch.setattr(_Plan, "compile", _counting(built, 1, _Plan.compile))
+    monkeypatch.setattr(plans, "_profiles",
+                        _counting(built, 2, plans._profiles))
     inputs = workloads.build_inputs(spec, seed=1)
     digest = hashlib.sha256()
     with GraphCacheService(GraphStore.from_graphs(inputs.graphs),
@@ -101,6 +126,7 @@ def test_stream_counts_are_the_pinned_ones(name):
     assert {key: got[key] for key in counters} == counters
     assert stats == [method, internal]
     assert digest.hexdigest()[:16] == answers
+    assert tuple(built) == compiled
 
 
 def test_host_profile_tables_cost_a_tuple_per_graph():
@@ -111,16 +137,16 @@ def test_host_profile_tables_cost_a_tuple_per_graph():
     distinct profiles to the few neighbourhoods molecules repeat (394
     over 10 844 vertices at seed 1; a dict per vertex was ~4 KB per
     graph).  The probe is a one-vertex pattern whose plan and compiled
-    order exist beforehand, as do the host's label counts and label
-    lists, so what the test adds is the table alone."""
+    order exist beforehand, as does the host's table with its label
+    lists, so what the test adds is the profile tuple alone."""
     spec = next(s for s in workloads.SPECS if s.name == "verify_bound")
     graphs = workloads.build_inputs(spec, seed=1).graphs
     probes = []
     for host in graphs:
-        vertices_by_label(host)
+        plans.host_table(host)
         probe = LabeledGraph.from_edges([host.label(0)], [])
         plan = probe.derived("vf2+", _Plan)
-        plan.orders[(0,)] = plan.compile(label_counts(host))
+        plan.orders[(0,)] = plan.compile((0,))
         probes.append(probe)
     matcher = make_matcher("vf2+")
     tracemalloc.start()
@@ -133,7 +159,7 @@ def test_host_profile_tables_cost_a_tuple_per_graph():
         tracemalloc.stop()
     assert added <= 1024 * len(graphs)
     profiles = {id(p) for host in graphs
-                for p in host._memo["neighbour_profiles"]}
+                for p in plans.host_table(host).profiles}
     assert len(profiles) <= 1000
 
 

@@ -27,6 +27,7 @@ from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
+from repro.matching.plans import HostTable
 from tests.conftest import brute_force_answer
 from tests.test_consistency import ALPHABET, random_change
 from tests.test_renewal import describe, path, relabelled
@@ -163,6 +164,96 @@ class TestCallerOwnsTheQuery:
             assert again.metrics.interned
             assert again.answer == first.answer
             assert again.metrics.method_tests == 0
+
+
+class TestPlansFollowTheQueryIntoTheCache:
+    """What the matchers built on the caller's graph while it ran — its
+    VF2+ plan, its host table — moves into the entry admission creates,
+    so discovery does not compile the query again: moved, never shared,
+    and only into a new entry."""
+
+    @staticmethod
+    def spy(matcher, seen: list, side: int, key: object) -> None:
+        """Record what argument ``side`` of every test holds under
+        ``key`` once the test is done."""
+        test = matcher.is_subgraph_isomorphic
+
+        def spied(pattern, host):
+            result = test(pattern, host)
+            seen.append(((pattern, host)[side]._memo or {}).get(key))
+            return result
+        matcher.is_subgraph_isomorphic = spied
+
+    def test_the_entry_holds_the_plan_the_pipeline_compiled(self):
+        with GraphCacheService(GraphStore.from_graphs(DATASET)) as service:
+            plans: list = []
+            self.spy(service.matcher, plans, 0, "vf2+")
+            query = path("abc")
+            service.execute(query)
+            assert query._memo is None
+            (entry,) = service.cache.all_entries()
+            assert entry.query is not query
+            assert plans and all(plan is plans[0] for plan in plans)
+            assert entry.query._memo["vf2+"] is plans[0]
+
+    def test_the_entry_holds_the_host_table_discovery_built(self):
+        with GraphCacheService(GraphStore.from_graphs(DATASET)) as service:
+            service.execute(path("ab"))
+            tables: list = []
+            self.spy(service.discovery.verifier, tables, 1, HostTable)
+            query = path("abc")       # a supergraph of the resident "ab"
+            result = service.execute(query)
+            assert result.metrics.contained_hits == 1
+            assert query._memo is None
+            entry = max(service.cache.all_entries(),
+                        key=lambda e: e.entry_id)
+            assert tables[-1] is not None
+            assert entry.query._memo[HostTable] is tables[-1]
+
+    def test_an_interned_arrival_leaves_the_residents_memo_as_it_was(self):
+        with GraphCacheService(GraphStore.from_graphs(DATASET)) as service:
+            service.execute(path("abc"))
+            (entry,) = service.cache.all_entries()
+            memo = entry.query._memo
+            before = dict(memo)
+            again = path("abc")
+            assert service.execute(again).metrics.interned
+            assert again._memo is None
+            assert entry.query._memo is memo
+            assert all(memo[key] is value for key, value in before.items())
+
+    def test_a_renewal_leaves_the_residents_memo_as_it_was(self):
+        with GraphCacheService(GraphStore.from_graphs(DATASET)) as service:
+            service.execute(path("abc"))
+            (entry,) = service.cache.all_entries()
+            memo = entry.query._memo
+            before = dict(memo)
+            service.add_graph(path("cba"))      # the entry's bits fade
+            twin = path("cba")          # isomorphic, numbered otherwise
+            result = service.execute(twin)
+            assert not result.metrics.interned
+            assert service.counters()["renewals"] == 1
+            assert twin._memo is None
+            assert service.cache.all_entries() == [entry]
+            assert entry.query._memo is memo
+            assert all(memo[key] is value for key, value in before.items())
+
+    def test_mutating_the_caller_afterwards_reaches_no_moved_plan(self):
+        with GraphCacheService(GraphStore.from_graphs(DATASET)) as service:
+            query = path("abc")
+            service.execute(query)
+            (entry,) = service.cache.all_entries()
+            memo = entry.query._memo
+            plan = memo["vf2+"]
+            query.add_edge(0, 2)
+            query.set_label(1, "d")
+            assert entry.query._memo is memo and memo["vf2+"] is plan
+            assert plan.labels == ("a", "b", "c")
+            assert plan.required == (("a", 1), ("b", 1), ("c", 1))
+            assert entry.query == path("abc")
+            again = service.execute(path("abc"))
+            assert again.metrics.interned
+            assert entry.query._memo["vf2+"] is plan
 
 
 # ----------------------------------------------------------------------

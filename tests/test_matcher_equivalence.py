@@ -37,7 +37,13 @@ from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.matching import GraphQLMatcher, make_matcher
-from repro.matching.plans import _INTERNED, need_mask, neighbour_profiles
+from repro.matching.plans import (
+    _INTERNED,
+    HostTable,
+    host_table,
+    need_mask,
+    neighbour_profiles,
+)
 from repro.matching.graphql import _Plan as GraphQLPlan
 from repro.matching.vf2plus import _Plan
 from repro.runtime.method_m import MethodMRunner
@@ -116,8 +122,10 @@ def neighbour_label_counts(g: LabeledGraph) -> list[Counter]:
 
 
 def kept_profiles(g: LabeledGraph):
-    """The host table ``g`` holds now, or None — read without building."""
-    return (g._memo or {}).get("neighbour_profiles")
+    """The profile table ``g`` holds now, or None — read without
+    building."""
+    table = (g._memo or {}).get(HostTable)
+    return None if table is None else table.profiles
 
 
 @given(population=st.lists(
@@ -236,10 +244,11 @@ def test_graphql_refines_to_the_reference_candidates():
     for query in HOSTILE + long_paths:
         plan = query.derived("graphql", GraphQLPlan)
         for host in HOSTILE + long_paths:
-            ours = production._initial_candidates(plan, host)
+            table = host_table(host)
+            ours = production._initial_candidates(plan, table, host)
             theirs = reference._initial_candidates(query, host)
             if all(theirs):
-                assert (production._refine(plan, host, ours)
+                assert (production._refine(plan, host, table.by_label, ours)
                         == reference._refine(query, host, theirs))
             assert ours == theirs, (query, host)
 
