@@ -56,31 +56,36 @@ _SPEC.loader.exec_module(workloads)
 
 #: Per workload: ``service.counters()`` after warm-up + measured stream,
 #: ``(tests, states, found)`` of the Method-M matcher and of discovery's
-#: internal verifier, the head of the SHA-256 over every answer, and
-#: ``(plans, orders, tables)``: VF2+ :class:`_Plan` constructions,
-#: :meth:`_Plan.compile` calls and host profile tables built.
+#: internal verifier, and the head of the SHA-256 over every answer.
 PINNED = {
     "verify_bound": (
         dict(queries=620, method_tests=118308, internal_tests=14897,
              tests_saved=253692, admissions=620, evictions=520, renewals=0,
              exact_hit_queries=71, zero_test_queries=71,
              interned_queries=39),
-        (118308, 185788, 7730), (14897, 72676, 8165), "fc2c926fccde8fa5",
-        (581, 1253, 1072)),
+        (118308, 185788, 7730), (14897, 72676, 8165), "fc2c926fccde8fa5"),
     "hit_bound": (
         dict(queries=400, method_tests=12006, internal_tests=16955,
              tests_saved=107994, admissions=400, evictions=300, renewals=0,
              exact_hit_queries=333, zero_test_queries=333,
              interned_queries=331),
-        (12006, 10861, 447), (16955, 127545, 10076), "eca869433b38ed0c",
-        (69, 213, 342)),
+        (12006, 10861, 447), (16955, 127545, 10076), "eca869433b38ed0c"),
     "churn_con": (
         dict(queries=700, method_tests=43963, internal_tests=3865,
              tests_saved=300344, admissions=247, evictions=155, renewals=453,
              exact_hit_queries=615, zero_test_queries=164,
              interned_queries=612),
-        (43963, 38202, 1450), (3865, 27803, 2170), "c0bad7047a4ef720",
-        (579, 854, 1387)),
+        (43963, 38202, 1450), (3865, 27803, 2170), "c0bad7047a4ef720"),
+}
+
+
+#: Per workload, over the same replay: ``(plans, orders, tables)``, the
+#: VF2+ :class:`_Plan` constructions, :meth:`_Plan.compile` calls and
+#: host profile tables built.
+COMPILED = {
+    "verify_bound": (581, 1253, 1072),
+    "hit_bound": (69, 213, 342),
+    "churn_con": (579, 854, 1387),
 }
 
 
@@ -102,7 +107,7 @@ def test_stream_counts_are_the_pinned_ones(name, monkeypatch):
     what its own run built into the cache (``CacheEntry``), so discovery
     does not build it again."""
     spec = next(s for s in workloads.SPECS if s.name == name)
-    counters, method, internal, answers, compiled = PINNED[name]
+    counters, method, internal, answers = PINNED[name]
     built = [0, 0, 0]
     monkeypatch.setattr(_Plan, "__init__",
                         _counting(built, 0, _Plan.__init__))
@@ -126,7 +131,7 @@ def test_stream_counts_are_the_pinned_ones(name, monkeypatch):
     assert {key: got[key] for key in counters} == counters
     assert stats == [method, internal]
     assert digest.hexdigest()[:16] == answers
-    assert tuple(built) == compiled
+    assert tuple(built) == COMPILED[name]
 
 
 def test_host_profile_tables_cost_a_tuple_per_graph():
