@@ -14,7 +14,7 @@ Design notes
 * The type is mutable because the paper's dataset evolves in place
   (UA adds an edge to a stored graph, UR removes one).  Mutations bump a
   ``version`` counter and drop the graph's one memo of derived data
-  (:meth:`LabeledGraph.derived`: label counts, matcher plans,
+  (:meth:`LabeledGraph.derived`: host tables, matcher plans,
   features), so nothing computed from an older structure survives them.
 * :meth:`LabeledGraph.copy` is O(1) copy-on-write.  Every holder that
   copies for isolation (the store, the change plan, cache admission)
@@ -255,7 +255,7 @@ class LabeledGraph:
         """``build(self)``, computed once per key and graph *version*.
 
         The one invalidation mechanism for everything computed from a
-        graph's structure (the matchers' label counts and plans,
+        graph's structure (the matchers' host tables and plans,
         :meth:`repro.dataset.store.GraphStore.features`): every mutator
         drops the whole memo, so a value is never older than the
         structure it was built from.  Values must be treated as

@@ -11,6 +11,9 @@ pattern plans sit next to their kernels.
 Everything stored is immutable once built: sessions share one matcher
 instance across threads, so the matcher keeps no per-test state outside
 its call frames, and graph-scoped values never change once published.
+The one late write is a :class:`HostTable`'s ``profiles``, which goes
+from None to a complete tuple in one store; two threads that race on
+it store equal tuples, and a reader sees None or a whole tuple.
 
 Compile once, test many
 -----------------------
