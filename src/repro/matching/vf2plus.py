@@ -62,8 +62,8 @@ ever compares host counts with each other, so two hosts that rank the
 pattern's labels alike (ties sharing a rank) get the same order, and
 with a static order the already-mapped neighbours of each depth's
 vertex are static too.  What is left per test is one memo probe on each
-graph, the depth-0 check (a dict probe per label), the ranking (a
-comparison for one or two labels) and the search itself, which reads
+graph, the depth-0 check (a dict probe per label), the ranking (by
+comparison for up to three labels) and the search itself, which reads
 the host's label and adjacency lists directly: the shared prologue
 (:meth:`~repro.matching.base.SubgraphMatcher.is_subgraph_isomorphic`)
 calls the kernel with no frame between.  Every host — a dataset graph
