@@ -325,10 +325,10 @@ class GraphCacheService:
                 # Unless the query ran as a resident, steps 2 and 4
                 # memoised plans and a host table on the caller's
                 # object.  A new entry took them with its copy of the
-                # graph (CacheEntry); whatever is left must not outlive
-                # the query: callers keep, reuse and mutate their query
-                # objects.  Both happen under the service lock, the
-                # only place a memo moves between two graphs.
+                # graph (CacheManager.admit); whatever is left must not
+                # outlive the query: callers keep, reuse and mutate
+                # their query objects.  Both happen under the service
+                # lock, the only place a memo moves between two graphs.
                 query.forget_derived()
             self.monitor.record(metrics)
             save_to = None

@@ -71,9 +71,7 @@ class CacheEntry:
     * ``features`` — monotone features for the query index.  Callers
       that already computed the query's features (the service does, for
       hit discovery) pass them in; otherwise they are derived here.
-    * ``query`` — the entry's own copy of the caller's graph, with the
-      memo the caller's graph had (moved: the caller's graph is left
-      without one, :meth:`LabeledGraph.move_derived`), or, given
+    * ``query`` — the entry's own copy of the caller's graph, or, given
       ``same_as`` (a cached entry holding exactly that query), that
       entry's graph object and features, shared.  Sharing is safe
       because a cached graph is **immutable**: nothing mutates
@@ -96,12 +94,7 @@ class CacheEntry:
         if same_as is not None:
             self.query, self.features = same_as.query, same_as.features
         else:
-            caller = self.query
-            self.query = caller.copy()  # decouple from caller mutation
-            # What the matchers built on the caller's graph (plans,
-            # compiled orders, its host table) holds for the copy: the
-            # entry keeps it, and the caller's object keeps none.
-            caller.move_derived(self.query)
+            self.query = self.query.copy()  # decouple from caller mutation
             if self.features is None:
                 self.features = GraphFeatures.of(self.query)
         self.num_vertices = self.query.num_vertices

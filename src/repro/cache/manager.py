@@ -210,6 +210,12 @@ class CacheManager:
             features=features,
             same_as=same_as,
         )
+        if same_as is None:
+            # What the matchers built on the caller's graph (plans,
+            # compiled orders, its host table) holds for the entry's
+            # copy: the entry keeps it, and the caller's object keeps
+            # none.  Only here: a snapshot's entry copies move nothing.
+            query.move_derived(entry.query)
         self._next_entry_id += 1
         self.statistics.register(entry.entry_id, query_index)
         self.index.add(entry)

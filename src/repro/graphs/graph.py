@@ -288,7 +288,7 @@ class LabeledGraph:
         memo was built from; any other graph gets nothing and this one
         still ends without a memo.  Cache admission uses it: the plans
         and host tables a query's own run built go into the entry that
-        keeps the query (:class:`repro.cache.entry.CacheEntry`)."""
+        keeps the query (:meth:`repro.cache.manager.CacheManager.admit`)."""
         if (copy._labels is self._labels
                 and copy._adjacency is self._adjacency):
             copy._memo = self._memo

@@ -9,7 +9,6 @@ are preserved — i.e. non-induced subgraph isomorphism (paper §3).
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.graphs.graph import LabeledGraph
@@ -67,11 +66,7 @@ class SubgraphMatcher(abc.ABC):
             return True
         if size > len(host._labels) or query._num_edges > host._num_edges:
             return False
-        decide = self._decide
-        if decide is None:
-            if self._embed(query, host) is None:
-                return False
-        elif not decide(query, host):
+        if self._embed(query, host) is None:
             return False
         stats.found += 1
         return True
@@ -95,12 +90,6 @@ class SubgraphMatcher(abc.ABC):
         if mapping is not None:
             stats.found += 1
         return mapping
-
-    #: An algorithm-specific decision ``(query, host) -> bool`` (sizes
-    #: already pre-checked), for a subclass that decides more cheaply
-    #: than it embeds.  None, as in every bundled kernel, makes a test
-    #: one call of :meth:`_embed` below the prologue: no frame between.
-    _decide: Callable[[LabeledGraph, LabeledGraph], bool] | None = None
 
     @abc.abstractmethod
     def _embed(self, query: LabeledGraph,

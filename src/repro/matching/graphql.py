@@ -207,10 +207,10 @@ class GraphQLMatcher(SubgraphMatcher):
     def _initial_candidates(plan: _Plan, table: HostTable,
                             host: LabeledGraph) -> list[set[int]]:
         # A radius-1 profile is the neighbour-label count every host
-        # keeps (plans.neighbour_profiles), and dominance is one AND
+        # keeps (HostTable.neighbour_profiles), and dominance is one AND
         # with its supply mask; it implies the degree bound.
         by_label = table.by_label
-        profiles = table.profiles or table.build_profiles(host)
+        profiles = table.neighbour_profiles(host)
         return [{v for v in by_label.get(qlabel, ())
                  if not need & profiles[v].supply}
                 for qlabel, need in zip(plan.labels, plan.needs)]

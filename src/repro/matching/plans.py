@@ -69,8 +69,8 @@ from weakref import KeyedRef
 
 from repro.graphs.graph import LabeledGraph
 
-__all__ = ["HostTable", "host_table", "neighbour_profiles", "need_mask",
-           "neighbour_needs", "connectivity_order", "neighbor_lists"]
+__all__ = ["HostTable", "host_table", "need_mask", "neighbour_needs",
+           "connectivity_order", "neighbor_lists"]
 
 Label = Hashable
 
@@ -81,7 +81,7 @@ class HostTable:
     it, what a depth-0 label check probes; ``by_label``, label →
     ascending vertex ids, where the kernels that start from a label's
     vertices (VF2, VF2+, GraphQL, enumeration) draw root candidates; and
-    ``profiles``, the host's :func:`neighbour_profiles`, None until a
+    ``profiles``, the host's :meth:`neighbour_profiles`, None until a
     test first gets past depth 0 (a host every pattern rejects there
     never pays for them).  Do not mutate any of them."""
 
@@ -95,12 +95,23 @@ class HostTable:
         self.by_label = by_label
         self.profiles: tuple[_Profile, ...] | None = None
 
-    def build_profiles(self, graph: LabeledGraph) -> tuple[_Profile, ...]:
-        """Publish ``graph``'s profiles here (``graph`` is the graph this
-        table was built from) and return them; a search reads
-        ``table.profiles or table.build_profiles(host)``, never empty
-        for a host with a vertex."""
-        profiles = self.profiles = _profiles(graph)
+    def neighbour_profiles(self, graph: LabeledGraph
+                           ) -> tuple[_Profile, ...]:
+        """Per vertex of ``graph`` (the graph this table was built
+        from), ``{label: neighbours carrying it}`` (do not mutate): the
+        radius-1 profile a host candidate must dominate, with its
+        ``supply`` mask (see "Profiles as masks").
+
+        Built complete on first use and published once, in ``profiles``.
+        Equal profiles are one object across every live graph:
+        molecules repeat a few neighbourhoods over and over (gcbench's
+        600-graph dataset has 10 844 vertices and 394 distinct
+        profiles), so keeping the table on every host costs a tuple of
+        pointers per graph.
+        """
+        profiles = self.profiles
+        if profiles is None:
+            profiles = self.profiles = _profiles(graph)
         return profiles
 
 
@@ -209,22 +220,6 @@ def _profiles(graph: LabeledGraph) -> tuple[_Profile, ...]:
             interned[key] = KeyedRef(profile, _forget, key)
         out.append(profile)
     return tuple(out)
-
-
-def neighbour_profiles(graph: LabeledGraph) -> tuple[_Profile, ...]:
-    """Per vertex, ``{label: neighbours carrying it}`` (do not mutate):
-    the radius-1 profile a host candidate must dominate, with its
-    ``supply`` mask (see "Profiles as masks").
-
-    Built complete on first use and published once per graph version,
-    on its :class:`HostTable`.  Equal profiles are one object across
-    every live graph: molecules repeat a few neighbourhoods over and
-    over (gcbench's 600-graph dataset has 10 844 vertices and 394
-    distinct profiles), so keeping the table on every host costs a
-    tuple of pointers per graph.
-    """
-    table = host_table(graph)
-    return table.profiles or table.build_profiles(graph)
 
 
 def neighbor_lists(graph: LabeledGraph) -> list[tuple[int, ...]]:

@@ -16,9 +16,9 @@ label's vertices for a root (from ``by_label``), the anchor image's
 neighbours for one mapped neighbour, and for several the first image's
 (VF2) or the lowest-degree image's (VF2+, ``lowest``) neighbours.  A
 static order passes its compiled ``steps``; GraphQL's dynamic one
-passes ``choose``, asked once per state.  Every filter is a pure test of the candidate, so
-depths, mappings and ``MatcherStats.states`` equal those of the
-recursive kernels in ``tests/reference_matchers.py``.
+passes ``choose``, asked once per state.  Every filter is a pure test
+of the candidate, so depths, mappings and ``MatcherStats.states`` equal
+those of the recursive kernels in ``tests/reference_matchers.py``.
 
 No cycle to collect
 -------------------

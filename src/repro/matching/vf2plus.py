@@ -62,15 +62,16 @@ ever compares host counts with each other, so two hosts that rank the
 pattern's labels alike (ties sharing a rank) get the same order, and
 with a static order the already-mapped neighbours of each depth's
 vertex are static too.  What is left per test is one memo probe on each
-graph, the depth-0 check (a dict probe per label), the ranking (by
-comparison for up to three labels) and the search itself, which reads
+graph, the depth-0 check (a dict probe per label), the ranking (one
+comparison for two labels) and the search itself, which reads
 the host's label and adjacency lists directly: the shared prologue
 (:meth:`~repro.matching.base.SubgraphMatcher.is_subgraph_isomorphic`)
 calls the kernel with no frame between.  Every host — a dataset graph
 under subgraph semantics, a cached query during discovery — keeps its
-profiles the same way (:func:`~repro.matching.plans.neighbour_profiles`):
-one complete tuple, built on the graph's first test past depth 0 and
-never written again, of profiles interned across all live graphs.
+profiles the same way
+(:meth:`~repro.matching.plans.HostTable.neighbour_profiles`): one
+complete tuple, built on the graph's first test past depth 0 and never
+written again, of profiles interned across all live graphs.
 Molecules repeat a few neighbourhoods, so a dataset graph pays a tuple
 of pointers for them, not a dict per vertex, and a host rejected at
 depth 0 pays nothing.  Each interned profile carries its supply mask,
@@ -172,29 +173,19 @@ class VF2PlusMatcher(SubgraphMatcher):
             if have < need:
                 return None
             supplied.append(have)
-        # Each supply's dense rank among them (see _Plan.orders), by
-        # comparison for up to three labels, as most patterns have: the
-        # rank of x is the number of distinct supplies below it.
-        if len(supplied) == 1:
-            ranking: tuple[int, ...] = (0,)
-        elif len(supplied) == 2:
+        # Each supply's dense rank among them (see _Plan.orders): the
+        # number of distinct supplies below it.  Two labels, which half
+        # of verify_bound's tests that get here have, take one
+        # comparison (docs/config-fidelity.md has the shares).
+        if len(supplied) == 2:
             a, b = supplied
-            ranking = (0, 0) if a == b else (0, 1) if a < b else (1, 0)
-        elif len(supplied) == 3:
-            a, b, c = supplied
-            low, middle, _ = sorted(supplied)
-            ranking = ((low < a) + (low < middle < a),
-                       (low < b) + (low < middle < b),
-                       (low < c) + (low < middle < c))
+            ranking: tuple[int, ...] = (
+                (0, 0) if a == b else (0, 1) if a < b else (1, 0))
         else:
             levels = sorted(set(supplied))
-            ranks = []
-            for have in supplied:
-                ranks.append(levels.index(have))
-            ranking = tuple(ranks)
+            ranking = tuple([levels.index(have) for have in supplied])
         steps = plan.orders.get(ranking)
         if steps is None:
             steps = plan.orders[ranking] = plan.compile(ranking)
         return extend(host, len(steps), self.stats, table.by_label, steps,
-                      table.profiles or table.build_profiles(host),
-                      lowest=True)
+                      table.neighbour_profiles(host), lowest=True)

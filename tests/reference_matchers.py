@@ -25,12 +25,9 @@ class ReferenceVF2Matcher(SubgraphMatcher):
 
     name = "vf2"
 
-    def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        return self._search(query, host, record=False) is not None
-
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
-        return self._search(query, host, record=True)
+        return self._search(query, host)
 
     # ------------------------------------------------------------------
     def _order(self, query: LabeledGraph) -> list[int]:
@@ -53,8 +50,8 @@ class ReferenceVF2Matcher(SubgraphMatcher):
                         frontier.append(v)
         return order
 
-    def _search(self, query: LabeledGraph, host: LabeledGraph,
-                record: bool) -> dict[int, int] | None:
+    def _search(self, query: LabeledGraph,
+                host: LabeledGraph) -> dict[int, int] | None:
         order = self._order(query)
         mapping: dict[int, int] = {}
         used: set[int] = set()
@@ -101,7 +98,7 @@ class ReferenceVF2Matcher(SubgraphMatcher):
             return False
 
         if extend(0):
-            return dict(mapping) if record else mapping
+            return dict(mapping)
         return None
 
 
@@ -109,9 +106,6 @@ class ReferenceVF2PlusMatcher(SubgraphMatcher):
     """VF2 with rarity-first ordering, profile pruning and lookahead."""
 
     name = "vf2+"
-
-    def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        return self._search(query, host) is not None
 
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
@@ -302,9 +296,6 @@ class ReferenceGraphQLMatcher(SubgraphMatcher):
     # ------------------------------------------------------------------
     # Phase 3: search
     # ------------------------------------------------------------------
-    def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        return self._search(query, host) is not None
-
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
         return self._search(query, host)

@@ -104,8 +104,8 @@ def test_stream_counts_are_the_pinned_ones(name, monkeypatch):
     clock: a plan is built once per graph version that is a pattern, an
     order once per label ranking a plan meets, a profile table once per
     host version searched past depth 0 — and an admitted query takes
-    what its own run built into the cache (``CacheEntry``), so discovery
-    does not build it again."""
+    what its own run built into the cache (``CacheManager.admit``), so
+    discovery does not build it again."""
     spec = next(s for s in workloads.SPECS if s.name == name)
     counters, method, internal, answers = PINNED[name]
     built = [0, 0, 0]
@@ -136,14 +136,15 @@ def test_stream_counts_are_the_pinned_ones(name, monkeypatch):
 
 def test_host_profile_tables_cost_a_tuple_per_graph():
     """Every searched host keeps its neighbour-label profile table
-    (``repro.matching.plans.neighbour_profiles``), so its memory grows
-    with the dataset: one searched test on each of ``verify_bound``'s
-    600 graphs may add at most 1 KB per graph, and interning keeps the
-    distinct profiles to the few neighbourhoods molecules repeat (394
-    over 10 844 vertices at seed 1; a dict per vertex was ~4 KB per
-    graph).  The probe is a one-vertex pattern whose plan and compiled
-    order exist beforehand, as does the host's table with its label
-    lists, so what the test adds is the profile tuple alone."""
+    (``repro.matching.plans.HostTable.neighbour_profiles``), so its
+    memory grows with the dataset: one searched test on each of
+    ``verify_bound``'s 600 graphs may add at most 1 KB per graph, and
+    interning keeps the distinct profiles to the few neighbourhoods
+    molecules repeat (394 over 10 844 vertices at seed 1; a dict per
+    vertex was ~4 KB per graph).  The probe is a one-vertex pattern
+    whose plan and compiled order exist beforehand, as does the host's
+    table with its label lists, so what the test adds is the profile
+    tuple alone."""
     spec = next(s for s in workloads.SPECS if s.name == "verify_bound")
     graphs = workloads.build_inputs(spec, seed=1).graphs
     probes = []

@@ -255,6 +255,25 @@ class TestPlansFollowTheQueryIntoTheCache:
             assert again.metrics.interned
             assert entry.query._memo["vf2+"] is plan
 
+    def test_a_snapshot_leaves_every_residents_memo_as_it_was(
+            self, tmp_path):
+        with GraphCacheService(GraphStore.from_graphs(DATASET)) as service:
+            service.execute(path("ab"))
+            service.execute(path("abc"))    # the host of a test of "ab"
+            entries = service.cache.all_entries()
+            memos = [entry.query._memo for entry in entries]
+            before = [dict(memo) for memo in memos]
+            assert all("vf2+" in memo for memo in before)
+            assert any(HostTable in memo for memo in before)
+            service.cache.snapshot_state()
+            service.save(tmp_path / "cache.snap")
+            assert service.cache.all_entries() == entries
+            for entry, memo, values in zip(entries, memos, before):
+                assert entry.query._memo is memo
+                assert memo.keys() == values.keys()
+                assert all(memo[key] is value
+                           for key, value in values.items())
+
 
 # ----------------------------------------------------------------------
 # (c) What counts as identical

@@ -42,7 +42,6 @@ from repro.matching.plans import (
     HostTable,
     host_table,
     need_mask,
-    neighbour_profiles,
 )
 from repro.matching.graphql import _Plan as GraphQLPlan
 from repro.matching.vf2plus import _Plan
@@ -119,6 +118,11 @@ def test_random_pairs_match_reference(name, population):
 
 def neighbour_label_counts(g: LabeledGraph) -> list[Counter]:
     return [Counter(g.neighbor_labels(v)) for v in range(g.num_vertices)]
+
+
+def neighbour_profiles(g: LabeledGraph):
+    """``g``'s profile table, built if it is not yet."""
+    return host_table(g).neighbour_profiles(g)
 
 
 def kept_profiles(g: LabeledGraph):

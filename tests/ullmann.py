@@ -25,9 +25,6 @@ class UllmannMatcher(SubgraphMatcher):
 
     name = "ullmann"
 
-    def _decide(self, query: LabeledGraph, host: LabeledGraph) -> bool:
-        return self._search(query, host) is not None
-
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
         return self._search(query, host)
