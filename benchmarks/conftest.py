@@ -1,8 +1,10 @@
 """Shared fixtures for the figure benchmarks.
 
-All bench modules share one :class:`ExperimentHarness` so the run grid
-(workload × matcher × model) is executed at most once per pytest session
-regardless of how many figures slice it.  Rendered tables are collected
+The figure tests share one :class:`paper_figures.ExperimentHarness` at
+the ``GCPLUS_BENCH_SCALE`` scale, so the run grid (workload × matcher ×
+model) is executed at most once per pytest session regardless of how
+many figures slice it (``test_paper_figures.py`` tests the harness
+itself on its own tiny scale).  Rendered tables are collected
 and printed in the terminal summary (visible even with output capture),
 and written to the directory :func:`results_dir` picks: the tracked
 ``benchmarks/results/`` only when ``GCPLUS_BENCH_RECORD=1`` says this
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import ExperimentHarness, current_scale
+from paper_figures import ExperimentHarness, current_scale
 
 _TABLES: list[str] = []
 

@@ -8,7 +8,7 @@ size.
 
 from __future__ import annotations
 
-from repro.bench.experiments import ablation_cache_size
+from paper_figures import ablation_cache_size
 
 
 def test_ablation_cache_size(benchmark, harness, report_table):

@@ -8,7 +8,7 @@ value of consistency tracking; it must widen with churn.
 
 from __future__ import annotations
 
-from repro.bench.experiments import ablation_churn
+from paper_figures import ablation_churn
 
 
 def test_ablation_churn(benchmark, harness, report_table):

@@ -8,7 +8,7 @@ policy's, and every policy beats the bare method.
 
 from __future__ import annotations
 
-from repro.bench.experiments import ablation_policies
+from paper_figures import ablation_policies
 
 
 def test_ablation_policies(benchmark, harness, report_table):

@@ -17,7 +17,7 @@ only where it is about time:
   against bare, and CON against EVI.
 
 The three runs behind a row are measured in lockstep
-(:meth:`repro.bench.harness.ExperimentHarness.run`), so a phase of the
+(:meth:`paper_figures.ExperimentHarness.run`), so a phase of the
 host's speed does not land on one side of a speedup.
 """
 
@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.experiments import ALL_CATEGORIES, figure4
-from repro.bench.harness import MATCHER_NAMES
+from paper_figures import ALL_CATEGORIES, figure4
+from repro.matching import MATCHERS
 
 #: what timing noise may cost a single cell's reading
 CELL_JITTER = 0.75
 
 
-@pytest.mark.parametrize("matcher", MATCHER_NAMES)
+@pytest.mark.parametrize("matcher", tuple(MATCHERS))
 def test_fig4_speedups(benchmark, harness, report_table, matcher):
     def compute():
         return figure4(harness, matchers=(matcher,),

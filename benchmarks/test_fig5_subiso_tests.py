@@ -12,7 +12,7 @@ counts and their ratios, which a kernel or a speed-up cannot move.
 
 from __future__ import annotations
 
-from repro.bench.experiments import PAPER_FIG5, figure5
+from paper_figures import PAPER_FIG5, figure5
 
 
 def test_fig5_subiso_speedups(benchmark, harness, report_table,

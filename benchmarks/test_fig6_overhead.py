@@ -12,7 +12,7 @@ Asserts the two §7.2 conclusions:
 
 from __future__ import annotations
 
-from repro.bench.experiments import figure6
+from paper_figures import figure6
 
 
 def test_fig6_time_breakdown(benchmark, harness, report_table):

@@ -11,7 +11,7 @@ scale pins them: the rendered table must equal
 
 from __future__ import annotations
 
-from repro.bench.experiments import hit_anatomy
+from paper_figures import hit_anatomy
 
 
 def test_hit_anatomy(benchmark, harness, report_table, assert_recorded):

@@ -9,7 +9,7 @@ bare method and the usual CON > EVI ordering on sub-iso tests.
 
 from __future__ import annotations
 
-from repro.bench.experiments import supergraph_workload
+from paper_figures import supergraph_workload
 
 
 def test_supergraph_workload(benchmark, harness, report_table):

@@ -23,6 +23,7 @@ import json
 import time
 
 from repro.api import GCConfig, GraphCacheService
+from repro.cli import render_table
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.workloads.typeb import TypeBConfig, generate_type_b
@@ -116,7 +117,6 @@ def test_warm_start_beats_cold(report_table, results_dir, tmp_path):
         json.dumps(payload, indent=2, allow_nan=False) + "\n",
         encoding="utf-8")
 
-    from repro.bench.reporting import render_table
     key = f"hit_rate_first_{window}"
     report_table(
         "BENCH_warmstart",

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import GCConfig, GraphCacheService
-from repro.bench.harness import MATCHER_NAMES
 from repro.cache.entry import QueryType
 from repro.cache.manager import CacheManager
 from repro.cache.query_index import QueryIndex
@@ -27,6 +26,7 @@ from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
+from repro.matching import MATCHERS
 from repro.matching.plans import HostTable
 from tests.conftest import brute_force_answer
 from tests.test_consistency import ALPHABET, random_change
@@ -95,7 +95,7 @@ def replay(seed: int, config: GCConfig, intern: bool):
         return answers, work(service)
 
 
-@pytest.mark.parametrize("matcher", MATCHER_NAMES)
+@pytest.mark.parametrize("matcher", tuple(MATCHERS))
 @pytest.mark.parametrize("query_type", ["subgraph", "supergraph"])
 @pytest.mark.parametrize("model", ["CON", "EVI"])
 @settings(max_examples=6, deadline=None)

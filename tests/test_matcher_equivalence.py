@@ -31,12 +31,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.api import GCConfig, GraphCacheService
-from repro.bench.harness import MATCHER_NAMES
 from repro.cache.entry import QueryType
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
-from repro.matching import GraphQLMatcher, make_matcher
+from repro.matching import MATCHERS, GraphQLMatcher, make_matcher
 from repro.matching.plans import (
     _INTERNED,
     HostTable,
@@ -719,7 +718,7 @@ def _service(matcher: str, model: str = "CON") -> GraphCacheService:
 
 
 @pytest.mark.parametrize("model", ["CON", "EVI"])
-@pytest.mark.parametrize("matcher", MATCHER_NAMES)
+@pytest.mark.parametrize("matcher", tuple(MATCHERS))
 def test_store_mutations_between_queries_follow_the_oracle(matcher, model):
     """UA / UR / DEL land on graphs that already carry host-side memos
     (and, for the cached queries, on entries whose ``CGvalid`` vouches
@@ -755,7 +754,7 @@ class TestCallerOwnsTheQuery:
     """``execute`` / ``explain`` / the bare runner memoise plans on the
     query while they test it, and leave none behind."""
 
-    @pytest.mark.parametrize("matcher", MATCHER_NAMES)
+    @pytest.mark.parametrize("matcher", tuple(MATCHERS))
     def test_pipeline_leaves_no_derived_data(self, matcher):
         service = _service(matcher)
         session = service.session()
@@ -768,7 +767,7 @@ class TestCallerOwnsTheQuery:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("matcher", MATCHER_NAMES)
+    @pytest.mark.parametrize("matcher", tuple(MATCHERS))
     def test_bare_runner_leaves_no_derived_data(self, matcher):
         runner = MethodMRunner(GraphStore.from_graphs(DATASET),
                                make_matcher(matcher))

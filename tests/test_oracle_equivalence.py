@@ -21,11 +21,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api import GCConfig, GraphCacheService
-from repro.bench.harness import MATCHER_NAMES
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
-from repro.matching import make_matcher
+from repro.matching import MATCHERS, make_matcher
 from repro.runtime.method_m import MethodMRunner
 from repro.workloads.typea import generate_type_a
 from repro.workloads.typeb import TypeBConfig, generate_type_b
@@ -79,7 +78,7 @@ def oracle(dataset, workloads):
 
 
 @pytest.mark.parametrize("workload_name", ["typeA", "typeB"])
-@pytest.mark.parametrize("matcher", MATCHER_NAMES)
+@pytest.mark.parametrize("matcher", tuple(MATCHERS))
 @pytest.mark.parametrize("model", ["CON", "EVI"])
 def test_gc_answers_equal_direct_matcher(dataset, workloads, oracle,
                                          workload_name, matcher, model):
