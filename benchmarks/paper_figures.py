@@ -12,13 +12,15 @@ row, an ablation, the supergraph workload — replays through one loop
 feeds each cell's :class:`~repro.runtime.monitor.StatisticsMonitor`.
 
 Every figure function takes an :class:`ExperimentHarness` and returns
-``(rows, rendered_table)``.  Paper reference numbers (AIDS, 40k graphs,
-10k queries, Java testbed) are embedded for side-by-side comparison; at
-scaled-down Python sizes the *shapes* are expected to hold — CON ≫ EVI
-> 1 everywhere, method-independent Figure 5, negligible CON-exclusive
-overhead — while absolute magnitudes grow with stream length toward the
-paper's values (README, "Benchmarks").  A speedup is read only after
-its two runs' answers compare equal (:meth:`RunResult.speedup_over`).
+``(rows, rendered_table)``; the ablations and the supergraph workload
+return ``(rows, count_table, time_table)`` instead (:func:`_split`).
+Paper reference numbers (AIDS, 40k graphs, 10k queries, Java testbed)
+are embedded for side-by-side comparison; at scaled-down Python sizes
+the *shapes* are expected to hold — CON ≫ EVI > 1 everywhere,
+method-independent Figure 5, negligible CON-exclusive overhead — while
+absolute magnitudes grow with stream length toward the paper's values
+(README, "Benchmarks").  A speedup is read only after its two runs'
+answers compare equal (:meth:`RunResult.speedup_over`).
 
 Scale is controlled by the ``GCPLUS_BENCH_SCALE`` environment variable
 (``smoke`` < ``small`` < ``medium`` < ``large``); see :data:`SCALES`.
@@ -376,6 +378,16 @@ PAPER_FIG6: dict[str, dict[str, object]] = {
 }
 
 
+def _split(title: str, rows: list[dict[str, object]]) -> tuple[str, str]:
+    """The rows' count table — the key column and the sub-iso-test
+    speedups, which no host speed moves — and their time table."""
+    key = next(iter(rows[0]))
+    return tuple(
+        render_table(f"{title}: {label}", rows,
+                     [key, *(c for c in rows[0] if f"{kind} speedup" in c)])
+        for kind, label in (("test", "sub-iso tests"), ("time", "query time")))
+
+
 # ----------------------------------------------------------------------
 # Figure 4 — GC+ speedup in query time
 # ----------------------------------------------------------------------
@@ -533,9 +545,8 @@ def ablation_policies(harness: ExperimentHarness, workload: str = "ZZ",
             "time speedup": time_speedup,
             "test speedup": test_speedup,
         })
-    return rows, render_table(
-        f"Ablation — replacement policy (CON, {workload}, {matcher})", rows
-    )
+    return rows, *_split(
+        f"Ablation — replacement policy (CON, {workload}, {matcher})", rows)
 
 
 def ablation_cache_size(harness: ExperimentHarness, workload: str = "ZZ",
@@ -560,9 +571,8 @@ def ablation_cache_size(harness: ExperimentHarness, workload: str = "ZZ",
             "time speedup": time_speedup,
             "test speedup": test_speedup,
         })
-    return rows, render_table(
-        f"Ablation — cache capacity (CON, {workload}, {matcher})", rows
-    )
+    return rows, *_split(
+        f"Ablation — cache capacity (CON, {workload}, {matcher})", rows)
 
 
 def ablation_churn(harness: ExperimentHarness, workload: str = "ZZ",
@@ -592,10 +602,9 @@ def ablation_churn(harness: ExperimentHarness, workload: str = "ZZ",
             "EVI time speedup": evi_time,
             "CON time speedup": con_time,
         })
-    return rows, render_table(
+    return rows, *_split(
         f"Ablation — churn intensity (EVI vs CON, {workload}, {matcher})",
-        rows,
-    )
+        rows)
 
 
 def supergraph_workload(harness: ExperimentHarness,
@@ -617,25 +626,32 @@ def supergraph_workload(harness: ExperimentHarness,
     population = harness.graphs
     n_queries = num_queries if num_queries is not None else s.num_queries
 
-    # Dataset: small fragments (3-6 edges) of the population graphs.
-    fragments = []
-    while len(fragments) < max(s.num_graphs // 4, 50):
-        src = population[rng.randrange(len(population))]
-        frag = bfs_extract(src, rng.randrange(src.num_vertices),
-                           rng.choice((3, 4, 5, 6)))
-        if frag is not None:
-            fragments.append(frag)
+    def extract(count, pick, sizes, max_attempts=1000):
+        # As generate_type_a does: a pattern that no source yields in
+        # ``max_attempts`` tries ends the workload (smoke scale's longest
+        # run of misses for a 25+-edge query is 115).
+        patterns = []
+        while len(patterns) < count:
+            for _ in range(max_attempts):
+                src = population[pick()]
+                pattern = bfs_extract(src, rng.randrange(src.num_vertices),
+                                      rng.choice(sizes))
+                if pattern is not None:
+                    patterns.append(pattern)
+                    break
+            else:
+                raise ValueError(
+                    f"scale {s.name!r}: no graph yielded a pattern of "
+                    f"{sizes} edges in {max_attempts} attempts")
+        return patterns
 
+    # Dataset: small fragments (3-6 edges) of the population graphs.
+    fragments = extract(max(s.num_graphs // 4, 50),
+                        lambda: rng.randrange(len(population)), (3, 4, 5, 6))
     # Queries: large patterns, Zipf-selected sources (repetition and
     # containment structure, as in Type A).
     zipf = ZipfSampler(len(population), rng=rng)
-    queries = []
-    while len(queries) < n_queries:
-        src = population[zipf.sample()]
-        q = bfs_extract(src, rng.randrange(src.num_vertices),
-                        rng.choice((25, 30, 35, 40, 45)))
-        if q is not None:
-            queries.append(q)
+    queries = extract(n_queries, zipf.sample, (25, 30, 35, 40, 45))
 
     runs = harness.replay("supergraph", {
         model: s.cache_config(model, matcher).replace(
@@ -650,6 +666,5 @@ def supergraph_workload(harness: ExperimentHarness,
             "time speedup": time_speedup,
             "test speedup": test_speedup,
         })
-    return rows, render_table(
-        f"Supergraph-query workload (inverse logic, {matcher})", rows
-    )
+    return rows, *_split(
+        f"Supergraph-query workload (inverse logic, {matcher})", rows)

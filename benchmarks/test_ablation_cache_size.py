@@ -11,11 +11,14 @@ from __future__ import annotations
 from paper_figures import ablation_cache_size
 
 
-def test_ablation_cache_size(benchmark, harness, report_table):
-    rows, table = benchmark.pedantic(
+def test_ablation_cache_size(benchmark, harness, report_table,
+                             assert_recorded):
+    rows, counts, times = benchmark.pedantic(
         lambda: ablation_cache_size(harness), rounds=1, iterations=1
     )
-    report_table("ablation_cache_size", table)
+    report_table("ablation_cache_size", counts)
+    report_table("ablation_cache_size_time", times)
+    assert_recorded("ablation_cache_size", counts)
 
     speedups = [row["test speedup"] for row in rows]
     capacities = [row["cache capacity"] for row in rows]

@@ -11,11 +11,14 @@ from __future__ import annotations
 from paper_figures import ablation_churn
 
 
-def test_ablation_churn(benchmark, harness, report_table):
-    rows, table = benchmark.pedantic(
+def test_ablation_churn(benchmark, harness, report_table,
+                        assert_recorded):
+    rows, counts, times = benchmark.pedantic(
         lambda: ablation_churn(harness), rounds=1, iterations=1
     )
-    report_table("ablation_churn", table)
+    report_table("ablation_churn", counts)
+    report_table("ablation_churn_time", times)
+    assert_recorded("ablation_churn", counts)
 
     # rows are ordered by increasing churn multiplier (0, 0.5, 1, 2, 4).
     no_churn = rows[0]

@@ -11,11 +11,14 @@ from __future__ import annotations
 from paper_figures import ablation_policies
 
 
-def test_ablation_policies(benchmark, harness, report_table):
-    rows, table = benchmark.pedantic(
+def test_ablation_policies(benchmark, harness, report_table,
+                           assert_recorded):
+    rows, counts, times = benchmark.pedantic(
         lambda: ablation_policies(harness), rounds=1, iterations=1
     )
-    report_table("ablation_policies", table)
+    report_table("ablation_policies", counts)
+    report_table("ablation_policies_time", times)
+    assert_recorded("ablation_policies", counts)
 
     by_policy = {row["policy"]: row for row in rows}
     assert set(by_policy) == {"hd", "pin", "pinc", "lru", "lfu"}

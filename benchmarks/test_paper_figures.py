@@ -4,6 +4,10 @@ registry, the memoised lockstep replay and every figure's rows."""
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,7 +132,7 @@ class TestExperiments:
         assert rows[0]["queries"] == TINY.num_queries
 
     def test_ablation_churn_zero_equality(self, harness):
-        rows, _ = ablation_churn(harness, batch_multipliers=(0.0, 1.0))
+        rows, _, _ = ablation_churn(harness, batch_multipliers=(0.0, 1.0))
         assert rows[0]["EVI test speedup"] == pytest.approx(
             rows[0]["CON test speedup"]
         )
@@ -179,3 +183,19 @@ class TestExperiments:
         monkeypatch.setattr(GraphCacheService, "execute", drop_lowest_id)
         with pytest.raises(AssertionError, match="answer mismatch"):
             ablation_policies(ExperimentHarness(TINY), policies=("lru",))
+
+    def test_supergraph_workload_refuses_too_small_graphs(self):
+        """TINY's largest graph has 22 edges, so no 25-45-edge query can
+        be extracted from it: the workload raises, naming the scale,
+        instead of searching forever (in a subprocess, so that a hang
+        fails this test instead of stalling the session)."""
+        here = Path(__file__).parent
+        code = ("from paper_figures import ExperimentHarness, BenchScale, "
+                "supergraph_workload\n"
+                f"supergraph_workload(ExperimentHarness({TINY!r}))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(here.parent / "src"), str(here)])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "ValueError: scale 'tiny'" in done.stderr, done.stderr

@@ -12,11 +12,14 @@ from __future__ import annotations
 from paper_figures import supergraph_workload
 
 
-def test_supergraph_workload(benchmark, harness, report_table):
-    rows, table = benchmark.pedantic(
+def test_supergraph_workload(benchmark, harness, report_table,
+                             assert_recorded):
+    rows, counts, times = benchmark.pedantic(
         lambda: supergraph_workload(harness), rounds=1, iterations=1
     )
-    report_table("supergraph", table)
+    report_table("supergraph", counts)
+    report_table("supergraph_time", times)
+    assert_recorded("supergraph", counts)
 
     by_model = {row["model"]: row for row in rows}
     assert set(by_model) == {"EVI", "CON"}

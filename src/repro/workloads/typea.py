@@ -143,7 +143,7 @@ def generate_type_a(graphs: Sequence[LabeledGraph], num_queries: int,
                 ))
                 break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 "could not extract a query after "
                 f"{max_attempts} attempts; dataset graphs may be too small "
                 f"for sizes {tuple(sizes)}"

@@ -105,7 +105,7 @@ def _build_answer_pool(graphs: Sequence[LabeledGraph], pool_size: int,
     while len(pool) < pool_size:
         attempts += 1
         if attempts > max_attempts:
-            raise RuntimeError(
+            raise ValueError(
                 "could not fill the Type B answer pool; dataset graphs "
                 f"may be too small for sizes {tuple(sizes)}"
             )
@@ -164,7 +164,7 @@ def _build_no_answer_pool(graphs: Sequence[LabeledGraph], pool_size: int,
     while len(pool) < pool_size:
         guard += 1
         if guard > pool_size * 50:
-            raise RuntimeError("could not fill the Type B no-answer pool")
+            raise ValueError("could not fill the Type B no-answer pool")
         gidx = rng.choices(range(len(graphs)), weights=weights, k=1)[0]
         source = graphs[gidx]
         if source.num_vertices == 0:

@@ -96,6 +96,30 @@ class TestGenWorkload:
                      "--out", str(tmp_path / "wl.tve"), *flags])
         assert_usage_error(code, capsys, fragment)
 
+    @pytest.mark.parametrize("graphs,kind,fragment", [
+        # two one-edge graphs: no query of 4+ edges can be extracted
+        ("one-edge", "ZZ", "could not extract a query"),
+        ("one-edge", "0%", "could not fill the Type B answer pool"),
+        ("one-edge", "50%", "could not fill the Type B answer pool"),
+        # a one-label K4: walks exist, but every relabelling matches it
+        ("k4", "50%", "could not fill the Type B no-answer pool"),
+    ])
+    def test_graphs_too_small_are_usage_errors(self, tmp_path, capsys,
+                                               graphs, kind, fragment):
+        dataset = tmp_path / f"{graphs}.tve"
+        dataset.write_text({
+            "one-edge": "t # 0\nv 0 C\nv 1 O\ne 0 1 0\n"
+                        "t # 1\nv 0 C\nv 1 N\ne 0 1 0\n",
+            "k4": "t # 0\n" + "".join(f"v {v} C\n" for v in range(4))
+                  + "".join(f"e {u} {v} 0\n" for u in range(4)
+                            for v in range(u + 1, 4)),
+        }[graphs])
+        out = tmp_path / "wl.tve"
+        code = main(["gen-workload", "--dataset", str(dataset), "--kind",
+                     kind, "--num-queries", "5", "--out", str(out)])
+        assert_usage_error(code, capsys, fragment)
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("command", ["gen-dataset", "gen-workload"])

@@ -32,7 +32,7 @@ SRC = REPO / "src" / "repro"
 FIXTURE = REPO / "tests" / "fixtures" / "gclint_violations"
 
 CORE = frozenset({"matching", "cache", "runtime", "persist", "api"})
-EXEMPT = frozenset({"workloads", "bench", "serve"})
+EXEMPT = frozenset({"workloads", "serve"})
 SLUGS = {"GC201": "wall-clock", "GC202": "unseeded-random",
          "GC203": "hash-order", "GC204": "recursion",
          "GC401": "broad-except"}

@@ -131,7 +131,7 @@ class TestTypeA:
 
     def test_impossible_sizes_raise(self):
         tiny = [LabeledGraph.from_edges("CO", [(0, 1)])]
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError):
             generate_type_a(tiny, 3, "UU", sizes=(50,), max_attempts=3)
 
     def test_custom_sizes(self, dataset):
