@@ -626,13 +626,13 @@ def supergraph_workload(harness: ExperimentHarness,
     population = harness.graphs
     n_queries = num_queries if num_queries is not None else s.num_queries
 
-    def extract(count, pick, sizes, max_attempts=1000):
+    def extract(count, pick, sizes):
         # As generate_type_a does: a pattern that no source yields in
-        # ``max_attempts`` tries ends the workload (smoke scale's longest
-        # run of misses for a 25+-edge query is 115).
+        # 1000 tries ends the workload (smoke scale's longest run of
+        # misses for a 25+-edge query is 115).
         patterns = []
         while len(patterns) < count:
-            for _ in range(max_attempts):
+            for _ in range(1000):
                 src = population[pick()]
                 pattern = bfs_extract(src, rng.randrange(src.num_vertices),
                                       rng.choice(sizes))
@@ -642,7 +642,7 @@ def supergraph_workload(harness: ExperimentHarness,
             else:
                 raise ValueError(
                     f"scale {s.name!r}: no graph yielded a pattern of "
-                    f"{sizes} edges in {max_attempts} attempts")
+                    f"{sizes} edges in 1000 attempts")
         return patterns
 
     # Dataset: small fragments (3-6 edges) of the population graphs.
