@@ -200,8 +200,8 @@ class _Cell:
 class ExperimentHarness:
     """Builds the dataset/workloads once and memoizes runs."""
 
-    def __init__(self, scale: BenchScale | None = None) -> None:
-        self.scale = scale if scale is not None else current_scale()
+    def __init__(self, scale: BenchScale) -> None:
+        self.scale = scale
         self._graphs = None
         self._dataset_features = None
         self._workloads: dict[str, Workload] = {}
@@ -607,9 +607,7 @@ def ablation_churn(harness: ExperimentHarness, workload: str = "ZZ",
         rows)
 
 
-def supergraph_workload(harness: ExperimentHarness,
-                        matcher: str = "vf2+",
-                        num_queries: int | None = None):
+def supergraph_workload(harness: ExperimentHarness, matcher: str = "vf2+"):
     """Supergraph-query evaluation (the paper's other query semantics).
 
     The paper presents the subgraph case and notes supergraph queries
@@ -624,7 +622,6 @@ def supergraph_workload(harness: ExperimentHarness,
     s = harness.scale
     rng = random.Random(s.workload_seed ^ 0xBEEF)
     population = harness.graphs
-    n_queries = num_queries if num_queries is not None else s.num_queries
 
     def extract(count, pick, sizes):
         # As generate_type_a does: a pattern that no source yields in
@@ -651,7 +648,7 @@ def supergraph_workload(harness: ExperimentHarness,
     # Queries: large patterns, Zipf-selected sources (repetition and
     # containment structure, as in Type A).
     zipf = ZipfSampler(len(population), rng=rng)
-    queries = extract(n_queries, zipf.sample, (25, 30, 35, 40, 45))
+    queries = extract(s.num_queries, zipf.sample, (25, 30, 35, 40, 45))
 
     runs = harness.replay("supergraph", {
         model: s.cache_config(model, matcher).replace(
