@@ -47,7 +47,7 @@ def main() -> None:
         show("C-C-O pattern", service.execute(path("CCO")))
 
         print("\nWarm cache — repeats and contained patterns are cheap "
-              "(execute_many shares one consistency pass):")
+              "(execute_many runs execute once per query):")
         results = service.execute_many([
             path("CO"),    # exact hit
             path("OC"),    # isomorphic hit

@@ -102,8 +102,8 @@ def drive(runner, seed: int):
             social_churn(runner.store, rng)
         patterns = exploration_session(rng)
         if isinstance(runner, GraphCacheService):
-            # An analyst session is a natural batch: one consistency pass
-            # covers every narrowing step.
+            # An analyst session is a natural batch; execute_many runs
+            # execute once per narrowing step, in order.
             results = runner.execute_many(patterns)
         else:
             results = [runner.execute(p) for p in patterns]

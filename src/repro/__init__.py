@@ -19,8 +19,8 @@ Quickstart (the service-layer API)::
         result = service.execute(LabeledGraph.from_edges("CO", [(0, 1)]))
         print(sorted(result.answer_ids))   # -> [0]
 
-``GraphCacheService`` also offers ``execute_many`` (one consistency pass
-per batch), ``explain`` (the plan ``execute`` would run, read-only),
+``GraphCacheService`` also offers ``execute_many`` (``execute`` once per
+query, in order), ``explain`` (the plan ``execute`` would run, read-only),
 the dataset mutations (``apply``, ``add_graph``, ...),
 snapshot ``save`` / ``load`` / ``autosave`` and shared-cache sessions;
 see :mod:`repro.api`.

@@ -6,7 +6,7 @@ Three pieces compose the surface callers should program against:
   (``from_dict``/``to_dict`` for CLI and bench wiring, ``replace`` for
   overrides);
 * :class:`GraphCacheService` — the session facade: ``execute``,
-  batch-amortised ``execute_many``, read-only ``explain``,
+  ``execute_many`` (``execute`` per query), read-only ``explain``,
   dataset mutations, snapshots, and — via
   :meth:`GraphCacheService.session` — up to ``GCConfig.max_sessions``
   concurrent :class:`ServiceSession` query handles sharing one cache

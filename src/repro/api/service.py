@@ -20,8 +20,9 @@ The full per-query flow of the paper (Figure 1, §4) lives here:
 On top of the per-query engine the service adds the session surface:
 
 * construction from one validated :class:`~repro.api.config.GCConfig`;
-* ``execute_many(queries)`` — one consistency pass amortised over a
-  whole batch (``ensure_consistency`` used to run per query);
+* ``execute_many(queries)`` — ``execute`` once per query, in order;
+  each query runs its own O(1) staleness guard, and a consistency pass
+  only when the dataset log has moved;
 * ``explain(query)`` — read-only, steps 2-3 as ``execute`` runs them;
 * a mutation API (``apply``, ``add_graph``, ...) so callers never juggle
   the :class:`GraphStore` and the cache separately;

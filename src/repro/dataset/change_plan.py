@@ -23,6 +23,7 @@ determines the evolution.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.dataset.log import OpType
@@ -159,26 +160,23 @@ class ChangePlan:
         if intent.op is OpType.UA:
             # Uniform graph, then a uniform absent edge within it.  Graphs
             # that are already complete cannot take another edge; resample.
-            for gid in rng.sample(live, len(live)):
-                graph = store.get(gid)
-                n = graph.num_vertices
-                if n < 2 or graph.num_edges == n * (n - 1) // 2:
-                    continue
-                edge = self._random_non_edge(graph, rng)
-                store.add_edge(gid, *edge)
-                return AppliedOp(OpType.UA, gid, edge)
-            return None
+            gid = _first_accepted(rng, live,
+                                  lambda i: _can_take_edge(store.get(i)))
+            if gid is None:
+                return None
+            edge = self._random_non_edge(store.get(gid), rng)
+            store.add_edge(gid, *edge)
+            return AppliedOp(OpType.UA, gid, edge)
 
         # UR: uniform graph with at least one edge, then a uniform edge.
-        for gid in rng.sample(live, len(live)):
-            graph = store.get(gid)
-            if graph.num_edges == 0:
-                continue
-            edges = sorted(graph.edges())
-            edge = edges[rng.randrange(len(edges))]
-            store.remove_edge(gid, *edge)
-            return AppliedOp(OpType.UR, gid, edge)
-        return None
+        gid = _first_accepted(rng, live,
+                              lambda i: store.get(i).num_edges > 0)
+        if gid is None:
+            return None
+        edges = sorted(store.get(gid).edges())
+        edge = edges[rng.randrange(len(edges))]
+        store.remove_edge(gid, *edge)
+        return AppliedOp(OpType.UR, gid, edge)
 
     @staticmethod
     def _random_non_edge(graph: LabeledGraph,
@@ -193,3 +191,47 @@ class ChangePlan:
                 return (u, v) if u < v else (v, u)
         non_edges = list(graph.non_edges())
         return non_edges[rng.randrange(len(non_edges))]
+
+
+def _can_take_edge(graph: LabeledGraph) -> bool:
+    n = graph.num_vertices
+    return n >= 2 and graph.num_edges < n * (n - 1) // 2
+
+
+def _first_accepted(rng: random.Random, ids: list[int],
+                    accept: Callable[[int], bool]) -> int | None:
+    """The first element of ``rng.sample(ids, len(ids))`` that ``accept``
+    takes, or None, leaving ``rng`` in the state that sample leaves it.
+
+    This is CPython's ``Random.sample`` pool loop (``Lib/random.py``;
+    a full-length sample always takes the pool branch) replayed draw for
+    draw: position m = n ... 1 draws ``getrandbits(m.bit_length())``
+    until the value is below m, then swap-removes that pool slot.  Once
+    an id is accepted the rest of the permutation is never read, so the
+    remaining positions only take their draws.  That keeps every plan
+    made with the shuffle while skipping its list writes and its
+    per-position ``_randbelow`` call.  ``tests/test_dataset.py`` pins
+    the result and the generator state to ``Random.sample`` itself.
+    """
+    getrandbits = rng.getrandbits
+    pool = list(ids)
+    m = len(pool)
+    found = None
+    while m and found is None:
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        m -= 1
+        gid = pool[j]
+        pool[j] = pool[m]
+        if accept(gid):
+            found = gid
+    while m:  # one run of positions per bit length
+        k = m.bit_length()
+        low = 1 << (k - 1)
+        for top in range(m, low - 1, -1):
+            while getrandbits(k) >= top:
+                pass
+        m = low - 1
+    return found

@@ -7,8 +7,9 @@ GC+ operates on undirected vertex-labeled graphs (paper §3):
   for dataset graphs and query graphs alike;
 * :mod:`repro.graphs.features` — monotone feature vectors used by the
   cache's query index to filter sub/supergraph candidates;
-* :mod:`repro.graphs.canonical` — a canonical code for exact-match
-  detection and deduplication;
+* :mod:`repro.graphs.canonical` — a canonical code and a WL hash for
+  isomorphism, which the tests use as an oracle independent of the
+  matchers (the cache detects exact matches without them);
 * :mod:`repro.graphs.generators` — random graph constructions used by the
   synthetic datasets and by tests;
 * :mod:`repro.graphs.io` — a line-based serialization (compatible with the

@@ -13,8 +13,8 @@ Two related facilities:
 
 GC+ itself does not need canonicalization for its exact-match optimal
 case (the paper detects isomorphism via containment + equal vertex/edge
-counts, §6.3); canonical codes are used by the workload generators for
-query-pool deduplication and by the tests as an independent oracle.
+counts, §6.3), and no module of the package calls this one: the tests
+use both functions as an isomorphism oracle independent of the matchers.
 """
 
 from __future__ import annotations

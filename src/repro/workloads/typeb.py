@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.graphs.features import GraphFeatures
-from repro.graphs.graph import LabeledGraph
+from repro.graphs.graph import Label, LabeledGraph
 from repro.matching.base import SubgraphMatcher
 from repro.matching.vf2plus import VF2PlusMatcher
 from repro.util.zipf import DEFAULT_ALPHA, ZipfSampler
@@ -137,12 +137,8 @@ def _has_empty_answer(query: LabeledGraph, graphs: Sequence[LabeledGraph],
     return candidate_found, True
 
 
-def _build_no_answer_pool(graphs: Sequence[LabeledGraph], pool_size: int,
-                          sizes: Sequence[int], rng: random.Random,
-                          max_relabel_attempts: int,
-                          dataset_features: Sequence[GraphFeatures] | None
-                          = None) -> list[Query]:
-    """Pool 2: relabeled walks with non-empty candidate set, empty answer.
+def _relabel_population(graphs: Sequence[LabeledGraph]) -> list[Label]:
+    """Every vertex label of the dataset, one entry per occurrence.
 
     "Randomly selected labels from the dataset" draws from the label
     *occurrences* (frequency-weighted), not the distinct alphabet: with
@@ -150,11 +146,31 @@ def _build_no_answer_pool(graphs: Sequence[LabeledGraph], pool_size: int,
     multisets no dataset graph can cover (empty candidate set), so the
     relabel loop would almost never terminate.  Occurrence-weighted draws
     yield plausible multisets whose structure, not labels, makes them
-    unmatchable.
+    unmatchable.  The entries are the graphs' own label objects, so an
+    ``int``-labelled dataset relabels with ``int`` labels.
+
+    Raises ``ValueError`` for a dataset with one distinct label: every
+    relabelling of a walk is then the walk itself, which embeds in its
+    source graph, so no query could ever enter the pool.
     """
-    label_population = [
-        str(g.label(v)) for g in graphs for v in g.vertices()
-    ]
+    population = [g.label(v) for g in graphs for v in g.vertices()]
+    if len(set(population)) == 1:
+        raise ValueError(
+            "could not fill the Type B no-answer pool: the dataset has one "
+            "distinct label, so every relabelled walk still matches the "
+            "graph it came from"
+        )
+    return population
+
+
+def _build_no_answer_pool(graphs: Sequence[LabeledGraph],
+                          label_population: Sequence[Label], pool_size: int,
+                          sizes: Sequence[int], rng: random.Random,
+                          max_relabel_attempts: int,
+                          dataset_features: Sequence[GraphFeatures] | None
+                          = None) -> list[Query]:
+    """Pool 2: relabeled walks with non-empty candidate set, empty answer,
+    relabelled from ``label_population`` (:func:`_relabel_population`)."""
     features = (list(dataset_features) if dataset_features is not None
                 else GraphFeatures.of_many(graphs))
     verifier = VF2PlusMatcher()
@@ -215,6 +231,8 @@ def generate_type_b(graphs: Sequence[LabeledGraph],
             f"dataset_features length {len(dataset_features)} does not "
             f"match {len(graphs)} graphs"
         )
+    label_population = (_relabel_population(graphs)
+                        if config.no_answer_probability > 0 else [])
     rng = random.Random(config.seed)
     answer_pool = _build_answer_pool(
         graphs, config.answer_pool_size, config.sizes, rng
@@ -222,7 +240,8 @@ def generate_type_b(graphs: Sequence[LabeledGraph],
     no_answer_pool: list[Query] = []
     if config.no_answer_probability > 0:
         no_answer_pool = _build_no_answer_pool(
-            graphs, config.no_answer_pool_size, config.sizes, rng,
+            graphs, label_population, config.no_answer_pool_size,
+            config.sizes, rng,
             config.max_relabel_attempts, dataset_features=dataset_features,
         )
     answer_zipf = ZipfSampler(len(answer_pool), config.alpha, rng)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import io as graph_io
+from repro.workloads import typeb
 
 
 @pytest.fixture
@@ -119,6 +120,24 @@ class TestGenWorkload:
                      kind, "--num-queries", "5", "--out", str(out)])
         assert_usage_error(code, capsys, fragment)
         assert not out.exists()
+
+    def test_one_label_dataset_fails_before_any_walk(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """A one-label 8-clique can never yield a no-answer query: one
+        line and exit 2 without testing a single relabelled walk."""
+        tests = []
+        monkeypatch.setattr(typeb, "_has_empty_answer",
+                            lambda *a: tests.append(a))
+        dataset = tmp_path / "clique.tve"
+        dataset.write_text(
+            "t # 0\n" + "".join(f"v {v} C\n" for v in range(8))
+            + "".join(f"e {u} {v} 0\n" for u in range(8)
+                      for v in range(u + 1, 8)))
+        code = main(["gen-workload", "--dataset", str(dataset), "--kind",
+                     "50%", "--num-queries", "5", "--out",
+                     str(tmp_path / "wl.tve")])
+        assert_usage_error(code, capsys, "one distinct label")
+        assert tests == []
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])

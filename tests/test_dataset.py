@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dataset.change_plan import ChangePlan
+from repro.dataset.change_plan import ChangePlan, _first_accepted
 from repro.dataset.log import LogRecord, OpType, UpdateLog
 from repro.dataset.log_analyzer import analyze_log
 from repro.dataset.store import GraphStore
+from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from tests.conftest import packed_ids
 
@@ -276,3 +279,73 @@ class TestChangePlan:
         plan.apply_due(store, 9)
         ops = {r.op for r in store.log}
         assert OpType.ADD in ops  # ADD is always satisfiable
+
+
+# Population sizes for the shuffle pin: every small size, the bit-length
+# boundaries 2**8 and 2**9 (a live store holds ~500 ids), and two larger.
+SAMPLE_SIZES = (list(range(1, 61)) + [255, 256, 257]
+                + list(range(499, 514)) + [1000, 4096])
+
+
+class TestTargetDraws:
+    """UA/UR targets are "a graph uniformly selected from the up-to-date
+    dataset", drawn as the first eligible element of ``rng.sample(live,
+    len(live))``.  ``_first_accepted`` replays that shuffle without
+    building it; these tests hold it to ``Random.sample`` itself and hold
+    the plan it resolves to the one recorded before it replaced the
+    shuffle."""
+
+    @pytest.mark.parametrize("n", SAMPLE_SIZES)
+    def test_matches_random_sample(self, n):
+        ids = sorted(random.Random(n).sample(range(3 * n), n))
+        for seed in range(20):
+            shuffled = random.Random(seed).sample(ids, n)
+            middle = shuffled[n // 2]
+            upper = ids[n // 2]
+            accepts = {
+                "first": lambda i: True,
+                "middle": lambda i: i == middle,
+                "upper half": lambda i: i >= upper,
+                "none": lambda i: False,
+            }
+            for name, accept in accepts.items():
+                reference = random.Random(seed)
+                expected = next(
+                    (i for i in reference.sample(ids, n) if accept(i)), None)
+                rng = random.Random(seed)
+                got = _first_accepted(rng, ids, accept)
+                assert got == expected, (n, seed, name)
+                assert rng.getstate() == reference.getstate(), (n, seed, name)
+
+    # Recorded from the plan when UA/UR still shuffled every live id.
+    RECORDED_OPS = 320
+    RECORDED_COUNTS = {"ADD": 73, "DEL": 99, "UA": 85, "UR": 63}
+    RECORDED_DIGEST = (
+        "a50f0b70aaf030a123642a6eb1f6f47bdbaa7267ed59bb556599fde29eafab55")
+
+    def test_resolved_plan_is_the_recorded_one(self):
+        # Single-vertex graphs take neither UA nor UR and triangles take no
+        # UA, so many draws are refused before a target is accepted.
+        graphs = generate_aids_like(num_graphs=40, mean_vertices=8,
+                                    std_vertices=3, max_vertices=14, seed=5)
+        graphs += [LabeledGraph.from_edges("C", []) for _ in range(12)]
+        graphs += [LabeledGraph.from_edges("CCO", [(0, 1), (1, 2), (0, 2)])
+                   for _ in range(12)]
+        plan = ChangePlan.generate(graphs, num_queries=300, num_batches=40,
+                                   ops_per_batch=8, seed=29)
+        store = GraphStore.from_graphs(graphs)
+        applied = []
+        updates_past_a_deletion = 0
+        for position in range(300):
+            for op in plan.apply_due(store, position):
+                if (op.op in (OpType.UA, OpType.UR)
+                        and max(store.ids()) >= len(store)):
+                    updates_past_a_deletion += 1
+                applied.append(op)
+        assert updates_past_a_deletion > 0
+        assert len(applied) == self.RECORDED_OPS
+        assert Counter(op.op.name for op in applied) == self.RECORDED_COUNTS
+        text = ";".join(f"{op.op.name}:{op.graph_id}:{op.edge}"
+                        for op in applied)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == self.RECORDED_DIGEST)

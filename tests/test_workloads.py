@@ -9,6 +9,7 @@ import pytest
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
+from repro.workloads import typeb
 from repro.workloads.base import DEFAULT_QUERY_SIZES, Query, Workload
 from repro.workloads.typea import TypeACategory, bfs_extract, generate_type_a
 from repro.workloads.typeb import (
@@ -231,3 +232,39 @@ class TestTypeB:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             generate_type_b([], num_queries=5)
+
+    def test_int_labelled_dataset_fills_its_no_answer_pool(self):
+        """Relabels come from the dataset's own label objects: over ints
+        a relabelled query has candidates, as it has over strings."""
+        graphs = generate_aids_like(num_graphs=40, mean_vertices=10,
+                                    std_vertices=3, max_vertices=16, seed=3)
+        alphabet = sorted({g.label(v) for g in graphs for v in g.vertices()})
+        code = {label: i for i, label in enumerate(alphabet)}
+        ints = [LabeledGraph.from_edges([code[label] for label in g.labels],
+                                        sorted(g.edges()))
+                for g in graphs]
+        wl = generate_type_b(ints, num_queries=20, no_answer_probability=0.5,
+                             answer_pool_size=10, no_answer_pool_size=5,
+                             seed=4)
+        assert wl.metadata["no_answer_pool"] == 5
+        no_answer = [q for q in wl if q.expected_nonempty is False]
+        assert no_answer
+        assert all(isinstance(label, int)
+                   for q in no_answer for label in q.graph.labels)
+
+    def test_one_label_dataset_is_refused_before_any_walk(self,
+                                                          monkeypatch):
+        """With one distinct label every relabelling is the walk itself,
+        which matches its source graph: refused up front, with the
+        reason, and no walk or relabelled query is ever tested."""
+        calls = []
+        monkeypatch.setattr(typeb, "random_walk_extract",
+                            lambda *a: calls.append("walk"))
+        monkeypatch.setattr(typeb, "_has_empty_answer",
+                            lambda *a: calls.append("test"))
+        clique = LabeledGraph.from_edges(
+            "C" * 8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+        with pytest.raises(ValueError, match="one distinct label"):
+            generate_type_b([clique], num_queries=5,
+                            no_answer_probability=0.5)
+        assert calls == []
