@@ -638,10 +638,6 @@ class GraphCacheService:
     def matcher(self) -> SubgraphMatcher:
         return self.method_m.matcher
 
-    @property
-    def queries_executed(self) -> int:
-        return self._query_counter
-
     def counters(self) -> dict[str, int]:
         """Cumulative, monotonically non-decreasing ops counters.
 

@@ -33,7 +33,7 @@ from repro.cache.replacement import (
     make_policy,
 )
 from repro.cache.statistics import StatisticsManager
-from repro.cache.validator import refresh_validity, validate_con
+from repro.cache.validator import validate_con
 from repro.cache.window import WindowManager
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "CacheManager",
     "WindowManager",
     "StatisticsManager",
-    "refresh_validity",
     "validate_con",
     "ReplacementPolicy",
     "LRUPolicy",

@@ -356,9 +356,6 @@ class QueryIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entries(self) -> list[CacheEntry]:
-        return list(self._entries.values())
-
     @staticmethod
     def _scan(entries, predicate) -> list[CacheEntry]:
         """Unpacked filter over a (sub)population, id-ordered."""
@@ -470,87 +467,3 @@ class QueryIndex:
                 out.append((entry_id, entry))
         out.sort()  # ids are unique: entries are never compared
         return [entry for _, entry in out]
-
-    # ------------------------------------------------------------------
-    # Self-check (used by the churn tests; cheap enough for debugging)
-    # ------------------------------------------------------------------
-    def audit(self) -> None:
-        """Assert buckets, groups, signatures and the structural map
-        exactly mirror the entry population: no stale ids survive
-        eviction/purge, no empty bucket/group/key is retained, every
-        entry is findable."""
-        bucketed: dict[int, CacheEntry] = {}
-        for (bv, be), bucket in self._buckets.items():
-            assert bucket, f"empty bucket {(bv, be)} retained"
-            for sig_key, group in bucket.items():
-                assert group[3], f"empty group {sig_key} retained"
-                assert group[0] == sig_key, (
-                    f"group filed under wrong signature in {(bv, be)}"
-                )
-                assert group[2] == group[0] | self._all_guards, (
-                    f"stale guarded signature for group {sig_key}")
-                for entry_id, entry in group[3].items():
-                    assert (entry.num_vertices, entry.num_edges) == \
-                        (bv, be), (
-                            f"entry {entry_id} filed under wrong bucket "
-                            f"{(bv, be)}"
-                        )
-                    assert self._sigs.get(entry_id) is group, (
-                        f"entry {entry_id} maps to a different group"
-                    )
-                    assert entry_id not in bucketed, (
-                        f"entry {entry_id} appears in two groups"
-                    )
-                    bucketed[entry_id] = entry
-        for entry_id, entry in self._oversized.items():
-            assert _overflows(entry.features), (
-                f"entry {entry_id} filed as oversized but its features "
-                f"are packable"
-            )
-            assert entry_id not in bucketed, (
-                f"oversized entry {entry_id} also appears in a group"
-            )
-            bucketed[entry_id] = entry
-        assert bucketed.keys() == self._entries.keys(), (
-            f"bucket population {sorted(bucketed)} != "
-            f"entries {sorted(self._entries)}"
-        )
-        assert all(bucketed[eid] is self._entries[eid] for eid in bucketed), (
-            "bucket holds a different object than the entry map"
-        )
-        assert self._sigs.keys() | self._oversized.keys() == \
-            self._entries.keys(), (
-                "signature map drifted from the entry population"
-            )
-        for entry_id, entry in self._entries.items():
-            if entry_id in self._oversized:
-                continue
-            sig = 0
-            guards = 0
-            for key, count in _feature_fields(entry.features):
-                offset = self._offsets[key]
-                sig |= count << offset
-                guards |= _GUARD << offset
-            assert self._sigs[entry_id][0] == sig, (
-                f"stale packed signature for entry {entry_id}"
-            )
-            assert self._sigs[entry_id][1] == guards, (
-                f"stale guard mask for entry {entry_id}"
-            )
-        expected_identical: dict[tuple, dict[int, CacheEntry]] = {}
-        for entry_id, entry in self._entries.items():
-            expected_identical.setdefault(
-                _structural_key(entry.query), {})[entry_id] = entry
-        assert self._identical == expected_identical, (
-            "structural map drifted from the entry population (or a "
-            "cached query was mutated)"
-        )
-        for same_key in self._identical.values():
-            for entry_id, entry in same_key.items():
-                oldest = self._holding(same_key, entry.query)
-                assert self._sigs.get(entry_id) is \
-                    self._sigs.get(oldest.entry_id), (
-                        f"identical entries {oldest.entry_id} and "
-                        f"{entry_id} are filed under different signature "
-                        f"groups"
-                    )

@@ -32,40 +32,7 @@ from __future__ import annotations
 from repro.cache.entry import CacheEntry, QueryType
 from repro.dataset.log_analyzer import ChangeCounters
 
-__all__ = ["refresh_validity", "validate_con"]
-
-
-def refresh_validity(entry: CacheEntry, counters: ChangeCounters) -> int:
-    """Algorithm 2: refresh one entry's ``CGvalid``, one touched id at a
-    time (the per-entry reference :func:`validate_con` is held equal
-    to).
-
-    Algorithm 2's first step — extend the indicator with ``False`` up to
-    the currently maximum graph id — is implicit: ids past the ``int``'s
-    ``bit_length()`` already read 0.  Returns the number of bits turned
-    off (for instrumentation).
-    """
-    if entry.query_type is QueryType.SUBGRAPH:
-        positive_safe = counters.ua_exclusive  # g ⊆ G_i survives UA-only
-        negative_safe = counters.ur_exclusive  # g ⊄ G_i survives UR-only
-    else:
-        positive_safe = counters.ur_exclusive  # G_i ⊆ g survives UR-only
-        negative_safe = counters.ua_exclusive  # G_i ⊄ g survives UA-only
-
-    turned_off = 0
-    for gid in counters.touched_ids():
-        bit = 1 << gid
-        if not entry.valid & bit:
-            continue  # already invalid; nothing can resurrect it
-        if entry.answer & bit:
-            if positive_safe(gid):
-                continue
-        else:
-            if negative_safe(gid):
-                continue
-        entry.valid &= ~bit
-        turned_off += 1
-    return turned_off
+__all__ = ["validate_con"]
 
 
 def validate_con(entries: list[CacheEntry],
@@ -79,9 +46,9 @@ def validate_con(entries: list[CacheEntry],
     per pass — the touched ids that break a recorded positive (all but
     the safe case's) and those that break a negative — and an entry
     loses ``valid & ((answer & breaks_positive) | (~answer &
-    breaks_negative))``: exactly the bits :func:`refresh_validity` turns
-    off one id at a time (it stays as the per-entry reference; a
-    property test holds the two equal).
+    breaks_negative))``: exactly the bits Algorithm 2 turns off one
+    touched id at a time (``tests/reference_validator.py`` keeps that
+    per-entry form, and a property test holds the two equal).
     """
     if counters.is_empty():
         return 0

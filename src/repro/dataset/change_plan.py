@@ -110,18 +110,9 @@ class ChangePlan:
         return cls(batches=batches, seed=seed,
                    initial_graphs=[g.copy() for g in initial_graphs])
 
-    @property
-    def total_ops(self) -> int:
-        return sum(len(b.intents) for b in self.batches)
-
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Rewind the plan so another run can replay it deterministically."""
-        self._cursor = 0
-        self._rng = random.Random(self.seed ^ 0x5EED)
-
     def apply_due(self, store: GraphStore, query_index: int) -> list[AppliedOp]:
         """Fire every not-yet-applied batch with ``time <= query_index``.
 

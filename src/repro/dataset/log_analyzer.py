@@ -35,10 +35,6 @@ class ChangeCounters:
     def is_empty(self) -> bool:
         return not self.total
 
-    def touched_ids(self) -> set[int]:
-        """Graphs with at least one unprocessed operation (CT key set)."""
-        return set(self.total)
-
     def ua_exclusive(self, graph_id: int) -> bool:
         """All operations on ``graph_id`` were UA (``tc == uac``)."""
         return self.total.get(graph_id, 0) == self.edge_added.get(graph_id, 0)

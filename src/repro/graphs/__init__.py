@@ -7,17 +7,13 @@ GC+ operates on undirected vertex-labeled graphs (paper §3):
   for dataset graphs and query graphs alike;
 * :mod:`repro.graphs.features` — monotone feature vectors used by the
   cache's query index to filter sub/supergraph candidates;
-* :mod:`repro.graphs.canonical` — a canonical code and a WL hash for
-  isomorphism, which the tests use as an oracle independent of the
-  matchers (the cache detects exact matches without them);
 * :mod:`repro.graphs.generators` — random graph constructions used by the
-  synthetic datasets and by tests;
+  synthetic datasets;
 * :mod:`repro.graphs.io` — a line-based serialization (compatible with the
   common ``t # i / v / e`` exchange format used for AIDS-style datasets).
 """
 
-from repro.graphs.canonical import canonical_code
 from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 
-__all__ = ["LabeledGraph", "GraphFeatures", "canonical_code"]
+__all__ = ["LabeledGraph", "GraphFeatures"]

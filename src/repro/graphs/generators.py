@@ -1,9 +1,8 @@
 """Random labeled-graph constructions.
 
 These generators back the synthetic AIDS-like dataset
-(:mod:`repro.datasets.aids`) and the unit/property tests.  Everything is
-driven by an explicit ``random.Random`` instance so experiments are
-reproducible.
+(:mod:`repro.datasets.aids`).  Everything is driven by an explicit
+``random.Random`` instance so experiments are reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.graphs.graph import LabeledGraph
 __all__ = [
     "random_tree",
     "random_connected_graph",
-    "random_labeled_graph",
     "WeightedLabelSampler",
 ]
 
@@ -25,7 +23,7 @@ class WeightedLabelSampler:
     """Draws labels from a weighted alphabet (e.g. atom frequencies).
 
     >>> s = WeightedLabelSampler({"C": 3, "O": 1}, random.Random(1))
-    >>> s.sample() in {"C", "O"}
+    >>> set(s.sample_many(5)) <= {"C", "O"}
     True
     """
 
@@ -40,15 +38,8 @@ class WeightedLabelSampler:
         self._weights = [weights[k] for k in self._labels]
         self._rng = rng
 
-    def sample(self) -> str:
-        return self._rng.choices(self._labels, weights=self._weights, k=1)[0]
-
     def sample_many(self, count: int) -> list[str]:
         return self._rng.choices(self._labels, weights=self._weights, k=count)
-
-    @property
-    def alphabet(self) -> list[str]:
-        return list(self._labels)
 
 
 def random_tree(labels: Sequence[str], rng: random.Random) -> LabeledGraph:
@@ -86,21 +77,4 @@ def random_connected_graph(labels: Sequence[str], extra_edges: int,
             if u != v and not g.has_edge(u, v):
                 g.add_edge(u, v)
                 break
-    return g
-
-
-def random_labeled_graph(num_vertices: int, edge_probability: float,
-                         alphabet: Sequence[str],
-                         rng: random.Random) -> LabeledGraph:
-    """Erdős–Rényi ``G(n, p)`` with uniform labels (test workhorse)."""
-    if not 0 <= edge_probability <= 1:
-        raise ValueError(f"edge probability must be in [0,1], got {edge_probability}")
-    labels = [rng.choice(list(alphabet)) for _ in range(num_vertices)]
-    g = LabeledGraph()
-    for lab in labels:
-        g.add_vertex(lab)
-    for u in range(num_vertices):
-        for v in range(u + 1, num_vertices):
-            if rng.random() < edge_probability:
-                g.add_edge(u, v)
     return g

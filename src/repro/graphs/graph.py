@@ -166,10 +166,6 @@ class LabeledGraph:
             counts[lab] = counts.get(lab, 0) + 1
         return counts
 
-    def neighbor_labels(self, v: int) -> list[Label]:
-        """Labels of the neighbors of ``v`` (with multiplicity)."""
-        return [self._labels[u] for u in self._adjacency[v]]
-
     # ------------------------------------------------------------------
     # Mutation (the paper's UA / UR dataset operations act through these)
     # ------------------------------------------------------------------
@@ -294,55 +290,6 @@ class LabeledGraph:
             copy._memo = self._memo
         self._memo = None
 
-    def is_connected(self) -> bool:
-        """True for the empty graph and any single-component graph."""
-        n = len(self._labels)
-        if n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
-
-    def connected_components(self) -> list[list[int]]:
-        """Vertex lists of the connected components, in discovery order."""
-        seen: set[int] = set()
-        components: list[list[int]] = []
-        for start in range(len(self._labels)):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in self._adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        comp.append(v)
-                        stack.append(v)
-            components.append(comp)
-        return components
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> "LabeledGraph":
-        """The subgraph induced by ``vertices`` (ids are remapped densely)."""
-        keep = list(dict.fromkeys(vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        g = LabeledGraph()
-        for v in keep:
-            self._check_vertex(v)
-            g.add_vertex(self._labels[v])
-        for v in keep:
-            for u in self._adjacency[v]:
-                if u in index and v < u:
-                    g.add_edge(index[v], index[u])
-        return g
-
     # ------------------------------------------------------------------
     # Dunder plumbing
     # ------------------------------------------------------------------
@@ -357,7 +304,8 @@ class LabeledGraph:
 
     def __hash__(self) -> int:  # pragma: no cover - mutable, unhashable
         raise TypeError("LabeledGraph is mutable and unhashable; "
-                        "use canonical_code() for identity keys")
+                        "key by an immutable encoding of its labels "
+                        "and edges instead")
 
     def __repr__(self) -> str:
         return (

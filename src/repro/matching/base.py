@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.graphs.graph import LabeledGraph
 
-__all__ = ["MatcherStats", "SubgraphMatcher", "verify_embedding"]
+__all__ = ["MatcherStats", "SubgraphMatcher"]
 
 
 @dataclass
@@ -28,14 +28,6 @@ class MatcherStats:
     tests: int = 0
     states: int = 0
     found: int = 0
-
-    def reset(self) -> None:
-        self.tests = 0
-        self.states = 0
-        self.found = 0
-
-    def snapshot(self) -> "MatcherStats":
-        return MatcherStats(self.tests, self.states, self.found)
 
 
 class SubgraphMatcher(abc.ABC):
@@ -71,26 +63,6 @@ class SubgraphMatcher(abc.ABC):
         stats.found += 1
         return True
 
-    def find_embedding(self, query: LabeledGraph,
-                       host: LabeledGraph) -> dict[int, int] | None:
-        """Return one embedding ``{query vertex: host vertex}`` or None.
-
-        Not used on the GC+ hot path (the decision suffices) but exposed
-        for examples, debugging, and the matching-problem use case.
-        """
-        stats = self.stats
-        stats.tests += 1
-        size = len(query._labels)
-        if size == 0:
-            stats.found += 1
-            return {}
-        if size > len(host._labels) or query._num_edges > host._num_edges:
-            return None
-        mapping = self._embed(query, host)
-        if mapping is not None:
-            stats.found += 1
-        return mapping
-
     @abc.abstractmethod
     def _embed(self, query: LabeledGraph,
                host: LabeledGraph) -> dict[int, int] | None:
@@ -100,23 +72,3 @@ class SubgraphMatcher(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(tests={self.stats.tests})"
 
-
-def verify_embedding(query: LabeledGraph, host: LabeledGraph,
-                     mapping: dict[int, int]) -> bool:
-    """Check that ``mapping`` is a valid non-induced embedding.
-
-    Used by tests as an oracle over matcher outputs.
-    """
-    if len(mapping) != query.num_vertices:
-        return False
-    if len(set(mapping.values())) != len(mapping):
-        return False  # not injective
-    for u, image in mapping.items():
-        if not 0 <= image < host.num_vertices:
-            return False
-        if query.label(u) != host.label(image):
-            return False
-    for u, v in query.edges():
-        if not host.has_edge(mapping[u], mapping[v]):
-            return False
-    return True

@@ -108,10 +108,6 @@ class ServerStats:
             self._latency_count += 1
             self._latency_sum += seconds
 
-    def request_count(self, path: str, status: int = 200) -> int:
-        with self._lock:
-            return self._requests.get((path, status), 0)
-
     def latency_quantiles(self) -> dict[float, float]:
         """Recent-window quantiles in seconds (NaN before any sample)."""
         with self._lock:

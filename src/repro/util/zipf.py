@@ -32,15 +32,15 @@ class ZipfSampler:
     True
     """
 
-    def __init__(self, n: int, alpha: float = DEFAULT_ALPHA,
-                 rng: random.Random | None = None) -> None:
+    def __init__(self, n: int, alpha: float = DEFAULT_ALPHA, *,
+                 rng: random.Random) -> None:
         if n <= 0:
             raise ValueError(f"population size must be positive, got {n}")
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.n = n
         self.alpha = alpha
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = rng
         weights = [(k + 1) ** -alpha for k in range(n)]
         self._cumulative = list(itertools.accumulate(weights))
         self._total = self._cumulative[-1]
@@ -58,14 +58,3 @@ class ZipfSampler:
         u = self._rng.random() * self._total
         return min(bisect.bisect_left(self._cumulative, u), self.n - 1)
 
-    def sample_many(self, count: int) -> list[int]:
-        """Draw ``count`` i.i.d. ranks."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return [self.sample() for _ in range(count)]
-
-    def pmf(self, rank: int) -> float:
-        """Probability of drawing ``rank`` (for tests and documentation)."""
-        if not 0 <= rank < self.n:
-            raise ValueError(f"rank {rank} outside [0, {self.n})")
-        return (rank + 1) ** -self.alpha / self._total

@@ -118,7 +118,7 @@ def generate_type_a(graphs: Sequence[LabeledGraph], num_queries: int,
     if num_queries <= 0:
         raise ValueError(f"num_queries must be positive, got {num_queries}")
     rng = random.Random(seed)
-    graph_zipf = (ZipfSampler(len(graphs), alpha, rng)
+    graph_zipf = (ZipfSampler(len(graphs), alpha, rng=rng)
                   if category.graph_dist == "zipf" else None)
     queries: list[Query] = []
     while len(queries) < num_queries:
@@ -129,7 +129,8 @@ def generate_type_a(graphs: Sequence[LabeledGraph], num_queries: int,
             if source.num_vertices == 0:
                 continue
             if category.node_dist == "zipf":
-                node = ZipfSampler(source.num_vertices, alpha, rng).sample()
+                node = ZipfSampler(source.num_vertices, alpha,
+                                   rng=rng).sample()
             else:
                 node = rng.randrange(source.num_vertices)
             size = rng.choice(list(sizes))

@@ -244,8 +244,8 @@ def generate_type_b(graphs: Sequence[LabeledGraph],
             config.sizes, rng,
             config.max_relabel_attempts, dataset_features=dataset_features,
         )
-    answer_zipf = ZipfSampler(len(answer_pool), config.alpha, rng)
-    no_answer_zipf = (ZipfSampler(len(no_answer_pool), config.alpha, rng)
+    answer_zipf = ZipfSampler(len(answer_pool), config.alpha, rng=rng)
+    no_answer_zipf = (ZipfSampler(len(no_answer_pool), config.alpha, rng=rng)
                       if no_answer_pool else None)
     queries: list[Query] = []
     for _ in range(config.num_queries):

@@ -13,14 +13,13 @@ Two related facilities:
 
 GC+ itself does not need canonicalization for its exact-match optimal
 case (the paper detects isomorphism via containment + equal vertex/edge
-counts, §6.3), and no module of the package calls this one: the tests
-use both functions as an isomorphism oracle independent of the matchers.
+counts, §6.3), so this module lives with the tests, which use both
+functions as an isomorphism oracle independent of the matchers.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Hashable
 
 from repro.graphs.graph import LabeledGraph
 

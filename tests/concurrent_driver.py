@@ -33,6 +33,7 @@ the same service over HTTP.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import Counter
 from collections.abc import Sequence
@@ -43,6 +44,7 @@ from repro.api.service import GraphCacheService
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
 from repro.graphs.graph import LabeledGraph
+from tests.index_audit import audit
 
 __all__ = [
     "ConcurrentDriver",
@@ -74,7 +76,7 @@ def assert_quiescent_invariants(service: GraphCacheService) -> None:
             f"entry {entry.entry_id} is hit-eligible but untracked by "
             f"the statistics manager"
         )
-    cache.index.audit()
+    audit(cache.index)
 
 
 @dataclass
@@ -127,7 +129,7 @@ class ConcurrentDriver:
         """
         service = self.service
         if plan is not None:
-            plan.reset()
+            plan = dataclasses.replace(plan)    # rewound: cursor 0
         segments = self._segments(len(queries), plan)
         sessions = [service.session() for _ in range(self.threads)]
         start_barrier = threading.Barrier(self.threads + 1)
@@ -223,7 +225,7 @@ def sequential_replay(graphs: Sequence[LabeledGraph],
     """
     store = GraphStore.from_graphs(graphs)
     if plan is not None:
-        plan.reset()
+        plan = dataclasses.replace(plan)    # rewound: cursor 0
     service = GraphCacheService(
         store, config if config is not None else GCConfig()
     )

@@ -14,7 +14,10 @@ as the kernels, with well-defined symmetry semantics:
   convention: occurrences are counted per vertex mapping);
 * :func:`count_embeddings` counts them without materializing;
 * both accept a ``limit`` so gigantic occurrence counts (e.g. a single
-  carbon vertex against a large molecule) stay bounded.
+  carbon vertex against a large molecule) stay bounded;
+* :func:`find_embedding` asks a matcher for the one embedding its
+  decision search found, and :func:`verify_embedding` checks any
+  mapping against the definition.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ import itertools
 from collections.abc import Iterator
 
 from repro.graphs.graph import LabeledGraph
+from repro.matching.base import SubgraphMatcher
 from repro.matching.plans import connectivity_order, host_table
 
-__all__ = ["enumerate_embeddings", "count_embeddings"]
+__all__ = ["enumerate_embeddings", "count_embeddings", "find_embedding",
+           "verify_embedding"]
 
 
 def enumerate_embeddings(query: LabeledGraph, host: LabeledGraph,
@@ -104,3 +109,41 @@ def count_embeddings(query: LabeledGraph, host: LabeledGraph,
     for _ in enumerate_embeddings(query, host, limit=limit):
         count += 1
     return count
+
+
+def find_embedding(matcher: SubgraphMatcher, query: LabeledGraph,
+                   host: LabeledGraph) -> dict[int, int] | None:
+    """One embedding ``{query vertex: host vertex}`` found by
+    ``matcher``'s own search, or None, counted in ``matcher.stats``
+    exactly as :meth:`SubgraphMatcher.is_subgraph_isomorphic` counts
+    the decision."""
+    stats = matcher.stats
+    stats.tests += 1
+    if query.num_vertices == 0:
+        stats.found += 1
+        return {}
+    if (query.num_vertices > host.num_vertices
+            or query.num_edges > host.num_edges):
+        return None
+    mapping = matcher._embed(query, host)
+    if mapping is not None:
+        stats.found += 1
+    return mapping
+
+
+def verify_embedding(query: LabeledGraph, host: LabeledGraph,
+                     mapping: dict[int, int]) -> bool:
+    """Check that ``mapping`` is a valid non-induced embedding."""
+    if len(mapping) != query.num_vertices:
+        return False
+    if len(set(mapping.values())) != len(mapping):
+        return False  # not injective
+    for u, image in mapping.items():
+        if not 0 <= image < host.num_vertices:
+            return False
+        if query.label(u) != host.label(image):
+            return False
+    for u, v in query.edges():
+        if not host.has_edge(mapping[u], mapping[v]):
+            return False
+    return True

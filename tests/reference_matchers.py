@@ -1,11 +1,13 @@
 """The sub-iso kernels as they were before the plan / memo split.
 
 These are the three bundled matchers' classes of the commit that
-preceded ``repro.matching.plans``, verbatim except for the class names:
-every test rebuilds label counts, profiles and the variable order from
-the two graphs and walks them through the public ``LabeledGraph``
-accessors.  They are the reference ``tests/test_matcher_equivalence.py``
-holds the production kernels to — same decision, same embedding, same
+preceded ``repro.matching.plans``, verbatim except for the class names
+and for neighbour labels, read through ``tests/graph_helpers.py`` now
+that the graph type no longer lists them: every test rebuilds label
+counts, profiles and the variable order from the two graphs and walks
+them through the public ``LabeledGraph`` accessors.  They are the
+reference ``tests/test_matcher_equivalence.py`` holds the production
+kernels to — same decision, same embedding, same
 ``MatcherStats`` — and they are not importable from ``src/``.
 """
 
@@ -15,6 +17,7 @@ from collections import Counter
 
 from repro.graphs.graph import LabeledGraph
 from repro.matching.base import SubgraphMatcher
+from tests.graph_helpers import neighbor_labels
 
 __all__ = ["ReferenceVF2Matcher", "ReferenceVF2PlusMatcher",
            "ReferenceGraphQLMatcher", "REFERENCE_MATCHERS"]
@@ -145,7 +148,7 @@ class ReferenceVF2PlusMatcher(SubgraphMatcher):
 
         order = self._variable_order(query, host_label_counts)
         query_profiles = {
-            u: Counter(query.neighbor_labels(u)) for u in query.vertices()
+            u: Counter(neighbor_labels(query, u)) for u in query.vertices()
         }
         host_profiles: dict[int, Counter] = {}
         mapping: dict[int, int] = {}
@@ -154,7 +157,7 @@ class ReferenceVF2PlusMatcher(SubgraphMatcher):
         def profile_ok(u: int, cand: int) -> bool:
             prof = host_profiles.get(cand)
             if prof is None:
-                prof = Counter(host.neighbor_labels(cand))
+                prof = Counter(neighbor_labels(host, cand))
                 host_profiles[cand] = prof
             qprof = query_profiles[u]
             return all(prof.get(lab, 0) >= cnt for lab, cnt in qprof.items())

@@ -11,11 +11,11 @@ from repro.api import GCConfig, GraphCacheService, QueryPlan
 from repro.cache.entry import QueryType
 from repro.dataset.change_plan import ChangePlan
 from repro.dataset.store import GraphStore
-from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
 from repro.persist import load_snapshot
 from tests.conftest import brute_force_answer
+from tests.graph_helpers import random_labeled_graph
 from tests.test_consistency import ALPHABET, random_change
 from tests.test_interning import rebuilt
 from tests.test_renewal import describe, relabelled
@@ -214,7 +214,7 @@ class TestExplain:
             len(service.cache.index),
             len(service.cache.statistics),
             service.monitor.queries,
-            service.queries_executed,
+            service._query_counter,
             service.cache.admissions,
         )
         stats_before = {
@@ -230,7 +230,7 @@ class TestExplain:
             len(service.cache.index),
             len(service.cache.statistics),
             service.monitor.queries,
-            service.queries_executed,
+            service._query_counter,
             service.cache.admissions,
         )
         assert before == after
@@ -344,7 +344,7 @@ class TestMutationAPI:
         plan = ChangePlan.generate(DATASET, num_queries=10, num_batches=2,
                                    ops_per_batch=2, seed=7)
         applied = service.apply(plan, query_index=9)
-        assert len(applied) == plan.total_ops == 4
+        assert len(applied) == sum(len(b.intents) for b in plan.batches) == 4
         result = service.execute(path("CO"))
         assert result.answer_ids == frozenset(
             brute_force_answer(store, path("CO"), QueryType.SUBGRAPH)

@@ -12,7 +12,7 @@ from repro.cache.entry import CacheEntry, QueryType
 from repro.cache.manager import CacheManager
 from repro.cache.models import CacheModel
 from repro.cache.query_index import QueryIndex
-from repro.cache.validator import refresh_validity, validate_con
+from repro.cache.validator import validate_con
 from repro.dataset.log import OpType, UpdateLog
 from repro.dataset.log_analyzer import analyze_log
 from repro.dataset.store import GraphStore
@@ -21,6 +21,7 @@ from repro.graphs.graph import LabeledGraph
 from repro.runtime.processors import HitDiscovery
 from tests.conftest import id_mask, packed_ids
 from tests.reference_pruner import possible_answer, valid_answer
+from tests.reference_validator import refresh_validity
 
 
 def entry(answer: set[int], valid: set[int],

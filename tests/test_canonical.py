@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from hypothesis import given
 
-from repro.graphs.canonical import MAX_EXACT_VERTICES, canonical_code, wl_hash
 from repro.graphs.graph import LabeledGraph
-from repro.graphs.generators import random_labeled_graph
+from tests.canonical import MAX_EXACT_VERTICES, canonical_code, wl_hash
 from tests.conftest import (
     brute_force_isomorphic,
     graph_permutations,
     labeled_graphs,
 )
+from tests.graph_helpers import random_labeled_graph
 import random
 
 

@@ -19,10 +19,10 @@ from repro.api import GraphCacheService
 from repro.cache.entry import QueryType
 from repro.cache.models import CacheModel
 from repro.dataset.store import GraphStore
-from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2plus import VF2PlusMatcher
 from tests.conftest import brute_force_answer, packed_ids
+from tests.graph_helpers import random_labeled_graph
 from tests.reference_pruner import valid_answer
 
 ALPHABET = "abc"

@@ -7,10 +7,10 @@ import math
 from hypothesis import given
 
 from repro.graphs.graph import LabeledGraph
-from repro.matching.base import verify_embedding
 from repro.matching.vf2 import VF2Matcher
 from tests.conftest import labeled_graphs
-from tests.enumeration import count_embeddings, enumerate_embeddings
+from tests.enumeration import (count_embeddings, enumerate_embeddings,
+                               verify_embedding)
 
 
 def path(labels: str) -> LabeledGraph:

@@ -47,6 +47,7 @@ from repro import GraphCacheService, GraphStore, LabeledGraph
 from repro.matching import make_matcher, plans
 from repro.matching.vf2plus import _Plan
 from tests.conftest import fresh_profile_registry, no_cyclic_garbage
+from tests.index_audit import audit
 
 _PATH = Path(__file__).resolve().parent.parent / "perf" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("gcbench_workloads", _PATH)
@@ -127,7 +128,7 @@ def test_stream_counts_are_the_pinned_ones(name, monkeypatch):
         got = service.counters()
         stats = [(s.tests, s.states, s.found) for s in
                  (service.matcher.stats, service.discovery.verifier.stats)]
-        service.cache.index.audit()
+        audit(service.cache.index)
     assert {key: got[key] for key in counters} == counters
     assert stats == [method, internal]
     assert digest.hexdigest()[:16] == answers

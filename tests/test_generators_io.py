@@ -11,18 +11,17 @@ from repro.graphs import io
 from repro.graphs.generators import (
     WeightedLabelSampler,
     random_connected_graph,
-    random_labeled_graph,
     random_tree,
 )
 from repro.graphs.graph import LabeledGraph
 from tests.conftest import labeled_graphs
+from tests.graph_helpers import is_connected, random_labeled_graph
 
 
 class TestWeightedLabelSampler:
     def test_respects_alphabet(self, rng):
         s = WeightedLabelSampler({"C": 5, "O": 1}, rng)
         assert set(s.sample_many(200)) <= {"C", "O"}
-        assert s.alphabet == ["C", "O"]
 
     def test_skew(self, rng):
         s = WeightedLabelSampler({"C": 99, "O": 1}, rng)
@@ -44,7 +43,7 @@ class TestRandomTree:
         g = random_tree(["A"] * n, random.Random(seed))
         assert g.num_vertices == n
         assert g.num_edges == n - 1
-        assert g.is_connected()
+        assert is_connected(g)
 
     def test_labels_preserved(self, rng):
         g = random_tree(["X", "Y", "Z"], rng)
@@ -55,7 +54,7 @@ class TestRandomConnectedGraph:
     @given(st.integers(2, 20), st.integers(0, 6), st.integers(0, 2**32 - 1))
     def test_connected_with_extra_edges(self, n, extra, seed):
         g = random_connected_graph(["A"] * n, extra, random.Random(seed))
-        assert g.is_connected()
+        assert is_connected(g)
         max_edges = n * (n - 1) // 2
         assert g.num_edges == min(n - 1 + extra, max_edges)
 

@@ -24,11 +24,12 @@ from repro.cache.manager import CacheManager
 from repro.cache.query_index import QueryIndex
 from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
-from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching import MATCHERS
 from repro.matching.plans import HostTable
 from tests.conftest import brute_force_answer
+from tests.graph_helpers import random_labeled_graph
+from tests.index_audit import audit
 from tests.test_consistency import ALPHABET, random_change
 from tests.test_renewal import describe, path, relabelled
 
@@ -90,7 +91,7 @@ def replay(seed: int, config: GCConfig, intern: bool):
             assert got == frozenset(brute_force_answer(
                 store, query, config.query_type)), f"seed={seed} step={step}"
             assert query._memo is None
-            service.cache.index.audit()
+            audit(service.cache.index)
             answers.append(got)
         return answers, work(service)
 
@@ -158,7 +159,7 @@ class TestCallerOwnsTheQuery:
             query.add_edge(0, 2)
             query.set_label(0, "c")
             assert all(e.query == path("abc") for e in residents)
-            service.cache.index.audit()
+            audit(service.cache.index)
             assert not service.execute(query).metrics.interned
             again = service.execute(path("abc"))
             assert again.metrics.interned
@@ -318,7 +319,7 @@ class TestWhatCountsAsIdentical:
                 assert repr(resident.query.label(0)) == repr(kind)
                 assert resident.features == GraphFeatures.of(edge(kind, kind))
                 assert service.execute(edge(kind, kind)).metrics.interned
-            index.audit()
+            audit(index)
 
     def test_equal_labels_from_different_objects_intern(self):
         with GraphCacheService(GraphStore.from_graphs(DATASET)) as service:
@@ -344,7 +345,7 @@ class TestWhatCountsAsIdentical:
             assert not result.metrics.interned
             assert service.execute(edge(SameRepr(2),
                                         SameRepr(2))).metrics.interned
-            service.cache.index.audit()
+            audit(service.cache.index)
 
     def test_an_unpackable_resident_interns_through_the_fallback(self):
         # 70 leaves: past the per-label degree levels the packed
@@ -364,7 +365,7 @@ class TestWhatCountsAsIdentical:
             assert again.metrics.method_tests == 0
             assert set(again.answer) == set(first.answer) == {0, 1}
             assert len(index._oversized) == 2   # filed next to its twin
-            index.audit()
+            audit(index)
             assert set(service.execute(path("aa")).answer) == {0, 1, 2}
 
 
@@ -395,20 +396,20 @@ class TestSharedGraphs:
         assert len({id(index._sigs[e.entry_id]) for e in copies}) == 1
         assert other.query is not copies[0].query
         assert index.identical_resident(path("CO")) is copies[0]
-        index.audit()
+        audit(index)
 
     def test_entries_leave_one_by_one(self):
         _, manager, copies, other = sharing_manager()
         index = manager.index
         for gone, oldest_left in zip(copies, copies[1:] + [None]):
             index.remove(gone.entry_id)
-            index.audit()
+            audit(index)
             assert index.identical_resident(path("CO")) is oldest_left
             assert index.identical_resident(path("NN")) is other
         assert [e.entry_id for e in index.candidate_subgraphs(
             GraphFeatures.of(path("CON")))] == []
         manager.clear()
-        index.audit()
+        audit(index)
         assert index.identical_resident(path("NN")) is None
         assert not index._identical
 
@@ -420,7 +421,7 @@ class TestSharedGraphs:
         fresh = 0b001
         survivor = manager.admit(path("CO"), fresh, store, 9, twins=copies,
                                  same_as=copies[0])
-        manager.index.audit()
+        audit(manager.index)
         assert survivor is copies[0] and survivor.query is graph
         assert manager.renewals == 1 and manager.evictions == 2
         assert manager.index.identical_resident(path("CO")) is survivor
@@ -434,14 +435,14 @@ class TestSharedGraphs:
                               store, 9, same_as=copies[0])
         assert entry.query is copies[0].query
         assert manager.index.identical_resident(path("CO")) is entry
-        manager.index.audit()
+        audit(manager.index)
 
     def test_a_bare_index_files_identical_entries_together(self):
         _, _, copies, other = sharing_manager()
         index = QueryIndex()
         for entry in (*copies, other):
             index.add(entry)
-            index.audit()
+            audit(index)
         # A fresh arrival and the residents' shared features (which
         # carry the memoised signature) find the same pools.
         for features in (GraphFeatures.of(path("CO")), copies[0].features):
@@ -458,7 +459,7 @@ class TestSharedGraphs:
             rows = [(r.answer_ids, r.metrics.method_tests,
                      r.metrics.internal_tests, r.metrics.interned)
                     for r in map(service.execute, map(rebuilt, stream[:6]))]
-            service.cache.index.audit()
+            audit(service.cache.index)
             return rows, describe(service), work(service)[1][0]
 
         with GraphCacheService(GraphStore.from_graphs(DATASET),
@@ -475,7 +476,7 @@ class TestSharedGraphs:
         with GraphCacheService(GraphStore.from_graphs(DATASET),
                                config) as restored:
             restored.load(snapshot)
-            restored.cache.index.audit()
+            audit(restored.cache.index)
             assert describe(restored) == state
             # The monitor's tallies are the process's, not the cache's.
             rows, residents, after = tail(restored)
@@ -517,7 +518,7 @@ class TestSharedGraphs:
             expected = tail(service)
         with fresh() as restored:
             restored.load(snapshot)
-            restored.cache.index.audit()
+            audit(restored.cache.index)
             assert graphs(restored) == saved
             index = restored.cache.index
             for entry in restored.cache.all_entries():

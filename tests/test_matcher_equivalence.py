@@ -36,13 +36,13 @@ from repro.dataset.store import GraphStore
 from repro.datasets.aids import generate_aids_like
 from repro.graphs.graph import LabeledGraph
 from repro.matching import MATCHERS, GraphQLMatcher, make_matcher
+from repro.matching.graphql import _Plan as GraphQLPlan
 from repro.matching.plans import (
     _INTERNED,
     HostTable,
     host_table,
     need_mask,
 )
-from repro.matching.graphql import _Plan as GraphQLPlan
 from repro.matching.vf2plus import _Plan
 from repro.runtime.method_m import MethodMRunner
 from repro.workloads.base import DEFAULT_QUERY_SIZES
@@ -50,6 +50,8 @@ from repro.workloads.typea import bfs_extract, generate_type_a
 from repro.workloads.typeb import generate_type_b
 from tests.conftest import (brute_force_answer, fresh_profile_registry,
                             labeled_graphs)
+from tests.enumeration import find_embedding
+from tests.graph_helpers import neighbor_labels
 from tests.reference_matchers import REFERENCE_MATCHERS
 from tests.ullmann import UllmannMatcher
 
@@ -80,8 +82,8 @@ def assert_indistinguishable(name: str, population) -> None:
                 expected = oracle.is_subgraph_isomorphic(query, host)
                 assert reference.is_subgraph_isomorphic(query, host) == expected
                 assert production.is_subgraph_isomorphic(query, host) == expected
-                assert (production.find_embedding(query, host)
-                        == reference.find_embedding(query, host))
+                assert (find_embedding(production, query, host)
+                        == find_embedding(reference, query, host))
                 assert production.stats == reference.stats, (query, host)
 
 
@@ -116,7 +118,7 @@ def test_random_pairs_match_reference(name, population):
 
 
 def neighbour_label_counts(g: LabeledGraph) -> list[Counter]:
-    return [Counter(g.neighbor_labels(v)) for v in range(g.num_vertices)]
+    return [Counter(neighbor_labels(g, v)) for v in range(g.num_vertices)]
 
 
 def neighbour_profiles(g: LabeledGraph):
@@ -155,7 +157,7 @@ def test_a_host_holding_a_plan_searches_as_a_plain_one(population):
                                    (make_matcher("vf2+"), twin),
                                    (REFERENCE_MATCHERS["vf2+"](), host)):
                     seen.append((matcher.is_subgraph_isomorphic(query, h),
-                                 matcher.find_embedding(query, h),
+                                 find_embedding(matcher, query, h),
                                  matcher.stats))
                 assert seen[0] == seen[1] == seen[2], (query, host)
                 profiles = kept_profiles(warm)
@@ -462,8 +464,8 @@ def test_graphql_at_every_radius_matches_its_reference(radius,
     production = GraphQLMatcher()
     for query in population:
         for host in population:
-            assert (production.find_embedding(query, host)
-                    == reference.find_embedding(query, host))
+            assert (find_embedding(production, query, host)
+                    == find_embedding(reference, query, host))
             assert production.stats == reference.stats, (query, host)
     assert all(kept_profiles(host) is not None for host in population)
 
@@ -578,8 +580,8 @@ def test_a_hub_of_3000_neighbours_matches_the_reference():
                 assert production.is_subgraph_isomorphic(query, hub) \
                     == reference.is_subgraph_isomorphic(query, hub) \
                     == expected
-                assert (production.find_embedding(query, hub)
-                        == reference.find_embedding(query, hub))
+                assert (find_embedding(production, query, hub)
+                        == find_embedding(reference, query, hub))
                 assert production.stats == reference.stats, (name, query)
         assert set(atoms) - hub_atoms == {("b", 1)}
 

@@ -14,8 +14,8 @@ from hypothesis import given
 
 from repro.graphs.graph import LabeledGraph
 from repro.matching import MATCHERS, make_matcher
-from repro.matching.base import verify_embedding
 from tests.conftest import brute_force_subiso, labeled_graphs
+from tests.enumeration import find_embedding, verify_embedding
 from tests.ullmann import UllmannMatcher
 
 FACTORIES = {**MATCHERS, "ullmann": UllmannMatcher}
@@ -94,15 +94,15 @@ class TestFixedCases:
 
 class TestEmbeddings:
     def test_embedding_is_valid(self, matcher, triangle_graph):
-        emb = matcher.find_embedding(path("CCO"), triangle_graph)
+        emb = find_embedding(matcher, path("CCO"), triangle_graph)
         assert emb is not None
         assert verify_embedding(path("CCO"), triangle_graph, emb)
 
     def test_no_embedding_when_no_match(self, matcher, path_graph):
-        assert matcher.find_embedding(path("NN"), path_graph) is None
+        assert find_embedding(matcher, path("NN"), path_graph) is None
 
     def test_empty_query_embedding(self, matcher, path_graph):
-        assert matcher.find_embedding(LabeledGraph(), path_graph) == {}
+        assert find_embedding(matcher, LabeledGraph(), path_graph) == {}
 
 
 class TestStats:
@@ -111,19 +111,6 @@ class TestStats:
         matcher.is_subgraph_isomorphic(path("N"), path_graph)
         assert matcher.stats.tests == 2
         assert matcher.stats.found == 1
-
-    def test_reset(self, matcher, path_graph):
-        matcher.is_subgraph_isomorphic(path("C"), path_graph)
-        matcher.stats.reset()
-        assert matcher.stats.tests == 0
-        assert matcher.stats.states == 0
-
-    def test_snapshot(self, matcher, path_graph):
-        matcher.is_subgraph_isomorphic(path("C"), path_graph)
-        snap = matcher.stats.snapshot()
-        matcher.is_subgraph_isomorphic(path("C"), path_graph)
-        assert snap.tests == 1
-        assert matcher.stats.tests == 2
 
     def test_states_counted_on_search(self, matcher, triangle_graph):
         matcher.is_subgraph_isomorphic(path("CCO"), triangle_graph)
@@ -183,7 +170,7 @@ def test_matches_oracle(name, query, host):
        host=labeled_graphs(max_vertices=8))
 def test_embeddings_are_valid(name, query, host):
     m = FACTORIES[name]()
-    emb = m.find_embedding(query, host)
+    emb = find_embedding(m, query, host)
     if emb is None:
         assert not brute_force_subiso(query, host)
     else:

@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.entry import QueryType
 from repro.dataset.store import GraphStore
-from repro.graphs.generators import random_labeled_graph
 from repro.matching.vf2plus import VF2PlusMatcher
 from repro.runtime.method_m import MethodM
 from repro.util.bits import bit_ids
 from tests.conftest import id_mask
+from tests.graph_helpers import random_labeled_graph
 from tests.reference_method_m import reference_verify_ids
 from tests.test_consistency import ALPHABET
 

@@ -35,7 +35,8 @@ from repro.serve.wire import graph_to_wire
 from repro.workloads.typea import generate_type_a
 from repro.workloads.typeb import TypeBConfig, generate_type_b
 from tests.conftest import no_cyclic_garbage
-from tests.enumeration import count_embeddings, enumerate_embeddings
+from tests.enumeration import (count_embeddings, enumerate_embeddings,
+                               find_embedding)
 from tests.ullmann import UllmannMatcher
 
 #: The bundled kernels and the test suite's Ullmann oracle.
@@ -115,8 +116,8 @@ class TestKernels:
     def test_find_embedding(self, name):
         matcher = KERNELS[name]()
         with no_cyclic_garbage():
-            embedding = matcher.find_embedding(HIT, HOST)
-            assert matcher.find_embedding(MISS, MISS_HOST) is None
+            embedding = find_embedding(matcher, HIT, HOST)
+            assert find_embedding(matcher, MISS, MISS_HOST) is None
         assert embedding is not None and len(embedding) == HIT.num_vertices
 
     def test_search_that_raises(self, name):

@@ -114,8 +114,9 @@ class TestMidTraceRoundTrip:
         graphs, queries, plan = trace
         config = CONFIG.replace(model=model)
 
-        # Reference: one uninterrupted run over the whole trace.
-        plan.reset()
+        # Reference: one uninterrupted run over the whole trace.  Each
+        # run takes a rewound copy of the plan (cursor 0, fresh draws).
+        plan = dataclasses.replace(plan)
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                config) as reference:
             head = run_span(reference, queries, plan, 0, cut)
@@ -126,7 +127,7 @@ class TestMidTraceRoundTrip:
 
         # Interrupted run: execute the head, snapshot, tear down.
         snapshot_path = tmp_path / f"{model}-{cut}.snap.jsonl"
-        plan.reset()
+        plan = dataclasses.replace(plan)
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                config) as interrupted:
             run_span(interrupted, queries, plan, 0, cut)
@@ -136,12 +137,12 @@ class TestMidTraceRoundTrip:
         # (the dataset is durable in a real deployment; the snapshot
         # only carries *derived* state), a fresh service, restore.
         store = GraphStore.from_graphs(graphs)
-        plan.reset()
+        plan = dataclasses.replace(plan)
         for i in range(cut):
             plan.apply_due(store, i)
         with GraphCacheService(store, config) as restored:
             restored.load(snapshot_path)
-            assert restored.queries_executed == cut
+            assert restored._query_counter == cut
             tail2, trajectory2 = trajectory(restored, queries, plan, cut,
                                             NUM_QUERIES)
             assert tail2 == tail, (
@@ -598,7 +599,7 @@ class TestAutosave:
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                CONFIG) as revived:
             revived.load(path)
-            assert revived.queries_executed == 8
+            assert revived._query_counter == 8
 
     def test_autosave_trigger_positions(self, trace, tmp_path):
         """Every third admission saves, on the thread of the query that
@@ -611,7 +612,7 @@ class TestAutosave:
         first, second = tmp_path / "a.snap.jsonl", tmp_path / "b.snap.jsonl"
         seen = {first: [], second: []}
         renewed = []
-        plan.reset()
+        plan = dataclasses.replace(plan)    # rewound: cursor 0, fresh draws
         with GraphCacheService(GraphStore.from_graphs(graphs),
                                CONFIG) as service:
             service.autosave(first, 3)

@@ -25,12 +25,12 @@ from repro.cache.manager import CacheManager
 from repro.cache.models import CacheModel
 from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
-from repro.graphs.generators import random_labeled_graph
 from repro.matching.vf2plus import VF2PlusMatcher
 from repro.runtime.method_m import MethodM
 from repro.runtime.processors import DiscoveryResult, HitDiscovery
 from repro.runtime.pruner import prune_candidate_set
 from tests.conftest import brute_force_subiso, id_mask, packed_ids
+from tests.graph_helpers import random_labeled_graph
 from tests.reference_pruner import reference_prune_candidate_set
 from tests.test_consistency import ALPHABET, random_change
 

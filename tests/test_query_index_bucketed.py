@@ -8,8 +8,8 @@ Two guarantees are locked here:
   ``entry_id``, which is what the historical dict-scan yielded);
 * **Churn hygiene** — admissions, evictions, purges and manager-driven
   window promotion leave no stale bucket or posting state behind
-  (:meth:`QueryIndex.audit` cross-checks the inverted structures
-  against the entry population after every mutation).
+  (:func:`audit` of ``tests/index_audit.py`` cross-checks the inverted
+  structures against the entry population after every mutation).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.dataset.store import GraphStore
 from repro.graphs.features import GraphFeatures
 from repro.graphs.graph import LabeledGraph
 from tests.conftest import labeled_graphs
+from tests.index_audit import audit
 
 
 def make_entry(entry_id: int, graph: LabeledGraph) -> CacheEntry:
@@ -41,13 +42,13 @@ def make_entry(entry_id: int, graph: LabeledGraph) -> CacheEntry:
 def brute_supergraphs(index: QueryIndex,
                       feats: GraphFeatures) -> list[CacheEntry]:
     """The pre-index linear scan, verbatim (the reference semantics)."""
-    return [e for e in index.entries()
+    return [e for e in index._entries.values()
             if feats.may_be_subgraph_of(e.features)]
 
 
 def brute_subgraphs(index: QueryIndex,
                     feats: GraphFeatures) -> list[CacheEntry]:
-    return [e for e in index.entries()
+    return [e for e in index._entries.values()
             if e.features.may_be_subgraph_of(feats)]
 
 
@@ -76,7 +77,7 @@ class TestEquivalenceProperties:
         index = QueryIndex()
         for i, graph in enumerate(cached):
             index.add(make_entry(i, graph))
-        index.audit()
+        audit(index)
         assert_pools_identical(index, probe)
 
     @given(
@@ -91,7 +92,7 @@ class TestEquivalenceProperties:
             index.add(make_entry(i, graph))
         for entry_id in removals:
             index.remove(entry_id)  # some ids never existed: no-op
-        index.audit()
+        audit(index)
         assert len(index) == len([i for i in range(len(cached))
                                   if i not in removals])
         assert_pools_identical(index, probe)
@@ -126,7 +127,7 @@ class TestOversizedGraphs:
         index = QueryIndex()
         index.add(make_entry(0, LabeledGraph.from_edges("aa", [(0, 1)])))
         index.add(make_entry(1, self._giant()))
-        index.audit()
+        audit(index)
         assert len(index) == 2
         probe = LabeledGraph.from_edges("aa", [])
         assert_pools_identical(index, probe)
@@ -154,7 +155,7 @@ class TestOversizedGraphs:
         small = LabeledGraph.from_edges("aa", [(0, 1)])
         index.add(make_entry(0, small))
         index.add(make_entry(1, star))
-        index.audit()
+        audit(index)
         assert 1 in index._oversized
         # The star registered no degree fields of its own.
         assert len(index._offsets) - fields_before < 70
@@ -168,11 +169,11 @@ class TestOversizedGraphs:
         index = QueryIndex()
         index.add(make_entry(0, self._giant()))
         index.remove(0)
-        index.audit()
+        audit(index)
         assert len(index) == 0
         index.add(make_entry(1, self._giant()))
         index.clear()
-        index.audit()
+        audit(index)
         assert len(index) == 0
 
 
@@ -203,7 +204,7 @@ class TestChurnHygiene:
             else:
                 index.clear()
                 alive.clear()
-            index.audit()
+            audit(index)
             assert len(index) == len(alive)
             if step % 25 == 0:
                 assert_pools_identical(index, probe)
@@ -215,14 +216,14 @@ class TestChurnHygiene:
         index.clear()
         assert len(index) == 0
         assert index._buckets == {}
-        index.audit()
+        audit(index)
 
     def test_re_add_same_id_replaces_postings(self):
         index = QueryIndex()
         index.add(make_entry(7, LabeledGraph.from_edges("ab", [(0, 1)])))
         # Same id, different graph: old label/bucket state must vanish.
         index.add(make_entry(7, LabeledGraph.from_edges("cd", [(0, 1)])))
-        index.audit()
+        audit(index)
         assert len(index) == 1
         probe = GraphFeatures.of(LabeledGraph.from_edges("ab", [(0, 1)]))
         assert index.candidate_supergraphs(probe) == []
@@ -248,10 +249,10 @@ class TestChurnHygiene:
                     if rng.random() < 0.5:
                         g.add_edge(u, v)
             manager.admit(g, 0, store, i)
-            manager.index.audit()
+            audit(manager.index)
             eligible = {e.entry_id for e in manager.all_entries()}
-            indexed = {e.entry_id for e in manager.index.entries()}
+            indexed = {e.entry_id for e in manager.index._entries.values()}
             assert indexed == eligible
         manager.clear(store)
-        manager.index.audit()
+        audit(manager.index)
         assert len(manager.index) == 0

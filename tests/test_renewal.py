@@ -20,11 +20,12 @@ from repro.api import GCConfig, GraphCacheService
 from repro.cache.entry import QueryType
 from repro.cache.manager import CacheManager
 from repro.dataset.store import GraphStore
-from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import LabeledGraph
 from repro.matching.vf2 import VF2Matcher
 from tests.conftest import (brute_force_answer, brute_force_isomorphic,
                             id_mask)
+from tests.graph_helpers import random_labeled_graph
+from tests.index_audit import audit
 from tests.test_consistency import ALPHABET, random_change
 
 
@@ -139,7 +140,7 @@ class TestManagerRenewal:
         assert 1 not in c.manager.statistics
         assert 3 not in c.manager.statistics
         assert c.manager.evictions == 2
-        c.manager.index.audit()
+        audit(c.manager.index)
 
     def test_fully_valid_twin_stays(self):
         c = Copies()

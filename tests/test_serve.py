@@ -32,6 +32,7 @@ from repro.serve.server import (MAX_BODY_BYTES, MAX_HEADERS,
                                  MAX_LINE_BYTES, CacheServer)
 from repro.serve.wire import graph_to_wire
 from repro.workloads.typeb import TypeBConfig, generate_type_b
+from tests.graph_helpers import induced_subgraph
 
 #: GC110 / GC111 hold over every test here (tests/lockdep.py).
 pytestmark = pytest.mark.usefixtures("lock_discipline")
@@ -50,6 +51,13 @@ def make_queries(graphs, n=30, seed=7):
         answer_pool_size=max(n // 2, 5), no_answer_pool_size=5, seed=seed,
     ))
     return [q.graph for q in workload.queries]
+
+
+def requests_answered(server, path, status=200):
+    """How many requests for ``path`` the server answered with
+    ``status``, as its ``/metrics`` counter reads it."""
+    requests, _, _, _ = server.stats.snapshot()
+    return requests.get((path, status), 0)
 
 
 @pytest.fixture
@@ -94,7 +102,7 @@ def parse_prometheus(text):
 class TestEndpoints:
     def test_query_answers_match_direct_execution(self, served):
         server, service, graphs = served
-        query = graphs[0].induced_subgraph([0, 1, 2])
+        query = induced_subgraph(graphs[0], [0, 1, 2])
         status, payload = request(server, "POST", "/query",
                                   {"graph": graph_to_wire(query)})
         assert status == 200
@@ -106,7 +114,7 @@ class TestEndpoints:
 
     def test_batch(self, served):
         server, _, graphs = served
-        wire = graph_to_wire(graphs[0].induced_subgraph([0, 1]))
+        wire = graph_to_wire(induced_subgraph(graphs[0], [0, 1]))
         status, payload = request(server, "POST", "/query/batch",
                                   {"graphs": [wire, wire, wire]})
         assert status == 200
@@ -148,7 +156,7 @@ class TestEndpoints:
     def test_explain_is_read_only(self, served):
         server, service, graphs = served
         before = service.counters()["queries"]
-        query = graphs[0].induced_subgraph([0, 1])
+        query = induced_subgraph(graphs[0], [0, 1])
         status, payload = request(server, "POST", "/explain",
                                   {"graph": graph_to_wire(query)})
         assert status == 200
@@ -401,7 +409,7 @@ class TestContentLength:
         assert status == expected
         assert "error" in payload
         assert headers["connection"] == "close" and closed
-        assert server.stats.request_count("/query", expected) == 1
+        assert requests_answered(server, "/query", expected) == 1
         assert service.counters()["queries"] == 0
         # The listener is unharmed.
         assert request(server, "GET", "/healthz")[0] == 200
@@ -419,7 +427,7 @@ class TestContentLength:
         assert status == 408
         assert "request body incomplete" in payload["error"]
         assert headers["connection"] == "close" and closed
-        assert server.stats.request_count("/query", 408) == 1
+        assert requests_answered(server, "/query", 408) == 1
         assert service.counters()["queries"] == 0
         assert capfd.readouterr().err == ""
         # A fresh connection is served as usual.
@@ -449,8 +457,8 @@ class TestContentLength:
             server, head, chunked + healthz)
         assert status == 411 and "Transfer-Encoding" in payload["error"]
         assert headers["connection"] == "close" and closed
-        assert server.stats.request_count("/query", 411) == 1
-        assert server.stats.request_count("/healthz") == 0
+        assert requests_answered(server, "/query", 411) == 1
+        assert requests_answered(server, "/healthz") == 0
         assert service.counters()["queries"] == 0
 
     @pytest.mark.parametrize("fields", [
@@ -469,7 +477,7 @@ class TestContentLength:
         status, headers, payload, closed = raw_exchange(server, head, body)
         assert status == 400 and "error" in payload
         assert headers["connection"] == "close" and closed
-        assert server.stats.request_count("/query", 400) == 1
+        assert requests_answered(server, "/query", 400) == 1
         assert service.counters()["queries"] == 0
 
 
@@ -497,7 +505,7 @@ class TestHTTPShell:
         assert headers["content-type"] == "application/json"
         assert isinstance(payload["error"], str)
         assert headers["connection"] == "close" and closed
-        assert server.stats.request_count(path, status) == 1
+        assert requests_answered(server, path, status) == 1
         assert request(server, "GET", "/healthz")[0] == 200
 
     def test_headers_at_the_limits_are_served(self, served):
@@ -706,7 +714,7 @@ class TestDrain:
             return discover(*args)
 
         service.discovery.discover = held_discover
-        wire = graph_to_wire(graphs[0].induced_subgraph([0, 1]))
+        wire = graph_to_wire(induced_subgraph(graphs[0], [0, 1]))
         results = []
         client = threading.Thread(target=lambda: results.append(
             request(server, "POST", "/query", {"graph": wire})))
@@ -737,7 +745,7 @@ class TestDrain:
         """A request mid-pipeline when drain starts completes (its
         response arrives) and the drain reports a full drain."""
         server, service, graphs = served
-        wire = graph_to_wire(graphs[0].induced_subgraph([0, 1, 2]))
+        wire = graph_to_wire(induced_subgraph(graphs[0], [0, 1, 2]))
         results = {}
 
         def slow_query():
@@ -773,7 +781,7 @@ class TestDrain:
         monkeypatch.setattr(CacheServer, "_parse_json",
                             staticmethod(held_parse))
         body = json.dumps({"graph": graph_to_wire(
-            graphs[0].induced_subgraph([0, 1]))}).encode()
+            induced_subgraph(graphs[0], [0, 1]))}).encode()
         answers, reports = [], []
         asked = threading.Thread(target=lambda: answers.append(
             server.handle("POST", "/query", body)))
@@ -864,7 +872,7 @@ class TestServeCLISubprocess:
                 response = conn.getresponse()
                 assert response.status == 200
                 response.read()   # drain so keep-alive can reuse the socket
-                wire = graph_to_wire(graphs[0].induced_subgraph([0, 1]))
+                wire = graph_to_wire(induced_subgraph(graphs[0], [0, 1]))
                 conn.request("POST", "/query",
                              body=json.dumps({"graph": wire}).encode(),
                              headers={"Content-Type": "application/json"})

@@ -145,6 +145,5 @@ class TestParentLifecycle:
         """Plans, mutations and persistence have one door: the service."""
         with make_service() as service, service.session() as session:
             for name in ("explain", "apply", "add_graph", "delete_graph",
-                         "add_edge", "remove_edge", "save", "load",
-                         "queries_executed"):
+                         "add_edge", "remove_edge", "save", "load"):
                 assert not hasattr(session, name), name

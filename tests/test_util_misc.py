@@ -21,41 +21,67 @@ class TestZipf:
         for _ in range(500):
             assert 0 <= s.sample() < 10
 
+    @staticmethod
+    def grid_shares(n, alpha, steps=100_000):
+        """Each rank's share of a uniform grid of ``u`` in [0, 1): the
+        sampler's probability mass function, read through ``sample``."""
+
+        class _Grid(random.Random):
+            def __init__(self) -> None:
+                super().__init__(0)
+                self._step = iter(range(steps))
+
+            def random(self) -> float:
+                return next(self._step) / steps
+
+        s = ZipfSampler(n, alpha=alpha, rng=_Grid())
+        counts = [0] * n
+        for _ in range(steps):
+            counts[s.sample()] += 1
+        return [count / steps for count in counts]
+
     def test_pmf_sums_to_one(self):
-        s = ZipfSampler(50, alpha=1.4)
-        assert math.isclose(sum(s.pmf(k) for k in range(50)), 1.0)
+        shares = self.grid_shares(50, 1.4)
+        assert math.isclose(sum(shares), 1.0)
+        # Rank 0 holds 1 / H(50, 1.4) of the mass, to grid resolution.
+        assert math.isclose(shares[0], 1 / sum((k + 1) ** -1.4
+                                               for k in range(50)),
+                            abs_tol=1e-4)
 
     def test_pmf_monotone_decreasing(self):
-        s = ZipfSampler(20, alpha=1.4)
-        probs = [s.pmf(k) for k in range(20)]
-        assert probs == sorted(probs, reverse=True)
+        shares = self.grid_shares(20, 1.4)
+        assert shares == sorted(shares, reverse=True)
 
     def test_rank_zero_dominates(self):
         s = ZipfSampler(1000, alpha=1.4, rng=random.Random(7))
-        draws = s.sample_many(4000)
+        draws = [s.sample() for _ in range(4000)]
         share = draws.count(0) / len(draws)
         # ζ-truncated p(0) ≈ 0.33 at α=1.4; allow generous sampling noise.
         assert 0.25 < share < 0.42
 
     def test_determinism(self):
-        a = ZipfSampler(30, rng=random.Random(5)).sample_many(50)
-        b = ZipfSampler(30, rng=random.Random(5)).sample_many(50)
-        assert a == b
+        a = ZipfSampler(30, rng=random.Random(5))
+        b = ZipfSampler(30, rng=random.Random(5))
+        assert ([a.sample() for _ in range(50)]
+                == [b.sample() for _ in range(50)])
 
     def test_higher_alpha_more_skew(self):
+        # The same uniform draws: a steeper CDF maps more of them to 0.
         flat = ZipfSampler(100, alpha=0.8, rng=random.Random(3))
         steep = ZipfSampler(100, alpha=2.4, rng=random.Random(3))
-        assert steep.pmf(0) > flat.pmf(0)
+        flat_draws = [flat.sample() for _ in range(500)]
+        steep_draws = [steep.sample() for _ in range(500)]
+        assert steep_draws.count(0) > flat_draws.count(0)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ZipfSampler(0)
+            ZipfSampler(0, rng=random.Random(0))
         with pytest.raises(ValueError):
-            ZipfSampler(5, alpha=0)
-        with pytest.raises(ValueError):
-            ZipfSampler(5).pmf(5)
-        with pytest.raises(ValueError):
-            ZipfSampler(5).sample_many(-1)
+            ZipfSampler(5, alpha=0, rng=random.Random(0))
+
+    def test_rng_is_required(self):
+        with pytest.raises(TypeError):
+            ZipfSampler(5)
 
     @given(st.integers(1, 200), st.floats(0.3, 3.0))
     def test_single_population_always_zero(self, n, alpha):
